@@ -141,6 +141,22 @@ def _parse_poles(text: str) -> tuple[complex, ...]:
 # ---------------------------------------------------------------------------
 
 _PATH_KINDS = {"circle", "ellipse", "square", "polyline", "constant", "unit_circle"}
+_REQUIRED = object()
+
+
+def _field(d: dict, key: str, what: str, default=_REQUIRED):
+    value = d.get(key, default)
+    if value is _REQUIRED:
+        raise SpecError(f"{what} needs a {key!r} field")
+    return value
+
+
+def _real_field(d: dict, key: str, what: str, default=_REQUIRED) -> float:
+    value = _field(d, key, what, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{what} field {key!r} must be a real number, got {value!r}")
 
 
 def _path_from_dict(name: str, d: dict) -> PiecewisePath:
@@ -149,17 +165,19 @@ def _path_from_dict(name: str, d: dict) -> PiecewisePath:
     kind = d["kind"]
     if kind not in _PATH_KINDS:
         raise SpecError(f"path {name!r} has unknown kind {kind!r}")
+    what = f"{kind} path {name!r}"
     center = parse_complex(d.get("center", "0"))
     if kind == "unit_circle":
         path = circle()
     elif kind == "circle":
-        path = circle(center=center, radius=float(d.get("radius", 1.0)))
+        path = circle(center=center, radius=_real_field(d, "radius", what, 1.0))
     elif kind == "ellipse":
-        path = ellipse(float(d["semi_re"]), float(d["semi_im"]), center=center)
+        path = ellipse(_real_field(d, "semi_re", what), _real_field(d, "semi_im", what),
+                       center=center)
     elif kind == "square":
-        path = square(float(d["side"]), center=center)
+        path = square(_real_field(d, "side", what), center=center)
     elif kind == "constant":
-        path = constant_path(parse_complex(d["point"]))
+        path = constant_path(parse_complex(_field(d, "point", what)))
     else:
         verts = [parse_complex(v) for v in d.get("vertices", [])]
         if len(verts) < 3:
@@ -177,13 +195,15 @@ def _domain_from_dict(d: dict) -> DomainDescriptor:
     if not isinstance(d, dict) or "kind" not in d:
         raise SpecError("domain needs a 'kind' field")
     kind = d["kind"]
+    what = f"{kind} domain"
     if kind == "disk":
-        return Disk(parse_complex(d.get("center", "0")), float(d["radius"]))
+        return Disk(parse_complex(d.get("center", "0")), _real_field(d, "radius", what))
     if kind == "annulus":
         return Annulus(parse_complex(d.get("center", "0")),
-                       float(d["r_inner"]), float(d["r_outer"]))
+                       _real_field(d, "r_inner", what), _real_field(d, "r_outer", what))
     if kind == "rectangle":
-        return Rectangle(parse_complex(d["corner_lo"]), parse_complex(d["corner_hi"]))
+        return Rectangle(parse_complex(_field(d, "corner_lo", what)),
+                         parse_complex(_field(d, "corner_hi", what)))
     if kind == "punctured_plane":
         return PuncturedPlane(tuple(parse_complex(p) for p in d.get("excluded", [])))
     raise SpecError(f"unknown domain kind {kind!r}")
@@ -448,10 +468,11 @@ def cmd_verify(spec_file, out_file, as_json):
     if kind == "star":
         gamma = spec._named("path")
         report = verify_null_homotopic(spec.function, gamma, spec.star_center,
-                                       spec.domain, spec.tol)
+                                       spec.domain, spec.tol, eps=spec.eps)
     else:
         sigma, g0, g1 = spec.build_homotopy()
-        report = verify_homotopy_invariance(spec.function, g0, g1, sigma, spec.domain, spec.tol)
+        report = verify_homotopy_invariance(spec.function, g0, g1, sigma, spec.domain,
+                                            spec.tol, eps=spec.eps)
     if out_file:
         _write_text(out_file, chain_csv(report.chain))
     if as_json:

@@ -1,11 +1,13 @@
 """Homotopies of closed paths and certified interpolation chains.
 
-A homotopy is a continuous map on [0,1]^2 with an explicit two-variable
-modulus (measured against the euclidean distance of parameter pairs) whose
-time slices are closed paths.  ``build_chain`` discretizes a homotopy into a
-finite run of closed polylines: pick a containment margin for the carrier,
-split the time axis finely enough that neighbouring slices stay within a sixth
-of the budget, replace each interior slice by its polygonal approximation, and
+A homotopy is a continuous map on [0,1]^2 whose time slices are closed
+paths.  It carries an explicit two-variable modulus (measured against the
+euclidean distance of parameter pairs), used to sample its carrier, and a
+time-Lipschitz constant, used to split time.  ``build_chain`` discretizes a
+homotopy into a finite run of closed polylines: pick a containment margin for
+the carrier, split the time axis by the time-Lipschitz constant finely enough
+that neighbouring slices stay within a sixth of the budget, replace each
+interior slice by its polygonal approximation, and
 certify every consecutive sup-distance with the triangle-inequality bounds
 eps/3, eps/2, ..., eps/2, eps/3.  Every certified bound is cross-checked
 against a sampled lower bound and a violation fails hard, since it would mean
@@ -32,7 +34,6 @@ from .geometry import (
     CompactCarrier,
     ContainmentCertificate,
     DomainDescriptor,
-    require_finite_complex,
     well_contained,
 )
 from .paths import (
@@ -66,46 +67,35 @@ _ENDPOINT_TOL = 1e-9
 class Homotopy:
     """Continuous interpolation between two closed paths on [0,1]^2.
 
-    ``evaluator(t, x)`` gives the point of the time-t slice at parameter x.
-    Constructors may supply a vectorized grid evaluator and per-slice moduli
-    or value functions; the defaults fall back to the scalar evaluator and the
-    two-variable modulus, which are always valid but slower and coarser.
+    ``grid(ts, xs)`` evaluates the homotopy on the product of two parameter
+    arrays.  ``modulus2d`` is a modulus for the pair (t, x) under the euclidean
+    distance; ``time_lipschitz`` bounds sup over x of
+    |sigma(t, x) - sigma(t', x)| / |t - t'|, which alone sets the time
+    partition of a chain; ``slice_modulus(t)`` is the modulus of the time-t
+    slice.
     """
 
-    def __init__(self, evaluator, modulus2d: Modulus, gamma0: Path, gamma1: Path, *,
-                 grid_evaluator=None, slice_modulus=None, slice_values=None):
-        self.evaluator = evaluator
+    def __init__(self, grid, modulus2d: Modulus, time_lipschitz: float, slice_modulus,
+                 gamma0: Path, gamma1: Path):
+        self._grid = grid
         self.modulus2d = modulus2d
+        self.time_lipschitz = float(time_lipschitz)
+        self._slice_modulus = slice_modulus
         self.gamma0 = gamma0
         self.gamma1 = gamma1
-        self._grid_evaluator = grid_evaluator
-        self._slice_modulus = slice_modulus
-        self._slice_values = slice_values
 
     def value(self, t: float, x: float) -> complex:
-        return complex(self.evaluator(float(t), float(x)))
+        return complex(self.grid_values([t], [x])[0, 0])
 
     def grid_values(self, ts, xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
         xs = np.asarray(xs, dtype=np.float64)
-        if self._grid_evaluator is not None:
-            return np.asarray(self._grid_evaluator(ts, xs), dtype=np.complex128)
-        ev = self.evaluator
-        return np.array([[ev(t, x) for x in xs] for t in ts], dtype=np.complex128)
+        return np.asarray(self._grid(ts, xs), dtype=np.complex128)
 
     def slice_at(self, t: float) -> ClosedPath:
-        t = float(t)
-        if self._slice_values is not None:
-            vec = self._slice_values(t)
-        else:
-            ev = self.evaluator
-
-            def vec(xs, _t=t):
-                xs = np.asarray(xs, dtype=np.float64)
-                return np.array([ev(_t, x) for x in xs], dtype=np.complex128)
-
-        mod = self._slice_modulus(t) if self._slice_modulus is not None else self.modulus2d
-        return ClosedPath(0.0, 1.0, vec, mod)
+        ts = np.array([float(t)])
+        return ClosedPath(0.0, 1.0, lambda xs: self.grid_values(ts, xs)[0],
+                          self._slice_modulus(float(t)))
 
 
 def _require_unit_closed(path: Path, name: str):
@@ -122,7 +112,14 @@ def _lipschitz_of(path: Path, name: str) -> float:
 
 
 def linear_homotopy(gamma0: Path, gamma1: Path) -> Homotopy:
-    """Pointwise convex blend (1-t) gamma0 + t gamma1 with a conservative modulus."""
+    """Pointwise convex blend (1-t) gamma0 + t gamma1.
+
+    sigma(t, x) - sigma(t', x) = (t - t') (gamma1(x) - gamma0(x)), so the
+    certified upper bound ``gap`` on sup |gamma1 - gamma0| is the exact
+    time-Lipschitz constant.  With L = max(L0, L1) bounding every slice,
+    |d sigma| <= L |dx| + gap |dt| <= hypot(L, gap) |(dt, dx)| by
+    Cauchy-Schwarz, which is the two-variable modulus.
+    """
     if gamma0.interval != gamma1.interval:
         raise MismatchedDomains(
             f"paths live on {gamma0.interval} and {gamma1.interval}")
@@ -130,59 +127,25 @@ def linear_homotopy(gamma0: Path, gamma1: Path) -> Homotopy:
     l0 = _lipschitz_of(gamma0, "gamma0")
     l1 = _lipschitz_of(gamma1, "gamma1")
     gap = sup_distance(gamma0, gamma1, _SMALL_TOL).hi
-    modulus2d = LipschitzModulus(max(l0, l1) + gap)
 
-    def evaluator(t, x):
-        return (1.0 - t) * gamma0.value(x) + t * gamma1.value(x)
-
-    def grid_evaluator(ts, xs):
-        v0 = gamma0.values(xs)
-        v1 = gamma1.values(xs)
-        return np.outer(1.0 - ts, v0) + np.outer(ts, v1)
+    def grid(ts, xs):
+        return np.outer(1.0 - ts, gamma0.values(xs)) + np.outer(ts, gamma1.values(xs))
 
     def slice_modulus(t):
         return LipschitzModulus((1.0 - t) * l0 + t * l1)
 
-    def slice_values(t):
-        def vec(xs):
-            return (1.0 - t) * gamma0.values(xs) + t * gamma1.values(xs)
-        return vec
-
-    return Homotopy(evaluator, modulus2d, gamma0, gamma1, grid_evaluator=grid_evaluator,
-                    slice_modulus=slice_modulus, slice_values=slice_values)
+    return Homotopy(grid, LipschitzModulus(math.hypot(max(l0, l1), gap)), gap,
+                    slice_modulus, gamma0, gamma1)
 
 
 def star_null_homotopy(gamma: Path, center: complex) -> Homotopy:
     """Contract a closed path onto a point along straight rays.
 
-    The time-1 slice is the constant path at the center; whether the swept
-    cone stays inside a given domain is not checked here but by the chain
-    builder's containment certificate.
+    This is the linear homotopy onto the constant path at the center.  Whether
+    the swept cone stays inside a given domain is not checked here but by the
+    chain builder's containment certificate.
     """
-    center = require_finite_complex(center, "center")
-    gamma = reparametrize_to_unit(gamma)
-    lip = _lipschitz_of(gamma, "gamma")
-    reach = sup_distance(gamma, constant_path(center), _SMALL_TOL).hi
-    modulus2d = LipschitzModulus(lip + reach)
-    gamma1 = constant_path(center)
-
-    def evaluator(t, x):
-        return (1.0 - t) * gamma.value(x) + t * center
-
-    def grid_evaluator(ts, xs):
-        v = gamma.values(xs)
-        return np.outer(1.0 - ts, v) + np.outer(ts, np.full(xs.shape, center, dtype=np.complex128))
-
-    def slice_modulus(t):
-        return LipschitzModulus((1.0 - t) * lip)
-
-    def slice_values(t):
-        def vec(xs):
-            return (1.0 - t) * gamma.values(xs) + t * center
-        return vec
-
-    return Homotopy(evaluator, modulus2d, gamma, gamma1, grid_evaluator=grid_evaluator,
-                    slice_modulus=slice_modulus, slice_values=slice_values)
+    return linear_homotopy(reparametrize_to_unit(gamma), constant_path(center))
 
 
 def _grid_steps(sigma: Homotopy, eta: float) -> int:
@@ -283,6 +246,16 @@ def _certify_containment(sigma: Homotopy, domain: DomainDescriptor, max_refineme
         resolution=getattr(last_failure, "resolution", None))
 
 
+def _time_slices(time_lipschitz: float, eps: float) -> int:
+    """Smallest n >= 2 with time_lipschitz / n < eps / 6.
+
+    Slices 1/n apart then differ by less than eps/6 at every parameter.  At
+    least one interior member is kept, so every chain has three members or
+    more.
+    """
+    return max(2, math.floor(6 * time_lipschitz / eps) + 1)
+
+
 def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                 domain: DomainDescriptor, *, eps: float | None = None,
                 max_refinements: int = 8) -> Chain:
@@ -291,9 +264,11 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     Steps: certify the carrier's containment (refining the net until the
     margin clears 4*eta), set eps to half the certified margin so the
     eps/6-inflated carrier still sits well inside the domain, split the time
-    axis at the two-variable modulus of eps/6, polygonally approximate every
-    interior slice to eps/6, and record the eps/3 - eps/2 - eps/3 bounds with
-    sampled cross-checks.
+    axis into n steps with sigma.time_lipschitz / n < eps/6 so neighbouring
+    slices differ by less than eps/6, polygonally approximate every interior
+    slice to eps/6, and record the eps/3 - eps/2 - eps/3 bounds with sampled
+    cross-checks.  The containment net still samples at the two-variable
+    modulus, since it must cover the whole swept region.
     """
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
         if not isinstance(path, PiecewisePath):
@@ -313,11 +288,11 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                 f"eps override {eps} outside (0, {containment.margin * 6 / 7:.6g}] "
                 "allowed by the containment margin")
 
-    delta = min(sigma.modulus2d.delta(eps / 6), math.nextafter(1.0, 0.0))
-    n = math.floor(1.0 / delta) + 1
+    n = _time_slices(sigma.time_lipschitz, eps)
     if n > _MAX_SLICES:
         raise ValueError(
-            f"chain would need {n} time slices; homotopy modulus too steep for margin {containment.margin:.3g}")
+            f"chain would need {n} time slices; homotopy moves too fast in time for margin "
+            f"{containment.margin:.3g}")
     ts = np.arange(n + 1) / n
     ts[-1] = 1.0
 
@@ -326,10 +301,7 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
         members.append(polygonal_approximation(sigma.slice_at(ts[i]), eps / 6).path)
     members.append(gamma1)
 
-    if n >= 2:
-        bounds = [eps / 3] + [eps / 2] * (n - 2) + [eps / 3]
-    else:
-        bounds = [eps / 3]
+    bounds = [eps / 3] + [eps / 2] * (n - 2) + [eps / 3]
 
     entries = []
     tol_cc = eps / 12

@@ -33,6 +33,7 @@ __all__ = [
 
 _PASS_FACTOR = 10.0
 _WINDING_CLEARANCE = 1e-6
+_MAX_NET_POINTS = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,26 +112,32 @@ def _finish(kind: str, f: AnalyticFunction, chain: Chain, integrals: ChainIntegr
 
 def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
                                gamma1: PiecewisePath, sigma: Homotopy,
-                               domain: DomainDescriptor, tol: float) -> VerificationReport:
-    """Build the chain for sigma and check all member integrals agree."""
+                               domain: DomainDescriptor, tol: float, *,
+                               eps: float | None = None) -> VerificationReport:
+    """Build the chain for sigma and check all member integrals agree.
+
+    ``eps`` overrides the chain budget as in ``build_chain``; by default it is
+    half the certified containment margin.
+    """
     gamma0 = reparametrize_to_unit(gamma0)
     gamma1 = reparametrize_to_unit(gamma1)
-    chain = build_chain(sigma, gamma0, gamma1, domain)
+    chain = build_chain(sigma, gamma0, gamma1, domain, eps=eps)
     integrals = integral_along_chain(f, chain, tol)
     return _finish("homotopy-invariance", f, chain, integrals, tol)
 
 
 def verify_null_homotopic(f: AnalyticFunction, gamma: PiecewisePath, center: complex,
-                          domain: DomainDescriptor, tol: float) -> VerificationReport:
+                          domain: DomainDescriptor, tol: float, *,
+                          eps: float | None = None) -> VerificationReport:
     """Contract gamma onto the center and check its integral vanishes.
 
     The star homotopy sweeps the whole cone from the path to the center, so
     containment certification requires that cone to sit inside the domain;
-    otherwise the run refuses with ContainmentNotCertified.
+    otherwise the run refuses with ContainmentNotCertified.  ``eps`` is passed
+    to ``build_chain`` as in ``verify_homotopy_invariance``.
     """
-    gamma = reparametrize_to_unit(gamma)
     sigma = star_null_homotopy(gamma, center)
-    chain = build_chain(sigma, sigma.gamma0, sigma.gamma1, domain)
+    chain = build_chain(sigma, sigma.gamma0, sigma.gamma1, domain, eps=eps)
     integrals = integral_along_chain(f, chain, tol)
     null_abs = abs(integrals.results[0].value)
     return _finish("null-homotopy", f, chain, integrals, tol, null_abs=null_abs)
@@ -150,8 +157,8 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float) -> int:
     clearance = _carrier_clearance(gamma, a)
     if clearance <= _WINDING_CLEARANCE:
         raise NearSingularity(
-            f"carrier within {_WINDING_CLEARANCE} of the winding point "
-            f"(certified clearance {clearance:.3g})")
+            f"carrier not certifiably clear of the winding point "
+            f"(best certified clearance {clearance:.3g}, required {_WINDING_CLEARANCE})")
     result = contour_integral(probe, gamma, tol)
     turns = result.value / (2j * math.pi)
     nearest = round(turns.real)
@@ -162,15 +169,23 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float) -> int:
 
 
 def _carrier_clearance(gamma: PiecewisePath, a: complex) -> float:
-    """Certified lower bound on the distance from the carrier to ``a``."""
+    """Certified lower bound on the distance from the carrier to ``a``.
+
+    Refines the net until the bound clears ``_WINDING_CLEARANCE``, a sample
+    sits within it (refining cannot help), or the next net would exceed the
+    sampling budget.
+    """
     verts = gamma.vertices()
     eta = 0.05 * max(1.0, float(np.abs(verts).max()))
+    span = gamma.b - gamma.a
     best = -math.inf
     for _ in range(9):
         net = carrier_of_path(gamma, eta)
         raw = float(np.abs(net.net - a).min())
         best = max(best, raw - eta)
-        if best > _WINDING_CLEARANCE or raw <= eta:
+        if best > _WINDING_CLEARANCE or raw <= _WINDING_CLEARANCE:
             break
         eta /= 4
+        if span / min(gamma.modulus.delta(eta), span) > _MAX_NET_POINTS:
+            break
     return best

@@ -1,0 +1,75 @@
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from contourchain.cli import EXIT_USAGE, main
+
+
+def _spec(**overrides):
+    doc = {
+        "version": 1,
+        "paths": {"inner": {"kind": "circle", "radius": 1.0},
+                  "outer": {"kind": "circle", "radius": 1.5}},
+        "homotopy": {"kind": "linear", "from": "inner", "to": "outer"},
+        "domain": {"kind": "annulus", "r_inner": 0.5, "r_outer": 2.5},
+        "function": {"expression": "1/z", "poles": ["0"]},
+        "tolerances": {"tol": 1e-9},
+    }
+    doc.update(overrides)
+    return doc
+
+
+def _run(tmp_path, command, doc, *extra):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(doc))
+    return CliRunner().invoke(main, [command, "--spec", str(spec_file), *extra])
+
+
+class TestSpecEps:
+    def test_verify_reports_the_spec_eps(self, tmp_path):
+        doc = _spec(tolerances={"tol": 1e-9, "eps": 0.05})
+        chain = _run(tmp_path, "chain", doc, "--json")
+        verify = _run(tmp_path, "verify", doc, "--json")
+        assert chain.exit_code == 0 and verify.exit_code == 0, verify.output
+        assert json.loads(chain.stdout)["epsilon"] == 0.05
+        report = json.loads(verify.stdout)
+        assert report["epsilon"] == 0.05
+        assert report["verdict"] == "pass"
+
+    def test_eps_above_the_margin_refused_like_chain(self, tmp_path):
+        doc = _spec(tolerances={"tol": 1e-9, "eps": 10.0})
+        chain = _run(tmp_path, "chain", doc)
+        verify = _run(tmp_path, "verify", doc)
+        assert chain.exit_code == verify.exit_code == EXIT_USAGE
+        assert "eps override 10.0 outside" in verify.stderr
+        assert verify.stderr == chain.stderr
+
+
+class TestIdentityHomotopy:
+    def test_three_member_chain(self, tmp_path):
+        # sigma(t, x) = gamma(x) does not move in time, so the chain keeps
+        # only the one interior member every chain has.
+        doc = _spec(homotopy={"kind": "constant", "path": "inner"})
+        result = _run(tmp_path, "chain", doc, "--json")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["members"] == 3
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"paths": {"inner": {"kind": "ellipse", "semi_re": 2.0}}}, "semi_im"),
+    ({"paths": {"inner": {"kind": "square"}}}, "side"),
+    ({"paths": {"inner": {"kind": "constant"}}}, "point"),
+    ({"domain": {"kind": "annulus", "r_inner": 0.5}}, "r_outer"),
+    ({"domain": {"kind": "annulus"}}, "r_inner"),
+    ({"domain": {"kind": "disk"}}, "radius"),
+])
+def test_missing_spec_field_is_a_usage_error(tmp_path, overrides, field):
+    doc = _spec(**overrides)
+    if "paths" in overrides:
+        doc["homotopy"] = {"kind": "constant", "path": "inner"}
+    for command in ("chain", "verify"):
+        result = _run(tmp_path, command, doc)
+        assert result.exit_code == EXIT_USAGE
+        assert isinstance(result.exception, SystemExit)
+        assert f"needs a {field!r} field" in result.stderr

@@ -27,6 +27,7 @@ from contourchain import (
 )
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
+WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
 
 
 class TestStarHomotopy:
@@ -205,3 +206,43 @@ class TestBuildChain:
         assert chain.members[0] is g0 and chain.members[-1] is g1
         for entry in chain.certificate.entries:
             assert entry.sampled.lo <= entry.analytic
+
+
+class TestTimePartition:
+    """The time axis is split by the time-Lipschitz constant alone."""
+
+    @pytest.fixture
+    def blend(self):
+        g0, g1 = circle(radius=1.0), circle(radius=1.5)
+        sigma = linear_homotopy(g0, g1)
+        return sigma, build_chain(sigma, g0, g1, WIDE_ANNULUS)
+
+    def test_time_constant_is_the_certified_gap(self):
+        g0, g1 = circle(radius=1.0), circle(radius=1.5)
+        sigma = linear_homotopy(g0, g1)
+        assert sigma.time_lipschitz == sup_distance(g0, g1, 1e-3).hi
+        assert sigma.modulus2d.constant == math.hypot(1.5 * 2 * math.pi, sigma.time_lipschitz)
+
+    def test_step_below_a_sixth_of_eps(self, blend):
+        sigma, chain = blend
+        n = len(chain.members) - 1
+        assert sigma.time_lipschitz / n < chain.epsilon / 6
+
+    def test_member_count_from_time_constant(self, blend):
+        sigma, chain = blend
+        eps = chain.epsilon
+        from_time = math.floor(6 * sigma.time_lipschitz / eps) + 1
+        from_modulus2d = math.floor(6 * sigma.modulus2d.constant / eps) + 1
+        assert len(chain.members) - 1 == from_time
+        assert from_time < from_modulus2d
+
+    def test_consecutive_slices_within_a_sixth_of_eps(self, blend):
+        sigma, chain = blend
+        ts = chain.partition
+        n = len(ts) - 1
+        # hi = lo + 2 tol, so hi <= eps/6 exactly when the sampled distance
+        # lo stays within the time-Lipschitz bound time_lipschitz / n.
+        tol = (chain.epsilon / 6 - sigma.time_lipschitz / n) / 2
+        for t0, t1 in zip(ts[:-1], ts[1:]):
+            bound = sup_distance(sigma.slice_at(t0), sigma.slice_at(t1), tol)
+            assert bound.hi <= chain.epsilon / 6

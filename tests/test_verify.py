@@ -111,6 +111,14 @@ class TestWindingNumber:
         with pytest.raises(NearSingularity):
             winding_number(circle(), 1 + 0j, 1e-9)
 
+    def test_point_near_the_path(self):
+        # 0.04 from the path, closer than the first net's resolution 0.05
+        assert winding_number(circle(), 0.96, 1e-9) == 1
+
+    def test_point_on_carrier_between_samples_rejected(self):
+        with pytest.raises(NearSingularity):
+            winding_number(circle(), complex(math.cos(0.123456), math.sin(0.123456)), 1e-9)
+
     def test_open_path_rejected(self):
         with pytest.raises(ValueError):
             winding_number(polyline([0j, 1 + 0j], closed=False), 5j, 1e-9)
