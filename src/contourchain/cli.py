@@ -159,6 +159,14 @@ def _real_field(d: dict, key: str, what: str, default=_REQUIRED) -> float:
         raise SpecError(f"{what} field {key!r} must be a real number, got {value!r}")
 
 
+def _int_field(d: dict, key: str, what: str) -> int:
+    value = _field(d, key, what)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{what} field {key!r} must be an integer, got {value!r}")
+
+
 def _path_from_dict(name: str, d: dict) -> PiecewisePath:
     if not isinstance(d, dict) or "kind" not in d:
         raise SpecError(f"path {name!r} needs a 'kind' field")
@@ -183,8 +191,8 @@ def _path_from_dict(name: str, d: dict) -> PiecewisePath:
         if len(verts) < 3:
             raise SpecError(f"polyline path {name!r} needs at least three vertices")
         path = polyline(verts, closed=bool(d.get("closed", True)))
-    lip = d.get("lipschitz")
-    if lip is not None and float(lip) < path.lipschitz_bound:
+    lip = _real_field(d, "lipschitz", what) if "lipschitz" in d else None
+    if lip is not None and lip < path.lipschitz_bound:
         raise SpecError(
             f"path {name!r} declares lipschitz={lip} below the automatic bound "
             f"{path.lipschitz_bound:.6g}; an explicit modulus may only be more conservative")
@@ -227,7 +235,8 @@ class SpecDocument:
             raise SpecError("spec document must be a JSON object")
         if "version" not in doc:
             raise SpecError("spec document is missing the 'version' field")
-        if int(doc["version"]) != SPEC_VERSION:
+        version = _int_field(doc, "version", "spec document")
+        if version != SPEC_VERSION:
             raise SpecError(f"unsupported spec version {doc['version']!r} (expected {SPEC_VERSION})")
         if "domain" not in doc:
             raise SpecError("spec document needs exactly one 'domain' section")
@@ -249,11 +258,13 @@ class SpecDocument:
         except ParseError as exc:
             raise SpecError(f"bad function expression: {exc}")
         tolerances = doc.get("tolerances", {})
-        tol = float(tolerances.get("tol", 1e-9))
-        eps = tolerances.get("eps")
-        return cls(version=int(doc["version"]), paths=paths, homotopy_spec=homotopy_spec,
+        if not isinstance(tolerances, dict):
+            raise SpecError("spec document's 'tolerances' section must be a JSON object")
+        tol = _real_field(tolerances, "tol", "tolerances", 1e-9)
+        eps = None if tolerances.get("eps") is None else _real_field(tolerances, "eps", "tolerances")
+        return cls(version=version, paths=paths, homotopy_spec=homotopy_spec,
                    domain=_domain_from_dict(doc["domain"]), function=function,
-                   tol=tol, eps=None if eps is None else float(eps))
+                   tol=tol, eps=eps)
 
     @classmethod
     def from_file(cls, filename: str) -> "SpecDocument":

@@ -244,6 +244,10 @@ class LineSegment(_SegmentBase):
     def derivative_bound(self):
         return abs(self.z1 - self.z0) / self.span
 
+    @property
+    def second_derivative_bound(self):
+        return 0.0
+
     def values_at(self, xs):
         u = self._u(xs)
         return self.z0 * (1.0 - u) + self.z1 * u
@@ -305,6 +309,10 @@ class ArcSegment(_SegmentBase):
     def derivative_bound(self):
         return self.radius * abs(self.sweep_rate)
 
+    @property
+    def second_derivative_bound(self):
+        return self.radius * self.sweep_rate ** 2
+
     def values_at(self, xs):
         return self._point(self._theta(xs))
 
@@ -325,6 +333,8 @@ class SmoothSegment(_SegmentBase):
 
     Both callables must accept numpy arrays of global parameter values in
     [s0, s1]; ``derivative_bound`` must dominate |derivative| on the span.
+    ``second_derivative_bound``, when given, must dominate the second
+    derivative on the span, which must then be C^2.
     """
 
     evaluator: object
@@ -332,11 +342,13 @@ class SmoothSegment(_SegmentBase):
     derivative_bound: float
     s0: float
     s1: float
+    second_derivative_bound: float | None = None
 
     def __post_init__(self):
-        require_finite_real(self.derivative_bound, "derivative_bound")
-        if self.derivative_bound < 0:
-            raise ValueError("derivative bound must be nonnegative")
+        for bound, name in ((self.derivative_bound, "derivative_bound"),
+                            (self.second_derivative_bound, "second_derivative_bound")):
+            if bound is not None and require_finite_real(bound, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not self.s0 < self.s1:
             raise ValueError(f"need s0 < s1, got [{self.s0}, {self.s1}]")
 
@@ -367,7 +379,8 @@ class SmoothSegment(_SegmentBase):
         def new_der(xs):
             return der(old_s0 + (np.asarray(xs, dtype=np.float64) - s0) * scale) * scale
 
-        return SmoothSegment(new_ev, new_der, self.derivative_bound * scale, s0, s1)
+        return SmoothSegment(new_ev, new_der, self.derivative_bound * scale, s0, s1,
+                             self._second_bound_scaled(scale))
 
     def reversed_onto(self, s0, s1):
         scale = self.span / (s1 - s0)
@@ -380,10 +393,24 @@ class SmoothSegment(_SegmentBase):
         def new_der(xs):
             return -der(old_s1 - (np.asarray(xs, dtype=np.float64) - s0) * scale) * scale
 
-        return SmoothSegment(new_ev, new_der, self.derivative_bound * scale, s0, s1)
+        return SmoothSegment(new_ev, new_der, self.derivative_bound * scale, s0, s1,
+                             self._second_bound_scaled(scale))
+
+    def _second_bound_scaled(self, scale):
+        bound = self.second_derivative_bound
+        return None if bound is None else bound * scale * scale
 
 
 _Segment = (LineSegment, ArcSegment, SmoothSegment)
+
+
+def _segment_bounds(bounds, count: int, name: str) -> np.ndarray:
+    bounds = np.asarray(bounds, dtype=np.float64).ravel().copy()
+    if bounds.size != count:
+        raise ValueError(f"{name} needs one entry per segment ({count}), got {bounds.size}")
+    if not np.all(np.isfinite(bounds) & (bounds >= 0)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return bounds
 
 
 class PiecewisePath(Path):
@@ -419,7 +446,10 @@ class PiecewisePath(Path):
         self._start = start
         self._check_closure(start, end)
 
-        self._modulus = LipschitzModulus(max(s.derivative_bound for s in segments))
+        self._evaluators = None
+        second = [s.second_derivative_bound for s in segments]
+        self._set_bounds(np.array([s.derivative_bound for s in segments], dtype=np.float64),
+                         None if None in second else np.array(second, dtype=np.float64))
         self._all_lines = all(isinstance(s, LineSegment) for s in segments)
         if self._all_lines:
             self._z0 = np.array([s.z0 for s in segments], dtype=np.complex128)
@@ -443,6 +473,7 @@ class PiecewisePath(Path):
             raise ValueError("breakpoints must be strictly increasing")
         self = cls.__new__(cls)
         self._segments = None
+        self._evaluators = None
         self.closed = bool(closed)
         self._a = float(breaks[0])
         self._b = float(breaks[-1])
@@ -452,9 +483,46 @@ class PiecewisePath(Path):
         start, end = complex(verts[0]), complex(verts[-1])
         self._start = start
         self._check_closure(start, end)
-        self._modulus = LipschitzModulus(float((np.abs(self._z1 - self._z0) / spans).max()))
+        self._set_bounds(np.abs(self._z1 - self._z0) / spans, np.zeros(spans.size))
         self._all_lines = True
         return self
+
+    @classmethod
+    def from_evaluator(cls, evaluator, derivative, breakpoints: np.ndarray,
+                       derivative_bounds: np.ndarray, second_derivative_bounds=None,
+                       closed: bool = False) -> "PiecewisePath":
+        """Path given by one evaluator and its derivative over all of its
+        interval, C^1 (C^2 where second-derivative bounds are given) between
+        consecutive ``breakpoints``, with one bound per segment.
+
+        Both callables take numpy arrays of parameters and are evaluated once
+        per call, not once per segment; the segments materialize lazily as
+        ``SmoothSegment`` views of them.
+        """
+        breaks = np.asarray(breakpoints, dtype=np.float64).ravel().copy()
+        if breaks.size < 2 or not np.all(np.diff(breaks) > 0):
+            raise ValueError("need at least two strictly increasing breakpoints")
+        first = _segment_bounds(derivative_bounds, breaks.size - 1, "derivative_bounds")
+        second = None if second_derivative_bounds is None else _segment_bounds(
+            second_derivative_bounds, breaks.size - 1, "second_derivative_bounds")
+        self = cls.__new__(cls)
+        self._segments = None
+        self._evaluators = (evaluator, derivative)
+        self.closed = bool(closed)
+        self._a = float(breaks[0])
+        self._b = float(breaks[-1])
+        self._breaks = breaks
+        ends = np.asarray(evaluator(breaks[[0, -1]]), dtype=np.complex128).ravel()
+        start = require_finite_complex(ends[0], "path start")
+        self._start = start
+        self._check_closure(start, complex(ends[1]))
+        self._set_bounds(first, second)
+        self._all_lines = False
+        return self
+
+    def _set_bounds(self, first: np.ndarray, second: np.ndarray | None):
+        self._first_bounds, self._second_bounds = first, second
+        self._modulus = LipschitzModulus(float(first.max()))
 
     def _check_closure(self, start: complex, end: complex):
         if self.closed and end != start:
@@ -466,9 +534,18 @@ class PiecewisePath(Path):
     @property
     def segments(self) -> tuple:
         if self._segments is None:
-            self._segments = tuple(
-                LineSegment(self._z0[k], self._z1[k], self._breaks[k], self._breaks[k + 1])
-                for k in range(len(self._z0)))
+            b = self._breaks
+            if self._evaluators is None:
+                self._segments = tuple(
+                    LineSegment(self._z0[k], self._z1[k], b[k], b[k + 1])
+                    for k in range(len(self._z0)))
+            else:
+                ev, der = self._evaluators
+                second = self._second_bounds
+                self._segments = tuple(
+                    SmoothSegment(ev, der, self._first_bounds[k], b[k], b[k + 1],
+                                  None if second is None else second[k])
+                    for k in range(self.num_segments))
         return self._segments
 
     @property
@@ -487,6 +564,16 @@ class PiecewisePath(Path):
     def breakpoints(self) -> np.ndarray:
         return self._breaks
 
+    @property
+    def derivative_bounds(self) -> np.ndarray:
+        """Per-segment bound on |z'|."""
+        return self._first_bounds
+
+    @property
+    def second_derivative_bounds(self) -> np.ndarray | None:
+        """Per-segment bound on |z''|, or None when some segment carries none."""
+        return self._second_bounds
+
     def vertices(self) -> np.ndarray:
         """Values at the breakpoints, including the (snapped) closing point."""
         if self._all_lines:
@@ -501,8 +588,7 @@ class PiecewisePath(Path):
         lows, highs = self._breaks[:-1], self._breaks[1:]
         if self._all_lines:
             return lows, highs, np.abs(self._z1 - self._z0)
-        return lows, highs, np.array([s.derivative_bound * s.span for s in self.segments],
-                                     dtype=np.float64)
+        return lows, highs, self._first_bounds * (highs - lows)
 
     def _segment_indices(self, xs):
         idx = np.searchsorted(self._breaks, xs, side="right") - 1
@@ -511,11 +597,14 @@ class PiecewisePath(Path):
     def values(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
         self._check_range(xs)
-        idx = self._segment_indices(xs)
-        if self._all_lines:
+        if self._evaluators is not None:
+            out = np.array(self._evaluators[0](xs), dtype=np.complex128).reshape(xs.shape)
+        elif self._all_lines:
+            idx = self._segment_indices(xs)
             u = (xs - self._s0[idx]) / self._span[idx]
             out = self._z0[idx] * (1.0 - u) + self._z1[idx] * u
         else:
+            idx = self._segment_indices(xs)
             out = np.empty(xs.shape, dtype=np.complex128)
             for k, seg in enumerate(self.segments):
                 mask = idx == k
@@ -530,12 +619,17 @@ class PiecewisePath(Path):
         right-hand segment's derivative."""
         xs = np.asarray(xs, dtype=np.float64)
         self._check_range(xs)
-        idx = self._segment_indices(xs)
-        if self._all_lines:
+        if self._evaluators is not None:
+            ev, der = self._evaluators
+            vals = np.array(ev(xs), dtype=np.complex128).reshape(xs.shape)
+            ders = np.asarray(der(xs), dtype=np.complex128).reshape(xs.shape)
+        elif self._all_lines:
+            idx = self._segment_indices(xs)
             u = (xs - self._s0[idx]) / self._span[idx]
             vals = self._z0[idx] * (1.0 - u) + self._z1[idx] * u
             ders = (self._z1[idx] - self._z0[idx]) / self._span[idx]
         else:
+            idx = self._segment_indices(xs)
             vals = np.empty(xs.shape, dtype=np.complex128)
             ders = np.empty(xs.shape, dtype=np.complex128)
             for k, seg in enumerate(self.segments):
@@ -605,7 +699,8 @@ def ellipse(semi_re: float, semi_im: float, center: complex = 0j, interval=(0.0,
         t = (np.asarray(xs, dtype=np.float64) - a) * omega
         return omega * (-semi_re * np.sin(t) + 1j * semi_im * np.cos(t))
 
-    seg = SmoothSegment(ev, der, omega * max(semi_re, semi_im), breaks[0], breaks[1])
+    seg = SmoothSegment(ev, der, omega * max(semi_re, semi_im), breaks[0], breaks[1],
+                        omega ** 2 * max(semi_re, semi_im))
     return PiecewisePath([seg], closed=True)
 
 

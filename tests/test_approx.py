@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from contourchain import (
+    ArcSegment,
     InvalidEpsilon,
     LipschitzModulus,
+    PiecewisePath,
     circle,
     constant_path,
+    ellipse,
+    linear_homotopy,
     polygonal_approximation,
     polyline,
+    square,
+    star_null_homotopy,
 )
 from conftest import dense_sup, dense_sup_upper, random_builtin_path
 
@@ -24,9 +30,10 @@ class TestConstantPath:
 
 class TestUnitCircleExample:
     def test_segment_count(self):
-        # lipschitz 2 pi at eps = pi/3: delta = 1/18, panels = floor(18) + 1 = 19
+        # four quarter arcs of width 1/4 with |z''| <= 4 pi^2 at eps = pi/3:
+        # floor(sqrt(9 pi / 4) / 4) + 1 = floor(0.66) + 1 = 1 panel per arc
         result = polygonal_approximation(circle(), math.pi / 3)
-        assert result.num_segments == 19
+        assert result.num_segments == 4
 
     def test_certified_bound_holds_densely(self):
         eps = math.pi / 3
@@ -62,14 +69,22 @@ class TestRefinement:
     def test_halving_eps_never_increases_sup(self):
         # the finer polyline's certified sup stays below the coarser one's
         # sampled sup; the grid is fine enough that the Lipschitz slack
-        # (about 6e-5) is below the smallest step between consecutive sups
+        # (about 6e-5) is below the smallest step between consecutive sups.
+        # The arcs get 1, 2, 2 and 3 panels, so eps 0.4 and 0.2 share their
+        # partition and must give the same polyline.
         f = circle()
-        lower, upper = [], []
+        paths, lower, upper = [], [], []
         for eps in [0.8, 0.4, 0.2, 0.1]:
             g = polygonal_approximation(f, eps).path
+            paths.append(g)
             lower.append(dense_sup(f, g, 100_000))
             upper.append(dense_sup_upper(f, g, 100_000))
-        assert all(u2 <= l1 for l1, u2 in zip(lower, upper[1:]))
+        for k in range(len(paths) - 1):
+            coarse, fine = paths[k], paths[k + 1]
+            if np.array_equal(coarse.breakpoints, fine.breakpoints):
+                assert np.array_equal(coarse.vertices(), fine.vertices())
+            else:
+                assert upper[k + 1] <= lower[k]
 
     def test_panel_count_formula(self):
         # lipschitz values at or above the circle's own bound, so the probe
@@ -87,6 +102,60 @@ def _with_lipschitz(path, lip):
 
     conservative = max(lip, path.lipschitz_bound)
     return ClosedPath(0.0, 1.0, path.values, LipschitzModulus(conservative))
+
+
+def _second_order_panels(width, m2, eps):
+    return math.floor(width * math.sqrt(3 * m2 / (16 * eps))) + 1
+
+
+class TestSecondOrderRule:
+    """Panels sized by each piece's bound on |z''|: M2 h^2 / 8 < 2 eps / 3."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.05, 0.003])
+    def test_panel_count_on_one_arc(self, eps):
+        radius = 1.7
+        arc = ArcSegment(0.3 - 0.2j, radius, 0.0, 2 * math.pi, 0.0, 1.0)
+        f = PiecewisePath([arc], closed=True)
+        m2 = radius * (2 * math.pi) ** 2
+        result = polygonal_approximation(f, eps)
+        n = _second_order_panels(1.0, m2, eps)
+        assert result.num_segments == n
+        assert np.allclose(np.diff(result.path.breakpoints), 1.0 / n, rtol=1e-12, atol=0)
+        assert m2 * (1.0 / n) ** 2 / 8 < result.bound
+
+    @pytest.mark.parametrize("eps", [0.5, 0.05, 0.003])
+    def test_panel_count_on_one_ellipse(self, eps):
+        # |z''| = (2 pi)^2 |2 cos + i sin| <= (2 pi)^2 * 2
+        result = polygonal_approximation(ellipse(2.0, 1.0, center=1j), eps)
+        assert result.num_segments == _second_order_panels(1.0, (2 * math.pi) ** 2 * 2, eps)
+
+    def test_straight_pieces_get_one_panel(self):
+        f = square(2.0, center=0.5 + 0.5j)
+        result = polygonal_approximation(f, 1e-6)
+        assert np.array_equal(result.path.breakpoints, f.breakpoints)
+        assert np.array_equal(result.path.vertices(), f.vertices())
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.02])
+    def test_certified_upper_oracle_on_random_builtins(self, eps, rng):
+        # the second-order rule keeps the sup within a few percent of the
+        # bound, so the oracle's Lipschitz slack needs the fine grid
+        for _ in range(10):
+            f = random_builtin_path(rng)
+            g = polygonal_approximation(f, eps)
+            assert dense_sup_upper(f, g.path, 100_000) <= g.bound
+
+    @pytest.mark.parametrize("sigma", [
+        linear_homotopy(circle(), ellipse(2.0, 1.0)),
+        linear_homotopy(square(2.0), circle(radius=1.5)),
+        star_null_homotopy(square(2.0), 0.1 + 0.2j),
+    ], ids=["circle-ellipse", "square-circle", "star-square"])
+    @pytest.mark.parametrize("eps", [0.1, 0.02])
+    def test_certified_upper_oracle_on_homotopy_slices(self, sigma, eps):
+        for t in [0.25, 0.5, 0.9]:
+            f = sigma.slice_at(t)
+            g = polygonal_approximation(f, eps)
+            assert np.all(np.isin(f.breakpoints, g.path.breakpoints))
+            assert dense_sup_upper(f, g.path, 100_000) <= g.bound
 
 
 class TestValidation:

@@ -73,3 +73,20 @@ def test_missing_spec_field_is_a_usage_error(tmp_path, overrides, field):
         assert result.exit_code == EXIT_USAGE
         assert isinstance(result.exception, SystemExit)
         assert f"needs a {field!r} field" in result.stderr
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"version": None}, "version"),
+    ({"version": [1]}, "version"),
+    ({"tolerances": {"tol": None}}, "tol"),
+    ({"tolerances": {"tol": 1e-9, "eps": [0.05]}}, "eps"),
+    ({"paths": {"inner": {"kind": "circle", "radius": 1.0, "lipschitz": None},
+                "outer": {"kind": "circle", "radius": 1.5}}}, "lipschitz"),
+])
+def test_null_or_non_numeric_spec_field_is_a_usage_error(tmp_path, overrides, field):
+    doc = _spec(**overrides)
+    for command in ("chain", "verify"):
+        result = _run(tmp_path, command, doc)
+        assert result.exit_code == EXIT_USAGE
+        assert isinstance(result.exception, SystemExit)
+        assert f"field {field!r} must be" in result.stderr

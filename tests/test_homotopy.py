@@ -83,6 +83,22 @@ class TestLinearHomotopy:
         with pytest.raises(MismatchedDomains):
             linear_homotopy(circle(), circle(interval=(0.0, 2.0)))
 
+    def test_slice_pieces_blend_the_segment_bounds(self):
+        # triangle breakpoints 0, 1/3, 2/3, 1 and quarter arcs: six pieces
+        g0 = polyline([1 + 0j, -0.5 + 0.8j, -0.5 - 0.8j])
+        g1 = circle(radius=1.5)
+        t = 0.3
+        piece = linear_homotopy(g0, g1).slice_at(t)
+        assert np.array_equal(piece.breakpoints, np.union1d(g0.breakpoints, g1.breakpoints))
+        assert piece.num_segments == 6
+        owner0 = np.searchsorted(g0.breakpoints, piece.breakpoints[:-1], side="right") - 1
+        line_speed = np.abs(np.diff(g0.vertices())) * 3
+        arc_speed, arc_curvature = 1.5 * 2 * math.pi, 1.5 * (2 * math.pi) ** 2
+        assert np.allclose(piece.derivative_bounds,
+                           (1 - t) * line_speed[owner0] + t * arc_speed, rtol=1e-14)
+        assert np.allclose(piece.second_derivative_bounds, t * arc_curvature, rtol=1e-14)
+        assert piece.lipschitz_bound == piece.derivative_bounds.max()
+
     def test_endpoint_slices_exact(self):
         g0, g1 = circle(), ellipse(2.0, 1.0)
         sigma = linear_homotopy(g0, g1)
@@ -199,6 +215,15 @@ class TestBuildChain:
         with pytest.raises(InvalidEpsilon):
             build_chain(sigma, g0, g1, ANNULUS, eps=10.0)
 
+    def test_star_of_a_square_keeps_four_segments(self):
+        # every slice is a square, straight on each side, so its polygonal
+        # approximation is the square itself whatever eps is
+        g = square(2.0, center=0.1 + 0.1j)
+        sigma = star_null_homotopy(g, 0.1 + 0.1j)
+        chain = build_chain(sigma, g, sigma.gamma1, Disk(0.1 + 0.1j, 1.55))
+        assert len(chain.members) > 3
+        assert all(m.num_segments == 4 for m in chain.members[1:-1])
+
     def test_polyline_endpoints(self):
         g0 = polyline([1 + 0j, 1j, -1 + 0j, -1j])
         g1 = square(2.4)
@@ -246,3 +271,24 @@ class TestTimePartition:
         for t0, t1 in zip(ts[:-1], ts[1:]):
             bound = sup_distance(sigma.slice_at(t0), sigma.slice_at(t1), tol)
             assert bound.hi <= chain.epsilon / 6
+
+
+@pytest.mark.parametrize("center, radius", [(0j, 1e-12), (1e6 + 0j, 1.0)],
+                         ids=["radius-1e-12", "center-1e6"])
+class TestEndpointCheckScale:
+    """The endpoint check is relative to the magnitude of the values."""
+
+    def test_true_mismatch_refused(self, center, radius):
+        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
+        with pytest.raises(EndpointMismatch):
+            build_chain(linear_homotopy(g0, g1), g1, g0,
+                        Annulus(center, 0.5 * radius, 2.5 * radius))
+
+    def test_float_noise_passes(self, center, radius):
+        # gamma0 moved by 1e-14 of the magnitude of its values
+        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
+        noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
+        chain = build_chain(linear_homotopy(g0, g1), noisy, g1,
+                            Annulus(center, 0.5 * radius, 2.5 * radius))
+        assert chain.members[0] is noisy
+        assert all(e.sampled.lo <= e.analytic for e in chain.certificate.entries)

@@ -131,6 +131,15 @@ class TestGuards:
         with pytest.raises(ToleranceNotReached):
             contour_integral(f, path, 1e-300)
 
+    def test_rounding_limited_tolerance_is_met(self):
+        # near the pole the K15/G7 discrepancy bottoms out at rounding level
+        # before tol 1e-12 is met piece by piece; those pieces are accepted
+        # and the total error estimate still stays within tol
+        f = parse_function("1/(z-0.99)", [0.99 + 0j])
+        result = contour_integral(f, circle(), 1e-12)
+        assert abs(result.value - TWO_PI_I) <= 1e-12
+        assert result.error_estimate <= 1e-12
+
     def test_invalid_tolerance(self):
         with pytest.raises(InvalidEpsilon):
             contour_integral(parse_function("z"), circle(), 0.0)
