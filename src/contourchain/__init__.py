@@ -50,6 +50,7 @@ from .paths import (
     constant_path,
     ellipse,
     polyline,
+    polyline_sup_distance,
     reparametrize_to_unit,
     square,
     sup_distance,

@@ -53,28 +53,33 @@ def _require_budget(panels: float):
             f"partition of {panels:.0f} panels exceeds the budget; eps too small for this path")
 
 
-def _first_order_partition(f: Path, eps: float) -> np.ndarray:
-    """floor(1/delta) + 1 uniform panels, delta the modulus at eps/3 clipped
-    below 1, so every panel is strictly narrower than delta."""
-    delta = min(f.modulus.delta(eps / 3), math.nextafter(1.0, 0.0))
-    n = math.floor(1.0 / delta) + 1
-    _require_budget(n)
-    xs = np.arange(n + 1) / n
-    xs[-1] = 1.0
-    return xs
+def first_order_panels(delta) -> np.ndarray:
+    """floor(1/delta) + 1 uniform panels on [0, 1] for each modulus value
+    delta at eps/3, clipped below 1, so every panel is strictly narrower than delta."""
+    return np.floor(1.0 / np.minimum(delta, math.nextafter(1.0, 0.0))) + 1
 
 
-def _second_order_partition(breaks: np.ndarray, m2: np.ndarray, eps: float) -> np.ndarray:
-    """Equal panels on each piece, floor(w * sqrt(3*M2 / (16*eps))) + 1 of them."""
-    widths = np.diff(breaks)
-    counts = np.floor(widths * np.sqrt(3 * m2 / (16 * eps))) + 1
-    _require_budget(counts.sum())
-    counts = counts.astype(np.int64)
-    piece = np.repeat(np.arange(counts.size), counts)
-    first = np.cumsum(counts) - counts
-    step = np.arange(piece.size) - first[piece]
-    xs = breaks[piece] + widths[piece] * step / counts[piece]
-    return np.append(xs, breaks[-1])
+def second_order_panels(widths, m2, eps: float) -> np.ndarray:
+    """floor(w * sqrt(3*M2 / (16*eps))) + 1 equal panels on each piece of width
+    w whose |z''| is at most M2."""
+    return np.floor(widths * np.sqrt(3 * m2 / (16 * eps))) + 1
+
+
+def partition_points(breaks: np.ndarray, counts) -> np.ndarray:
+    """Points of one partition per row of ``counts``, concatenated.
+
+    A row splits each piece [breaks[k], breaks[k+1]] into counts[k] equal
+    panels and ends with breaks[-1], so every breakpoint is a point of it.
+    """
+    counts = np.atleast_2d(counts)
+    _require_budget(counts.sum(axis=1).max(initial=0))
+    # a last piece of width 0 and one panel ends every row with breaks[-1]
+    counts = np.hstack([counts, np.ones((counts.shape[0], 1))]).astype(np.int64).ravel()
+    widths = np.append(np.diff(breaks), 0.0)
+    flat = np.repeat(np.arange(counts.size), counts)
+    piece = flat % widths.size
+    step = np.arange(flat.size) - (np.cumsum(counts) - counts)[flat]
+    return breaks[piece] + widths[piece] * step / counts[flat]
 
 
 def polygonal_approximation(f: Path, eps: float) -> PolygonalApproximation:
@@ -89,9 +94,9 @@ def polygonal_approximation(f: Path, eps: float) -> PolygonalApproximation:
     f = reparametrize_to_unit(f)
     m2 = f.second_derivative_bounds if isinstance(f, PiecewisePath) else None
     if m2 is None:
-        xs = _first_order_partition(f, eps)
+        xs = partition_points(np.array([0.0, 1.0]), first_order_panels(f.modulus.delta(eps / 3)))
     else:
-        xs = _second_order_partition(f.breakpoints, m2, eps)
+        xs = partition_points(f.breakpoints, second_order_panels(np.diff(f.breakpoints), m2, eps))
     verts = f.values(xs)
     if verts[-1] != verts[0]:
         raise ValueError("input path is not closed: f(0) != f(1)")

@@ -342,19 +342,6 @@ def _emit_json(obj: dict):
     click.echo(json.dumps(obj, indent=2))
 
 
-def _chain_summary(chain: Chain) -> dict:
-    return {
-        "members": len(chain.members),
-        "epsilon": chain.epsilon,
-        "margin": chain.containment.margin,
-        "net_resolution": chain.containment.net_resolution,
-        "certificate": [
-            {"analytic": e.analytic, "sampled_lo": e.sampled.lo, "sampled_hi": e.sampled.hi}
-            for e in chain.certificate.entries
-        ],
-    }
-
-
 def _handle(exc: ContourChainError):
     click.echo(f"error: {exc}", err=True)
     if isinstance(exc, (ContainmentNotCertified, NearSingularity)):
@@ -436,13 +423,11 @@ def cmd_chain(spec_file, out_file, as_json):
     if out_file:
         _write_text(out_file, chain_csv(chain))
     if as_json:
-        _emit_json(_chain_summary(chain))
+        _emit_json(chain.to_dict())
     else:
-        worst = max(e.sampled.lo / e.analytic for e in chain.certificate.entries)
         click.echo(f"chain members: {len(chain.members)}  epsilon: {_fmt(chain.epsilon)}  "
                    f"margin: {_fmt(chain.containment.margin)}")
-        click.echo(f"certificate: {len(chain.certificate.entries)} consecutive bounds hold "
-                   f"(worst sampled/analytic ratio {worst:.3f})")
+        click.echo(f"certificate: {chain.certificate.summary_text()}, all hold")
 
 
 @main.command("integrate")

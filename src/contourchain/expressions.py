@@ -173,8 +173,10 @@ class Pow(Expr):
 
     def to_text(self):
         base = self.base.to_text()
-        # only atoms and leading-minus forms may stand unparenthesized before '^'
-        if not (self.base.precedence == _PREC_ATOM or base.startswith("-")):
+        # only atoms and leading-minus forms may stand unparenthesized before
+        # '^', and a power never may: the grammar takes one '^' per factor
+        if isinstance(self.base, Pow) or not (self.base.precedence == _PREC_ATOM
+                                              or base.startswith("-")):
             base = f"({base})"
         return f"{base}^{self.exponent}"
 

@@ -1,26 +1,30 @@
 """Homotopies of closed paths and certified interpolation chains.
 
-A homotopy is a continuous map on [0,1]^2 whose time slices are closed
-paths.  It carries an explicit two-variable modulus (measured against the
+A homotopy here is the linear blend of two closed piecewise paths on
+[0, 1].  It carries an explicit two-variable modulus (measured against the
 euclidean distance of parameter pairs), used to sample its carrier, and a
 time-Lipschitz constant, used to split time.  ``build_chain`` discretizes a
 homotopy into a finite run of closed polylines: pick a containment margin for
 the carrier, split the time axis by the time-Lipschitz constant finely enough
 that neighbouring slices stay within a sixth of the budget, replace each
-interior slice by its polygonal approximation, and
-certify every consecutive sup-distance with the triangle-inequality bounds
-eps/3, eps/2, ..., eps/2, eps/3.  Every certified bound is cross-checked
-against a sampled lower bound and a violation fails hard, since it would mean
-a broken modulus upstream.
+interior slice by its polygonal approximation, and certify every consecutive
+sup-distance with the triangle-inequality bounds eps/3, eps/2, ..., eps/2,
+eps/3.  Every certified bound is cross-checked and a violation fails hard,
+since it would mean a broken modulus upstream.  Two interior members are
+both polylines, so their distance is taken exactly on the union of their
+breakpoints; the two end pairs, where one member may be curved, are sampled.
 
 A slice of a linear blend is a piecewise path split at the union of the two
 end paths' breakpoints, and each piece carries bounds on |z'| and |z''|
 blended from the end paths' segments.  Its polygonal approximation therefore
 takes the second-order rule (panels sized by the |z''| bound, every
 breakpoint a vertex), which needs far fewer segments than the first-order
-rule; a slice with a piece lacking a |z''| bound falls back to the
-first-order rule on its Lipschitz modulus.  Either rule certifies the same
-2/3 of its budget, so the chain's bounds do not depend on which one ran.
+rule; a slice with a piece lacking a |z''| bound takes the first-order rule
+on its Lipschitz modulus.  Either rule certifies the same 2/3 of its budget,
+so the chain's bounds do not depend on which one ran.  ``build_chain`` builds
+all interior slices' polylines in one batch: the partitions are concatenated,
+each end path is evaluated once over all of them, and the blend is formed per
+point with its slice's time.
 """
 
 from __future__ import annotations
@@ -30,7 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import polygonal_approximation
+# polygonal_approximation is the single-slice form of Homotopy.polygonal_slices;
+# perfbench/tracing.py wraps it under this module's name
+from .approx import (
+    first_order_panels,
+    partition_points,
+    polygonal_approximation,
+    second_order_panels,
+)
 from .errors import (
     CertificateViolation,
     ContainmentNotCertified,
@@ -51,6 +62,7 @@ from .paths import (
     Path,
     PiecewisePath,
     constant_path,
+    polyline_sup_distance,
     reparametrize_to_unit,
     sup_distance,
 )
@@ -67,6 +79,7 @@ __all__ = [
 ]
 
 _SMALL_TOL = 1e-3
+_GAP_TOL_FLOOR = 1e-6
 _GRID_BUDGET = 4_000_000
 _MAX_SLICES = 4000
 # Slice/path gap this small relative to their magnitude is float noise; the
@@ -75,24 +88,33 @@ _ENDPOINT_TOL = 1e-9
 
 
 class Homotopy:
-    """Continuous interpolation between two closed paths on [0,1]^2.
+    """Linear blend sigma(t, x) = (1 - t) gamma0(x) + t gamma1(x) of two closed
+    piecewise paths on [0, 1], built by ``linear_homotopy``.
 
-    ``grid(ts, xs)`` evaluates the homotopy on the product of two parameter
-    arrays.  ``modulus2d`` is a modulus for the pair (t, x) under the euclidean
+    ``modulus2d`` is a modulus for the pair (t, x) under the euclidean
     distance; ``time_lipschitz`` bounds sup over x of
     |sigma(t, x) - sigma(t', x)| / |t - t'|, which alone sets the time
-    partition of a chain; ``slice_at(t)`` is the time-t slice as a piecewise
-    path whose segments carry the bounds its polygonal approximation reads.
+    partition of a chain.  ``slice_at(t)`` is the time-t slice as a piecewise
+    path whose segments carry the bounds its polygonal approximation reads,
+    and ``polygonal_slices`` builds those approximations for many times at once.
+
+    Slices are split at the union of both paths' breakpoints.  On each piece
+    both paths are single segments, so the slice's |z'| and |z''| are at most
+    (1-t) times gamma0's segment bound plus t times gamma1's; the slice gets
+    no second-derivative bound where either segment lacks one.
     """
 
-    def __init__(self, grid, modulus2d: Modulus, time_lipschitz: float, slicer,
-                 gamma0: Path, gamma1: Path):
-        self._grid = grid
-        self.modulus2d = modulus2d
-        self.time_lipschitz = float(time_lipschitz)
-        self._slicer = slicer
+    def __init__(self, gamma0: PiecewisePath, gamma1: PiecewisePath, time_lipschitz: float,
+                 modulus2d: Modulus):
         self.gamma0 = gamma0
         self.gamma1 = gamma1
+        self.time_lipschitz = float(time_lipschitz)
+        self.modulus2d = modulus2d
+        self._breaks = np.union1d(gamma0.breakpoints, gamma1.breakpoints)
+        mids = (self._breaks[:-1] + self._breaks[1:]) / 2
+        (first0, second0), (first1, second1) = (_piece_bounds(g, mids) for g in (gamma0, gamma1))
+        self._first = (first0, first1)
+        self._second = None if second0 is None or second1 is None else (second0, second1)
 
     def value(self, t: float, x: float) -> complex:
         return complex(self.grid_values([t], [x])[0, 0])
@@ -100,13 +122,65 @@ class Homotopy:
     def grid_values(self, ts, xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
         xs = np.asarray(xs, dtype=np.float64)
-        return np.asarray(self._grid(ts, xs), dtype=np.complex128)
+        return np.outer(1.0 - ts, self.gamma0.values(xs)) + np.outer(ts, self.gamma1.values(xs))
 
     def slice_at(self, t: float) -> PiecewisePath:
-        return self._slicer(float(t))
+        t = float(t)
+        g0, g1 = self.gamma0, self.gamma1
+
+        def values(xs):
+            return (1.0 - t) * g0.values(xs) + t * g1.values(xs)
+
+        def derivatives(xs):
+            return (1.0 - t) * g0.eval_with_derivative(xs)[1] + t * g1.eval_with_derivative(xs)[1]
+
+        second = None if self._second is None else (1.0 - t) * self._second[0] + t * self._second[1]
+        return PiecewisePath.from_evaluator(values, derivatives, self._breaks,
+                                            (1.0 - t) * self._first[0] + t * self._first[1],
+                                            second, closed=True)
+
+    def polygonal_slices(self, ts, eps: float) -> list[PiecewisePath]:
+        """``polygonal_approximation(self.slice_at(t), eps).path`` for every t in ``ts``.
+
+        Every slice's partition comes from its blended piece bounds by the
+        same rule, all partitions are evaluated with one call per end path,
+        and the blend is formed as ``slice_at`` forms it, so the polylines are
+        the same to the bit.
+        """
+        eps = float(eps)
+        if not (math.isfinite(eps) and eps > 0):
+            raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
+        ts = np.asarray(ts, dtype=np.float64)
+        w = ts[:, None]
+        if self._second is None:
+            lipschitz = ((1.0 - w) * self._first[0] + w * self._first[1]).max(axis=1)
+            with np.errstate(divide="ignore"):
+                delta = np.where(lipschitz > 0, eps / 3 / lipschitz, np.inf)
+            breaks, counts = np.array([0.0, 1.0]), first_order_panels(delta)[:, None]
+        else:
+            m2 = (1.0 - w) * self._second[0] + w * self._second[1]
+            breaks = self._breaks
+            counts = second_order_panels(np.diff(breaks), m2, eps)
+        xs = partition_points(breaks, counts)
+        sizes = counts.sum(axis=1).astype(np.int64) + 1
+        blend = np.repeat(ts, sizes)
+        verts = (1.0 - blend) * self.gamma0.values(xs) + blend * self.gamma1.values(xs)
+        ends = np.cumsum(sizes)
+        members = []
+        for start, end in zip(ends - sizes, ends):
+            # both end paths are closed, so a slice closes up to float noise;
+            # its last vertex is snapped to the first as a closed slice's values are
+            verts[end - 1] = verts[start]
+            members.append(PiecewisePath.from_vertices(verts[start:end], xs[start:end],
+                                                       closed=True))
+        return members
 
 
-def _require_unit_closed(path: Path, name: str):
+def _check_end_path(path: Path, name: str):
+    if not isinstance(path, PiecewisePath):
+        raise TypeError(f"{name} must be a piecewise-differentiable path")
+    if not path.is_closed:
+        raise ValueError(f"{name} must be closed")
     if path.interval != (0.0, 1.0):
         raise MismatchedDomains(
             f"{name} must live on [0, 1] (reparametrize_to_unit first), got {path.interval}")
@@ -120,57 +194,24 @@ def _piece_bounds(path: PiecewisePath, mids: np.ndarray):
 
 
 def linear_homotopy(gamma0: PiecewisePath, gamma1: PiecewisePath) -> Homotopy:
-    """Pointwise convex blend (1-t) gamma0 + t gamma1.
+    """Pointwise convex blend (1-t) gamma0 + t gamma1 of two closed paths on [0, 1].
 
     sigma(t, x) - sigma(t', x) = (t - t') (gamma1(x) - gamma0(x)), so the
     certified upper bound ``gap`` on sup |gamma1 - gamma0| is the exact
     time-Lipschitz constant.  With L = max(L0, L1) bounding every slice,
     |d sigma| <= L |dx| + gap |dt| <= hypot(L, gap) |(dt, dx)| by
     Cauchy-Schwarz, which is the two-variable modulus.
-
-    Slices are split at the union of both paths' breakpoints.  On each piece
-    both paths are single segments, so the slice's |z'| and |z''| are at most
-    (1-t) times gamma0's segment bound plus t times gamma1's; the slice gets
-    no second-derivative bound where either segment lacks one.
     """
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
-        if not isinstance(path, PiecewisePath):
-            raise TypeError(f"{name} must be a piecewise-differentiable path")
-    if gamma0.interval != gamma1.interval:
-        raise MismatchedDomains(
-            f"paths live on {gamma0.interval} and {gamma1.interval}")
-    _require_unit_closed(gamma0, "gamma0")
+        _check_end_path(path, name)
     lipschitz = max(gamma0.lipschitz_bound, gamma1.lipschitz_bound)
     # the gap is certified to within 2e-3, or to within 2e-3 of the paths'
     # Lipschitz constant when that is smaller, so tiny paths keep a gap (and
-    # hence a time partition) of their own size
-    gap = sup_distance(gamma0, gamma1, _SMALL_TOL * min(1.0, lipschitz or 1.0)).hi
-    breaks = np.union1d(gamma0.breakpoints, gamma1.breakpoints)
-    mids = (breaks[:-1] + breaks[1:]) / 2
-    first0, second0 = _piece_bounds(gamma0, mids)
-    first1, second1 = _piece_bounds(gamma1, mids)
-
-    def grid(ts, xs):
-        return np.outer(1.0 - ts, gamma0.values(xs)) + np.outer(ts, gamma1.values(xs))
-
-    def slicer(t):
-        def values(xs):
-            return (1.0 - t) * gamma0.values(xs) + t * gamma1.values(xs)
-
-        def derivatives(xs):
-            _, d0 = gamma0.eval_with_derivative(xs)
-            _, d1 = gamma1.eval_with_derivative(xs)
-            return (1.0 - t) * d0 + t * d1
-
-        second = None
-        if second0 is not None and second1 is not None:
-            second = (1.0 - t) * second0 + t * second1
-        return PiecewisePath.from_evaluator(values, derivatives, breaks,
-                                            (1.0 - t) * first0 + t * first1, second,
-                                            closed=True)
-
-    return Homotopy(grid, LipschitzModulus(math.hypot(lipschitz, gap)), gap, slicer,
-                    gamma0, gamma1)
+    # hence a time partition) of their own size; the floor at 1e-6 L keeps
+    # the sampling grid of large paths within 10^6 steps
+    tol = max(_SMALL_TOL * min(1.0, lipschitz or 1.0), _GAP_TOL_FLOOR * lipschitz)
+    gap = sup_distance(gamma0, gamma1, tol).hi
+    return Homotopy(gamma0, gamma1, gap, LipschitzModulus(math.hypot(lipschitz, gap)))
 
 
 def star_null_homotopy(gamma: PiecewisePath, center: complex) -> Homotopy:
@@ -206,15 +247,31 @@ def homotopy_carrier(sigma: Homotopy, eta: float) -> CompactCarrier:
 
 @dataclass(frozen=True)
 class PairBound:
-    """Certified bound for one consecutive pair, with its sampled cross-check."""
+    """Certified bound for one consecutive pair, with its cross-check.
+
+    ``sampled`` encloses the pair's sup-distance: exact up to rounding for
+    two polylines (``exact``), a sampled lower bound plus the modulus slack
+    when one member is curved.
+    """
 
     analytic: float
     sampled: Bounds
+    exact: bool
 
 
 @dataclass(frozen=True)
 class ChainCertificate:
     entries: tuple[PairBound, ...]
+
+    def worst_ratio(self, exact: bool) -> float:
+        """Largest measured/analytic ratio over the exact or the sampled entries."""
+        return max((e.sampled.lo / e.analytic for e in self.entries if e.exact == exact),
+                   default=0.0)
+
+    def summary_text(self) -> str:
+        return (f"{len(self.entries)} consecutive bounds, worst ratio to the bound "
+                f"{self.worst_ratio(True):.3f} exact (interior pairs), "
+                f"{self.worst_ratio(False):.3f} sampled (end pairs)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +293,20 @@ class Chain:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def to_dict(self) -> dict:
+        """The chain's certificate block of the JSON reports."""
+        return {
+            "members": len(self.members),
+            "epsilon": self.epsilon,
+            "margin": self.containment.margin,
+            "net_resolution": self.containment.net_resolution,
+            "certificate": [
+                {"analytic": e.analytic, "exact": e.exact,
+                 "sampled_lo": e.sampled.lo, "sampled_hi": e.sampled.hi}
+                for e in self.certificate.entries
+            ],
+        }
 
 
 def _check_endpoint_slices(sigma: Homotopy, gamma0: Path, gamma1: Path):
@@ -304,18 +375,15 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     margin clears 4*eta), set eps to half the certified margin so the
     eps/6-inflated carrier still sits well inside the domain, split the time
     axis into n steps with sigma.time_lipschitz / n < eps/6 so neighbouring
-    slices differ by less than eps/6, polygonally approximate every interior
-    slice to eps/6 (by the second-order rule when the slice carries |z''|
-    bounds, else the first-order one), and record the eps/3 - eps/2 - eps/3
-    bounds with sampled cross-checks.  The containment net still samples at
-    the two-variable modulus, since it must cover the whole swept region.
+    slices differ by less than eps/6, polygonally approximate all interior
+    slices to eps/6 in one batch (``Homotopy.polygonal_slices``), and record
+    the eps/3 - eps/2 - eps/3 bounds with their cross-checks: the exact
+    distance of two polylines inside, a sampled one at the two curved ends.
+    The containment net still samples at the two-variable modulus, since it
+    must cover the whole swept region.
     """
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
-        if not isinstance(path, PiecewisePath):
-            raise TypeError(f"{name} must be a piecewise-differentiable path")
-        if not path.is_closed:
-            raise ValueError(f"{name} must be closed")
-        _require_unit_closed(path, name)
+        _check_end_path(path, name)
     _check_endpoint_slices(sigma, gamma0, gamma1)
 
     carrier, containment = _certify_containment(sigma, domain, max_refinements)
@@ -336,22 +404,23 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     ts = np.arange(n + 1) / n
     ts[-1] = 1.0
 
-    members: list[PiecewisePath] = [gamma0]
-    for i in range(1, n):
-        members.append(polygonal_approximation(sigma.slice_at(ts[i]), eps / 6).path)
-    members.append(gamma1)
-
+    members = [gamma0, *sigma.polygonal_slices(ts[1:-1], eps / 6), gamma1]
     bounds = [eps / 3] + [eps / 2] * (n - 2) + [eps / 3]
 
     entries = []
     tol_cc = eps / 12
     for j, bound in enumerate(bounds):
-        sampled = sup_distance(members[j], members[j + 1], tol_cc)
-        if sampled.lo > bound:
+        exact = 0 < j < n - 1
+        if exact:
+            measured = polyline_sup_distance(members[j], members[j + 1])
+        else:
+            measured = sup_distance(members[j], members[j + 1], tol_cc)
+        if measured.lo > bound:
             raise CertificateViolation(
-                f"sampled sup-distance lower bound {sampled.lo:.6g} exceeds the certified "
-                f"bound {bound:.6g} for pair {j}; a modulus upstream is broken")
-        entries.append(PairBound(analytic=bound, sampled=sampled))
+                f"{'exact' if exact else 'sampled'} sup-distance lower bound {measured.lo:.6g} "
+                f"exceeds the certified bound {bound:.6g} for pair {j}; "
+                "a modulus upstream is broken")
+        entries.append(PairBound(analytic=bound, sampled=measured, exact=exact))
 
     return Chain(members=tuple(members), epsilon=eps,
                  certificate=ChainCertificate(tuple(entries)),

@@ -62,25 +62,17 @@ class VerificationReport:
             "tol": self.tol,
             "threshold": self.threshold,
             "deviation": self.max_deviation,
-            "epsilon": self.chain.epsilon,
-            "margin": self.chain.containment.margin,
-            "net_resolution": self.chain.containment.net_resolution,
-            "members": self.members,
             "null_integral_abs": self.null_integral_abs,
             "integrals": [
                 {"value_re": r.value.real, "value_im": r.value.imag,
                  "error_estimate": r.error_estimate, "evaluations": r.evaluations}
                 for r in self.integrals
             ],
-            "certificate": [
-                {"analytic": e.analytic, "sampled_lo": e.sampled.lo, "sampled_hi": e.sampled.hi}
-                for e in self.chain.certificate.entries
-            ],
+            **self.chain.to_dict(),
         }
 
     def format_text(self) -> str:
         first, last = self.integrals[0].value, self.integrals[-1].value
-        worst = max((e.sampled.lo / e.analytic for e in self.chain.certificate.entries), default=0.0)
         lines = [
             f"{self.kind} verification of f = {self.function_text}",
             f"  chain members: {self.members}   epsilon: {self.chain.epsilon:.6g}"
@@ -88,8 +80,7 @@ class VerificationReport:
             f"   net resolution: {self.chain.containment.net_resolution:.6g}",
             f"  endpoint integrals: {first:.12g}  ->  {last:.12g}",
             f"  max pairwise deviation: {self.max_deviation:.6g}   threshold: {self.threshold:.6g}",
-            f"  certificate: {len(self.chain.certificate.entries)} consecutive bounds, "
-            f"worst sampled/analytic ratio {worst:.3f}",
+            f"  certificate: {self.chain.certificate.summary_text()}",
         ]
         if self.null_integral_abs is not None:
             lines.append(f"  |integral over the input path|: {self.null_integral_abs:.6g}")

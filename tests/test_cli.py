@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from contourchain.cli import EXIT_USAGE, main
+from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, main
 
 
 def _spec(**overrides):
@@ -90,3 +90,67 @@ def test_null_or_non_numeric_spec_field_is_a_usage_error(tmp_path, overrides, fi
         assert result.exit_code == EXIT_USAGE
         assert isinstance(result.exception, SystemExit)
         assert f"field {field!r} must be" in result.stderr
+
+
+@pytest.mark.parametrize("args, code, text", [
+    (["approx", "--path", "unit_circle", "--eps", "0.1"], EXIT_OK, "segments: 12"),
+    (["approx", "--path", "hexagon", "--eps", "0.1"], EXIT_USAGE, "unknown path 'hexagon'"),
+    (["approx", "--path", "unit_circle", "--eps", "-1"], EXIT_USAGE, "eps must be a positive"),
+    (["carrier", "--path", "square(2)", "--eta", "0.1"], EXIT_OK, "net points: 81"),
+    (["carrier", "--path", "square(2)", "--eta", "0"], EXIT_USAGE, "eta must be positive"),
+    (["integrate", "--f", "1/z", "--poles", "0", "--path", "unit_circle"], EXIT_OK,
+     "6.283185307179586"),
+    (["integrate", "--f", "1/", "--path", "unit_circle"], EXIT_USAGE, "unexpected token"),
+    (["integrate", "--f", "1/(z-1)", "--poles", "1", "--path", "unit_circle"], EXIT_REFUSED,
+     "not certifiably clear of declared singularities"),
+    (["integrate", "--f", "1/z", "--poles", "0", "--path", "unit_circle", "--tol", "1e-300"],
+     EXIT_FAILED, "quadrature error estimate"),
+    (["wind", "--path", "unit_circle", "--point", "0"], EXIT_OK, "1"),
+    (["wind", "--path", "unit_circle", "--point", "abc"], EXIT_USAGE, "cannot parse complex"),
+    (["wind", "--path", "unit_circle", "--point", "1"], EXIT_REFUSED,
+     "not certifiably clear of the winding point"),
+    (["wind", "--path", "unit_circle", "--point", "0.5", "--tol", "1e-300"], EXIT_FAILED,
+     "quadrature error estimate"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_path_command_exit_codes(args, code, text):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert text in (result.stdout if code == EXIT_OK else result.stderr)
+    if code != EXIT_OK:
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestCertificateOutput:
+    def test_chain_json_is_the_report_certificate_block(self, tmp_path):
+        doc = _spec(paths={"inner": {"kind": "circle", "radius": 1.0},
+                           "outer": {"kind": "ellipse", "semi_re": 2.0, "semi_im": 1.0}})
+        chain = json.loads(_run(tmp_path, "chain", doc, "--json").stdout)
+        report = json.loads(_run(tmp_path, "verify", doc, "--json").stdout)
+        for key, value in chain.items():
+            assert report[key] == value
+        exact = [entry["exact"] for entry in chain["certificate"]]
+        assert exact == [False] + [True] * (chain["members"] - 3) + [False]
+        for entry in chain["certificate"]:
+            assert entry["sampled_lo"] <= entry["analytic"]
+            assert entry["sampled_lo"] <= entry["sampled_hi"]
+
+    def test_text_outputs_name_the_exact_and_sampled_ratios(self, tmp_path):
+        for command in ("chain", "verify"):
+            result = _run(tmp_path, command, _spec())
+            assert result.exit_code == 0, result.output
+            assert "exact (interior pairs)" in result.stdout
+            assert "sampled (end pairs)" in result.stdout
+
+
+def test_large_circles_chain_and_verify(tmp_path):
+    # the gap of paths with Lipschitz constant near 2e4 is certified on a
+    # grid of at most 10^6 steps, so the blend is built and verified
+    doc = _spec(paths={"inner": {"kind": "circle", "radius": 2000.0},
+                       "outer": {"kind": "circle", "radius": 3000.0}},
+                domain={"kind": "annulus", "r_inner": 1000.0, "r_outer": 5000.0})
+    chain = _run(tmp_path, "chain", doc, "--json")
+    assert chain.exit_code == EXIT_OK, chain.output
+    assert json.loads(chain.stdout)["members"] == 28
+    verify = _run(tmp_path, "verify", doc)
+    assert verify.exit_code == EXIT_OK, verify.output
+    assert "verdict: PASS" in verify.stdout

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contourchain import NearSingularity, ParseError, eval_function, parse_function
@@ -148,6 +148,8 @@ def _exprs():
 
 
 @given(tree=_exprs())
+@example(tree=Pow(Pow(Sub(Const(0j), Var()), 2), 3))
+@example(tree=Cos(Pow(Pow(Sub(Const(0j), Const(1j)), 0), 0)))
 @settings(max_examples=200, deadline=None)
 def test_print_parse_roundtrip(tree):
     text = tree.to_text()

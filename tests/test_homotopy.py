@@ -5,13 +5,18 @@ import pytest
 
 from contourchain import (
     Annulus,
+    Bounds,
+    CertificateViolation,
     ContainmentNotCertified,
     Containment,
     Disk,
     EndpointMismatch,
+    Homotopy,
     InvalidEpsilon,
     MismatchedDomains,
+    PiecewisePath,
     PuncturedPlane,
+    SmoothSegment,
     build_chain,
     circle,
     constant_path,
@@ -20,11 +25,14 @@ from contourchain import (
     homotopy_carrier,
     inflate_contains,
     linear_homotopy,
+    polygonal_approximation,
     polyline,
+    polyline_sup_distance,
     square,
     star_null_homotopy,
     sup_distance,
 )
+from contourchain import homotopy as homotopy_module
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -83,6 +91,10 @@ class TestLinearHomotopy:
         with pytest.raises(MismatchedDomains):
             linear_homotopy(circle(), circle(interval=(0.0, 2.0)))
 
+    def test_open_path_rejected(self):
+        with pytest.raises(ValueError, match="gamma1 must be closed"):
+            linear_homotopy(circle(), polyline([1 + 0j, 1j, -1 + 0j], closed=False))
+
     def test_slice_pieces_blend_the_segment_bounds(self):
         # triangle breakpoints 0, 1/3, 2/3, 1 and quarter arcs: six pieces
         g0 = polyline([1 + 0j, -0.5 + 0.8j, -0.5 - 0.8j])
@@ -105,6 +117,49 @@ class TestLinearHomotopy:
         xs = np.linspace(0, 1, 257)
         assert np.abs(sigma.grid_values([0.0], xs)[0] - g0.values(xs)).max() == 0.0
         assert np.abs(sigma.grid_values([1.0], xs)[0] - g1.values(xs)).max() == 0.0
+
+
+def _ellipse_without_curvature_bound(a, b):
+    """ellipse(a, b) whose single segment carries no |z''| bound."""
+    seg = ellipse(a, b).segments[0]
+    return PiecewisePath([SmoothSegment(seg.evaluator, seg.derivative, seg.derivative_bound,
+                                        seg.s0, seg.s1)], closed=True)
+
+
+class TestPolygonalSlices:
+    """Batched slice polylines are the one-slice-at-a-time polylines, bit for bit."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: linear_homotopy(circle(), ellipse(2.0, 1.0)),
+        lambda: linear_homotopy(square(2.0), circle(radius=1.8)),
+        lambda: star_null_homotopy(square(2.0, center=0.1 + 0.1j), 0.1 + 0.1j),
+        lambda: linear_homotopy(_ellipse_without_curvature_bound(1.0, 0.9), circle(radius=1.4)),
+    ], ids=["circle-ellipse", "square-circle", "star-square", "no-curvature-bound"])
+    @pytest.mark.parametrize("eps", [0.1, 0.005])
+    def test_same_polylines_as_one_slice_at_a_time(self, make, eps):
+        sigma = make()
+        ts = np.arange(1, 12) / 12
+        xs = np.linspace(0, 1, 1001)
+        batch = sigma.polygonal_slices(ts, eps)
+        assert len(batch) == ts.size
+        for t, member in zip(ts, batch):
+            single = polygonal_approximation(sigma.slice_at(t), eps).path
+            assert np.array_equal(member.breakpoints, single.breakpoints)
+            assert np.array_equal(member.vertices(), single.vertices())
+            assert np.array_equal(member.values(xs), single.values(xs))
+
+    def test_no_curvature_bound_takes_the_first_order_rule(self):
+        sigma = linear_homotopy(_ellipse_without_curvature_bound(1.0, 0.9), circle(radius=1.4))
+        member = sigma.polygonal_slices([0.5], 0.01)[0]
+        lipschitz = 0.5 * 2 * math.pi * 1.0 + 0.5 * 2 * math.pi * 1.4
+        assert member.num_segments == math.floor(3 * lipschitz / 0.01) + 1
+
+    def test_panel_budget_refused_like_one_slice(self):
+        sigma = linear_homotopy(circle(), ellipse(2.0, 1.0))
+        with pytest.raises(InvalidEpsilon, match="exceeds the budget"):
+            polygonal_approximation(sigma.slice_at(0.5), 1e-14)
+        with pytest.raises(InvalidEpsilon, match="exceeds the budget"):
+            sigma.polygonal_slices([0.25, 0.5], 1e-14)
 
 
 class TestHomotopyCarrier:
@@ -233,6 +288,36 @@ class TestBuildChain:
             assert entry.sampled.lo <= entry.analytic
 
 
+class TestChainCrossCheck:
+    """Interior pairs are checked by their exact distance, end pairs by sampling."""
+
+    def test_interior_exact_ends_sampled(self):
+        g0, g1 = square(2.0), circle(radius=1.8)
+        chain = build_chain(linear_homotopy(g0, g1), g0, g1, WIDE_ANNULUS)
+        entries = chain.certificate.entries
+        assert [e.exact for e in entries] == [False] + [True] * (len(entries) - 2) + [False]
+        for entry, p, q in zip(entries[1:-1], chain.members[1:-2], chain.members[2:-1]):
+            assert entry.sampled == polyline_sup_distance(p, q)
+            assert entry.sampled.hi <= entry.analytic
+
+    def test_broken_time_constant_raises(self):
+        g0, g1 = circle(radius=1.0), circle(radius=2.0)
+        sigma = linear_homotopy(g0, g1)
+        liar = Homotopy(g0, g1, sigma.time_lipschitz / 5, sigma.modulus2d)
+        with pytest.raises(CertificateViolation):
+            build_chain(liar, g0, g1, ANNULUS)
+
+    def test_exact_check_alone_catches_it(self, monkeypatch):
+        # with the end pairs' sampled check silenced, the interior pairs of a
+        # chain five times too coarse in time must still be refused
+        g0, g1 = circle(radius=1.0), circle(radius=2.0)
+        sigma = linear_homotopy(g0, g1)
+        liar = Homotopy(g0, g1, sigma.time_lipschitz / 5, sigma.modulus2d)
+        monkeypatch.setattr(homotopy_module, "sup_distance", lambda p, q, tol: Bounds(0.0, tol))
+        with pytest.raises(CertificateViolation, match="exact sup-distance"):
+            build_chain(liar, g0, g1, ANNULUS)
+
+
 class TestTimePartition:
     """The time axis is split by the time-Lipschitz constant alone."""
 
@@ -247,6 +332,18 @@ class TestTimePartition:
         sigma = linear_homotopy(g0, g1)
         assert sigma.time_lipschitz == sup_distance(g0, g1, 1e-3).hi
         assert sigma.modulus2d.constant == math.hypot(1.5 * 2 * math.pi, sigma.time_lipschitz)
+
+    def test_gap_tol_unchanged_up_to_lipschitz_1e3(self):
+        g0, g1 = circle(radius=100.0), circle(radius=150.0)
+        assert linear_homotopy(g0, g1).time_lipschitz == sup_distance(g0, g1, 1e-3).hi
+
+    def test_gap_tol_floor_for_large_paths(self):
+        # L = 6000 pi: the tol is 1e-6 L, so the grid has about 10^6 steps
+        g0, g1 = circle(radius=2000.0), circle(radius=3000.0)
+        sigma = linear_homotopy(g0, g1)
+        tol = 1e-6 * 3000.0 * 2 * math.pi
+        assert sigma.time_lipschitz == sup_distance(g0, g1, tol).hi
+        assert sigma.time_lipschitz == pytest.approx(1000.0 + 2 * tol, abs=1e-9)
 
     def test_step_below_a_sixth_of_eps(self, blend):
         sigma, chain = blend

@@ -23,11 +23,12 @@ from contourchain import (
     ellipse,
     parse_function,
     polyline,
+    polyline_sup_distance,
     reparametrize_to_unit,
     square,
     sup_distance,
 )
-from conftest import dense_sup, dense_sup_upper, random_builtin_path
+from conftest import dense_sup, dense_sup_upper, random_builtin_path, random_polyline
 
 
 class TestModulus:
@@ -185,6 +186,40 @@ class TestSupDistance:
             assert dense_sup(p, q, 4000) <= b.hi + 1e-12
 
 
+class TestPolylineSupDistance:
+    def test_encloses_the_dense_oracles(self, rng):
+        for _ in range(20):
+            p = random_polyline(rng, rng.randint(3, 9), radius=rng.uniform(0.5, 2.0))
+            q = random_polyline(rng, rng.randint(3, 9), radius=rng.uniform(0.5, 2.0),
+                                center=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            b = polyline_sup_distance(p, q)
+            assert b.lo <= b.hi
+            assert b.lo <= dense_sup_upper(p, q, 4000) + 1e-12
+            assert dense_sup(p, q, 4000) <= b.hi + 1e-12
+            assert b.hi - b.lo <= 1e-13
+
+    def test_sup_between_grid_points(self):
+        # q is the square with its top side pushed out by 0.3 at x = 1/8, a
+        # point that the 209-step sampling grid of sup_distance at tol 0.04 misses
+        p = square(2.0)
+        verts = np.array([1 + 1j, 1.3j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
+        q = PiecewisePath.from_vertices(verts, np.array([0, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1]),
+                                        closed=True)
+        b = polyline_sup_distance(p, q)
+        assert b.lo <= 0.3 <= b.hi
+        assert sup_distance(p, q, 0.04).lo < b.lo
+
+    def test_translated_square(self):
+        b = polyline_sup_distance(square(2.0), square(2.0, center=0.1j))
+        assert b.lo <= 0.1 <= b.hi
+
+    def test_needs_two_polylines_on_one_interval(self):
+        with pytest.raises(TypeError):
+            polyline_sup_distance(square(2.0), circle())
+        with pytest.raises(MismatchedDomains):
+            polyline_sup_distance(square(2.0), square(2.0, interval=(0.0, 2.0)))
+
+
 class TestReparametrize:
     def test_identity_on_unit_interval(self):
         p = circle()
@@ -268,6 +303,24 @@ class TestPiecewisePath:
         moved = seg.with_span(0.0, 0.5)
         assert moved.values_at(np.array([0.25]))[0] == pytest.approx(seg.values_at(np.array([0.5]))[0])
         assert moved.derivative_bound == pytest.approx(4 * math.pi)
+
+    @pytest.mark.parametrize("path", [
+        circle(1 + 1j, 2.0),
+        circle(radius=0.7).reverse(),
+        reparametrize_to_unit(circle(0.5j, 1.3, interval=(0.0, 3.0))),
+    ], ids=["circle", "reversed", "reparametrized"])
+    def test_arc_arrays_match_the_segment_formulas(self, path):
+        assert all(isinstance(seg, ArcSegment) for seg in path.segments)
+        xs = np.concatenate([np.linspace(path.a, path.b, 997), path.breakpoints])
+        vals, ders = path.eval_with_derivative(xs)
+        assert np.array_equal(vals, path.values(xs))
+        for k, seg in enumerate(path.segments):
+            # a breakpoint belongs to the segment on its right, b to the last one
+            on = (xs >= seg.s0) & ((xs < seg.s1) | ((k == path.num_segments - 1) & (xs == seg.s1)))
+            assert np.array_equal(ders[on], seg.derivatives_at(xs[on]))
+            inner = on & (xs != path.b)
+            assert np.array_equal(vals[inner], seg.values_at(xs[inner]))
+        assert np.all(vals[xs == path.b] == path.segments[0].start_value)
 
     def test_non_contiguous_segments_rejected(self):
         with pytest.raises(ValueError, match="non-contiguous"):
