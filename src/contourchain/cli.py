@@ -11,9 +11,9 @@ or singularity clearance cannot be certified), 3 failure (deviation above
 threshold, quadrature tolerance not reached, non-integer winding).
 
 Problem specs are JSON documents with a ``version`` field and sections
-``paths``, ``homotopy``, ``domain``, ``function``, ``tolerances``; see the
-README for the schema.  Complex numbers in specs and flags are written like
-``1.5``, ``2i``, ``1+2i`` or ``-0.5-1i``.
+``paths``, ``homotopy``, ``domain``, ``function``, ``tolerances``; the
+``SpecDocument`` docstring gives the schema.  Complex numbers in specs and
+flags are written like ``1.5``, ``2i``, ``1+2i`` or ``-0.5-1i``.
 """
 
 from __future__ import annotations
@@ -163,34 +163,51 @@ def _int_field(d: dict, key: str, what: str) -> int:
     value = _field(d, key, what)
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SpecError(f"{what} field {key!r} must be an integer, got {value!r}")
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (str, list or dict), else a SpecError."""
+    if not isinstance(value, kind):
+        names = {str: "a string", list: "a list", dict: "a JSON object"}
+        raise SpecError(f"{what} must be {names[kind]}, got {value!r}")
+    return value
+
+
+def _section(doc: dict, key: str, kind: type):
+    """The optional section ``key``, empty when absent."""
+    return _typed(doc.get(key, kind()), kind, f"spec document's {key!r} section")
 
 
 def _path_from_dict(name: str, d: dict) -> PiecewisePath:
     if not isinstance(d, dict) or "kind" not in d:
         raise SpecError(f"path {name!r} needs a 'kind' field")
     kind = d["kind"]
-    if kind not in _PATH_KINDS:
+    if not isinstance(kind, str) or kind not in _PATH_KINDS:
         raise SpecError(f"path {name!r} has unknown kind {kind!r}")
     what = f"{kind} path {name!r}"
     center = parse_complex(d.get("center", "0"))
-    if kind == "unit_circle":
-        path = circle()
-    elif kind == "circle":
-        path = circle(center=center, radius=_real_field(d, "radius", what, 1.0))
-    elif kind == "ellipse":
-        path = ellipse(_real_field(d, "semi_re", what), _real_field(d, "semi_im", what),
-                       center=center)
-    elif kind == "square":
-        path = square(_real_field(d, "side", what), center=center)
-    elif kind == "constant":
-        path = constant_path(parse_complex(_field(d, "point", what)))
-    else:
-        verts = [parse_complex(v) for v in d.get("vertices", [])]
-        if len(verts) < 3:
-            raise SpecError(f"polyline path {name!r} needs at least three vertices")
-        path = polyline(verts, closed=bool(d.get("closed", True)))
+    try:
+        if kind == "unit_circle":
+            path = circle()
+        elif kind == "circle":
+            path = circle(center=center, radius=_real_field(d, "radius", what, 1.0))
+        elif kind == "ellipse":
+            path = ellipse(_real_field(d, "semi_re", what), _real_field(d, "semi_im", what),
+                           center=center)
+        elif kind == "square":
+            path = square(_real_field(d, "side", what), center=center)
+        elif kind == "constant":
+            path = constant_path(parse_complex(_field(d, "point", what)))
+        else:
+            verts = [parse_complex(v) for v in _typed(d.get("vertices", []), list,
+                                                      f"{what} field 'vertices'")]
+            if len(verts) < 3:
+                raise SpecError(f"polyline path {name!r} needs at least three vertices")
+            path = polyline(verts, closed=bool(d.get("closed", True)))
+    except ValueError as exc:
+        raise SpecError(f"{what}: {exc}")
     lip = _real_field(d, "lipschitz", what) if "lipschitz" in d else None
     if lip is not None and lip < path.lipschitz_bound:
         raise SpecError(
@@ -204,22 +221,53 @@ def _domain_from_dict(d: dict) -> DomainDescriptor:
         raise SpecError("domain needs a 'kind' field")
     kind = d["kind"]
     what = f"{kind} domain"
-    if kind == "disk":
-        return Disk(parse_complex(d.get("center", "0")), _real_field(d, "radius", what))
-    if kind == "annulus":
-        return Annulus(parse_complex(d.get("center", "0")),
-                       _real_field(d, "r_inner", what), _real_field(d, "r_outer", what))
-    if kind == "rectangle":
-        return Rectangle(parse_complex(_field(d, "corner_lo", what)),
-                         parse_complex(_field(d, "corner_hi", what)))
-    if kind == "punctured_plane":
-        return PuncturedPlane(tuple(parse_complex(p) for p in d.get("excluded", [])))
+    try:
+        if kind == "disk":
+            return Disk(parse_complex(d.get("center", "0")), _real_field(d, "radius", what))
+        if kind == "annulus":
+            return Annulus(parse_complex(d.get("center", "0")),
+                           _real_field(d, "r_inner", what), _real_field(d, "r_outer", what))
+        if kind == "rectangle":
+            return Rectangle(parse_complex(_field(d, "corner_lo", what)),
+                             parse_complex(_field(d, "corner_hi", what)))
+        if kind == "punctured_plane":
+            excluded = _typed(d.get("excluded", []), list, f"{what} field 'excluded'")
+            return PuncturedPlane(tuple(parse_complex(p) for p in excluded))
+    except ValueError as exc:
+        raise SpecError(f"{what}: {exc}")
     raise SpecError(f"unknown domain kind {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class SpecDocument:
-    """Parsed and resolved problem description."""
+    """Parsed and resolved problem description.
+
+    A spec is one JSON object.  Complex numbers are strings such as ``"1.5"``,
+    ``"2i"`` or ``"1+2i"``; reals may also be JSON numbers.
+
+    * ``version`` (required): 1.
+    * ``paths``: an object from names to path objects, each with a ``kind``:
+      ``unit_circle``; ``circle`` (``radius``, default 1); ``ellipse``
+      (``semi_re``, ``semi_im``); ``square`` (``side``); ``polyline``
+      (``vertices``, a list of at least three complex numbers, and
+      ``closed``, default true); ``constant`` (``point``).  ``circle``,
+      ``ellipse`` and ``square`` take a ``center`` (default 0), and any path
+      may declare a ``lipschitz`` bound no smaller than the automatic one.
+    * ``homotopy`` (required): an object with a ``kind``: ``linear`` (path
+      names ``from`` and ``to``), ``constant`` (``path``) or ``star`` (``path``
+      and ``center``, default 0).
+    * ``domain`` (required): an object with a ``kind``: ``disk`` (``center``,
+      ``radius``), ``annulus`` (``center``, ``r_inner``, ``r_outer``),
+      ``rectangle`` (``corner_lo``, ``corner_hi``) or ``punctured_plane``
+      (``excluded``, a list of complex numbers; empty for the whole plane).
+    * ``function`` (required): an object with an ``expression`` string in z
+      and ``poles``, a list of the complex singular points to keep clear of.
+    * ``tolerances``: an object with the quadrature ``tol`` (default 1e-9)
+      and the chain budget ``eps`` (default: half the certified containment
+      margin; required for the whole plane, whose margin is unbounded).
+
+    Anything else of the wrong shape raises ``SpecError``.
+    """
 
     version: int
     paths: dict
@@ -241,25 +289,24 @@ class SpecDocument:
         if "domain" not in doc:
             raise SpecError("spec document needs exactly one 'domain' section")
         paths = {name: _path_from_dict(name, spec)
-                 for name, spec in doc.get("paths", {}).items()}
+                 for name, spec in _section(doc, "paths", dict).items()}
         homotopy_spec = doc.get("homotopy")
         if not isinstance(homotopy_spec, dict) or "kind" not in homotopy_spec:
             raise SpecError("spec document needs a 'homotopy' section with a 'kind'")
         for key in ("from", "to", "path"):
             ref = homotopy_spec.get(key)
-            if ref is not None and ref not in paths:
+            if ref is not None and not (isinstance(ref, str) and ref in paths):
                 raise SpecError(f"homotopy references unknown path {ref!r}")
         fn = doc.get("function")
         if not isinstance(fn, dict) or "expression" not in fn:
             raise SpecError("spec document needs a 'function' section with an 'expression'")
+        expression = _typed(fn["expression"], str, "function 'expression'")
+        poles = _typed(fn.get("poles", []), list, "function 'poles'")
         try:
-            function = parse_function(fn["expression"],
-                                      tuple(parse_complex(p) for p in fn.get("poles", [])))
+            function = parse_function(expression, tuple(parse_complex(p) for p in poles))
         except ParseError as exc:
             raise SpecError(f"bad function expression: {exc}")
-        tolerances = doc.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise SpecError("spec document's 'tolerances' section must be a JSON object")
+        tolerances = _section(doc, "tolerances", dict)
         tol = _real_field(tolerances, "tol", "tolerances", 1e-9)
         eps = None if tolerances.get("eps") is None else _real_field(tolerances, "eps", "tolerances")
         return cls(version=version, paths=paths, homotopy_spec=homotopy_spec,
@@ -285,17 +332,18 @@ class SpecDocument:
 
     def build_homotopy(self) -> tuple[Homotopy, PiecewisePath, PiecewisePath]:
         kind = self.homotopy_spec["kind"]
-        if kind == "linear":
-            g0, g1 = self._named("from"), self._named("to")
-            return linear_homotopy(g0, g1), g0, g1
-        if kind == "constant":
-            g = self._named("path")
-            return linear_homotopy(g, g), g, g
-        if kind == "star":
-            g = self._named("path")
-            center = parse_complex(self.homotopy_spec.get("center", "0"))
-            sigma = star_null_homotopy(g, center)
-            return sigma, sigma.gamma0, sigma.gamma1
+        try:
+            if kind == "linear":
+                g0, g1 = self._named("from"), self._named("to")
+                return linear_homotopy(g0, g1), g0, g1
+            if kind == "constant":
+                g = self._named("path")
+                return linear_homotopy(g, g), g, g
+            if kind == "star":
+                sigma = star_null_homotopy(self._named("path"), self.star_center)
+                return sigma, sigma.gamma0, sigma.gamma1
+        except ValueError as exc:  # e.g. an open polyline
+            raise SpecError(f"{kind} homotopy: {exc}")
         raise SpecError(f"unknown homotopy kind {kind!r}")
 
     @property

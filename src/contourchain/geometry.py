@@ -33,6 +33,7 @@ __all__ = [
     "inflate_contains",
     "dist_to_complement",
     "well_contained",
+    "margin_certificate",
     "require_finite_complex",
     "require_finite_real",
 ]
@@ -150,9 +151,16 @@ def inflate_contains(carrier: CompactCarrier, r: float, z: complex) -> Containme
 
 
 class DomainDescriptor:
-    """Open subset of the plane with a closed-form distance to its complement."""
+    """Open subset of the plane with a closed-form distance to its complement.
+
+    ``segment_complement_distances(a, b)`` is the minimum of that distance
+    over each segment [a, b], also in closed form.
+    """
 
     def complement_distances(self, zs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def segment_complement_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def complement_distance(self, z: complex) -> float:
@@ -176,6 +184,10 @@ class Disk(DomainDescriptor):
     def complement_distances(self, zs):
         return self.radius - np.abs(np.asarray(zs, dtype=np.complex128) - self.center)
 
+    def segment_complement_distances(self, a, b):
+        # concave along the segment, so smallest at an end
+        return np.minimum(self.complement_distances(a), self.complement_distances(b))
+
     def to_dict(self):
         return {"kind": "disk", "center": _complex_text(self.center), "radius": self.radius}
 
@@ -196,6 +208,15 @@ class Annulus(DomainDescriptor):
     def complement_distances(self, zs):
         rho = np.abs(np.asarray(zs, dtype=np.complex128) - self.center)
         return np.minimum(rho - self.r_inner, self.r_outer - rho)
+
+    def segment_complement_distances(self, a, b):
+        # |z - c| is smallest at the segment's closest point to c and, being
+        # convex, largest at an end
+        a = np.asarray(a, dtype=np.complex128)
+        b = np.asarray(b, dtype=np.complex128)
+        farthest = np.maximum(np.abs(a - self.center), np.abs(b - self.center))
+        return np.minimum(_segment_point_distances(a, b, self.center) - self.r_inner,
+                          self.r_outer - farthest)
 
     def to_dict(self):
         return {"kind": "annulus", "center": _complex_text(self.center),
@@ -222,6 +243,10 @@ class Rectangle(DomainDescriptor):
             self.corner_hi.imag - zs.imag,
         ])
 
+    def segment_complement_distances(self, a, b):
+        # a minimum of affine functions is concave, so smallest at an end
+        return np.minimum(self.complement_distances(a), self.complement_distances(b))
+
     def to_dict(self):
         return {"kind": "rectangle", "corner_lo": _complex_text(self.corner_lo),
                 "corner_hi": _complex_text(self.corner_hi)}
@@ -246,8 +271,29 @@ class PuncturedPlane(DomainDescriptor):
         pts = np.array(self.excluded, dtype=np.complex128)
         return np.abs(zs[..., None] - pts).min(axis=-1)
 
+    def segment_complement_distances(self, a, b):
+        out = np.full(np.shape(a), np.inf)
+        for p in self.excluded:
+            out = np.minimum(out, _segment_point_distances(a, b, p))
+        return out
+
     def to_dict(self):
         return {"kind": "punctured_plane", "excluded": [_complex_text(p) for p in self.excluded]}
+
+
+def _segment_point_distances(a: np.ndarray, b: np.ndarray, p: complex) -> np.ndarray:
+    """Distance from the point ``p`` to each segment [a, b].
+
+    The closest point is the projection of p onto the segment's line,
+    clamped to the segment; a degenerate segment is its point a.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    d = np.asarray(b, dtype=np.complex128) - a
+    length2 = d.real ** 2 + d.imag ** 2
+    along = ((p - a) * d.conjugate()).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(length2 > 0, along / length2, 0.0)
+    return np.abs(a + np.clip(s, 0.0, 1.0) * d - p)
 
 
 def _complex_text(z: complex) -> str:
@@ -266,31 +312,32 @@ class ContainmentCertificate:
     """Witness that the carrier's r-inflation stays inside a domain.
 
     The margin must clear twice the net resolution so the certificate
-    survives the two-sided net error.
+    survives the two-sided net error.  It is +inf when the domain has an
+    empty complement (the whole plane).
     """
 
     margin: float
     net_resolution: float
 
     def __post_init__(self):
-        require_finite_real(self.margin, "margin")
+        if not (math.isfinite(self.margin) or self.margin == math.inf):
+            raise ValueError(f"margin must be finite or +inf, got {self.margin!r}")
         require_finite_real(self.net_resolution, "net_resolution")
         if not self.margin > 2 * self.net_resolution:
             raise ValueError(
                 f"certificate margin {self.margin} does not exceed twice the net resolution {self.net_resolution}")
 
 
-def well_contained(carrier: CompactCarrier, domain: DomainDescriptor) -> ContainmentCertificate:
-    """Certify that the carrier's set, inflated by some r > 0, stays inside the domain.
+def margin_certificate(min_distance: float, resolution: float) -> ContainmentCertificate:
+    """Certify a margin from the minimum complement distance ``m`` over a net
+    of resolution eta.
 
-    With m the minimum complement distance over the net and eta the net
-    resolution, every true set point keeps distance at least m - eta from the
+    Every point of the set keeps distance at least m - eta from the
     complement, so r = (m - eta)/2 leaves matching slack for the inflation and
     for downstream enlargements.  Raises ContainmentNotCertified when the
     margin does not clear the net error; the caller may refine the net and retry.
     """
-    eta = carrier.resolution
-    m = float(domain.complement_distances(carrier.net).min())
+    m, eta = float(min_distance), float(resolution)
     if m - eta <= 0:
         raise ContainmentNotCertified(
             f"carrier not certifiably inside domain: min complement distance {m:.6g} <= resolution {eta:.6g}",
@@ -301,3 +348,11 @@ def well_contained(carrier: CompactCarrier, domain: DomainDescriptor) -> Contain
             f"containment margin {r:.6g} too small relative to net resolution {eta:.6g}; refine the net",
             min_complement_distance=m, resolution=eta)
     return ContainmentCertificate(margin=r, net_resolution=eta)
+
+
+def well_contained(carrier: CompactCarrier, domain: DomainDescriptor) -> ContainmentCertificate:
+    """Certify that the carrier's set, inflated by some r > 0, stays inside the
+    domain, by ``margin_certificate`` on the minimum complement distance over
+    the net."""
+    return margin_certificate(float(domain.complement_distances(carrier.net).min()),
+                              carrier.resolution)

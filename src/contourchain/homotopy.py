@@ -1,43 +1,48 @@
 """Homotopies of closed paths and certified interpolation chains.
 
-A homotopy here is the linear blend of two closed piecewise paths on
-[0, 1].  It carries an explicit two-variable modulus (measured against the
-euclidean distance of parameter pairs), used to sample its carrier, and a
-time-Lipschitz constant, used to split time.  ``build_chain`` discretizes a
-homotopy into a finite run of closed polylines: pick a containment margin for
-the carrier, split the time axis by the time-Lipschitz constant finely enough
-that neighbouring slices stay within a sixth of the budget, replace each
-interior slice by its polygonal approximation, and certify every consecutive
-sup-distance with the triangle-inequality bounds eps/3, eps/2, ..., eps/2,
-eps/3.  Every certified bound is cross-checked and a violation fails hard,
-since it would mean a broken modulus upstream.  Two interior members are
-both polylines, so their distance is taken exactly on the union of their
-breakpoints; the two end pairs, where one member may be curved, are sampled.
+A homotopy here is the linear blend sigma(t, x) = (1-t) gamma0(x) + t gamma1(x)
+of two closed piecewise paths on [0, 1].  For a fixed x its time line is the
+straight segment [gamma0(x), gamma1(x)], and every slice is L-Lipschitz in x
+with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
+[0, 1] shared by all members:
 
-A slice of a linear blend is a piecewise path split at the union of the two
-end paths' breakpoints, and each piece carries bounds on |z'| and |z''|
-blended from the end paths' segments.  Its polygonal approximation therefore
-takes the second-order rule (panels sized by the |z''| bound, every
-breakpoint a vertex), which needs far fewer segments than the first-order
-rule; a slice with a piece lacking a |z''| bound takes the first-order rule
-on its Lipschitz modulus.  Either rule certifies the same 2/3 of its budget,
-so the chain's bounds do not depend on which one ran.  ``build_chain`` builds
-all interior slices' polylines in one batch: the partitions are concatenated,
-each end path is evaluated once over all of them, and the blend is formed per
-point with its slice's time.
+* Containment.  The minimum complement distance over each time segment has a
+  closed form (``DomainDescriptor.segment_complement_distances``).  On a 1-D
+  x-net of spacing h every swept point is within eta = L h / 2 of a net
+  point's segment, so the net's minimum, less eta, bounds the whole swept
+  region's distance to the complement.
+* Members.  The partition takes, on each piece between breakpoints of either
+  end path, the larger of the two end paths' second-order panel counts at
+  eps/6 (or the first-order count at the larger Lipschitz bound when a piece
+  has no |z''| bound).  With P0 and P1 the end paths' values there, the
+  member at time t is the polyline through (1-t) P0 + t P1.  Interpolation
+  commutes with the blend, so it is the blend of the end paths' own
+  polylines and lies within eps/9 of the slice.
+* Time steps.  Two interior members differ by exactly |t - t'| |P1 - P0|,
+  largest at a vertex.  With D+ that maximum rounded up, the end steps are
+  min(eps/(6 D+), 1/2), so an end pair is within eps/9 + eps/6 < eps/3, and the
+  interior steps are equal with step * D+ at most eps/2 less a rounding
+  allowance.
+
+The certificate keeps the bounds eps/3, eps/2, ..., eps/2, eps/3.  Interior
+pairs are cross-checked by their exact polyline distance, the two end pairs,
+where one member may be curved, by sampling; a violation fails hard, since it
+would mean a broken bound upstream.  The swept region's eta-net
+(``homotopy_carrier``) is not needed for any of this and is built only when
+``Chain.carrier`` is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# polygonal_approximation is the single-slice form of Homotopy.polygonal_slices;
-# perfbench/tracing.py wraps it under this module's name
-from .approx import (
-    first_order_panels,
+# perfbench/tracing.py wraps these layer functions under this module's name,
+# so they stay importable here even where build_chain no longer calls them
+from .approx import (  # noqa: F401
     partition_points,
     polygonal_approximation,
     second_order_panels,
@@ -49,16 +54,15 @@ from .errors import (
     InvalidEpsilon,
     MismatchedDomains,
 )
-from .geometry import (
+from .geometry import (  # noqa: F401
     Bounds,
     CompactCarrier,
     ContainmentCertificate,
     DomainDescriptor,
+    margin_certificate,
     well_contained,
 )
 from .paths import (
-    LipschitzModulus,
-    Modulus,
     Path,
     PiecewisePath,
     constant_path,
@@ -78,25 +82,27 @@ __all__ = [
     "build_chain",
 ]
 
-_SMALL_TOL = 1e-3
-_GAP_TOL_FLOOR = 1e-6
-_GRID_BUDGET = 4_000_000
 _MAX_SLICES = 4000
+# Largest 1-D containment net and largest swept-region carrier, in points.
+_NET_BUDGET = 1_000_000
+_CARRIER_BUDGET = 20_000_000
 # Slice/path gap this small relative to their magnitude is float noise; the
 # reference is the values themselves, not 1, so tiny paths are checked too.
 _ENDPOINT_TOL = 1e-9
+# Rounding of the members' blend, of the times and of polyline_sup_distance's
+# own widening (16 ulps), relative to the largest |vertex|.
+_BLEND_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 class Homotopy:
     """Linear blend sigma(t, x) = (1 - t) gamma0(x) + t gamma1(x) of two closed
     piecewise paths on [0, 1], built by ``linear_homotopy``.
 
-    ``modulus2d`` is a modulus for the pair (t, x) under the euclidean
-    distance; ``time_lipschitz`` bounds sup over x of
-    |sigma(t, x) - sigma(t', x)| / |t - t'|, which alone sets the time
-    partition of a chain.  ``slice_at(t)`` is the time-t slice as a piecewise
-    path whose segments carry the bounds its polygonal approximation reads,
-    and ``polygonal_slices`` builds those approximations for many times at once.
+    ``lipschitz`` = max(L0, L1) bounds every slice's Lipschitz constant in x.
+    ``slice_at(t)`` is the time-t slice as a piecewise path whose segments
+    carry the bounds its polygonal approximation reads.  ``shared_vertices``
+    gives the one partition on which all slices are approximated, with both
+    end paths' values there, and ``polygonal_slices`` the members built on it.
 
     Slices are split at the union of both paths' breakpoints.  On each piece
     both paths are single segments, so the slice's |z'| and |z''| are at most
@@ -104,12 +110,10 @@ class Homotopy:
     no second-derivative bound where either segment lacks one.
     """
 
-    def __init__(self, gamma0: PiecewisePath, gamma1: PiecewisePath, time_lipschitz: float,
-                 modulus2d: Modulus):
+    def __init__(self, gamma0: PiecewisePath, gamma1: PiecewisePath):
         self.gamma0 = gamma0
         self.gamma1 = gamma1
-        self.time_lipschitz = float(time_lipschitz)
-        self.modulus2d = modulus2d
+        self.lipschitz = max(gamma0.lipschitz_bound, gamma1.lipschitz_bound)
         self._breaks = np.union1d(gamma0.breakpoints, gamma1.breakpoints)
         mids = (self._breaks[:-1] + self._breaks[1:]) / 2
         (first0, second0), (first1, second1) = (_piece_bounds(g, mids) for g in (gamma0, gamma1))
@@ -139,41 +143,41 @@ class Homotopy:
                                             (1.0 - t) * self._first[0] + t * self._first[1],
                                             second, closed=True)
 
-    def polygonal_slices(self, ts, eps: float) -> list[PiecewisePath]:
-        """``polygonal_approximation(self.slice_at(t), eps).path`` for every t in ``ts``.
+    def shared_vertices(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, P0, P1): one partition of [0, 1] and both end paths' values on it.
 
-        Every slice's partition comes from its blended piece bounds by the
-        same rule, all partitions are evaluated with one call per end path,
-        and the blend is formed as ``slice_at`` forms it, so the polylines are
-        the same to the bit.
+        Each piece between breakpoints gets the larger of the two end paths'
+        second-order panel counts at ``eps``, or, when a piece has no |z''|
+        bound, floor(3 w L / eps) + 1 panels for its width w and larger
+        Lipschitz bound L.  Either way the polyline through P0 (or P1) is
+        within 2 eps/3 of its path, and so the polyline through
+        (1-t) P0 + t P1 is within 2 eps/3 of ``slice_at(t)``.  The closing
+        value is snapped to the first, as a closed path's values are.
         """
         eps = float(eps)
         if not (math.isfinite(eps) and eps > 0):
             raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
-        ts = np.asarray(ts, dtype=np.float64)
-        w = ts[:, None]
+        widths = np.diff(self._breaks)
         if self._second is None:
-            lipschitz = ((1.0 - w) * self._first[0] + w * self._first[1]).max(axis=1)
-            with np.errstate(divide="ignore"):
-                delta = np.where(lipschitz > 0, eps / 3 / lipschitz, np.inf)
-            breaks, counts = np.array([0.0, 1.0]), first_order_panels(delta)[:, None]
+            counts = np.floor(3 * widths * np.maximum(*self._first) / eps) + 1
         else:
-            m2 = (1.0 - w) * self._second[0] + w * self._second[1]
-            breaks = self._breaks
-            counts = second_order_panels(np.diff(breaks), m2, eps)
-        xs = partition_points(breaks, counts)
-        sizes = counts.sum(axis=1).astype(np.int64) + 1
-        blend = np.repeat(ts, sizes)
-        verts = (1.0 - blend) * self.gamma0.values(xs) + blend * self.gamma1.values(xs)
-        ends = np.cumsum(sizes)
-        members = []
-        for start, end in zip(ends - sizes, ends):
-            # both end paths are closed, so a slice closes up to float noise;
-            # its last vertex is snapped to the first as a closed slice's values are
-            verts[end - 1] = verts[start]
-            members.append(PiecewisePath.from_vertices(verts[start:end], xs[start:end],
-                                                       closed=True))
-        return members
+            counts = second_order_panels(widths, np.maximum(*self._second), eps)
+        xs = partition_points(self._breaks, counts)
+        p0, p1 = self.gamma0.values(xs), self.gamma1.values(xs)
+        p0[-1], p1[-1] = p0[0], p1[0]
+        return xs, p0, p1
+
+    def polygonal_slices(self, ts, eps: float) -> list[PiecewisePath]:
+        """The polylines within 2 eps/3 of ``slice_at(t)`` for every t in
+        ``ts``, all on the partition of ``shared_vertices(eps)``."""
+        return _blend_polylines(ts, *self.shared_vertices(eps))
+
+
+def _blend_polylines(ts, xs: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> list[PiecewisePath]:
+    """The closed polylines through (1 - t) P0 + t P1 at ``xs``, one per t."""
+    w = np.asarray(ts, dtype=np.float64)[:, None]
+    verts = (1.0 - w) * p0 + w * p1
+    return [PiecewisePath.from_vertices(row, xs, closed=True) for row in verts]
 
 
 def _check_end_path(path: Path, name: str):
@@ -194,24 +198,10 @@ def _piece_bounds(path: PiecewisePath, mids: np.ndarray):
 
 
 def linear_homotopy(gamma0: PiecewisePath, gamma1: PiecewisePath) -> Homotopy:
-    """Pointwise convex blend (1-t) gamma0 + t gamma1 of two closed paths on [0, 1].
-
-    sigma(t, x) - sigma(t', x) = (t - t') (gamma1(x) - gamma0(x)), so the
-    certified upper bound ``gap`` on sup |gamma1 - gamma0| is the exact
-    time-Lipschitz constant.  With L = max(L0, L1) bounding every slice,
-    |d sigma| <= L |dx| + gap |dt| <= hypot(L, gap) |(dt, dx)| by
-    Cauchy-Schwarz, which is the two-variable modulus.
-    """
+    """Pointwise convex blend (1-t) gamma0 + t gamma1 of two closed paths on [0, 1]."""
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
         _check_end_path(path, name)
-    lipschitz = max(gamma0.lipschitz_bound, gamma1.lipschitz_bound)
-    # the gap is certified to within 2e-3, or to within 2e-3 of the paths'
-    # Lipschitz constant when that is smaller, so tiny paths keep a gap (and
-    # hence a time partition) of their own size; the floor at 1e-6 L keeps
-    # the sampling grid of large paths within 10^6 steps
-    tol = max(_SMALL_TOL * min(1.0, lipschitz or 1.0), _GAP_TOL_FLOOR * lipschitz)
-    gap = sup_distance(gamma0, gamma1, tol).hi
-    return Homotopy(gamma0, gamma1, gap, LipschitzModulus(math.hypot(lipschitz, gap)))
+    return Homotopy(gamma0, gamma1)
 
 
 def star_null_homotopy(gamma: PiecewisePath, center: complex) -> Homotopy:
@@ -224,25 +214,24 @@ def star_null_homotopy(gamma: PiecewisePath, center: complex) -> Homotopy:
     return linear_homotopy(reparametrize_to_unit(gamma), constant_path(center))
 
 
-def _grid_steps(sigma: Homotopy, eta: float) -> int:
-    spacing = sigma.modulus2d.delta(eta) / math.sqrt(2.0)
-    return max(1, math.ceil(1.0 / min(spacing, 1.0)))
-
-
 def homotopy_carrier(sigma: Homotopy, eta: float) -> CompactCarrier:
-    """Eta-net of the closure of the homotopy's range, by uniform grid sampling.
+    """Eta-net of the closure of the homotopy's range, on a (t, x) grid.
 
-    Grid spacing is delta(eta)/sqrt(2) in each axis so every parameter pair is
-    within euclidean distance delta(eta) of a grid point.
+    The x-spacing is at most eta/L, so every x is within eta/(2L) of a grid
+    column and every slice moves by at most eta/2 over that; each column's
+    time segment [gamma0(x), gamma1(x)] is split into steps of length at most
+    eta, so every point of it is within eta/2 of a grid point.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    steps = _grid_steps(sigma, eta)
-    if (steps + 1) ** 2 > 5 * _GRID_BUDGET:
-        raise ValueError(f"carrier grid of {(steps + 1) ** 2} points exceeds the budget")
-    ts = np.arange(steps + 1) / steps
-    grid = sigma.grid_values(ts, ts)
-    return CompactCarrier(grid.ravel(), eta)
+    columns = max(1, math.ceil(sigma.lipschitz / eta))
+    xs = np.arange(columns + 1) / columns
+    p0, p1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
+    rows = max(1, math.ceil(float(np.abs(p1 - p0).max()) / eta))
+    if (rows + 1) * (columns + 1) > _CARRIER_BUDGET:
+        raise ValueError(f"carrier grid of {(rows + 1) * (columns + 1)} points exceeds the budget")
+    ts = np.arange(rows + 1)[:, None] / rows
+    return CompactCarrier(((1.0 - ts) * p0 + ts * p1).ravel(), eta)
 
 
 @dataclass(frozen=True)
@@ -278,28 +267,37 @@ class ChainCertificate:
 class Chain:
     """Run of closed piecewise paths interpolating a homotopy.
 
-    Members are [gamma0, phi_1, ..., phi_{n-1}, gamma1]; the certificate holds
-    one entry per consecutive pair (eps/3 at the ends, eps/2 inside), and the
-    containment certificate witnesses that the carrier's eps-inflation stays
-    inside the domain.
+    Members are [gamma0, phi_1, ..., phi_{n-1}, gamma1] at the times
+    ``partition``; the interior members are polylines on one shared
+    partition.  The certificate holds one entry per consecutive pair (eps/3
+    at the ends, eps/2 inside), and the containment certificate witnesses
+    that the swept region's eps-inflation stays inside the domain.
+    ``carrier`` is the swept region's net at the certified resolution, built
+    on first use.
     """
 
     members: tuple[PiecewisePath, ...]
     epsilon: float
     certificate: ChainCertificate
     containment: ContainmentCertificate
-    carrier: CompactCarrier
     partition: np.ndarray
+    homotopy: Homotopy
 
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def carrier(self) -> CompactCarrier:
+        return homotopy_carrier(self.homotopy, self.containment.net_resolution)
+
     def to_dict(self) -> dict:
-        """The chain's certificate block of the JSON reports."""
+        """The chain's certificate block of the JSON reports; an unbounded
+        margin (the whole plane) is written as null."""
+        margin = self.containment.margin
         return {
             "members": len(self.members),
             "epsilon": self.epsilon,
-            "margin": self.containment.margin,
+            "margin": margin if math.isfinite(margin) else None,
             "net_resolution": self.containment.net_resolution,
             "certificate": [
                 {"analytic": e.analytic, "exact": e.exact,
@@ -329,22 +327,41 @@ def _estimate_diameter(sigma: Homotopy) -> float:
     return math.hypot(width, height)
 
 
-def _certify_containment(sigma: Homotopy, domain: DomainDescriptor, max_refinements: int):
+def _certify_containment(sigma: Homotopy, domain: DomainDescriptor,
+                         max_refinements: int) -> ContainmentCertificate:
+    """Certify the swept region's margin on a 1-D x-net, halving eta until
+    the margin clears 4 eta.
+
+    A net of spacing h <= 2 eta / L puts every x within eta/L of a net point,
+    so every swept point is within eta of the time segment of a net point;
+    the segments' exact minimum complement distance, less eta, bounds the
+    region's.  A nonpositive minimum refuses at once.
+    """
     diameter = _estimate_diameter(sigma)
     eta = 0.05 * diameter if diameter > 0 else 0.05
     last_failure = None
     for _ in range(max_refinements + 1):
-        if (_grid_steps(sigma, eta) + 1) ** 2 > _GRID_BUDGET:
+        steps = max(1, math.ceil(sigma.lipschitz / (2 * eta)))
+        if steps + 1 > _NET_BUDGET:
             raise ContainmentNotCertified(
                 "containment not certified within the sampling budget"
                 + (f": {last_failure}" if last_failure else ""),
                 min_complement_distance=getattr(last_failure, "min_complement_distance", None),
                 resolution=eta)
-        carrier = homotopy_carrier(sigma, eta)
+        xs = np.arange(steps + 1) / steps
+        m = float(domain.segment_complement_distances(sigma.gamma0.values(xs),
+                                                      sigma.gamma1.values(xs)).min())
+        if m <= 0:
+            # an exact segment minimum: a swept point lies outside, so no
+            # finer net can help
+            raise ContainmentNotCertified(
+                f"the homotopy sweeps outside the domain: min complement distance {m:.6g} "
+                f"on the time segments of a net of resolution {eta:.6g}",
+                min_complement_distance=m, resolution=eta)
         try:
-            cert = well_contained(carrier, domain)
+            cert = margin_certificate(m, eta)
             if cert.margin > 4 * eta:
-                return carrier, cert
+                return cert
             last_failure = ContainmentNotCertified(
                 f"margin {cert.margin:.6g} not above 4*eta={4 * eta:.6g}", resolution=eta)
         except ContainmentNotCertified as exc:
@@ -356,14 +373,25 @@ def _certify_containment(sigma: Homotopy, domain: DomainDescriptor, max_refineme
         resolution=getattr(last_failure, "resolution", None))
 
 
-def _time_slices(time_lipschitz: float, eps: float) -> int:
-    """Smallest n >= 2 with time_lipschitz / n < eps / 6.
+def _time_partition(gap: float, eps: float, rounding: float) -> np.ndarray:
+    """Times 0 = t_0 < ... < t_n = 1 for members ``gap`` apart per unit time.
 
-    Slices 1/n apart then differ by less than eps/6 at every parameter.  At
-    least one interior member is kept, so every chain has three members or
-    more.
+    The end steps are min(eps/(6 gap), 1/2); the interior steps are equal
+    and as few as keep step * gap + ``rounding`` within eps/2.
     """
-    return max(2, math.floor(6 * time_lipschitz / eps) + 1)
+    if gap <= eps / 3:
+        return np.array([0.0, 0.5, 1.0])
+    end = eps / (6 * gap)
+    budget = eps / 2 - rounding
+    steps = (1 - 2 * end) * gap / budget if budget > 0 else math.inf
+    if not steps + 2 <= _MAX_SLICES:
+        raise ValueError(
+            f"chain would need {steps + 2:.6g} time slices; homotopy moves too fast in time "
+            f"for eps {eps:.3g}")
+    steps = max(1, math.ceil(steps))
+    inner = end + (1 - 2 * end) * np.arange(steps + 1) / steps
+    inner[-1] = 1.0 - end
+    return np.concatenate([[0.0], inner, [1.0]])
 
 
 def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
@@ -371,44 +399,48 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                 max_refinements: int = 8) -> Chain:
     """Discretize a homotopy into a chain with certified consecutive bounds.
 
-    Steps: certify the carrier's containment (refining the net until the
-    margin clears 4*eta), set eps to half the certified margin so the
-    eps/6-inflated carrier still sits well inside the domain, split the time
-    axis into n steps with sigma.time_lipschitz / n < eps/6 so neighbouring
-    slices differ by less than eps/6, polygonally approximate all interior
-    slices to eps/6 in one batch (``Homotopy.polygonal_slices``), and record
-    the eps/3 - eps/2 - eps/3 bounds with their cross-checks: the exact
-    distance of two polylines inside, a sampled one at the two curved ends.
-    The containment net still samples at the two-variable modulus, since it
-    must cover the whole swept region.
+    Steps: certify the swept region's containment on a 1-D net of exact
+    segment distances (halving eta until the margin clears 4*eta); set eps to
+    half the certified margin, unless overridden (a whole-plane domain has no
+    finite margin and needs the override); evaluate both end paths once on
+    the shared partition for eps/6 (``Homotopy.shared_vertices``); take the
+    time steps from the exact vertex gap D+ = max |P1 - P0|, rounded up
+    (``_time_partition``); blend the interior members in one batch; and
+    record the eps/3 - eps/2 - eps/3 bounds with their cross-checks: the
+    exact distance of two polylines inside, a sampled one at the two curved
+    ends.
     """
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
         _check_end_path(path, name)
     _check_endpoint_slices(sigma, gamma0, gamma1)
 
-    carrier, containment = _certify_containment(sigma, domain, max_refinements)
+    containment = _certify_containment(sigma, domain, max_refinements)
     if eps is None:
+        if not math.isfinite(containment.margin):
+            raise InvalidEpsilon(
+                "the domain has no finite containment margin to take eps from; "
+                "give eps explicitly (tolerances.eps in a spec)")
         eps = containment.margin / 2
     else:
         eps = float(eps)
-        if not (0 < eps <= containment.margin * 6 / 7):
+        if not (0 < eps <= containment.margin * 6 / 7 and math.isfinite(eps)):
             raise InvalidEpsilon(
                 f"eps override {eps} outside (0, {containment.margin * 6 / 7:.6g}] "
                 "allowed by the containment margin")
 
-    n = _time_slices(sigma.time_lipschitz, eps)
-    if n > _MAX_SLICES:
-        raise ValueError(
-            f"chain would need {n} time slices; homotopy moves too fast in time for margin "
-            f"{containment.margin:.3g}")
-    ts = np.arange(n + 1) / n
-    ts[-1] = 1.0
+    xs, p0, p1 = sigma.shared_vertices(eps / 6)
+    gap = float(np.abs(p1 - p0).max()) * (1 + _BLEND_ROUNDING)
+    scale = max(float(np.abs(p0).max()), float(np.abs(p1).max()))
+    ts = _time_partition(gap, eps, _BLEND_ROUNDING * scale)
+    n = len(ts) - 1
 
-    members = [gamma0, *sigma.polygonal_slices(ts[1:-1], eps / 6), gamma1]
+    members = [gamma0, *_blend_polylines(ts[1:-1], xs, p0, p1), gamma1]
     bounds = [eps / 3] + [eps / 2] * (n - 2) + [eps / 3]
 
     entries = []
-    tol_cc = eps / 12
+    # an end pair is within eps/9 + eps/6, so a sampled enclosure of width
+    # eps/24 still certifies it below eps/3
+    tol_cc = eps / 48
     for j, bound in enumerate(bounds):
         exact = 0 < j < n - 1
         if exact:
@@ -419,9 +451,9 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
             raise CertificateViolation(
                 f"{'exact' if exact else 'sampled'} sup-distance lower bound {measured.lo:.6g} "
                 f"exceeds the certified bound {bound:.6g} for pair {j}; "
-                "a modulus upstream is broken")
+                "a bound upstream is broken")
         entries.append(PairBound(analytic=bound, sampled=measured, exact=exact))
 
     return Chain(members=tuple(members), epsilon=eps,
                  certificate=ChainCertificate(tuple(entries)),
-                 containment=containment, carrier=carrier, partition=ts)
+                 containment=containment, partition=ts, homotopy=sigma)

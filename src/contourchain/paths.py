@@ -617,8 +617,8 @@ class PiecewisePath(Path):
         return lows, highs, self._first_bounds * (highs - lows)
 
     def _segment_indices(self, xs):
-        idx = np.searchsorted(self._breaks, xs, side="right") - 1
-        return np.clip(idx, 0, self.num_segments - 1)
+        """Index of the segment holding each x in [a, b]; b belongs to the last."""
+        return np.searchsorted(self._breaks[1:-1], xs, side="right")
 
     def _arc_phase(self, xs):
         """Segment indices of ``xs`` and e^{i theta} there, theta as ArcSegment forms it."""

@@ -2,8 +2,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, main
+from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, SpecDocument, main
+from contourchain.errors import ContourChainError
 
 
 def _spec(**overrides):
@@ -143,14 +146,121 @@ class TestCertificateOutput:
 
 
 def test_large_circles_chain_and_verify(tmp_path):
-    # the gap of paths with Lipschitz constant near 2e4 is certified on a
-    # grid of at most 10^6 steps, so the blend is built and verified
+    # the containment net and the shared partition scale with the paths, so
+    # the blend of paths with Lipschitz constant near 2e4 is built and verified
     doc = _spec(paths={"inner": {"kind": "circle", "radius": 2000.0},
                        "outer": {"kind": "circle", "radius": 3000.0}},
                 domain={"kind": "annulus", "r_inner": 1000.0, "r_outer": 5000.0})
     chain = _run(tmp_path, "chain", doc, "--json")
     assert chain.exit_code == EXIT_OK, chain.output
-    assert json.loads(chain.stdout)["members"] == 28
+    summary = json.loads(chain.stdout)
+    # gap 1000: end steps eps/6000, then ceil((1 - 2 eps/6000) 1000 / (eps/2))
+    # equal interior steps
+    assert summary["members"] == 12
+    for entry in summary["certificate"]:
+        assert entry["sampled_hi"] <= entry["analytic"] <= summary["epsilon"] / 2
     verify = _run(tmp_path, "verify", doc)
     assert verify.exit_code == EXIT_OK, verify.output
     assert "verdict: PASS" in verify.stdout
+
+
+class TestWholePlane:
+    """PuncturedPlane(()) has no complement, so its margin is unbounded."""
+
+    @staticmethod
+    def _doc(**tolerances):
+        return _spec(domain={"kind": "punctured_plane"},
+                     function={"expression": "exp(z)", "poles": []},
+                     tolerances={"tol": 1e-9, **tolerances})
+
+    def test_eps_override_certifies(self, tmp_path):
+        for command in ("chain", "verify"):
+            result = _run(tmp_path, command, self._doc(eps=0.05), "--json")
+            assert result.exit_code == EXIT_OK, result.output
+            assert "Infinity" not in result.stdout
+            summary = json.loads(result.stdout)
+            assert summary["margin"] is None
+            assert summary["epsilon"] == 0.05
+        assert summary["verdict"] == "pass"
+        text = _run(tmp_path, "chain", self._doc(eps=2.0))
+        assert text.exit_code == EXIT_OK, text.output
+        assert "margin: inf" in text.stdout
+
+    def test_without_eps_refused(self, tmp_path):
+        for command in ("chain", "verify"):
+            result = _run(tmp_path, command, self._doc())
+            assert result.exit_code == EXIT_USAGE
+            assert isinstance(result.exception, SystemExit)
+            assert "tolerances.eps" in result.stderr
+
+
+@pytest.mark.parametrize("section, key, value, text", [
+    (None, "paths", [], "'paths' section must be a JSON object"),
+    ("function", "poles", 5, "'poles' must be a list"),
+    ("homotopy", "from", ["inner"], "unknown path ['inner']"),
+    ("paths", "inner", {"kind": "polyline", "vertices": 5}, "'vertices' must be a list"),
+    ("function", "expression", 5, "'expression' must be a string"),
+])
+def test_malformed_section_is_a_usage_error(tmp_path, section, key, value, text):
+    doc = _spec()
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(ContourChainError, match=text.replace("[", r"\[").replace("]", r"\]")):
+        SpecDocument.from_dict(doc)
+    result = _run(tmp_path, "chain", doc)
+    assert result.exit_code == EXIT_USAGE
+    assert isinstance(result.exception, SystemExit)
+    assert text in result.stderr
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
+    | st.sampled_from(["", "0", "1+i", "a", "inner", "z"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+def _maybe(valid):
+    """Mostly a well-formed value, sometimes any JSON value in its place."""
+    return st.one_of(valid, valid, _json)
+
+
+_number = _maybe(st.floats(-3, 3) | st.sampled_from(["1", "2i", "-0.5-1i"]))
+_path_doc = _maybe(st.fixed_dictionaries(
+    {"kind": _maybe(st.sampled_from(["unit_circle", "circle", "ellipse", "square",
+                                     "polyline", "constant", "hexagon"]))},
+    optional={"radius": _number, "semi_re": _number, "semi_im": _number, "side": _number,
+              "center": _number, "point": _number, "lipschitz": _number,
+              "closed": _maybe(st.booleans()),
+              "vertices": _maybe(st.lists(_number, max_size=5))}))
+_spec_doc = st.fixed_dictionaries(
+    {"version": _maybe(st.just(1)),
+     "domain": _maybe(st.fixed_dictionaries(
+         {"kind": _maybe(st.sampled_from(["disk", "annulus", "rectangle", "punctured_plane"]))},
+         optional={"center": _number, "radius": _number, "r_inner": _number,
+                   "r_outer": _number, "corner_lo": _number, "corner_hi": _number,
+                   "excluded": _maybe(st.lists(_number, max_size=3))}))},
+    optional={
+        "paths": _maybe(st.dictionaries(st.sampled_from(["inner", "outer"]), _path_doc,
+                                        max_size=2)),
+        "homotopy": _maybe(st.fixed_dictionaries(
+            {"kind": _maybe(st.sampled_from(["linear", "constant", "star", "spiral"]))},
+            optional={"from": _maybe(st.sampled_from(["inner", "outer", "other"])),
+                      "to": _maybe(st.sampled_from(["inner", "outer"])),
+                      "path": _maybe(st.sampled_from(["inner", "outer"])),
+                      "center": _number})),
+        "function": _maybe(st.fixed_dictionaries(
+            {"expression": _maybe(st.sampled_from(["1/z", "exp(z)", "z^", "sin(z)/(z-1)"]))},
+            optional={"poles": _maybe(st.lists(_number, max_size=2))})),
+        "tolerances": _maybe(st.fixed_dictionaries({}, optional={"tol": _number,
+                                                                  "eps": _number})),
+    })
+
+
+@given(doc=_spec_doc)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_fuzzed_spec_raises_only_package_errors(doc):
+    try:
+        SpecDocument.from_dict(doc).build_homotopy()
+    except ContourChainError:
+        pass

@@ -187,6 +187,38 @@ class TestDistToComplement:
             checked += 1
 
 
+class TestSegmentComplementDistances:
+    """The closed-form minimum over a segment agrees with a dense sample of it."""
+
+    @pytest.mark.parametrize("domain, through", [
+        (Disk(0.5 - 0.25j, 1.25), None),
+        (Rectangle(-1 - 0.5j, 2 + 1.5j), None),
+        (Annulus(0.2j, 0.5, 2.5), 0.2j),
+        (PuncturedPlane((0j, 1 + 1j, -2j)), 1 + 1j),
+    ], ids=["disk", "rectangle", "annulus", "punctured"])
+    def test_against_a_sampled_minimum(self, domain, through):
+        rng = np.random.default_rng(23)
+        a = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+        b = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+        # segments through the annulus hole's center and through a puncture
+        if through is not None:
+            a[:5], b[:5] = through - (b[:5] - through), b[:5]
+        exact = domain.segment_complement_distances(a, b)
+        s = np.arange(10_001) / 10_000
+        for k in range(a.size):
+            samples = domain.complement_distances(a[k] + s * (b[k] - a[k]))
+            sampled, step = float(samples.min()), abs(b[k] - a[k]) / 10_000
+            # sampled points lie on the segment; every point is within step/2
+            # of one, and the distance is 1-Lipschitz
+            assert sampled - step / 2 - 1e-12 <= exact[k] <= sampled + 1e-12
+        if through is not None:
+            assert np.all(exact[:5] <= 1e-12 - getattr(domain, "r_inner", 0.0))
+
+    def test_whole_plane_is_unbounded(self):
+        a = np.array([0j, 1 + 1j])
+        assert np.all(PuncturedPlane(()).segment_complement_distances(a, a + 3) == math.inf)
+
+
 class TestWellContained:
     def test_circle_in_annulus_margin(self):
         # m = 0.5, eta = 0.001 -> margin = (0.5 - 0.001) / 2 = 0.2495
@@ -220,6 +252,13 @@ class TestWellContained:
         with pytest.raises(ValueError):
             ContainmentCertificate(margin=0.1, net_resolution=0.06)
         ContainmentCertificate(margin=0.1, net_resolution=0.01)
+
+    def test_whole_plane_margin_is_unbounded(self):
+        cert = well_contained(unit_circle_net(0.001), PuncturedPlane(()))
+        assert cert.margin == math.inf
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="finite or"):
+                ContainmentCertificate(margin=bad, net_resolution=0.01)
 
 
 class TestBounds:

@@ -127,7 +127,7 @@ def _ellipse_without_curvature_bound(a, b):
 
 
 class TestPolygonalSlices:
-    """Batched slice polylines are the one-slice-at-a-time polylines, bit for bit."""
+    """Slice polylines share one partition and blend the end paths' values on it."""
 
     @pytest.mark.parametrize("make", [
         lambda: linear_homotopy(circle(), ellipse(2.0, 1.0)),
@@ -139,20 +139,26 @@ class TestPolygonalSlices:
     def test_same_polylines_as_one_slice_at_a_time(self, make, eps):
         sigma = make()
         ts = np.arange(1, 12) / 12
-        xs = np.linspace(0, 1, 1001)
+        xs, p0, p1 = sigma.shared_vertices(eps)
+        assert np.all(np.isin(sigma.gamma0.breakpoints, xs))
+        assert np.all(np.isin(sigma.gamma1.breakpoints, xs))
         batch = sigma.polygonal_slices(ts, eps)
         assert len(batch) == ts.size
         for t, member in zip(ts, batch):
-            single = polygonal_approximation(sigma.slice_at(t), eps).path
-            assert np.array_equal(member.breakpoints, single.breakpoints)
+            single = sigma.polygonal_slices([t], eps)[0]
+            assert np.array_equal(member.breakpoints, xs)
+            assert np.array_equal(member.vertices(), (1 - t) * p0 + t * p1)
             assert np.array_equal(member.vertices(), single.vertices())
-            assert np.array_equal(member.values(xs), single.values(xs))
+        # each member is within 2 eps / 3 of its slice, by a certified upper bound
+        for t, member in zip(ts[::5], batch[::5]):
+            assert sup_distance(member, sigma.slice_at(t), eps / 1000).hi <= 2 * eps / 3
 
     def test_no_curvature_bound_takes_the_first_order_rule(self):
         sigma = linear_homotopy(_ellipse_without_curvature_bound(1.0, 0.9), circle(radius=1.4))
         member = sigma.polygonal_slices([0.5], 0.01)[0]
-        lipschitz = 0.5 * 2 * math.pi * 1.0 + 0.5 * 2 * math.pi * 1.4
-        assert member.num_segments == math.floor(3 * lipschitz / 0.01) + 1
+        # four quarter-arc pieces, each at the larger end path's Lipschitz bound
+        lipschitz = 2 * math.pi * 1.4
+        assert member.num_segments == 4 * (math.floor(3 * 0.25 * lipschitz / 0.01) + 1)
 
     def test_panel_budget_refused_like_one_slice(self):
         sigma = linear_homotopy(circle(), ellipse(2.0, 1.0))
@@ -223,11 +229,31 @@ class TestBuildChain:
         for v in all_vertices[:: max(1, len(all_vertices) // 37)]:
             assert inflate_contains(chain.carrier, eps / 6, complex(v)) is not Containment.OUTSIDE
 
+    def test_carrier_built_on_first_read(self):
+        g0, g1 = circle(radius=1.0), circle(radius=1.5)
+        chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
+        assert "carrier" not in vars(chain)
+        carrier = chain.carrier
+        assert carrier is chain.carrier
+        assert carrier.resolution == chain.containment.net_resolution
+        assert np.array_equal(carrier.net,
+                              homotopy_carrier(chain.homotopy, carrier.resolution).net)
+
     def test_margin_relation(self):
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
         assert chain.epsilon == chain.containment.margin / 2
         assert chain.containment.margin > 4 * chain.containment.net_resolution
+
+    @pytest.mark.parametrize("radius", [1.6, 1.8, 2.0, 2.5])
+    def test_margin_within_the_exact_distance_of_the_swept_region(self, radius):
+        # the star of a polygon onto 0 sweeps the polygon, whose farthest
+        # points from 0 are vertices; the corners sit between 1-D net points
+        verts = [1.2 + 0.3j, -0.2 + 1.4j, -1.3 - 0.1j, 0.1 - 1.1j]
+        g = polyline(verts)
+        sigma = star_null_homotopy(g, 0j)
+        chain = build_chain(sigma, g, sigma.gamma1, Disk(0j, radius))
+        assert 2 * chain.containment.margin <= radius - max(abs(v) for v in verts)
 
     def test_refuses_star_through_puncture(self):
         g = circle()
@@ -300,74 +326,109 @@ class TestChainCrossCheck:
             assert entry.sampled == polyline_sup_distance(p, q)
             assert entry.sampled.hi <= entry.analytic
 
-    def test_broken_time_constant_raises(self):
+    @pytest.mark.parametrize("g0, g1, domain", [
+        (circle(radius=1.0), circle(radius=2.0), WIDE_ANNULUS),
+        (circle(), ellipse(2.0, 1.0), WIDE_ANNULUS),
+        (square(2.0), circle(radius=1.8), WIDE_ANNULUS),
+        (circle(), circle(radius=1.2), Annulus(0j, 0.8, 1.4)),
+        (square(2.0), constant_path(0j), Disk(0j, 1.55)),
+    ], ids=["circle-circle", "circle-ellipse", "square-circle", "tight-annulus", "star-square"])
+    def test_certified_bounds_within_the_analytic(self, g0, g1, domain):
+        chain = build_chain(linear_homotopy(g0, g1), g0, g1, domain)
+        eps, entries = chain.epsilon, chain.certificate.entries
+        assert [e.analytic for e in entries] == [eps / 3] + [eps / 2] * (len(entries) - 2) + [eps / 3]
+        for entry in entries:
+            assert entry.sampled.hi <= entry.analytic
+
+    def test_slice_cap_applies(self):
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
-        sigma = linear_homotopy(g0, g1)
-        liar = Homotopy(g0, g1, sigma.time_lipschitz / 5, sigma.modulus2d)
-        with pytest.raises(CertificateViolation):
-            build_chain(liar, g0, g1, ANNULUS)
+        with pytest.raises(ValueError, match="time slices"):
+            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS, eps=1e-4)
+
+    @staticmethod
+    def _coarse_partition(monkeypatch):
+        # time steps five times too coarse: the gap is understated fivefold
+        partition = homotopy_module._time_partition
+        monkeypatch.setattr(homotopy_module, "_time_partition",
+                            lambda gap, eps, rounding: partition(gap / 5, eps, rounding))
+
+    def test_broken_time_constant_raises(self, monkeypatch):
+        g0, g1 = circle(radius=1.0), circle(radius=2.0)
+        self._coarse_partition(monkeypatch)
+        with pytest.raises(CertificateViolation, match="sampled sup-distance"):
+            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
 
     def test_exact_check_alone_catches_it(self, monkeypatch):
         # with the end pairs' sampled check silenced, the interior pairs of a
         # chain five times too coarse in time must still be refused
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
-        sigma = linear_homotopy(g0, g1)
-        liar = Homotopy(g0, g1, sigma.time_lipschitz / 5, sigma.modulus2d)
+        self._coarse_partition(monkeypatch)
         monkeypatch.setattr(homotopy_module, "sup_distance", lambda p, q, tol: Bounds(0.0, tol))
         with pytest.raises(CertificateViolation, match="exact sup-distance"):
-            build_chain(liar, g0, g1, ANNULUS)
+            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
+
+
+def _gap(sigma, chain):
+    """max |P1 - P0| over the chain's shared partition."""
+    _, p0, p1 = sigma.shared_vertices(chain.epsilon / 6)
+    return float(np.abs(p1 - p0).max())
 
 
 class TestTimePartition:
-    """The time axis is split by the time-Lipschitz constant alone."""
+    """The time axis is split by the exact gap of the end paths on the shared partition."""
 
     @pytest.fixture
-    def blend(self):
-        g0, g1 = circle(radius=1.0), circle(radius=1.5)
-        sigma = linear_homotopy(g0, g1)
-        return sigma, build_chain(sigma, g0, g1, WIDE_ANNULUS)
+    def blends(self):
+        """(homotopy, chain) for a circle blended into a circle and into an ellipse."""
+        g0 = circle(radius=1.0)
+        out = []
+        for g1 in (circle(radius=1.5), ellipse(2.0, 1.2)):
+            sigma = linear_homotopy(g0, g1)
+            out.append((sigma, build_chain(sigma, g0, g1, WIDE_ANNULUS)))
+        return out
 
-    def test_time_constant_is_the_certified_gap(self):
-        g0, g1 = circle(radius=1.0), circle(radius=1.5)
-        sigma = linear_homotopy(g0, g1)
-        assert sigma.time_lipschitz == sup_distance(g0, g1, 1e-3).hi
-        assert sigma.modulus2d.constant == math.hypot(1.5 * 2 * math.pi, sigma.time_lipschitz)
+    def test_time_constant_is_the_certified_gap(self, blends):
+        # interior members differ by exactly |dt| max |P1 - P0|, at a vertex
+        for sigma, chain in blends:
+            gap, ts = _gap(sigma, chain), chain.partition
+            for t0, t1, p, q in zip(ts[1:-2], ts[2:-1], chain.members[1:-2], chain.members[2:-1]):
+                assert polyline_sup_distance(p, q).contains((t1 - t0) * gap)
 
-    def test_gap_tol_unchanged_up_to_lipschitz_1e3(self):
-        g0, g1 = circle(radius=100.0), circle(radius=150.0)
-        assert linear_homotopy(g0, g1).time_lipschitz == sup_distance(g0, g1, 1e-3).hi
+    def test_step_below_a_sixth_of_eps(self, blends):
+        for sigma, chain in blends:
+            gap, ts, eps = _gap(sigma, chain), chain.partition, chain.epsilon
+            assert ts[0] == 0.0 and ts[-1] == 1.0
+            assert ts[1] == pytest.approx(eps / (6 * gap), rel=1e-13)
+            assert ts[1] * gap <= eps / 6 and (1 - ts[-2]) * gap <= eps / 6
+            assert np.all(np.diff(ts[1:-1]) * gap <= eps / 2)
 
-    def test_gap_tol_floor_for_large_paths(self):
-        # L = 6000 pi: the tol is 1e-6 L, so the grid has about 10^6 steps
-        g0, g1 = circle(radius=2000.0), circle(radius=3000.0)
-        sigma = linear_homotopy(g0, g1)
-        tol = 1e-6 * 3000.0 * 2 * math.pi
-        assert sigma.time_lipschitz == sup_distance(g0, g1, tol).hi
-        assert sigma.time_lipschitz == pytest.approx(1000.0 + 2 * tol, abs=1e-9)
+    def test_member_count_from_time_constant(self, blends):
+        # the interior steps are as few as keep every pair within eps/2:
+        # one fewer breaks eps/2
+        for sigma, chain in blends:
+            eps, ts = chain.epsilon, chain.partition
+            steps = len(ts) - 3
+            assert steps >= 2
+            end = ts[1]
+            coarser = end + (1 - 2 * end) * np.arange(steps) / (steps - 1)
+            members = sigma.polygonal_slices(coarser, eps / 6)
+            worst = max(polyline_sup_distance(p, q).hi for p, q in zip(members, members[1:]))
+            assert worst > eps / 2
+            assert all(e.sampled.hi <= eps / 2 for e in chain.certificate.entries[1:-1])
 
-    def test_step_below_a_sixth_of_eps(self, blend):
-        sigma, chain = blend
-        n = len(chain.members) - 1
-        assert sigma.time_lipschitz / n < chain.epsilon / 6
+    def test_members_within_a_ninth_of_eps_of_their_slices(self, blends):
+        for sigma, chain in blends:
+            eps = chain.epsilon
+            xs, p0, p1 = sigma.shared_vertices(eps / 6)
+            for t, member in zip(chain.partition[1:-1], chain.members[1:-1]):
+                assert np.array_equal(member.breakpoints, xs)
+                assert np.array_equal(member.vertices(), (1 - t) * p0 + t * p1)
+                assert sup_distance(member, sigma.slice_at(t), eps / 2000).hi <= eps / 9
 
-    def test_member_count_from_time_constant(self, blend):
-        sigma, chain = blend
-        eps = chain.epsilon
-        from_time = math.floor(6 * sigma.time_lipschitz / eps) + 1
-        from_modulus2d = math.floor(6 * sigma.modulus2d.constant / eps) + 1
-        assert len(chain.members) - 1 == from_time
-        assert from_time < from_modulus2d
-
-    def test_consecutive_slices_within_a_sixth_of_eps(self, blend):
-        sigma, chain = blend
-        ts = chain.partition
-        n = len(ts) - 1
-        # hi = lo + 2 tol, so hi <= eps/6 exactly when the sampled distance
-        # lo stays within the time-Lipschitz bound time_lipschitz / n.
-        tol = (chain.epsilon / 6 - sigma.time_lipschitz / n) / 2
-        for t0, t1 in zip(ts[:-1], ts[1:]):
-            bound = sup_distance(sigma.slice_at(t0), sigma.slice_at(t1), tol)
-            assert bound.hi <= chain.epsilon / 6
+    def test_constant_homotopy_takes_one_interior_member(self):
+        g = ellipse(2.0, 1.0)
+        chain = build_chain(linear_homotopy(g, g), g, g, WIDE_ANNULUS)
+        assert np.array_equal(chain.partition, [0.0, 0.5, 1.0])
 
 
 @pytest.mark.parametrize("center, radius", [(0j, 1e-12), (1e6 + 0j, 1.0)],

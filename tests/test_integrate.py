@@ -7,7 +7,6 @@ import pytest
 from contourchain import (
     Chain,
     ChainCertificate,
-    CompactCarrier,
     ContainmentCertificate,
     InvalidEpsilon,
     NearSingularity,
@@ -16,6 +15,7 @@ from contourchain import (
     constant_path,
     contour_integral,
     integral_along_chain,
+    linear_homotopy,
     parse_function,
     polyline,
     square,
@@ -28,10 +28,10 @@ TWO_PI_I = 2j * math.pi
 
 def _dummy_chain(members):
     """Chain wrapper for directly-constructed member lists (tests only)."""
-    net = CompactCarrier(np.array([1 + 0j]), resolution=0.01)
     cert = ContainmentCertificate(margin=0.5, net_resolution=0.01)
     return Chain(members=tuple(members), epsilon=0.5, certificate=ChainCertificate(()),
-                 containment=cert, carrier=net, partition=np.array([0.0, 1.0]))
+                 containment=cert, partition=np.array([0.0, 1.0]),
+                 homotopy=linear_homotopy(members[0], members[-1]))
 
 
 class TestResidueOracle:

@@ -322,6 +322,21 @@ class TestPiecewisePath:
             assert np.array_equal(vals[inner], seg.values_at(xs[inner]))
         assert np.all(vals[xs == path.b] == path.segments[0].start_value)
 
+    @pytest.mark.parametrize("path", [
+        circle(1 + 1j, 2.0),
+        square(2.0),
+        polyline([0j, 1 + 0j, 1 + 1j, 0.5 + 2j, 1j]),
+        reparametrize_to_unit(circle(0.5j, 1.3, interval=(0.0, 3.0))),
+        ellipse(2.0, 1.0),
+    ], ids=["circle", "square", "pentagon", "reparametrized", "ellipse"])
+    def test_segment_indices_clamp_b_into_the_last_segment(self, path):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([[path.a, path.b], path.breakpoints,
+                             rng.uniform(path.a, path.b, 500)])
+        clamped = np.clip(np.searchsorted(path.breakpoints, xs, side="right") - 1,
+                          0, path.num_segments - 1)
+        assert np.array_equal(path._segment_indices(xs), clamped)
+
     def test_non_contiguous_segments_rejected(self):
         with pytest.raises(ValueError, match="non-contiguous"):
             PiecewisePath([LineSegment(0j, 1j, 0.0, 0.4), LineSegment(1j, 0j, 0.5, 1.0)])
