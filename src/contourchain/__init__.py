@@ -46,6 +46,7 @@ from .paths import (
     SmoothSegment,
     TabulatedModulus,
     carrier_of_path,
+    certified_clearance,
     circle,
     constant_path,
     ellipse,

@@ -154,6 +154,8 @@ def _field(d: dict, key: str, what: str, default=_REQUIRED):
 def _real_field(d: dict, key: str, what: str, default=_REQUIRED) -> float:
     value = _field(d, key, what, default)
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError):
         raise SpecError(f"{what} field {key!r} must be a real number, got {value!r}")
@@ -162,6 +164,8 @@ def _real_field(d: dict, key: str, what: str, default=_REQUIRED) -> float:
 def _int_field(d: dict, key: str, what: str) -> int:
     value = _field(d, key, what)
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise SpecError(f"{what} field {key!r} must be an integer, got {value!r}")
@@ -508,13 +512,11 @@ def cmd_integrate(expr_text, poles, path_text, tol, as_json):
 def cmd_verify(spec_file, out_file, as_json):
     """Verify integral invariance along the spec's homotopy; exit 0 pass, 2 refusal, 3 fail."""
     spec = SpecDocument.from_file(spec_file)
-    kind = spec.homotopy_spec["kind"]
-    if kind == "star":
-        gamma = spec._named("path")
-        report = verify_null_homotopic(spec.function, gamma, spec.star_center,
+    sigma, g0, g1 = spec.build_homotopy()
+    if spec.homotopy_spec["kind"] == "star":
+        report = verify_null_homotopic(spec.function, g0, spec.star_center,
                                        spec.domain, spec.tol, eps=spec.eps)
     else:
-        sigma, g0, g1 = spec.build_homotopy()
         report = verify_homotopy_invariance(spec.function, g0, g1, sigma, spec.domain,
                                             spec.tol, eps=spec.eps)
     if out_file:

@@ -13,8 +13,10 @@ evaluated in one vectorized batch per round, so chains of many polylines stay
 fast.
 
 Paths must keep a certified clearance of 1e-9 from every declared singularity
-of the integrand; the check runs the path's sample net against a net built
-from the singular points and refines until the bound is conclusive.
+of the integrand (``paths.certified_clearance``).  For lines and arcs the
+distance is in closed form, the projection onto each segment or the clamp of
+the angle onto each arc; any other path refines an eta-net until the bound is
+conclusive or its sampling budget is spent.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from .errors import InvalidEpsilon, NearSingularity, ToleranceNotReached
 from .expressions import AnalyticFunction
-from .geometry import CompactCarrier
-from .paths import PiecewisePath, carrier_of_path
+# carrier_of_path is unused here but stays importable: perfbench/tracing.py wraps it
+from .paths import PiecewisePath, carrier_of_path, certified_clearance  # noqa: F401
 
 __all__ = ["IntegralResult", "ChainIntegrals", "contour_integral", "integral_along_chain"]
 
@@ -102,32 +104,6 @@ class ChainIntegrals:
         return [r.value for r in self.results]
 
 
-def _require_pole_clearance(f: AnalyticFunction, path: PiecewisePath):
-    if not f.singularities:
-        return
-    poles = CompactCarrier(np.array(f.singularities, dtype=np.complex128), resolution=1e-15)
-    verts = path.vertices()
-    scale = max(1.0, float(np.abs(verts).max()))
-    eta = 0.05 * scale
-    clearance = -math.inf
-    for _ in range(12):
-        net = carrier_of_path(path, eta)
-        raw = float(poles.nearest_distances(net.net).min())
-        clearance = max(clearance, raw - poles.resolution - eta)
-        if clearance > _POLE_CLEARANCE:
-            return
-        if raw <= _POLE_CLEARANCE:
-            break  # a sample already sits on the pole; refining cannot help
-        next_eta = eta / 4
-        span = path.b - path.a
-        if span / min(path.modulus.delta(next_eta), span) > _MAX_PIECES:
-            break
-        eta = next_eta
-    raise NearSingularity(
-        f"path not certifiably clear of declared singularities "
-        f"(best certified clearance {clearance:.3g}, required {_POLE_CLEARANCE})")
-
-
 def contour_integral(f: AnalyticFunction, path: PiecewisePath, tol: float) -> IntegralResult:
     """Integrate f along the path with total error estimate at most tol."""
     tol = float(tol)
@@ -135,7 +111,11 @@ def contour_integral(f: AnalyticFunction, path: PiecewisePath, tol: float) -> In
         raise InvalidEpsilon(f"tol must be a positive finite number, got {tol!r}")
     if not isinstance(path, PiecewisePath):
         raise TypeError("only piecewise-differentiable paths can be integrated")
-    _require_pole_clearance(f, path)
+    clearance = certified_clearance(path, f.singularities, _POLE_CLEARANCE)
+    if clearance <= _POLE_CLEARANCE:
+        raise NearSingularity(
+            f"path not certifiably clear of declared singularities "
+            f"(best certified clearance {clearance:.3g}, required {_POLE_CLEARANCE})")
 
     lows, highs, weights = path.quadrature_pieces()
     total_w = float(weights.sum())

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidEpsilon, MismatchedDomains
 from .geometry import Bounds, CompactCarrier, require_finite_complex, require_finite_real
+from .geometry import _segment_point_distances
 
 __all__ = [
     "Modulus",
@@ -40,6 +41,7 @@ __all__ = [
     "polyline",
     "constant_path",
     "carrier_of_path",
+    "certified_clearance",
     "sup_distance",
     "polyline_sup_distance",
     "reparametrize_to_unit",
@@ -51,9 +53,10 @@ _MAX_SAMPLES = 10_000_000
 # mathematically closed formula; anything larger is a genuinely open path.
 _CLOSURE_NOISE = 1e-12
 
-# Rounding allowance of polyline_sup_distance, relative to the largest |vertex|:
-# one interpolated value, the difference and its modulus stay below 10 ulps.
+# Rounding allowance of the closed-form distances, relative to the largest
+# magnitude: a projected point, the difference and its modulus stay below 10 ulps.
 _POLYLINE_ROUNDING = 16 * np.finfo(np.float64).eps
+_MAX_CLEARANCE_NET = 200_000
 
 
 class Modulus:
@@ -801,6 +804,42 @@ def carrier_of_path(path: Path, eta: float) -> CompactCarrier:
     return CompactCarrier(path.values(xs), eta)
 
 
+def certified_clearance(path: PiecewisePath, points, required: float) -> float:
+    """Certified lower bound on the distance from the carrier to the nearest
+    of ``points`` (+inf for none).  Exact up to rounding for lines (projection
+    clamped to each segment) and arcs (||p - c| - r| when p's angle lies in
+    the sweep, else the nearer end); any other path refines an eta-net until
+    the bound clears ``required``, a sample lies within ``required``, or the
+    next net would exceed ``_MAX_CLEARANCE_NET`` points.
+    """
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    if pts.size == 0:
+        return math.inf
+    arcs = path._arcs
+    if path._all_lines:
+        dist = _segment_point_distances(path._z0[:, None], path._z1[:, None], pts)
+        reach = np.abs(path.vertices()).max()
+    elif arcs is not None:
+        rel, radius = pts - arcs.center[:, None], arcs.radius[:, None]
+        swept = np.mod(np.angle(rel) - np.minimum(arcs.angle0, arcs.angle1)[:, None],
+                       2 * math.pi) <= np.abs(arcs.angle1 - arcs.angle0)[:, None]
+        ends = np.minimum(*(np.abs(rel - radius * np.exp(1j * a[:, None]))
+                            for a in (arcs.angle0, arcs.angle1)))
+        dist = np.where(swept, np.abs(np.abs(rel) - radius), ends)
+        reach = (np.abs(arcs.center) + arcs.radius).max()
+    else:
+        eta = 0.05 * max(1.0, float(np.abs(path.vertices()).max()))
+        while True:
+            net = carrier_of_path(path, eta).net
+            raw = min(float(np.abs(net - p).min()) for p in pts)
+            if (raw - eta > required or raw <= required
+                    or path.modulus.delta(eta / 4) * _MAX_CLEARANCE_NET < path.b - path.a):
+                return raw - eta
+            eta /= 4
+    scale = max(float(reach), float(np.abs(pts).max()))
+    return max(0.0, float(dist.min()) - _POLYLINE_ROUNDING * scale)
+
+
 def sup_distance(p: Path, q: Path, tol: float) -> Bounds:
     """Certified bounds on sup |p - q| over the shared parameter interval.
 
@@ -823,17 +862,22 @@ def polyline_sup_distance(p: PiecewisePath, q: PiecewisePath) -> Bounds:
 
     Both are affine between consecutive points of the union of their
     breakpoints, so |p - q| is convex there and its sup is the maximum over
-    that union.  Evaluating it rounds by less than ``_POLYLINE_ROUNDING``
-    times the largest |vertex|, which widens the maximum on both sides.
+    that union.  When both share one partition, the values there are their
+    vertices.  Evaluating it rounds by less than ``_POLYLINE_ROUNDING`` times
+    the largest |vertex|, which widens the maximum on both sides.
     """
     if p.interval != q.interval:
         raise MismatchedDomains(f"paths live on {p.interval} and {q.interval}")
     if not (isinstance(p, PiecewisePath) and isinstance(q, PiecewisePath)
             and p._all_lines and q._all_lines):
         raise TypeError("the exact distance needs two polylines")
-    xs = np.union1d(p.breakpoints, q.breakpoints)
-    exact = float(np.abs(p.values(xs) - q.values(xs)).max())
-    scale = max(float(np.abs(p.vertices()).max()), float(np.abs(q.vertices()).max()))
+    pv, qv = p.vertices(), q.vertices()
+    if np.array_equal(p.breakpoints, q.breakpoints):
+        exact = float(np.abs(pv - qv).max())
+    else:
+        xs = np.union1d(p.breakpoints, q.breakpoints)
+        exact = float(np.abs(p.values(xs) - q.values(xs)).max())
+    scale = max(float(np.abs(pv).max()), float(np.abs(qv).max()))
     slack = _POLYLINE_ROUNDING * scale
     return Bounds(max(0.0, exact - slack), exact + slack)
 

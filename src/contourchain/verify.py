@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NearSingularity, NonIntegerWinding
 from .expressions import AnalyticFunction, Const, Div, Sub, Var
 from .geometry import DomainDescriptor, require_finite_complex
 from .homotopy import Chain, Homotopy, build_chain, star_null_homotopy
 from .integrate import ChainIntegrals, IntegralResult, contour_integral, integral_along_chain
-from .paths import PiecewisePath, carrier_of_path, reparametrize_to_unit
+from .paths import PiecewisePath, certified_clearance, reparametrize_to_unit
+# carrier_of_path is unused here but stays importable: perfbench/tracing.py wraps it
+from .paths import carrier_of_path  # noqa: F401
 
 __all__ = [
     "VerificationReport",
@@ -33,7 +33,6 @@ __all__ = [
 
 _PASS_FACTOR = 10.0
 _WINDING_CLEARANCE = 1e-6
-_MAX_NET_POINTS = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +141,12 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float) -> int:
     tolerance and raises instead of rounding it away.
     """
     a = require_finite_complex(a, "a")
+    if not isinstance(gamma, PiecewisePath):
+        raise TypeError("winding numbers need a piecewise-differentiable path")
     if not gamma.is_closed:
         raise ValueError("winding number needs a closed path")
     probe = AnalyticFunction(Div(Const(1 + 0j), Sub(Var(), Const(a))), (a,))
-    clearance = _carrier_clearance(gamma, a)
+    clearance = certified_clearance(gamma, [a], _WINDING_CLEARANCE)
     if clearance <= _WINDING_CLEARANCE:
         raise NearSingularity(
             f"carrier not certifiably clear of the winding point "
@@ -157,26 +158,3 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float) -> int:
         raise NonIntegerWinding(
             f"winding integral {turns} is not within 0.25 of an integer")
     return int(nearest)
-
-
-def _carrier_clearance(gamma: PiecewisePath, a: complex) -> float:
-    """Certified lower bound on the distance from the carrier to ``a``.
-
-    Refines the net until the bound clears ``_WINDING_CLEARANCE``, a sample
-    sits within it (refining cannot help), or the next net would exceed the
-    sampling budget.
-    """
-    verts = gamma.vertices()
-    eta = 0.05 * max(1.0, float(np.abs(verts).max()))
-    span = gamma.b - gamma.a
-    best = -math.inf
-    for _ in range(9):
-        net = carrier_of_path(gamma, eta)
-        raw = float(np.abs(net.net - a).min())
-        best = max(best, raw - eta)
-        if best > _WINDING_CLEARANCE or raw <= _WINDING_CLEARANCE:
-            break
-        eta /= 4
-        if span / min(gamma.modulus.delta(eta), span) > _MAX_NET_POINTS:
-            break
-    return best

@@ -81,6 +81,9 @@ def test_missing_spec_field_is_a_usage_error(tmp_path, overrides, field):
 @pytest.mark.parametrize("overrides, field", [
     ({"version": None}, "version"),
     ({"version": [1]}, "version"),
+    ({"version": 1.9}, "version"),
+    ({"paths": {"inner": {"kind": "circle", "radius": True},
+                "outer": {"kind": "circle", "radius": 1.5}}}, "radius"),
     ({"tolerances": {"tol": None}}, "tol"),
     ({"tolerances": {"tol": 1e-9, "eps": [0.05]}}, "eps"),
     ({"paths": {"inner": {"kind": "circle", "radius": 1.0, "lipschitz": None},
@@ -143,6 +146,17 @@ class TestCertificateOutput:
             assert result.exit_code == 0, result.output
             assert "exact (interior pairs)" in result.stdout
             assert "sampled (end pairs)" in result.stdout
+
+
+def test_star_spec_verifies_a_null_homotopy(tmp_path):
+    doc = _spec(homotopy={"kind": "star", "path": "inner", "center": "0.1"},
+                domain={"kind": "disk", "radius": 2.0},
+                function={"expression": "exp(z)", "poles": []})
+    result = _run(tmp_path, "verify", doc, "--json")
+    assert result.exit_code == EXIT_OK, result.output
+    report = json.loads(result.stdout)
+    assert report["kind"] == "null-homotopy"
+    assert report["null_integral_abs"] <= report["threshold"]
 
 
 def test_large_circles_chain_and_verify(tmp_path):

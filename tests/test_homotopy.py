@@ -33,6 +33,7 @@ from contourchain import (
     sup_distance,
 )
 from contourchain import homotopy as homotopy_module
+from contourchain import paths as paths_module
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -325,6 +326,20 @@ class TestChainCrossCheck:
         for entry, p, q in zip(entries[1:-1], chain.members[1:-2], chain.members[2:-1]):
             assert entry.sampled == polyline_sup_distance(p, q)
             assert entry.sampled.hi <= entry.analytic
+
+    def test_shared_partition_entries_match_the_breakpoint_union(self):
+        # on one shared partition a polyline's values at the breakpoints are
+        # its vertices, so the vertex maximum reproduces the union evaluation
+        g0, g1 = circle(radius=1.0), ellipse(2.0, 1.2)
+        chain = build_chain(linear_homotopy(g0, g1), g0, g1, WIDE_ANNULUS)
+        interior = zip(chain.certificate.entries[1:-1], chain.members[1:-2], chain.members[2:-1])
+        for entry, p, q in interior:
+            assert np.array_equal(p.breakpoints, q.breakpoints)
+            xs = np.union1d(p.breakpoints, q.breakpoints)
+            exact = float(np.abs(p.values(xs) - q.values(xs)).max())
+            scale = max(float(np.abs(p.vertices()).max()), float(np.abs(q.vertices()).max()))
+            slack = paths_module._POLYLINE_ROUNDING * scale
+            assert entry.sampled == Bounds(max(0.0, exact - slack), exact + slack)
 
     @pytest.mark.parametrize("g0, g1, domain", [
         (circle(radius=1.0), circle(radius=2.0), WIDE_ANNULUS),

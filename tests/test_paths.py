@@ -16,6 +16,7 @@ from contourchain import (
     SmoothSegment,
     TabulatedModulus,
     carrier_of_path,
+    certified_clearance,
     circle,
     constant_path,
     contour_integral,
@@ -218,6 +219,66 @@ class TestPolylineSupDistance:
             polyline_sup_distance(square(2.0), circle())
         with pytest.raises(MismatchedDomains):
             polyline_sup_distance(square(2.0), square(2.0, interval=(0.0, 2.0)))
+
+
+def _arc(angle0: float, angle1: float) -> PiecewisePath:
+    return PiecewisePath([ArcSegment(0.2j, 1.3, angle0, angle1, 0.0, 1.0)])
+
+
+def _clearance_points(path, seed: int) -> np.ndarray:
+    """Far points, points on the carrier and points 1e-7 off it."""
+    gen = np.random.default_rng(seed)
+    far = gen.uniform(-2.5, 2.5, 40) + 1j * gen.uniform(-2.5, 2.5, 40)
+    on = path.values(gen.uniform(path.a, path.b, 10))
+    near = on + 1e-7 * np.exp(2j * math.pi * gen.uniform(size=10))
+    return np.concatenate([far, on, near])
+
+
+class TestCertifiedClearance:
+    """Closed forms for lines and arcs against a dense sampled minimum."""
+
+    @pytest.mark.parametrize("path", [
+        square(2.0),
+        square(0.7, center=0.4 - 0.3j),
+        *(random_polyline(random.Random(k), 3 + k, radius=1.5) for k in range(4)),
+        constant_path(0.3 + 0.2j),
+        circle(),
+        circle(center=0.5 - 0.2j, radius=0.8).reverse(),
+        _arc(2.5, 4.0),    # sweeps across the -pi/pi cut
+        _arc(-2.0, -4.0),  # the same cut, clockwise from negative angles
+        _arc(0.3, 7.0),    # more than one turn
+    ], ids=["square", "small-square", *(f"polyline-{k}" for k in range(4)), "constant",
+            "circle", "reversed-circle", "arc-across-cut", "clockwise-arc-across-cut",
+            "arc-over-a-turn"])
+    def test_sound_and_tight(self, path):
+        n = 20_000
+        xs = path.a + (path.b - path.a) * np.arange(n + 1) / n
+        samples = path.values(xs)
+        slack = path.lipschitz_bound * (path.b - path.a) / n / 2 + 1e-12
+        for p in _clearance_points(path, path.num_segments):
+            sampled = float(np.abs(samples - p).min())
+            bound = certified_clearance(path, [p], 1e-9)
+            assert bound <= sampled
+            assert bound >= sampled - slack
+        points = _clearance_points(path, 7)
+        assert certified_clearance(path, points, 1e-9) == min(
+            certified_clearance(path, [p], 1e-9) for p in points)
+
+    def test_no_points_is_infinitely_clear(self):
+        assert certified_clearance(circle(), [], 1e-9) == math.inf
+
+    def test_ellipse_fallback(self):
+        path = ellipse(1.6, 1.0, center=0.1j)
+        xs = np.arange(200_001) / 200_000
+        samples = path.values(xs)
+        for p in _clearance_points(path, 3):
+            sampled = float(np.abs(samples - p).min())
+            bound = certified_clearance(path, [p], sampled / 2)
+            assert bound <= sampled
+            if sampled > 1e-3:  # within the sampling budget's reach
+                assert bound > sampled / 2
+        on_carrier = path.value(0.123456)
+        assert certified_clearance(path, [on_carrier], 1e-9) <= 1e-9
 
 
 class TestReparametrize:

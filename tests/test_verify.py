@@ -119,6 +119,18 @@ class TestWindingNumber:
         with pytest.raises(NearSingularity):
             winding_number(circle(), complex(math.cos(0.123456), math.sin(0.123456)), 1e-9)
 
+    def test_point_near_a_side_certified_in_closed_form(self):
+        # 1e-5 from the top side, far inside the first net's resolution 0.05
+        assert winding_number(square(2.0), 0.3 + (1 - 1e-5) * 1j, 1e-9) == 1
+
+    def test_only_piecewise_paths(self):
+        from contourchain import ClosedPath, LipschitzModulus
+
+        smooth_only = ClosedPath(0, 1, lambda xs: np.exp(2j * math.pi * np.asarray(xs)),
+                                 LipschitzModulus(2 * math.pi))
+        with pytest.raises(TypeError):
+            winding_number(smooth_only, 0j, 1e-9)
+
     def test_open_path_rejected(self):
         with pytest.raises(ValueError):
             winding_number(polyline([0j, 1 + 0j], closed=False), 5j, 1e-9)
