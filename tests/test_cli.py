@@ -81,13 +81,13 @@ def test_missing_spec_field_is_a_usage_error(tmp_path, overrides, field):
 @pytest.mark.parametrize("overrides, field", [
     ({"version": None}, "version"),
     ({"version": [1]}, "version"),
-    ({"version": 1.9}, "version"),
-    ({"paths": {"inner": {"kind": "circle", "radius": True},
-                "outer": {"kind": "circle", "radius": 1.5}}}, "radius"),
     ({"tolerances": {"tol": None}}, "tol"),
     ({"tolerances": {"tol": 1e-9, "eps": [0.05]}}, "eps"),
     ({"paths": {"inner": {"kind": "circle", "radius": 1.0, "lipschitz": None},
                 "outer": {"kind": "circle", "radius": 1.5}}}, "lipschitz"),
+    ({"version": 1.9}, "version"),
+    ({"paths": {"inner": {"kind": "circle", "radius": True},
+                "outer": {"kind": "circle", "radius": 1.5}}}, "radius"),
 ])
 def test_null_or_non_numeric_spec_field_is_a_usage_error(tmp_path, overrides, field):
     doc = _spec(**overrides)
