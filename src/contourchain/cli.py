@@ -10,14 +10,19 @@ Exit codes: 0 success/pass, 1 usage or parse errors, 2 refusal (containment
 or singularity clearance cannot be certified), 3 failure (deviation above
 threshold, quadrature tolerance not reached, non-integer winding).
 
-Problem specs are JSON documents with a ``version`` field and sections
-``paths``, ``homotopy``, ``domain``, ``function``, ``tolerances``; the
-``SpecDocument`` docstring gives the schema.  Complex numbers in specs and
-flags are written like ``1.5``, ``2i``, ``1+2i`` or ``-0.5-1i``.
+Problem specs are JSON documents; the ``SpecDocument`` docstring gives the
+schema.  One builder makes every path and domain, from spec objects and
+``--path`` text alike, out of two static tables, ``_PATHS`` and ``_DOMAINS``:
+each kind's constructor and its fields in order, with a reader and a default.
+``--path`` text gives the fields as arguments in that order (``polyline``
+takes all of them as vertices).  Unknown fields, surplus arguments and empty
+arguments are refused.  Complex numbers in specs and flags are written like
+``1.5``, ``2i``, ``1+2i`` or ``-0.5-1i``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -30,9 +35,6 @@ from .errors import (
     CertificateViolation,
     ContainmentNotCertified,
     ContourChainError,
-    EndpointMismatch,
-    InvalidEpsilon,
-    MismatchedDomains,
     NearSingularity,
     NonIntegerWinding,
     ParseError,
@@ -53,7 +55,7 @@ from .paths import (
     reparametrize_to_unit,
     square,
 )
-from .verify import verify_homotopy_invariance, verify_null_homotopic, winding_number
+from .verify import verify_homotopy_invariance, verify_star_homotopy, winding_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,10 +72,6 @@ def _fmt(x: float) -> str:
 def parse_complex(text: str) -> complex:
     """Parse ``a``, ``bi``, ``a+bi`` style complex literals."""
     cleaned = str(text).replace(" ", "").replace("*", "").replace("i", "j")
-    if cleaned in ("j", "+j"):
-        cleaned = "1j"
-    elif cleaned == "-j":
-        cleaned = "-1j"
     try:
         value = complex(cleaned)
     except ValueError:
@@ -83,163 +81,138 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _real_arg(value, what: str) -> float:
-    z = parse_complex(value) if isinstance(value, str) else complex(value)
-    if z.imag != 0:
-        raise SpecError(f"{what} must be real, got {value!r}")
+# ---------------------------------------------------------------------------
+# Spec documents: one field table per kind of path or domain, one builder
+# ---------------------------------------------------------------------------
+
+def _real(value) -> float:
+    """A finite real from a JSON number or a numeric string, never a boolean."""
+    z = complex(float(value)) if type(value) in (int, float) else parse_complex(value)
+    if z.imag != 0 or not math.isfinite(z.real):
+        raise ValueError
     return z.real
 
 
-def build_named_path(text: str) -> PiecewisePath:
-    """Build a built-in path from ``name`` or ``name(arg, ...)`` text."""
-    text = text.strip()
-    if "(" in text:
-        name, _, rest = text.partition("(")
-        if not rest.endswith(")"):
-            raise SpecError(f"malformed path expression {text!r}")
-        args = [a for a in rest[:-1].split(",") if a.strip()]
-    else:
-        name, args = text, []
-    name = name.strip()
-    if name == "unit_circle":
-        if args:
-            raise SpecError("unit_circle takes no arguments")
-        return circle()
-    if name == "circle":
-        radius = _real_arg(args[0], "radius") if args else 1.0
-        center = parse_complex(args[1]) if len(args) > 1 else 0j
-        return circle(center=center, radius=radius)
-    if name == "ellipse":
-        if len(args) < 2:
-            raise SpecError("ellipse(a, b) needs two semi-axes")
-        center = parse_complex(args[2]) if len(args) > 2 else 0j
-        return ellipse(_real_arg(args[0], "semi-axis"), _real_arg(args[1], "semi-axis"), center=center)
-    if name == "square":
-        if len(args) < 1:
-            raise SpecError("square(s) needs a side length")
-        center = parse_complex(args[1]) if len(args) > 1 else 0j
-        return square(_real_arg(args[0], "side"), center=center)
-    if name == "polyline":
-        if len(args) < 3:
-            raise SpecError("polyline(v1, v2, v3, ...) needs at least three vertices")
-        return polyline([parse_complex(a) for a in args], closed=True)
-    if name == "constant":
-        if len(args) != 1:
-            raise SpecError("constant(c) needs exactly one point")
-        return constant_path(parse_complex(args[0]))
-    raise SpecError(f"unknown path {name!r} (try unit_circle, circle, ellipse, square, polyline)")
+def _points(value) -> tuple[complex, ...]:
+    if not isinstance(value, list):
+        raise TypeError
+    return tuple(parse_complex(v) for v in value)
 
 
-def _parse_poles(text: str) -> tuple[complex, ...]:
-    if not text or not text.strip():
-        return ()
-    return tuple(parse_complex(p) for p in text.split(","))
+def _integer(value) -> int:
+    x = _real(value)
+    if not x.is_integer():
+        raise ValueError
+    return int(x)
 
 
-# ---------------------------------------------------------------------------
-# Spec documents
-# ---------------------------------------------------------------------------
+_EXPECTED = {_real: "a real number", _integer: "an integer", parse_complex: "a complex number",
+             _points: "a list of complex numbers"}
 
-_PATH_KINDS = {"circle", "ellipse", "square", "polyline", "constant", "unit_circle"}
+
+def _read(read, value, what: str, key: str | None = None):
+    """``read(value)``, or a SpecError saying what ``what`` (field ``key``) must be."""
+    try:
+        return read(value)
+    except (SpecError, TypeError, ValueError, OverflowError):
+        what = what if key is None else f"{what} field {key!r}"
+        raise SpecError(f"{what} must be {_EXPECTED[read]}, got {value!r}") from None
+
+
+def _polygon(vertices) -> PiecewisePath:
+    if len(vertices) < 3:
+        raise ValueError("needs at least three vertices")
+    return polyline(vertices)
+
+
 _REQUIRED = object()
+# kind -> (constructor, {field: (reader, default)}); text arguments fill the
+# fields in this order
+_PATHS = {
+    "unit_circle": (circle, {}),
+    "circle": (circle, {"radius": (_real, 1.0), "center": (parse_complex, 0j)}),
+    "ellipse": (ellipse, {"semi_re": (_real, _REQUIRED), "semi_im": (_real, _REQUIRED),
+                          "center": (parse_complex, 0j)}),
+    "square": (square, {"side": (_real, _REQUIRED), "center": (parse_complex, 0j)}),
+    "polyline": (_polygon, {"vertices": (_points, _REQUIRED)}),
+    "constant": (constant_path, {"point": (parse_complex, _REQUIRED)}),
+}
+_DOMAINS = {
+    "disk": (Disk, {"center": (parse_complex, 0j), "radius": (_real, _REQUIRED)}),
+    "annulus": (Annulus, {"center": (parse_complex, 0j), "r_inner": (_real, _REQUIRED),
+                          "r_outer": (_real, _REQUIRED)}),
+    "rectangle": (Rectangle, {"corner_lo": (parse_complex, _REQUIRED),
+                              "corner_hi": (parse_complex, _REQUIRED)}),
+    "punctured_plane": (PuncturedPlane, {"excluded": (_points, ())}),
+}
 
 
-def _field(d: dict, key: str, what: str, default=_REQUIRED):
-    value = d.get(key, default)
-    if value is _REQUIRED:
-        raise SpecError(f"{what} needs a {key!r} field")
-    return value
+def _build(table: dict, label: str, doc):
+    """Construct ``doc["kind"]`` from ``table`` with the fields ``doc`` gives.
 
-
-def _real_field(d: dict, key: str, what: str, default=_REQUIRED) -> float:
-    value = _field(d, key, what, default)
+    A field the kind does not name is refused, and so is a missing field
+    without a default.  A constructor's ``ValueError`` becomes a SpecError.
+    """
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise SpecError(f"{label} needs a 'kind' field")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise SpecError(f"{label} has unknown kind {kind!r} (try {', '.join(table)})")
+    build, fields = table[kind]
+    what = f"{kind} {label}"
+    unknown = [key for key in doc if key != "kind" and key not in fields]
+    if unknown:
+        raise SpecError(f"{what} has no field {unknown[0]!r} "
+                        f"(fields: {', '.join(fields) or 'none'})")
+    args = {}
+    for key, (read, default) in fields.items():
+        if key in doc:
+            args[key] = _read(read, doc[key], what, key)
+        elif default is _REQUIRED:
+            raise SpecError(f"{what} needs a {key!r} field")
+        else:
+            args[key] = default
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise SpecError(f"{what} field {key!r} must be a real number, got {value!r}")
+        return build(**args)
+    except ValueError as exc:
+        raise SpecError(f"{what}: {exc}") from None
 
 
-def _int_field(d: dict, key: str, what: str) -> int:
-    value = _field(d, key, what)
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SpecError(f"{what} field {key!r} must be an integer, got {value!r}")
+def _split_args(text: str) -> list[str]:
+    """Comma-separated arguments, stripped; an empty one is refused."""
+    args = [a.strip() for a in text.split(",")] if text.strip() else []
+    if "" in args:
+        raise SpecError(f"empty argument in {text!r}")
+    return args
+
+
+def path_from_text(text: str) -> PiecewisePath:
+    """Build a path from ``kind`` or ``kind(arg, ...)`` text.
+
+    The arguments fill the kind's spec fields in order; ``polyline`` takes
+    them all as its ``vertices``.
+    """
+    name, paren, rest = text.strip().partition("(")
+    if paren and not rest.endswith(")"):
+        raise SpecError(f"malformed path expression {text!r}")
+    kind, args = name.strip(), _split_args(rest[:-1])
+    if kind not in _PATHS:
+        raise SpecError(f"unknown path {kind!r} (try {', '.join(_PATHS)})")
+    fields = list(_PATHS[kind][1])
+    if fields == ["vertices"]:
+        args = [args]
+    elif len(args) > len(fields):
+        raise SpecError(f"{kind} path takes at most {len(fields)} arguments "
+                        f"({', '.join(fields)}), got {len(args)}")
+    return _build(_PATHS, "path", {"kind": kind, **dict(zip(fields, args))})
 
 
 def _typed(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (str, list or dict), else a SpecError."""
+    """``value`` if it is a ``kind`` (str or dict), else a SpecError."""
     if not isinstance(value, kind):
-        names = {str: "a string", list: "a list", dict: "a JSON object"}
+        names = {str: "a string", dict: "a JSON object"}
         raise SpecError(f"{what} must be {names[kind]}, got {value!r}")
     return value
-
-
-def _section(doc: dict, key: str, kind: type):
-    """The optional section ``key``, empty when absent."""
-    return _typed(doc.get(key, kind()), kind, f"spec document's {key!r} section")
-
-
-def _path_from_dict(name: str, d: dict) -> PiecewisePath:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise SpecError(f"path {name!r} needs a 'kind' field")
-    kind = d["kind"]
-    if not isinstance(kind, str) or kind not in _PATH_KINDS:
-        raise SpecError(f"path {name!r} has unknown kind {kind!r}")
-    what = f"{kind} path {name!r}"
-    center = parse_complex(d.get("center", "0"))
-    try:
-        if kind == "unit_circle":
-            path = circle()
-        elif kind == "circle":
-            path = circle(center=center, radius=_real_field(d, "radius", what, 1.0))
-        elif kind == "ellipse":
-            path = ellipse(_real_field(d, "semi_re", what), _real_field(d, "semi_im", what),
-                           center=center)
-        elif kind == "square":
-            path = square(_real_field(d, "side", what), center=center)
-        elif kind == "constant":
-            path = constant_path(parse_complex(_field(d, "point", what)))
-        else:
-            verts = [parse_complex(v) for v in _typed(d.get("vertices", []), list,
-                                                      f"{what} field 'vertices'")]
-            if len(verts) < 3:
-                raise SpecError(f"polyline path {name!r} needs at least three vertices")
-            path = polyline(verts, closed=bool(d.get("closed", True)))
-    except ValueError as exc:
-        raise SpecError(f"{what}: {exc}")
-    lip = _real_field(d, "lipschitz", what) if "lipschitz" in d else None
-    if lip is not None and lip < path.lipschitz_bound:
-        raise SpecError(
-            f"path {name!r} declares lipschitz={lip} below the automatic bound "
-            f"{path.lipschitz_bound:.6g}; an explicit modulus may only be more conservative")
-    return path
-
-
-def _domain_from_dict(d: dict) -> DomainDescriptor:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise SpecError("domain needs a 'kind' field")
-    kind = d["kind"]
-    what = f"{kind} domain"
-    try:
-        if kind == "disk":
-            return Disk(parse_complex(d.get("center", "0")), _real_field(d, "radius", what))
-        if kind == "annulus":
-            return Annulus(parse_complex(d.get("center", "0")),
-                           _real_field(d, "r_inner", what), _real_field(d, "r_outer", what))
-        if kind == "rectangle":
-            return Rectangle(parse_complex(_field(d, "corner_lo", what)),
-                             parse_complex(_field(d, "corner_hi", what)))
-        if kind == "punctured_plane":
-            excluded = _typed(d.get("excluded", []), list, f"{what} field 'excluded'")
-            return PuncturedPlane(tuple(parse_complex(p) for p in excluded))
-    except ValueError as exc:
-        raise SpecError(f"{what}: {exc}")
-    raise SpecError(f"unknown domain kind {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,30 +220,25 @@ class SpecDocument:
     """Parsed and resolved problem description.
 
     A spec is one JSON object.  Complex numbers are strings such as ``"1.5"``,
-    ``"2i"`` or ``"1+2i"``; reals may also be JSON numbers.
+    ``"2i"`` or ``"1+2i"``; reals are JSON numbers or real numeric strings.
 
     * ``version`` (required): 1.
-    * ``paths``: an object from names to path objects, each with a ``kind``:
-      ``unit_circle``; ``circle`` (``radius``, default 1); ``ellipse``
-      (``semi_re``, ``semi_im``); ``square`` (``side``); ``polyline``
-      (``vertices``, a list of at least three complex numbers, and
-      ``closed``, default true); ``constant`` (``point``).  ``circle``,
-      ``ellipse`` and ``square`` take a ``center`` (default 0), and any path
-      may declare a ``lipschitz`` bound no smaller than the automatic one.
+    * ``paths``: an object from names to path objects, and ``domain``
+      (required): one domain object.  Each has a ``kind`` from ``_PATHS`` or
+      ``_DOMAINS`` and only that kind's fields, required where the table
+      gives no default.  A polyline closes back to the first of its at least
+      three vertices; a ``punctured_plane`` with no ``excluded`` points is the
+      whole plane.
     * ``homotopy`` (required): an object with a ``kind``: ``linear`` (path
       names ``from`` and ``to``), ``constant`` (``path``) or ``star`` (``path``
       and ``center``, default 0).
-    * ``domain`` (required): an object with a ``kind``: ``disk`` (``center``,
-      ``radius``), ``annulus`` (``center``, ``r_inner``, ``r_outer``),
-      ``rectangle`` (``corner_lo``, ``corner_hi``) or ``punctured_plane``
-      (``excluded``, a list of complex numbers; empty for the whole plane).
     * ``function`` (required): an object with an ``expression`` string in z
       and ``poles``, a list of the complex singular points to keep clear of.
     * ``tolerances``: an object with the quadrature ``tol`` (default 1e-9)
       and the chain budget ``eps`` (default: half the certified containment
       margin; required for the whole plane, whose margin is unbounded).
 
-    Anything else of the wrong shape raises ``SpecError``.
+    Anything of the wrong shape raises ``SpecError``.
     """
 
     version: int
@@ -287,13 +255,11 @@ class SpecDocument:
             raise SpecError("spec document must be a JSON object")
         if "version" not in doc:
             raise SpecError("spec document is missing the 'version' field")
-        version = _int_field(doc, "version", "spec document")
+        version = _read(_integer, doc["version"], "spec document", "version")
         if version != SPEC_VERSION:
             raise SpecError(f"unsupported spec version {doc['version']!r} (expected {SPEC_VERSION})")
-        if "domain" not in doc:
-            raise SpecError("spec document needs exactly one 'domain' section")
-        paths = {name: _path_from_dict(name, spec)
-                 for name, spec in _section(doc, "paths", dict).items()}
+        paths = _typed(doc.get("paths", {}), dict, "spec document's 'paths' section")
+        paths = {name: _build(_PATHS, f"path {name!r}", spec) for name, spec in paths.items()}
         homotopy_spec = doc.get("homotopy")
         if not isinstance(homotopy_spec, dict) or "kind" not in homotopy_spec:
             raise SpecError("spec document needs a 'homotopy' section with a 'kind'")
@@ -305,16 +271,17 @@ class SpecDocument:
         if not isinstance(fn, dict) or "expression" not in fn:
             raise SpecError("spec document needs a 'function' section with an 'expression'")
         expression = _typed(fn["expression"], str, "function 'expression'")
-        poles = _typed(fn.get("poles", []), list, "function 'poles'")
+        poles = _read(_points, fn.get("poles", []), "function 'poles'")
         try:
-            function = parse_function(expression, tuple(parse_complex(p) for p in poles))
+            function = parse_function(expression, poles)
         except ParseError as exc:
             raise SpecError(f"bad function expression: {exc}")
-        tolerances = _section(doc, "tolerances", dict)
-        tol = _real_field(tolerances, "tol", "tolerances", 1e-9)
-        eps = None if tolerances.get("eps") is None else _real_field(tolerances, "eps", "tolerances")
+        tolerances = _typed(doc.get("tolerances", {}), dict, "spec document's 'tolerances' section")
+        tol = _read(_real, tolerances.get("tol", 1e-9), "tolerances", "tol")
+        eps = tolerances.get("eps")
+        eps = None if eps is None else _read(_real, eps, "tolerances", "eps")
         return cls(version=version, paths=paths, homotopy_spec=homotopy_spec,
-                   domain=_domain_from_dict(doc["domain"]), function=function,
+                   domain=_build(_DOMAINS, "domain", doc.get("domain")), function=function,
                    tol=tol, eps=eps)
 
     @classmethod
@@ -346,7 +313,7 @@ class SpecDocument:
             if kind == "star":
                 sigma = star_null_homotopy(self._named("path"), self.star_center)
                 return sigma, sigma.gamma0, sigma.gamma1
-        except ValueError as exc:  # e.g. an open polyline
+        except ValueError as exc:
             raise SpecError(f"{kind} homotopy: {exc}")
         raise SpecError(f"unknown homotopy kind {kind!r}")
 
@@ -364,13 +331,13 @@ def _write_text(filename: str, text: str):
         fh.write(text)
 
 
+def _vertex_rows(path: PiecewisePath) -> list[str]:
+    return [f"{k},{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)}"
+            for k, (t, z) in enumerate(zip(path.breakpoints, path.vertices()))]
+
+
 def path_csv(path: PiecewisePath) -> str:
-    lines = ["index,t,re,im"]
-    breaks = path.breakpoints
-    verts = path.vertices()
-    for k in range(len(verts)):
-        lines.append(f"{k},{_fmt(breaks[k])},{_fmt(verts[k].real)},{_fmt(verts[k].imag)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["index,t,re,im", *_vertex_rows(path)]) + "\n"
 
 
 def carrier_csv(carrier) -> str:
@@ -381,39 +348,26 @@ def carrier_csv(carrier) -> str:
 
 
 def chain_csv(chain: Chain) -> str:
-    lines = ["member,index,t,re,im"]
-    for m, member in enumerate(chain.members):
-        breaks = member.breakpoints
-        verts = member.vertices()
-        for k in range(len(verts)):
-            lines.append(f"{m},{k},{_fmt(breaks[k])},{_fmt(verts[k].real)},{_fmt(verts[k].imag)}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{m},{row}" for m, member in enumerate(chain.members) for row in _vertex_rows(member))
+    return "\n".join(["member,index,t,re,im", *rows]) + "\n"
 
 
 def _emit_json(obj: dict):
     click.echo(json.dumps(obj, indent=2))
 
 
-def _handle(exc: ContourChainError):
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, (ContainmentNotCertified, NearSingularity)):
-        sys.exit(EXIT_REFUSED)
-    if isinstance(exc, (ToleranceNotReached, NonIntegerWinding, CertificateViolation)):
-        sys.exit(EXIT_FAILED)
-    sys.exit(EXIT_USAGE)
-
-
 def _guarded(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ContourChainError as exc:
-            _handle(exc)
-        except ValueError as exc:
+        except (ContourChainError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
+            if isinstance(exc, (ContainmentNotCertified, NearSingularity)):
+                sys.exit(EXIT_REFUSED)
+            if isinstance(exc, (ToleranceNotReached, NonIntegerWinding, CertificateViolation)):
+                sys.exit(EXIT_FAILED)
             sys.exit(EXIT_USAGE)
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -434,7 +388,7 @@ def main():
 @_guarded
 def cmd_approx(path_text, eps, out_file, as_json):
     """Polygonal approximation of a closed path with a certified sup bound."""
-    path = reparametrize_to_unit(build_named_path(path_text))
+    path = reparametrize_to_unit(path_from_text(path_text))
     result = polygonal_approximation(path, eps)
     if out_file:
         _write_text(out_file, path_csv(result.path))
@@ -452,7 +406,7 @@ def cmd_approx(path_text, eps, out_file, as_json):
 @_guarded
 def cmd_carrier(path_text, eta, out_file, as_json):
     """Finite eta-net of a path's carrier."""
-    path = build_named_path(path_text)
+    path = path_from_text(path_text)
     carrier = carrier_of_path(path, eta)
     if out_file:
         _write_text(out_file, carrier_csv(carrier))
@@ -491,8 +445,8 @@ def cmd_chain(spec_file, out_file, as_json):
 @_guarded
 def cmd_integrate(expr_text, poles, path_text, tol, as_json):
     """Contour integral of an analytic function along a path."""
-    f = parse_function(expr_text, _parse_poles(poles))
-    path = build_named_path(path_text)
+    f = parse_function(expr_text, _read(_points, _split_args(poles), "--poles"))
+    path = path_from_text(path_text)
     result = contour_integral(f, path, tol)
     if as_json:
         _emit_json({"value_re": result.value.real, "value_im": result.value.imag,
@@ -514,8 +468,7 @@ def cmd_verify(spec_file, out_file, as_json):
     spec = SpecDocument.from_file(spec_file)
     sigma, g0, g1 = spec.build_homotopy()
     if spec.homotopy_spec["kind"] == "star":
-        report = verify_null_homotopic(spec.function, g0, spec.star_center,
-                                       spec.domain, spec.tol, eps=spec.eps)
+        report = verify_star_homotopy(spec.function, sigma, spec.domain, spec.tol, eps=spec.eps)
     else:
         report = verify_homotopy_invariance(spec.function, g0, g1, sigma, spec.domain,
                                             spec.tol, eps=spec.eps)
@@ -537,7 +490,7 @@ def cmd_verify(spec_file, out_file, as_json):
 @_guarded
 def cmd_wind(path_text, point, tol, as_json):
     """Winding number of a closed path about a point."""
-    path = build_named_path(path_text)
+    path = path_from_text(path_text)
     a = parse_complex(point)
     w = winding_number(path, a, tol)
     if as_json:

@@ -28,6 +28,7 @@ __all__ = [
     "VerificationReport",
     "verify_homotopy_invariance",
     "verify_null_homotopic",
+    "verify_star_homotopy",
     "winding_number",
 ]
 
@@ -126,7 +127,12 @@ def verify_null_homotopic(f: AnalyticFunction, gamma: PiecewisePath, center: com
     otherwise the run refuses with ContainmentNotCertified.  ``eps`` is passed
     to ``build_chain`` as in ``verify_homotopy_invariance``.
     """
-    sigma = star_null_homotopy(gamma, center)
+    return verify_star_homotopy(f, star_null_homotopy(gamma, center), domain, tol, eps=eps)
+
+
+def verify_star_homotopy(f: AnalyticFunction, sigma: Homotopy, domain: DomainDescriptor,
+                         tol: float, *, eps: float | None = None) -> VerificationReport:
+    """``verify_null_homotopic`` for a star homotopy already built by ``star_null_homotopy``."""
     chain = build_chain(sigma, sigma.gamma0, sigma.gamma1, domain, eps=eps)
     integrals = integral_along_chain(f, chain, tol)
     null_abs = abs(integrals.results[0].value)
@@ -145,12 +151,13 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float) -> int:
         raise TypeError("winding numbers need a piecewise-differentiable path")
     if not gamma.is_closed:
         raise ValueError("winding number needs a closed path")
-    probe = AnalyticFunction(Div(Const(1 + 0j), Sub(Var(), Const(a))), (a,))
     clearance = certified_clearance(gamma, [a], _WINDING_CLEARANCE)
     if clearance <= _WINDING_CLEARANCE:
         raise NearSingularity(
             f"carrier not certifiably clear of the winding point "
             f"(best certified clearance {clearance:.3g}, required {_WINDING_CLEARANCE})")
+    # the clearance just certified implies contour_integral's pole check
+    probe = AnalyticFunction(Div(Const(1 + 0j), Sub(Var(), Const(a))), ())
     result = contour_integral(probe, gamma, tol)
     turns = result.value / (2j * math.pi)
     nearest = round(turns.real)

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contourchain import cli, verify
 from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, SpecDocument, main
 from contourchain.errors import ContourChainError
 
@@ -83,8 +84,8 @@ def test_missing_spec_field_is_a_usage_error(tmp_path, overrides, field):
     ({"version": [1]}, "version"),
     ({"tolerances": {"tol": None}}, "tol"),
     ({"tolerances": {"tol": 1e-9, "eps": [0.05]}}, "eps"),
-    ({"paths": {"inner": {"kind": "circle", "radius": 1.0, "lipschitz": None},
-                "outer": {"kind": "circle", "radius": 1.5}}}, "lipschitz"),
+    ({"paths": {"inner": {"kind": "circle", "radius": 10 ** 400},
+                "outer": {"kind": "circle", "radius": 1.5}}}, "radius"),
     ({"version": 1.9}, "version"),
     ({"paths": {"inner": {"kind": "circle", "radius": True},
                 "outer": {"kind": "circle", "radius": 1.5}}}, "radius"),
@@ -96,6 +97,51 @@ def test_null_or_non_numeric_spec_field_is_a_usage_error(tmp_path, overrides, fi
         assert result.exit_code == EXIT_USAGE
         assert isinstance(result.exception, SystemExit)
         assert f"field {field!r} must be" in result.stderr
+
+
+@pytest.mark.parametrize("section, value, field", [
+    ("inner", {"kind": "circle", "radius": 1.0, "lipschitz": None}, "lipschitz"),
+    ("inner", {"kind": "polyline", "vertices": ["1", "i", "-1"], "closed": False}, "closed"),
+    ("inner", {"kind": "circle", "raduis": 2}, "raduis"),
+    ("inner", {"kind": "unit_circle", "center": "5"}, "center"),
+    ("domain", {"kind": "annulus", "r_inner": 0.5, "r_outer": 2.5, "radius": 3}, "radius"),
+], ids=["lipschitz", "closed", "raduis", "unit_circle-center", "annulus-radius"])
+def test_unknown_spec_field_is_a_usage_error(tmp_path, section, value, field):
+    doc = _spec(homotopy={"kind": "constant", "path": "inner"})
+    if section == "domain":
+        doc["domain"] = value
+    else:
+        doc["paths"][section] = value
+    for command in ("chain", "verify"):
+        result = _run(tmp_path, command, doc)
+        assert result.exit_code == EXIT_USAGE
+        assert isinstance(result.exception, SystemExit)
+        assert f"has no field {field!r}" in result.stderr
+
+
+_PARITY_ROWS = [
+    ("unit_circle", {}),
+    ("circle(1.5, 0.25+0.5i)", {"radius": 1.5, "center": "0.25+0.5i"}),
+    ("circle", {}),
+    ("ellipse(2, 1, -0.5i)", {"semi_re": 2, "semi_im": 1, "center": "-0.5i"}),
+    ("square(2.5)", {"side": 2.5}),
+    ("polyline(1, 1+i, -1, -1-i)", {"vertices": ["1", "1+i", "-1", "-1-i"]}),
+    ("constant(0.5-2i)", {"point": "0.5-2i"}),
+]
+
+
+@pytest.mark.parametrize("text, fields", _PARITY_ROWS)
+def test_text_and_spec_paths_are_bit_identical(text, fields):
+    kind = text.partition("(")[0]
+    doc = _spec(paths={"p": {"kind": kind, **fields}}, homotopy={"kind": "constant", "path": "p"})
+    from_spec = SpecDocument.from_dict(doc).paths["p"]
+    from_text = cli.path_from_text(text)
+    assert from_spec.breakpoints.tobytes() == from_text.breakpoints.tobytes()
+    assert from_spec.vertices().tobytes() == from_text.vertices().tobytes()
+
+
+def test_parity_rows_cover_every_path_kind():
+    assert {text.partition("(")[0] for text, _ in _PARITY_ROWS} == set(cli._PATHS)
 
 
 @pytest.mark.parametrize("args, code, text", [
@@ -117,6 +163,15 @@ def test_null_or_non_numeric_spec_field_is_a_usage_error(tmp_path, overrides, fi
      "not certifiably clear of the winding point"),
     (["wind", "--path", "unit_circle", "--point", "0.5", "--tol", "1e-300"], EXIT_FAILED,
      "quadrature error estimate"),
+    (["approx", "--path", "ellipse(2,1,0,junk)", "--eps", "0.1"], EXIT_USAGE,
+     "takes at most 3 arguments"),
+    (["approx", "--path", "square(2, 0, 99)", "--eps", "0.1"], EXIT_USAGE,
+     "takes at most 2 arguments"),
+    (["approx", "--path", "circle(1,,2)", "--eps", "0.1"], EXIT_USAGE, "empty argument"),
+    (["integrate", "--f", "1/z", "--poles", "0,,1", "--path", "unit_circle"], EXIT_USAGE,
+     "empty argument"),
+    (["wind", "--path", "circle(2i)", "--point", "0"], EXIT_USAGE,
+     "field 'radius' must be a real number"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_path_command_exit_codes(args, code, text):
     result = CliRunner().invoke(main, args)
@@ -148,7 +203,16 @@ class TestCertificateOutput:
             assert "sampled (end pairs)" in result.stdout
 
 
-def test_star_spec_verifies_a_null_homotopy(tmp_path):
+def test_star_spec_verifies_a_null_homotopy(tmp_path, monkeypatch):
+    built = []
+    original = cli.star_null_homotopy
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "star_null_homotopy", counted)
+    monkeypatch.setattr(verify, "star_null_homotopy", counted)
     doc = _spec(homotopy={"kind": "star", "path": "inner", "center": "0.1"},
                 domain={"kind": "disk", "radius": 2.0},
                 function={"expression": "exp(z)", "poles": []})
@@ -157,6 +221,7 @@ def test_star_spec_verifies_a_null_homotopy(tmp_path):
     report = json.loads(result.stdout)
     assert report["kind"] == "null-homotopy"
     assert report["null_integral_abs"] <= report["threshold"]
+    assert len(built) == 1
 
 
 def test_large_circles_chain_and_verify(tmp_path):
@@ -278,3 +343,34 @@ def test_fuzzed_spec_raises_only_package_errors(doc):
         SpecDocument.from_dict(doc).build_homotopy()
     except ContourChainError:
         pass
+
+
+def _mostly(valid, junk):
+    """Mostly one of ``valid``, sometimes one of ``junk``."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), st.sampled_from(junk))
+
+
+_junk = ["nan", "1e400", "", "junk", "-1", "0"]
+_text_arg = _mostly(["1", "0.5", "2", " 1.5 ", "0.3i", "1+i", "-0.2-0.1i"], [*_junk, "2i"])
+_path_text = st.builds(
+    lambda form, kind, args: form.format(kind, ",".join(args)),
+    _mostly(["{}({})"], ["{}", "{}({}"]), _mostly(list(cli._PATHS), ["hexagon", ""]),
+    st.lists(_text_arg, max_size=5))
+_flag = _mostly(["0.5", "0.1", "0.25"], [*_junk, "2i"])
+_tol = _mostly(["1e-9", "1e-6"], _junk)
+_poles = st.lists(_text_arg, max_size=3).map(",".join)
+_command = st.one_of(
+    st.tuples(st.just("approx"), st.just("--path"), _path_text, st.just("--eps"), _flag),
+    st.tuples(st.just("carrier"), st.just("--path"), _path_text, st.just("--eta"), _flag),
+    st.tuples(st.just("integrate"), st.just("--f"), st.sampled_from(["1/z", "exp(z)", "z^"]),
+              st.just("--poles"), _poles, st.just("--path"), _path_text, st.just("--tol"), _tol),
+    st.tuples(st.just("wind"), st.just("--path"), _path_text, st.just("--point"), _text_arg,
+              st.just("--tol"), _tol))
+
+
+@given(args=_command)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_fuzzed_path_commands_never_end_in_a_traceback(args):
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code in (EXIT_OK, EXIT_USAGE, EXIT_REFUSED, EXIT_FAILED), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), args

@@ -135,6 +135,21 @@ class TestWindingNumber:
         with pytest.raises(ValueError):
             winding_number(polyline([0j, 1 + 0j], closed=False), 5j, 1e-9)
 
+    def test_clearance_certified_once(self, monkeypatch):
+        from contourchain import integrate, paths, verify
+
+        checked = []
+
+        def counted(path, points, required):
+            if len(points):
+                checked.append(required)
+            return paths.certified_clearance(path, points, required)
+
+        monkeypatch.setattr(verify, "certified_clearance", counted)
+        monkeypatch.setattr(integrate, "certified_clearance", counted)
+        assert winding_number(ellipse(1.6, 1.0), 1.8, 1e-9) == 0
+        assert checked == [1e-6]
+
     def test_winding_constant_along_chain(self):
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
