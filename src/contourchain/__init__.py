@@ -47,7 +47,9 @@ from .paths import (
     TabulatedModulus,
     carrier_of_path,
     certified_clearance,
+    certified_clearances,
     circle,
+    consecutive_polyline_distances,
     constant_path,
     ellipse,
     polyline,

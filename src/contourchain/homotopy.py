@@ -17,7 +17,9 @@ with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
   has no |z''| bound).  With P0 and P1 the end paths' values there, the
   member at time t is the polyline through (1-t) P0 + t P1.  Interpolation
   commutes with the blend, so it is the blend of the end paths' own
-  polylines and lies within eps/9 of the slice.
+  polylines and lies within eps/9 of the slice.  All interior members are
+  blended at once into one (k, m+1) vertex array, validated once, and each
+  member is a view of its row (``PiecewisePath.from_vertex_rows``).
 * Time steps.  Two interior members differ by exactly |t - t'| |P1 - P0|,
   largest at a vertex.  With D+ that maximum rounded up, the end steps are
   min(eps/(6 D+), 1/2), so an end pair is within eps/9 + eps/6 < eps/3, and the
@@ -25,11 +27,13 @@ with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
   allowance.
 
 The certificate keeps the bounds eps/3, eps/2, ..., eps/2, eps/3.  Interior
-pairs are cross-checked by their exact polyline distance, the two end pairs,
-where one member may be curved, by sampling; a violation fails hard, since it
-would mean a broken bound upstream.  The swept region's eta-net
-(``homotopy_carrier``) is not needed for any of this and is built only when
-``Chain.carrier`` is read.
+pairs are cross-checked by their exact polyline distance, all of them in one
+step from the vertex array (max |V_j - V_j+1| widened by the rounding
+allowance at the pair's largest |vertex|, as ``polyline_sup_distance`` gives
+it), the two end pairs, where one member may be curved, by sampling; a
+violation fails hard, since it would mean a broken bound upstream.  The
+swept region's eta-net (``homotopy_carrier``) is not needed for any of this
+and is built only when ``Chain.carrier`` is read.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ from .geometry import (  # noqa: F401
 from .paths import (
     Path,
     PiecewisePath,
+    consecutive_polyline_distances,
     constant_path,
-    polyline_sup_distance,
     reparametrize_to_unit,
     sup_distance,
 )
@@ -124,9 +128,8 @@ class Homotopy:
         return complex(self.grid_values([t], [x])[0, 0])
 
     def grid_values(self, ts, xs) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.float64)
         xs = np.asarray(xs, dtype=np.float64)
-        return np.outer(1.0 - ts, self.gamma0.values(xs)) + np.outer(ts, self.gamma1.values(xs))
+        return _blend(ts, self.gamma0.values(xs), self.gamma1.values(xs))
 
     def slice_at(self, t: float) -> PiecewisePath:
         t = float(t)
@@ -170,14 +173,14 @@ class Homotopy:
     def polygonal_slices(self, ts, eps: float) -> list[PiecewisePath]:
         """The polylines within 2 eps/3 of ``slice_at(t)`` for every t in
         ``ts``, all on the partition of ``shared_vertices(eps)``."""
-        return _blend_polylines(ts, *self.shared_vertices(eps))
+        xs, p0, p1 = self.shared_vertices(eps)
+        return PiecewisePath.from_vertex_rows(_blend(ts, p0, p1), xs, closed=True)
 
 
-def _blend_polylines(ts, xs: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> list[PiecewisePath]:
-    """The closed polylines through (1 - t) P0 + t P1 at ``xs``, one per t."""
-    w = np.asarray(ts, dtype=np.float64)[:, None]
-    verts = (1.0 - w) * p0 + w * p1
-    return [PiecewisePath.from_vertices(row, xs, closed=True) for row in verts]
+def _blend(ts, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """The rows (1 - t) P0 + t P1, one per t."""
+    ts = np.asarray(ts, dtype=np.float64)
+    return np.outer(1.0 - ts, p0) + np.outer(ts, p1)
 
 
 def _check_end_path(path: Path, name: str):
@@ -308,10 +311,19 @@ class Chain:
 
 
 def _check_endpoint_slices(sigma: Homotopy, gamma0: Path, gamma1: Path):
+    """Refuse end paths that differ from the homotopy's end slices beyond
+    float noise.  Each end path is evaluated once; a path given as the
+    homotopy's own end reuses those values."""
     xs = np.arange(257) / 256
+    v0, v1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
     for t, path, name in ((0.0, gamma0, "gamma0"), (1.0, gamma1, "gamma1")):
-        slice_values = sigma.grid_values(np.array([t]), xs)[0]
-        path_values = path.values(xs)
+        slice_values = _blend([t], v0, v1)[0]
+        if path is sigma.gamma0:
+            path_values = v0
+        elif path is sigma.gamma1:
+            path_values = v1
+        else:
+            path_values = path.values(xs)
         gap = float(np.abs(slice_values - path_values).max())
         allowed = _ENDPOINT_TOL * float(np.abs(np.concatenate([slice_values, path_values])).max())
         if gap > allowed:
@@ -434,7 +446,9 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     ts = _time_partition(gap, eps, _BLEND_ROUNDING * scale)
     n = len(ts) - 1
 
-    members = [gamma0, *_blend_polylines(ts[1:-1], xs, p0, p1), gamma1]
+    verts = _blend(ts[1:-1], p0, p1)
+    members = [gamma0, *PiecewisePath.from_vertex_rows(verts, xs, closed=True), gamma1]
+    interior = consecutive_polyline_distances(verts)
     bounds = [eps / 3] + [eps / 2] * (n - 2) + [eps / 3]
 
     entries = []
@@ -444,7 +458,7 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     for j, bound in enumerate(bounds):
         exact = 0 < j < n - 1
         if exact:
-            measured = polyline_sup_distance(members[j], members[j + 1])
+            measured = interior[j - 1]
         else:
             measured = sup_distance(members[j], members[j + 1], tol_cc)
         if measured.lo > bound:

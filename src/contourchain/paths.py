@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +43,10 @@ __all__ = [
     "constant_path",
     "carrier_of_path",
     "certified_clearance",
+    "certified_clearances",
     "sup_distance",
     "polyline_sup_distance",
+    "consecutive_polyline_distances",
     "reparametrize_to_unit",
 ]
 
@@ -435,6 +438,16 @@ def _segment_bounds(bounds, count: int, name: str) -> np.ndarray:
     return bounds
 
 
+def _check_closures(starts: np.ndarray, ends: np.ndarray):
+    """Refuse a closed path whose end is more than float noise from its start."""
+    gaps = np.abs(ends - starts)
+    scales = np.maximum(1.0, np.maximum(np.abs(starts), np.abs(ends)))
+    wide = np.flatnonzero(gaps > _CLOSURE_NOISE * scales)
+    if wide.size:
+        raise ValueError(f"path declared closed but endpoint gap {gaps[wide[0]]:.3g} "
+                         "exceeds float noise")
+
+
 class PiecewisePath(Path):
     """Finite run of C^1 segments over contiguous parameter spans.
 
@@ -489,31 +502,49 @@ class PiecewisePath(Path):
                       closed: bool = False) -> "PiecewisePath":
         """Polyline through ``vertices`` at ``breakpoints``, without building
         per-segment objects up front (they materialize lazily on demand)."""
-        verts = np.asarray(vertices, dtype=np.complex128).ravel().copy()
+        rows = np.asarray(vertices, dtype=np.complex128).ravel()[None, :]
+        return cls.from_vertex_rows(rows, breakpoints, closed)[0]
+
+    @classmethod
+    def from_vertex_rows(cls, rows: np.ndarray, breakpoints: np.ndarray,
+                         closed: bool = False) -> list["PiecewisePath"]:
+        """One polyline per row of the (k, m+1) array ``rows``, all through
+        their vertices at the same ``breakpoints``.
+
+        The array is validated once for all rows, and each polyline views its
+        row of one copy of it.
+        """
+        verts = np.array(rows, dtype=np.complex128)
         breaks = np.asarray(breakpoints, dtype=np.float64).ravel().copy()
-        if verts.size != breaks.size or verts.size < 2:
+        if verts.ndim != 2 or verts.shape[1] != breaks.size or breaks.size < 2:
             raise ValueError("need matching vertex/breakpoint arrays with at least two entries")
         if not np.all(np.isfinite(verts.real) & np.isfinite(verts.imag)):
             raise ValueError("polyline vertices must be finite")
         spans = np.diff(breaks)
         if not np.all(spans > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        self = cls.__new__(cls)
-        self._segments = None
-        self._evaluators = None
-        self.closed = bool(closed)
-        self._a = float(breaks[0])
-        self._b = float(breaks[-1])
-        self._breaks = breaks
-        self._z0, self._z1 = verts[:-1], verts[1:]
-        self._s0, self._span = breaks[:-1], spans
-        start, end = complex(verts[0]), complex(verts[-1])
-        self._start = start
-        self._check_closure(start, end)
-        self._set_bounds(np.abs(self._z1 - self._z0) / spans, np.zeros(spans.size))
-        self._all_lines = True
-        self._arcs = None
-        return self
+        if closed:
+            _check_closures(verts[:, 0], verts[:, -1])
+        first = np.abs(np.diff(verts, axis=1)) / spans
+        second = np.zeros(spans.size)
+        a, b = float(breaks[0]), float(breaks[-1])
+        paths = []
+        for row, bounds, lipschitz in zip(verts, first, first.max(axis=1).tolist()):
+            self = cls.__new__(cls)
+            self._segments = None
+            self._evaluators = None
+            self.closed = bool(closed)
+            self._a, self._b = a, b
+            self._breaks = breaks
+            self._z0, self._z1 = row[:-1], row[1:]
+            self._s0, self._span = breaks[:-1], spans
+            self._start = complex(row[0])
+            self._first_bounds, self._second_bounds = bounds, second
+            self._modulus = LipschitzModulus(lipschitz)
+            self._all_lines = True
+            self._arcs = None
+            paths.append(self)
+        return paths
 
     @classmethod
     def from_evaluator(cls, evaluator, derivative, breakpoints: np.ndarray,
@@ -555,10 +586,7 @@ class PiecewisePath(Path):
 
     def _check_closure(self, start: complex, end: complex):
         if self.closed and end != start:
-            scale = max(1.0, abs(start), abs(end))
-            if abs(end - start) > _CLOSURE_NOISE * scale:
-                raise ValueError(
-                    f"path declared closed but endpoint gap {abs(end - start):.3g} exceeds float noise")
+            _check_closures(np.array([start]), np.array([end]))
 
     @property
     def segments(self) -> tuple:
@@ -611,13 +639,6 @@ class PiecewisePath(Path):
         vals = [s.start_value for s in self.segments]
         vals.append(self._start if self.closed else self.segments[-1].end_value)
         return np.array(vals, dtype=np.complex128)
-
-    def quadrature_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-segment (lows, highs, weights) with weight = derivative bound x span."""
-        lows, highs = self._breaks[:-1], self._breaks[1:]
-        if self._all_lines:
-            return lows, highs, np.abs(self._z1 - self._z0)
-        return lows, highs, self._first_bounds * (highs - lows)
 
     def _segment_indices(self, xs):
         """Index of the segment holding each x in [a, b]; b belongs to the last."""
@@ -812,32 +833,60 @@ def certified_clearance(path: PiecewisePath, points, required: float) -> float:
     the bound clears ``required``, a sample lies within ``required``, or the
     next net would exceed ``_MAX_CLEARANCE_NET`` points.
     """
+    return float(certified_clearances([path], points, required)[0])
+
+
+def certified_clearances(paths, points, required: float) -> np.ndarray:
+    """``certified_clearance`` of each path.  The line paths' distances (every
+    interior chain member, squares, polylines, constants) come from one
+    evaluation over all of their segments; each path keeps its own rounding
+    allowance, relative to the larger of its own largest |vertex| and the
+    points' largest modulus."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
+    out = np.full(len(paths), math.inf)
     if pts.size == 0:
-        return math.inf
+        return out
+    lines = [k for k, path in enumerate(paths) if path._all_lines]
+    if lines:
+        members = [paths[k] for k in lines]
+        z0 = np.concatenate([path._z0 for path in members])
+        z1 = np.concatenate([path._z1 for path in members])
+        starts = list(accumulate((path.num_segments for path in members[:-1]), initial=0))
+        dist = _segment_point_distances(z0[:, None], z1[:, None], pts).min(axis=1)
+        ends = np.array([path._start if path.closed else path._z1[-1] for path in members])
+        reach = np.maximum(np.maximum.reduceat(np.abs(z0), starts), np.abs(ends))
+        out[lines] = _less_rounding(np.minimum.reduceat(dist, starts), reach, pts)
+    for k, path in enumerate(paths):
+        if not path._all_lines:
+            out[k] = _curved_clearance(path, pts, required)
+    return out
+
+
+def _less_rounding(nearest, reach, pts: np.ndarray):
+    """An exact nearest distance less its rounding allowance, relative to the
+    larger of the path's reach and the points' largest magnitude."""
+    scale = np.maximum(reach, np.abs(pts).max())
+    return np.maximum(0.0, nearest - _POLYLINE_ROUNDING * scale)
+
+
+def _curved_clearance(path: PiecewisePath, pts: np.ndarray, required: float) -> float:
     arcs = path._arcs
-    if path._all_lines:
-        dist = _segment_point_distances(path._z0[:, None], path._z1[:, None], pts)
-        reach = np.abs(path.vertices()).max()
-    elif arcs is not None:
+    if arcs is not None:
         rel, radius = pts - arcs.center[:, None], arcs.radius[:, None]
         swept = np.mod(np.angle(rel) - np.minimum(arcs.angle0, arcs.angle1)[:, None],
                        2 * math.pi) <= np.abs(arcs.angle1 - arcs.angle0)[:, None]
         ends = np.minimum(*(np.abs(rel - radius * np.exp(1j * a[:, None]))
                             for a in (arcs.angle0, arcs.angle1)))
         dist = np.where(swept, np.abs(np.abs(rel) - radius), ends)
-        reach = (np.abs(arcs.center) + arcs.radius).max()
-    else:
-        eta = 0.05 * max(1.0, float(np.abs(path.vertices()).max()))
-        while True:
-            net = carrier_of_path(path, eta).net
-            raw = min(float(np.abs(net - p).min()) for p in pts)
-            if (raw - eta > required or raw <= required
-                    or path.modulus.delta(eta / 4) * _MAX_CLEARANCE_NET < path.b - path.a):
-                return raw - eta
-            eta /= 4
-    scale = max(float(reach), float(np.abs(pts).max()))
-    return max(0.0, float(dist.min()) - _POLYLINE_ROUNDING * scale)
+        return _less_rounding(dist.min(), (np.abs(arcs.center) + arcs.radius).max(), pts)
+    eta = 0.05 * max(1.0, float(np.abs(path.vertices()).max()))
+    while True:
+        net = carrier_of_path(path, eta).net
+        raw = min(float(np.abs(net - p).min()) for p in pts)
+        if (raw - eta > required or raw <= required
+                or path.modulus.delta(eta / 4) * _MAX_CLEARANCE_NET < path.b - path.a):
+            return raw - eta
+        eta /= 4
 
 
 def sup_distance(p: Path, q: Path, tol: float) -> Bounds:
@@ -863,8 +912,9 @@ def polyline_sup_distance(p: PiecewisePath, q: PiecewisePath) -> Bounds:
     Both are affine between consecutive points of the union of their
     breakpoints, so |p - q| is convex there and its sup is the maximum over
     that union.  When both share one partition, the values there are their
-    vertices.  Evaluating it rounds by less than ``_POLYLINE_ROUNDING`` times
-    the largest |vertex|, which widens the maximum on both sides.
+    vertices (``consecutive_polyline_distances``).  Evaluating it rounds by
+    less than ``_POLYLINE_ROUNDING`` times the largest |vertex|, which widens
+    the maximum on both sides.
     """
     if p.interval != q.interval:
         raise MismatchedDomains(f"paths live on {p.interval} and {q.interval}")
@@ -873,11 +923,24 @@ def polyline_sup_distance(p: PiecewisePath, q: PiecewisePath) -> Bounds:
         raise TypeError("the exact distance needs two polylines")
     pv, qv = p.vertices(), q.vertices()
     if np.array_equal(p.breakpoints, q.breakpoints):
-        exact = float(np.abs(pv - qv).max())
-    else:
-        xs = np.union1d(p.breakpoints, q.breakpoints)
-        exact = float(np.abs(p.values(xs) - q.values(xs)).max())
-    scale = max(float(np.abs(pv).max()), float(np.abs(qv).max()))
+        return consecutive_polyline_distances(np.stack([pv, qv]))[0]
+    xs = np.union1d(p.breakpoints, q.breakpoints)
+    exact = np.abs(p.values(xs) - q.values(xs)).max()
+    return _widened(exact, max(np.abs(pv).max(), np.abs(qv).max()))
+
+
+def consecutive_polyline_distances(rows: np.ndarray) -> list[Bounds]:
+    """``polyline_sup_distance`` of each pair of consecutive rows of the
+    (k, m+1) vertex array ``rows``, polylines on one shared partition: the
+    largest |row j - row j+1|, widened by the rounding allowance at the
+    larger of the two rows' largest |vertex|."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    reach = np.abs(rows).max(axis=1)
+    return list(map(_widened, np.abs(np.diff(rows, axis=0)).max(axis=1),
+                    np.maximum(reach[:-1], reach[1:])))
+
+
+def _widened(exact: float, scale: float) -> Bounds:
     slack = _POLYLINE_ROUNDING * scale
     return Bounds(max(0.0, exact - slack), exact + slack)
 

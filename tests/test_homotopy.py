@@ -451,6 +451,24 @@ class TestTimePartition:
 class TestEndpointCheckScale:
     """The endpoint check is relative to the magnitude of the values."""
 
+    def test_each_path_evaluated_once(self, center, radius, monkeypatch):
+        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
+        noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
+        calls = []
+        for name, path in (("g0", g0), ("g1", g1), ("noisy", noisy)):
+            def counted(xs, path=path, name=name):
+                calls.append(name)
+                return type(path).values(path, xs)
+            monkeypatch.setattr(path, "values", counted)
+        sigma = linear_homotopy(g0, g1)
+        homotopy_module._check_endpoint_slices(sigma, g0, g1)
+        assert sorted(calls) == ["g0", "g1"]
+        calls.clear()
+        homotopy_module._check_endpoint_slices(sigma, noisy, g1)
+        assert sorted(calls) == ["g0", "g1", "noisy"]
+        with pytest.raises(EndpointMismatch, match="differs from gamma0"):
+            homotopy_module._check_endpoint_slices(sigma, g1, g0)
+
     def test_true_mismatch_refused(self, center, radius):
         g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
         with pytest.raises(EndpointMismatch):

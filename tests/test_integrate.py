@@ -1,26 +1,32 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from contourchain import (
+    Annulus,
     Chain,
     ChainCertificate,
     ContainmentCertificate,
+    Disk,
     InvalidEpsilon,
     NearSingularity,
     ToleranceNotReached,
+    build_chain,
     circle,
     constant_path,
     contour_integral,
+    ellipse,
     integral_along_chain,
     linear_homotopy,
     parse_function,
     polyline,
     square,
+    star_null_homotopy,
 )
-from contourchain.expressions import Add, AnalyticFunction, Const, Mul
+from contourchain.expressions import Add, AnalyticFunction, Const, Div, Mul, Sub, Var
 from conftest import ENTIRE_FUNCTIONS, random_polyline
 
 TWO_PI_I = 2j * math.pi
@@ -51,6 +57,14 @@ class TestResidueOracle:
         # residue at 0 of exp(z)/z is exp(0) = 1
         result = contour_integral(parse_function("exp(z)/z", [0j]), circle(), 1e-10)
         assert abs(result.value - TWO_PI_I) <= 1e-10
+
+    def test_constant_function(self):
+        # an antiderivative oracle: the integral of 2 is 2 (end - start)
+        assert contour_integral(parse_function("2"), square(2.0), 1e-12).value == 0j
+        open_path = polyline([0j, 1 + 1j, 3 - 1j], closed=False)
+        assert abs(contour_integral(parse_function("2"), open_path, 1e-12).value
+                   - 2 * (3 - 1j)) <= 1e-12
+        assert abs(contour_integral(parse_function("2"), circle(), 1e-12).value) <= 1e-12
 
     def test_shifted_pole(self):
         # residue of 1/(z - a) inside a square about a
@@ -188,3 +202,128 @@ class TestDeterminism:
         assert r1.value == r2.value
         assert r1.error_estimate == r2.error_estimate
         assert r1.evaluations == r2.evaluations
+
+
+def _annulus_chain(g0, g1):
+    return build_chain(linear_homotopy(g0, g1), g0, g1, Annulus(0j, 0.5, 2.5))
+
+
+def _star_chain():
+    g = square(2.0, center=0.1 + 0.1j)
+    sigma = star_null_homotopy(g, 0.1 + 0.1j)
+    return build_chain(sigma, g, sigma.gamma1, Disk(0.1 + 0.1j, 1.55))
+
+
+class TestBatchedChainQuadrature:
+    """All members go through one quadrature batch; each gets what it gets alone."""
+
+    @pytest.mark.parametrize("make, text, poles", [
+        (lambda: _annulus_chain(circle(), circle(radius=2.0)), "1/(z-(0.1+0.05i))",
+         [0.1 + 0.05j]),
+        (lambda: _annulus_chain(square(2.0), circle(radius=1.8)),
+         "1/((z-(0.1+0.05i))*(z-(3.2-0.4i)))", [0.1 + 0.05j, 3.2 - 0.4j]),
+        (lambda: _annulus_chain(circle(), ellipse(2.0, 1.0)), "exp(z)/(z-(0.1+0.05i))",
+         [0.1 + 0.05j]),
+        (_star_chain, "exp(z)/(z-3)", [3 + 0j]),
+    ], ids=["circle-circle", "square-circle", "circle-ellipse", "star-square"])
+    def test_members_match_one_at_a_time(self, make, text, poles):
+        chain = make()
+        f = parse_function(text, poles)
+        batch = integral_along_chain(f, chain, 1e-9).results
+        assert len(batch) == len(chain.members)
+        for member, result in zip(chain.members, batch):
+            single = contour_integral(f, member, 1e-9)
+            # the star chain's integrals vanish, so its scale is the integrand's, about 1
+            assert abs(result.value - single.value) <= 1e-14 * max(abs(single.value), 1.0)
+            assert result.evaluations == single.evaluations
+            assert result.error_estimate == pytest.approx(single.error_estimate, rel=1e-12,
+                                                          abs=1e-24)
+
+    def test_interior_member_inside_the_pole_clearance(self):
+        chain = _annulus_chain(circle(), circle(radius=2.0))
+        member = chain.members[5]
+        a, b = member.vertices()[3:5]
+        # 5e-10 off the middle of one of the member's segments
+        pole = (a + b) / 2 + 5e-10 * 1j * (b - a) / abs(b - a)
+        f = AnalyticFunction(Div(Const(1 + 0j), Sub(Var(), Const(pole))), (pole,))
+        with pytest.raises(NearSingularity) as exc_info:
+            integral_along_chain(f, chain, 1e-9)
+        assert exc_info.value.member_index == 5
+        with pytest.raises(NearSingularity) as single:
+            contour_integral(f, member, 1e-9)
+        assert str(exc_info.value) == str(single.value)
+
+    @pytest.mark.parametrize("declared, undeclared", [(9, 6), (4, 6)])
+    def test_lowest_failing_member_raises(self, declared, undeclared):
+        # a declared pole on one member fails its clearance check; an
+        # undeclared one a third of the way along a segment of another
+        # keeps that member's quadrature from converging
+        chain = _annulus_chain(circle(), circle(radius=2.0))
+        a, b = chain.members[undeclared].vertices()[7:9]
+        p, q = (2 * a + b) / 3, complex(chain.members[declared].vertices()[2])
+        f = AnalyticFunction(Div(Const(1 + 0j), Mul(Sub(Var(), Const(p)), Sub(Var(), Const(q)))),
+                             (q,))
+        expected = min(declared, undeclared)
+        with pytest.raises((NearSingularity, ToleranceNotReached)) as single:
+            contour_integral(f, chain.members[expected], 1e-9)
+        with pytest.raises(type(single.value)) as exc_info:
+            integral_along_chain(f, chain, 1e-9)
+        assert exc_info.value.member_index == expected
+        assert str(exc_info.value) == str(single.value)
+
+    def test_lowest_member_raising_in_evaluation(self):
+        # undeclared poles at the middle of a segment of two members: the
+        # centre node of the first round lands on them, and the divisor's
+        # guard raises for both in the same evaluation
+        chain = _annulus_chain(circle(), circle(radius=2.0))
+        poles = [complex(chain.members[k].vertices()[7:9].mean()) for k in (9, 6)]
+        f = AnalyticFunction(Div(Const(1 + 0j), Mul(Sub(Var(), Const(poles[0])),
+                                                     Sub(Var(), Const(poles[1])))), ())
+        with pytest.raises(NearSingularity) as single:
+            contour_integral(f, chain.members[6], 1e-9)
+        with pytest.raises(NearSingularity) as exc_info:
+            integral_along_chain(f, chain, 1e-9)
+        assert exc_info.value.member_index == 6
+        assert str(exc_info.value) == str(single.value)
+
+    def test_two_members_inside_the_pole_clearance(self):
+        chain = _annulus_chain(circle(), circle(radius=2.0))
+        poles = [complex(chain.members[k].vertices()[2]) for k in (8, 3)]
+        f = AnalyticFunction(Div(Const(1 + 0j), Mul(Sub(Var(), Const(poles[0])),
+                                                     Sub(Var(), Const(poles[1])))), tuple(poles))
+        with pytest.raises(NearSingularity) as exc_info:
+            integral_along_chain(f, chain, 1e-9)
+        assert exc_info.value.member_index == 3
+
+    def test_constant_member_in_a_batch(self):
+        # the constant member has zero weight and shares its tol evenly, with
+        # no 0/0 on the way
+        chain = _dummy_chain([square(2.0), constant_path(0.5 + 0.5j), circle()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = integral_along_chain(parse_function("exp(z)/(z-0.25)", [0.25 + 0j]), chain,
+                                       1e-12)
+        assert out.results[1].value == 0j
+        assert out.results[1].evaluations == 15
+        for member, result in zip(chain.members, out.results):
+            assert result.evaluations == contour_integral(
+                parse_function("exp(z)/(z-0.25)", [0.25 + 0j]), member, 1e-12).evaluations
+
+    def test_batch_never_holds_more_pieces_than_one_member_may(self, monkeypatch):
+        # with the cap at 150 pieces each member fits alone but the chain's
+        # 20 members do not; the highest members wait for later batches
+        from contourchain import integrate
+
+        chain = _annulus_chain(circle(), circle(radius=2.0))
+        f = parse_function("1/(z-(0.1+0.05i))", [0.1 + 0.05j])
+        monkeypatch.setattr(integrate, "_MAX_PIECES", 150)
+        rounds = []
+        evaluate = AnalyticFunction.evaluate
+        monkeypatch.setattr(AnalyticFunction, "evaluate",
+                            lambda self, z: rounds.append(np.shape(z)) or evaluate(self, z))
+        batch = integral_along_chain(f, chain, 1e-9).results
+        assert max(shape[-1] for shape in rounds) <= 150
+        for member, result in zip(chain.members, batch):
+            single = contour_integral(f, member, 1e-9)
+            assert abs(result.value - single.value) <= 1e-14 * abs(single.value)
+            assert result.evaluations == single.evaluations

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from contourchain import (
     ArcSegment,
+    Bounds,
     ClosedPath,
     LineSegment,
     LipschitzModulus,
@@ -17,7 +18,9 @@ from contourchain import (
     TabulatedModulus,
     carrier_of_path,
     certified_clearance,
+    certified_clearances,
     circle,
+    consecutive_polyline_distances,
     constant_path,
     contour_integral,
     dist_to_carrier,
@@ -29,6 +32,7 @@ from contourchain import (
     square,
     sup_distance,
 )
+from contourchain.geometry import _segment_point_distances
 from conftest import dense_sup, dense_sup_upper, random_builtin_path, random_polyline
 
 
@@ -214,6 +218,24 @@ class TestPolylineSupDistance:
         b = polyline_sup_distance(square(2.0), square(2.0, center=0.1j))
         assert b.lo <= 0.1 <= b.hi
 
+    def test_consecutive_rows_match_the_pairwise_formula(self):
+        # each pair's bound is the vertex maximum widened by 16 ulps of the
+        # pair's largest |vertex|, as for two polylines on one partition
+        gen = np.random.default_rng(3)
+        rows = gen.normal(size=(6, 9)) + 1j * gen.normal(size=(6, 9))
+        rows[3] *= 1e3  # one pair's rounding allowance is set by the larger row
+        rows[:, -1] = rows[:, 0]
+        breaks = np.sort(np.concatenate([[0.0, 1.0], gen.uniform(size=7)]))
+        paths = PiecewisePath.from_vertex_rows(rows, breaks, closed=True)
+        got = consecutive_polyline_distances(rows)
+        assert len(got) == 5
+        for bound, p, q in zip(got, paths, paths[1:]):
+            pv, qv = p.vertices(), q.vertices()
+            exact = float(np.abs(pv - qv).max())
+            slack = 16 * np.finfo(np.float64).eps * max(np.abs(pv).max(), np.abs(qv).max())
+            assert bound == Bounds(max(0.0, exact - slack), exact + slack)
+            assert bound == polyline_sup_distance(p, q)
+
     def test_needs_two_polylines_on_one_interval(self):
         with pytest.raises(TypeError):
             polyline_sup_distance(square(2.0), circle())
@@ -263,6 +285,24 @@ class TestCertifiedClearance:
         points = _clearance_points(path, 7)
         assert certified_clearance(path, points, 1e-9) == min(
             certified_clearance(path, [p], 1e-9) for p in points)
+
+    def test_batch_matches_one_path_at_a_time(self):
+        paths = [square(2.0), circle(), polyline([0j, 1 + 0j, 1 + 1j], closed=False),
+                 constant_path(0.3 + 0.2j), random_polyline(random.Random(5), 6, radius=1.5),
+                 ellipse(1.6, 1.0), square(40.0, center=3 - 2j)]
+        # points within 0.7 of 0, so that each path's own reach sets its rounding
+        points = 0.25 * _clearance_points(square(2.0), 11)[::5] + 0.1j
+        batch = certified_clearances(paths, points, 1e-9)
+        assert batch.tolist() == [certified_clearance(p, points, 1e-9) for p in paths]
+        for k, path in enumerate(paths):
+            if isinstance(path.segments[0], LineSegment):
+                # one path's closed form: the exact distance less 16 ulps of
+                # the larger of its max |vertex| and the points' max modulus
+                verts = path.vertices()
+                exact = _segment_point_distances(verts[:-1, None], verts[1:, None], points).min()
+                scale = max(np.abs(verts).max(), np.abs(points).max())
+                assert batch[k] == max(0.0, exact - 16 * np.finfo(np.float64).eps * scale)
+        assert certified_clearances(paths, [], 1e-9).tolist() == [math.inf] * len(paths)
 
     def test_no_points_is_infinitely_clear(self):
         assert certified_clearance(circle(), [], 1e-9) == math.inf
@@ -349,6 +389,38 @@ class TestPiecewisePath:
         xs = np.linspace(0, 1, 101)
         assert np.array_equal(fast.values(xs), slow.values(xs))
         assert fast.lipschitz_bound == slow.lipschitz_bound
+
+    def test_vertex_rows_match_segment_construction(self):
+        gen = np.random.default_rng(4)
+        rows = gen.normal(size=(4, 6)) + 1j * gen.normal(size=(4, 6))
+        rows[:, -1] = rows[:, 0]
+        breaks = np.array([0.0, 0.1, 0.3, 0.55, 0.8, 1.0])
+        xs = np.linspace(0, 1, 101)
+        for row, fast in zip(rows, PiecewisePath.from_vertex_rows(rows, breaks, closed=True)):
+            slow = PiecewisePath([LineSegment(row[k], row[k + 1], breaks[k], breaks[k + 1])
+                                  for k in range(5)], closed=True)
+            assert np.array_equal(fast.vertices(), slow.vertices())
+            assert np.array_equal(fast.values(xs), slow.values(xs))
+            for a, b in zip(fast.eval_with_derivative(xs), slow.eval_with_derivative(xs)):
+                assert np.array_equal(a, b)
+            bounds = np.abs(np.diff(row)) / np.diff(breaks)
+            assert np.array_equal(fast.derivative_bounds, bounds)
+            assert np.allclose(slow.derivative_bounds, bounds, rtol=1e-15, atol=0)
+            assert fast.lipschitz_bound == bounds.max()
+            assert fast.is_closed
+
+    def test_vertex_rows_validated_once_for_all_rows(self):
+        rows = np.array([[0j, 1 + 0j, 1j, 0j], [0j, 2 + 0j, 2j, 1e-6 + 0j]])
+        breaks = np.array([0.0, 0.25, 0.5, 1.0])
+        with pytest.raises(ValueError, match="endpoint gap 1e-06 exceeds float noise"):
+            PiecewisePath.from_vertex_rows(rows, breaks, closed=True)
+        assert len(PiecewisePath.from_vertex_rows(rows, breaks, closed=False)) == 2
+        with pytest.raises(ValueError, match="finite"):
+            PiecewisePath.from_vertex_rows(rows * np.array([[1], [np.nan]]), breaks)
+        with pytest.raises(ValueError, match="matching"):
+            PiecewisePath.from_vertex_rows(rows, breaks[:-1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewisePath.from_vertex_rows(rows, breaks[[0, 2, 1, 3]])
 
     def test_mixed_segment_kinds(self):
         quarter = ArcSegment(0j, 1.0, 0.0, math.pi / 2, 0.0, 0.5)

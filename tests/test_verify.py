@@ -145,8 +145,13 @@ class TestWindingNumber:
                 checked.append(required)
             return paths.certified_clearance(path, points, required)
 
+        def counted_batch(members, points, required):
+            if len(points):
+                checked.append(required)
+            return paths.certified_clearances(members, points, required)
+
         monkeypatch.setattr(verify, "certified_clearance", counted)
-        monkeypatch.setattr(integrate, "certified_clearance", counted)
+        monkeypatch.setattr(integrate, "certified_clearances", counted_batch)
         assert winding_number(ellipse(1.6, 1.0), 1.8, 1e-9) == 0
         assert checked == [1e-6]
 
