@@ -44,7 +44,7 @@ class NonIntegerWinding(ContourChainError):
 
 
 class CertificateViolation(ContourChainError):
-    """A sampled lower bound exceeded an analytically certified bound.
+    """A measured lower bound exceeded an analytically certified bound.
 
     This indicates a modulus bug somewhere upstream; it is never swallowed.
     """

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ContainmentNotCertified
 
@@ -115,6 +114,8 @@ class CompactCarrier:
         if zs.size * self.net.size <= 200_000:
             return np.abs(zs[:, None] - self.net[None, :]).min(axis=1)
         if not self._tree:
+            # imported here: scipy.spatial is most of the package's import time
+            from scipy.spatial import cKDTree
             coords = np.column_stack([self.net.real, self.net.imag])
             self._tree.append(cKDTree(coords))
         q = np.column_stack([zs.real, zs.imag])

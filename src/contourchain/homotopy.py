@@ -26,14 +26,18 @@ with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
   interior steps are equal with step * D+ at most eps/2 less a rounding
   allowance.
 
-The certificate keeps the bounds eps/3, eps/2, ..., eps/2, eps/3.  Interior
-pairs are cross-checked by their exact polyline distance, all of them in one
-step from the vertex array (max |V_j - V_j+1| widened by the rounding
+The certificate keeps the bounds eps/3, eps/2, ..., eps/2, eps/3, each
+cross-checked from the values already on the shared partition, with no
+sampling.  Interior pairs get their exact polyline distance, all of them in
+one step from the vertex array (max |V_j - V_j+1| widened by the rounding
 allowance at the pair's largest |vertex|, as ``polyline_sup_distance`` gives
-it), the two end pairs, where one member may be curved, by sampling; a
-violation fails hard, since it would mean a broken bound upstream.  The
-swept region's eta-net (``homotopy_carrier``) is not needed for any of this
-and is built only when ``Chain.carrier`` is read.
+it).  An end pair gets the same vertex maximum of |P0 - V_1| (or
+|P1 - V_n-1|), a true lower bound; adding the end path's eps/9 interpolation
+bound on the partition gives an upper bound, and an end path made of lines
+with its breakpoints on the partition is exact with no slack.  A lower bound
+above its analytic bound fails hard, since it would mean a broken bound
+upstream.  The swept region's eta-net (``homotopy_carrier``) is not needed
+for any of this and is built only when ``Chain.carrier`` is read.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from .geometry import (  # noqa: F401
     margin_certificate,
     well_contained,
 )
-from .paths import (
+from .paths import (  # noqa: F401
     Path,
     PiecewisePath,
     consecutive_polyline_distances,
@@ -242,8 +246,10 @@ class PairBound:
     """Certified bound for one consecutive pair, with its cross-check.
 
     ``sampled`` encloses the pair's sup-distance: exact up to rounding for
-    two polylines (``exact``), a sampled lower bound plus the modulus slack
-    when one member is curved.
+    two polylines (``exact``); at a curved end path, the vertex maximum on
+    the shared partition as the lower bound, plus the end path's
+    interpolation bound there as the upper bound.  The field keeps its name,
+    as do the JSON keys ``sampled_lo``/``sampled_hi`` read from it.
     """
 
     analytic: float
@@ -256,14 +262,14 @@ class ChainCertificate:
     entries: tuple[PairBound, ...]
 
     def worst_ratio(self, exact: bool) -> float:
-        """Largest measured/analytic ratio over the exact or the sampled entries."""
+        """Largest lower-bound/analytic ratio over the exact or the curved entries."""
         return max((e.sampled.lo / e.analytic for e in self.entries if e.exact == exact),
                    default=0.0)
 
     def summary_text(self) -> str:
         return (f"{len(self.entries)} consecutive bounds, worst ratio to the bound "
-                f"{self.worst_ratio(True):.3f} exact (interior pairs), "
-                f"{self.worst_ratio(False):.3f} sampled (end pairs)")
+                f"{self.worst_ratio(True):.3f} exact (polyline pairs), "
+                f"{self.worst_ratio(False):.3f} vertex (curved end pairs)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,6 +412,34 @@ def _time_partition(gap: float, eps: float, rounding: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [1.0]])
 
 
+def _end_pair(path: PiecewisePath, own: PiecewisePath, own_values: np.ndarray,
+              xs: np.ndarray, member: np.ndarray, eps: float) -> tuple[Bounds, bool]:
+    """Enclosure of sup |path - member| for an end path and the polyline
+    through ``member`` on ``xs``, and whether it is exact.
+
+    With Q the path's values on xs, the vertex maximum of |Q - member| is
+    attained, so it is a lower bound; |polyline through Q - member| peaks at
+    a vertex, so that maximum plus sup |path - polyline through Q| is an
+    upper bound.  The homotopy's own end (``own``) has Q from
+    ``shared_vertices(eps/6)``, within eps/9 of it; any other path is
+    evaluated here, within its Lipschitz chord bound L max(diff(xs))/2.  A
+    path of lines whose breakpoints are all in xs is its own polyline
+    through Q, so the pair is exact with no slack; xs holds every breakpoint
+    of the homotopy's ends.
+    """
+    if path is own:
+        values, slack, aligned = own_values, eps / 9, True
+    else:
+        values = path.values(xs)
+        values[-1] = values[0]
+        slack = path.lipschitz_bound * float(np.diff(xs).max()) / 2
+        aligned = bool(np.isin(path.breakpoints, xs).all())
+    pair = consecutive_polyline_distances(np.stack([values, member]))[0]
+    if path._all_lines and aligned:
+        return pair, True
+    return Bounds(pair.lo, pair.hi + slack), False
+
+
 def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                 domain: DomainDescriptor, *, eps: float | None = None,
                 max_refinements: int = 8) -> Chain:
@@ -418,9 +452,9 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     the shared partition for eps/6 (``Homotopy.shared_vertices``); take the
     time steps from the exact vertex gap D+ = max |P1 - P0|, rounded up
     (``_time_partition``); blend the interior members in one batch; and
-    record the eps/3 - eps/2 - eps/3 bounds with their cross-checks: the
-    exact distance of two polylines inside, a sampled one at the two curved
-    ends.
+    record the eps/3 - eps/2 - eps/3 bounds with their cross-checks from
+    those vertices: the exact distance of two polylines inside and at a
+    polyline end, the vertex bound at a curved end (``_end_pair``).
     """
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
         _check_end_path(path, name)
@@ -448,25 +482,19 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
 
     verts = _blend(ts[1:-1], p0, p1)
     members = [gamma0, *PiecewisePath.from_vertex_rows(verts, xs, closed=True), gamma1]
-    interior = consecutive_polyline_distances(verts)
+    measured = [_end_pair(gamma0, sigma.gamma0, p0, xs, verts[0], eps),
+                *((pair, True) for pair in consecutive_polyline_distances(verts)),
+                _end_pair(gamma1, sigma.gamma1, p1, xs, verts[-1], eps)]
     bounds = [eps / 3] + [eps / 2] * (n - 2) + [eps / 3]
 
     entries = []
-    # an end pair is within eps/9 + eps/6, so a sampled enclosure of width
-    # eps/24 still certifies it below eps/3
-    tol_cc = eps / 48
-    for j, bound in enumerate(bounds):
-        exact = 0 < j < n - 1
-        if exact:
-            measured = interior[j - 1]
-        else:
-            measured = sup_distance(members[j], members[j + 1], tol_cc)
-        if measured.lo > bound:
+    for j, (bound, (pair, exact)) in enumerate(zip(bounds, measured)):
+        if pair.lo > bound:
             raise CertificateViolation(
-                f"{'exact' if exact else 'sampled'} sup-distance lower bound {measured.lo:.6g} "
+                f"{'exact' if exact else 'vertex'} sup-distance lower bound {pair.lo:.6g} "
                 f"exceeds the certified bound {bound:.6g} for pair {j}; "
                 "a bound upstream is broken")
-        entries.append(PairBound(analytic=bound, sampled=measured, exact=exact))
+        entries.append(PairBound(analytic=bound, sampled=pair, exact=exact))
 
     return Chain(members=tuple(members), epsilon=eps,
                  certificate=ChainCertificate(tuple(entries)),

@@ -25,7 +25,7 @@ members wait for a later batch.  The rule sums run through ``np.einsum`` on
 the real view of the integrand, not ``@``: numpy hands a complex batch to
 multithreaded BLAS, no faster and up to twice the CPU time, and BLAS's
 blocking makes one piece's sum depend on the others in its batch, where
-einsum's does not.
+einsum's many-column loop does not (``_rule_sums``).
 
 Paths must keep a certified clearance of 1e-9 from every declared singularity
 of the integrand (``paths.certified_clearances``).  For lines and arcs the
@@ -284,11 +284,8 @@ def _batch(f: AnalyticFunction, paths, tol: float):
         if integrand.shape != nodes.shape:
             # a constant f times a line piece's one derivative
             integrand = np.repeat(integrand[None, :], _XGK.size, axis=0)
-        flat = integrand.view(np.float64)
-        k15 = half * np.einsum("j,ji->i", _WGK, flat).view(np.complex128)
-        g7 = half * np.einsum("j,ji->i", _WG, flat[1::2]).view(np.complex128)
+        k15, g7, resabs = _rule_sums(integrand, half)
         err = np.abs(k15 - g7)
-        resabs = np.einsum("j,ji->i", _WGK, np.abs(integrand))
         done = (err <= allocs) | (err <= _ROUNDING * half * resabs)
         values += _member_sums(k15, done, member, count)
         errors += _member_sums(err, done, member, count)
@@ -314,6 +311,23 @@ def _batch(f: AnalyticFunction, paths, tol: float):
     results = [IntegralResult(complex(values[m]), float(errors[m]), _XGK.size * int(evaluated[m]))
                for m in range(limit)]
     return results, failure
+
+
+def _rule_sums(integrand: np.ndarray, half: np.ndarray):
+    """K15, G7 and the K15 sum of |integrand| over each column of ``integrand``.
+
+    Every sum takes einsum's many-column loop, so a piece's sums are the same
+    bits alone and in a batch: on a single column einsum takes numpy's dot
+    path, which rounds differently, so a lone piece is summed as two copies.
+    """
+    width = integrand.shape[1]
+    if width == 1:
+        integrand = np.repeat(integrand, 2, axis=1)
+    flat = integrand.view(np.float64)
+    k15 = np.einsum("j,ji->i", _WGK, flat).view(np.complex128)[:width]
+    g7 = np.einsum("j,ji->i", _WG, flat[1::2]).view(np.complex128)[:width]
+    resabs = np.einsum("j,ji->i", _WGK, np.abs(integrand))[:width]
+    return half * k15, half * g7, resabs
 
 
 def _take(mask: np.ndarray, *arrays):

@@ -199,8 +199,8 @@ class TestCertificateOutput:
         for command in ("chain", "verify"):
             result = _run(tmp_path, command, _spec())
             assert result.exit_code == 0, result.output
-            assert "exact (interior pairs)" in result.stdout
-            assert "sampled (end pairs)" in result.stdout
+            assert "exact (polyline pairs)" in result.stdout
+            assert "vertex (curved end pairs)" in result.stdout
 
 
 def test_star_spec_verifies_a_null_homotopy(tmp_path, monkeypatch):

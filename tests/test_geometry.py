@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contourchain
 from contourchain import (
     Annulus,
     Bounds,
@@ -89,6 +94,22 @@ class TestCompactCarrier:
         net = CompactCarrier(np.array([0j, 1j]), resolution=0.1)
         with pytest.raises(ValueError):
             net.net[0] = 5.0
+
+    def test_import_leaves_the_kd_tree_unloaded(self):
+        # scipy.spatial is imported by the first query that builds a KD-tree
+        env = dict(os.environ, PYTHONPATH=str(Path(contourchain.__file__).resolve().parents[1]))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, contourchain; print('scipy.spatial' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert probe.stdout.split() == ["False"]
+
+    def test_kd_tree_query_matches_the_direct_minimum(self):
+        rng = np.random.default_rng(7)
+        net = CompactCarrier(rng.standard_normal(1000) + 1j * rng.standard_normal(1000), 0.1)
+        zs = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        direct = np.abs(zs[:, None] - net.net[None, :]).min(axis=1)
+        assert np.allclose(net.nearest_distances(zs), direct, rtol=1e-12, atol=0)
 
     def test_batched_distances_match_scalar(self):
         net = unit_circle_net(0.05)

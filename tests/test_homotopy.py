@@ -19,6 +19,7 @@ from contourchain import (
     SmoothSegment,
     build_chain,
     circle,
+    consecutive_polyline_distances,
     constant_path,
     dist_to_carrier,
     ellipse,
@@ -34,6 +35,7 @@ from contourchain import (
 )
 from contourchain import homotopy as homotopy_module
 from contourchain import paths as paths_module
+from conftest import dense_sup, dense_sup_upper
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -307,25 +309,57 @@ class TestBuildChain:
         assert all(m.num_segments == 4 for m in chain.members[1:-1])
 
     def test_polyline_endpoints(self):
+        # both ends are polylines with their breakpoints on the shared
+        # partition, so every pair, the two end pairs too, is exact
         g0 = polyline([1 + 0j, 1j, -1 + 0j, -1j])
         g1 = square(2.4)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, Disk(0j, 3.0))
         assert chain.members[0] is g0 and chain.members[-1] is g1
-        for entry in chain.certificate.entries:
+        entries = chain.certificate.entries
+        assert all(entry.exact for entry in entries)
+        for entry, p, q in zip(entries, chain.members, chain.members[1:]):
+            assert entry.sampled == polyline_sup_distance(p, q)
             assert entry.sampled.lo <= entry.analytic
 
 
 class TestChainCrossCheck:
-    """Interior pairs are checked by their exact distance, end pairs by sampling."""
+    """Every pair is checked from the shared partition's vertices: polyline
+    pairs by their exact distance, a curved end pair by its vertex bound."""
 
-    def test_interior_exact_ends_sampled(self):
+    def test_interior_exact_ends_enclosed(self):
         g0, g1 = square(2.0), circle(radius=1.8)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, WIDE_ANNULUS)
-        entries = chain.certificate.entries
-        assert [e.exact for e in entries] == [False] + [True] * (len(entries) - 2) + [False]
-        for entry, p, q in zip(entries[1:-1], chain.members[1:-2], chain.members[2:-1]):
+        entries, members = chain.certificate.entries, chain.members
+        # the square end is exact, the circle end is not
+        assert [e.exact for e in entries] == [True] * (len(entries) - 1) + [False]
+        for entry, p, q in zip(entries[:-1], members[:-2], members[1:-1]):
             assert entry.sampled == polyline_sup_distance(p, q)
             assert entry.sampled.hi <= entry.analytic
+        # the curved end's enclosure holds a dense certified oracle's bounds
+        last = entries[-1]
+        assert last.sampled.lo <= last.analytic
+        assert last.sampled.lo <= dense_sup_upper(members[-2], g1)
+        assert dense_sup(members[-2], g1) <= last.sampled.hi
+        assert last.sampled.hi <= last.analytic
+
+    def test_star_of_a_square_has_exact_end_entries(self):
+        g = square(2.0, center=0.1 + 0.1j)
+        sigma = star_null_homotopy(g, 0.1 + 0.1j)
+        chain = build_chain(sigma, g, sigma.gamma1, Disk(0.1 + 0.1j, 1.55))
+        entries, members = chain.certificate.entries, chain.members
+        assert all(e.exact for e in entries)
+        assert entries[0].sampled == polyline_sup_distance(members[0], members[1])
+        assert entries[-1].sampled == polyline_sup_distance(members[-2], members[-1])
+
+    def test_foreign_polyline_end_is_exact(self):
+        # an end path that is not the homotopy's own object is evaluated on
+        # the shared partition; a polyline with its breakpoints there is exact
+        g0, g1 = square(2.0), circle(radius=1.8)
+        same = square(2.0)
+        chain = build_chain(linear_homotopy(g0, g1), same, g1, WIDE_ANNULUS)
+        first = chain.certificate.entries[0]
+        assert chain.members[0] is same and first.exact
+        assert first.sampled == polyline_sup_distance(same, chain.members[1])
 
     def test_shared_partition_entries_match_the_breakpoint_union(self):
         # on one shared partition a polyline's values at the breakpoints are
@@ -347,8 +381,16 @@ class TestChainCrossCheck:
         (square(2.0), circle(radius=1.8), WIDE_ANNULUS),
         (circle(), circle(radius=1.2), Annulus(0j, 0.8, 1.4)),
         (square(2.0), constant_path(0j), Disk(0j, 1.55)),
-    ], ids=["circle-circle", "circle-ellipse", "square-circle", "tight-annulus", "star-square"])
-    def test_certified_bounds_within_the_analytic(self, g0, g1, domain):
+        (ellipse(1.2, 0.8), ellipse(1.4, 1.0), Annulus(0j, 0.6, 1.6)),
+    ], ids=["circle-circle", "circle-ellipse", "square-circle", "tight-annulus", "star-square",
+            "ellipse-ellipse"])
+    def test_certified_bounds_within_the_analytic(self, g0, g1, domain, monkeypatch):
+        # every bound comes from the shared partition's vertices: no pair is sampled
+        def refuse(*args):
+            raise AssertionError("build_chain sampled a pair")
+
+        monkeypatch.setattr(homotopy_module, "sup_distance", refuse)
+        monkeypatch.setattr(paths_module, "sup_distance", refuse)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, domain)
         eps, entries = chain.epsilon, chain.certificate.entries
         assert [e.analytic for e in entries] == [eps / 3] + [eps / 2] * (len(entries) - 2) + [eps / 3]
@@ -370,15 +412,16 @@ class TestChainCrossCheck:
     def test_broken_time_constant_raises(self, monkeypatch):
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
         self._coarse_partition(monkeypatch)
-        with pytest.raises(CertificateViolation, match="sampled sup-distance"):
+        with pytest.raises(CertificateViolation, match="vertex sup-distance"):
             build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
 
     def test_exact_check_alone_catches_it(self, monkeypatch):
-        # with the end pairs' sampled check silenced, the interior pairs of a
-        # chain five times too coarse in time must still be refused
+        # with the end pairs' check silenced, the interior pairs of a chain
+        # five times too coarse in time must still be refused
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
         self._coarse_partition(monkeypatch)
-        monkeypatch.setattr(homotopy_module, "sup_distance", lambda p, q, tol: Bounds(0.0, tol))
+        monkeypatch.setattr(homotopy_module, "_end_pair",
+                            lambda path, own, own_values, xs, member, eps: (Bounds(0.0, 0.0), False))
         with pytest.raises(CertificateViolation, match="exact sup-distance"):
             build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
 
@@ -483,3 +526,25 @@ class TestEndpointCheckScale:
                             Annulus(center, 0.5 * radius, 2.5 * radius))
         assert chain.members[0] is noisy
         assert all(e.sampled.lo <= e.analytic for e in chain.certificate.entries)
+
+    def test_foreign_end_takes_its_own_values_and_chord_slack(self, center, radius, monkeypatch):
+        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
+        noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
+        seen = []
+
+        def recorded(xs):
+            seen.append(np.array(xs))
+            return type(noisy).values(noisy, xs)
+
+        monkeypatch.setattr(noisy, "values", recorded)
+        sigma = linear_homotopy(g0, g1)
+        chain = build_chain(sigma, noisy, g1, Annulus(center, 0.5 * radius, 2.5 * radius))
+        xs, _, _ = sigma.shared_vertices(chain.epsilon / 6)
+        assert any(np.array_equal(called, xs) for called in seen)
+        vertex = consecutive_polyline_distances(
+            np.stack([type(noisy).values(noisy, xs), chain.members[1].vertices()]))[0]
+        slack = noisy.lipschitz_bound * float(np.diff(xs).max()) / 2
+        entry = chain.certificate.entries[0]
+        assert not entry.exact
+        assert entry.sampled == Bounds(vertex.lo, vertex.hi + slack)
+        assert entry.sampled.lo <= entry.analytic

@@ -204,6 +204,24 @@ class TestDeterminism:
         assert r1.evaluations == r2.evaluations
 
 
+class TestRuleSums:
+    def test_one_piece_alone_and_in_a_batch_bit_identical(self):
+        # a lone column and the same column in a batch take the same sums
+        from contourchain import integrate
+
+        rng = np.random.default_rng(11)
+        n = 300
+        scale = 10.0 ** rng.uniform(-3, 3, n)
+        cols = (rng.standard_normal((15, n)) + 1j * rng.standard_normal((15, n))) * scale
+        half = rng.uniform(1e-3, 1.0, n)
+        batch = integrate._rule_sums(cols, half)
+        for i in range(n):
+            alone = integrate._rule_sums(np.ascontiguousarray(cols[:, i:i + 1]), half[i:i + 1])
+            for one, many in zip(alone, batch):
+                assert one.shape == (1,)
+                assert one[0] == many[i]
+
+
 def _annulus_chain(g0, g1):
     return build_chain(linear_homotopy(g0, g1), g0, g1, Annulus(0j, 0.5, 2.5))
 
