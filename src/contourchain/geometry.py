@@ -72,6 +72,27 @@ class Bounds:
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
+    @classmethod
+    def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> list["Bounds"]:
+        """One enclosure per entry of the arrays ``lo`` and ``hi``, with the
+        checks of the constructor (finite, lo <= hi) run once on the arrays."""
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("lo and hi must be finite")
+        empty = np.flatnonzero(lo > hi)
+        if empty.size:
+            k = empty[0]
+            raise ValueError(f"empty bounds: lo={lo[k]} > hi={hi[k]}")
+        out = []
+        for lo_k, hi_k in zip(lo.tolist(), hi.tolist()):
+            bounds = object.__new__(cls)
+            fields = bounds.__dict__
+            fields["lo"] = lo_k
+            fields["hi"] = hi_k
+            out.append(bounds)
+        return out
+
 
 class Containment(enum.Enum):
     INSIDE = "inside"

@@ -10,7 +10,10 @@ with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
   closed form (``DomainDescriptor.segment_complement_distances``).  On a 1-D
   x-net of spacing h every swept point is within eta = L h / 2 of a net
   point's segment, so the net's minimum, less eta, bounds the whole swept
-  region's distance to the complement.
+  region's distance to the complement.  The minimum M over 17 segments,
+  taken with the diameter estimate, bounds the region's from above, so every
+  halving of eta whose net could not clear 4 eta (M < 7.99 eta) is skipped
+  unevaluated: one net round is the rule.
 * Members.  The partition takes, on each piece between breakpoints of either
   end path, the larger of the two end paths' second-order panel counts at
   eps/6 (or the first-order count at the larger Lipschitz bound when a piece
@@ -28,16 +31,19 @@ with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
 
 The certificate keeps the bounds eps/3, eps/2, ..., eps/2, eps/3, each
 cross-checked from the values already on the shared partition, with no
-sampling.  Interior pairs get their exact polyline distance, all of them in
-one step from the vertex array (max |V_j - V_j+1| widened by the rounding
-allowance at the pair's largest |vertex|, as ``polyline_sup_distance`` gives
-it).  An end pair gets the same vertex maximum of |P0 - V_1| (or
-|P1 - V_n-1|), a true lower bound; adding the end path's eps/9 interpolation
-bound on the partition gives an upper bound, and an end path made of lines
-with its breakpoints on the partition is exact with no slack.  A lower bound
-above its analytic bound fails hard, since it would mean a broken bound
-upstream.  The swept region's eta-net (``homotopy_carrier``) is not needed
-for any of this and is built only when ``Chain.carrier`` is read.
+sampling.  All n pairs are bounded in one step from one (n+1, m+1) vertex
+array, the blend at every time including 0 and 1, whose first and last rows
+are P0 and P1: max |V_j - V_j+1| widened by the rounding allowance at the
+pair's largest |vertex|, as ``polyline_sup_distance`` gives it, validated
+once for all pairs.  That is exact for two polylines; at a curved end it is
+the vertex maximum, a true lower bound, and adding the end path's eps/9
+interpolation bound on the partition gives an upper bound.  An end path
+made of lines with its breakpoints on the partition is exact with no slack.
+The lower bounds are checked against the analytic ones in one comparison;
+one above its bound fails hard, naming the lowest such pair, since it
+would mean a broken bound upstream.  The swept region's eta-net
+(``homotopy_carrier``) is not needed for any of this and is built only when
+``Chain.carrier`` is read.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from .geometry import (  # noqa: F401
 from .paths import (  # noqa: F401
     Path,
     PiecewisePath,
-    consecutive_polyline_distances,
+    _consecutive_gaps,
     constant_path,
     reparametrize_to_unit,
     sup_distance,
@@ -100,6 +106,10 @@ _ENDPOINT_TOL = 1e-9
 # Rounding of the members' blend, of the times and of polyline_sup_distance's
 # own widening (16 ulps), relative to the largest |vertex|.
 _BLEND_ROUNDING = 64 * np.finfo(np.float64).eps
+# A net of resolution eta certifies only if its minimum m clears 9 eta, and
+# m <= M + eta for the coarse grid's minimum M, so a level with M below this
+# many eta is skipped unevaluated (8, less 0.01 of room for rounding).
+_NET_SKIP = 7.99
 
 
 class Homotopy:
@@ -318,18 +328,19 @@ class Chain:
 
 def _check_endpoint_slices(sigma: Homotopy, gamma0: Path, gamma1: Path):
     """Refuse end paths that differ from the homotopy's end slices beyond
-    float noise.  Each end path is evaluated once; a path given as the
-    homotopy's own end reuses those values."""
+    float noise.
+
+    The slice at t = 0 is 1.0 P0 + 0.0 P1 == P0 and the slice at t = 1 is P1,
+    bit for bit up to the sign of a zero, so the homotopy's own end is its
+    slice with a gap of exactly 0 and is not evaluated; any other path is
+    compared with the values of its own end alone.
+    """
     xs = np.arange(257) / 256
-    v0, v1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
-    for t, path, name in ((0.0, gamma0, "gamma0"), (1.0, gamma1, "gamma1")):
-        slice_values = _blend([t], v0, v1)[0]
-        if path is sigma.gamma0:
-            path_values = v0
-        elif path is sigma.gamma1:
-            path_values = v1
-        else:
-            path_values = path.values(xs)
+    for t, path, own, name in ((0.0, gamma0, sigma.gamma0, "gamma0"),
+                               (1.0, gamma1, sigma.gamma1, "gamma1")):
+        if path is own:
+            continue
+        slice_values, path_values = own.values(xs), path.values(xs)
         gap = float(np.abs(slice_values - path_values).max())
         allowed = _ENDPOINT_TOL * float(np.abs(np.concatenate([slice_values, path_values])).max())
         if gap > allowed:
@@ -338,27 +349,66 @@ def _check_endpoint_slices(sigma: Homotopy, gamma0: Path, gamma1: Path):
                 f"(> {_ENDPOINT_TOL} x magnitude = {allowed:.3g})")
 
 
-def _estimate_diameter(sigma: Homotopy) -> float:
-    grid = sigma.grid_values(np.arange(9) / 8, np.arange(17) / 16).ravel()
+def _coarse_grid(sigma: Homotopy, domain: DomainDescriptor) -> tuple[float, float]:
+    """(diameter, M) from both end paths' values on 17 points of [0, 1].
+
+    The diameter is that of the bounding box of 9 slices there, an estimate
+    that only sets the first net's resolution.  M is the smallest exact
+    complement distance over those 17 time segments: a minimum over part of
+    the swept region, so at least the minimum m* over all of it.
+    """
+    xs = np.arange(17) / 16
+    p0, p1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
+    grid = _blend(np.arange(9) / 8, p0, p1).ravel()
     width = grid.real.max() - grid.real.min()
     height = grid.imag.max() - grid.imag.min()
-    return math.hypot(width, height)
+    return math.hypot(width, height), float(domain.segment_complement_distances(p0, p1).min())
 
 
 def _certify_containment(sigma: Homotopy, domain: DomainDescriptor,
                          max_refinements: int) -> ContainmentCertificate:
     """Certify the swept region's margin on a 1-D x-net, halving eta until
-    the margin clears 4 eta.
+    the margin clears 4 eta, in one net round as a rule.
 
     A net of spacing h <= 2 eta / L puts every x within eta/L of a net point,
     so every swept point is within eta of the time segment of a net point;
-    the segments' exact minimum complement distance, less eta, bounds the
-    region's.  A nonpositive minimum refuses at once.
+    the segments' exact minimum complement distance m, less eta, bounds the
+    region's.  A nonpositive m refuses at once.
+
+    One round.  With m* the minimum over the whole swept region, the net
+    point nearest to where m* is attained has a time segment within eta of
+    that one, so m <= m* + eta; and m* <= M, the minimum over the 17 time
+    segments of ``_coarse_grid``.  A level certifies only if
+    (m - eta)/2 > 4 eta, that is m > 9 eta, which needs M > 8 eta.  So a
+    level with 0 < M < 7.99 eta (0.01 eta of room for rounding) cannot
+    certify whatever its net, and is skipped unevaluated; the budget is
+    still checked there.  Nothing is skipped when M <= 0, and the last
+    level is always evaluated.  The first level evaluated is then the first
+    that can certify, and a certificate from it is the one the plain loop,
+    evaluating every level in turn, returns: no skipped level could have
+    certified, nor refused with m <= 0, since that needs m* <= 0 and leaves
+    every later level with m <= eta.  A refusal's level is not so
+    determined (a region that leaves the domain between the 17 points has
+    M > 0 > m*), so a refusal after a skip runs the plain loop again from
+    the first level and raises that loop's refusal, with the level and
+    margin it finds.  Refusals are rare, and the replay at most doubles one.
     """
-    diameter = _estimate_diameter(sigma)
+    diameter, upper = _coarse_grid(sigma, domain)
     eta = 0.05 * diameter if diameter > 0 else 0.05
+    if not (max_refinements > 0 and 0 < upper < _NET_SKIP * eta):
+        return _halving_loop(sigma, domain, eta, max_refinements)
+    try:
+        return _halving_loop(sigma, domain, eta, max_refinements, upper)
+    except ContainmentNotCertified:
+        return _halving_loop(sigma, domain, eta, max_refinements)
+
+
+def _halving_loop(sigma: Homotopy, domain: DomainDescriptor, eta: float,
+                  max_refinements: int, upper: float = 0.0) -> ContainmentCertificate:
+    """The net levels eta, eta/2, ... in turn, skipping those with
+    0 < ``upper`` < 7.99 eta but the last (see ``_certify_containment``)."""
     last_failure = None
-    for _ in range(max_refinements + 1):
+    for level in range(max_refinements + 1):
         steps = max(1, math.ceil(sigma.lipschitz / (2 * eta)))
         if steps + 1 > _NET_BUDGET:
             raise ContainmentNotCertified(
@@ -366,6 +416,9 @@ def _certify_containment(sigma: Homotopy, domain: DomainDescriptor,
                 + (f": {last_failure}" if last_failure else ""),
                 min_complement_distance=getattr(last_failure, "min_complement_distance", None),
                 resolution=eta)
+        if 0 < upper < _NET_SKIP * eta and level < max_refinements:
+            eta /= 2
+            continue
         xs = np.arange(steps + 1) / steps
         m = float(domain.segment_complement_distances(sigma.gamma0.values(xs),
                                                       sigma.gamma1.values(xs)).min())
@@ -412,31 +465,44 @@ def _time_partition(gap: float, eps: float, rounding: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [1.0]])
 
 
-def _end_pair(path: PiecewisePath, own: PiecewisePath, own_values: np.ndarray,
-              xs: np.ndarray, member: np.ndarray, eps: float) -> tuple[Bounds, bool]:
-    """Enclosure of sup |path - member| for an end path and the polyline
-    through ``member`` on ``xs``, and whether it is exact.
+def _end_values(path: PiecewisePath, xs: np.ndarray) -> np.ndarray:
+    """A path's values on ``xs`` with the closing value snapped to the first."""
+    values = path.values(xs)
+    values[-1] = values[0]
+    return values
 
-    With Q the path's values on xs, the vertex maximum of |Q - member| is
-    attained, so it is a lower bound; |polyline through Q - member| peaks at
-    a vertex, so that maximum plus sup |path - polyline through Q| is an
-    upper bound.  The homotopy's own end (``own``) has Q from
-    ``shared_vertices(eps/6)``, within eps/9 of it; any other path is
-    evaluated here, within its Lipschitz chord bound L max(diff(xs))/2.  A
-    path of lines whose breakpoints are all in xs is its own polyline
-    through Q, so the pair is exact with no slack; xs holds every breakpoint
-    of the homotopy's ends.
+
+def _end_pair(path: PiecewisePath, own: PiecewisePath, values: np.ndarray,
+              xs: np.ndarray, pair: Bounds, eps: float) -> tuple[Bounds, bool]:
+    """Enclosure of sup |path - member| for an end path and its neighbouring
+    member, from ``pair``, the polyline distance of its row ``values`` = Q
+    (the path's values on ``xs``) and the member's, and whether it is exact.
+
+    The vertex maximum of |Q - member| is attained, so it is a lower bound;
+    |polyline through Q - member| peaks at a vertex, so that maximum plus
+    sup |path - polyline through Q| is an upper bound.  The homotopy's own
+    end (``own``) has Q from ``shared_vertices(eps/6)``, within eps/9 of it.
+    Any other path was evaluated on xs: with |z''| bounds M2 and its
+    breakpoints in xs it is within max h^2 M2 / 8 over the panels h of its
+    polyline (the Peano kernel of linear interpolation, (x - a)(b - x)/2 >= 0
+    on a panel [a, b], holds for complex values too), plus the rounding
+    allowance at its largest |value|; otherwise within its Lipschitz chord
+    bound L max(h) / 2.  A path of lines whose breakpoints are all in xs is
+    its own polyline through Q, so the pair is exact with no slack; xs holds
+    every breakpoint of the homotopy's ends.
     """
-    if path is own:
-        values, slack, aligned = own_values, eps / 9, True
-    else:
-        values = path.values(xs)
-        values[-1] = values[0]
-        slack = path.lipschitz_bound * float(np.diff(xs).max()) / 2
-        aligned = bool(np.isin(path.breakpoints, xs).all())
-    pair = consecutive_polyline_distances(np.stack([values, member]))[0]
+    aligned = path is own or bool(np.isin(path.breakpoints, xs).all())
     if path._all_lines and aligned:
         return pair, True
+    if path is own:
+        return Bounds(pair.lo, pair.hi + eps / 9), False
+    panels = np.diff(xs)
+    second = _piece_bounds(path, (xs[:-1] + xs[1:]) / 2)[1]
+    if aligned and second is not None:
+        slack = (float((panels * panels * second).max()) / 8
+                 + _BLEND_ROUNDING * float(np.abs(values).max()))
+    else:
+        slack = path.lipschitz_bound * float(panels.max()) / 2
     return Bounds(pair.lo, pair.hi + slack), False
 
 
@@ -445,16 +511,21 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                 max_refinements: int = 8) -> Chain:
     """Discretize a homotopy into a chain with certified consecutive bounds.
 
-    Steps: certify the swept region's containment on a 1-D net of exact
-    segment distances (halving eta until the margin clears 4*eta); set eps to
-    half the certified margin, unless overridden (a whole-plane domain has no
-    finite margin and needs the override); evaluate both end paths once on
-    the shared partition for eps/6 (``Homotopy.shared_vertices``); take the
-    time steps from the exact vertex gap D+ = max |P1 - P0|, rounded up
-    (``_time_partition``); blend the interior members in one batch; and
-    record the eps/3 - eps/2 - eps/3 bounds with their cross-checks from
-    those vertices: the exact distance of two polylines inside and at a
-    polyline end, the vertex bound at a curved end (``_end_pair``).
+    Steps, each a fixed number of array passes: certify the swept region's
+    containment on a 1-D net of exact segment distances, in one net round as
+    a rule (``_certify_containment`` skips every level that cannot clear
+    4*eta); set eps to half the certified margin, unless overridden (a
+    whole-plane domain has no finite margin and needs the override);
+    evaluate both end paths once on the shared partition for eps/6
+    (``Homotopy.shared_vertices``); take the time steps from the exact
+    vertex gap D+ = max |P1 - P0|, rounded up (``_time_partition``); blend
+    all members at once into one vertex array whose first and last rows are
+    P0 and P1 (an end path that is not the homotopy's own replaces its row
+    with its values); and bound every consecutive pair from that array in
+    one step.  The interior pairs' polyline distances are exact; an end pair
+    adds its curved end's slack (``_end_pair``).  The eps/3 - eps/2 - eps/3
+    bounds are checked against all lower bounds in one comparison, which
+    names the lowest failing pair.
     """
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
         _check_end_path(path, name)
@@ -480,22 +551,29 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     ts = _time_partition(gap, eps, _BLEND_ROUNDING * scale)
     n = len(ts) - 1
 
-    verts = _blend(ts[1:-1], p0, p1)
-    members = [gamma0, *PiecewisePath.from_vertex_rows(verts, xs, closed=True), gamma1]
-    measured = [_end_pair(gamma0, sigma.gamma0, p0, xs, verts[0], eps),
-                *((pair, True) for pair in consecutive_polyline_distances(verts)),
-                _end_pair(gamma1, sigma.gamma1, p1, xs, verts[-1], eps)]
-    bounds = [eps / 3] + [eps / 2] * (n - 2) + [eps / 3]
+    rows = _blend(ts, p0, p1)
+    members = [gamma0, *PiecewisePath.from_vertex_rows(rows[1:-1], xs, closed=True), gamma1]
+    ends = ((0, gamma0, sigma.gamma0), (-1, gamma1, sigma.gamma1))
+    for row, path, own in ends:
+        if path is not own:
+            rows[row] = _end_values(path, xs)
+    lo, hi = _consecutive_gaps(rows)
+    exact = [True] * n
+    for row, path, own in ends:
+        pair, exact[row] = _end_pair(path, own, rows[row], xs, Bounds(lo[row], hi[row]), eps)
+        lo[row], hi[row] = pair.lo, pair.hi
 
-    entries = []
-    for j, (bound, (pair, exact)) in enumerate(zip(bounds, measured)):
-        if pair.lo > bound:
-            raise CertificateViolation(
-                f"{'exact' if exact else 'vertex'} sup-distance lower bound {pair.lo:.6g} "
-                f"exceeds the certified bound {bound:.6g} for pair {j}; "
-                "a bound upstream is broken")
-        entries.append(PairBound(analytic=bound, sampled=pair, exact=exact))
+    analytic = np.full(n, eps / 2)
+    analytic[[0, -1]] = eps / 3
+    over = np.flatnonzero(lo > analytic)
+    if over.size:
+        j = int(over[0])
+        raise CertificateViolation(
+            f"{'exact' if exact[j] else 'vertex'} sup-distance lower bound {lo[j]:.6g} "
+            f"exceeds the certified bound {analytic[j]:.6g} for pair {j}; "
+            "a bound upstream is broken")
+    entries = tuple(map(PairBound, analytic.tolist(), Bounds.from_arrays(lo, hi), exact))
 
     return Chain(members=tuple(members), epsilon=eps,
-                 certificate=ChainCertificate(tuple(entries)),
+                 certificate=ChainCertificate(entries),
                  containment=containment, partition=ts, homotopy=sigma)

@@ -518,7 +518,7 @@ class PiecewisePath(Path):
         breaks = np.asarray(breakpoints, dtype=np.float64).ravel().copy()
         if verts.ndim != 2 or verts.shape[1] != breaks.size or breaks.size < 2:
             raise ValueError("need matching vertex/breakpoint arrays with at least two entries")
-        if not np.all(np.isfinite(verts.real) & np.isfinite(verts.imag)):
+        if not np.isfinite(verts).all():
             raise ValueError("polyline vertices must be finite")
         spans = np.diff(breaks)
         if not np.all(spans > 0):
@@ -526,23 +526,21 @@ class PiecewisePath(Path):
         if closed:
             _check_closures(verts[:, 0], verts[:, -1])
         first = np.abs(np.diff(verts, axis=1)) / spans
-        second = np.zeros(spans.size)
-        a, b = float(breaks[0]), float(breaks[-1])
+        lipschitz_bounds = first.max(axis=1)
+        if not np.isfinite(lipschitz_bounds).all():
+            raise ValueError("Lipschitz constant must be finite")
+        shared = {"_segments": None, "_evaluators": None, "closed": bool(closed),
+                  "_a": float(breaks[0]), "_b": float(breaks[-1]), "_breaks": breaks,
+                  "_s0": breaks[:-1], "_span": spans, "_second_bounds": np.zeros(spans.size),
+                  "_all_lines": True, "_arcs": None}
         paths = []
-        for row, bounds, lipschitz in zip(verts, first, first.max(axis=1).tolist()):
+        columns = (verts[:, :-1], verts[:, 1:], verts[:, 0].tolist(), first, lipschitz_bounds.tolist())
+        for z0, z1, start, bounds, lipschitz in zip(*columns):
             self = cls.__new__(cls)
-            self._segments = None
-            self._evaluators = None
-            self.closed = bool(closed)
-            self._a, self._b = a, b
-            self._breaks = breaks
-            self._z0, self._z1 = row[:-1], row[1:]
-            self._s0, self._span = breaks[:-1], spans
-            self._start = complex(row[0])
-            self._first_bounds, self._second_bounds = bounds, second
-            self._modulus = LipschitzModulus(lipschitz)
-            self._all_lines = True
-            self._arcs = None
+            fields = self.__dict__
+            fields.update(shared)
+            fields["_z0"], fields["_z1"], fields["_start"] = z0, z1, start
+            fields["_first_bounds"], fields["_lipschitz"] = bounds, lipschitz
             paths.append(self)
         return paths
 
@@ -582,7 +580,7 @@ class PiecewisePath(Path):
 
     def _set_bounds(self, first: np.ndarray, second: np.ndarray | None):
         self._first_bounds, self._second_bounds = first, second
-        self._modulus = LipschitzModulus(float(first.max()))
+        self._lipschitz = require_finite_real(first.max(), "Lipschitz constant")
 
     def _check_closure(self, start: complex, end: complex):
         if self.closed and end != start:
@@ -615,7 +613,12 @@ class PiecewisePath(Path):
 
     @property
     def lipschitz_bound(self) -> float:
-        return self._modulus.constant
+        return self._lipschitz
+
+    @property
+    def modulus(self) -> Modulus:
+        """The Lipschitz modulus of ``lipschitz_bound``, built on each read."""
+        return LipschitzModulus(self._lipschitz)
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -664,6 +667,8 @@ class PiecewisePath(Path):
         elif self._arcs is not None:
             idx, phase = self._arc_phase(xs)
             out = self._arcs.center[idx] + self._arcs.radius[idx] * phase
+        elif self.num_segments == 1:
+            out = np.array(self.segments[0].values_at(xs), dtype=np.complex128)
         else:
             idx = self._segment_indices(xs)
             out = np.empty(xs.shape, dtype=np.complex128)
@@ -934,10 +939,16 @@ def consecutive_polyline_distances(rows: np.ndarray) -> list[Bounds]:
     (k, m+1) vertex array ``rows``, polylines on one shared partition: the
     largest |row j - row j+1|, widened by the rounding allowance at the
     larger of the two rows' largest |vertex|."""
+    return Bounds.from_arrays(*_consecutive_gaps(rows))
+
+
+def _consecutive_gaps(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays (lo, hi) of ``consecutive_polyline_distances``, unchecked."""
     rows = np.asarray(rows, dtype=np.complex128)
     reach = np.abs(rows).max(axis=1)
-    return list(map(_widened, np.abs(np.diff(rows, axis=0)).max(axis=1),
-                    np.maximum(reach[:-1], reach[1:])))
+    exact = np.abs(np.diff(rows, axis=0)).max(axis=1)
+    slack = _POLYLINE_ROUNDING * np.maximum(reach[:-1], reach[1:])
+    return np.maximum(0.0, exact - slack), exact + slack
 
 
 def _widened(exact: float, scale: float) -> Bounds:

@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from contourchain import (
     MismatchedDomains,
     PiecewisePath,
     PuncturedPlane,
+    Rectangle,
     SmoothSegment,
     build_chain,
     circle,
@@ -35,7 +38,8 @@ from contourchain import (
 )
 from contourchain import homotopy as homotopy_module
 from contourchain import paths as paths_module
-from conftest import dense_sup, dense_sup_upper
+from contourchain.geometry import margin_certificate
+from conftest import dense_sup, dense_sup_upper, random_polyline
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -504,13 +508,16 @@ class TestEndpointCheckScale:
                 return type(path).values(path, xs)
             monkeypatch.setattr(path, "values", counted)
         sigma = linear_homotopy(g0, g1)
+        # the homotopy's own ends are its end slices exactly: nothing to evaluate
         homotopy_module._check_endpoint_slices(sigma, g0, g1)
-        assert sorted(calls) == ["g0", "g1"]
-        calls.clear()
+        assert calls == []
+        # a foreign end is compared with its own end's values alone
         homotopy_module._check_endpoint_slices(sigma, noisy, g1)
-        assert sorted(calls) == ["g0", "g1", "noisy"]
+        assert sorted(calls) == ["g0", "noisy"]
         with pytest.raises(EndpointMismatch, match="differs from gamma0"):
             homotopy_module._check_endpoint_slices(sigma, g1, g0)
+        with pytest.raises(EndpointMismatch, match="differs from gamma1"):
+            homotopy_module._check_endpoint_slices(sigma, g0, g0)
 
     def test_true_mismatch_refused(self, center, radius):
         g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
@@ -528,8 +535,12 @@ class TestEndpointCheckScale:
         assert all(e.sampled.lo <= e.analytic for e in chain.certificate.entries)
 
     def test_foreign_end_takes_its_own_values_and_chord_slack(self, center, radius, monkeypatch):
+        # a foreign end with no |z''| bound keeps the Lipschitz chord slack
         g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
-        noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
+        moved = circle(center + 1e-14 * (abs(center) + radius), radius)
+        noisy = PiecewisePath.from_evaluator(
+            moved.values, lambda xs: moved.eval_with_derivative(xs)[1], moved.breakpoints,
+            moved.derivative_bounds, closed=True)
         seen = []
 
         def recorded(xs):
@@ -548,3 +559,232 @@ class TestEndpointCheckScale:
         assert not entry.exact
         assert entry.sampled == Bounds(vertex.lo, vertex.hi + slack)
         assert entry.sampled.lo <= entry.analytic
+
+    def test_foreign_curved_end_takes_its_interpolation_bound(self, center, radius):
+        # a foreign circle has |z''| bounds and its breakpoints on the shared
+        # partition, so its slack is max h^2 M2 / 8, not the chord bound
+        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
+        noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
+        sigma = linear_homotopy(g0, g1)
+        chain = build_chain(sigma, noisy, g1, Annulus(center, 0.5 * radius, 2.5 * radius))
+        xs, _, _ = sigma.shared_vertices(chain.epsilon / 6)
+        entry = chain.certificate.entries[0]
+        assert not entry.exact
+        assert entry.sampled.hi / entry.analytic <= 0.85
+        chord = noisy.lipschitz_bound * float(np.diff(xs).max()) / 2
+        assert entry.sampled.hi < entry.sampled.lo + chord
+        assert entry.sampled.lo <= dense_sup_upper(noisy, chain.members[1])
+        assert dense_sup(noisy, chain.members[1]) <= entry.sampled.hi
+
+
+def _reference_containment(sigma, domain, max_refinements):
+    """The plain halving loop that evaluates every net level in turn, kept as
+    the reference for ``_certify_containment``'s one round."""
+    grid = sigma.grid_values(np.arange(9) / 8, np.arange(17) / 16).ravel()
+    diameter = math.hypot(grid.real.max() - grid.real.min(), grid.imag.max() - grid.imag.min())
+    eta = 0.05 * diameter if diameter > 0 else 0.05
+    last_failure = None
+    for _ in range(max_refinements + 1):
+        steps = max(1, math.ceil(sigma.lipschitz / (2 * eta)))
+        if steps + 1 > homotopy_module._NET_BUDGET:
+            raise ContainmentNotCertified(
+                "containment not certified within the sampling budget"
+                + (f": {last_failure}" if last_failure else ""),
+                min_complement_distance=getattr(last_failure, "min_complement_distance", None),
+                resolution=eta)
+        xs = np.arange(steps + 1) / steps
+        m = float(domain.segment_complement_distances(sigma.gamma0.values(xs),
+                                                      sigma.gamma1.values(xs)).min())
+        if m <= 0:
+            raise ContainmentNotCertified(
+                f"the homotopy sweeps outside the domain: min complement distance {m:.6g} "
+                f"on the time segments of a net of resolution {eta:.6g}",
+                min_complement_distance=m, resolution=eta)
+        try:
+            cert = margin_certificate(m, eta)
+            if cert.margin > 4 * eta:
+                return cert
+            last_failure = ContainmentNotCertified(
+                f"margin {cert.margin:.6g} not above 4*eta={4 * eta:.6g}", resolution=eta)
+        except ContainmentNotCertified as exc:
+            last_failure = exc
+        eta /= 2
+    raise ContainmentNotCertified(
+        f"containment not certified after {max_refinements} refinements: {last_failure}",
+        min_complement_distance=getattr(last_failure, "min_complement_distance", None),
+        resolution=getattr(last_failure, "resolution", None))
+
+
+def _containment_outcome(certify, sigma, domain, max_refinements):
+    """The certificate, or the refusal's type, message, resolution and margin."""
+    try:
+        return certify(sigma, domain, max_refinements)
+    except ContainmentNotCertified as exc:
+        return type(exc), str(exc), exc.resolution, exc.min_complement_distance
+
+
+def _same_containment(sigma, domain, max_refinements):
+    new = _containment_outcome(homotopy_module._certify_containment, sigma, domain,
+                               max_refinements)
+    assert new == _containment_outcome(_reference_containment, sigma, domain, max_refinements)
+    return new
+
+
+def _random_containment_case(rng):
+    """A random homotopy of circles, ellipses and polygons with a domain
+    around it, from roomy to tight to crossing the homotopy."""
+    c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    r = rng.uniform(0.3, 2.0)
+
+    def path(scale):
+        kind = rng.choice(["circle", "ellipse", "square", "polygon", "point"])
+        centre = c + complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) * r
+        if kind == "circle":
+            return circle(centre, scale * r)
+        if kind == "ellipse":
+            return ellipse(scale * r * rng.uniform(0.5, 1.5), scale * r * rng.uniform(0.5, 1.5),
+                           centre)
+        if kind == "square":
+            return square(2 * scale * r, centre)
+        if kind == "polygon":
+            return random_polyline(rng, rng.randint(3, 9), radius=scale * r, center=centre)
+        return constant_path(centre)
+
+    g0, g1 = path(1.0), path(rng.uniform(0.5, 2.0))
+    kind = rng.choice(["annulus", "disk", "rectangle", "punctured"])
+    if kind == "annulus":
+        domain = Annulus(c, rng.uniform(0.0, 0.6) * r, rng.uniform(1.5, 4.5) * r)
+    elif kind == "disk":
+        domain = Disk(c, rng.uniform(1.2, 4.5) * r)
+    elif kind == "rectangle":
+        h = rng.uniform(1.2, 4.5) * r
+        domain = Rectangle(c - h * (1 + 1j), c + h * (1 + 1j))
+    else:
+        puncture = c + rng.uniform(0.0, 3.0) * r * cmath.exp(2j * math.pi * rng.random())
+        domain = PuncturedPlane((puncture,))
+    return linear_homotopy(g0, g1), domain, rng.randint(0, 10)
+
+
+class TestContainmentRound:
+    """Skipping the net levels that cannot certify gives the outcome of
+    evaluating every level, in one net round as a rule."""
+
+    def test_matches_the_plain_halving_loop(self, monkeypatch):
+        rounds = []
+        halving_loop = homotopy_module._halving_loop
+
+        def counted(*args):
+            rounds.append(args[-1] if len(args) == 5 else None)
+            return halving_loop(*args)
+
+        monkeypatch.setattr(homotopy_module, "_halving_loop", counted)
+        rng = random.Random(13)
+        outcomes = set()
+        for _ in range(240):
+            sigma, domain, refinements = _random_containment_case(rng)
+            outcomes.add(type(_same_containment(sigma, domain, refinements)).__name__)
+        # the draws reach certificates, refusals and skipped levels
+        assert outcomes == {"ContainmentCertificate", "tuple"}
+        assert sum(upper is not None for upper in rounds) >= 50
+
+    def test_sweeping_outside_on_the_coarse_grid(self):
+        # M <= 0: nothing is skipped, and the first net refuses
+        sigma = linear_homotopy(circle(radius=1.0), circle(radius=3.0))
+        assert homotopy_module._coarse_grid(sigma, WIDE_ANNULUS)[1] <= 0
+        assert "sweeps outside" in _same_containment(sigma, WIDE_ANNULUS, 8)[1]
+
+    @staticmethod
+    def _spiked_square(tip):
+        # a square with a spike at x = 1/32, between the coarse grid's points
+        g = square(2.0)
+        xs = np.arange(65) / 64
+        verts = g.values(xs)
+        verts[2] = tip
+        return PiecewisePath.from_vertices(verts, xs, closed=True)
+
+    def test_sweeping_outside_between_coarse_points(self):
+        # M > 0 and no level skipped in a roomy disk: the first net sees the spike
+        sigma = star_null_homotopy(self._spiked_square(40.0 + 0j), 0j)
+        domain = Disk(0j, 20.0)
+        diameter, upper = homotopy_module._coarse_grid(sigma, domain)
+        assert upper >= homotopy_module._NET_SKIP * 0.05 * diameter
+        assert "sweeps outside" in _same_containment(sigma, domain, 8)[1]
+
+    def test_sweeping_outside_that_the_coarse_grid_misses(self):
+        # M > 0 but small: levels are skipped, a finer net refuses, and the
+        # refusal replays every level to name the plain loop's first one
+        sigma = star_null_homotopy(self._spiked_square(2.0 + 0j), 0j)
+        domain = Disk(0j, 1.5)
+        diameter, upper = homotopy_module._coarse_grid(sigma, domain)
+        assert 0 < upper < homotopy_module._NET_SKIP * 0.05 * diameter
+        refusal = _same_containment(sigma, domain, 8)
+        assert "sweeps outside" in refusal[1] and refusal[2] == 0.05 * diameter
+
+    def test_budget_exceeded(self):
+        # a margin of 1e-6 needs eta near 1e-7, far past the net budget
+        sigma = linear_homotopy(circle(radius=1.0), circle(radius=1.5))
+        assert "sampling budget" in _same_containment(sigma, Annulus(0j, 1.0 - 1e-6, 2.0), 40)[1]
+
+    def test_refinements_exhausted(self):
+        sigma = linear_homotopy(circle(radius=1.0), circle(radius=1.5))
+        assert "after 2 refinements" in _same_containment(sigma, Annulus(0j, 0.99, 2.0), 2)[1]
+
+
+class TestChainWork:
+    """One chain build does a fixed number of array passes."""
+
+    def test_each_end_path_evaluated_at_most_three_times(self, monkeypatch):
+        # the coarse grid, one net round and the shared partition
+        g0, g1 = circle(radius=1.0), circle(radius=1.2)
+        calls = {id(g0): 0, id(g1): 0}
+        values = PiecewisePath.values
+
+        def counted(self, xs):
+            if id(self) in calls:
+                calls[id(self)] += 1
+            return values(self, xs)
+
+        monkeypatch.setattr(PiecewisePath, "values", counted)
+        build_chain(linear_homotopy(g0, g1), g0, g1, Annulus(0j, 0.8, 1.4))
+        assert calls[id(g0)] <= 3 and calls[id(g1)] <= 3
+
+    @staticmethod
+    def _corrupt_gaps(monkeypatch, corrupt):
+        gaps = homotopy_module._consecutive_gaps
+
+        def corrupted(rows):
+            lo, hi = gaps(rows)
+            corrupt(lo, hi)
+            return lo, hi
+
+        monkeypatch.setattr(homotopy_module, "_consecutive_gaps", corrupted)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda lo, hi: hi.__setitem__(2, lo[2] - 1.0),
+        lambda lo, hi: lo.__setitem__(2, np.nan),
+        lambda lo, hi: hi.__setitem__(2, np.inf),
+    ], ids=["inverted", "nan-lo", "inf-hi"])
+    def test_bad_pair_bound_refused(self, monkeypatch, corrupt):
+        g0, g1 = circle(radius=1.0), circle(radius=2.0)
+        self._corrupt_gaps(monkeypatch, corrupt)
+        with pytest.raises(ValueError):
+            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
+
+    def test_violation_names_the_lowest_failing_pair(self, monkeypatch):
+        g0, g1 = circle(radius=1.0), circle(radius=2.0)
+
+        def corrupt(lo, hi):
+            lo[[5, 3]] = hi[[5, 3]] = 1e3
+
+        self._corrupt_gaps(monkeypatch, corrupt)
+        with pytest.raises(CertificateViolation, match="exact sup-distance .* for pair 3;"):
+            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
+
+    def test_pair_bound_arrays_checked_once(self):
+        assert Bounds.from_arrays([0.0, 1.0], [0.5, 1.0]) == [Bounds(0.0, 0.5), Bounds(1.0, 1.0)]
+        for lo, hi in (([0.0, 2.0], [1.0, 1.0]), ([0.0, np.nan], [1.0, 1.0]),
+                       ([0.0, 0.0], [1.0, np.inf])):
+            with pytest.raises(ValueError):
+                Bounds.from_arrays(lo, hi)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            consecutive_polyline_distances(np.array([[0j, 1 + 0j], [np.inf + 0j, 1 + 0j]]))
