@@ -33,18 +33,14 @@ from .geometry import (
     dist_to_carrier,
     dist_to_complement,
     inflate_contains,
+    margin_certificate,
     well_contained,
 )
 from .paths import (
     ArcSegment,
-    ClosedPath,
     LineSegment,
-    LipschitzModulus,
-    Modulus,
-    Path,
     PiecewisePath,
     SmoothSegment,
-    TabulatedModulus,
     carrier_of_path,
     certified_clearance,
     certified_clearances,
@@ -59,11 +55,26 @@ from .paths import (
     sup_distance,
 )
 from .approx import PolygonalApproximation, polygonal_approximation
-from .expressions import AnalyticFunction, eval_function, parse_function
+from .expressions import (
+    Add,
+    AnalyticFunction,
+    Const,
+    Cos,
+    Div,
+    Exp,
+    Expr,
+    Mul,
+    Pow,
+    Sin,
+    Sub,
+    Var,
+    parse_function,
+)
 from .homotopy import (
     Chain,
     ChainCertificate,
     Homotopy,
+    PairBound,
     build_chain,
     homotopy_carrier,
     linear_homotopy,
@@ -79,6 +90,7 @@ from .verify import (
     VerificationReport,
     verify_homotopy_invariance,
     verify_null_homotopic,
+    verify_star_homotopy,
     winding_number,
 )
 

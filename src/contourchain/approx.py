@@ -2,17 +2,22 @@
 
 Sample the path at a partition and connect the samples by straight segments;
 the polyline is uniformly within 2*eps/3 of the path, and that sharper
-constant is what the certificate carries.  The input selects the partition:
+constant is what the certificate carries.  Every breakpoint of the path is a
+vertex, and one rule (``panel_counts``) splits each piece between
+breakpoints, of width w, into equal panels:
 
-* Second order, for a piecewise path whose every segment bounds |z''| (lines,
-  arcs, ellipses and the slices of their linear blends).  Each C^2 piece of
-  width w with bound M2 gets floor(w * sqrt(3*M2 / (16*eps))) + 1 equal
-  panels, so every panel width h has M2*h^2/8 < 2*eps/3.  The chord on a
-  panel inside one C^2 piece is within M2*h^2/8 of the path, so every piece
-  breakpoint is a vertex.  A straight piece gets a single panel.
-* First order, for any other path, which carries only a modulus delta: a
-  uniform partition finer than delta(eps/3).  On each panel the value stays
-  within eps/3 of the left vertex and the chord stays within eps/3 of it too.
+* Second order, when every segment bounds |z''| (lines, arcs, ellipses).  A
+  piece with bound M2 gets floor(w * sqrt(3*M2 / (16*eps))) + 1 panels, so
+  every panel width h has M2*h^2/8 < 2*eps/3; the chord on a panel inside
+  one C^2 piece is within M2*h^2/8 of the path.  A straight piece gets a
+  single panel.
+* First order, otherwise, from the piece's bound L on |z'|:
+  floor(3*w*L/eps) + 1 panels, each narrower than eps/(3L).  On each panel
+  the value stays within eps/3 of the left vertex and the chord stays within
+  eps/3 of it too.
+
+``Homotopy.shared_vertices`` sizes the one partition of a linear blend's
+slices by the same rule, from the larger of its two end paths' bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEpsilon
-from .paths import Path, PiecewisePath, reparametrize_to_unit
+from .paths import PiecewisePath, reparametrize_to_unit
 
 __all__ = ["PolygonalApproximation", "polygonal_approximation"]
 
@@ -50,19 +55,16 @@ class PolygonalApproximation:
 def _require_budget(panels: float):
     if panels > _MAX_PANELS:
         raise InvalidEpsilon(
-            f"partition of {panels:.0f} panels exceeds the budget; eps too small for this path")
+            f"partition of {panels:.3g} panels exceeds the budget; eps too small for this path")
 
 
-def first_order_panels(delta) -> np.ndarray:
-    """floor(1/delta) + 1 uniform panels on [0, 1] for each modulus value
-    delta at eps/3, clipped below 1, so every panel is strictly narrower than delta."""
-    return np.floor(1.0 / np.minimum(delta, math.nextafter(1.0, 0.0))) + 1
-
-
-def second_order_panels(widths, m2, eps: float) -> np.ndarray:
-    """floor(w * sqrt(3*M2 / (16*eps))) + 1 equal panels on each piece of width
-    w whose |z''| is at most M2."""
-    return np.floor(widths * np.sqrt(3 * m2 / (16 * eps))) + 1
+def panel_counts(widths, first, second, eps: float) -> np.ndarray:
+    """Equal panels on each piece of width w: floor(w * sqrt(3*M2 / (16*eps))) + 1
+    from its |z''| bound M2 in ``second``, or, when ``second`` is None,
+    floor(3*w*L/eps) + 1 from its |z'| bound L in ``first``."""
+    if second is None:
+        return np.floor(3 * widths * first / eps) + 1
+    return np.floor(widths * np.sqrt(3 * second / (16 * eps))) + 1
 
 
 def partition_points(breaks: np.ndarray, counts) -> np.ndarray:
@@ -82,21 +84,19 @@ def partition_points(breaks: np.ndarray, counts) -> np.ndarray:
     return breaks[piece] + widths[piece] * step / counts[flat]
 
 
-def polygonal_approximation(f: Path, eps: float) -> PolygonalApproximation:
+def polygonal_approximation(f: PiecewisePath, eps: float) -> PolygonalApproximation:
     """Closed polyline g with g(0) = f(0) = g(1) bit-exactly and sup |f-g| <= 2*eps/3.
 
-    The second-order partition is used when f is a piecewise path with a
-    second-derivative bound on every segment, the first-order one otherwise.
+    The second-order partition is used when f has a second-derivative bound
+    on every segment, the first-order one otherwise.
     """
     eps = float(eps)
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
     f = reparametrize_to_unit(f)
-    m2 = f.second_derivative_bounds if isinstance(f, PiecewisePath) else None
-    if m2 is None:
-        xs = partition_points(np.array([0.0, 1.0]), first_order_panels(f.modulus.delta(eps / 3)))
-    else:
-        xs = partition_points(f.breakpoints, second_order_panels(np.diff(f.breakpoints), m2, eps))
+    counts = panel_counts(np.diff(f.breakpoints), f.derivative_bounds,
+                          f.second_derivative_bounds, eps)
+    xs = partition_points(f.breakpoints, counts)
     verts = f.values(xs)
     if verts[-1] != verts[0]:
         raise ValueError("input path is not closed: f(0) != f(1)")

@@ -30,7 +30,7 @@ from .geometry import require_finite_complex
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Sin", "Cos",
-    "AnalyticFunction", "parse_function", "eval_function",
+    "AnalyticFunction", "parse_function",
 ]
 
 _DIV_FLOOR = 1e-14
@@ -391,8 +391,3 @@ def parse_function(text: str, singularities=()) -> AnalyticFunction:
         raise ParseError(f"trailing input {parser.cur.text!r}", parser.cur.pos,
                          {"operator", "end of input"})
     return AnalyticFunction(expr, tuple(singularities))
-
-
-def eval_function(f: AnalyticFunction, z: complex) -> complex:
-    """Evaluate at a single point, guarded against declared singularities."""
-    return complex(f.evaluate(require_finite_complex(z, "z")))

@@ -33,8 +33,6 @@ __all__ = [
     "dist_to_complement",
     "well_contained",
     "margin_certificate",
-    "require_finite_complex",
-    "require_finite_real",
 ]
 
 

@@ -15,14 +15,15 @@ with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
   halving of eta whose net could not clear 4 eta (M < 7.99 eta) is skipped
   unevaluated: one net round is the rule.
 * Members.  The partition takes, on each piece between breakpoints of either
-  end path, the larger of the two end paths' second-order panel counts at
-  eps/6 (or the first-order count at the larger Lipschitz bound when a piece
-  has no |z''| bound).  With P0 and P1 the end paths' values there, the
-  member at time t is the polyline through (1-t) P0 + t P1.  Interpolation
-  commutes with the blend, so it is the blend of the end paths' own
-  polylines and lies within eps/9 of the slice.  All interior members are
-  blended at once into one (k, m+1) vertex array, validated once, and each
-  member is a view of its row (``PiecewisePath.from_vertex_rows``).
+  end path, the panel count of ``approx.panel_counts`` at eps/6 for the
+  larger of the two end paths' bounds there (second order, or first order
+  when a piece has no |z''| bound).  With P0 and P1 the end paths' values
+  there, the member at time t is the polyline through (1-t) P0 + t P1.
+  Interpolation commutes with the blend, so it is the blend of the end
+  paths' own polylines and lies within eps/9 of the slice.  All interior
+  members are blended at once into one (k, m+1) vertex array, validated
+  once, and each member is a view of its row
+  (``PiecewisePath.from_vertex_rows``).
 * Time steps.  Two interior members differ by exactly |t - t'| |P1 - P0|,
   largest at a vertex.  With D+ that maximum rounded up, the end steps are
   min(eps/(6 D+), 1/2), so an end pair is within eps/9 + eps/6 < eps/3, and the
@@ -56,11 +57,7 @@ import numpy as np
 
 # perfbench/tracing.py wraps these layer functions under this module's name,
 # so they stay importable here even where build_chain no longer calls them
-from .approx import (  # noqa: F401
-    partition_points,
-    polygonal_approximation,
-    second_order_panels,
-)
+from .approx import panel_counts, partition_points, polygonal_approximation  # noqa: F401
 from .errors import (
     CertificateViolation,
     ContainmentNotCertified,
@@ -77,7 +74,6 @@ from .geometry import (  # noqa: F401
     well_contained,
 )
 from .paths import (  # noqa: F401
-    Path,
     PiecewisePath,
     _consecutive_gaps,
     constant_path,
@@ -116,16 +112,16 @@ class Homotopy:
     """Linear blend sigma(t, x) = (1 - t) gamma0(x) + t gamma1(x) of two closed
     piecewise paths on [0, 1], built by ``linear_homotopy``.
 
-    ``lipschitz`` = max(L0, L1) bounds every slice's Lipschitz constant in x.
-    ``slice_at(t)`` is the time-t slice as a piecewise path whose segments
-    carry the bounds its polygonal approximation reads.  ``shared_vertices``
-    gives the one partition on which all slices are approximated, with both
-    end paths' values there, and ``polygonal_slices`` the members built on it.
+    ``lipschitz`` = max(L0, L1) bounds every slice's Lipschitz constant in x,
+    and ``grid_values`` evaluates slices on a (t, x) grid.
+    ``shared_vertices`` gives the one partition on which all slices are
+    approximated, with both end paths' values there.
 
-    Slices are split at the union of both paths' breakpoints.  On each piece
-    both paths are single segments, so the slice's |z'| and |z''| are at most
-    (1-t) times gamma0's segment bound plus t times gamma1's; the slice gets
-    no second-derivative bound where either segment lacks one.
+    The partition splits [0, 1] at the union of both paths' breakpoints.  On
+    each piece both paths are single segments, so a slice's |z'| and |z''|
+    are at most (1-t) times gamma0's segment bound plus t times gamma1's, and
+    so at most the larger of the two, which sizes the piece's panels; no
+    |z''| bound is used when some segment of either path lacks one.
     """
 
     def __init__(self, gamma0: PiecewisePath, gamma1: PiecewisePath):
@@ -135,60 +131,30 @@ class Homotopy:
         self._breaks = np.union1d(gamma0.breakpoints, gamma1.breakpoints)
         mids = (self._breaks[:-1] + self._breaks[1:]) / 2
         (first0, second0), (first1, second1) = (_piece_bounds(g, mids) for g in (gamma0, gamma1))
-        self._first = (first0, first1)
-        self._second = None if second0 is None or second1 is None else (second0, second1)
-
-    def value(self, t: float, x: float) -> complex:
-        return complex(self.grid_values([t], [x])[0, 0])
+        self._first = np.maximum(first0, first1)
+        self._second = None if second0 is None or second1 is None else np.maximum(second0, second1)
 
     def grid_values(self, ts, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         return _blend(ts, self.gamma0.values(xs), self.gamma1.values(xs))
 
-    def slice_at(self, t: float) -> PiecewisePath:
-        t = float(t)
-        g0, g1 = self.gamma0, self.gamma1
-
-        def values(xs):
-            return (1.0 - t) * g0.values(xs) + t * g1.values(xs)
-
-        def derivatives(xs):
-            return (1.0 - t) * g0.eval_with_derivative(xs)[1] + t * g1.eval_with_derivative(xs)[1]
-
-        second = None if self._second is None else (1.0 - t) * self._second[0] + t * self._second[1]
-        return PiecewisePath.from_evaluator(values, derivatives, self._breaks,
-                                            (1.0 - t) * self._first[0] + t * self._first[1],
-                                            second, closed=True)
-
     def shared_vertices(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(xs, P0, P1): one partition of [0, 1] and both end paths' values on it.
 
-        Each piece between breakpoints gets the larger of the two end paths'
-        second-order panel counts at ``eps``, or, when a piece has no |z''|
-        bound, floor(3 w L / eps) + 1 panels for its width w and larger
-        Lipschitz bound L.  Either way the polyline through P0 (or P1) is
-        within 2 eps/3 of its path, and so the polyline through
-        (1-t) P0 + t P1 is within 2 eps/3 of ``slice_at(t)``.  The closing
+        Each piece between breakpoints gets ``panel_counts`` at ``eps`` for
+        the larger of the two end paths' bounds there.  The polyline through
+        P0 (or P1) is within 2 eps/3 of its path, and so the polyline through
+        (1-t) P0 + t P1 is within 2 eps/3 of the slice at t.  The closing
         value is snapped to the first, as a closed path's values are.
         """
         eps = float(eps)
         if not (math.isfinite(eps) and eps > 0):
             raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
-        widths = np.diff(self._breaks)
-        if self._second is None:
-            counts = np.floor(3 * widths * np.maximum(*self._first) / eps) + 1
-        else:
-            counts = second_order_panels(widths, np.maximum(*self._second), eps)
-        xs = partition_points(self._breaks, counts)
+        xs = partition_points(self._breaks,
+                              panel_counts(np.diff(self._breaks), self._first, self._second, eps))
         p0, p1 = self.gamma0.values(xs), self.gamma1.values(xs)
         p0[-1], p1[-1] = p0[0], p1[0]
         return xs, p0, p1
-
-    def polygonal_slices(self, ts, eps: float) -> list[PiecewisePath]:
-        """The polylines within 2 eps/3 of ``slice_at(t)`` for every t in
-        ``ts``, all on the partition of ``shared_vertices(eps)``."""
-        xs, p0, p1 = self.shared_vertices(eps)
-        return PiecewisePath.from_vertex_rows(_blend(ts, p0, p1), xs, closed=True)
 
 
 def _blend(ts, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -197,7 +163,7 @@ def _blend(ts, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     return np.outer(1.0 - ts, p0) + np.outer(ts, p1)
 
 
-def _check_end_path(path: Path, name: str):
+def _check_end_path(path: PiecewisePath, name: str):
     if not isinstance(path, PiecewisePath):
         raise TypeError(f"{name} must be a piecewise-differentiable path")
     if not path.is_closed:
@@ -326,7 +292,7 @@ class Chain:
         }
 
 
-def _check_endpoint_slices(sigma: Homotopy, gamma0: Path, gamma1: Path):
+def _check_endpoint_slices(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath):
     """Refuse end paths that differ from the homotopy's end slices beyond
     float noise.
 

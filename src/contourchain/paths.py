@@ -1,11 +1,12 @@
-"""Paths with explicit moduli of continuity and piecewise-differentiable paths.
+"""Piecewise-differentiable paths, each with its Lipschitz bound.
 
-Every path here is a uniformly continuous map from a compact parameter
-interval into the plane, carrying a modulus of continuity as data: delta(eps)
-such that parameter points closer than delta(eps) map to values closer than
-eps.  Piecewise paths are finite runs of continuously differentiable segments
-(lines, arcs, smooth parametric pieces); they are the only paths that can be
-integrated.
+A path is a finite run of continuously differentiable segments (lines, arcs,
+smooth parametric pieces) over contiguous spans of a compact parameter
+interval [a, b].  Every segment carries a bound on |z'|, and the largest of
+them, ``lipschitz_bound`` L, is the path's modulus of continuity as explicit
+data: parameter points closer than eps / L map to values closer than eps,
+and for L = 0 (a constant path) every step qualifies.  Sampling grids,
+eta-nets and sup-distance bounds all read that one number.
 
 Endpoint equality of closed paths is enforced by construction: evaluating a
 closed path at the right end of its interval returns the bit-exact left-end
@@ -15,7 +16,6 @@ value, so no closedness tolerance exists anywhere downstream.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -27,11 +27,6 @@ from .geometry import Bounds, CompactCarrier, require_finite_complex, require_fi
 from .geometry import _segment_point_distances
 
 __all__ = [
-    "Modulus",
-    "LipschitzModulus",
-    "TabulatedModulus",
-    "Path",
-    "ClosedPath",
     "LineSegment",
     "ArcSegment",
     "SmoothSegment",
@@ -60,157 +55,6 @@ _CLOSURE_NOISE = 1e-12
 # magnitude: a projected point, the difference and its modulus stay below 10 ulps.
 _POLYLINE_ROUNDING = 16 * np.finfo(np.float64).eps
 _MAX_CLEARANCE_NET = 200_000
-
-
-class Modulus:
-    """Monotone map eps -> delta(eps) witnessing uniform continuity."""
-
-    def delta(self, eps: float) -> float:
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "Modulus":
-        """Modulus with delta'(eps) = factor * delta(eps) (affine reparametrization)."""
-        raise NotImplementedError
-
-    @property
-    def lipschitz_constant(self) -> float | None:
-        """Lipschitz constant if this modulus is of Lipschitz form, else None."""
-        return None
-
-
-@dataclass(frozen=True)
-class LipschitzModulus(Modulus):
-    """delta(eps) = eps / L.  L = 0 encodes a constant map (delta infinite)."""
-
-    constant: float
-
-    def __post_init__(self):
-        require_finite_real(self.constant, "Lipschitz constant")
-        if self.constant < 0:
-            raise ValueError(f"Lipschitz constant must be nonnegative, got {self.constant}")
-
-    def delta(self, eps):
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if self.constant == 0:
-            return math.inf
-        return eps / self.constant
-
-    def scaled(self, factor):
-        return LipschitzModulus(self.constant / factor)
-
-    @property
-    def lipschitz_constant(self):
-        return self.constant
-
-
-@dataclass(frozen=True)
-class TabulatedModulus(Modulus):
-    """Monotone (eps, delta) samples with conservative floor lookup.
-
-    Between samples the delta of the nearest smaller eps is returned, which is
-    always safe.  Below the smallest sample, delta is scaled proportionally,
-    treating the map as Lipschitz at scales finer than the table resolves.
-    """
-
-    samples: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.samples:
-            raise ValueError("tabulated modulus needs at least one sample")
-        pts = tuple((require_finite_real(e, "eps"), require_finite_real(d, "delta")) for e, d in self.samples)
-        for (e0, d0), (e1, d1) in zip(pts, pts[1:]):
-            if not e0 < e1:
-                raise ValueError("eps samples must be strictly increasing")
-            if not d0 <= d1:
-                raise ValueError("delta samples must be nondecreasing")
-        if pts[0][0] <= 0 or any(d <= 0 for _, d in pts):
-            raise ValueError("all eps and delta samples must be positive")
-        object.__setattr__(self, "samples", pts)
-
-    def delta(self, eps):
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        eps_values = [e for e, _ in self.samples]
-        i = bisect_right(eps_values, eps) - 1
-        if i < 0:
-            e0, d0 = self.samples[0]
-            return d0 * (eps / e0)
-        return self.samples[i][1]
-
-    def scaled(self, factor):
-        return TabulatedModulus(tuple((e, d * factor) for e, d in self.samples))
-
-
-# ---------------------------------------------------------------------------
-# Paths
-# ---------------------------------------------------------------------------
-
-class Path:
-    """Uniformly continuous map [a, b] -> C with an explicit modulus."""
-
-    _a: float
-    _b: float
-    _modulus: Modulus
-
-    @property
-    def a(self) -> float:
-        return self._a
-
-    @property
-    def b(self) -> float:
-        return self._b
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self._a, self._b)
-
-    @property
-    def modulus(self) -> Modulus:
-        return self._modulus
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def value(self, x: float) -> complex:
-        return complex(self.values(np.array([float(x)], dtype=np.float64))[0])
-
-    def _check_range(self, xs: np.ndarray):
-        if xs.size and (xs.min() < self._a or xs.max() > self._b):
-            raise ValueError(f"parameter outside [{self._a}, {self._b}]")
-
-
-class ClosedPath(Path):
-    """Function-backed closed path.
-
-    The evaluator must accept numpy arrays and describe a mathematically closed
-    curve; evaluation at ``b`` is snapped to the bit-exact value at ``a`` so the
-    endpoint identity holds without any tolerance.
-    """
-
-    def __init__(self, a: float, b: float, evaluator, modulus: Modulus):
-        a = require_finite_real(a, "a")
-        b = require_finite_real(b, "b")
-        if not a < b:
-            raise ValueError(f"need a < b, got [{a}, {b}]")
-        self._a, self._b = a, b
-        self._evaluator = evaluator
-        self._modulus = modulus
-        start = complex(np.asarray(evaluator(np.array([a])), dtype=np.complex128).ravel()[0])
-        end = complex(np.asarray(evaluator(np.array([b])), dtype=np.complex128).ravel()[0])
-        require_finite_complex(start, "path start")
-        scale = max(1.0, abs(start), abs(end))
-        if abs(end - start) > _CLOSURE_NOISE * scale:
-            raise ValueError(
-                f"evaluator is not closed: endpoint gap {abs(end - start):.3g} exceeds float noise")
-        self._start = start
-
-    def values(self, xs):
-        xs = np.asarray(xs, dtype=np.float64)
-        self._check_range(xs)
-        out = np.asarray(self._evaluator(xs), dtype=np.complex128).reshape(xs.shape).copy()
-        out[xs == self._b] = self._start
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +273,6 @@ class _ArcArrays(NamedTuple):
     speed: np.ndarray
 
 
-def _segment_bounds(bounds, count: int, name: str) -> np.ndarray:
-    bounds = np.asarray(bounds, dtype=np.float64).ravel().copy()
-    if bounds.size != count:
-        raise ValueError(f"{name} needs one entry per segment ({count}), got {bounds.size}")
-    if not np.all(np.isfinite(bounds) & (bounds >= 0)):
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return bounds
-
-
 def _check_closures(starts: np.ndarray, ends: np.ndarray):
     """Refuse a closed path whose end is more than float noise from its start."""
     gaps = np.abs(ends - starts)
@@ -448,12 +283,13 @@ def _check_closures(starts: np.ndarray, ends: np.ndarray):
                          "exceeds float noise")
 
 
-class PiecewisePath(Path):
-    """Finite run of C^1 segments over contiguous parameter spans.
+class PiecewisePath:
+    """Finite run of C^1 segments over contiguous parameter spans [a, b].
 
     Consecutive segments must agree bit-exactly at shared breakpoints.  When
     ``closed`` is set, a float-noise gap at the closing point is snapped to the
-    exact start value; a larger gap is rejected.
+    exact start value; a larger gap is rejected.  ``lipschitz_bound``, the
+    largest per-segment bound on |z'|, is the path's modulus of continuity.
     """
 
     def __init__(self, segments, closed: bool = False):
@@ -479,12 +315,13 @@ class PiecewisePath(Path):
         start = segments[0].start_value
         end = segments[-1].end_value
         self._start = start
-        self._check_closure(start, end)
+        if self.closed and end != start:
+            _check_closures(np.array([start]), np.array([end]))
 
-        self._evaluators = None
         second = [s.second_derivative_bound for s in segments]
-        self._set_bounds(np.array([s.derivative_bound for s in segments], dtype=np.float64),
-                         None if None in second else np.array(second, dtype=np.float64))
+        self._first_bounds = np.array([s.derivative_bound for s in segments], dtype=np.float64)
+        self._second_bounds = None if None in second else np.array(second, dtype=np.float64)
+        self._lipschitz = require_finite_real(self._first_bounds.max(), "Lipschitz constant")
         self._all_lines = all(isinstance(s, LineSegment) for s in segments)
         self._arcs = None
         if self._all_lines:
@@ -529,7 +366,7 @@ class PiecewisePath(Path):
         lipschitz_bounds = first.max(axis=1)
         if not np.isfinite(lipschitz_bounds).all():
             raise ValueError("Lipschitz constant must be finite")
-        shared = {"_segments": None, "_evaluators": None, "closed": bool(closed),
+        shared = {"_segments": None, "closed": bool(closed),
                   "_a": float(breaks[0]), "_b": float(breaks[-1]), "_breaks": breaks,
                   "_s0": breaks[:-1], "_span": spans, "_second_bounds": np.zeros(spans.size),
                   "_all_lines": True, "_arcs": None}
@@ -544,64 +381,25 @@ class PiecewisePath(Path):
             paths.append(self)
         return paths
 
-    @classmethod
-    def from_evaluator(cls, evaluator, derivative, breakpoints: np.ndarray,
-                       derivative_bounds: np.ndarray, second_derivative_bounds=None,
-                       closed: bool = False) -> "PiecewisePath":
-        """Path given by one evaluator and its derivative over all of its
-        interval, C^1 (C^2 where second-derivative bounds are given) between
-        consecutive ``breakpoints``, with one bound per segment.
-
-        Both callables take numpy arrays of parameters and are evaluated once
-        per call, not once per segment; the segments materialize lazily as
-        ``SmoothSegment`` views of them.
-        """
-        breaks = np.asarray(breakpoints, dtype=np.float64).ravel().copy()
-        if breaks.size < 2 or not np.all(np.diff(breaks) > 0):
-            raise ValueError("need at least two strictly increasing breakpoints")
-        first = _segment_bounds(derivative_bounds, breaks.size - 1, "derivative_bounds")
-        second = None if second_derivative_bounds is None else _segment_bounds(
-            second_derivative_bounds, breaks.size - 1, "second_derivative_bounds")
-        self = cls.__new__(cls)
-        self._segments = None
-        self._evaluators = (evaluator, derivative)
-        self.closed = bool(closed)
-        self._a = float(breaks[0])
-        self._b = float(breaks[-1])
-        self._breaks = breaks
-        ends = np.asarray(evaluator(breaks[[0, -1]]), dtype=np.complex128).ravel()
-        start = require_finite_complex(ends[0], "path start")
-        self._start = start
-        self._check_closure(start, complex(ends[1]))
-        self._set_bounds(first, second)
-        self._all_lines = False
-        self._arcs = None
-        return self
-
-    def _set_bounds(self, first: np.ndarray, second: np.ndarray | None):
-        self._first_bounds, self._second_bounds = first, second
-        self._lipschitz = require_finite_real(first.max(), "Lipschitz constant")
-
-    def _check_closure(self, start: complex, end: complex):
-        if self.closed and end != start:
-            _check_closures(np.array([start]), np.array([end]))
-
     @property
     def segments(self) -> tuple:
         if self._segments is None:
             b = self._breaks
-            if self._evaluators is None:
-                self._segments = tuple(
-                    LineSegment(self._z0[k], self._z1[k], b[k], b[k + 1])
-                    for k in range(len(self._z0)))
-            else:
-                ev, der = self._evaluators
-                second = self._second_bounds
-                self._segments = tuple(
-                    SmoothSegment(ev, der, self._first_bounds[k], b[k], b[k + 1],
-                                  None if second is None else second[k])
-                    for k in range(self.num_segments))
+            self._segments = tuple(LineSegment(self._z0[k], self._z1[k], b[k], b[k + 1])
+                                   for k in range(len(self._z0)))
         return self._segments
+
+    @property
+    def a(self) -> float:
+        return self._a
+
+    @property
+    def b(self) -> float:
+        return self._b
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        return (self._a, self._b)
 
     @property
     def num_segments(self) -> int:
@@ -613,12 +411,8 @@ class PiecewisePath(Path):
 
     @property
     def lipschitz_bound(self) -> float:
+        """Largest per-segment bound on |z'|: |z(x) - z(x')| <= L |x - x'|."""
         return self._lipschitz
-
-    @property
-    def modulus(self) -> Modulus:
-        """The Lipschitz modulus of ``lipschitz_bound``, built on each read."""
-        return LipschitzModulus(self._lipschitz)
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -643,6 +437,10 @@ class PiecewisePath(Path):
         vals.append(self._start if self.closed else self.segments[-1].end_value)
         return np.array(vals, dtype=np.complex128)
 
+    def _check_range(self, xs: np.ndarray):
+        if xs.size and (xs.min() < self._a or xs.max() > self._b):
+            raise ValueError(f"parameter outside [{self._a}, {self._b}]")
+
     def _segment_indices(self, xs):
         """Index of the segment holding each x in [a, b]; b belongs to the last."""
         return np.searchsorted(self._breaks[1:-1], xs, side="right")
@@ -658,9 +456,7 @@ class PiecewisePath(Path):
     def values(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
         self._check_range(xs)
-        if self._evaluators is not None:
-            out = np.array(self._evaluators[0](xs), dtype=np.complex128).reshape(xs.shape)
-        elif self._all_lines:
+        if self._all_lines:
             idx = self._segment_indices(xs)
             u = (xs - self._s0[idx]) / self._span[idx]
             out = self._z0[idx] * (1.0 - u) + self._z1[idx] * u
@@ -680,16 +476,15 @@ class PiecewisePath(Path):
             out[xs == self._b] = self._start
         return out
 
+    def value(self, x: float) -> complex:
+        return complex(self.values(np.array([float(x)], dtype=np.float64))[0])
+
     def eval_with_derivative(self, xs):
         """Values and one-sided derivatives, vectorized; breakpoints take the
         right-hand segment's derivative."""
         xs = np.asarray(xs, dtype=np.float64)
         self._check_range(xs)
-        if self._evaluators is not None:
-            ev, der = self._evaluators
-            vals = np.array(ev(xs), dtype=np.complex128).reshape(xs.shape)
-            ders = np.asarray(der(xs), dtype=np.complex128).reshape(xs.shape)
-        elif self._all_lines:
+        if self._all_lines:
             idx = self._segment_indices(xs)
             u = (xs - self._s0[idx]) / self._span[idx]
             vals = self._z0[idx] * (1.0 - u) + self._z1[idx] * u
@@ -806,27 +601,35 @@ def constant_path(point: complex, interval=(0.0, 1.0)) -> PiecewisePath:
 # Operations
 # ---------------------------------------------------------------------------
 
+def _step(eps: float, lipschitz: float) -> float:
+    """eps / L: parameter points this close map within eps on an L-Lipschitz
+    path; on a constant path (L = 0) every step does."""
+    return eps / lipschitz if lipschitz else math.inf
+
+
 def _sample_grid(a: float, b: float, delta: float) -> np.ndarray:
-    span = b - a
-    steps = max(1, math.ceil(span / min(delta, span)))
+    span = float(b - a)
+    steps = span / min(delta, span)  # compared before ceil, which refuses inf
     if steps > _MAX_SAMPLES:
-        raise ValueError(f"sampling grid of {steps} points exceeds the budget; "
-                         "modulus too steep for the requested accuracy")
+        raise ValueError(f"sampling grid of {steps:.3g} steps exceeds the budget; "
+                         "Lipschitz bound too large for the requested accuracy")
+    steps = max(1, math.ceil(steps))
     xs = a + span * np.arange(steps + 1) / steps
     xs[0], xs[-1] = a, b
     return xs
 
 
-def carrier_of_path(path: Path, eta: float) -> CompactCarrier:
+def carrier_of_path(path: PiecewisePath, eta: float) -> CompactCarrier:
     """Eta-net of the closure of the path's range.
 
-    Samples at parameter steps no wider than delta(eta), so every point of the
-    curve is within eta of a sample, and every sample sits on the curve.
+    Samples at parameter steps no wider than eta / L for the path's Lipschitz
+    bound L, so every point of the curve is within eta of a sample, and every
+    sample sits on the curve.
     """
     eta = require_finite_real(eta, "eta")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    xs = _sample_grid(path.a, path.b, path.modulus.delta(eta))
+    xs = _sample_grid(path.a, path.b, _step(eta, path.lipschitz_bound))
     return CompactCarrier(path.values(xs), eta)
 
 
@@ -889,24 +692,24 @@ def _curved_clearance(path: PiecewisePath, pts: np.ndarray, required: float) -> 
         net = carrier_of_path(path, eta).net
         raw = min(float(np.abs(net - p).min()) for p in pts)
         if (raw - eta > required or raw <= required
-                or path.modulus.delta(eta / 4) * _MAX_CLEARANCE_NET < path.b - path.a):
+                or _step(eta / 4, path.lipschitz_bound) * _MAX_CLEARANCE_NET < path.b - path.a):
             return raw - eta
         eta /= 4
 
 
-def sup_distance(p: Path, q: Path, tol: float) -> Bounds:
+def sup_distance(p: PiecewisePath, q: PiecewisePath, tol: float) -> Bounds:
     """Certified bounds on sup |p - q| over the shared parameter interval.
 
-    The sampled maximum is a true lower bound; adding twice the modulus slack
-    at ``tol`` gives a rigorous upper bound, so ``hi - lo = 2 tol``.
+    Samples at steps no wider than tol / max(Lp, Lq), so each path moves by
+    at most tol between samples.  The sampled maximum is a true lower bound;
+    adding 2 tol gives a rigorous upper bound, so ``hi - lo = 2 tol``.
     """
     tol = require_finite_real(tol, "tol")
     if tol <= 0:
         raise InvalidEpsilon(f"tol must be positive, got {tol}")
     if p.interval != q.interval:
         raise MismatchedDomains(f"paths live on {p.interval} and {q.interval}")
-    delta = min(p.modulus.delta(tol), q.modulus.delta(tol))
-    xs = _sample_grid(p.a, p.b, delta)
+    xs = _sample_grid(p.a, p.b, _step(tol, max(p.lipschitz_bound, q.lipschitz_bound)))
     lo = float(np.abs(p.values(xs) - q.values(xs)).max())
     return Bounds(lo, lo + 2 * tol)
 
@@ -956,23 +759,14 @@ def _widened(exact: float, scale: float) -> Bounds:
     return Bounds(max(0.0, exact - slack), exact + slack)
 
 
-def reparametrize_to_unit(path: Path) -> Path:
+def reparametrize_to_unit(path: PiecewisePath) -> PiecewisePath:
     """Affine change of parameter onto [0, 1]; values and carrier are unchanged."""
     a, b = path.interval
     if (a, b) == (0.0, 1.0):
         return path
-    span = b - a
-    if isinstance(path, PiecewisePath):
-        new_breaks = (path.breakpoints - a) / span
-        new_breaks[0], new_breaks[-1] = 0.0, 1.0
-        if path._all_lines:
-            return PiecewisePath.from_vertices(path.vertices(), new_breaks, closed=path.closed)
-        segs = [seg.with_span(new_breaks[k], new_breaks[k + 1])
-                for k, seg in enumerate(path.segments)]
-        return PiecewisePath(segs, closed=path.closed)
-    inner = path
-
-    def ev(xs):
-        return inner.values(np.clip(a + span * np.asarray(xs, dtype=np.float64), a, b))
-
-    return ClosedPath(0.0, 1.0, ev, path.modulus.scaled(1.0 / span))
+    new_breaks = (path.breakpoints - a) / (b - a)
+    new_breaks[0], new_breaks[-1] = 0.0, 1.0
+    if path._all_lines:
+        return PiecewisePath.from_vertices(path.vertices(), new_breaks, closed=path.closed)
+    segs = [seg.with_span(new_breaks[k], new_breaks[k + 1]) for k, seg in enumerate(path.segments)]
+    return PiecewisePath(segs, closed=path.closed)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from contourchain import circle, ellipse, polyline, square
+from contourchain import PiecewisePath, SmoothSegment, circle, ellipse, polyline, square
 
 
 def random_builtin_path(rng: random.Random):
@@ -34,6 +34,12 @@ def random_polyline(rng: random.Random, n_vertices: int, radius: float = 1.0,
     return polyline(verts, closed=True)
 
 
+def without_curvature_bound(path):
+    """``path`` with every segment a smooth segment that carries no |z''| bound."""
+    return PiecewisePath([SmoothSegment(s.values_at, s.derivatives_at, s.derivative_bound,
+                                        s.s0, s.s1) for s in path.segments], closed=True)
+
+
 def _dense_grid(p, n: int) -> np.ndarray:
     a, b = p.interval
     return a + (b - a) * np.arange(n + 1) / n
@@ -53,15 +59,25 @@ def dense_sup_upper(p, q, n: int = 10_000) -> float:
     """Certified upper bound on sup |p - q| from the same grid as ``dense_sup``.
 
     Every parameter lies within h/2 of a grid point, where h is the widest
-    grid gap, and |p - q| is (L_p + L_q)-Lipschitz, so the sampled maximum
-    plus (L_p + L_q) * h / 2 bounds the sup.  Both moduli must be Lipschitz;
-    there is no uncertified fallback.
+    grid gap, and |p - q| is (L_p + L_q)-Lipschitz for the paths' Lipschitz
+    bounds, so the sampled maximum plus (L_p + L_q) * h / 2 bounds the sup.
     """
-    lips = (p.modulus.lipschitz_constant, q.modulus.lipschitz_constant)
-    if None in lips:
-        raise TypeError("dense_sup_upper needs paths with Lipschitz moduli")
     h = float(np.diff(_dense_grid(p, n)).max())
-    return dense_sup(p, q, n) + sum(lips) * h / 2
+    return dense_sup(p, q, n) + (p.lipschitz_bound + q.lipschitz_bound) * h / 2
+
+
+def slice_sup_upper(member, sigma, t: float, n: int) -> float:
+    """Certified upper bound on sup |member - slice of ``sigma`` at t|.
+
+    The slice's values on a grid of n + 1 points of [0, 1] are
+    ``sigma.grid_values([t], xs)``, and the slice is sigma.lipschitz-Lipschitz
+    in x, so the grid maximum plus (L_member + sigma.lipschitz) * h / 2 bounds
+    the sup, as in ``dense_sup_upper``.
+    """
+    xs = np.arange(n + 1) / n
+    gap = float(np.abs(member.values(xs) - sigma.grid_values([t], xs)[0]).max())
+    h = float(np.diff(xs).max())
+    return gap + (member.lipschitz_bound + sigma.lipschitz) * h / 2
 
 
 # Antiderivative oracles for the entire functions used in corollary tests:

@@ -6,8 +6,9 @@ import pytest
 from contourchain import (
     ArcSegment,
     InvalidEpsilon,
-    LipschitzModulus,
+    LineSegment,
     PiecewisePath,
+    SmoothSegment,
     circle,
     constant_path,
     ellipse,
@@ -17,7 +18,8 @@ from contourchain import (
     square,
     star_null_homotopy,
 )
-from conftest import dense_sup, dense_sup_upper, random_builtin_path
+from conftest import (dense_sup, dense_sup_upper, random_builtin_path, slice_sup_upper,
+                      without_curvature_bound)
 
 
 class TestConstantPath:
@@ -26,6 +28,17 @@ class TestConstantPath:
         assert np.all(result.path.vertices() == 1 - 2j)
         assert result.bound == pytest.approx(0.2)
         assert dense_sup_upper(constant_path(1 - 2j), result.path, 500) == 0.0
+
+    def test_zero_derivative_bound_without_curvature_bound(self):
+        # L = 0 and no |z''| bound: the first-order count floor(0) + 1 is one panel
+        seg = SmoothSegment(lambda xs: np.full(np.shape(xs), 1 - 2j),
+                            lambda xs: np.zeros(np.shape(xs), dtype=complex), 0.0, 0.0, 1.0)
+        f = PiecewisePath([seg], closed=True)
+        assert f.lipschitz_bound == 0.0 and f.second_derivative_bounds is None
+        result = polygonal_approximation(f, 1e-12)
+        assert result.num_segments == 1
+        assert np.all(result.path.vertices() == 1 - 2j)
+        assert dense_sup_upper(f, result.path, 500) == 0.0
 
 
 class TestUnitCircleExample:
@@ -87,21 +100,24 @@ class TestRefinement:
                 assert upper[k + 1] <= lower[k]
 
     def test_panel_count_formula(self):
-        # lipschitz values at or above the circle's own bound, so the probe
-        # modulus is exactly the requested one
-        for lip, eps in [(2 * math.pi, 0.3), (10.0, 0.02), (7.0, 2.5), (8.0, 30.0)]:
-            delta = min((eps / 3) / lip, math.nextafter(1.0, 0.0))
-            expected = math.floor(1.0 / delta) + 1
-            probe = _with_lipschitz(circle(), lip)
-            assert polygonal_approximation(probe, eps).num_segments == expected
-
-
-def _with_lipschitz(path, lip):
-    """Same geometry, deliberately coarser modulus (only ever more conservative)."""
-    from contourchain import ClosedPath
-
-    conservative = max(lip, path.lipschitz_bound)
-    return ClosedPath(0.0, 1.0, path.values, LipschitzModulus(conservative))
+        # pieces with no |z''| bound get floor(3 w L / eps) + 1 panels each,
+        # from their own width w and |z'| bound L; a large eps leaves one
+        f = without_curvature_bound(circle(radius=1.3))
+        for eps in [0.3, 0.02, 2.5, 30.0]:
+            expected = sum(math.floor(3 * (s.s1 - s.s0) * s.derivative_bound / eps) + 1
+                           for s in f.segments)
+            result = polygonal_approximation(f, eps)
+            assert result.num_segments == expected
+            assert np.all(np.isin(f.breakpoints, result.path.breakpoints))
+            assert dense_sup_upper(f, result.path, 100_000) <= result.bound
+        # a straight piece next to a curved one still takes the first-order count
+        quarter = ArcSegment(0j, 1.0, 0.0, math.pi / 2, 0.0, 0.5)
+        back = LineSegment(quarter.end_value, quarter.start_value, 0.5, 1.0)
+        mixed = without_curvature_bound(PiecewisePath([quarter, back], closed=True))
+        line_speed = abs(back.z1 - back.z0) / 0.5
+        expected = (math.floor(3 * 0.5 * quarter.derivative_bound / 0.01) + 1
+                    + math.floor(3 * 0.5 * line_speed / 0.01) + 1)
+        assert polygonal_approximation(mixed, 0.01).num_segments == expected
 
 
 def _second_order_panels(width, m2, eps):
@@ -151,11 +167,13 @@ class TestSecondOrderRule:
     ], ids=["circle-ellipse", "square-circle", "star-square"])
     @pytest.mark.parametrize("eps", [0.1, 0.02])
     def test_certified_upper_oracle_on_homotopy_slices(self, sigma, eps):
+        # a slice's polyline blends the end paths' values on the shared partition
+        xs, p0, p1 = sigma.shared_vertices(eps)
+        for g in (sigma.gamma0, sigma.gamma1):
+            assert np.all(np.isin(g.breakpoints, xs))
         for t in [0.25, 0.5, 0.9]:
-            f = sigma.slice_at(t)
-            g = polygonal_approximation(f, eps)
-            assert np.all(np.isin(f.breakpoints, g.path.breakpoints))
-            assert dense_sup_upper(f, g.path, 100_000) <= g.bound
+            member = PiecewisePath.from_vertices((1 - t) * p0 + t * p1, xs, closed=True)
+            assert slice_sup_upper(member, sigma, t, 100_000) <= 2 * eps / 3
 
 
 class TestValidation:

@@ -148,8 +148,13 @@ def test_parity_rows_cover_every_path_kind():
     (["approx", "--path", "unit_circle", "--eps", "0.1"], EXIT_OK, "segments: 12"),
     (["approx", "--path", "hexagon", "--eps", "0.1"], EXIT_USAGE, "unknown path 'hexagon'"),
     (["approx", "--path", "unit_circle", "--eps", "-1"], EXIT_USAGE, "eps must be a positive"),
+    (["approx", "--path", "circle(1)", "--eps", "1e-300"], EXIT_USAGE,
+     "error: partition of 2.72e+150 panels exceeds the budget; eps too small for this path\n"),
     (["carrier", "--path", "square(2)", "--eta", "0.1"], EXIT_OK, "net points: 81"),
     (["carrier", "--path", "square(2)", "--eta", "0"], EXIT_USAGE, "eta must be positive"),
+    (["carrier", "--path", "circle(1)", "--eta", "1e-320"], EXIT_USAGE,
+     "error: sampling grid of inf steps exceeds the budget; "
+     "Lipschitz bound too large for the requested accuracy\n"),
     (["integrate", "--f", "1/z", "--poles", "0", "--path", "unit_circle"], EXIT_OK,
      "6.283185307179586"),
     (["integrate", "--f", "1/", "--path", "unit_circle"], EXIT_USAGE, "unexpected token"),

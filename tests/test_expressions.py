@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contourchain import NearSingularity, ParseError, eval_function, parse_function
+from contourchain import NearSingularity, ParseError, parse_function
 from contourchain.expressions import (
     Add,
     AnalyticFunction,
@@ -85,15 +85,15 @@ class TestParsing:
 class TestEvaluation:
     def test_square_of_one_plus_i(self):
         # (1+i)^2 = 2i, exact in floats
-        assert eval_function(parse_function("z^2"), 1 + 1j) == 2j
+        assert parse_function("z^2").evaluate(1 + 1j) == 2j
 
     def test_reciprocal(self):
-        assert eval_function(parse_function("1/z", [0j]), 2 + 0j) == 0.5
+        assert parse_function("1/z", [0j]).evaluate(2 + 0j) == 0.5
 
     def test_euler_identity(self):
         # exp(i pi) = -1 via the library exponential
         f = parse_function(f"exp({math.pi!r}i)")
-        assert abs(eval_function(f, 0j) + 1) <= 1e-15
+        assert abs(f.evaluate(0j) + 1) <= 1e-15
 
     def test_vectorized_evaluation(self):
         f = parse_function("z^2 + 1", [])
@@ -103,22 +103,25 @@ class TestEvaluation:
     def test_near_declared_singularity_rejected(self):
         f = parse_function("1/z", [0j])
         with pytest.raises(NearSingularity):
-            eval_function(f, 1e-13 + 0j)
+            f.evaluate(1e-13 + 0j)
 
     def test_division_guard_without_declaration(self):
         f = parse_function("1/z")
         with pytest.raises(NearSingularity):
-            eval_function(f, 1e-15 + 0j)
+            f.evaluate(1e-15 + 0j)
 
     def test_negative_power_guard(self):
         f = AnalyticFunction(Pow(Var(), -2), (0j,))
-        assert eval_function(f, 2 + 0j) == 0.25
+        assert f.evaluate(2 + 0j) == 0.25
         with pytest.raises(NearSingularity):
-            eval_function(f, 1e-15 + 0j)
+            f.evaluate(1e-15 + 0j)
 
     def test_nonfinite_input_rejected(self):
-        with pytest.raises(ValueError):
-            eval_function(parse_function("z"), complex("inf"))
+        # the non-finite inputs a function takes are its constants and declared poles
+        with pytest.raises(ValueError, match="finite"):
+            parse_function("z", [complex("inf")])
+        with pytest.raises(ValueError, match="finite"):
+            Const(complex("nan"))
 
 
 # strategy for trees the parser itself can produce

@@ -19,7 +19,6 @@ from contourchain import (
     PiecewisePath,
     PuncturedPlane,
     Rectangle,
-    SmoothSegment,
     build_chain,
     circle,
     consecutive_polyline_distances,
@@ -39,7 +38,8 @@ from contourchain import (
 from contourchain import homotopy as homotopy_module
 from contourchain import paths as paths_module
 from contourchain.geometry import margin_certificate
-from conftest import dense_sup, dense_sup_upper, random_polyline
+from conftest import (dense_sup, dense_sup_upper, random_polyline, slice_sup_upper,
+                      without_curvature_bound)
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -49,19 +49,18 @@ class TestStarHomotopy:
     def test_constant_input_stays_constant(self):
         center = 1 - 1j
         sigma = star_null_homotopy(constant_path(center), center)
-        for t in [0.0, 0.3, 1.0]:
-            assert sigma.value(t, 0.5) == center
+        assert np.all(sigma.grid_values([0.0, 0.3, 1.0], [0.5]) == center)
 
     def test_circle_slices_shrink(self):
         sigma = star_null_homotopy(circle(), 0j)
         # slice at t = 0.5 is the circle of radius 0.5
         xs = np.linspace(0, 1, 64)
         expected = 0.5 * np.exp(2j * math.pi * xs)
-        assert np.abs(sigma.slice_at(0.5).values(xs) - expected).max() < 1e-12
+        assert np.abs(sigma.grid_values([0.5], xs)[0] - expected).max() < 1e-12
 
     def test_final_slice_is_constant(self):
         sigma = star_null_homotopy(circle(), 0.25j)
-        assert sigma.value(1.0, 0.7) == 0.25j
+        assert sigma.grid_values([1.0], [0.7])[0, 0] == 0.25j
         assert sigma.gamma1.value(0.3) == 0.25j
 
     def test_grid_matches_pointwise(self):
@@ -69,9 +68,10 @@ class TestStarHomotopy:
         ts = np.array([0.0, 0.4, 1.0])
         xs = np.array([0.0, 0.3, 0.9])
         grid = sigma.grid_values(ts, xs)
+        g0, g1 = sigma.gamma0, sigma.gamma1
         for i, t in enumerate(ts):
             for j, x in enumerate(xs):
-                assert grid[i, j] == sigma.value(float(t), float(x))
+                assert grid[i, j] == (1 - t) * g0.value(x) + t * g1.value(x)
 
 
 class TestLinearHomotopy:
@@ -79,20 +79,18 @@ class TestLinearHomotopy:
         g = circle()
         sigma = linear_homotopy(g, g)
         xs = np.linspace(0, 1, 50)
-        for t in [0.0, 0.5, 1.0]:
-            assert np.abs(sigma.slice_at(t).values(xs) - g.values(xs)).max() == 0.0
+        assert np.abs(sigma.grid_values([0.0, 0.5, 1.0], xs) - g.values(xs)).max() == 0.0
 
     def test_circle_blend_radius(self):
         sigma = linear_homotopy(circle(radius=1.0), circle(radius=1.5))
         xs = np.linspace(0, 1, 32)
         expected = 1.25 * np.exp(2j * math.pi * xs)
-        assert np.abs(sigma.slice_at(0.5).values(xs) - expected).max() < 1e-12
+        assert np.abs(sigma.grid_values([0.5], xs)[0] - expected).max() < 1e-12
 
     def test_circle_square_blend_slices_are_closed(self):
         sigma = linear_homotopy(circle(), square(2.0))
-        for t in np.linspace(0, 1, 9):
-            s = sigma.slice_at(float(t))  # construction enforces closedness
-            assert s.value(0.0) == s.value(1.0)
+        ends = sigma.grid_values(np.linspace(0, 1, 9), [0.0, 1.0])
+        assert np.array_equal(ends[:, 0], ends[:, 1])
 
     def test_mismatched_intervals_rejected(self):
         with pytest.raises(MismatchedDomains):
@@ -103,20 +101,22 @@ class TestLinearHomotopy:
             linear_homotopy(circle(), polyline([1 + 0j, 1j, -1 + 0j], closed=False))
 
     def test_slice_pieces_blend_the_segment_bounds(self):
-        # triangle breakpoints 0, 1/3, 2/3, 1 and quarter arcs: six pieces
+        # triangle breakpoints 0, 1/3, 2/3, 1 and quarter arcs: six pieces.  A
+        # slice's |z''| on a piece is at most (1-t) 0 + t M2 <= M2, the arc's
+        # bound, so each piece of the shared partition takes the arc's panels
         g0 = polyline([1 + 0j, -0.5 + 0.8j, -0.5 - 0.8j])
         g1 = circle(radius=1.5)
-        t = 0.3
-        piece = linear_homotopy(g0, g1).slice_at(t)
-        assert np.array_equal(piece.breakpoints, np.union1d(g0.breakpoints, g1.breakpoints))
-        assert piece.num_segments == 6
-        owner0 = np.searchsorted(g0.breakpoints, piece.breakpoints[:-1], side="right") - 1
-        line_speed = np.abs(np.diff(g0.vertices())) * 3
-        arc_speed, arc_curvature = 1.5 * 2 * math.pi, 1.5 * (2 * math.pi) ** 2
-        assert np.allclose(piece.derivative_bounds,
-                           (1 - t) * line_speed[owner0] + t * arc_speed, rtol=1e-14)
-        assert np.allclose(piece.second_derivative_bounds, t * arc_curvature, rtol=1e-14)
-        assert piece.lipschitz_bound == piece.derivative_bounds.max()
+        sigma = linear_homotopy(g0, g1)
+        breaks = np.union1d(g0.breakpoints, g1.breakpoints)
+        assert breaks.size == 7
+        arc_curvature = 1.5 * (2 * math.pi) ** 2
+        for eps in [0.5, 0.05]:
+            xs, _, _ = sigma.shared_vertices(eps)
+            assert np.all(np.isin(breaks, xs))
+            counts = np.diff(np.searchsorted(xs, breaks))
+            widths = np.diff(breaks)
+            assert counts.tolist() == [math.floor(w * math.sqrt(3 * arc_curvature / (16 * eps))) + 1
+                                       for w in widths]
 
     def test_endpoint_slices_exact(self):
         g0, g1 = circle(), ellipse(2.0, 1.0)
@@ -126,11 +126,15 @@ class TestLinearHomotopy:
         assert np.abs(sigma.grid_values([1.0], xs)[0] - g1.values(xs)).max() == 0.0
 
 
-def _ellipse_without_curvature_bound(a, b):
-    """ellipse(a, b) whose single segment carries no |z''| bound."""
-    seg = ellipse(a, b).segments[0]
-    return PiecewisePath([SmoothSegment(seg.evaluator, seg.derivative, seg.derivative_bound,
-                                        seg.s0, seg.s1)], closed=True)
+def _oracle_points(member, sigma, tol):
+    """Grid size at which ``slice_sup_upper`` adds at most 2 tol of slack."""
+    return math.ceil((member.lipschitz_bound + sigma.lipschitz) / (4 * tol))
+
+
+def _members(sigma, ts, eps):
+    """The polylines through (1 - t) P0 + t P1 on ``shared_vertices(eps)``, one per t."""
+    xs, p0, p1 = sigma.shared_vertices(eps)
+    return PiecewisePath.from_vertex_rows(homotopy_module._blend(ts, p0, p1), xs, closed=True)
 
 
 class TestPolygonalSlices:
@@ -140,7 +144,7 @@ class TestPolygonalSlices:
         lambda: linear_homotopy(circle(), ellipse(2.0, 1.0)),
         lambda: linear_homotopy(square(2.0), circle(radius=1.8)),
         lambda: star_null_homotopy(square(2.0, center=0.1 + 0.1j), 0.1 + 0.1j),
-        lambda: linear_homotopy(_ellipse_without_curvature_bound(1.0, 0.9), circle(radius=1.4)),
+        lambda: linear_homotopy(without_curvature_bound(ellipse(1.0, 0.9)), circle(radius=1.4)),
     ], ids=["circle-ellipse", "square-circle", "star-square", "no-curvature-bound"])
     @pytest.mark.parametrize("eps", [0.1, 0.005])
     def test_same_polylines_as_one_slice_at_a_time(self, make, eps):
@@ -149,30 +153,35 @@ class TestPolygonalSlices:
         xs, p0, p1 = sigma.shared_vertices(eps)
         assert np.all(np.isin(sigma.gamma0.breakpoints, xs))
         assert np.all(np.isin(sigma.gamma1.breakpoints, xs))
-        batch = sigma.polygonal_slices(ts, eps)
+        batch = _members(sigma, ts, eps)
         assert len(batch) == ts.size
         for t, member in zip(ts, batch):
-            single = sigma.polygonal_slices([t], eps)[0]
+            single = _members(sigma, [t], eps)[0]
             assert np.array_equal(member.breakpoints, xs)
             assert np.array_equal(member.vertices(), (1 - t) * p0 + t * p1)
             assert np.array_equal(member.vertices(), single.vertices())
         # each member is within 2 eps / 3 of its slice, by a certified upper bound
         for t, member in zip(ts[::5], batch[::5]):
-            assert sup_distance(member, sigma.slice_at(t), eps / 1000).hi <= 2 * eps / 3
+            assert slice_sup_upper(member, sigma, t, _oracle_points(member, sigma, eps / 1000)) \
+                <= 2 * eps / 3
 
     def test_no_curvature_bound_takes_the_first_order_rule(self):
-        sigma = linear_homotopy(_ellipse_without_curvature_bound(1.0, 0.9), circle(radius=1.4))
-        member = sigma.polygonal_slices([0.5], 0.01)[0]
+        outer = circle(radius=1.4)
+        sigma = linear_homotopy(without_curvature_bound(ellipse(1.0, 0.9)), outer)
+        xs, _, _ = sigma.shared_vertices(0.01)
         # four quarter-arc pieces, each at the larger end path's Lipschitz bound
         lipschitz = 2 * math.pi * 1.4
-        assert member.num_segments == 4 * (math.floor(3 * 0.25 * lipschitz / 0.01) + 1)
+        assert xs.size - 1 == 4 * (math.floor(3 * 0.25 * lipschitz / 0.01) + 1)
+        # the rule of one path's polygonal approximation, at the same bounds
+        single = polygonal_approximation(without_curvature_bound(outer), 0.01)
+        assert np.array_equal(single.path.breakpoints, xs)
 
     def test_panel_budget_refused_like_one_slice(self):
         sigma = linear_homotopy(circle(), ellipse(2.0, 1.0))
         with pytest.raises(InvalidEpsilon, match="exceeds the budget"):
-            polygonal_approximation(sigma.slice_at(0.5), 1e-14)
+            polygonal_approximation(sigma.gamma1, 1e-14)
         with pytest.raises(InvalidEpsilon, match="exceeds the budget"):
-            sigma.polygonal_slices([0.25, 0.5], 1e-14)
+            sigma.shared_vertices(1e-14)
 
 
 class TestHomotopyCarrier:
@@ -473,7 +482,7 @@ class TestTimePartition:
             assert steps >= 2
             end = ts[1]
             coarser = end + (1 - 2 * end) * np.arange(steps) / (steps - 1)
-            members = sigma.polygonal_slices(coarser, eps / 6)
+            members = _members(sigma, coarser, eps / 6)
             worst = max(polyline_sup_distance(p, q).hi for p, q in zip(members, members[1:]))
             assert worst > eps / 2
             assert all(e.sampled.hi <= eps / 2 for e in chain.certificate.entries[1:-1])
@@ -485,7 +494,8 @@ class TestTimePartition:
             for t, member in zip(chain.partition[1:-1], chain.members[1:-1]):
                 assert np.array_equal(member.breakpoints, xs)
                 assert np.array_equal(member.vertices(), (1 - t) * p0 + t * p1)
-                assert sup_distance(member, sigma.slice_at(t), eps / 2000).hi <= eps / 9
+                n = _oracle_points(member, sigma, eps / 2000)
+                assert slice_sup_upper(member, sigma, t, n) <= eps / 9
 
     def test_constant_homotopy_takes_one_interior_member(self):
         g = ellipse(2.0, 1.0)
@@ -538,9 +548,7 @@ class TestEndpointCheckScale:
         # a foreign end with no |z''| bound keeps the Lipschitz chord slack
         g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
         moved = circle(center + 1e-14 * (abs(center) + radius), radius)
-        noisy = PiecewisePath.from_evaluator(
-            moved.values, lambda xs: moved.eval_with_derivative(xs)[1], moved.breakpoints,
-            moved.derivative_bounds, closed=True)
+        noisy = without_curvature_bound(moved)
         seen = []
 
         def recorded(xs):

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from contourchain import (
     ArcSegment,
     Bounds,
-    ClosedPath,
     LineSegment,
-    LipschitzModulus,
     MismatchedDomains,
     PiecewisePath,
     SmoothSegment,
-    TabulatedModulus,
     carrier_of_path,
     certified_clearance,
     certified_clearances,
@@ -33,44 +30,32 @@ from contourchain import (
     sup_distance,
 )
 from contourchain.geometry import _segment_point_distances
+from contourchain.paths import _step
 from conftest import dense_sup, dense_sup_upper, random_builtin_path, random_polyline
 
 
 class TestModulus:
+    """A path's modulus is its Lipschitz bound L: delta(eps) = eps / L."""
+
     def test_lipschitz_delta(self):
-        m = LipschitzModulus(4.0)
-        assert m.delta(1.0) == 0.25
-        assert m.delta(0.1) == pytest.approx(0.025)
-        assert m.lipschitz_constant == 4.0
+        p = square(2.0)  # four sides of length 2, each on a span of 1/4
+        assert p.lipschitz_bound == 8.0
+        assert _step(1.0, p.lipschitz_bound) == 0.125
+        assert _step(0.1, 4.0) == pytest.approx(0.025)
 
     def test_zero_constant_means_constant_map(self):
-        assert LipschitzModulus(0.0).delta(0.5) == math.inf
+        p = constant_path(2 - 1j)
+        assert p.lipschitz_bound == 0.0
+        assert _step(0.5, p.lipschitz_bound) == math.inf
+        # one step covers the whole interval, however fine the net
+        assert len(carrier_of_path(p, 1e-12)) == 2
 
     def test_scaled(self):
-        m = LipschitzModulus(4.0).scaled(0.5)
-        assert m.delta(1.0) == 0.125
-
-    def test_tabulated_floor_lookup(self):
-        m = TabulatedModulus(((0.1, 0.02), (1.0, 0.3)))
-        assert m.delta(0.5) == 0.02      # floor sample at eps = 0.1
-        assert m.delta(1.0) == 0.3
-        assert m.delta(5.0) == 0.3       # clamping above the table stays valid
-        assert m.delta(0.05) == pytest.approx(0.01)  # proportional below the table
-
-    def test_tabulated_monotone(self):
-        m = TabulatedModulus(((0.1, 0.02), (0.5, 0.1), (1.0, 0.3)))
-        eps = [0.01, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0]
-        ds = [m.delta(e) for e in eps]
-        assert all(d1 <= d2 for d1, d2 in zip(ds, ds[1:]))
-        assert all(d > 0 for d in ds)
-
-    def test_tabulated_validation(self):
-        with pytest.raises(ValueError):
-            TabulatedModulus(())
-        with pytest.raises(ValueError):
-            TabulatedModulus(((0.5, 0.1), (0.1, 0.02)))
-        with pytest.raises(ValueError):
-            TabulatedModulus(((0.1, 0.3), (0.5, 0.1)))
+        # onto [0, 1] from an interval twice as long: L doubles, delta halves
+        p = square(2.0, interval=(0.0, 2.0))
+        u = reparametrize_to_unit(p)
+        assert u.lipschitz_bound == 2 * p.lipschitz_bound == 8.0
+        assert _step(1.0, u.lipschitz_bound) == _step(1.0, p.lipschitz_bound) / 2
 
 
 PATHS = {
@@ -99,22 +84,31 @@ class TestClosedness:
             PiecewisePath([LineSegment(0j, 1 + 0j, 0.0, 1.0)], closed=True)
 
     def test_function_path_closure_guard(self):
-        with pytest.raises(ValueError, match="not closed"):
-            ClosedPath(0.0, 1.0, lambda xs: np.asarray(xs) + 0j, LipschitzModulus(1.0))
+        # a smooth segment's evaluator that does not close up is refused
+        open_seg = SmoothSegment(lambda xs: np.asarray(xs) + 0j,
+                                 lambda xs: np.ones_like(np.asarray(xs)) + 0j, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="closed"):
+            PiecewisePath([open_seg], closed=True)
 
 
 class TestModulusSoundness:
+    """|p(x) - p(x')| <= L |x - x'| for the path's Lipschitz bound L, so steps
+    of at most eps / L move the value by at most eps."""
+
     @pytest.mark.parametrize("name", sorted(PATHS))
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
     def test_sampled_contract(self, name, eps):
         p = PATHS[name]()
-        delta = p.modulus.delta(eps)
+        lip = p.lipschitz_bound
+        delta = _step(eps, lip)
         rng = random.Random(hash((name, eps)) & 0xFFFF)
         for _ in range(200):
             x = rng.uniform(p.a, p.b)
             step = rng.uniform(0, min(delta, p.b - p.a))
             x2 = min(x + step, p.b)
-            assert abs(p.value(x) - p.value(x2)) <= eps * (1 + 1e-12)
+            gap = abs(p.value(x) - p.value(x2))
+            assert gap <= lip * (x2 - x) * (1 + 1e-12) + 1e-15
+            assert gap <= eps * (1 + 1e-12)
 
 
 class TestCarrierOfPath:
@@ -177,6 +171,19 @@ class TestSupDistance:
             hpq = sup_distance(p, q, tol).hi
             hqr = sup_distance(q, r, tol).hi
             assert hpr <= hpq + hqr + 4 * tol
+
+    @pytest.mark.parametrize("p, q, exact", [
+        (constant_path(1 - 2j), constant_path(1 + 2j), 4.0),
+        (constant_path(0.5 + 0j), circle(), 1.5),
+    ], ids=["two-constants", "constant-circle"])
+    def test_zero_lipschitz_bound(self, p, q, exact):
+        # L = 0 on one side: the grid follows the other path's bound alone
+        for a, b in ((p, q), (q, p)):
+            bounds = sup_distance(a, b, 0.01)
+            assert bounds.lo <= exact <= bounds.hi
+            assert bounds.hi - bounds.lo == pytest.approx(0.02)
+        if q.lipschitz_bound == 0:  # two constants: two samples, the exact distance
+            assert sup_distance(p, q, 1e-300).lo == exact
 
     def test_mismatched_domains(self):
         with pytest.raises(MismatchedDomains):
@@ -344,11 +351,14 @@ class TestReparametrize:
         assert abs(ip - iu) < 1e-12
 
     def test_function_path_rescaling(self):
-        raw = ClosedPath(0.0, 2.0, lambda xs: np.exp(1j * math.pi * np.asarray(xs)),
-                         LipschitzModulus(math.pi))
+        seg = SmoothSegment(lambda xs: np.exp(1j * math.pi * np.asarray(xs)),
+                            lambda xs: 1j * math.pi * np.exp(1j * math.pi * np.asarray(xs)),
+                            math.pi, 0.0, 2.0)
+        raw = PiecewisePath([seg], closed=True)
         u = reparametrize_to_unit(raw)
         assert u.interval == (0.0, 1.0)
         assert u.value(0.25) == pytest.approx(raw.value(0.5), abs=1e-15)
+        assert u.lipschitz_bound == 2 * math.pi
 
 
 class TestPiecewisePath:
