@@ -4,11 +4,19 @@ The integral of f along a path is the parametric integral of f(path(x)) times
 the path derivative.  Each segment is handled by a nested Gauss(7)/Kronrod(15)
 rule pair; a subinterval is accepted when the rule-pair discrepancy fits its
 share of the tolerance (allocated proportionally to derivative bound times
-span) or is down to rounding, and bisected otherwise, up to a depth cap.  As
-in QUADPACK, the discrepancy is rounding once it is at most 50 machine
-epsilons times the K15 integral of |integrand|: bisecting further cannot
-shrink it.  Those pieces still count their discrepancy in the error estimate,
-and a total above tol still fails.
+span) or is down to rounding, and split into quarters otherwise, each with a
+quarter of its share, up to a depth cap of 40 halvings per segment.  As in
+QUADPACK, the discrepancy is rounding once it is at most 50 machine epsilons
+times the K15 integral of |integrand|: splitting further cannot shrink it.
+Those pieces still count their discrepancy in the error estimate, and a total
+above tol still fails.
+
+A quarter is cut as two bisections cut it, so every piece evaluated is one
+that a bisection loop would evaluate, with the same bounds, nodes and share,
+bit for bit; only a half that bisection would accept is taken as its two
+quarters instead.  Near a pole a round holds a few dozen pieces, and its cost
+is numpy's fixed cost per call, not arithmetic: quarters reach the depth near
+the pole in half the rounds, for a few percent more integrand evaluations.
 
 Every member of a chain goes through one quadrature loop; ``contour_integral``
 is its one-member case.  Each pending subinterval carries the index of its
@@ -99,6 +107,8 @@ _WG = np.array([
 
 _ROUNDING = 50 * np.finfo(np.float64).eps
 _POLE_CLEARANCE = 1e-9
+# halvings per segment; even, since each round splits a piece into quarters
+# (two halvings), so the finest piece evaluated is 2**-40 of its segment
 _MAX_DEPTH = 40
 _MAX_PIECES = 200_000
 
@@ -235,7 +245,11 @@ def _batch(f: AnalyticFunction, paths, tol: float):
     declared singularities: the results of the members below ``limit``, and
     the lowest failure or None.  ``limit`` is the lowest failing member, or
     the first member deferred so that no round holds more pieces than one
-    member may (``_MAX_PIECES``)."""
+    member may (``_MAX_PIECES``).
+
+    Each round evaluates every pending piece and splits each one that is not
+    done into the quarters two bisections make, so ``depth`` counts
+    halvings, two per round."""
     count = len(paths)
     lows, highs, allocs, member, seg, lines, curved = _first_pieces(paths, tol)
     if member is None:
@@ -291,13 +305,16 @@ def _batch(f: AnalyticFunction, paths, tol: float):
         errors += _member_sums(err, done, member, count)
 
         lows, highs, mid, allocs, member, seg = _take(~done, lows, highs, mid, allocs, member, seg)
-        lows, highs = np.concatenate([lows, mid]), np.concatenate([mid, highs])
-        allocs = np.concatenate([allocs / 2] * 2)
+        # the cut points of two bisections: each quarter is the piece, bounds
+        # and share alike, that bisecting a half would have made
+        cuts = [lows, (lows + mid) / 2, mid, (mid + highs) / 2, highs]
+        lows, highs = np.concatenate(cuts[:-1]), np.concatenate(cuts[1:])
+        allocs = np.concatenate([allocs / 4] * 4)
         if member is not None:
-            member = np.concatenate([member, member])
+            member = np.concatenate([member] * 4)
         if seg is not None:
-            seg = np.concatenate([seg, seg])
-        depth += 1
+            seg = np.concatenate([seg] * 4)
+        depth += 2
     if member is None:
         values, errors, evaluated = [values], [errors], [evaluated]
     # every member below the limit has finished; the first whose

@@ -119,6 +119,10 @@ class LineSegment(_SegmentBase):
         return LineSegment(self.z1, self.z0, s0, s1)
 
 
+def _arc_point(center, radius, theta):
+    return center + radius * (np.cos(theta) + 1j * np.sin(theta))
+
+
 @dataclass(frozen=True, eq=False)
 class ArcSegment(_SegmentBase):
     """Circular arc; the angle is a convex combination of the endpoint angles."""
@@ -147,7 +151,7 @@ class ArcSegment(_SegmentBase):
         return self.angle0 * (1.0 - u) + self.angle1 * u
 
     def _point(self, theta):
-        return self.center + self.radius * (np.cos(theta) + 1j * np.sin(theta))
+        return _arc_point(self.center, self.radius, theta)
 
     @property
     def start_value(self):
@@ -381,12 +385,54 @@ class PiecewisePath:
             paths.append(self)
         return paths
 
+    @classmethod
+    def _closed_arcs(cls, center: complex, radius: float, angles: list,
+                     breakpoints: np.ndarray) -> "PiecewisePath":
+        """Closed run of arcs about one center, the k-th from ``angles[k]`` to
+        ``angles[k + 1]`` over the k-th span of ``breakpoints``: the path
+        ``PiecewisePath(..., closed=True)`` builds from those ``ArcSegment``s,
+        field for field, without building them up front (they materialize
+        lazily on demand).  ``center`` must be finite, ``radius`` positive and
+        consecutive angles distinct."""
+        radius = require_finite_real(radius, "radius")
+        breaks = np.array(breakpoints, dtype=np.float64)
+        # five-entry loops run faster on floats than as arrays, to the same bits
+        b, angles = breaks.tolist(), [float(angle) for angle in angles]
+        spans = [s1 - s0 for s0, s1 in zip(b, b[1:])]
+        for k, span in enumerate(spans):
+            if not span > 0:
+                raise ValueError(f"need s0 < s1, got [{breaks[k]}, {breaks[k + 1]}]")
+        sweep_rates = [(a1 - a0) / span for a0, a1, span in zip(angles, angles[1:], spans)]
+        first = [radius * abs(rate) for rate in sweep_rates]
+        start, end = (complex(_arc_point(center, radius, np.float64(angle)))
+                      for angle in (angles[0], angles[-1]))
+        if end != start:
+            _check_closures(np.array([start]), np.array([end]))
+        n = len(spans)
+        self = cls.__new__(cls)
+        self.__dict__.update({
+            "_segments": None, "closed": True, "_a": breaks[0], "_b": breaks[-1],
+            "_breaks": breaks, "_start": start, "_first_bounds": np.array(first),
+            "_second_bounds": np.array([radius * rate ** 2 for rate in sweep_rates]),
+            "_lipschitz": require_finite_real(max(first), "Lipschitz constant"),
+            "_all_lines": False,
+            "_arcs": _ArcArrays(np.full(n, center), np.full(n, radius), np.array(angles[:-1]),
+                                np.array(angles[1:]), breaks[:-1], np.array(spans),
+                                1j * radius * np.array(sweep_rates))})
+        return self
+
     @property
     def segments(self) -> tuple:
         if self._segments is None:
             b = self._breaks
-            self._segments = tuple(LineSegment(self._z0[k], self._z1[k], b[k], b[k + 1])
-                                   for k in range(len(self._z0)))
+            if self._arcs is None:
+                self._segments = tuple(LineSegment(self._z0[k], self._z1[k], b[k], b[k + 1])
+                                       for k in range(len(self._z0)))
+            else:
+                arcs = self._arcs
+                self._segments = tuple(
+                    ArcSegment(arcs.center[k], arcs.radius[k], arcs.angle0[k], arcs.angle1[k],
+                               b[k], b[k + 1]) for k in range(b.size - 1))
         return self._segments
 
     @property
@@ -539,11 +585,8 @@ def circle(center: complex = 0j, radius: float = 1.0, interval=(0.0, 1.0)) -> Pi
     center = require_finite_complex(center, "center")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    breaks = _uniform_breaks(interval, 4)
     angles = [k * (math.pi / 2) for k in range(5)]
-    segs = [ArcSegment(center, radius, angles[k], angles[k + 1], breaks[k], breaks[k + 1])
-            for k in range(4)]
-    return PiecewisePath(segs, closed=True)
+    return PiecewisePath._closed_arcs(center, radius, angles, _uniform_breaks(interval, 4))
 
 
 def ellipse(semi_re: float, semi_im: float, center: complex = 0j, interval=(0.0, 1.0)) -> PiecewisePath:

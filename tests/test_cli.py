@@ -162,6 +162,10 @@ def test_parity_rows_cover_every_path_kind():
      "not certifiably clear of declared singularities"),
     (["integrate", "--f", "1/z", "--poles", "0", "--path", "unit_circle", "--tol", "1e-300"],
      EXIT_FAILED, "quadrature error estimate"),
+    # an undeclared pole on the path: no node lands on it, and the pieces
+    # about it still fail at the depth cap
+    (["integrate", "--f", "1/(z-1)", "--path", "circle(1)"], EXIT_FAILED,
+     "within 40 bisections per segment"),
     (["wind", "--path", "unit_circle", "--point", "0"], EXIT_OK, "1"),
     (["wind", "--path", "unit_circle", "--point", "abc"], EXIT_USAGE, "cannot parse complex"),
     (["wind", "--path", "unit_circle", "--point", "1"], EXIT_REFUSED,

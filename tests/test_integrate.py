@@ -345,3 +345,102 @@ class TestBatchedChainQuadrature:
             single = contour_integral(f, member, 1e-9)
             assert abs(result.value - single.value) <= 1e-14 * abs(single.value)
             assert result.evaluations == single.evaluations
+
+
+def _with_pole(text: str, a: complex):
+    """f parsed from ``text``, where the letter a stands for the declared pole ``a``."""
+    sign = "+" if a.imag >= 0 else "-"
+    return parse_function(text.replace("a", f"({a.real!r}{sign}{abs(a.imag)!r}i)"), [a])
+
+
+def _recorded_pieces(monkeypatch):
+    """Every node array the quadrature evaluates, one column per piece."""
+    from contourchain import integrate
+
+    seen = []
+    path_values = integrate._path_values
+    monkeypatch.setattr(integrate, "_path_values",
+                        lambda nodes, *rest: seen.append(nodes.copy()) or path_values(nodes, *rest))
+    return seen
+
+
+def _bisection_level(column, lo, hi):
+    """How many bisections of the segment [lo, hi] give the piece whose
+    Gauss-Kronrod nodes are ``column``, bit for bit; None if none does
+    within the depth cap."""
+    from contourchain import integrate
+
+    centre = column[integrate._XGK.size // 2]
+    for level in range(integrate._MAX_DEPTH + 1):
+        mid = (lo + hi) / 2
+        if np.array_equal(column, mid + (hi - lo) / 2 * integrate._XGK):
+            return level
+        lo, hi = (lo, mid) if centre < mid else (mid, hi)
+    return None
+
+
+# the pole ladder of the near-pole benchmark: six distances, log-spaced
+_POLE_LADDER = [3e-3 * (1e-1 / 3e-3) ** (k / 5) for k in range(6)]
+# the parameter interval's bounds are not dyadic, so a quarter's bounds
+# computed any other way than by two bisections differ in some bits
+_INTERVAL = (0.1, 1.3)
+_ELLIPSE_NORMAL = complex(math.cos(2.1), 1.6 * math.sin(2.1))
+_SHAPES = {
+    # (path, foot on the path, unit outward normal there)
+    "circle": (circle(interval=_INTERVAL), cmath.exp(0.4j), cmath.exp(0.4j)),
+    "square": (square(2.0, interval=_INTERVAL), 1 + 0.3j, 1 + 0j),
+    "ellipse": (ellipse(1.6, 1.0, interval=_INTERVAL), complex(1.6 * math.cos(2.1), math.sin(2.1)),
+                _ELLIPSE_NORMAL / abs(_ELLIPSE_NORMAL)),
+}
+
+
+class TestQuarterSplit:
+    """Each round splits an unfinished piece into the quarters that two
+    bisections give, so every evaluated piece is one the bisection loop
+    could evaluate."""
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+    def test_every_piece_is_two_bisections_deep(self, monkeypatch, shape, side):
+        path, foot, normal = _SHAPES[shape]
+        pole = foot + side * 3e-3 * normal
+        seen = _recorded_pieces(monkeypatch)
+        result = contour_integral(_with_pole("1/(z-a)", pole), path, 1e-9)
+        columns = np.concatenate(seen, axis=1).T
+        assert 15 * len(columns) == result.evaluations
+        breaks = path.breakpoints
+        pieces, levels = set(), []
+        for column in columns:
+            k = int(np.searchsorted(breaks, column[7], side="right")) - 1
+            levels.append(_bisection_level(column, breaks[k], breaks[k + 1]))
+            assert levels[-1] is not None and levels[-1] % 2 == 0
+            pieces.add((k, column[0], column[-1]))
+        assert len(pieces) == len(columns)  # no piece evaluated twice
+        assert max(levels) >= 8
+
+    def test_near_pole_integral_takes_at_most_seven_rounds(self, monkeypatch):
+        # the bisection loop takes 11 rounds here, each at a fixed cost
+        seen = _recorded_pieces(monkeypatch)
+        result = contour_integral(parse_function("1/(z-1.003)", [1.003 + 0j]), circle(), 1e-9)
+        assert abs(result.value) <= 1e-9
+        assert len(seen) <= 7
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("text, residue", [("1/(z-a)", lambda a: 1.0),
+                                               ("exp(z)/(z-a)", cmath.exp)],
+                             ids=["inv", "exp"])
+    def test_pole_ladder_against_the_residue(self, shape, text, residue):
+        path, foot, normal = _SHAPES[shape]
+        for distance in _POLE_LADDER:
+            for side in (-1, 1):
+                a = foot + side * distance * normal
+                exact = TWO_PI_I * residue(a) if side < 0 else 0j
+                result = contour_integral(_with_pole(text, a), path, 1e-9)
+                assert abs(result.value - exact) <= 1e-9, (distance, side)
+                assert result.error_estimate <= 1e-9
+
+    def test_undeclared_pole_on_the_path_reaches_the_depth_cap(self):
+        # no node lands on z = 1, so the guard never fires; the pieces about
+        # it are still unfinished after 2**-40 of their segment
+        with pytest.raises(ToleranceNotReached, match="within 40 bisections per segment"):
+            contour_integral(parse_function("1/(z-1)"), circle(), 1e-9)

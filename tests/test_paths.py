@@ -465,6 +465,50 @@ class TestPiecewisePath:
             assert np.array_equal(vals[inner], seg.values_at(xs[inner]))
         assert np.all(vals[xs == path.b] == path.segments[0].start_value)
 
+    @pytest.mark.parametrize("center, radius, interval", [
+        (0j, 1.0, (0.0, 1.0)),
+        (1 + 1j, 2, (0.0, 1.0)),
+        (-0.3 + 0.7j, 1e-3, (-2.0, 5.0)),
+        (1e4 - 2e4j, 3.7e3, (0.1, 0.3)),
+    ])
+    def test_circle_matches_its_arc_segments(self, center, radius, interval):
+        # circle builds its arc arrays from the five angles; the path built
+        # from the four ArcSegments has the same fields, values and bounds
+        fast = circle(center, radius, interval)
+        b = np.array(fast.breakpoints)
+        angles = [k * (math.pi / 2) for k in range(5)]
+        slow = PiecewisePath([ArcSegment(center, radius, angles[k], angles[k + 1], b[k], b[k + 1])
+                              for k in range(4)], closed=True)
+        assert (fast.a, fast.b, fast.closed) == (slow.a, slow.b, slow.closed)
+        assert fast.lipschitz_bound == slow.lipschitz_bound
+        for mine, theirs in [(fast.breakpoints, slow.breakpoints),
+                             (fast.derivative_bounds, slow.derivative_bounds),
+                             (fast.second_derivative_bounds, slow.second_derivative_bounds),
+                             (fast.vertices(), slow.vertices()), *zip(fast._arcs, slow._arcs)]:
+            assert np.array_equal(mine, theirs)
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([b, rng.uniform(fast.a, fast.b, 10_000)])
+        for mine, theirs in zip(fast.eval_with_derivative(xs), slow.eval_with_derivative(xs)):
+            assert np.array_equal(mine, theirs)
+        assert np.array_equal(fast.values(xs), slow.values(xs))
+        fields = ("center", "radius", "angle0", "angle1", "s0", "s1")
+        for mine, theirs in zip(fast.segments, slow.segments):
+            assert isinstance(mine, ArcSegment)
+            assert [getattr(mine, f) for f in fields] == [getattr(theirs, f) for f in fields]
+        reversed_fast, reversed_slow = fast.reverse(), slow.reverse()
+        xs = np.linspace(reversed_slow.a, reversed_slow.b, 1001)
+        assert np.array_equal(reversed_fast.values(xs), reversed_slow.values(xs))
+
+    @pytest.mark.parametrize("radius, message", [
+        (math.nan, "radius must be finite"),
+        (math.inf, "radius must be finite"),
+        (1e308, "Lipschitz constant must be finite"),
+        (0.0, "radius must be positive"),
+    ])
+    def test_circle_refuses_what_its_arc_segments_refuse(self, radius, message):
+        with pytest.raises(ValueError, match=message):
+            circle(0j, radius)
+
     @pytest.mark.parametrize("path", [
         circle(1 + 1j, 2.0),
         square(2.0),
