@@ -24,17 +24,12 @@ from .geometry import (
     Annulus,
     Bounds,
     CompactCarrier,
-    Containment,
     ContainmentCertificate,
     Disk,
     DomainDescriptor,
     PuncturedPlane,
     Rectangle,
-    dist_to_carrier,
-    dist_to_complement,
-    inflate_contains,
     margin_certificate,
-    well_contained,
 )
 from .paths import (
     ArcSegment,
@@ -45,7 +40,6 @@ from .paths import (
     certified_clearance,
     certified_clearances,
     circle,
-    consecutive_polyline_distances,
     constant_path,
     ellipse,
     polyline,
@@ -76,7 +70,6 @@ from .homotopy import (
     Homotopy,
     PairBound,
     build_chain,
-    homotopy_carrier,
     linear_homotopy,
     star_null_homotopy,
 )
@@ -89,8 +82,6 @@ from .integrate import (
 from .verify import (
     VerificationReport,
     verify_homotopy_invariance,
-    verify_null_homotopic,
-    verify_star_homotopy,
     winding_number,
 )
 

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library operations: ``approx`` builds a
-certified polyline, ``carrier`` samples a path net, ``chain`` runs the full
-homotopy discretization, ``integrate`` evaluates one contour integral,
-``verify`` runs an invariance or null-homotopy verification from a spec file,
-and ``wind`` computes a winding number.
+certified polyline, ``carrier`` samples a path's eta-net, ``chain`` runs the
+full homotopy discretization, ``integrate`` evaluates one contour integral,
+``verify`` runs ``verify_homotopy_invariance`` on a spec file's homotopy of
+any kind (a star or any blend onto a constant path reports a
+null-homotopy), and ``wind`` computes a winding number.
 
 Exit codes: 0 success/pass, 1 usage or parse errors, 2 refusal (containment
 or singularity clearance cannot be certified), 3 failure (deviation above
@@ -55,7 +56,7 @@ from .paths import (
     reparametrize_to_unit,
     square,
 )
-from .verify import verify_homotopy_invariance, verify_star_homotopy, winding_number
+from .verify import verify_homotopy_invariance, winding_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -467,11 +468,8 @@ def cmd_verify(spec_file, out_file, as_json):
     """Verify integral invariance along the spec's homotopy; exit 0 pass, 2 refusal, 3 fail."""
     spec = SpecDocument.from_file(spec_file)
     sigma, g0, g1 = spec.build_homotopy()
-    if spec.homotopy_spec["kind"] == "star":
-        report = verify_star_homotopy(spec.function, sigma, spec.domain, spec.tol, eps=spec.eps)
-    else:
-        report = verify_homotopy_invariance(spec.function, g0, g1, sigma, spec.domain,
-                                            spec.tol, eps=spec.eps)
+    report = verify_homotopy_invariance(spec.function, g0, g1, sigma, spec.domain,
+                                        spec.tol, eps=spec.eps)
     if out_file:
         _write_text(out_file, chain_csv(report.chain))
     if as_json:

@@ -173,10 +173,11 @@ class Pow(Expr):
 
     def to_text(self):
         base = self.base.to_text()
-        # only atoms and leading-minus forms may stand unparenthesized before
-        # '^', and a power never may: the grammar takes one '^' per factor
-        if isinstance(self.base, Pow) or not (self.base.precedence == _PREC_ATOM
-                                              or base.startswith("-")):
+        # only atoms and leading-minus forms '-base' may stand unparenthesized
+        # before '^', and a power never may: the grammar takes one '^' per
+        # factor.  A sum such as '-i + z' starts with '-' too, but is no '-base'.
+        negation = isinstance(self.base, Sub) and self.base.lhs == Const(0j)
+        if isinstance(self.base, Pow) or not (self.base.precedence == _PREC_ATOM or negation):
             base = f"({base})"
         return f"{base}^{self.exponent}"
 

@@ -1,18 +1,23 @@
-"""Located compact sets as finite nets, domain shapes, and containment certificates.
+"""Domain shapes, finite nets, and containment certificates.
 
-A compact set is represented by a finite net of complex points together with a
-resolution ``eta``: every point of the represented set lies within ``eta`` of
-some net point and every net point lies within ``eta`` of the set.  All
-distance queries against such a set return two-sided certified bounds whose
-width is controlled by ``eta``, so downstream inequalities can be checked
-rigorously instead of approximately.
+A domain is an open subset of the plane with a closed-form distance to its
+complement, at points (``complement_distances``) and as the minimum over
+straight segments (``segment_complement_distances``).  The chain builder
+certifies containment from those segment minima on a 1-D net of the
+homotopy's parameter: the net's minimum less its resolution eta bounds the
+whole swept region's distance to the complement, and ``margin_certificate``
+turns that bound into a ``ContainmentCertificate``.
+
+``CompactCarrier`` is a finite net of points standing in for a compact set:
+every point of the set lies within ``resolution`` of a net point, and every
+net point lies within it of the set.  ``carrier_of_path`` builds one for a
+path's range; a query against it is a plain minimum over ``net``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +25,6 @@ from .errors import ContainmentNotCertified
 
 __all__ = [
     "Bounds",
-    "Containment",
     "CompactCarrier",
     "DomainDescriptor",
     "Disk",
@@ -28,10 +32,6 @@ __all__ = [
     "Rectangle",
     "PuncturedPlane",
     "ContainmentCertificate",
-    "dist_to_carrier",
-    "inflate_contains",
-    "dist_to_complement",
-    "well_contained",
     "margin_certificate",
 ]
 
@@ -92,12 +92,6 @@ class Bounds:
         return out
 
 
-class Containment(enum.Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-    UNCERTAIN = "uncertain"
-
-
 @dataclass(frozen=True, eq=False)
 class CompactCarrier:
     """Finite net standing in for a totally bounded compact set.
@@ -108,7 +102,6 @@ class CompactCarrier:
 
     net: np.ndarray
     resolution: float
-    _tree: list = field(default=None, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.net, dtype=np.complex128).ravel()
@@ -122,52 +115,9 @@ class CompactCarrier:
         pts.setflags(write=False)
         object.__setattr__(self, "net", pts)
         object.__setattr__(self, "resolution", eta)
-        object.__setattr__(self, "_tree", [])  # lazy KD-tree cache
 
     def __len__(self) -> int:
         return self.net.size
-
-    def nearest_distances(self, zs: np.ndarray) -> np.ndarray:
-        """Min distance from each query point to the net (raw, no eta slack)."""
-        zs = np.asarray(zs, dtype=np.complex128).ravel()
-        if zs.size * self.net.size <= 200_000:
-            return np.abs(zs[:, None] - self.net[None, :]).min(axis=1)
-        if not self._tree:
-            # imported here: scipy.spatial is most of the package's import time
-            from scipy.spatial import cKDTree
-            coords = np.column_stack([self.net.real, self.net.imag])
-            self._tree.append(cKDTree(coords))
-        q = np.column_stack([zs.real, zs.imag])
-        d, _ = self._tree[0].query(q)
-        return d
-
-
-def dist_to_carrier(z: complex, carrier: CompactCarrier) -> Bounds:
-    """Two-sided bounds on the distance from ``z`` to the represented set.
-
-    The raw minimum ``d`` over the net satisfies ``d - eta <= rho <= d``
-    because net points lie within eta of the set and the set lies within eta
-    of the net; the lower bound is clamped at zero.
-    """
-    z = require_finite_complex(z, "z")
-    d = float(carrier.nearest_distances(np.array([z]))[0])
-    return Bounds(max(d - carrier.resolution, 0.0), d)
-
-
-def inflate_contains(carrier: CompactCarrier, r: float, z: complex) -> Containment:
-    """Decide whether ``z`` lies in the r-inflation of the carrier's set.
-
-    Three-valued: UNCERTAIN when the certified distance bounds straddle ``r``.
-    """
-    r = require_finite_real(r, "r")
-    if r < 0:
-        raise ValueError(f"inflation radius must be nonnegative, got {r}")
-    b = dist_to_carrier(z, carrier)
-    if b.hi <= r:
-        return Containment.INSIDE
-    if b.lo > r:
-        return Containment.OUTSIDE
-    return Containment.UNCERTAIN
 
 
 class DomainDescriptor:
@@ -184,7 +134,10 @@ class DomainDescriptor:
         raise NotImplementedError
 
     def complement_distance(self, z: complex) -> float:
-        return float(self.complement_distances(np.array([complex(z)], dtype=np.complex128))[0])
+        """The distance from the point ``z`` to the complement, exact for
+        every built-in shape; nonpositive means ``z`` is not inside."""
+        z = require_finite_complex(z, "z")
+        return float(self.complement_distances(np.array([z], dtype=np.complex128))[0])
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -320,13 +273,6 @@ def _complex_text(z: complex) -> str:
     return f"{z.real!r}+{z.imag!r}i" if z.imag >= 0 else f"{z.real!r}-{-z.imag!r}i"
 
 
-def dist_to_complement(z: complex, domain: DomainDescriptor) -> float:
-    """Lower bound (exact for every built-in shape) on the distance from ``z``
-    to the complement of the domain.  Nonpositive means ``z`` is not certifiably
-    inside."""
-    return domain.complement_distance(require_finite_complex(z, "z"))
-
-
 @dataclass(frozen=True)
 class ContainmentCertificate:
     """Witness that the carrier's r-inflation stays inside a domain.
@@ -370,6 +316,7 @@ def margin_certificate(min_distance: float, resolution: float) -> ContainmentCer
     return ContainmentCertificate(margin=r, net_resolution=eta)
 
 
+# no caller in the package: the benchmark's tracer wraps it (perfbench/tracing.py)
 def well_contained(carrier: CompactCarrier, domain: DomainDescriptor) -> ContainmentCertificate:
     """Certify that the carrier's set, inflated by some r > 0, stays inside the
     domain, by ``margin_certificate`` on the minimum complement distance over

@@ -42,16 +42,15 @@ interpolation bound on the partition gives an upper bound.  An end path
 made of lines with its breakpoints on the partition is exact with no slack.
 The lower bounds are checked against the analytic ones in one comparison;
 one above its bound fails hard, naming the lowest such pair, since it
-would mean a broken bound upstream.  The swept region's eta-net
-(``homotopy_carrier``) is not needed for any of this and is built only when
-``Chain.carrier`` is read.
+would mean a broken bound upstream.  No 2-D net of the swept region is
+built: containment and every pair bound come from closed forms on 1-D
+partitions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +84,6 @@ __all__ = [
     "Homotopy",
     "linear_homotopy",
     "star_null_homotopy",
-    "homotopy_carrier",
     "PairBound",
     "ChainCertificate",
     "Chain",
@@ -197,6 +195,7 @@ def star_null_homotopy(gamma: PiecewisePath, center: complex) -> Homotopy:
     return linear_homotopy(reparametrize_to_unit(gamma), constant_path(center))
 
 
+# no caller in the package: the benchmark's tracer wraps it (perfbench/tracing.py)
 def homotopy_carrier(sigma: Homotopy, eta: float) -> CompactCarrier:
     """Eta-net of the closure of the homotopy's range, on a (t, x) grid.
 
@@ -237,15 +236,21 @@ class PairBound:
 class ChainCertificate:
     entries: tuple[PairBound, ...]
 
-    def worst_ratio(self, exact: bool) -> float:
-        """Largest lower-bound/analytic ratio over the exact or the curved entries."""
+    def worst_ratio(self, exact: bool) -> float | None:
+        """Largest lower-bound/analytic ratio over the exact or the curved
+        entries, or None when the chain has no entry of that kind."""
         return max((e.sampled.lo / e.analytic for e in self.entries if e.exact == exact),
-                   default=0.0)
+                   default=None)
 
     def summary_text(self) -> str:
+        exact, vertex = (self.worst_ratio(kind) for kind in (True, False))
         return (f"{len(self.entries)} consecutive bounds, worst ratio to the bound "
-                f"{self.worst_ratio(True):.3f} exact (polyline pairs), "
-                f"{self.worst_ratio(False):.3f} vertex (curved end pairs)")
+                f"{_ratio_text(exact)} exact (polyline pairs), "
+                f"{_ratio_text(vertex)} vertex (curved end pairs)")
+
+
+def _ratio_text(ratio: float | None) -> str:
+    return "none" if ratio is None else f"{ratio:.3f}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +262,6 @@ class Chain:
     partition.  The certificate holds one entry per consecutive pair (eps/3
     at the ends, eps/2 inside), and the containment certificate witnesses
     that the swept region's eps-inflation stays inside the domain.
-    ``carrier`` is the swept region's net at the certified resolution, built
-    on first use.
     """
 
     members: tuple[PiecewisePath, ...]
@@ -266,14 +269,9 @@ class Chain:
     certificate: ChainCertificate
     containment: ContainmentCertificate
     partition: np.ndarray
-    homotopy: Homotopy
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def carrier(self) -> CompactCarrier:
-        return homotopy_carrier(self.homotopy, self.containment.net_resolution)
 
     def to_dict(self) -> dict:
         """The chain's certificate block of the JSON reports; an unbounded
@@ -542,4 +540,4 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
 
     return Chain(members=tuple(members), epsilon=eps,
                  certificate=ChainCertificate(entries),
-                 containment=containment, partition=ts, homotopy=sigma)
+                 containment=containment, partition=ts)

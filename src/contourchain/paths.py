@@ -41,7 +41,6 @@ __all__ = [
     "certified_clearances",
     "sup_distance",
     "polyline_sup_distance",
-    "consecutive_polyline_distances",
     "reparametrize_to_unit",
 ]
 
@@ -553,18 +552,13 @@ class PiecewisePath:
         return vals, ders
 
     def reverse(self) -> "PiecewisePath":
-        """Same carrier, opposite orientation, same parameter interval."""
-        total = self._a + self._b
-        segs = [seg.reversed_onto(total - seg.s1, total - seg.s0) for seg in reversed(self.segments)]
-        # reflected breakpoints can drift by an ulp; restore exact contiguity
-        fixed = [segs[0]]
-        for seg in segs[1:]:
-            prev = fixed[-1]
-            if seg.s0 != prev.s1:
-                seg = seg.with_span(prev.s1, seg.s1)
-            fixed.append(seg)
-        fixed[-1] = fixed[-1].with_span(fixed[-1].s0, self._b)
-        return PiecewisePath(fixed, closed=self.closed)
+        """Same carrier, opposite orientation, same parameter interval: x maps
+        to a + b - x, with a and b kept as given."""
+        breaks = self._a + self._b - self._breaks[::-1]
+        breaks[0], breaks[-1] = self._a, self._b
+        b = breaks.tolist()
+        segs = [seg.reversed_onto(s0, s1) for seg, s0, s1 in zip(reversed(self.segments), b, b[1:])]
+        return PiecewisePath(segs, closed=self.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -762,44 +756,29 @@ def polyline_sup_distance(p: PiecewisePath, q: PiecewisePath) -> Bounds:
 
     Both are affine between consecutive points of the union of their
     breakpoints, so |p - q| is convex there and its sup is the maximum over
-    that union.  When both share one partition, the values there are their
-    vertices (``consecutive_polyline_distances``).  Evaluating it rounds by
-    less than ``_POLYLINE_ROUNDING`` times the largest |vertex|, which widens
-    the maximum on both sides.
+    that union: ``_consecutive_gaps`` of the two paths' values there.
     """
     if p.interval != q.interval:
         raise MismatchedDomains(f"paths live on {p.interval} and {q.interval}")
     if not (isinstance(p, PiecewisePath) and isinstance(q, PiecewisePath)
             and p._all_lines and q._all_lines):
         raise TypeError("the exact distance needs two polylines")
-    pv, qv = p.vertices(), q.vertices()
-    if np.array_equal(p.breakpoints, q.breakpoints):
-        return consecutive_polyline_distances(np.stack([pv, qv]))[0]
     xs = np.union1d(p.breakpoints, q.breakpoints)
-    exact = np.abs(p.values(xs) - q.values(xs)).max()
-    return _widened(exact, max(np.abs(pv).max(), np.abs(qv).max()))
-
-
-def consecutive_polyline_distances(rows: np.ndarray) -> list[Bounds]:
-    """``polyline_sup_distance`` of each pair of consecutive rows of the
-    (k, m+1) vertex array ``rows``, polylines on one shared partition: the
-    largest |row j - row j+1|, widened by the rounding allowance at the
-    larger of the two rows' largest |vertex|."""
-    return Bounds.from_arrays(*_consecutive_gaps(rows))
+    return Bounds.from_arrays(*_consecutive_gaps(np.stack([p.values(xs), q.values(xs)])))[0]
 
 
 def _consecutive_gaps(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays (lo, hi) of ``consecutive_polyline_distances``, unchecked."""
+    """Arrays (lo, hi) enclosing the sup-distance of each pair of consecutive
+    rows of the (k, m+1) array ``rows``, polylines through their values on
+    one partition: the largest |row j - row j+1|, widened on both sides by
+    the rounding allowance at the larger of the two rows' largest |value|.
+    Evaluating the rows rounds by less than ``_POLYLINE_ROUNDING`` times
+    that.  Unchecked; ``Bounds.from_arrays`` checks them."""
     rows = np.asarray(rows, dtype=np.complex128)
     reach = np.abs(rows).max(axis=1)
     exact = np.abs(np.diff(rows, axis=0)).max(axis=1)
     slack = _POLYLINE_ROUNDING * np.maximum(reach[:-1], reach[1:])
     return np.maximum(0.0, exact - slack), exact + slack
-
-
-def _widened(exact: float, scale: float) -> Bounds:
-    slack = _POLYLINE_ROUNDING * scale
-    return Bounds(max(0.0, exact - slack), exact + slack)
 
 
 def reparametrize_to_unit(path: PiecewisePath) -> PiecewisePath:

@@ -1,13 +1,16 @@
 """End-to-end verification: homotopic paths yield equal contour integrals.
 
-Each verifier builds the certified chain for its homotopy, integrates the
-given function along every member, and passes only when the worst pairwise
-disagreement stays within ten times the per-member quadrature tolerance: each
-member carries at most tol of quadrature error, and the factor absorbs
-accumulation without masking a real discrepancy, which would be orders of
-magnitude larger.  When containment cannot be certified the verifier refuses
-outright instead of warning, because the hypothesis of the invariance
-statement is simply not established.
+``verify_homotopy_invariance`` serves every homotopy kind: it builds the
+certified chain, integrates the given function along every member, and
+passes only when the worst pairwise disagreement stays within ten times the
+per-member quadrature tolerance.  Each member carries at most tol of
+quadrature error, and the factor absorbs accumulation without masking a
+real discrepancy, which would be orders of magnitude larger.  A chain that
+ends at a point (a star homotopy, or any blend onto a constant path) is a
+null-homotopy, and its report also carries |integral over the input path|.
+When containment cannot be certified the verifier refuses outright instead
+of warning, because the hypothesis of the invariance statement is simply
+not established.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 from .errors import NearSingularity, NonIntegerWinding
 from .expressions import AnalyticFunction, Const, Div, Sub, Var
 from .geometry import DomainDescriptor, require_finite_complex
-from .homotopy import Chain, Homotopy, build_chain, star_null_homotopy
-from .integrate import ChainIntegrals, IntegralResult, contour_integral, integral_along_chain
+from .homotopy import Chain, Homotopy, build_chain
+from .integrate import IntegralResult, contour_integral, integral_along_chain
 from .paths import PiecewisePath, certified_clearance, reparametrize_to_unit
 # carrier_of_path is unused here but stays importable: perfbench/tracing.py wraps it
 from .paths import carrier_of_path  # noqa: F401
@@ -27,8 +30,6 @@ from .paths import carrier_of_path  # noqa: F401
 __all__ = [
     "VerificationReport",
     "verify_homotopy_invariance",
-    "verify_null_homotopic",
-    "verify_star_homotopy",
     "winding_number",
 ]
 
@@ -88,19 +89,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _finish(kind: str, f: AnalyticFunction, chain: Chain, integrals: ChainIntegrals,
-            tol: float, null_abs: float | None = None) -> VerificationReport:
-    threshold = _PASS_FACTOR * tol
-    passed = integrals.max_deviation <= threshold
-    if null_abs is not None:
-        passed = passed and null_abs <= threshold
-    return VerificationReport(
-        kind=kind, passed=passed, tol=tol, threshold=threshold,
-        max_deviation=integrals.max_deviation, chain=chain,
-        integrals=integrals.results, function_text=f.to_text(),
-        null_integral_abs=null_abs)
-
-
 def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
                                gamma1: PiecewisePath, sigma: Homotopy,
                                domain: DomainDescriptor, tol: float, *,
@@ -108,35 +96,30 @@ def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
     """Build the chain for sigma and check all member integrals agree.
 
     ``eps`` overrides the chain budget as in ``build_chain``; by default it is
-    half the certified containment margin.
+    half the certified containment margin.  For a star homotopy the swept
+    cone from the path to the center must sit inside the domain, or the run
+    refuses with ContainmentNotCertified.
+
+    When gamma1 has Lipschitz bound 0 it is a point, and the report is a
+    null-homotopy carrying N = |I_0|, the integral over gamma0.  The verdict
+    needs no separate test of N: z' = 0 along gamma1, so its integral I_n is
+    exactly 0, and the deviation, a maximum over all pairs of members, is at
+    least |I_0 - I_n| = N.  So N is within the threshold whenever the
+    deviation is.  (A non-finite f at the point makes I_n, and so the
+    deviation, NaN, which fails.)
     """
     gamma0 = reparametrize_to_unit(gamma0)
     gamma1 = reparametrize_to_unit(gamma1)
     chain = build_chain(sigma, gamma0, gamma1, domain, eps=eps)
     integrals = integral_along_chain(f, chain, tol)
-    return _finish("homotopy-invariance", f, chain, integrals, tol)
-
-
-def verify_null_homotopic(f: AnalyticFunction, gamma: PiecewisePath, center: complex,
-                          domain: DomainDescriptor, tol: float, *,
-                          eps: float | None = None) -> VerificationReport:
-    """Contract gamma onto the center and check its integral vanishes.
-
-    The star homotopy sweeps the whole cone from the path to the center, so
-    containment certification requires that cone to sit inside the domain;
-    otherwise the run refuses with ContainmentNotCertified.  ``eps`` is passed
-    to ``build_chain`` as in ``verify_homotopy_invariance``.
-    """
-    return verify_star_homotopy(f, star_null_homotopy(gamma, center), domain, tol, eps=eps)
-
-
-def verify_star_homotopy(f: AnalyticFunction, sigma: Homotopy, domain: DomainDescriptor,
-                         tol: float, *, eps: float | None = None) -> VerificationReport:
-    """``verify_null_homotopic`` for a star homotopy already built by ``star_null_homotopy``."""
-    chain = build_chain(sigma, sigma.gamma0, sigma.gamma1, domain, eps=eps)
-    integrals = integral_along_chain(f, chain, tol)
-    null_abs = abs(integrals.results[0].value)
-    return _finish("null-homotopy", f, chain, integrals, tol, null_abs=null_abs)
+    threshold = _PASS_FACTOR * tol
+    null = gamma1.lipschitz_bound == 0
+    return VerificationReport(
+        kind="null-homotopy" if null else "homotopy-invariance",
+        passed=integrals.max_deviation <= threshold, tol=tol, threshold=threshold,
+        max_deviation=integrals.max_deviation, chain=chain,
+        integrals=integrals.results, function_text=f.to_text(),
+        null_integral_abs=abs(integrals.results[0].value) if null else None)
 
 
 def winding_number(gamma: PiecewisePath, a: complex, tol: float) -> int:

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contourchain import cli, verify
+from contourchain import cli
 from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, SpecDocument, main
 from contourchain.errors import ContourChainError
 
@@ -211,6 +211,16 @@ class TestCertificateOutput:
             assert "exact (polyline pairs)" in result.stdout
             assert "vertex (curved end pairs)" in result.stdout
 
+    def test_a_pair_kind_the_chain_lacks_prints_none(self, tmp_path):
+        # both ends are squares, so every pair is exact and none is a curved end pair
+        doc = _spec(paths={"inner": {"kind": "square", "side": 2.0},
+                           "outer": {"kind": "square", "side": 3.0}})
+        for command in ("chain", "verify"):
+            result = _run(tmp_path, command, doc)
+            assert result.exit_code == 0, result.output
+            assert "none vertex (curved end pairs)" in result.stdout
+            assert "none exact" not in result.stdout
+
 
 def test_star_spec_verifies_a_null_homotopy(tmp_path, monkeypatch):
     built = []
@@ -221,7 +231,6 @@ def test_star_spec_verifies_a_null_homotopy(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "star_null_homotopy", counted)
-    monkeypatch.setattr(verify, "star_null_homotopy", counted)
     doc = _spec(homotopy={"kind": "star", "path": "inner", "center": "0.1"},
                 domain={"kind": "disk", "radius": 2.0},
                 function={"expression": "exp(z)", "poles": []})

@@ -15,7 +15,6 @@ from contourchain import (
     Annulus,
     Bounds,
     CompactCarrier,
-    Containment,
     ContainmentCertificate,
     ContainmentNotCertified,
     Disk,
@@ -23,11 +22,8 @@ from contourchain import (
     Rectangle,
     carrier_of_path,
     circle,
-    dist_to_carrier,
-    dist_to_complement,
-    inflate_contains,
-    well_contained,
 )
+from contourchain.geometry import well_contained
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -36,49 +32,47 @@ def unit_circle_net(eta):
     return carrier_of_path(circle(), eta)
 
 
+def net_distance(z: complex, carrier: CompactCarrier) -> float:
+    """The plain minimum distance from ``z`` to the net's points."""
+    return float(np.abs(carrier.net - z).min())
+
+
 class TestDistToCarrier:
+    """The net minimum d brackets the distance to the carrier's set: net
+    points lie on the set, so it is at most d, and the set lies within eta
+    of the net, so it is at least d - eta."""
+
     def test_net_point_has_zero_lower_bound(self):
         net = CompactCarrier(np.array([1 + 2j, -0.5j]), resolution=0.1)
-        b = dist_to_carrier(1 + 2j, net)
-        assert b.lo == 0.0
-        assert b.hi == 0.0
+        assert net_distance(1 + 2j, net) == 0.0
 
     def test_center_of_unit_circle(self):
         # exact distance from the center to the circle is 1
-        b = dist_to_carrier(0j, unit_circle_net(0.01))
-        assert b.width <= 0.02
-        assert b.lo - 1e-12 <= 1.0 <= b.hi + 1e-12
+        net = unit_circle_net(0.01)
+        d = net_distance(0j, net)
+        assert d - net.resolution - 1e-12 <= 1.0 <= d + 1e-12
 
     def test_outside_point(self):
         # exact circle geometry: rho(3, circle) = 2
-        b = dist_to_carrier(3 + 0j, unit_circle_net(0.01))
-        assert b.lo - 1e-12 <= 2.0 <= b.hi + 1e-12
+        net = unit_circle_net(0.01)
+        d = net_distance(3 + 0j, net)
+        assert d - net.resolution - 1e-12 <= 2.0 <= d + 1e-12
 
     def test_interval_contains_min_net_distance(self):
+        # the exact distance | |z| - 1 | to the unit circle lies in [d - eta, d]
         rng = random.Random(7)
-        net = CompactCarrier(np.array([complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                                       for _ in range(40)]), resolution=0.05)
+        net = unit_circle_net(0.05)
         for _ in range(50):
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            d = float(np.abs(net.net - z).min())
-            b = dist_to_carrier(z, net)
-            assert b.lo <= d <= b.hi
-            assert b.width <= 2 * net.resolution
+            d = net_distance(z, net)
+            assert d - net.resolution - 1e-12 <= abs(abs(z) - 1) <= d + 1e-12
 
     @given(z1=st.tuples(finite, finite), z2=st.tuples(finite, finite))
     @settings(max_examples=80, deadline=None)
     def test_bounds_are_one_lipschitz(self, z1, z2):
         net = CompactCarrier(np.array([0j, 1 + 1j, -2j]), resolution=0.25)
         a, b = complex(*z1), complex(*z2)
-        ba, bb = dist_to_carrier(a, net), dist_to_carrier(b, net)
-        shift = abs(a - b) + 1e-9
-        assert abs(ba.hi - bb.hi) <= shift
-        assert abs(ba.lo - bb.lo) <= shift
-
-    def test_rejects_nonfinite(self):
-        net = CompactCarrier(np.array([0j]), resolution=0.1)
-        with pytest.raises(ValueError):
-            dist_to_carrier(complex("inf"), net)
+        assert abs(net_distance(a, net) - net_distance(b, net)) <= abs(a - b) + 1e-9
 
 
 class TestCompactCarrier:
@@ -95,50 +89,30 @@ class TestCompactCarrier:
         with pytest.raises(ValueError):
             net.net[0] = 5.0
 
-    def test_import_leaves_the_kd_tree_unloaded(self):
-        # scipy.spatial is imported by the first query that builds a KD-tree
-        env = dict(os.environ, PYTHONPATH=str(Path(contourchain.__file__).resolve().parents[1]))
-        probe = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, contourchain; print('scipy.spatial' in sys.modules)"],
-            capture_output=True, text=True, env=env, check=True)
-        assert probe.stdout.split() == ["False"]
-
-    def test_kd_tree_query_matches_the_direct_minimum(self):
-        rng = np.random.default_rng(7)
-        net = CompactCarrier(rng.standard_normal(1000) + 1j * rng.standard_normal(1000), 0.1)
-        zs = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-        direct = np.abs(zs[:, None] - net.net[None, :]).min(axis=1)
-        assert np.allclose(net.nearest_distances(zs), direct, rtol=1e-12, atol=0)
-
-    def test_batched_distances_match_scalar(self):
-        net = unit_circle_net(0.05)
-        zs = np.array([0j, 3 + 0j, 1j, 0.5 - 0.2j])
-        batched = net.nearest_distances(zs)
-        for z, d in zip(zs, batched):
-            assert dist_to_carrier(complex(z), net).hi == pytest.approx(d, abs=0)
-
-
-class TestInflateContains:
-    def test_net_point_inside_at_zero_radius(self):
-        net = CompactCarrier(np.array([2j]), resolution=0.1)
-        assert inflate_contains(net, 0.0, 2j) is Containment.INSIDE
-
-    def test_center_outside_half_inflation(self):
-        assert inflate_contains(unit_circle_net(0.01), 0.5, 0j) is Containment.OUTSIDE
-
-    def test_point_near_inflation_boundary(self):
-        # rho(1.49, circle) = 0.49 < 0.5, certifiable at eta = 0.001
-        assert inflate_contains(unit_circle_net(0.001), 0.5, 1.49 + 0j) is Containment.INSIDE
-
-    def test_uncertain_when_interval_straddles(self):
-        net = CompactCarrier(np.array([0j]), resolution=0.1)
-        assert inflate_contains(net, 0.95, 1 + 0j) is Containment.UNCERTAIN
-
-    def test_negative_radius_rejected(self):
-        net = CompactCarrier(np.array([0j]), resolution=0.1)
-        with pytest.raises(ValueError):
-            inflate_contains(net, -0.1, 0j)
+    def test_package_runs_without_scipy(self):
+        # a None entry in sys.modules makes every import of scipy fail
+        src = Path(contourchain.__file__).resolve().parents[1]
+        probe = """
+import sys
+sys.modules["scipy"] = None
+from click.testing import CliRunner
+from contourchain import (Annulus, build_chain, carrier_of_path, circle, ellipse,
+                          linear_homotopy, parse_function, verify_homotopy_invariance)
+from contourchain.cli import main
+g0, g1 = circle(), ellipse(2.0, 1.0)
+sigma = linear_homotopy(g0, g1)
+build_chain(sigma, g0, g1, Annulus(0j, 0.25, 3.0))
+report = verify_homotopy_invariance(parse_function("1/z", [0j]), g0, g1, sigma,
+                                    Annulus(0j, 0.25, 3.0), 1e-9)
+carrier_of_path(g1, 0.05)
+result = CliRunner().invoke(main, ["carrier", "--path", "ellipse(2, 1)", "--eta", "0.05"])
+print(report.passed, result.exit_code)
+"""
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["True", "0"]
 
 
 def _boundary_samples(domain, n=400_000):
@@ -164,28 +138,39 @@ def _boundary_samples(domain, n=400_000):
 
 class TestDistToComplement:
     def test_disk_center(self):
-        assert dist_to_complement(0j, Disk(0j, 1.0)) == 1.0
+        assert Disk(0j, 1.0).complement_distance(0j) == 1.0
 
     def test_annulus_example(self):
         # min(1 - 0.5, 2 - 1) = 0.5
-        assert dist_to_complement(1 + 0j, Annulus(0j, 0.5, 2.0)) == 0.5
+        assert Annulus(0j, 0.5, 2.0).complement_distance(1 + 0j) == 0.5
 
     def test_punctured_plane_example(self):
         # |3 + 4i| = 5
-        assert dist_to_complement(3 + 4j, PuncturedPlane((0j,))) == 5.0
+        assert PuncturedPlane((0j,)).complement_distance(3 + 4j) == 5.0
 
     def test_empty_puncture_list_is_whole_plane(self):
-        assert dist_to_complement(7 - 2j, PuncturedPlane(())) == math.inf
+        assert PuncturedPlane(()).complement_distance(7 - 2j) == math.inf
 
     def test_rectangle_edges(self):
         rect = Rectangle(0j, 4 + 2j)
-        assert dist_to_complement(1 + 1j, rect) == 1.0
-        assert dist_to_complement(2 + 1.5j, rect) == 0.5
-        assert dist_to_complement(-1 + 1j, rect) == -1.0
+        assert rect.complement_distance(1 + 1j) == 1.0
+        assert rect.complement_distance(2 + 1.5j) == 0.5
+        assert rect.complement_distance(-1 + 1j) == -1.0
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            Disk(0j, 1.0).complement_distance(complex("inf"))
+
+    def test_batched_distances_match_scalar(self):
+        domain = Annulus(0.1j, 0.5, 2.0)
+        zs = np.array([0j, 3 + 0j, 1j, 0.5 - 0.2j])
+        batched = domain.complement_distances(zs)
+        for z, d in zip(zs, batched):
+            assert domain.complement_distance(complex(z)) == d
 
     def test_nonpositive_outside(self):
-        assert dist_to_complement(2 + 0j, Disk(0j, 1.0)) <= 0
-        assert dist_to_complement(0j, PuncturedPlane((0j,))) == 0.0
+        assert Disk(0j, 1.0).complement_distance(2 + 0j) <= 0
+        assert PuncturedPlane((0j,)).complement_distance(0j) == 0.0
 
     @pytest.mark.parametrize("domain", [
         Disk(0.5 - 0.25j, 1.25),
@@ -200,7 +185,7 @@ class TestDistToComplement:
         checked = 0
         while checked < 12:
             z = complex(rng.uniform(-3.2, 3.2), rng.uniform(-3.2, 3.2))
-            exact = dist_to_complement(z, domain)
+            exact = domain.complement_distance(z)
             if exact <= 1e-3:
                 continue
             sampled = float(np.abs(boundary - z).min())
@@ -267,7 +252,7 @@ class TestWellContained:
             zeta = complex(net.net[rng.randrange(len(net))])
             angle = rng.uniform(0, 2 * math.pi)
             w = zeta + rng.uniform(0, cert.margin) * complex(math.cos(angle), math.sin(angle))
-            assert dist_to_complement(w, domain) > 0
+            assert domain.complement_distance(w) > 0
 
     def test_certificate_invariant(self):
         with pytest.raises(ValueError):

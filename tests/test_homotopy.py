@@ -10,7 +10,6 @@ from contourchain import (
     Bounds,
     CertificateViolation,
     ContainmentNotCertified,
-    Containment,
     Disk,
     EndpointMismatch,
     Homotopy,
@@ -21,12 +20,8 @@ from contourchain import (
     Rectangle,
     build_chain,
     circle,
-    consecutive_polyline_distances,
     constant_path,
-    dist_to_carrier,
     ellipse,
-    homotopy_carrier,
-    inflate_contains,
     linear_homotopy,
     polygonal_approximation,
     polyline,
@@ -38,6 +33,7 @@ from contourchain import (
 from contourchain import homotopy as homotopy_module
 from contourchain import paths as paths_module
 from contourchain.geometry import margin_certificate
+from contourchain.homotopy import homotopy_carrier
 from conftest import (dense_sup, dense_sup_upper, random_polyline, slice_sup_upper,
                       without_curvature_bound)
 
@@ -193,8 +189,8 @@ class TestHomotopyCarrier:
     def test_ring_carrier(self):
         sigma = linear_homotopy(circle(radius=1.0), circle(radius=1.5))
         net = homotopy_carrier(sigma, 0.05)
-        b = dist_to_carrier(0j, net)
-        assert b.lo - 1e-12 <= 1.0 <= b.hi + 1e-12
+        d = float(np.abs(net.net).min())
+        assert d - net.resolution - 1e-12 <= 1.0 <= d + 1e-12
         radii = np.abs(net.net)
         assert radii.min() >= 1.0 - 1e-9 and radii.max() <= 1.5 + 1e-9
 
@@ -205,7 +201,7 @@ class TestHomotopyCarrier:
         pts = rng.uniform(-1, 1, size=(400, 2))
         pts = pts[:, 0] + 1j * pts[:, 1]
         pts = pts[np.abs(pts) <= 1.0]
-        assert net.nearest_distances(pts).max() <= 0.05 + 1e-12
+        assert np.abs(pts[:, None] - net.net).min(axis=1).max() <= 0.05 + 1e-12
 
 
 class TestBuildChain:
@@ -235,25 +231,13 @@ class TestBuildChain:
         assert len(chain.members) == len(bounds) + 1
 
     def test_vertex_membership_in_inflated_carrier(self):
+        # every swept point keeps m - eta = 2 margin from the complement, and
+        # every member vertex is a swept point, up to the blend's rounding
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
-        eps, eta = chain.epsilon, chain.carrier.resolution
         all_vertices = np.concatenate([m.vertices() for m in chain.members])
-        raw = chain.carrier.nearest_distances(all_vertices)
-        # not-outside means the certified lower bound cannot exceed eps/6
-        assert np.all(raw - eta <= eps / 6)
-        for v in all_vertices[:: max(1, len(all_vertices) // 37)]:
-            assert inflate_contains(chain.carrier, eps / 6, complex(v)) is not Containment.OUTSIDE
-
-    def test_carrier_built_on_first_read(self):
-        g0, g1 = circle(radius=1.0), circle(radius=1.5)
-        chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
-        assert "carrier" not in vars(chain)
-        carrier = chain.carrier
-        assert carrier is chain.carrier
-        assert carrier.resolution == chain.containment.net_resolution
-        assert np.array_equal(carrier.net,
-                              homotopy_carrier(chain.homotopy, carrier.resolution).net)
+        margin = chain.containment.margin
+        assert np.all(ANNULUS.complement_distances(all_vertices) >= 2 * margin * (1 - 1e-12))
 
     def test_margin_relation(self):
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
@@ -560,8 +544,8 @@ class TestEndpointCheckScale:
         chain = build_chain(sigma, noisy, g1, Annulus(center, 0.5 * radius, 2.5 * radius))
         xs, _, _ = sigma.shared_vertices(chain.epsilon / 6)
         assert any(np.array_equal(called, xs) for called in seen)
-        vertex = consecutive_polyline_distances(
-            np.stack([type(noisy).values(noisy, xs), chain.members[1].vertices()]))[0]
+        vertex = Bounds.from_arrays(*paths_module._consecutive_gaps(
+            np.stack([type(noisy).values(noisy, xs), chain.members[1].vertices()])))[0]
         slack = noisy.lipschitz_bound * float(np.diff(xs).max()) / 2
         entry = chain.certificate.entries[0]
         assert not entry.exact
@@ -795,4 +779,5 @@ class TestChainWork:
             with pytest.raises(ValueError):
                 Bounds.from_arrays(lo, hi)
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            consecutive_polyline_distances(np.array([[0j, 1 + 0j], [np.inf + 0j, 1 + 0j]]))
+            Bounds.from_arrays(*paths_module._consecutive_gaps(
+                np.array([[0j, 1 + 0j], [np.inf + 0j, 1 + 0j]])))

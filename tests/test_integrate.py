@@ -36,8 +36,7 @@ def _dummy_chain(members):
     """Chain wrapper for directly-constructed member lists (tests only)."""
     cert = ContainmentCertificate(margin=0.5, net_resolution=0.01)
     return Chain(members=tuple(members), epsilon=0.5, certificate=ChainCertificate(()),
-                 containment=cert, partition=np.array([0.0, 1.0]),
-                 homotopy=linear_homotopy(members[0], members[-1]))
+                 containment=cert, partition=np.array([0.0, 1.0]))
 
 
 class TestResidueOracle:

@@ -17,10 +17,8 @@ from contourchain import (
     certified_clearance,
     certified_clearances,
     circle,
-    consecutive_polyline_distances,
     constant_path,
     contour_integral,
-    dist_to_carrier,
     ellipse,
     parse_function,
     polyline,
@@ -29,6 +27,7 @@ from contourchain import (
     square,
     sup_distance,
 )
+from contourchain import paths as paths_module
 from contourchain.geometry import _segment_point_distances
 from contourchain.paths import _step
 from conftest import dense_sup, dense_sup_upper, random_builtin_path, random_polyline
@@ -122,19 +121,19 @@ class TestCarrierOfPath:
         assert len(net) == 64
         theta = 2 * math.pi * np.arange(5000) / 5000
         dense = np.cos(theta) + 1j * np.sin(theta)
-        assert net.nearest_distances(dense).max() <= 0.1
+        assert np.abs(dense[:, None] - net.net).min(axis=1).max() <= 0.1
 
     def test_square_carrier_distance_from_center(self):
         # exact square geometry: rho(0, perimeter of +-1+-1i square) = 1
         net = carrier_of_path(square(2.0), 0.2)
-        b = dist_to_carrier(0j, net)
-        assert b.lo - 1e-12 <= 1.0 <= b.hi + 1e-12
+        d = float(np.abs(net.net).min())
+        assert d - net.resolution - 1e-12 <= 1.0 <= d + 1e-12
 
     def test_net_refinement(self):
         # coarse net points stay within eta + eta' of the finer net
         coarse = carrier_of_path(ellipse(1.0, 0.6), 0.1)
         fine = carrier_of_path(ellipse(1.0, 0.6), 0.03)
-        assert fine.nearest_distances(coarse.net).max() <= 0.1 + 0.03
+        assert np.abs(coarse.net[:, None] - fine.net).min(axis=1).max() <= 0.1 + 0.03
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -234,7 +233,7 @@ class TestPolylineSupDistance:
         rows[:, -1] = rows[:, 0]
         breaks = np.sort(np.concatenate([[0.0, 1.0], gen.uniform(size=7)]))
         paths = PiecewisePath.from_vertex_rows(rows, breaks, closed=True)
-        got = consecutive_polyline_distances(rows)
+        got = Bounds.from_arrays(*paths_module._consecutive_gaps(rows))
         assert len(got) == 5
         for bound, p, q in zip(got, paths, paths[1:]):
             pv, qv = p.vertices(), q.vertices()
@@ -389,6 +388,26 @@ class TestPiecewisePath:
         xs = np.linspace(0, 1, 23)
         assert np.abs(r.values(xs) - p.values(1 - xs)).max() < 1e-12
         assert r.is_closed
+
+    @pytest.mark.parametrize("interval", [(0.1, 0.3), (0.3, 1.7)])
+    @pytest.mark.parametrize("make", [
+        lambda iv: circle(interval=iv),
+        lambda iv: square(2.0, interval=iv),
+        lambda iv: ellipse(1.5, 0.8, interval=iv),
+        lambda iv: polyline([1 + 0j, 0.5 + 1j, -1 + 0.2j, -0.3 - 1j], interval=iv),
+    ], ids=["circle", "square", "ellipse", "polyline"])
+    def test_reverse_keeps_the_interval(self, make, interval):
+        p = make(interval)
+        r = p.reverse()
+        assert r.interval == p.interval == interval
+        assert r.breakpoints[0] == p.a and r.breakpoints[-1] == p.b
+        xs = np.linspace(p.a, p.b, 41)
+        back = np.clip(p.a + p.b - xs, p.a, p.b)
+        assert np.abs(r.values(xs) - p.values(back)).max() < 1e-12
+        f = parse_function("1/z", [0j])
+        total = contour_integral(f, p, 1e-9).value + contour_integral(f, r, 1e-9).value
+        assert abs(total) <= 1e-12
+        assert sup_distance(p, r.reverse(), 0.01).lo <= 1e-12
 
     def test_from_vertices_matches_segment_construction(self):
         verts = np.array([0j, 1 + 1j, 2 - 1j, 0j])

@@ -11,14 +11,15 @@ from contourchain import (
     PuncturedPlane,
     build_chain,
     circle,
+    constant_path,
     contour_integral,
     ellipse,
     linear_homotopy,
     parse_function,
     polyline,
     square,
+    star_null_homotopy,
     verify_homotopy_invariance,
-    verify_null_homotopic,
     winding_number,
 )
 from conftest import ENTIRE_FUNCTIONS, random_polyline
@@ -67,11 +68,18 @@ class TestHomotopyInvariance:
         assert "PASS" in report.format_text()
 
 
+def verify_null_homotopic(f, gamma, center, domain, tol):
+    """Contract gamma onto the center and verify along the star homotopy."""
+    sigma = star_null_homotopy(gamma, center)
+    return verify_homotopy_invariance(f, sigma.gamma0, sigma.gamma1, sigma, domain, tol)
+
+
 class TestNullHomotopic:
     def test_square_exp_in_disk(self):
         report = verify_null_homotopic(parse_function("exp(z)"), square(2.0), 0j,
                                        Disk(0j, 2.0), 1e-9)
         assert report.passed
+        assert report.kind == "null-homotopy"
         assert report.null_integral_abs <= 1e-8
 
     def test_polynomial_polyline(self, rng):
@@ -90,6 +98,26 @@ class TestNullHomotopic:
             assert report.passed, label
             # the antiderivative oracle gives exactly zero around a closed path
             assert antideriv(path.value(0.0)) - antideriv(path.value(1.0)) == 0
+
+    @pytest.mark.parametrize("text, tol", [("exp(z)", 1e-9), ("1/(z - 3)", 1e-13),
+                                           ("z^3 - z", 1e-14)])
+    def test_deviation_decides_and_bounds_the_null_integral(self, text, tol):
+        # the constant end integrates to exactly 0, so the deviation is at
+        # least |integral over gamma0| and decides the verdict alone
+        poles = [3 + 0j] if "z - 3" in text else []
+        report = verify_null_homotopic(parse_function(text, poles), square(2.0, 0.1j), 0.1j,
+                                       Disk(0j, 2.0), tol)
+        assert report.integrals[-1].value == 0
+        assert report.max_deviation >= report.null_integral_abs
+        assert report.passed == (report.max_deviation <= report.threshold)
+
+    def test_linear_blend_onto_a_point_is_a_null_homotopy(self):
+        g0, point = circle(0.1j), constant_path(0.1j)
+        report = verify_homotopy_invariance(parse_function("exp(z)"), g0, point,
+                                            linear_homotopy(g0, point), Disk(0j, 2.0), 1e-9)
+        assert report.kind == "null-homotopy" and report.passed
+        assert report.null_integral_abs == abs(report.integrals[0].value)
+        assert report.to_dict()["null_integral_abs"] == report.null_integral_abs
 
 
 class TestWindingNumber:
