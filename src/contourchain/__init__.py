@@ -35,7 +35,6 @@ from .paths import (
     ArcSegment,
     LineSegment,
     PiecewisePath,
-    SmoothSegment,
     carrier_of_path,
     certified_clearance,
     certified_clearances,

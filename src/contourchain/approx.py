@@ -4,17 +4,11 @@ Sample the path at a partition and connect the samples by straight segments;
 the polyline is uniformly within 2*eps/3 of the path, and that sharper
 constant is what the certificate carries.  Every breakpoint of the path is a
 vertex, and one rule (``panel_counts``) splits each piece between
-breakpoints, of width w, into equal panels:
-
-* Second order, when every segment bounds |z''| (lines, arcs, ellipses).  A
-  piece with bound M2 gets floor(w * sqrt(3*M2 / (16*eps))) + 1 panels, so
-  every panel width h has M2*h^2/8 < 2*eps/3; the chord on a panel inside
-  one C^2 piece is within M2*h^2/8 of the path.  A straight piece gets a
-  single panel.
-* First order, otherwise, from the piece's bound L on |z'|:
-  floor(3*w*L/eps) + 1 panels, each narrower than eps/(3L).  On each panel
-  the value stays within eps/3 of the left vertex and the chord stays within
-  eps/3 of it too.
+breakpoints, of width w, into equal panels from its bound M2 on |z''|, which
+every segment carries (0 on a line): floor(w * sqrt(3*M2 / (16*eps))) + 1
+panels, so every panel width h has M2*h^2/8 < 2*eps/3; the chord on a panel
+inside one C^2 piece is within M2*h^2/8 of the path.  A straight piece gets
+a single panel.
 
 ``Homotopy.shared_vertices`` sizes the one partition of a linear blend's
 slices by the same rule, from the larger of its two end paths' bounds.
@@ -58,12 +52,9 @@ def _require_budget(panels: float):
             f"partition of {panels:.3g} panels exceeds the budget; eps too small for this path")
 
 
-def panel_counts(widths, first, second, eps: float) -> np.ndarray:
+def panel_counts(widths, second, eps: float) -> np.ndarray:
     """Equal panels on each piece of width w: floor(w * sqrt(3*M2 / (16*eps))) + 1
-    from its |z''| bound M2 in ``second``, or, when ``second`` is None,
-    floor(3*w*L/eps) + 1 from its |z'| bound L in ``first``."""
-    if second is None:
-        return np.floor(3 * widths * first / eps) + 1
+    from its |z''| bound M2 in ``second``."""
     return np.floor(widths * np.sqrt(3 * second / (16 * eps))) + 1
 
 
@@ -85,17 +76,13 @@ def partition_points(breaks: np.ndarray, counts) -> np.ndarray:
 
 
 def polygonal_approximation(f: PiecewisePath, eps: float) -> PolygonalApproximation:
-    """Closed polyline g with g(0) = f(0) = g(1) bit-exactly and sup |f-g| <= 2*eps/3.
-
-    The second-order partition is used when f has a second-derivative bound
-    on every segment, the first-order one otherwise.
-    """
+    """Closed polyline g with g(0) = f(0) = g(1) bit-exactly and sup |f-g| <= 2*eps/3,
+    on the partition ``panel_counts`` gives from f's |z''| bounds."""
     eps = float(eps)
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
     f = reparametrize_to_unit(f)
-    counts = panel_counts(np.diff(f.breakpoints), f.derivative_bounds,
-                          f.second_derivative_bounds, eps)
+    counts = panel_counts(np.diff(f.breakpoints), f.second_derivative_bounds, eps)
     xs = partition_points(f.breakpoints, counts)
     verts = f.values(xs)
     if verts[-1] != verts[0]:

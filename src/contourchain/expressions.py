@@ -11,9 +11,10 @@ Grammar (left-associative, standard precedence):
 
 Numbers are decimal literals (optional fraction and exponent); a number
 immediately followed by ``i`` is an imaginary literal, so complex constants
-are written ``1+2*i`` or ``1+2i``.  Evaluation works on complex scalars and on
-numpy arrays, and every division (and negative power) is guarded: a magnitude
-below 1e-14 raises instead of silently blowing up.
+are written ``1+2*i`` or ``1+2i``.  Digits, letters and whitespace are ASCII
+only; any other character is refused where it stands.  Evaluation works on
+complex scalars and on numpy arrays, and every division (and negative power)
+is guarded: a magnitude below 1e-14 raises instead of silently blowing up.
 
 Singular points are declared by the caller, not discovered; evaluation refuses
 inputs within 1e-12 of a declared singularity.
@@ -21,7 +22,9 @@ inputs within 1e-12 of a declared singularity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,8 +217,7 @@ class Cos(_Call):
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str   # NUMBER | NAME | one of + - * / ^ ( ) | EOF
     text: str
     pos: int
@@ -225,46 +227,23 @@ class _Token:
         return self.pos + len(self.text)
 
 
+# One token per match, in ASCII classes only: a number (digits, an optional
+# fraction, and an exponent only when digits follow its sign), a name, an
+# operator, a run of whitespace, or any other character, which is refused.
+_TOKENS = re.compile(r"(?P<NUMBER>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(?P<NAME>[A-Za-z]+)"
+                     r"|(?P<OP>[-+*/^()])|(?P<SPACE>\s+)|(?P<OTHER>.)", re.ASCII | re.DOTALL)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("NUMBER", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i, {"number", "name", "operator"})
-    tokens.append(_Token("EOF", "", n))
+    for match in _TOKENS.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == "OTHER":
+            raise ParseError(f"unexpected character {word!r}", match.start(),
+                             {"number", "name", "operator"})
+        if kind != "SPACE":
+            tokens.append(_Token(word if kind == "OP" else kind, word, match.start()))
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 

@@ -275,7 +275,10 @@ def _complex_text(z: complex) -> str:
 
 @dataclass(frozen=True)
 class ContainmentCertificate:
-    """Witness that the carrier's r-inflation stays inside a domain.
+    """Witness that every point of the homotopy's swept region lies at least
+    2 ``margin`` from the domain's complement (``margin_certificate`` halves
+    the certified distance m - eta), so the region's ``margin``-neighbourhood
+    stays inside the domain.
 
     The margin must clear twice the net resolution so the certificate
     survives the two-sided net error.  It is +inf when the domain has an

@@ -16,9 +16,9 @@ with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
   unevaluated: one net round is the rule.
 * Members.  The partition takes, on each piece between breakpoints of either
   end path, the panel count of ``approx.panel_counts`` at eps/6 for the
-  larger of the two end paths' bounds there (second order, or first order
-  when a piece has no |z''| bound).  With P0 and P1 the end paths' values
-  there, the member at time t is the polyline through (1-t) P0 + t P1.
+  larger of the two end paths' |z''| bounds there.  With P0 and P1 the end
+  paths' values there, the member at time t is the polyline through
+  (1-t) P0 + t P1.
   Interpolation commutes with the blend, so it is the blend of the end
   paths' own polylines and lies within eps/9 of the slice.  All interior
   members are blended at once into one (k, m+1) vertex array, validated
@@ -116,10 +116,9 @@ class Homotopy:
     approximated, with both end paths' values there.
 
     The partition splits [0, 1] at the union of both paths' breakpoints.  On
-    each piece both paths are single segments, so a slice's |z'| and |z''|
-    are at most (1-t) times gamma0's segment bound plus t times gamma1's, and
-    so at most the larger of the two, which sizes the piece's panels; no
-    |z''| bound is used when some segment of either path lacks one.
+    each piece both paths are single segments, so a slice's |z''| is at most
+    (1-t) times gamma0's segment bound plus t times gamma1's, and so at most
+    the larger of the two, which sizes the piece's panels.
     """
 
     def __init__(self, gamma0: PiecewisePath, gamma1: PiecewisePath):
@@ -128,9 +127,7 @@ class Homotopy:
         self.lipschitz = max(gamma0.lipschitz_bound, gamma1.lipschitz_bound)
         self._breaks = np.union1d(gamma0.breakpoints, gamma1.breakpoints)
         mids = (self._breaks[:-1] + self._breaks[1:]) / 2
-        (first0, second0), (first1, second1) = (_piece_bounds(g, mids) for g in (gamma0, gamma1))
-        self._first = np.maximum(first0, first1)
-        self._second = None if second0 is None or second1 is None else np.maximum(second0, second1)
+        self._second = np.maximum(_piece_bounds(gamma0, mids), _piece_bounds(gamma1, mids))
 
     def grid_values(self, ts, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
@@ -149,7 +146,7 @@ class Homotopy:
         if not (math.isfinite(eps) and eps > 0):
             raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
         xs = partition_points(self._breaks,
-                              panel_counts(np.diff(self._breaks), self._first, self._second, eps))
+                              panel_counts(np.diff(self._breaks), self._second, eps))
         p0, p1 = self.gamma0.values(xs), self.gamma1.values(xs)
         p0[-1], p1[-1] = p0[0], p1[0]
         return xs, p0, p1
@@ -171,11 +168,9 @@ def _check_end_path(path: PiecewisePath, name: str):
             f"{name} must live on [0, 1] (reparametrize_to_unit first), got {path.interval}")
 
 
-def _piece_bounds(path: PiecewisePath, mids: np.ndarray):
-    """The bounds on |z'| and |z''| (None if absent) of the segments holding ``mids``."""
-    k = np.searchsorted(path.breakpoints, mids, side="right") - 1
-    second = path.second_derivative_bounds
-    return path.derivative_bounds[k], None if second is None else second[k]
+def _piece_bounds(path: PiecewisePath, mids: np.ndarray) -> np.ndarray:
+    """The |z''| bounds of the segments holding ``mids``."""
+    return path.second_derivative_bounds[np.searchsorted(path.breakpoints, mids, side="right") - 1]
 
 
 def linear_homotopy(gamma0: PiecewisePath, gamma1: PiecewisePath) -> Homotopy:
@@ -446,9 +441,9 @@ def _end_pair(path: PiecewisePath, own: PiecewisePath, values: np.ndarray,
     |polyline through Q - member| peaks at a vertex, so that maximum plus
     sup |path - polyline through Q| is an upper bound.  The homotopy's own
     end (``own``) has Q from ``shared_vertices(eps/6)``, within eps/9 of it.
-    Any other path was evaluated on xs: with |z''| bounds M2 and its
-    breakpoints in xs it is within max h^2 M2 / 8 over the panels h of its
-    polyline (the Peano kernel of linear interpolation, (x - a)(b - x)/2 >= 0
+    Any other path was evaluated on xs: with its breakpoints in xs it is
+    within max h^2 M2 / 8 over the panels h of its polyline, for its |z''|
+    bounds M2 (the Peano kernel of linear interpolation, (x - a)(b - x)/2 >= 0
     on a panel [a, b], holds for complex values too), plus the rounding
     allowance at its largest |value|; otherwise within its Lipschitz chord
     bound L max(h) / 2.  A path of lines whose breakpoints are all in xs is
@@ -461,8 +456,8 @@ def _end_pair(path: PiecewisePath, own: PiecewisePath, values: np.ndarray,
     if path is own:
         return Bounds(pair.lo, pair.hi + eps / 9), False
     panels = np.diff(xs)
-    second = _piece_bounds(path, (xs[:-1] + xs[1:]) / 2)[1]
-    if aligned and second is not None:
+    if aligned:
+        second = _piece_bounds(path, (xs[:-1] + xs[1:]) / 2)
         slack = (float((panels * panels * second).max()) / 8
                  + _BLEND_ROUNDING * float(np.abs(values).max()))
     else:

@@ -36,11 +36,12 @@ blocking makes one piece's sum depend on the others in its batch, where
 einsum's many-column loop does not (``_rule_sums``).
 
 Paths must keep a certified clearance of 1e-9 from every declared singularity
-of the integrand (``paths.certified_clearances``).  For lines and arcs the
-distance is in closed form, the projection onto each segment or the clamp of
-the angle onto each arc, and all line members of a chain are measured in one
-evaluation; any other path refines an eta-net until the bound is conclusive or
-its sampling budget is spent.
+of the integrand (``paths.certified_clearances``), in closed form for every
+path: the projection onto each line segment, and for an arc the clamp of the
+angle onto the unit arc after scaling by the semi-axes; all line members of
+a chain are measured in one evaluation.  A member whose rule sums are not
+finite (the integrand overflows on it) fails with ``ToleranceNotReached`` in
+the round that finds it, with numpy's overflow warnings silenced.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _integrate(f: AnalyticFunction, paths, tol: float):
         if not isinstance(path, PiecewisePath):
             count, failure = i, (i, TypeError("only piecewise-differentiable paths can be integrated"))
             break
-    clearances = certified_clearances(paths[:count], f.singularities, _POLE_CLEARANCE).tolist()
+    clearances = certified_clearances(paths[:count], f.singularities).tolist()
     blocked = next((i for i, c in enumerate(clearances) if c <= _POLE_CLEARANCE), None)
     if blocked is not None:
         count, failure = blocked, (blocked, NearSingularity(
@@ -240,12 +241,15 @@ def _joined(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+# an overflow shows as a non-finite rule sum, which fails its member, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _batch(f: AnalyticFunction, paths, tol: float):
     """One quadrature loop over all of ``paths``, which are clear of f's
     declared singularities: the results of the members below ``limit``, and
     the lowest failure or None.  ``limit`` is the lowest failing member, or
     the first member deferred so that no round holds more pieces than one
-    member may (``_MAX_PIECES``).
+    member may (``_MAX_PIECES``).  A member whose K15 sum or discrepancy is
+    not finite fails in the round that finds it.
 
     Each round evaluates every pending piece and splits each one that is not
     done into the quarters two bisections make, so ``depth`` counts
@@ -293,13 +297,22 @@ def _batch(f: AnalyticFunction, paths, tol: float):
                 break
             lows, highs, allocs, member, seg = _take(member < limit, lows, highs, allocs, member, seg)
             continue
-        evaluated += pieces
         integrand = fz * ders
         if integrand.shape != nodes.shape:
             # a constant f times a line piece's one derivative
             integrand = np.repeat(integrand[None, :], _XGK.size, axis=0)
         k15, g7, resabs = _rule_sums(integrand, half)
         err = np.abs(k15 - g7)
+        # err is finite only where both rule sums are; the sum is the quick test
+        if not math.isfinite(np.add.reduce(err)) and not np.isfinite(err).all():
+            # the members below the lowest such one redo the round without it
+            limit = 0 if member is None else int(member[~np.isfinite(err)].min())
+            failure = (limit, ToleranceNotReached("integrand is not finite on the path"))
+            if member is None:
+                break
+            lows, highs, allocs, member, seg = _take(member < limit, lows, highs, allocs, member, seg)
+            continue
+        evaluated += pieces
         done = (err <= allocs) | (err <= _ROUNDING * half * resabs)
         values += _member_sums(k15, done, member, count)
         errors += _member_sums(err, done, member, count)

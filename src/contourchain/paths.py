@@ -1,12 +1,14 @@
 """Piecewise-differentiable paths, each with its Lipschitz bound.
 
-A path is a finite run of continuously differentiable segments (lines, arcs,
-smooth parametric pieces) over contiguous spans of a compact parameter
-interval [a, b].  Every segment carries a bound on |z'|, and the largest of
-them, ``lipschitz_bound`` L, is the path's modulus of continuity as explicit
-data: parameter points closer than eps / L map to values closer than eps,
-and for L = 0 (a constant path) every step qualifies.  Sampling grids,
-eta-nets and sup-distance bounds all read that one number.
+A path is a finite run of segments over contiguous spans of a compact
+parameter interval [a, b], each a line or an arc of an axis-aligned ellipse
+(a circle when its semi-axes agree; ``ellipse`` is one arc over a full
+turn).  Both kinds have closed forms for their values, their bounds on |z'|
+and |z''|, and their certified clearance from a point.  The largest |z'|
+bound, ``lipschitz_bound`` L, is the path's modulus of continuity as
+explicit data: parameter points closer than eps / L map to values closer
+than eps, and for L = 0 (a constant path) every step qualifies.  Sampling
+grids, eta-nets and sup-distance bounds all read that one number.
 
 Endpoint equality of closed paths is enforced by construction: evaluating a
 closed path at the right end of its interval returns the bit-exact left-end
@@ -29,7 +31,6 @@ from .geometry import _segment_point_distances
 __all__ = [
     "LineSegment",
     "ArcSegment",
-    "SmoothSegment",
     "PiecewisePath",
     "circle",
     "ellipse",
@@ -51,9 +52,9 @@ _MAX_SAMPLES = 10_000_000
 _CLOSURE_NOISE = 1e-12
 
 # Rounding allowance of the closed-form distances, relative to the largest
-# magnitude: a projected point, the difference and its modulus stay below 10 ulps.
+# magnitude: a projected point, the difference and its modulus stay below 10
+# ulps.  It also widens an arc's sweep test, per radian (see _arc_clearance).
 _POLYLINE_ROUNDING = 16 * np.finfo(np.float64).eps
-_MAX_CLEARANCE_NET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -118,47 +119,67 @@ class LineSegment(_SegmentBase):
         return LineSegment(self.z1, self.z0, s0, s1)
 
 
-def _arc_point(center, radius, theta):
-    return center + radius * (np.cos(theta) + 1j * np.sin(theta))
+def _arc_point(center, semi_re, semi_im, angle) -> complex:
+    """c + a cos(angle) + i b sin(angle), with numpy's cos and sin, as on arrays."""
+    angle = np.float64(angle)
+    return complex(semi_re * np.cos(angle), semi_im * np.sin(angle)) + center
+
+
+def _parts(re_factor, re_value, im_factor, im_value) -> np.ndarray:
+    """re_factor re_value + i im_factor im_value, each product written into
+    its part of one complex array."""
+    out = np.empty(re_value.shape, dtype=np.complex128)
+    np.multiply(re_factor, re_value, out=out.real)
+    np.multiply(im_factor, im_value, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class ArcSegment(_SegmentBase):
-    """Circular arc; the angle is a convex combination of the endpoint angles."""
+    """Arc of the axis-aligned ellipse c + a cos(theta) + i b sin(theta), with
+    semi-axes a = ``semi_re`` and b = ``semi_im`` (``semi_re`` when not given,
+    a circular arc); theta is a convex combination of the endpoint angles."""
 
     center: complex
-    radius: float
+    semi_re: float
     angle0: float
     angle1: float
     s0: float
     s1: float
+    semi_im: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", require_finite_complex(self.center, "center"))
-        require_finite_real(self.radius, "radius")
-        require_finite_real(self.angle0, "angle0")
-        require_finite_real(self.angle1, "angle1")
-        if self.radius <= 0:
-            raise ValueError(f"arc radius must be positive, got {self.radius}")
+        if self.semi_im is None:
+            object.__setattr__(self, "semi_im", self.semi_re)
+        for value, name in ((self.semi_re, "semi_re"), (self.semi_im, "semi_im"),
+                            (self.angle0, "angle0"), (self.angle1, "angle1")):
+            require_finite_real(value, name)
+        if not (self.semi_re > 0 and self.semi_im > 0):
+            raise ValueError(f"arc semi-axes must be positive, got {self.semi_re}, {self.semi_im}")
         if self.angle0 == self.angle1:
             raise ValueError("arc must sweep a nonzero angle")
         if not self.s0 < self.s1:
             raise ValueError(f"need s0 < s1, got [{self.s0}, {self.s1}]")
 
+    @property
+    def radius(self) -> float:
+        """A circular arc's radius; an elliptic arc has none."""
+        if self.semi_re != self.semi_im:
+            raise AttributeError("an elliptic arc has two semi-axes, not a radius")
+        return self.semi_re
+
     def _theta(self, xs):
         u = self._u(xs)
         return self.angle0 * (1.0 - u) + self.angle1 * u
 
-    def _point(self, theta):
-        return _arc_point(self.center, self.radius, theta)
-
     @property
     def start_value(self):
-        return complex(self._point(np.float64(self.angle0)))
+        return _arc_point(self.center, self.semi_re, self.semi_im, self.angle0)
 
     @property
     def end_value(self):
-        return complex(self._point(np.float64(self.angle1)))
+        return _arc_point(self.center, self.semi_re, self.semi_im, self.angle1)
 
     @property
     def sweep_rate(self):
@@ -166,114 +187,54 @@ class ArcSegment(_SegmentBase):
 
     @property
     def derivative_bound(self):
-        return self.radius * abs(self.sweep_rate)
+        return max(self.semi_re, self.semi_im) * abs(self.sweep_rate)
 
     @property
     def second_derivative_bound(self):
-        return self.radius * self.sweep_rate ** 2
+        return max(self.semi_re, self.semi_im) * self.sweep_rate ** 2
 
     def values_at(self, xs):
-        return self._point(self._theta(xs))
+        theta = self._theta(xs)
+        out = _parts(self.semi_re, np.cos(theta), self.semi_im, np.sin(theta))
+        out += self.center
+        return out
 
     def derivatives_at(self, xs):
         theta = self._theta(xs)
-        return 1j * self.radius * self.sweep_rate * (np.cos(theta) + 1j * np.sin(theta))
+        rate = self.sweep_rate
+        return _parts(-(self.semi_re * rate), np.sin(theta), self.semi_im * rate, np.cos(theta))
 
     def with_span(self, s0, s1):
-        return ArcSegment(self.center, self.radius, self.angle0, self.angle1, s0, s1)
+        return ArcSegment(self.center, self.semi_re, self.angle0, self.angle1, s0, s1, self.semi_im)
 
     def reversed_onto(self, s0, s1):
-        return ArcSegment(self.center, self.radius, self.angle1, self.angle0, s0, s1)
+        return ArcSegment(self.center, self.semi_re, self.angle1, self.angle0, s0, s1, self.semi_im)
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothSegment(_SegmentBase):
-    """Continuously differentiable piece given by explicit evaluators.
-
-    Both callables must accept numpy arrays of global parameter values in
-    [s0, s1]; ``derivative_bound`` must dominate |derivative| on the span.
-    ``second_derivative_bound``, when given, must dominate the second
-    derivative on the span, which must then be C^2.
-    """
-
-    evaluator: object
-    derivative: object
-    derivative_bound: float
-    s0: float
-    s1: float
-    second_derivative_bound: float | None = None
-
-    def __post_init__(self):
-        for bound, name in ((self.derivative_bound, "derivative_bound"),
-                            (self.second_derivative_bound, "second_derivative_bound")):
-            if bound is not None and require_finite_real(bound, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not self.s0 < self.s1:
-            raise ValueError(f"need s0 < s1, got [{self.s0}, {self.s1}]")
-
-    @property
-    def start_value(self):
-        return complex(np.asarray(self.evaluator(np.array([self.s0])), dtype=np.complex128).ravel()[0])
-
-    @property
-    def end_value(self):
-        return complex(np.asarray(self.evaluator(np.array([self.s1])), dtype=np.complex128).ravel()[0])
-
-    def values_at(self, xs):
-        xs = np.asarray(xs, dtype=np.float64)
-        return np.asarray(self.evaluator(xs), dtype=np.complex128).reshape(xs.shape)
-
-    def derivatives_at(self, xs):
-        xs = np.asarray(xs, dtype=np.float64)
-        return np.asarray(self.derivative(xs), dtype=np.complex128).reshape(xs.shape)
-
-    def with_span(self, s0, s1):
-        scale = self.span / (s1 - s0)
-        old_s0 = self.s0
-        ev, der = self.evaluator, self.derivative
-
-        def new_ev(xs):
-            return ev(old_s0 + (np.asarray(xs, dtype=np.float64) - s0) * scale)
-
-        def new_der(xs):
-            return der(old_s0 + (np.asarray(xs, dtype=np.float64) - s0) * scale) * scale
-
-        return SmoothSegment(new_ev, new_der, self.derivative_bound * scale, s0, s1,
-                             self._second_bound_scaled(scale))
-
-    def reversed_onto(self, s0, s1):
-        scale = self.span / (s1 - s0)
-        old_s1 = self.s1
-        ev, der = self.evaluator, self.derivative
-
-        def new_ev(xs):
-            return ev(old_s1 - (np.asarray(xs, dtype=np.float64) - s0) * scale)
-
-        def new_der(xs):
-            return -der(old_s1 - (np.asarray(xs, dtype=np.float64) - s0) * scale) * scale
-
-        return SmoothSegment(new_ev, new_der, self.derivative_bound * scale, s0, s1,
-                             self._second_bound_scaled(scale))
-
-    def _second_bound_scaled(self, scale):
-        bound = self.second_derivative_bound
-        return None if bound is None else bound * scale * scale
-
-
-_Segment = (LineSegment, ArcSegment, SmoothSegment)
+_Segment = (LineSegment, ArcSegment)
 
 
 class _ArcArrays(NamedTuple):
-    """An all-arc path's ArcSegment fields, one entry per arc; ``speed`` is
-    the derivative factor i*radius*sweep_rate formed as ``derivatives_at`` forms it."""
+    """An all-arc path's ArcSegment fields, one entry per arc.  The
+    derivative at theta is re_speed sin(theta) + i im_speed cos(theta), with
+    re_speed = -semi_re * sweep_rate and im_speed = semi_im * sweep_rate."""
 
     center: np.ndarray
-    radius: np.ndarray
+    semi_re: np.ndarray
+    semi_im: np.ndarray
     angle0: np.ndarray
     angle1: np.ndarray
     s0: np.ndarray
     span: np.ndarray
-    speed: np.ndarray
+    re_speed: np.ndarray
+    im_speed: np.ndarray
+
+
+def _arc_arrays(arcs) -> _ArcArrays:
+    """The fields of the ``ArcSegment``s ``arcs`` as arrays."""
+    return _ArcArrays(*(np.array(column) for column in zip(*(
+        (s.center, s.semi_re, s.semi_im, s.angle0, s.angle1, s.s0, s.span,
+         -(s.semi_re * s.sweep_rate), s.semi_im * s.sweep_rate) for s in arcs))))
 
 
 def _check_closures(starts: np.ndarray, ends: np.ndarray):
@@ -321,9 +282,9 @@ class PiecewisePath:
         if self.closed and end != start:
             _check_closures(np.array([start]), np.array([end]))
 
-        second = [s.second_derivative_bound for s in segments]
         self._first_bounds = np.array([s.derivative_bound for s in segments], dtype=np.float64)
-        self._second_bounds = None if None in second else np.array(second, dtype=np.float64)
+        self._second_bounds = np.array([s.second_derivative_bound for s in segments],
+                                       dtype=np.float64)
         self._lipschitz = require_finite_real(self._first_bounds.max(), "Lipschitz constant")
         self._all_lines = all(isinstance(s, LineSegment) for s in segments)
         self._arcs = None
@@ -333,9 +294,7 @@ class PiecewisePath:
             self._s0 = np.array([s.s0 for s in segments], dtype=np.float64)
             self._span = np.array([s.span for s in segments], dtype=np.float64)
         elif all(isinstance(s, ArcSegment) for s in segments):
-            self._arcs = _ArcArrays(*(np.array(column) for column in zip(*(
-                (s.center, s.radius, s.angle0, s.angle1, s.s0, s.span,
-                 1j * s.radius * s.sweep_rate) for s in segments))))
+            self._arcs = _arc_arrays(segments)
 
     @classmethod
     def from_vertices(cls, vertices: np.ndarray, breakpoints: np.ndarray,
@@ -385,15 +344,13 @@ class PiecewisePath:
         return paths
 
     @classmethod
-    def _closed_arcs(cls, center: complex, radius: float, angles: list,
+    def _closed_arcs(cls, center: complex, semi_re: float, semi_im: float, angles: list,
                      breakpoints: np.ndarray) -> "PiecewisePath":
-        """Closed run of arcs about one center, the k-th from ``angles[k]`` to
+        """Closed run of arcs of one ellipse, the k-th from ``angles[k]`` to
         ``angles[k + 1]`` over the k-th span of ``breakpoints``: the path
         ``PiecewisePath(..., closed=True)`` builds from those ``ArcSegment``s,
-        field for field, without building them up front (they materialize
-        lazily on demand).  ``center`` must be finite, ``radius`` positive and
-        consecutive angles distinct."""
-        radius = require_finite_real(radius, "radius")
+        field for field, without building them (they materialize lazily).
+        The semi-axes must be positive, all finite, consecutive angles distinct."""
         breaks = np.array(breakpoints, dtype=np.float64)
         # five-entry loops run faster on floats than as arrays, to the same bits
         b, angles = breaks.tolist(), [float(angle) for angle in angles]
@@ -402,22 +359,23 @@ class PiecewisePath:
             if not span > 0:
                 raise ValueError(f"need s0 < s1, got [{breaks[k]}, {breaks[k + 1]}]")
         sweep_rates = [(a1 - a0) / span for a0, a1, span in zip(angles, angles[1:], spans)]
-        first = [radius * abs(rate) for rate in sweep_rates]
-        start, end = (complex(_arc_point(center, radius, np.float64(angle)))
+        reach = max(semi_re, semi_im)
+        first = [reach * abs(rate) for rate in sweep_rates]
+        start, end = (_arc_point(center, semi_re, semi_im, angle)
                       for angle in (angles[0], angles[-1]))
         if end != start:
             _check_closures(np.array([start]), np.array([end]))
-        n = len(spans)
+        n, rates = len(spans), np.array(sweep_rates)
         self = cls.__new__(cls)
         self.__dict__.update({
             "_segments": None, "closed": True, "_a": breaks[0], "_b": breaks[-1],
             "_breaks": breaks, "_start": start, "_first_bounds": np.array(first),
-            "_second_bounds": np.array([radius * rate ** 2 for rate in sweep_rates]),
+            "_second_bounds": np.array([reach * rate ** 2 for rate in sweep_rates]),
             "_lipschitz": require_finite_real(max(first), "Lipschitz constant"),
             "_all_lines": False,
-            "_arcs": _ArcArrays(np.full(n, center), np.full(n, radius), np.array(angles[:-1]),
-                                np.array(angles[1:]), breaks[:-1], np.array(spans),
-                                1j * radius * np.array(sweep_rates))})
+            "_arcs": _ArcArrays(np.full(n, center), np.full(n, semi_re), np.full(n, semi_im),
+                                np.array(angles[:-1]), np.array(angles[1:]), breaks[:-1],
+                                np.array(spans), -(semi_re * rates), semi_im * rates)})
         return self
 
     @property
@@ -430,8 +388,8 @@ class PiecewisePath:
             else:
                 arcs = self._arcs
                 self._segments = tuple(
-                    ArcSegment(arcs.center[k], arcs.radius[k], arcs.angle0[k], arcs.angle1[k],
-                               b[k], b[k + 1]) for k in range(b.size - 1))
+                    ArcSegment(arcs.center[k], arcs.semi_re[k], arcs.angle0[k], arcs.angle1[k],
+                               b[k], b[k + 1], arcs.semi_im[k]) for k in range(b.size - 1))
         return self._segments
 
     @property
@@ -469,8 +427,8 @@ class PiecewisePath:
         return self._first_bounds
 
     @property
-    def second_derivative_bounds(self) -> np.ndarray | None:
-        """Per-segment bound on |z''|, or None when some segment carries none."""
+    def second_derivative_bounds(self) -> np.ndarray:
+        """Per-segment bound on |z''|."""
         return self._second_bounds
 
     def vertices(self) -> np.ndarray:
@@ -490,13 +448,17 @@ class PiecewisePath:
         """Index of the segment holding each x in [a, b]; b belongs to the last."""
         return np.searchsorted(self._breaks[1:-1], xs, side="right")
 
-    def _arc_phase(self, xs):
-        """Segment indices of ``xs`` and e^{i theta} there, theta as ArcSegment forms it."""
+    def _arc_values(self, xs):
+        """Values at ``xs``, theta as ArcSegment forms it, with the segment
+        indices and cos(theta), sin(theta) there."""
         arcs = self._arcs
         idx = self._segment_indices(xs)
         u = (xs - arcs.s0[idx]) / arcs.span[idx]
         theta = arcs.angle0[idx] * (1.0 - u) + arcs.angle1[idx] * u
-        return idx, np.cos(theta) + 1j * np.sin(theta)
+        cos, sin = np.cos(theta), np.sin(theta)
+        out = _parts(arcs.semi_re[idx], cos, arcs.semi_im[idx], sin)
+        out += arcs.center[idx]
+        return out, idx, cos, sin
 
     def values(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
@@ -506,17 +468,9 @@ class PiecewisePath:
             u = (xs - self._s0[idx]) / self._span[idx]
             out = self._z0[idx] * (1.0 - u) + self._z1[idx] * u
         elif self._arcs is not None:
-            idx, phase = self._arc_phase(xs)
-            out = self._arcs.center[idx] + self._arcs.radius[idx] * phase
-        elif self.num_segments == 1:
-            out = np.array(self.segments[0].values_at(xs), dtype=np.complex128)
-        else:
-            idx = self._segment_indices(xs)
-            out = np.empty(xs.shape, dtype=np.complex128)
-            for k, seg in enumerate(self.segments):
-                mask = idx == k
-                if mask.any():
-                    out[mask] = seg.values_at(xs[mask])
+            out = self._arc_values(xs)[0]
+        else:  # lines and arcs mixed
+            return self.eval_with_derivative(xs)[0]
         if self.closed:
             out[xs == self._b] = self._start
         return out
@@ -535,9 +489,8 @@ class PiecewisePath:
             vals = self._z0[idx] * (1.0 - u) + self._z1[idx] * u
             ders = (self._z1[idx] - self._z0[idx]) / self._span[idx]
         elif self._arcs is not None:
-            idx, phase = self._arc_phase(xs)
-            vals = self._arcs.center[idx] + self._arcs.radius[idx] * phase
-            ders = self._arcs.speed[idx] * phase
+            vals, idx, cos, sin = self._arc_values(xs)
+            ders = _parts(self._arcs.re_speed[idx], sin, self._arcs.im_speed[idx], cos)
         else:
             idx = self._segment_indices(xs)
             vals = np.empty(xs.shape, dtype=np.complex128)
@@ -577,33 +530,20 @@ def _uniform_breaks(interval, n):
 def circle(center: complex = 0j, radius: float = 1.0, interval=(0.0, 1.0)) -> PiecewisePath:
     """Counterclockwise circle as four quarter arcs."""
     center = require_finite_complex(center, "center")
-    if radius <= 0:
+    if not require_finite_real(radius, "radius") > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     angles = [k * (math.pi / 2) for k in range(5)]
-    return PiecewisePath._closed_arcs(center, radius, angles, _uniform_breaks(interval, 4))
+    return PiecewisePath._closed_arcs(center, radius, radius, angles, _uniform_breaks(interval, 4))
 
 
 def ellipse(semi_re: float, semi_im: float, center: complex = 0j, interval=(0.0, 1.0)) -> PiecewisePath:
-    """Counterclockwise axis-aligned ellipse as a single smooth segment."""
+    """Counterclockwise axis-aligned ellipse as one arc from angle 0 to 2 pi."""
     center = require_finite_complex(center, "center")
-    if semi_re <= 0 or semi_im <= 0:
+    semi_re, semi_im = require_finite_real(semi_re, "semi_re"), require_finite_real(semi_im, "semi_im")
+    if not (semi_re > 0 and semi_im > 0):
         raise ValueError("semi-axes must be positive")
-    a, b = interval
-    breaks = _uniform_breaks(interval, 1)
-    span = breaks[1] - breaks[0]
-    omega = 2 * math.pi / span
-
-    def ev(xs):
-        t = (np.asarray(xs, dtype=np.float64) - a) * omega
-        return center + semi_re * np.cos(t) + 1j * semi_im * np.sin(t)
-
-    def der(xs):
-        t = (np.asarray(xs, dtype=np.float64) - a) * omega
-        return omega * (-semi_re * np.sin(t) + 1j * semi_im * np.cos(t))
-
-    seg = SmoothSegment(ev, der, omega * max(semi_re, semi_im), breaks[0], breaks[1],
-                        omega ** 2 * max(semi_re, semi_im))
-    return PiecewisePath([seg], closed=True)
+    return PiecewisePath._closed_arcs(center, semi_re, semi_im, [0.0, 2 * math.pi],
+                                      _uniform_breaks(interval, 1))
 
 
 def polyline(vertices, closed: bool = True, interval=(0.0, 1.0)) -> PiecewisePath:
@@ -670,18 +610,17 @@ def carrier_of_path(path: PiecewisePath, eta: float) -> CompactCarrier:
     return CompactCarrier(path.values(xs), eta)
 
 
-def certified_clearance(path: PiecewisePath, points, required: float) -> float:
+def certified_clearance(path: PiecewisePath, points) -> float:
     """Certified lower bound on the distance from the carrier to the nearest
-    of ``points`` (+inf for none).  Exact up to rounding for lines (projection
-    clamped to each segment) and arcs (||p - c| - r| when p's angle lies in
-    the sweep, else the nearer end); any other path refines an eta-net until
-    the bound clears ``required``, a sample lies within ``required``, or the
-    next net would exceed ``_MAX_CLEARANCE_NET`` points.
+    of ``points`` (+inf for none), in closed form for every path: exact up to
+    rounding for lines (projection clamped to each segment), and for an arc
+    of an ellipse with semi-axes a and b the distance from the unit arc of
+    the point mapped by diag(1/a, 1/b), times min(a, b) (``_arc_clearance``).
     """
-    return float(certified_clearances([path], points, required)[0])
+    return float(certified_clearances([path], points)[0])
 
 
-def certified_clearances(paths, points, required: float) -> np.ndarray:
+def certified_clearances(paths, points) -> np.ndarray:
     """``certified_clearance`` of each path.  The line paths' distances (every
     interior chain member, squares, polylines, constants) come from one
     evaluation over all of their segments; each path keeps its own rounding
@@ -702,8 +641,14 @@ def certified_clearances(paths, points, required: float) -> np.ndarray:
         reach = np.maximum(np.maximum.reduceat(np.abs(z0), starts), np.abs(ends))
         out[lines] = _less_rounding(np.minimum.reduceat(dist, starts), reach, pts)
     for k, path in enumerate(paths):
-        if not path._all_lines:
-            out[k] = _curved_clearance(path, pts, required)
+        if path._arcs is not None:
+            out[k] = _arc_clearance(path._arcs, pts)
+        elif not path._all_lines:  # lines and arcs mixed: the smaller closed form
+            chords = np.array([(s.z0, s.z1) for s in path.segments if isinstance(s, LineSegment)])
+            nearest = _segment_point_distances(chords[:, :1], chords[:, 1:], pts).min()
+            arcs = _arc_arrays([s for s in path.segments if isinstance(s, ArcSegment)])
+            out[k] = min(_less_rounding(nearest, np.abs(chords).max(), pts),
+                         _arc_clearance(arcs, pts))
     return out
 
 
@@ -714,24 +659,41 @@ def _less_rounding(nearest, reach, pts: np.ndarray):
     return np.maximum(0.0, nearest - _POLYLINE_ROUNDING * scale)
 
 
-def _curved_clearance(path: PiecewisePath, pts: np.ndarray, required: float) -> float:
-    arcs = path._arcs
-    if arcs is not None:
-        rel, radius = pts - arcs.center[:, None], arcs.radius[:, None]
-        swept = np.mod(np.angle(rel) - np.minimum(arcs.angle0, arcs.angle1)[:, None],
-                       2 * math.pi) <= np.abs(arcs.angle1 - arcs.angle0)[:, None]
-        ends = np.minimum(*(np.abs(rel - radius * np.exp(1j * a[:, None]))
-                            for a in (arcs.angle0, arcs.angle1)))
-        dist = np.where(swept, np.abs(np.abs(rel) - radius), ends)
-        return _less_rounding(dist.min(), (np.abs(arcs.center) + arcs.radius).max(), pts)
-    eta = 0.05 * max(1.0, float(np.abs(path.vertices()).max()))
-    while True:
-        net = carrier_of_path(path, eta).net
-        raw = min(float(np.abs(net - p).min()) for p in pts)
-        if (raw - eta > required or raw <= required
-                or _step(eta / 4, path.lipschitz_bound) * _MAX_CLEARANCE_NET < path.b - path.a):
-            return raw - eta
-        eta /= 4
+def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
+    """Lower bound on the distance from the arcs to the nearest point.
+
+    An arc is c + A u(theta) for A = diag(a, b) and u on the unit arc between
+    its angles.  With q = A^-1 (p - c), |p - z| = |A (q - u)| >= min(a, b)
+    |q - u|, so min(a, b) times the unit arc's distance d(q) is a lower
+    bound, and for a circle the distance itself: d(q) is ||q| - 1| when q's
+    angle lies in the sweep, else the nearer end's distance.
+
+    Rounding, with u = eps/2, S the larger of max(|c| + max(a, b)) and the
+    points' largest modulus, m = min(a, b), and libm's atan2 within 2 ulps:
+    q is within 2.01u|q| of its value.  The sweep test is widened by
+    16 eps (1 + |angle0| + |angle1|) on both sides, more than the 30u +
+    4u (|angle0| + |angle1|) by which q's error, atan2, the two sums, the
+    reduction by a rounded 2 pi and the rounded sweep move the angle.  So an
+    end's distance is taken only where it is d(q), and the widened test
+    takes ||q| - 1| <= d(q) elsewhere.  Both forms are 1-Lipschitz in q,
+    so with |q|, the rounded ends and the subtractions the unit distance
+    exceeds d(q) by at most 5.01u|q| + 5u.  Since m|q| <= |p - c| <= 2S and
+    m <= S, the product with m, rounded once, exceeds the bound by at most
+    18.1u S, within the 16 eps S that ``_less_rounding`` subtracts.
+    """
+    rel = pts - arcs.center[:, None]
+    q = np.empty(rel.shape, dtype=np.complex128)
+    np.divide(rel.real, arcs.semi_re[:, None], out=q.real)
+    np.divide(rel.imag, arcs.semi_im[:, None], out=q.imag)
+    angle0, angle1 = arcs.angle0[:, None], arcs.angle1[:, None]
+    slack = _POLYLINE_ROUNDING * (1 + np.abs(angle0) + np.abs(angle1))
+    swept = (np.mod(np.angle(q) - np.minimum(angle0, angle1) + slack, 2 * math.pi)
+             <= np.abs(angle1 - angle0) + 2 * slack)
+    ends = np.minimum(*(np.abs(q - np.exp(1j * angle)) for angle in (angle0, angle1)))
+    dist = np.where(swept, np.abs(np.abs(q) - 1.0), ends).min(axis=1)
+    reach = np.abs(arcs.center) + np.maximum(arcs.semi_re, arcs.semi_im)
+    return float(_less_rounding((np.minimum(arcs.semi_re, arcs.semi_im) * dist).min(),
+                                reach.max(), pts))
 
 
 def sup_distance(p: PiecewisePath, q: PiecewisePath, tol: float) -> Bounds:

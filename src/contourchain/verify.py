@@ -105,8 +105,9 @@ def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
     needs no separate test of N: z' = 0 along gamma1, so its integral I_n is
     exactly 0, and the deviation, a maximum over all pairs of members, is at
     least |I_0 - I_n| = N.  So N is within the threshold whenever the
-    deviation is.  (A non-finite f at the point makes I_n, and so the
-    deviation, NaN, which fails.)
+    deviation is.  A non-finite f at the point makes the integrand f z' not
+    finite there, and the run raises ``ToleranceNotReached`` for the lowest
+    member that has one, as for any member.
     """
     gamma0 = reparametrize_to_unit(gamma0)
     gamma1 = reparametrize_to_unit(gamma1)
@@ -134,7 +135,7 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float) -> int:
         raise TypeError("winding numbers need a piecewise-differentiable path")
     if not gamma.is_closed:
         raise ValueError("winding number needs a closed path")
-    clearance = certified_clearance(gamma, [a], _WINDING_CLEARANCE)
+    clearance = certified_clearance(gamma, [a])
     if clearance <= _WINDING_CLEARANCE:
         raise NearSingularity(
             f"carrier not certifiably clear of the winding point "

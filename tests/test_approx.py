@@ -8,7 +8,6 @@ from contourchain import (
     InvalidEpsilon,
     LineSegment,
     PiecewisePath,
-    SmoothSegment,
     circle,
     constant_path,
     ellipse,
@@ -18,8 +17,7 @@ from contourchain import (
     square,
     star_null_homotopy,
 )
-from conftest import (dense_sup, dense_sup_upper, random_builtin_path, slice_sup_upper,
-                      without_curvature_bound)
+from conftest import dense_sup, dense_sup_upper, random_builtin_path, slice_sup_upper
 
 
 class TestConstantPath:
@@ -29,12 +27,10 @@ class TestConstantPath:
         assert result.bound == pytest.approx(0.2)
         assert dense_sup_upper(constant_path(1 - 2j), result.path, 500) == 0.0
 
-    def test_zero_derivative_bound_without_curvature_bound(self):
-        # L = 0 and no |z''| bound: the first-order count floor(0) + 1 is one panel
-        seg = SmoothSegment(lambda xs: np.full(np.shape(xs), 1 - 2j),
-                            lambda xs: np.zeros(np.shape(xs), dtype=complex), 0.0, 0.0, 1.0)
-        f = PiecewisePath([seg], closed=True)
-        assert f.lipschitz_bound == 0.0 and f.second_derivative_bounds is None
+    def test_zero_bounds_give_one_panel(self):
+        # L = 0 and M2 = 0: the count floor(0) + 1 is one panel at any eps
+        f = constant_path(1 - 2j)
+        assert f.lipschitz_bound == 0.0 and np.array_equal(f.second_derivative_bounds, [0.0])
         result = polygonal_approximation(f, 1e-12)
         assert result.num_segments == 1
         assert np.all(result.path.vertices() == 1 - 2j)
@@ -100,24 +96,24 @@ class TestRefinement:
                 assert upper[k + 1] <= lower[k]
 
     def test_panel_count_formula(self):
-        # pieces with no |z''| bound get floor(3 w L / eps) + 1 panels each,
-        # from their own width w and |z'| bound L; a large eps leaves one
-        f = without_curvature_bound(circle(radius=1.3))
+        # each piece gets its own count from its width w and |z''| bound M2;
+        # a large eps leaves one
+        f = circle(radius=1.3)
         for eps in [0.3, 0.02, 2.5, 30.0]:
-            expected = sum(math.floor(3 * (s.s1 - s.s0) * s.derivative_bound / eps) + 1
+            expected = sum(_second_order_panels(s.s1 - s.s0, s.second_derivative_bound, eps)
                            for s in f.segments)
             result = polygonal_approximation(f, eps)
             assert result.num_segments == expected
             assert np.all(np.isin(f.breakpoints, result.path.breakpoints))
             assert dense_sup_upper(f, result.path, 100_000) <= result.bound
-        # a straight piece next to a curved one still takes the first-order count
+        # a straight piece next to a curved one keeps its single panel
         quarter = ArcSegment(0j, 1.0, 0.0, math.pi / 2, 0.0, 0.5)
         back = LineSegment(quarter.end_value, quarter.start_value, 0.5, 1.0)
-        mixed = without_curvature_bound(PiecewisePath([quarter, back], closed=True))
-        line_speed = abs(back.z1 - back.z0) / 0.5
-        expected = (math.floor(3 * 0.5 * quarter.derivative_bound / 0.01) + 1
-                    + math.floor(3 * 0.5 * line_speed / 0.01) + 1)
-        assert polygonal_approximation(mixed, 0.01).num_segments == expected
+        mixed = PiecewisePath([quarter, back], closed=True)
+        expected = _second_order_panels(0.5, quarter.second_derivative_bound, 0.01) + 1
+        result = polygonal_approximation(mixed, 0.01)
+        assert result.num_segments == expected
+        assert dense_sup_upper(mixed, result.path, 100_000) <= result.bound
 
 
 def _second_order_panels(width, m2, eps):

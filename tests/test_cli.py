@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contourchain
 from contourchain import cli
 from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, SpecDocument, main
 from contourchain.errors import ContourChainError
@@ -188,6 +193,30 @@ def test_path_command_exit_codes(args, code, text):
     assert text in (result.stdout if code == EXIT_OK else result.stderr)
     if code != EXIT_OK:
         assert isinstance(result.exception, SystemExit)
+
+
+def _cli_process(*args):
+    """The command run in a fresh interpreter, so that its stderr is what a
+    user sees, warnings included."""
+    src = Path(contourchain.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "contourchain.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+
+
+def test_non_finite_integrand_fails_at_once_without_warnings():
+    run = _cli_process("integrate", "--f", "z^99999", "--path", "circle(2)")
+    assert run.returncode == EXIT_FAILED
+    assert "integrand is not finite on the path" in run.stderr
+    assert "Warning" not in run.stderr
+
+
+def test_pole_a_hundred_thousandth_off_an_ellipse_is_certified_clear():
+    # the clearance is certified in closed form (6.25e-6), so the command is
+    # not refused for the pole's distance
+    result = CliRunner().invoke(main, ["integrate", "--f", "1/(z-1.60001)", "--poles", "1.60001",
+                                       "--path", "ellipse(1.6,1)"])
+    assert result.exit_code != EXIT_REFUSED
+    assert "not certifiably clear" not in result.stderr
 
 
 class TestCertificateOutput:

@@ -82,6 +82,89 @@ class TestParsing:
         assert exc_info.value.expected
 
 
+# Tokens as text@offset and the parse's text or ParseError, pinned from the
+# per-character tokenizer that the one-regex tokenizer replaced.
+_PINNED_PARSES = [
+    ('2.e3', '2.e3@0',
+     '2000.0'),
+    ('1e+', '1@0 e@1 +@2',
+     "trailing input 'e' at position 1 (expected: end of input, operator)"),
+    ('1e5i*z', '1e5@0 i@3 *@4 z@5',
+     '100000.0 * i * z'),
+    ('3.5e-2*z', '3.5e-2@0 *@6 z@7',
+     '0.035 * z'),
+    ('1E5', '1E5@0',
+     '100000.0'),
+    ('2.', '2.@0',
+     '2.0'),
+    ('.5', None,
+     "unexpected character '.' at position 0 (expected: name, number, operator)"),
+    ('1e', '1@0 e@1',
+     "trailing input 'e' at position 1 (expected: end of input, operator)"),
+    ('1e-x', '1@0 e@1 -@2 x@3',
+     "trailing input 'e' at position 1 (expected: end of input, operator)"),
+    ('z^2.0', 'z@0 ^@1 2.0@2',
+     "power wants an integer, got '2.0' at position 2 (expected: integer)"),
+    ('z^1e3', 'z@0 ^@1 1e3@2',
+     "power wants an integer, got '1e3' at position 2 (expected: integer)"),
+    ('sin(z) + cos(2i*z)', 'sin@0 (@3 z@4 )@5 +@7 cos@9 (@12 2@13 i@14 *@15 z@16 )@17',
+     'sin(z) + cos(2.0 * i * z)'),
+    ('exp(-z)/(z - 1.5)', 'exp@0 (@3 -@4 z@5 )@6 /@7 (@8 z@9 -@11 1.5@13 )@16',
+     'exp(-z) / (z - 1.5)'),
+    ('  z\t*\n2 ', 'z@2 *@4 2@6',
+     'z * 2.0'),
+    ('z $ 1', None,
+     "unexpected character '$' at position 2 (expected: name, number, operator)"),
+    ('12abc', '12@0 abc@2',
+     "trailing input 'abc' at position 2 (expected: end of input, operator)"),
+    ('2i', '2@0 i@1',
+     '2.0 * i'),
+    ('2 i', '2@0 i@2',
+     "trailing input 'i' at position 2 (expected: end of input, operator)"),
+    ('z^', 'z@0 ^@1',
+     "unexpected token 'end of input' at position 2 (expected: integer)"),
+    ('((z)', '(@0 (@1 z@2 )@3',
+     "unexpected token 'end of input' at position 4 (expected: ')')"),
+    ('z)', 'z@0 )@1',
+     "trailing input ')' at position 1 (expected: end of input, operator)"),
+    ('1.2.3', None,
+     "unexpected character '.' at position 3 (expected: name, number, operator)"),
+    ('z^-1', 'z@0 ^@1 -@2 1@3',
+     "unexpected token '-' at position 2 (expected: integer)"),
+    ('z**2', 'z@0 *@1 *@2 2@3',
+     "unexpected token '*' at position 2 (expected: '(', '-', 'cos(', 'exp(', 'i', 'sin(', 'z', number)"),
+]
+
+
+@pytest.mark.parametrize("text, tokens, outcome", _PINNED_PARSES)
+def test_tokens_and_errors_pinned(text, tokens, outcome):
+    from contourchain.expressions import _tokenize
+
+    if tokens is None:
+        with pytest.raises(ParseError):
+            _tokenize(text)
+    else:
+        got = _tokenize(text)
+        assert " ".join(f"{t.text}@{t.pos}" for t in got[:-1]) == tokens
+        assert (got[-1].kind, got[-1].pos) == ("EOF", len(text))
+    try:
+        assert parse_function(text).to_text() == outcome
+    except ParseError as exc:
+        assert str(exc) == outcome
+
+
+@pytest.mark.parametrize("text, position", [
+    ("z^\u00b2", 2),     # a superscript two is no digit: int() used to raise ValueError
+    ("\u0663*z", 0),     # an Arabic-Indic three used to read as 3.0
+    ("z\u00e9", 1),      # a non-ASCII letter, where "unknown name 'z\u00e9'" stood at 0
+    ("z\u00a0+1", 1),    # a no-break space used to pass as whitespace
+])
+def test_non_ascii_characters_refused_where_they_stand(text, position):
+    with pytest.raises(ParseError, match="unexpected character") as exc_info:
+        parse_function(text)
+    assert exc_info.value.position == position
+
+
 class TestEvaluation:
     def test_square_of_one_plus_i(self):
         # (1+i)^2 = 2i, exact in floats

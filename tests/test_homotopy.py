@@ -34,8 +34,7 @@ from contourchain import homotopy as homotopy_module
 from contourchain import paths as paths_module
 from contourchain.geometry import margin_certificate
 from contourchain.homotopy import homotopy_carrier
-from conftest import (dense_sup, dense_sup_upper, random_polyline, slice_sup_upper,
-                      without_curvature_bound)
+from conftest import dense_sup, dense_sup_upper, random_polyline, slice_sup_upper
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -140,8 +139,8 @@ class TestPolygonalSlices:
         lambda: linear_homotopy(circle(), ellipse(2.0, 1.0)),
         lambda: linear_homotopy(square(2.0), circle(radius=1.8)),
         lambda: star_null_homotopy(square(2.0, center=0.1 + 0.1j), 0.1 + 0.1j),
-        lambda: linear_homotopy(without_curvature_bound(ellipse(1.0, 0.9)), circle(radius=1.4)),
-    ], ids=["circle-ellipse", "square-circle", "star-square", "no-curvature-bound"])
+        lambda: linear_homotopy(ellipse(1.0, 0.9), circle(radius=1.4)),
+    ], ids=["circle-ellipse", "square-circle", "star-square", "ellipse-circle"])
     @pytest.mark.parametrize("eps", [0.1, 0.005])
     def test_same_polylines_as_one_slice_at_a_time(self, make, eps):
         sigma = make()
@@ -161,15 +160,15 @@ class TestPolygonalSlices:
             assert slice_sup_upper(member, sigma, t, _oracle_points(member, sigma, eps / 1000)) \
                 <= 2 * eps / 3
 
-    def test_no_curvature_bound_takes_the_first_order_rule(self):
+    def test_pieces_take_one_paths_rule_at_the_larger_bound(self):
         outer = circle(radius=1.4)
-        sigma = linear_homotopy(without_curvature_bound(ellipse(1.0, 0.9)), outer)
+        sigma = linear_homotopy(ellipse(1.0, 0.9), outer)
         xs, _, _ = sigma.shared_vertices(0.01)
-        # four quarter-arc pieces, each at the larger end path's Lipschitz bound
-        lipschitz = 2 * math.pi * 1.4
-        assert xs.size - 1 == 4 * (math.floor(3 * 0.25 * lipschitz / 0.01) + 1)
+        # four quarter-arc pieces, each at the larger end path's |z''| bound
+        curvature = 1.4 * (2 * math.pi) ** 2
+        assert xs.size - 1 == 4 * (math.floor(0.25 * math.sqrt(3 * curvature / 0.16)) + 1)
         # the rule of one path's polygonal approximation, at the same bounds
-        single = polygonal_approximation(without_curvature_bound(outer), 0.01)
+        single = polygonal_approximation(outer, 0.01)
         assert np.array_equal(single.path.breakpoints, xs)
 
     def test_panel_budget_refused_like_one_slice(self):
@@ -529,10 +528,13 @@ class TestEndpointCheckScale:
         assert all(e.sampled.lo <= e.analytic for e in chain.certificate.entries)
 
     def test_foreign_end_takes_its_own_values_and_chord_slack(self, center, radius, monkeypatch):
-        # a foreign end with no |z''| bound keeps the Lipschitz chord slack
+        # a foreign polyline whose breakpoints are off the shared partition
+        # keeps the Lipschitz chord slack: here the moved circle's values on
+        # 2^17 uniform steps, within float noise of gamma0
         g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
         moved = circle(center + 1e-14 * (abs(center) + radius), radius)
-        noisy = without_curvature_bound(moved)
+        steps = np.arange(2 ** 17 + 1) / 2 ** 17
+        noisy = PiecewisePath.from_vertices(moved.values(steps), steps, closed=True)
         seen = []
 
         def recorded(xs):
@@ -543,6 +545,7 @@ class TestEndpointCheckScale:
         sigma = linear_homotopy(g0, g1)
         chain = build_chain(sigma, noisy, g1, Annulus(center, 0.5 * radius, 2.5 * radius))
         xs, _, _ = sigma.shared_vertices(chain.epsilon / 6)
+        assert not np.isin(noisy.breakpoints, xs).all()
         assert any(np.array_equal(called, xs) for called in seen)
         vertex = Bounds.from_arrays(*paths_module._consecutive_gaps(
             np.stack([type(noisy).values(noisy, xs), chain.members[1].vertices()])))[0]

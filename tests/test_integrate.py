@@ -192,6 +192,22 @@ class TestChainIntegration:
             integral_along_chain(f, chain, 1e-8)
         assert exc_info.value.member_index == 1
 
+    def test_non_finite_integrand_fails_the_lowest_such_member_at_once(self):
+        # z^1100 overflows for |z| >= 2 but not on the unit circle; at a
+        # point where f overflows, f z' = inf * 0 is not finite either
+        f = parse_function("z^1100")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for members, lowest in [([circle(), circle(radius=3.0), circle(radius=2.0)], 1),
+                                    ([circle(), constant_path(3 + 0j)], 1),
+                                    ([square(5.0), circle()], 0)]:
+                with pytest.raises(ToleranceNotReached, match="integrand is not finite") as exc:
+                    integral_along_chain(f, _dummy_chain(members), 1e-9)
+                assert exc.value.member_index == lowest
+            with pytest.raises(ToleranceNotReached, match="integrand is not finite"):
+                contour_integral(f, circle(radius=2.0), 1e-9)
+            assert abs(contour_integral(f, circle(), 1e-9).value) <= 1e-9
+
 
 class TestDeterminism:
     def test_bit_identical_repeat(self):

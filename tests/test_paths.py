@@ -12,7 +12,6 @@ from contourchain import (
     LineSegment,
     MismatchedDomains,
     PiecewisePath,
-    SmoothSegment,
     carrier_of_path,
     certified_clearance,
     certified_clearances,
@@ -83,11 +82,13 @@ class TestClosedness:
             PiecewisePath([LineSegment(0j, 1 + 0j, 0.0, 1.0)], closed=True)
 
     def test_function_path_closure_guard(self):
-        # a smooth segment's evaluator that does not close up is refused
-        open_seg = SmoothSegment(lambda xs: np.asarray(xs) + 0j,
-                                 lambda xs: np.ones_like(np.asarray(xs)) + 0j, 1.0, 0.0, 1.0)
+        # an elliptic arc that does not close up is refused, from its segment
+        # and from the arc arrays alike
+        half = ArcSegment(0.1j, 1.5, 0.0, math.pi, 0.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="closed"):
-            PiecewisePath([open_seg], closed=True)
+            PiecewisePath([half], closed=True)
+        with pytest.raises(ValueError, match="closed"):
+            PiecewisePath._closed_arcs(0.1j, 1.5, 0.5, [0.0, math.pi], np.array([0.0, 1.0]))
 
 
 class TestModulusSoundness:
@@ -285,12 +286,12 @@ class TestCertifiedClearance:
         slack = path.lipschitz_bound * (path.b - path.a) / n / 2 + 1e-12
         for p in _clearance_points(path, path.num_segments):
             sampled = float(np.abs(samples - p).min())
-            bound = certified_clearance(path, [p], 1e-9)
+            bound = certified_clearance(path, [p])
             assert bound <= sampled
             assert bound >= sampled - slack
         points = _clearance_points(path, 7)
-        assert certified_clearance(path, points, 1e-9) == min(
-            certified_clearance(path, [p], 1e-9) for p in points)
+        assert certified_clearance(path, points) == min(
+            certified_clearance(path, [p]) for p in points)
 
     def test_batch_matches_one_path_at_a_time(self):
         paths = [square(2.0), circle(), polyline([0j, 1 + 0j, 1 + 1j], closed=False),
@@ -298,8 +299,8 @@ class TestCertifiedClearance:
                  ellipse(1.6, 1.0), square(40.0, center=3 - 2j)]
         # points within 0.7 of 0, so that each path's own reach sets its rounding
         points = 0.25 * _clearance_points(square(2.0), 11)[::5] + 0.1j
-        batch = certified_clearances(paths, points, 1e-9)
-        assert batch.tolist() == [certified_clearance(p, points, 1e-9) for p in paths]
+        batch = certified_clearances(paths, points)
+        assert batch.tolist() == [certified_clearance(p, points) for p in paths]
         for k, path in enumerate(paths):
             if isinstance(path.segments[0], LineSegment):
                 # one path's closed form: the exact distance less 16 ulps of
@@ -308,23 +309,93 @@ class TestCertifiedClearance:
                 exact = _segment_point_distances(verts[:-1, None], verts[1:, None], points).min()
                 scale = max(np.abs(verts).max(), np.abs(points).max())
                 assert batch[k] == max(0.0, exact - 16 * np.finfo(np.float64).eps * scale)
-        assert certified_clearances(paths, [], 1e-9).tolist() == [math.inf] * len(paths)
+        assert certified_clearances(paths, []).tolist() == [math.inf] * len(paths)
 
     def test_no_points_is_infinitely_clear(self):
-        assert certified_clearance(circle(), [], 1e-9) == math.inf
+        assert certified_clearance(circle(), []) == math.inf
 
-    def test_ellipse_fallback(self):
+    def test_ellipse_closed_form(self):
+        # within the sampled distance, and above min/max of the semi-axes
+        # times it, less the sampling slack
         path = ellipse(1.6, 1.0, center=0.1j)
         xs = np.arange(200_001) / 200_000
         samples = path.values(xs)
+        slack = path.lipschitz_bound / 200_000 / 2
         for p in _clearance_points(path, 3):
             sampled = float(np.abs(samples - p).min())
-            bound = certified_clearance(path, [p], sampled / 2)
+            bound = certified_clearance(path, [p])
             assert bound <= sampled
-            if sampled > 1e-3:  # within the sampling budget's reach
-                assert bound > sampled / 2
+            assert bound >= (sampled - slack) / 1.6 - 1e-12
         on_carrier = path.value(0.123456)
-        assert certified_clearance(path, [on_carrier], 1e-9) <= 1e-9
+        assert certified_clearance(path, [on_carrier]) <= 1e-9
+
+
+def _elliptic_arc(angle0: float, angle1: float) -> PiecewisePath:
+    return PiecewisePath([ArcSegment(0.2j, 1.3, angle0, angle1, 0.0, 1.0, 0.6)])
+
+
+def _arc_and_chord() -> PiecewisePath:
+    arc = ArcSegment(0.1 + 0.1j, 1.2, 0.5, 3.5, 0.0, 0.7, 0.8)
+    return PiecewisePath([arc, LineSegment(arc.end_value, arc.start_value, 0.7, 1.0)],
+                         closed=True)
+
+
+class TestEllipseClearance:
+    """An elliptic arc's closed form: min(a, b) times the unit arc's distance
+    of the point mapped by diag(1/a, 1/b), a lower bound within min/max of
+    the semi-axes of the distance."""
+
+    def test_sound_and_positive_near_random_ellipses(self):
+        # 300 points 1e-5 to 1e-1 along the normal, inside and out, from
+        # random feet on random ellipses: the foot is the nearest point
+        # (inside, every radius of curvature b^2/a >= 0.125 exceeds 0.1), so
+        # the distance is known, and a dense sample bounds it from above
+        gen = np.random.default_rng(17)
+        xs = np.arange(20_001) / 20_000
+        for _ in range(30):
+            a, b = gen.uniform(0.5, 2.0, 2)
+            center = complex(*gen.uniform(-1.0, 1.0, 2))
+            path = ellipse(a, b, center=center)
+            samples = path.values(xs)
+            for _ in range(10):
+                theta = gen.uniform(0.0, 2 * math.pi)
+                normal = complex(b * math.cos(theta), a * math.sin(theta))
+                distance = 10 ** gen.uniform(-5.0, -1.0)
+                side = gen.choice([-1.0, 1.0])
+                p = (center + complex(a * math.cos(theta), b * math.sin(theta))
+                     + side * distance * normal / abs(normal))
+                bound = certified_clearance(path, [p])
+                assert 0 < bound <= distance + 1e-13
+                assert bound <= float(np.abs(samples - p).min())
+                assert bound >= min(a, b) / max(a, b) * distance - 1e-13
+
+    def test_pole_a_hundred_thousandth_off_the_vertex(self):
+        # the point 1e-5 beyond the vertex 1.6 maps to 1.00000625 on the unit circle
+        bound = certified_clearance(ellipse(1.6, 1.0), [1.60001])
+        assert bound == pytest.approx(6.25e-6, rel=1e-9)
+
+    @pytest.mark.parametrize("path", [
+        _elliptic_arc(2.5, 4.0),
+        _elliptic_arc(-2.0, -4.0),
+        _elliptic_arc(0.3, 7.0),
+        ellipse(1.6, 1.0, center=0.1j).reverse(),
+        _arc_and_chord(),
+    ], ids=["arc-across-cut", "clockwise-arc-across-cut", "arc-over-a-turn",
+            "reversed-ellipse", "arc-and-chord"])
+    def test_sound_on_arcs_and_mixed_paths(self, path, monkeypatch):
+        # closed forms only: no path kind samples a net
+        monkeypatch.setattr(paths_module, "carrier_of_path", None)
+        n = 20_000
+        xs = path.a + (path.b - path.a) * np.arange(n + 1) / n
+        samples = path.values(xs)
+        slack = path.lipschitz_bound * (path.b - path.a) / n / 2 + 1e-12
+        arcs = [s for s in path.segments if isinstance(s, ArcSegment)]
+        ratio = min(min(s.semi_re, s.semi_im) / max(s.semi_re, s.semi_im) for s in arcs)
+        for p in _clearance_points(path, 5):
+            sampled = float(np.abs(samples - p).min())
+            bound = certified_clearance(path, [p])
+            assert bound <= sampled
+            assert bound >= ratio * (sampled - slack) - 1e-12
 
 
 class TestReparametrize:
@@ -350,14 +421,12 @@ class TestReparametrize:
         assert abs(ip - iu) < 1e-12
 
     def test_function_path_rescaling(self):
-        seg = SmoothSegment(lambda xs: np.exp(1j * math.pi * np.asarray(xs)),
-                            lambda xs: 1j * math.pi * np.exp(1j * math.pi * np.asarray(xs)),
-                            math.pi, 0.0, 2.0)
-        raw = PiecewisePath([seg], closed=True)
+        raw = ellipse(1.0, 0.5, interval=(0.0, 2.0))
         u = reparametrize_to_unit(raw)
         assert u.interval == (0.0, 1.0)
         assert u.value(0.25) == pytest.approx(raw.value(0.5), abs=1e-15)
         assert u.lipschitz_bound == 2 * math.pi
+        assert np.array_equal(u.second_derivative_bounds, [4 * math.pi ** 2])
 
 
 class TestPiecewisePath:
@@ -459,12 +528,13 @@ class TestPiecewisePath:
         assert abs(p.value(0.25) - math.sqrt(0.5) * (1 + 1j)) < 1e-15
 
     def test_smooth_segment_roundtrip_spans(self):
-        seg = SmoothSegment(lambda xs: np.exp(2j * math.pi * np.asarray(xs)),
-                            lambda xs: 2j * math.pi * np.exp(2j * math.pi * np.asarray(xs)),
-                            2 * math.pi, 0.0, 1.0)
+        seg = ArcSegment(0j, 1.0, 0.0, 2 * math.pi, 0.0, 1.0, 0.5)
         moved = seg.with_span(0.0, 0.5)
         assert moved.values_at(np.array([0.25]))[0] == pytest.approx(seg.values_at(np.array([0.5]))[0])
         assert moved.derivative_bound == pytest.approx(4 * math.pi)
+        assert moved.second_derivative_bound == pytest.approx(16 * math.pi ** 2)
+        back = moved.reversed_onto(0.5, 1.0)
+        assert back.values_at(np.array([0.6]))[0] == pytest.approx(moved.values_at(np.array([0.4]))[0])
 
     @pytest.mark.parametrize("path", [
         circle(1 + 1j, 2.0),

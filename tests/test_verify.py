@@ -168,20 +168,20 @@ class TestWindingNumber:
 
         checked = []
 
-        def counted(path, points, required):
+        def counted(path, points):
             if len(points):
-                checked.append(required)
-            return paths.certified_clearance(path, points, required)
+                checked.append(list(points))
+            return paths.certified_clearance(path, points)
 
-        def counted_batch(members, points, required):
+        def counted_batch(members, points):
             if len(points):
-                checked.append(required)
-            return paths.certified_clearances(members, points, required)
+                checked.append(list(points))
+            return paths.certified_clearances(members, points)
 
         monkeypatch.setattr(verify, "certified_clearance", counted)
         monkeypatch.setattr(integrate, "certified_clearances", counted_batch)
         assert winding_number(ellipse(1.6, 1.0), 1.8, 1e-9) == 0
-        assert checked == [1e-6]
+        assert checked == [[1.8]]
 
     def test_winding_constant_along_chain(self):
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
