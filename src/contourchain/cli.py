@@ -11,14 +11,13 @@ Exit codes: 0 success/pass, 1 usage or parse errors, 2 refusal (containment
 or singularity clearance cannot be certified), 3 failure (deviation above
 threshold, quadrature tolerance not reached, non-integer winding).
 
-Problem specs are JSON documents; the ``SpecDocument`` docstring gives the
-schema.  One builder makes every path and domain, from spec objects and
-``--path`` text alike, out of two static tables, ``_PATHS`` and ``_DOMAINS``:
-each kind's constructor and its fields in order, with a reader and a default.
-``--path`` text gives the fields as arguments in that order (``polyline``
-takes all of them as vertices).  Unknown fields, surplus arguments and empty
-arguments are refused.  Complex numbers in specs and flags are written like
-``1.5``, ``2i``, ``1+2i`` or ``-0.5-1i``.
+Problem specs are JSON documents whose schema is a set of field tables (see
+``SpecDocument``): each row a constructor and its fields in order, each with
+a reader and a default.  One field loop, ``_construct``, reads every section
+and ``--path`` text, whose arguments fill a path's fields in order
+(``polyline`` takes them all as vertices).  It refuses unknown, missing,
+surplus and empty fields.  Complex numbers look like ``1.5``, ``2i``,
+``1+2i`` or ``-0.5-1i``.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def parse_complex(text: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Spec documents: one field table per kind of path or domain, one builder
+# Spec documents: one field table per section or kind, one field loop
 # ---------------------------------------------------------------------------
 
 def _real(value) -> float:
@@ -100,15 +99,24 @@ def _points(value) -> tuple[complex, ...]:
     return tuple(parse_complex(v) for v in value)
 
 
-def _integer(value) -> int:
-    x = _real(value)
-    if not x.is_integer():
+def _version(value) -> int:
+    if _real(value) != SPEC_VERSION:
         raise ValueError
-    return int(x)
+    return SPEC_VERSION
 
 
-_EXPECTED = {_real: "a real number", _integer: "an integer", parse_complex: "a complex number",
-             _points: "a list of complex numbers"}
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+def _given(value):  # a section, or a path name that a homotopy looks up
+    return value
+
+
+_EXPECTED = {_real: "a real number", _version: str(SPEC_VERSION), parse_complex: "a complex number",
+             _points: "a list of complex numbers", _string: "a string"}
 
 
 def _read(read, value, what: str, key: str | None = None):
@@ -126,9 +134,37 @@ def _polygon(vertices) -> PiecewisePath:
     return polyline(vertices)
 
 
+def _unit_path(paths: dict, name) -> PiecewisePath:
+    if not (isinstance(name, str) and name in paths):
+        raise SpecError(f"homotopy references unknown path {name!r}")
+    return reparametrize_to_unit(paths[name])
+
+
+# Homotopy constructors take the spec's paths first, and look their functions
+# up as module globals when called, so that a wrapper set here sees the call.
+def _linear(paths: dict, **ends) -> Homotopy:  # the fields "from" and "to"
+    return linear_homotopy(_unit_path(paths, ends["from"]), _unit_path(paths, ends["to"]))
+
+
+def _constant(paths: dict, path) -> Homotopy:
+    g = _unit_path(paths, path)
+    return linear_homotopy(g, g)
+
+
+def _star(paths: dict, path, center: complex) -> Homotopy:
+    return star_null_homotopy(_unit_path(paths, path), center)
+
+
+def _function(expression: str, poles: tuple[complex, ...]) -> AnalyticFunction:
+    try:
+        return parse_function(expression, poles)
+    except ParseError as exc:
+        raise SpecError(f"bad function expression: {exc}") from None
+
+
 _REQUIRED = object()
-# kind -> (constructor, {field: (reader, default)}); text arguments fill the
-# fields in this order
+# A row is (constructor, {field: (reader, default)}).  Kind tables map each
+# kind to its row; text arguments fill a path's fields in this order.
 _PATHS = {
     "unit_circle": (circle, {}),
     "circle": (circle, {"radius": (_real, 1.0), "center": (parse_complex, 0j)}),
@@ -146,22 +182,28 @@ _DOMAINS = {
                               "corner_hi": (parse_complex, _REQUIRED)}),
     "punctured_plane": (PuncturedPlane, {"excluded": (_points, ())}),
 }
+_HOMOTOPIES = {
+    "linear": (_linear, {"from": (_given, _REQUIRED), "to": (_given, _REQUIRED)}),
+    "constant": (_constant, {"path": (_given, _REQUIRED)}),
+    "star": (_star, {"path": (_given, _REQUIRED), "center": (parse_complex, 0j)}),
+}
+# The kindless sections, and the document itself
+_FUNCTION = (_function, {"expression": (_string, _REQUIRED), "poles": (_points, ())})
+_TOLERANCES = (dict, {"tol": (_real, 1e-9), "eps": (_real, None)})
+_SPEC = (dict, {"version": (_version, _REQUIRED), "paths": (_given, {}),
+                "domain": (_given, _REQUIRED), "homotopy": (_given, _REQUIRED),
+                "function": (_given, _REQUIRED), "tolerances": (_given, {})})
 
 
-def _build(table: dict, label: str, doc):
-    """Construct ``doc["kind"]`` from ``table`` with the fields ``doc`` gives.
-
-    A field the kind does not name is refused, and so is a missing field
-    without a default.  A constructor's ``ValueError`` becomes a SpecError.
-    """
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SpecError(f"{label} needs a 'kind' field")
-    kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in table:
-        raise SpecError(f"{label} has unknown kind {kind!r} (try {', '.join(table)})")
-    build, fields = table[kind]
-    what = f"{kind} {label}"
-    unknown = [key for key in doc if key != "kind" and key not in fields]
+def _construct(row, what: str, doc, *context):
+    """``row``'s constructor called with ``context`` and the fields of the
+    object ``doc``, each through its reader.  A field the row does not name
+    is refused, and so is a missing field without a default.  A
+    constructor's ``ValueError`` becomes a SpecError."""
+    build, fields = row
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = [key for key in doc if key not in fields]
     if unknown:
         raise SpecError(f"{what} has no field {unknown[0]!r} "
                         f"(fields: {', '.join(fields) or 'none'})")
@@ -174,9 +216,20 @@ def _build(table: dict, label: str, doc):
         else:
             args[key] = default
     try:
-        return build(**args)
+        return build(*context, **args)
     except ValueError as exc:
         raise SpecError(f"{what}: {exc}") from None
+
+
+def _build(table: dict, label: str, doc, *context):
+    """``_construct`` with the row of ``doc["kind"]`` in ``table``."""
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise SpecError(f"{label} needs a 'kind' field")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise SpecError(f"{label} has unknown kind {kind!r} (try {', '.join(table)})")
+    fields = {key: value for key, value in doc.items() if key != "kind"}
+    return _construct(table[kind], f"{kind} {label}", fields, *context)
 
 
 def _split_args(text: str) -> list[str]:
@@ -205,46 +258,35 @@ def path_from_text(text: str) -> PiecewisePath:
     elif len(args) > len(fields):
         raise SpecError(f"{kind} path takes at most {len(fields)} arguments "
                         f"({', '.join(fields)}), got {len(args)}")
-    return _build(_PATHS, "path", {"kind": kind, **dict(zip(fields, args))})
-
-
-def _typed(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (str or dict), else a SpecError."""
-    if not isinstance(value, kind):
-        names = {str: "a string", dict: "a JSON object"}
-        raise SpecError(f"{what} must be {names[kind]}, got {value!r}")
-    return value
+    return _construct(_PATHS[kind], f"{kind} path", dict(zip(fields, args)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpecDocument:
-    """Parsed and resolved problem description.
-
-    A spec is one JSON object.  Complex numbers are strings such as ``"1.5"``,
-    ``"2i"`` or ``"1+2i"``; reals are JSON numbers or real numeric strings.
+    """Parsed and resolved problem description: one JSON object whose schema
+    is the field tables, each section read by ``_construct``.
 
     * ``version`` (required): 1.
-    * ``paths``: an object from names to path objects, and ``domain``
-      (required): one domain object.  Each has a ``kind`` from ``_PATHS`` or
-      ``_DOMAINS`` and only that kind's fields, required where the table
-      gives no default.  A polyline closes back to the first of its at least
-      three vertices; a ``punctured_plane`` with no ``excluded`` points is the
-      whole plane.
-    * ``homotopy`` (required): an object with a ``kind``: ``linear`` (path
-      names ``from`` and ``to``), ``constant`` (``path``) or ``star`` (``path``
-      and ``center``, default 0).
-    * ``function`` (required): an object with an ``expression`` string in z
-      and ``poles``, a list of the complex singular points to keep clear of.
-    * ``tolerances``: an object with the quadrature ``tol`` (default 1e-9)
-      and the chain budget ``eps`` (default: half the certified containment
-      margin; required for the whole plane, whose margin is unbounded).
+    * ``paths``: names to path objects of a kind in ``_PATHS``; a polyline
+      closes back to the first of its at least three vertices.
+    * ``domain`` (required): a kind in ``_DOMAINS``; a ``punctured_plane``
+      with no ``excluded`` points is the whole plane.
+    * ``homotopy`` (required): a kind in ``_HOMOTOPIES`` whose path fields
+      name ``paths``; it is built as the spec is read.
+    * ``function`` (required, ``_FUNCTION``): an ``expression`` in z and the
+      ``poles`` to keep clear of.
+    * ``tolerances`` (``_TOLERANCES``): the quadrature ``tol`` and the chain
+      budget ``eps``, by default half the certified containment margin,
+      which the whole plane does not have.
 
-    Anything of the wrong shape raises ``SpecError``.
+    Complex numbers are strings such as ``"1.5"``, ``"2i"`` or ``"1+2i"``;
+    reals are JSON numbers or real numeric strings.  Anything unknown,
+    missing or of the wrong shape raises ``SpecError``.
     """
 
     version: int
     paths: dict
-    homotopy_spec: dict
+    homotopy: Homotopy
     domain: DomainDescriptor
     function: AnalyticFunction
     tol: float
@@ -252,38 +294,15 @@ class SpecDocument:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SpecDocument":
-        if not isinstance(doc, dict):
-            raise SpecError("spec document must be a JSON object")
-        if "version" not in doc:
-            raise SpecError("spec document is missing the 'version' field")
-        version = _read(_integer, doc["version"], "spec document", "version")
-        if version != SPEC_VERSION:
-            raise SpecError(f"unsupported spec version {doc['version']!r} (expected {SPEC_VERSION})")
-        paths = _typed(doc.get("paths", {}), dict, "spec document's 'paths' section")
-        paths = {name: _build(_PATHS, f"path {name!r}", spec) for name, spec in paths.items()}
-        homotopy_spec = doc.get("homotopy")
-        if not isinstance(homotopy_spec, dict) or "kind" not in homotopy_spec:
-            raise SpecError("spec document needs a 'homotopy' section with a 'kind'")
-        for key in ("from", "to", "path"):
-            ref = homotopy_spec.get(key)
-            if ref is not None and not (isinstance(ref, str) and ref in paths):
-                raise SpecError(f"homotopy references unknown path {ref!r}")
-        fn = doc.get("function")
-        if not isinstance(fn, dict) or "expression" not in fn:
-            raise SpecError("spec document needs a 'function' section with an 'expression'")
-        expression = _typed(fn["expression"], str, "function 'expression'")
-        poles = _read(_points, fn.get("poles", []), "function 'poles'")
-        try:
-            function = parse_function(expression, poles)
-        except ParseError as exc:
-            raise SpecError(f"bad function expression: {exc}")
-        tolerances = _typed(doc.get("tolerances", {}), dict, "spec document's 'tolerances' section")
-        tol = _read(_real, tolerances.get("tol", 1e-9), "tolerances", "tol")
-        eps = tolerances.get("eps")
-        eps = None if eps is None else _read(_real, eps, "tolerances", "eps")
-        return cls(version=version, paths=paths, homotopy_spec=homotopy_spec,
-                   domain=_build(_DOMAINS, "domain", doc.get("domain")), function=function,
-                   tol=tol, eps=eps)
+        spec = _construct(_SPEC, "spec document", doc)
+        if not isinstance(spec["paths"], dict):
+            raise SpecError(f"'paths' section must be a JSON object, got {spec['paths']!r}")
+        paths = {name: _build(_PATHS, f"path {name!r}", path) for name, path in spec["paths"].items()}
+        return cls(version=spec["version"], paths=paths,
+                   homotopy=_build(_HOMOTOPIES, "homotopy", spec["homotopy"], paths),
+                   function=_construct(_FUNCTION, "function", spec["function"]),
+                   domain=_build(_DOMAINS, "domain", spec["domain"]),
+                   **_construct(_TOLERANCES, "tolerances", spec["tolerances"]))
 
     @classmethod
     def from_file(cls, filename: str) -> "SpecDocument":
@@ -296,31 +315,9 @@ class SpecDocument:
             raise SpecError(f"spec file is not valid JSON: {exc}")
         return cls.from_dict(doc)
 
-    def _named(self, key: str) -> PiecewisePath:
-        name = self.homotopy_spec.get(key)
-        if name is None:
-            raise SpecError(f"homotopy of kind {self.homotopy_spec['kind']!r} needs {key!r}")
-        return reparametrize_to_unit(self.paths[name])
-
     def build_homotopy(self) -> tuple[Homotopy, PiecewisePath, PiecewisePath]:
-        kind = self.homotopy_spec["kind"]
-        try:
-            if kind == "linear":
-                g0, g1 = self._named("from"), self._named("to")
-                return linear_homotopy(g0, g1), g0, g1
-            if kind == "constant":
-                g = self._named("path")
-                return linear_homotopy(g, g), g, g
-            if kind == "star":
-                sigma = star_null_homotopy(self._named("path"), self.star_center)
-                return sigma, sigma.gamma0, sigma.gamma1
-        except ValueError as exc:
-            raise SpecError(f"{kind} homotopy: {exc}")
-        raise SpecError(f"unknown homotopy kind {kind!r}")
-
-    @property
-    def star_center(self) -> complex:
-        return parse_complex(self.homotopy_spec.get("center", "0"))
+        """The homotopy, built as the spec was read, and its two end paths."""
+        return self.homotopy, self.homotopy.gamma0, self.homotopy.gamma1
 
 
 # ---------------------------------------------------------------------------

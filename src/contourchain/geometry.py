@@ -139,9 +139,6 @@ class DomainDescriptor:
         z = require_finite_complex(z, "z")
         return float(self.complement_distances(np.array([z], dtype=np.complex128))[0])
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Disk(DomainDescriptor):
@@ -160,9 +157,6 @@ class Disk(DomainDescriptor):
     def segment_complement_distances(self, a, b):
         # concave along the segment, so smallest at an end
         return np.minimum(self.complement_distances(a), self.complement_distances(b))
-
-    def to_dict(self):
-        return {"kind": "disk", "center": _complex_text(self.center), "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -191,10 +185,6 @@ class Annulus(DomainDescriptor):
         return np.minimum(_segment_point_distances(a, b, self.center) - self.r_inner,
                           self.r_outer - farthest)
 
-    def to_dict(self):
-        return {"kind": "annulus", "center": _complex_text(self.center),
-                "r_inner": self.r_inner, "r_outer": self.r_outer}
-
 
 @dataclass(frozen=True)
 class Rectangle(DomainDescriptor):
@@ -219,10 +209,6 @@ class Rectangle(DomainDescriptor):
     def segment_complement_distances(self, a, b):
         # a minimum of affine functions is concave, so smallest at an end
         return np.minimum(self.complement_distances(a), self.complement_distances(b))
-
-    def to_dict(self):
-        return {"kind": "rectangle", "corner_lo": _complex_text(self.corner_lo),
-                "corner_hi": _complex_text(self.corner_hi)}
 
 
 @dataclass(frozen=True)
@@ -250,9 +236,6 @@ class PuncturedPlane(DomainDescriptor):
             out = np.minimum(out, _segment_point_distances(a, b, p))
         return out
 
-    def to_dict(self):
-        return {"kind": "punctured_plane", "excluded": [_complex_text(p) for p in self.excluded]}
-
 
 def _segment_point_distances(a: np.ndarray, b: np.ndarray, p: complex) -> np.ndarray:
     """Distance from the point ``p`` to each segment [a, b].
@@ -267,10 +250,6 @@ def _segment_point_distances(a: np.ndarray, b: np.ndarray, p: complex) -> np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(length2 > 0, along / length2, 0.0)
     return np.abs(a + np.clip(s, 0.0, 1.0) * d - p)
-
-
-def _complex_text(z: complex) -> str:
-    return f"{z.real!r}+{z.imag!r}i" if z.imag >= 0 else f"{z.real!r}-{-z.imag!r}i"
 
 
 @dataclass(frozen=True)

@@ -486,6 +486,8 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     bounds are checked against all lower bounds in one comparison, which
     names the lowest failing pair.
     """
+    if not (isinstance(max_refinements, int) and max_refinements >= 0):
+        raise ValueError(f"max_refinements must be a non-negative integer, got {max_refinements!r}")
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
         _check_end_path(path, name)
     _check_endpoint_slices(sigma, gamma0, gamma1)

@@ -570,7 +570,7 @@ def square(side: float, center: complex = 0j, interval=(0.0, 1.0)) -> PiecewiseP
 
 def constant_path(point: complex, interval=(0.0, 1.0)) -> PiecewisePath:
     point = require_finite_complex(point, "point")
-    a, b = interval
+    a, b = _uniform_breaks(interval, 1).tolist()
     return PiecewisePath([LineSegment(point, point, a, b)], closed=True)
 
 
@@ -625,8 +625,10 @@ def certified_clearances(paths, points) -> np.ndarray:
     interior chain member, squares, polylines, constants) come from one
     evaluation over all of their segments; each path keeps its own rounding
     allowance, relative to the larger of its own largest |vertex| and the
-    points' largest modulus."""
+    points' largest modulus.  A non-finite point is refused."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
+    if not np.isfinite(pts).all():
+        raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]!r}")
     out = np.full(len(paths), math.inf)
     if pts.size == 0:
         return out

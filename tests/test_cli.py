@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import contourchain
 from contourchain import cli
 from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, SpecDocument, main
-from contourchain.errors import ContourChainError
+from contourchain.errors import ContourChainError, SpecError
 
 
 def _spec(**overrides):
@@ -110,13 +111,21 @@ def test_null_or_non_numeric_spec_field_is_a_usage_error(tmp_path, overrides, fi
     ("inner", {"kind": "circle", "raduis": 2}, "raduis"),
     ("inner", {"kind": "unit_circle", "center": "5"}, "center"),
     ("domain", {"kind": "annulus", "r_inner": 0.5, "r_outer": 2.5, "radius": 3}, "radius"),
-], ids=["lipschitz", "closed", "raduis", "unit_circle-center", "annulus-radius"])
+    ("homotopy", {"kind": "constant", "path": "inner", "bogus": 1}, "bogus"),
+    ("homotopy", {"kind": "linear", "from": "inner", "to": "outer", "center": "0"}, "center"),
+    ("function", {"expression": "1/z", "pole": ["0"]}, "pole"),
+    ("tolerances", {"tl": 1e-3}, "tl"),
+    ("tolerances", {"tol": 1e-9, "epsilon": 0.01}, "epsilon"),
+    ("comment", "a top-level note", "comment"),
+], ids=["lipschitz", "closed", "raduis", "unit_circle-center", "annulus-radius",
+        "homotopy-bogus", "linear-center", "function-pole", "tolerances-tl",
+        "tolerances-epsilon", "top-level-comment"])
 def test_unknown_spec_field_is_a_usage_error(tmp_path, section, value, field):
     doc = _spec(homotopy={"kind": "constant", "path": "inner"})
-    if section == "domain":
-        doc["domain"] = value
-    else:
+    if section == "inner":
         doc["paths"][section] = value
+    else:
+        doc[section] = value
     for command in ("chain", "verify"):
         result = _run(tmp_path, command, doc)
         assert result.exit_code == EXIT_USAGE
@@ -338,6 +347,18 @@ def test_malformed_section_is_a_usage_error(tmp_path, section, key, value, text)
     assert text in result.stderr
 
 
+@pytest.mark.parametrize("homotopy, text", [
+    ({"kind": "star", "path": "inner", "center": "junk"},
+     "star homotopy field 'center' must be a complex number, got 'junk'"),
+    ({"kind": "spiral", "path": "inner"}, "homotopy has unknown kind 'spiral'"),
+    ({"kind": "linear", "from": "inner"}, "linear homotopy needs a 'to' field"),
+], ids=["star-center", "unknown-kind", "linear-without-to"])
+def test_spec_reader_refuses_a_bad_homotopy(homotopy, text):
+    # the homotopy is built as the spec is read, not later
+    with pytest.raises(SpecError, match=re.escape(text)):
+        SpecDocument.from_dict(_spec(homotopy=homotopy))
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
     | st.sampled_from(["", "0", "1+i", "a", "inner", "z"]),
@@ -354,17 +375,20 @@ def _seldom(valid):
 
 
 _complex = _seldom(st.sampled_from(["0", "1", "0.1+0.2i", "2i", "-0.5-1i"]) | st.floats(-3, 3))
-# values for each field reader of cli._PATHS and cli._DOMAINS
+_names = _seldom(st.sampled_from(["inner", "outer"]))
+# values for each field reader of cli._PATHS, cli._DOMAINS and cli._HOMOTOPIES
+# (whose path names are read as given)
 _FIELD_VALUES = {
     cli._real: _seldom(st.floats(0.1, 3) | st.floats(-3, 3) | st.sampled_from(["1", "0.5"])),
     cli.parse_complex: _complex,
     cli._points: _seldom(st.lists(_complex, max_size=5)),
+    cli._given: _names,
 }
 
 
 def _kind_doc(table: dict):
-    """A path or domain object of a kind from ``table`` with that kind's own
-    fields: the required ones always, the ones with a default sometimes."""
+    """An object of a kind from ``table`` with that kind's own fields: the
+    required ones always, the ones with a default sometimes."""
     return _seldom(st.one_of(*(
         st.fixed_dictionaries(
             {"kind": st.just(kind),
@@ -375,19 +399,12 @@ def _kind_doc(table: dict):
         for kind, (_, fields) in table.items())))
 
 
-_names = _seldom(st.sampled_from(["inner", "outer"]))
 _spec_doc = st.fixed_dictionaries(
     {"version": _seldom(st.just(1)),
      "domain": _kind_doc(cli._DOMAINS),
      "paths": _seldom(st.fixed_dictionaries({"inner": _kind_doc(cli._PATHS)},
                                            optional={"outer": _kind_doc(cli._PATHS)})),
-     "homotopy": _seldom(st.one_of(
-         st.fixed_dictionaries({"kind": st.just("linear"), "from": _names, "to": _names}),
-         st.fixed_dictionaries({"kind": st.just("constant"), "path": _names}),
-         st.fixed_dictionaries({"kind": st.just("star"), "path": _names},
-                               optional={"center": _complex}),
-         st.fixed_dictionaries({"kind": st.sampled_from(["spiral", "linear"])},
-                               optional={"from": st.just("other"), "path": _names}))),
+     "homotopy": _kind_doc(cli._HOMOTOPIES),
      "function": _seldom(st.fixed_dictionaries(
          {"expression": _seldom(st.sampled_from(["1/z", "exp(z)", "z^", "sin(z)/(z-1)"]))},
          optional={"poles": _seldom(st.lists(_complex, max_size=2))}))},

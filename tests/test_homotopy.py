@@ -214,6 +214,12 @@ class TestBuildChain:
         for entry in chain.certificate.entries:
             assert entry.sampled.lo <= entry.analytic
 
+    @pytest.mark.parametrize("max_refinements", [-1, 2.5])
+    def test_max_refinements_must_be_a_non_negative_integer(self, max_refinements):
+        g0, g1 = circle(radius=1.0), circle(radius=1.5)
+        with pytest.raises(ValueError, match="max_refinements must be a non-negative integer"):
+            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS, max_refinements=max_refinements)
+
     def test_endpoints_by_identity(self):
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)

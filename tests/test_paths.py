@@ -48,6 +48,16 @@ class TestModulus:
         # one step covers the whole interval, however fine the net
         assert len(carrier_of_path(p, 1e-12)) == 2
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (0.0, math.nan), (1.0, 0.0)])
+    def test_constant_path_needs_a_finite_increasing_interval(self, interval):
+        with pytest.raises(ValueError):
+            constant_path(1j, interval)
+
+    def test_constant_path_keeps_its_interval(self):
+        p = constant_path(1j, (0.25, 2.0))
+        assert p.interval == (0.25, 2.0)
+        assert p.breakpoints.tolist() == [0.25, 2.0]
+
     def test_scaled(self):
         # onto [0, 1] from an interval twice as long: L doubles, delta halves
         p = square(2.0, interval=(0.0, 2.0))
@@ -313,6 +323,17 @@ class TestCertifiedClearance:
 
     def test_no_points_is_infinitely_clear(self):
         assert certified_clearance(circle(), []) == math.inf
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    @pytest.mark.parametrize("point", [complex(math.nan, 0), complex(0, math.inf),
+                                       complex(-math.inf, 1)], ids=["nan", "inf-im", "-inf-re"])
+    def test_non_finite_point_refused(self, name, point):
+        # a NaN clearance would pass every "clearance <= threshold" test as clear
+        path = PATHS[name]()
+        with pytest.raises(ValueError, match="points must be finite"):
+            certified_clearance(path, [0.5, point])
+        with pytest.raises(ValueError, match="points must be finite"):
+            certified_clearances([square(1.0), path], [point])
 
     def test_ellipse_closed_form(self):
         # within the sampled distance, and above min/max of the semi-axes
