@@ -18,22 +18,25 @@ quarters instead.  Near a pole a round holds a few dozen pieces, and its cost
 is numpy's fixed cost per call, not arithmetic: quarters reach the depth near
 the pole in half the rounds, for a few percent more integrand evaluations.
 
-Every member of a chain goes through one quadrature loop; ``contour_integral``
-is its one-member case.  Each pending subinterval carries the index of its
-member, and each round evaluates all of them in one batch: the straight
-segments of every member (every interior member, squares, polylines,
-constants) from stacked segment arrays indexed by piece, each curved member
-(at most the chain's two end paths) with one ``eval_with_derivative`` call,
-and the integrand with one call over all nodes.  A member keeps everything it
-has alone: all of tol, its rounding stop, depth and piece caps, error estimate
-and evaluation count.  When several members fail, the lowest index is
-reported, as integrating them one after the other would.  A round holds no
-more pieces than one member may (``_MAX_PIECES``); past that, the highest
-members wait for a later batch.  The rule sums run through ``np.einsum`` on
-the real view of the integrand, not ``@``: numpy hands a complex batch to
-multithreaded BLAS, no faster and up to twice the CPU time, and BLAS's
-blocking makes one piece's sum depend on the others in its batch, where
-einsum's many-column loop does not (``_rule_sums``).
+Every member of a chain goes through one quadrature loop, and a single path
+is a chain of one member.  A piece carries only its bounds and its origin,
+the segment it was cut from; its member, share of tol and line fields are
+looked up per origin.  Each round evaluates all pieces in one batch: the
+straight segments of every member (every interior member, squares,
+polylines, constants) from stacked segment arrays, each curved member (at
+most the chain's two end paths) with one ``eval_with_derivative`` call, and
+the integrand with one call over all nodes.  A member's value, error
+estimate and evaluation count are one ``np.bincount`` each at the end, over
+its pieces in the order it makes them alone, so it keeps, bit for bit, all
+it has alone: all of tol, its rounding stop, depth and piece caps, integral,
+error estimate and evaluation count.  When several members fail, the lowest
+index is reported, as integrating them one after the other would.  A round
+holds no more pieces than one member may (``_MAX_PIECES``); past that, the
+highest members wait for a later batch.  The rule sums run through
+``np.einsum`` on the real view of the integrand, not ``@``: numpy hands a
+complex batch to multithreaded BLAS, no faster and up to twice the CPU time,
+and BLAS's blocking makes one piece's sum depend on the others in its batch,
+where einsum's many-column loop does not (``_rule_sums``).
 
 Paths must keep a certified clearance of 1e-9 from every declared singularity
 of the integrand (``paths.certified_clearances``), in closed form for every
@@ -128,10 +131,6 @@ class ChainIntegrals:
     results: tuple[IntegralResult, ...]
     max_deviation: float
 
-    @property
-    def values(self) -> list[complex]:
-        return [r.value for r in self.results]
-
 
 def contour_integral(f: AnalyticFunction, path: PiecewisePath, tol: float) -> IntegralResult:
     """Integrate f along the path with total error estimate at most tol."""
@@ -154,8 +153,14 @@ def integral_along_chain(f: AnalyticFunction, chain, tol: float) -> ChainIntegra
         exc.member_index = index
         raise exc
     values = np.array([r.value for r in results], dtype=np.complex128)
-    deviation = float(np.abs(values[:, None] - values[None, :]).max())
-    return ChainIntegrals(tuple(results), deviation)
+    return ChainIntegrals(tuple(results), _max_deviation(values))
+
+
+def _max_deviation(values: np.ndarray) -> float:
+    """max |a - b| over all pairs of ``values``, 256 rows of the pair matrix
+    at a time, so a long chain never holds all n² differences."""
+    return max(float(np.abs(values[i:i + 256, None] - values).max())
+               for i in range(0, values.size, 256))
 
 
 def _integrate(f: AnalyticFunction, paths, tol: float):
@@ -187,8 +192,9 @@ def _integrate(f: AnalyticFunction, paths, tol: float):
 
 
 class _Lines(NamedTuple):
-    """The segments of every line member, stacked.  ``speed`` is each
-    segment's derivative (z1 - z0) / span."""
+    """The segments of every line member, stacked, one row per origin (the
+    line members' origins come first).  ``speed`` is each segment's
+    derivative (z1 - z0) / span."""
 
     z0: np.ndarray
     z1: np.ndarray
@@ -198,16 +204,15 @@ class _Lines(NamedTuple):
 
 
 def _first_pieces(paths, tol: float):
-    """The members' segments as pieces, the line members' first.
+    """The members' segments, the line members' first: the initial pieces,
+    and the per-origin tables that every piece cut from them reads.
 
-    Returns (lows, highs, allocs, member, seg, lines, curved): each piece's
-    bounds, its share of its member's tol, its member's index (``member`` is
-    None for a single path, which needs no per-member bookkeeping) and its
-    segment in ``lines`` (``seg``; 0 on curved members, whose values are
-    taken from their own paths); ``curved`` lists the members that are not
-    line paths as (index, path).  A member shares out all of tol over its
-    segments in proportion to |z'| bound times span (|z1 - z0| on a line
-    segment), or evenly when that is zero throughout.
+    Returns (lows, highs, owner, share, lines, curved), one entry per
+    segment: its bounds, its member's index (``owner``), its share of its
+    member's tol (``share``) and its fields in ``lines``; ``curved`` lists
+    the members that are not line paths as (index, path).  A member shares
+    out all of tol over its segments in proportion to |z'| bound times span
+    (|z1 - z0| on a line segment), or evenly when that is zero throughout.
     """
     line_ids = [m for m, path in enumerate(paths) if path._all_lines]
     curved = [(m, path) for m, path in enumerate(paths) if not path._all_lines]
@@ -216,25 +221,23 @@ def _first_pieces(paths, tol: float):
     breaks = [path.breakpoints for path in ordered]
     lows = _joined([b[:-1] for b in breaks])
     highs = _joined([b[1:] for b in breaks])
-    member = None if len(paths) == 1 else np.repeat(line_ids + [m for m, _ in curved], sizes)
+    owner = np.array(line_ids + [m for m, _ in curved]).repeat(sizes)
     weights = [path.derivative_bounds * (b[1:] - b[:-1])
                for (_, path), b in zip(curved, breaks[len(line_ids):])]
-    lines = seg = None
+    lines = None
     if line_ids:
         z0, z1, s0, span = (_joined([getattr(paths[m], name) for m in line_ids])
                             for name in ("_z0", "_z1", "_s0", "_span"))
         lines = _Lines(z0, z1, s0, span, (z1 - z0) / span)
         weights.insert(0, np.abs(z1 - z0))
-        seg = np.arange(lows.size)
-        seg[z0.size:] = 0
     weights = _joined(weights)
     totals = np.add.reduceat(weights, list(accumulate(sizes[:-1], initial=0)))
     if not totals.all():
         even = totals == 0
         weights = np.where(np.repeat(even, sizes), 1.0, weights)
         totals = np.where(even, sizes, totals)
-    allocs = tol * weights / (totals if member is None else np.repeat(totals, sizes))
-    return lows, highs, allocs, member, seg, lines, curved
+    share = tol * weights / totals.repeat(sizes)
+    return lows, highs, owner, share, lines, curved
 
 
 def _joined(arrays: list) -> np.ndarray:
@@ -251,51 +254,44 @@ def _batch(f: AnalyticFunction, paths, tol: float):
     member may (``_MAX_PIECES``).  A member whose K15 sum or discrepancy is
     not finite fails in the round that finds it.
 
-    Each round evaluates every pending piece and splits each one that is not
-    done into the quarters two bisections make, so ``depth`` counts
-    halvings, two per round."""
+    A piece is (low, high, origin), ``origin`` indexing ``_first_pieces``'
+    tables.  Each round evaluates every piece and splits each one that is not
+    done into the quarters two bisections make, so ``depth`` counts halvings,
+    two per round, and ``share`` is divided by 4."""
     count = len(paths)
-    lows, highs, allocs, member, seg, lines, curved = _first_pieces(paths, tol)
-    if member is None:
-        values, errors, evaluated = 0j, 0.0, 0
-    else:
-        values, errors = np.zeros(count, dtype=np.complex128), np.zeros(count)
-        evaluated = np.zeros(count, dtype=np.int64)
+    lows, highs, owner, share, lines, curved = _first_pieces(paths, tol)
+    origin = np.arange(lows.size)
+    rounds = []  # each round's (origin, K15 sum, discrepancy, done) per piece
     limit, failure = count, None
     depth = 0
-    while lows.size:
-        pieces = lows.size if member is None else np.bincount(member, minlength=count)
+    while origin.size:
         # a member fails above the piece cap, or with pieces left after the
         # depth cap
-        if depth > _MAX_DEPTH or lows.size > _MAX_PIECES:
-            stuck = np.flatnonzero(np.asarray(pieces) > (0 if depth > _MAX_DEPTH else _MAX_PIECES))
+        if depth > _MAX_DEPTH or origin.size > _MAX_PIECES:
+            pieces = np.bincount(owner[origin], minlength=count)
+            stuck = np.flatnonzero(pieces > (0 if depth > _MAX_DEPTH else _MAX_PIECES))
             if stuck.size:
                 limit = int(stuck[0])
                 failure = (limit, ToleranceNotReached(
                     f"quadrature did not converge to tol={tol} within {_MAX_DEPTH} "
                     "bisections per segment"))
-                if member is None:
-                    break
             else:
                 # each member is within the cap, all together are not: defer
                 # the members past the longest prefix that fits
                 limit = int(np.searchsorted(np.cumsum(pieces), _MAX_PIECES, side="right"))
                 failure = None
-            lows, highs, allocs, member, seg = _take(member < limit, lows, highs, allocs,
-                                                     member, seg)
+            lows, highs, origin = _take(owner[origin] < limit, lows, highs, origin)
             continue
         mid = (lows + highs) / 2
         half = (highs - lows) / 2
         nodes = mid + half * _XGK[:, None]
-        zs, ders = _path_values(nodes, seg, member, lines, curved)
+        zs, ders = _path_values(nodes, origin, owner, lines, curved)
         try:
             fz = f.evaluate(zs)
         except NearSingularity as exc:
-            failure = _lowest_raising_member(f, zs, member, exc)
+            failure = _lowest_raising_member(f, zs, owner[origin], exc)
             limit = failure[0]
-            if member is None:
-                break
-            lows, highs, allocs, member, seg = _take(member < limit, lows, highs, allocs, member, seg)
+            lows, highs, origin = _take(owner[origin] < limit, lows, highs, origin)
             continue
         integrand = fz * ders
         if integrand.shape != nodes.shape:
@@ -306,30 +302,28 @@ def _batch(f: AnalyticFunction, paths, tol: float):
         # err is finite only where both rule sums are; the sum is the quick test
         if not math.isfinite(np.add.reduce(err)) and not np.isfinite(err).all():
             # the members below the lowest such one redo the round without it
-            limit = 0 if member is None else int(member[~np.isfinite(err)].min())
+            limit = int(owner[origin[~np.isfinite(err)]].min())
             failure = (limit, ToleranceNotReached("integrand is not finite on the path"))
-            if member is None:
-                break
-            lows, highs, allocs, member, seg = _take(member < limit, lows, highs, allocs, member, seg)
+            lows, highs, origin = _take(owner[origin] < limit, lows, highs, origin)
             continue
-        evaluated += pieces
-        done = (err <= allocs) | (err <= _ROUNDING * half * resabs)
-        values += _member_sums(k15, done, member, count)
-        errors += _member_sums(err, done, member, count)
+        done = (err <= share[origin]) | (err <= _ROUNDING * half * resabs)
+        rounds.append((origin, k15, err, done))
 
-        lows, highs, mid, allocs, member, seg = _take(~done, lows, highs, mid, allocs, member, seg)
+        lows, highs, mid, origin = _take(~done, lows, highs, mid, origin)
         # the cut points of two bisections: each quarter is the piece, bounds
         # and share alike, that bisecting a half would have made
         cuts = [lows, (lows + mid) / 2, mid, (mid + highs) / 2, highs]
         lows, highs = np.concatenate(cuts[:-1]), np.concatenate(cuts[1:])
-        allocs = np.concatenate([allocs / 4] * 4)
-        if member is not None:
-            member = np.concatenate([member] * 4)
-        if seg is not None:
-            seg = np.concatenate([seg] * 4)
+        origin = np.concatenate([origin] * 4)
+        share /= 4
         depth += 2
-    if member is None:
-        values, errors, evaluated = [values], [errors], [evaluated]
+    if not rounds:
+        return [], failure  # member 0 failed before a round finished
+    origin, k15, err, done = (np.concatenate(x) for x in zip(*rounds))
+    finished = owner[origin[done]]
+    real, imag, errors = (np.bincount(finished, weights=x[done], minlength=count).tolist()
+                          for x in (k15.real, k15.imag, err))
+    pieces = np.bincount(owner[origin], minlength=count).tolist()
     # every member below the limit has finished; the first whose
     # rounding-stopped total exceeds tol fails
     over = next((m for m in range(limit) if errors[m] > tol), None)
@@ -338,7 +332,7 @@ def _batch(f: AnalyticFunction, paths, tol: float):
         failure = (limit, ToleranceNotReached(
             f"quadrature error estimate {errors[limit]:.3g} is above tol={tol} "
             "after the rule-pair discrepancy reached rounding"))
-    results = [IntegralResult(complex(values[m]), float(errors[m]), _XGK.size * int(evaluated[m]))
+    results = [IntegralResult(complex(real[m], imag[m]), errors[m], _XGK.size * pieces[m])
                for m in range(limit)]
     return results, failure
 
@@ -361,17 +355,18 @@ def _rule_sums(integrand: np.ndarray, half: np.ndarray):
 
 
 def _take(mask: np.ndarray, *arrays):
-    """Each array's entries at ``mask``; None stays None."""
-    return [None if a is None else a[mask] for a in arrays]
+    """Each array's entries at ``mask``."""
+    return [a[mask] for a in arrays]
 
 
-def _path_values(nodes: np.ndarray, seg, member, lines: _Lines | None, curved):
+def _path_values(nodes: np.ndarray, origin, owner, lines: _Lines | None, curved):
     """Path values and derivatives at ``nodes``, one column per piece.
 
-    Line pieces read their segment's fields from the stacked arrays, as
+    Line pieces read their origin's fields from the stacked arrays, as
     ``PiecewisePath.eval_with_derivative`` does for one path, and get one
     derivative per piece; each curved member evaluates its own columns in
-    one call.
+    one call (its origins lie past the line rows; they read the last row
+    and leave it unused).
     """
     if lines is None and len(curved) == 1:
         vals, ders = curved[0][1].eval_with_derivative(nodes.ravel())
@@ -380,13 +375,13 @@ def _path_values(nodes: np.ndarray, seg, member, lines: _Lines | None, curved):
         zs = np.empty(nodes.shape, dtype=np.complex128)
         ders = np.empty(nodes.shape, dtype=np.complex128)
     else:
-        z0, z1, s0, span, ders = (field[seg] for field in lines)
+        z0, z1, s0, span, ders = (field.take(origin, mode="clip") for field in lines)
         u = (nodes - s0) / span
         zs = z0 * (1.0 - u) + z1 * u
         if curved:
             ders = np.repeat(ders[None, :], nodes.shape[0], axis=0)
     for m, path in curved:
-        cols = member == m
+        cols = owner[origin] == m
         shape = (nodes.shape[0], -1)
         vals, d = path.eval_with_derivative(nodes[:, cols].ravel())
         zs[:, cols], ders[:, cols] = vals.reshape(shape), d.reshape(shape)
@@ -397,21 +392,9 @@ def _lowest_raising_member(f: AnalyticFunction, zs: np.ndarray, member, exc: Nea
     """(index, exception) of the lowest member whose nodes make f raise.
     f is evaluated pointwise, so some member's nodes raise on their own;
     should none, the batch's exception is raised as it is."""
-    if member is None:
-        return 0, exc
     for m in np.unique(member):
         try:
             f.evaluate(zs[:, member == m])
         except NearSingularity as member_exc:
             return int(m), member_exc
     raise exc
-
-
-def _member_sums(x: np.ndarray, mask: np.ndarray, member, count: int):
-    """The sum of ``x`` over each member's entries in ``mask``."""
-    if member is None:
-        return x[mask].sum()
-    if np.iscomplexobj(x):
-        return (_member_sums(x.real, mask, member, count)
-                + 1j * _member_sums(x.imag, mask, member, count))
-    return np.bincount(member[mask], weights=x[mask], minlength=count)

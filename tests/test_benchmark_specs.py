@@ -1,24 +1,42 @@
-"""The benchmark's spec documents stay valid specs.
+"""The benchmark's operations keep running and passing their own checks.
 
 The benchmark times ``SpecDocument.from_dict`` on the documents its
 workloads build, so a stricter spec reader that refused one of them would
-turn benchmark operations into failures; this test fails instead.
+turn benchmark operations into failures; this test fails instead.  Likewise
+every operation of every workload in ``BENCHMARK.json`` is run once, at
+seed 101, through the check the benchmark applies to its output, so a change
+that breaks a benchmark output fails here and not only in ``perfbench/run.py``.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 from contourchain.cli import SpecDocument
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def _workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
 
 
 @pytest.mark.parametrize("workload", ["annulus_verify", "tight_chain"])
 def test_benchmark_spec_documents_are_accepted(monkeypatch, workload):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
+    workloads = _workloads(monkeypatch)
     for seed in range(101, 106):
         for op in workloads.build(workload, seed):
             SpecDocument.from_dict(op.inputs)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_operations_pass_their_checks(monkeypatch, workload):
+    ops = _workloads(monkeypatch).build(workload, 101)
+    assert ops
+    for op in ops:
+        op.check(op.run())

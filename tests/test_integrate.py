@@ -192,6 +192,18 @@ class TestChainIntegration:
             integral_along_chain(f, chain, 1e-8)
         assert exc_info.value.member_index == 1
 
+    def test_deviation_by_blocks_of_rows_is_the_full_matrix_max(self):
+        # 600 values take three blocks of 256 rows; |a - b| and |b - a| have
+        # the same bits and max is exact, so the blocks give the same float
+        from contourchain import integrate
+
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.uniform(-3, 3, 600)
+        values = (rng.standard_normal(600) + 1j * rng.standard_normal(600)) * scale
+        full = float(np.abs(values[:, None] - values[None, :]).max())
+        assert integrate._max_deviation(values) == full
+        assert integrate._max_deviation(values[:1]) == 0.0
+
     def test_non_finite_integrand_fails_the_lowest_such_member_at_once(self):
         # z^1100 overflows for |z| >= 2 but not on the unit circle; at a
         # point where f overflows, f z' = inf * 0 is not finite either
@@ -266,11 +278,9 @@ class TestBatchedChainQuadrature:
         assert len(batch) == len(chain.members)
         for member, result in zip(chain.members, batch):
             single = contour_integral(f, member, 1e-9)
-            # the star chain's integrals vanish, so its scale is the integrand's, about 1
-            assert abs(result.value - single.value) <= 1e-14 * max(abs(single.value), 1.0)
+            assert result.value == single.value
+            assert result.error_estimate == single.error_estimate
             assert result.evaluations == single.evaluations
-            assert result.error_estimate == pytest.approx(single.error_estimate, rel=1e-12,
-                                                          abs=1e-24)
 
     def test_interior_member_inside_the_pole_clearance(self):
         chain = _annulus_chain(circle(), circle(radius=2.0))
@@ -339,8 +349,11 @@ class TestBatchedChainQuadrature:
         assert out.results[1].value == 0j
         assert out.results[1].evaluations == 15
         for member, result in zip(chain.members, out.results):
-            assert result.evaluations == contour_integral(
-                parse_function("exp(z)/(z-0.25)", [0.25 + 0j]), member, 1e-12).evaluations
+            single = contour_integral(parse_function("exp(z)/(z-0.25)", [0.25 + 0j]), member,
+                                      1e-12)
+            assert result.value == single.value
+            assert result.error_estimate == single.error_estimate
+            assert result.evaluations == single.evaluations
 
     def test_batch_never_holds_more_pieces_than_one_member_may(self, monkeypatch):
         # with the cap at 150 pieces each member fits alone but the chain's
@@ -358,8 +371,34 @@ class TestBatchedChainQuadrature:
         assert max(shape[-1] for shape in rounds) <= 150
         for member, result in zip(chain.members, batch):
             single = contour_integral(f, member, 1e-9)
-            assert abs(result.value - single.value) <= 1e-14 * abs(single.value)
+            assert result.value == single.value
+            assert result.error_estimate == single.error_estimate
             assert result.evaluations == single.evaluations
+
+    def test_deferred_end_member_alone_and_in_the_chain_bit_identical(self, monkeypatch):
+        # with the cap at 150 pieces the outer circle, the chain's last
+        # member, waits for a later batch; there and alone it is integrated
+        # by the same loop and summed in the same order
+        from contourchain import integrate
+
+        chain = _annulus_chain(circle(), circle(radius=2.0))
+        f = parse_function("exp(z)/(z-(0.1+0.05i))", [0.1 + 0.05j])
+        monkeypatch.setattr(integrate, "_MAX_PIECES", 150)
+        batches = []
+        run_batch = integrate._batch
+
+        def batch(f, paths, tol):
+            batches.append(len(paths))
+            return run_batch(f, paths, tol)
+
+        monkeypatch.setattr(integrate, "_batch", batch)
+        in_chain = integral_along_chain(f, chain, 1e-9).results[-1]
+        assert len(batches) >= 2 and batches[-1] < len(chain.members)
+        batches.clear()
+        alone = contour_integral(f, chain.members[-1], 1e-9)
+        assert batches == [1]
+        assert (in_chain.value, in_chain.error_estimate, in_chain.evaluations) == (
+            alone.value, alone.error_estimate, alone.evaluations)
 
 
 def _with_pole(text: str, a: complex):
