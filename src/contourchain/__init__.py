@@ -24,12 +24,10 @@ from .geometry import (
     Annulus,
     Bounds,
     CompactCarrier,
-    ContainmentCertificate,
     Disk,
     DomainDescriptor,
     PuncturedPlane,
     Rectangle,
-    margin_certificate,
 )
 from .paths import (
     ArcSegment,

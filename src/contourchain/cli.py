@@ -7,9 +7,11 @@ full homotopy discretization, ``integrate`` evaluates one contour integral,
 any kind (a star or any blend onto a constant path reports a
 null-homotopy), and ``wind`` computes a winding number.
 
-Exit codes: 0 success/pass, 1 usage or parse errors, 2 refusal (containment
-or singularity clearance cannot be certified), 3 failure (deviation above
-threshold, quadrature tolerance not reached, non-integer winding).
+Exit codes: 0 success/pass, 1 usage or parse errors (click's own included),
+2 refusal (a chain member or pair, or a singularity's clearance, cannot be
+certified, or a declared singularity lies inside the domain), 3 failure
+(deviation above threshold, quadrature tolerance not reached, non-integer
+winding).
 
 Problem specs are JSON documents whose schema is a set of field tables (see
 ``SpecDocument``): each row a constructor and its fields in order, each with
@@ -275,9 +277,9 @@ class SpecDocument:
       name ``paths``; it is built as the spec is read.
     * ``function`` (required, ``_FUNCTION``): an ``expression`` in z and the
       ``poles`` to keep clear of.
-    * ``tolerances`` (``_TOLERANCES``): the quadrature ``tol`` and the chain
-      budget ``eps``, by default half the certified containment margin,
-      which the whole plane does not have.
+    * ``tolerances`` (``_TOLERANCES``): the quadrature ``tol``, and ``eps``,
+      an optional cap on every certified pair bound of the chain (by default
+      a pair is bounded by its members' clearances alone).
 
     Complex numbers are strings such as ``"1.5"``, ``"2i"`` or ``"1+2i"``;
     reals are JSON numbers or real numeric strings.  Anything unknown,
@@ -373,7 +375,27 @@ def _guarded(fn):
 # Commands
 # ---------------------------------------------------------------------------
 
-@click.group()
+class _Group(click.Group):
+    """A command group whose usage errors (a missing or malformed option, an
+    unknown command) exit with EXIT_USAGE, not click's own 2, which the exit
+    codes reserve for refusals.  Click still prints its message."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exit(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exit(super().invoke, ctx)
+
+
+def _usage_exit(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_USAGE
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Certified chains, contour integrals, and homotopy-invariance checks."""
 
@@ -429,8 +451,9 @@ def cmd_chain(spec_file, out_file, as_json):
     if as_json:
         _emit_json(chain.to_dict())
     else:
-        click.echo(f"chain members: {len(chain.members)}  epsilon: {_fmt(chain.epsilon)}  "
-                   f"margin: {_fmt(chain.containment.margin)}")
+        cap = "" if chain.epsilon is None else f"  eps cap: {_fmt(chain.epsilon)}"
+        click.echo(f"chain members: {len(chain.members)}  "
+                   f"smallest member clearance (margin): {_fmt(chain.margin)}{cap}")
         click.echo(f"certificate: {chain.certificate.summary_text()}, all hold")
 
 

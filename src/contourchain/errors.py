@@ -6,10 +6,11 @@ class ContourChainError(Exception):
 
 
 class ContainmentNotCertified(ContourChainError):
-    """A compact carrier could not be certified to sit well inside the domain.
+    """A chain could not be certified inside the domain: a member's clearance
+    or a pair's bound failed, or the chain would exceed its budget.
 
-    Carries the best margin data seen so far, so callers can report how close
-    the certification came.
+    Carries the clearance or bound that failed, so callers can report how
+    close the certification came.
     """
 
     def __init__(self, message: str, *, min_complement_distance: float | None = None,
@@ -32,7 +33,8 @@ class EndpointMismatch(ContourChainError):
 
 
 class NearSingularity(ContourChainError):
-    """Evaluation or integration came too close to a declared singular point."""
+    """Evaluation or integration came too close to a declared singular point,
+    or a declared singular point lies inside the domain of a verification."""
 
 
 class ToleranceNotReached(ContourChainError):

@@ -1,12 +1,11 @@
-"""Domain shapes, finite nets, and containment certificates.
+"""Domain shapes, finite nets, and certified enclosures.
 
 A domain is an open subset of the plane with a closed-form distance to its
 complement, at points (``complement_distances``) and as the minimum over
 straight segments (``segment_complement_distances``).  The chain builder
-certifies containment from those segment minima on a 1-D net of the
-homotopy's parameter: the net's minimum less its resolution eta bounds the
-whole swept region's distance to the complement, and ``margin_certificate``
-turns that bound into a ``ContainmentCertificate``.
+takes each member's clearance from those segment minima over the member's
+own segments, less a rounding allowance relative to the larger of the
+member's largest |vertex| and the domain's ``reach``.
 
 ``CompactCarrier`` is a finite net of points standing in for a compact set:
 every point of the set lies within ``resolution`` of a net point, and every
@@ -17,11 +16,9 @@ path's range; a query against it is a plain minimum over ``net``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as _fields
 
 import numpy as np
-
-from .errors import ContainmentNotCertified
 
 __all__ = [
     "Bounds",
@@ -31,8 +28,6 @@ __all__ = [
     "Annulus",
     "Rectangle",
     "PuncturedPlane",
-    "ContainmentCertificate",
-    "margin_certificate",
 ]
 
 
@@ -73,15 +68,8 @@ class Bounds:
     @classmethod
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> list["Bounds"]:
         """One enclosure per entry of the arrays ``lo`` and ``hi``, with the
-        checks of the constructor (finite, lo <= hi) run once on the arrays."""
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("lo and hi must be finite")
-        empty = np.flatnonzero(lo > hi)
-        if empty.size:
-            k = empty[0]
-            raise ValueError(f"empty bounds: lo={lo[k]} > hi={hi[k]}")
+        checks of the constructor run once on the arrays (``check_arrays``)."""
+        lo, hi = cls.check_arrays(lo, hi)
         out = []
         for lo_k, hi_k in zip(lo.tolist(), hi.tolist()):
             bounds = object.__new__(cls)
@@ -90,6 +78,20 @@ class Bounds:
             fields["hi"] = hi_k
             out.append(bounds)
         return out
+
+    @staticmethod
+    def check_arrays(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``lo`` and ``hi`` as float arrays, refused unless every entry pair
+        is an enclosure of the constructor's kind (finite, lo <= hi)."""
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("lo and hi must be finite")
+        empty = np.flatnonzero(lo > hi)
+        if empty.size:
+            k = empty[0]
+            raise ValueError(f"empty bounds: lo={lo[k]} > hi={hi[k]}")
+        return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +134,14 @@ class DomainDescriptor:
 
     def segment_complement_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def reach(self) -> float:
+        """The largest modulus among the numbers that define a built-in
+        shape.  Its closed-form distances at z round by a few ulps of the
+        larger of this and |z|."""
+        return float(max((abs(v) for f in _fields(self) for v in np.ravel(getattr(self, f.name))),
+                         default=0.0))
 
     def complement_distance(self, z: complex) -> float:
         """The distance from the point ``z`` to the complement, exact for
@@ -252,56 +262,9 @@ def _segment_point_distances(a: np.ndarray, b: np.ndarray, p: complex) -> np.nda
     return np.abs(a + np.clip(s, 0.0, 1.0) * d - p)
 
 
-@dataclass(frozen=True)
-class ContainmentCertificate:
-    """Witness that every point of the homotopy's swept region lies at least
-    2 ``margin`` from the domain's complement (``margin_certificate`` halves
-    the certified distance m - eta), so the region's ``margin``-neighbourhood
-    stays inside the domain.
-
-    The margin must clear twice the net resolution so the certificate
-    survives the two-sided net error.  It is +inf when the domain has an
-    empty complement (the whole plane).
-    """
-
-    margin: float
-    net_resolution: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.margin) or self.margin == math.inf):
-            raise ValueError(f"margin must be finite or +inf, got {self.margin!r}")
-        require_finite_real(self.net_resolution, "net_resolution")
-        if not self.margin > 2 * self.net_resolution:
-            raise ValueError(
-                f"certificate margin {self.margin} does not exceed twice the net resolution {self.net_resolution}")
-
-
-def margin_certificate(min_distance: float, resolution: float) -> ContainmentCertificate:
-    """Certify a margin from the minimum complement distance ``m`` over a net
-    of resolution eta.
-
-    Every point of the set keeps distance at least m - eta from the
-    complement, so r = (m - eta)/2 leaves matching slack for the inflation and
-    for downstream enlargements.  Raises ContainmentNotCertified when the
-    margin does not clear the net error; the caller may refine the net and retry.
-    """
-    m, eta = float(min_distance), float(resolution)
-    if m - eta <= 0:
-        raise ContainmentNotCertified(
-            f"carrier not certifiably inside domain: min complement distance {m:.6g} <= resolution {eta:.6g}",
-            min_complement_distance=m, resolution=eta)
-    r = (m - eta) / 2
-    if not r > 2 * eta:
-        raise ContainmentNotCertified(
-            f"containment margin {r:.6g} too small relative to net resolution {eta:.6g}; refine the net",
-            min_complement_distance=m, resolution=eta)
-    return ContainmentCertificate(margin=r, net_resolution=eta)
-
-
 # no caller in the package: the benchmark's tracer wraps it (perfbench/tracing.py)
-def well_contained(carrier: CompactCarrier, domain: DomainDescriptor) -> ContainmentCertificate:
-    """Certify that the carrier's set, inflated by some r > 0, stays inside the
-    domain, by ``margin_certificate`` on the minimum complement distance over
-    the net."""
-    return margin_certificate(float(domain.complement_distances(carrier.net).min()),
-                              carrier.resolution)
+def well_contained(carrier: CompactCarrier, domain: DomainDescriptor) -> float:
+    """A lower bound on the distance from every point of the carrier's set to
+    the domain's complement: the net's minimum less its resolution.
+    Nonpositive certifies nothing."""
+    return float(domain.complement_distances(carrier.net).min()) - carrier.resolution

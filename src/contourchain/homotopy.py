@@ -1,54 +1,37 @@
-"""Homotopies of closed paths and certified interpolation chains.
+"""Homotopies of closed paths and chains certified by the small-disk lemma.
 
 A homotopy here is the linear blend sigma(t, x) = (1-t) gamma0(x) + t gamma1(x)
-of two closed piecewise paths on [0, 1].  For a fixed x its time line is the
-straight segment [gamma0(x), gamma1(x)], and every slice is L-Lipschitz in x
-with L = max(L0, L1).  ``build_chain`` decides everything on one partition of
-[0, 1] shared by all members:
+of two closed piecewise paths on [0, 1].  It only proposes the members of a
+chain; the chain certifies itself by the small-disk lemma of the homotopy
+form of Cauchy's theorem (e.g. Conway, Functions of One Complex Variable I,
+IV.6): for closed paths sigma and tau on one parameter interval, if
+|sigma(x) - tau(x)| < rho and the disk D(sigma(x), rho) lies in U for every
+x, then every f analytic on U has the same integral along sigma and tau.
+``build_chain`` checks that hypothesis for every consecutive pair, in closed
+form on one (n+1, m+1) vertex array:
 
-* Containment.  The minimum complement distance over each time segment has a
-  closed form (``DomainDescriptor.segment_complement_distances``).  On a 1-D
-  x-net of spacing h every swept point is within eta = L h / 2 of a net
-  point's segment, so the net's minimum, less eta, bounds the whole swept
-  region's distance to the complement.  The minimum M over 17 segments,
-  taken with the diameter estimate, bounds the region's from above, so every
-  halving of eta whose net could not clear 4 eta (M < 7.99 eta) is skipped
-  unevaluated: one net round is the rule.
-* Members.  The partition takes, on each piece between breakpoints of either
-  end path, the panel count of ``approx.panel_counts`` at eps/6 for the
-  larger of the two end paths' |z''| bounds there.  With P0 and P1 the end
-  paths' values there, the member at time t is the polyline through
-  (1-t) P0 + t P1.
-  Interpolation commutes with the blend, so it is the blend of the end
-  paths' own polylines and lies within eps/9 of the slice.  All interior
-  members are blended at once into one (k, m+1) vertex array, validated
-  once, and each member is a view of its row
+* Members.  One partition of [0, 1] serves every member
+  (``Homotopy.shared_vertices``).  The member at time t is the polyline
+  through (1-t) P0 + t P1, P0 and P1 the end paths' values there, and the
+  end members are the end paths themselves.  All rows are blended at once
+  and each interior member is a view of its row
   (``PiecewisePath.from_vertex_rows``).
-* Time steps.  Two interior members differ by exactly |t - t'| |P1 - P0|,
-  largest at a vertex.  With D+ that maximum rounded up, the end steps are
-  min(eps/(6 D+), 1/2), so an end pair is within eps/9 + eps/6 < eps/3, and the
-  interior steps are equal with step * D+ at most eps/2 less a rounding
-  allowance.
+* Clearances.  A polyline's distance to the complement is the exact minimum
+  of ``segment_complement_distances`` over its segments
+  (``_certify_containment``); an end path's is its polyline's, less its
+  interpolation bound on the partition (``_end_slack``).
+* Gaps.  Two polylines on one partition are furthest apart at a vertex
+  (``_consecutive_gaps``); an end pair adds the end path's bound.
+* Time steps.  Uniform, as many as D+ = max |P1 - P0| over the smallest
+  clearance the coarse grid allows; a pair whose gap is not below the
+  larger clearance of its two members has its step bisected.
 
-The certificate keeps the bounds eps/3, eps/2, ..., eps/2, eps/3, each
-cross-checked from the values already on the shared partition, with no
-sampling.  All n pairs are bounded in one step from one (n+1, m+1) vertex
-array, the blend at every time including 0 and 1, whose first and last rows
-are P0 and P1: max |V_j - V_j+1| widened by the rounding allowance at the
-pair's largest |vertex|, as ``polyline_sup_distance`` gives it, validated
-once for all pairs.  That is exact for two polylines; at a curved end it is
-the vertex maximum, a true lower bound, and adding the end path's eps/9
-interpolation bound on the partition gives an upper bound.  An end path
-made of lines with its breakpoints on the partition is exact with no slack.
-The lower bounds are checked against the analytic ones in one comparison;
-one above its bound fails hard, naming the lowest such pair, since it
-would mean a broken bound upstream.  No 2-D net of the swept region is
-built: containment and every pair bound come from closed forms on 1-D
-partitions.
+No net of the swept region is built, and nothing is sampled.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,21 +40,8 @@ import numpy as np
 # perfbench/tracing.py wraps these layer functions under this module's name,
 # so they stay importable here even where build_chain no longer calls them
 from .approx import panel_counts, partition_points, polygonal_approximation  # noqa: F401
-from .errors import (
-    CertificateViolation,
-    ContainmentNotCertified,
-    EndpointMismatch,
-    InvalidEpsilon,
-    MismatchedDomains,
-)
-from .geometry import (  # noqa: F401
-    Bounds,
-    CompactCarrier,
-    ContainmentCertificate,
-    DomainDescriptor,
-    margin_certificate,
-    well_contained,
-)
+from .errors import ContainmentNotCertified, EndpointMismatch, InvalidEpsilon, MismatchedDomains
+from .geometry import Bounds, CompactCarrier, DomainDescriptor, well_contained  # noqa: F401
 from .paths import (  # noqa: F401
     PiecewisePath,
     _consecutive_gaps,
@@ -90,20 +60,21 @@ __all__ = [
     "build_chain",
 ]
 
+# Most members in a chain, and most bisections of one time step
 _MAX_SLICES = 4000
-# Largest 1-D containment net and largest swept-region carrier, in points.
-_NET_BUDGET = 1_000_000
+_MAX_DEPTH = 20
+# The shared partition is sized for this fraction of the coarse grid's
+# clearance (or of eps, when smaller)
+_PARTITION_FRACTION = 0.25
+# Largest swept-region carrier, in points
 _CARRIER_BUDGET = 20_000_000
 # Slice/path gap this small relative to their magnitude is float noise; the
 # reference is the values themselves, not 1, so tiny paths are checked too.
 _ENDPOINT_TOL = 1e-9
-# Rounding of the members' blend, of the times and of polyline_sup_distance's
-# own widening (16 ulps), relative to the largest |vertex|.
+# Rounding of the members' blend, of the times, of the closed-form distances
+# and of polyline_sup_distance's own widening (16 ulps), relative to the
+# largest magnitude involved.
 _BLEND_ROUNDING = 64 * np.finfo(np.float64).eps
-# A net of resolution eta certifies only if its minimum m clears 9 eta, and
-# m <= M + eta for the coarse grid's minimum M, so a level with M below this
-# many eta is skipped unevaluated (8, less 0.01 of room for rounding).
-_NET_SKIP = 7.99
 
 
 class Homotopy:
@@ -137,14 +108,15 @@ class Homotopy:
         """(xs, P0, P1): one partition of [0, 1] and both end paths' values on it.
 
         Each piece between breakpoints gets ``panel_counts`` at ``eps`` for
-        the larger of the two end paths' bounds there.  The polyline through
-        P0 (or P1) is within 2 eps/3 of its path, and so the polyline through
-        (1-t) P0 + t P1 is within 2 eps/3 of the slice at t.  The closing
-        value is snapped to the first, as a closed path's values are.
+        the larger of the two end paths' bounds there, one panel for an
+        infinite ``eps``.  The polyline through P0 (or P1) is within 2 eps/3
+        of its path, and so the polyline through (1-t) P0 + t P1 is within
+        2 eps/3 of the slice at t.  The closing value is snapped to the
+        first, as a closed path's values are.
         """
         eps = float(eps)
-        if not (math.isfinite(eps) and eps > 0):
-            raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
+        if not eps > 0:
+            raise InvalidEpsilon(f"eps must be a positive number, got {eps!r}")
         xs = partition_points(self._breaks,
                               panel_counts(np.diff(self._breaks), self._second, eps))
         p0, p1 = self.gamma0.values(xs), self.gamma1.values(xs)
@@ -184,8 +156,8 @@ def star_null_homotopy(gamma: PiecewisePath, center: complex) -> Homotopy:
     """Contract a closed path onto a point along straight rays.
 
     This is the linear homotopy onto the constant path at the center.  Whether
-    the swept cone stays inside a given domain is not checked here but by the
-    chain builder's containment certificate.
+    it stays inside a given domain is not checked here: the chain builder
+    certifies its members instead.
     """
     return linear_homotopy(reparametrize_to_unit(gamma), constant_path(center))
 
@@ -213,13 +185,16 @@ def homotopy_carrier(sigma: Homotopy, eta: float) -> CompactCarrier:
 
 @dataclass(frozen=True)
 class PairBound:
-    """Certified bound for one consecutive pair, with its cross-check.
+    """Certified bound for one consecutive pair, with its gap's enclosure.
 
     ``sampled`` encloses the pair's sup-distance: exact up to rounding for
     two polylines (``exact``); at a curved end path, the vertex maximum on
     the shared partition as the lower bound, plus the end path's
-    interpolation bound there as the upper bound.  The field keeps its name,
-    as do the JSON keys ``sampled_lo``/``sampled_hi`` read from it.
+    interpolation bound there as the upper bound.  ``analytic`` is the bound
+    the pair was checked against, and ``sampled.hi`` is below it: the larger
+    of the two members' certified clearances, or ``eps`` when that is
+    smaller.  The fields keep their names, as do the JSON keys ``analytic``
+    and ``sampled_lo``/``sampled_hi`` read from them.
     """
 
     analytic: float
@@ -239,7 +214,8 @@ class ChainCertificate:
 
     def summary_text(self) -> str:
         exact, vertex = (self.worst_ratio(kind) for kind in (True, False))
-        return (f"{len(self.entries)} consecutive bounds, worst ratio to the bound "
+        return (f"{len(self.entries)} consecutive bounds, each below a member's clearance "
+                f"(small-disk lemma), worst ratio to the bound "
                 f"{_ratio_text(exact)} exact (polyline pairs), "
                 f"{_ratio_text(vertex)} vertex (curved end pairs)")
 
@@ -248,37 +224,45 @@ def _ratio_text(ratio: float | None) -> str:
     return "none" if ratio is None else f"{ratio:.3f}"
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True, eq=False)
 class Chain:
     """Run of closed piecewise paths interpolating a homotopy.
 
     Members are [gamma0, phi_1, ..., phi_{n-1}, gamma1] at the times
     ``partition``; the interior members are polylines on one shared
-    partition.  The certificate holds one entry per consecutive pair (eps/3
-    at the ends, eps/2 inside), and the containment certificate witnesses
-    that the swept region's eps-inflation stays inside the domain.
+    partition.  ``clearances`` holds each member's certified distance to the
+    domain's complement, and the certificate one entry per consecutive pair,
+    whose gap is below the larger of its two members' clearances.
+    ``epsilon`` is the cap on those bounds, or None.
     """
 
     members: tuple[PiecewisePath, ...]
-    epsilon: float
+    epsilon: float | None
     certificate: ChainCertificate
-    containment: ContainmentCertificate
     partition: np.ndarray
+    clearances: np.ndarray
 
     def __len__(self) -> int:
         return len(self.members)
 
+    @property
+    def margin(self) -> float:
+        """The smallest member clearance."""
+        return float(self.clearances.min())
+
     def to_dict(self) -> dict:
         """The chain's certificate block of the JSON reports; an unbounded
-        margin (the whole plane) is written as null."""
-        margin = self.containment.margin
+        margin or bound (the whole plane) is written as null."""
         return {
             "members": len(self.members),
             "epsilon": self.epsilon,
-            "margin": margin if math.isfinite(margin) else None,
-            "net_resolution": self.containment.net_resolution,
+            "margin": _finite_or_none(self.margin),
             "certificate": [
-                {"analytic": e.analytic, "exact": e.exact,
+                {"analytic": _finite_or_none(e.analytic), "exact": e.exact,
                  "sampled_lo": e.sampled.lo, "sampled_hi": e.sampled.hi}
                 for e in self.certificate.entries
             ],
@@ -309,119 +293,28 @@ def _check_endpoint_slices(sigma: Homotopy, gamma0: PiecewisePath, gamma1: Piece
 
 
 def _coarse_grid(sigma: Homotopy, domain: DomainDescriptor) -> tuple[float, float]:
-    """(diameter, M) from both end paths' values on 17 points of [0, 1].
+    """(M, D): the smallest exact complement distance over the time segments
+    [gamma0(x), gamma1(x)] at 17 points x of [0, 1], and their largest length.
 
-    The diameter is that of the bounding box of 9 slices there, an estimate
-    that only sets the first net's resolution.  M is the smallest exact
-    complement distance over those 17 time segments: a minimum over part of
-    the swept region, so at least the minimum m* over all of it.
+    The blend sweeps each of those segments, so M <= 0 means the homotopy
+    leaves the domain.  A positive M only sizes the proposal: it is at least
+    the minimum over the whole swept region, and certifies nothing.  The
+    members move by at least D in all, so steps of at most M take at least
+    D / M of them.
     """
     xs = np.arange(17) / 16
     p0, p1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
-    grid = _blend(np.arange(9) / 8, p0, p1).ravel()
-    width = grid.real.max() - grid.real.min()
-    height = grid.imag.max() - grid.imag.min()
-    return math.hypot(width, height), float(domain.segment_complement_distances(p0, p1).min())
+    return (float(domain.segment_complement_distances(p0, p1).min()),
+            float(np.abs(p1 - p0).max()))
 
 
-def _certify_containment(sigma: Homotopy, domain: DomainDescriptor,
-                         max_refinements: int) -> ContainmentCertificate:
-    """Certify the swept region's margin on a 1-D x-net, halving eta until
-    the margin clears 4 eta, in one net round as a rule.
-
-    A net of spacing h <= 2 eta / L puts every x within eta/L of a net point,
-    so every swept point is within eta of the time segment of a net point;
-    the segments' exact minimum complement distance m, less eta, bounds the
-    region's.  A nonpositive m refuses at once.
-
-    One round.  With m* the minimum over the whole swept region, the net
-    point nearest to where m* is attained has a time segment within eta of
-    that one, so m <= m* + eta; and m* <= M, the minimum over the 17 time
-    segments of ``_coarse_grid``.  A level certifies only if
-    (m - eta)/2 > 4 eta, that is m > 9 eta, which needs M > 8 eta.  So a
-    level with 0 < M < 7.99 eta (0.01 eta of room for rounding) cannot
-    certify whatever its net, and is skipped unevaluated; the budget is
-    still checked there.  Nothing is skipped when M <= 0, and the last
-    level is always evaluated.  The first level evaluated is then the first
-    that can certify, and a certificate from it is the one the plain loop,
-    evaluating every level in turn, returns: no skipped level could have
-    certified, nor refused with m <= 0, since that needs m* <= 0 and leaves
-    every later level with m <= eta.  A refusal's level is not so
-    determined (a region that leaves the domain between the 17 points has
-    M > 0 > m*), so a refusal after a skip runs the plain loop again from
-    the first level and raises that loop's refusal, with the level and
-    margin it finds.  Refusals are rare, and the replay at most doubles one.
-    """
-    diameter, upper = _coarse_grid(sigma, domain)
-    eta = 0.05 * diameter if diameter > 0 else 0.05
-    if not (max_refinements > 0 and 0 < upper < _NET_SKIP * eta):
-        return _halving_loop(sigma, domain, eta, max_refinements)
-    try:
-        return _halving_loop(sigma, domain, eta, max_refinements, upper)
-    except ContainmentNotCertified:
-        return _halving_loop(sigma, domain, eta, max_refinements)
-
-
-def _halving_loop(sigma: Homotopy, domain: DomainDescriptor, eta: float,
-                  max_refinements: int, upper: float = 0.0) -> ContainmentCertificate:
-    """The net levels eta, eta/2, ... in turn, skipping those with
-    0 < ``upper`` < 7.99 eta but the last (see ``_certify_containment``)."""
-    last_failure = None
-    for level in range(max_refinements + 1):
-        steps = max(1, math.ceil(sigma.lipschitz / (2 * eta)))
-        if steps + 1 > _NET_BUDGET:
-            raise ContainmentNotCertified(
-                "containment not certified within the sampling budget"
-                + (f": {last_failure}" if last_failure else ""),
-                min_complement_distance=getattr(last_failure, "min_complement_distance", None),
-                resolution=eta)
-        if 0 < upper < _NET_SKIP * eta and level < max_refinements:
-            eta /= 2
-            continue
-        xs = np.arange(steps + 1) / steps
-        m = float(domain.segment_complement_distances(sigma.gamma0.values(xs),
-                                                      sigma.gamma1.values(xs)).min())
-        if m <= 0:
-            # an exact segment minimum: a swept point lies outside, so no
-            # finer net can help
-            raise ContainmentNotCertified(
-                f"the homotopy sweeps outside the domain: min complement distance {m:.6g} "
-                f"on the time segments of a net of resolution {eta:.6g}",
-                min_complement_distance=m, resolution=eta)
-        try:
-            cert = margin_certificate(m, eta)
-            if cert.margin > 4 * eta:
-                return cert
-            last_failure = ContainmentNotCertified(
-                f"margin {cert.margin:.6g} not above 4*eta={4 * eta:.6g}", resolution=eta)
-        except ContainmentNotCertified as exc:
-            last_failure = exc
-        eta /= 2
-    raise ContainmentNotCertified(
-        f"containment not certified after {max_refinements} refinements: {last_failure}",
-        min_complement_distance=getattr(last_failure, "min_complement_distance", None),
-        resolution=getattr(last_failure, "resolution", None))
-
-
-def _time_partition(gap: float, eps: float, rounding: float) -> np.ndarray:
-    """Times 0 = t_0 < ... < t_n = 1 for members ``gap`` apart per unit time.
-
-    The end steps are min(eps/(6 gap), 1/2); the interior steps are equal
-    and as few as keep step * gap + ``rounding`` within eps/2.
-    """
-    if gap <= eps / 3:
-        return np.array([0.0, 0.5, 1.0])
-    end = eps / (6 * gap)
-    budget = eps / 2 - rounding
-    steps = (1 - 2 * end) * gap / budget if budget > 0 else math.inf
-    if not steps + 2 <= _MAX_SLICES:
-        raise ValueError(
-            f"chain would need {steps + 2:.6g} time slices; homotopy moves too fast in time "
-            f"for eps {eps:.3g}")
-    steps = max(1, math.ceil(steps))
-    inner = end + (1 - 2 * end) * np.arange(steps + 1) / steps
-    inner[-1] = 1.0 - end
-    return np.concatenate([[0.0], inner, [1.0]])
+def _certify_containment(rows: np.ndarray, domain: DomainDescriptor) -> np.ndarray:
+    """The certified clearance of the polyline through each row of ``rows``:
+    the exact minimum complement distance over its segments, less the
+    rounding allowance at the larger of its largest |vertex| and the
+    domain's reach.  Nonpositive certifies nothing."""
+    exact = domain.segment_complement_distances(rows[:, :-1], rows[:, 1:]).min(axis=1)
+    return exact - _BLEND_ROUNDING * np.maximum(np.abs(rows).max(axis=1), domain.reach)
 
 
 def _end_values(path: PiecewisePath, xs: np.ndarray) -> np.ndarray:
@@ -431,110 +324,141 @@ def _end_values(path: PiecewisePath, xs: np.ndarray) -> np.ndarray:
     return values
 
 
-def _end_pair(path: PiecewisePath, own: PiecewisePath, values: np.ndarray,
-              xs: np.ndarray, pair: Bounds, eps: float) -> tuple[Bounds, bool]:
-    """Enclosure of sup |path - member| for an end path and its neighbouring
-    member, from ``pair``, the polyline distance of its row ``values`` = Q
-    (the path's values on ``xs``) and the member's, and whether it is exact.
+def _end_slack(path: PiecewisePath, own: bool, values: np.ndarray, xs: np.ndarray) -> float:
+    """A bound on sup |path - Q| for Q the polyline through ``values``, the
+    path's values on ``xs``; 0 when Q is the path itself.  xs holds every
+    breakpoint of the homotopy's ``own`` ends.
 
-    The vertex maximum of |Q - member| is attained, so it is a lower bound;
-    |polyline through Q - member| peaks at a vertex, so that maximum plus
-    sup |path - polyline through Q| is an upper bound.  The homotopy's own
-    end (``own``) has Q from ``shared_vertices(eps/6)``, within eps/9 of it.
-    Any other path was evaluated on xs: with its breakpoints in xs it is
-    within max h^2 M2 / 8 over the panels h of its polyline, for its |z''|
-    bounds M2 (the Peano kernel of linear interpolation, (x - a)(b - x)/2 >= 0
-    on a panel [a, b], holds for complex values too), plus the rounding
-    allowance at its largest |value|; otherwise within its Lipschitz chord
-    bound L max(h) / 2.  A path of lines whose breakpoints are all in xs is
-    its own polyline through Q, so the pair is exact with no slack; xs holds
-    every breakpoint of the homotopy's ends.
+    With the path's breakpoints in xs, Q is within max h^2 M2 / 8 over its
+    panels h, for the path's |z''| bounds M2 (the Peano kernel of linear
+    interpolation, (x - a)(b - x)/2 >= 0 on a panel [a, b], holds for
+    complex values too), plus the rounding allowance at its largest |value|;
+    and a path of lines is Q.  Otherwise Q is within the path's Lipschitz
+    chord bound L max(h) / 2.
     """
-    aligned = path is own or bool(np.isin(path.breakpoints, xs).all())
-    if path._all_lines and aligned:
-        return pair, True
-    if path is own:
-        return Bounds(pair.lo, pair.hi + eps / 9), False
     panels = np.diff(xs)
-    if aligned:
-        second = _piece_bounds(path, (xs[:-1] + xs[1:]) / 2)
-        slack = (float((panels * panels * second).max()) / 8
-                 + _BLEND_ROUNDING * float(np.abs(values).max()))
-    else:
-        slack = path.lipschitz_bound * float(panels.max()) / 2
-    return Bounds(pair.lo, pair.hi + slack), False
+    if not (own or np.isin(path.breakpoints, xs).all()):
+        return path.lipschitz_bound * float(panels.max()) / 2
+    if path._all_lines:
+        return 0.0
+    second = _piece_bounds(path, (xs[:-1] + xs[1:]) / 2)
+    return (float((panels * panels * second).max()) / 8
+            + _BLEND_ROUNDING * float(np.abs(values).max()))
+
+
+def _over_budget(members: int, gap: float, scale: float) -> ContainmentNotCertified:
+    return ContainmentNotCertified(
+        f"the chain would need {members} members, over the budget of {_MAX_SLICES} time "
+        f"slices: the homotopy moves {gap:.6g} per unit time against a clearance of "
+        f"{scale:.6g}", min_complement_distance=scale)
 
 
 def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
-                domain: DomainDescriptor, *, eps: float | None = None,
-                max_refinements: int = 8) -> Chain:
-    """Discretize a homotopy into a chain with certified consecutive bounds.
+                domain: DomainDescriptor, *, eps: float | None = None) -> Chain:
+    """Discretize a homotopy into a chain whose integrals are certified equal.
 
-    Steps, each a fixed number of array passes: certify the swept region's
-    containment on a 1-D net of exact segment distances, in one net round as
-    a rule (``_certify_containment`` skips every level that cannot clear
-    4*eta); set eps to half the certified margin, unless overridden (a
-    whole-plane domain has no finite margin and needs the override);
-    evaluate both end paths once on the shared partition for eps/6
-    (``Homotopy.shared_vertices``); take the time steps from the exact
-    vertex gap D+ = max |P1 - P0|, rounded up (``_time_partition``); blend
-    all members at once into one vertex array whose first and last rows are
-    P0 and P1 (an end path that is not the homotopy's own replaces its row
-    with its values); and bound every consecutive pair from that array in
-    one step.  The interior pairs' polyline distances are exact; an end pair
-    adds its curved end's slack (``_end_pair``).  The eps/3 - eps/2 - eps/3
-    bounds are checked against all lower bounds in one comparison, which
-    names the lowest failing pair.
+    The homotopy proposes the members and the chain certifies itself.  With
+    M and D from ``_coarse_grid`` and r = min(M, eps) (M alone without ``eps``),
+    the shared partition xs is ``Homotopy.shared_vertices(r/4)``, and the
+    rows of one (n+1, m+1) vertex array are (1 - t) P0 + t P1 at n uniform
+    steps in t, n = ceil(D+ / r) for D+ = max |P1 - P0|, rounded up.  The
+    interior members are the polylines through the rows; the first and last
+    rows are the end paths' own values on xs.  Then, all in array passes:
+
+    * Clearance.  An interior member's certified clearance rho_k is the exact
+      minimum complement distance over its segments, less 64 ulps of the
+      larger of its largest |vertex| and ``domain.reach``, more than the few
+      ulps by which the closed forms round (``_certify_containment``).  An
+      end path is within its slack s (``_end_slack``) of the polyline
+      through its row, and the distance to the complement is 1-Lipschitz, so
+      that polyline's clearance less s is the end path's.
+    * Gap.  Two polylines on one partition differ by a polyline, largest at
+      a vertex, so ``_consecutive_gaps`` encloses each pair's sup-distance,
+      widened by its rounding allowance; through the end path's polyline,
+      an end pair's upper bound adds the end's slack.
+    * Check.  Pair k passes when its gap's upper bound is below
+      min(max(rho_k, rho_k+1), eps), its ``analytic`` bound.  Let j be the
+      member with the larger clearance.  Every disk D(member_j(x), rho_j)
+      lies in the domain, and the other member's point at x lies inside it,
+      which is the small-disk lemma's hypothesis: the two members have the
+      same integral of every f analytic on the domain.  Along the chain, so
+      do gamma0 and gamma1, however sigma moves between the members' times.
+
+    A member with rho <= 0 refuses: the homotopy sweeps outside the domain
+    or within rounding of its boundary.  So does M <= 0, an exact minimum
+    over swept segments.  A failing pair's time step is bisected, up to
+    ``_MAX_DEPTH`` times (a blend across a puncture keeps failing where it
+    crosses) and ``_MAX_SLICES`` members, each checked before the rows are
+    blended, and D / r + 1 members before the partition is.  ``eps`` must be positive and finite when given.  A domain
+    with no complement, and no eps, takes one step: the chain is its ends.
     """
-    if not (isinstance(max_refinements, int) and max_refinements >= 0):
-        raise ValueError(f"max_refinements must be a non-negative integer, got {max_refinements!r}")
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
         _check_end_path(path, name)
     _check_endpoint_slices(sigma, gamma0, gamma1)
+    cap = math.inf
+    if eps is not None:
+        cap = eps = float(eps)
+        if not (math.isfinite(eps) and eps > 0):
+            raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
 
-    containment = _certify_containment(sigma, domain, max_refinements)
-    if eps is None:
-        if not math.isfinite(containment.margin):
-            raise InvalidEpsilon(
-                "the domain has no finite containment margin to take eps from; "
-                "give eps explicitly (tolerances.eps in a spec)")
-        eps = containment.margin / 2
-    else:
-        eps = float(eps)
-        if not (0 < eps <= containment.margin * 6 / 7 and math.isfinite(eps)):
-            raise InvalidEpsilon(
-                f"eps override {eps} outside (0, {containment.margin * 6 / 7:.6g}] "
-                "allowed by the containment margin")
-
-    xs, p0, p1 = sigma.shared_vertices(eps / 6)
+    upper, moves = _coarse_grid(sigma, domain)
+    if upper <= 0:
+        raise ContainmentNotCertified(
+            f"the homotopy sweeps outside the domain: min complement distance {upper:.6g} "
+            "on its time segments at 17 points", min_complement_distance=upper)
+    scale = min(upper, cap)
+    if moves / scale + 1 > _MAX_SLICES:  # before a tiny scale makes the partition huge
+        raise _over_budget(math.ceil(moves / scale) + 1, moves, scale)
+    xs, p0, p1 = sigma.shared_vertices(_PARTITION_FRACTION * scale)
     gap = float(np.abs(p1 - p0).max()) * (1 + _BLEND_ROUNDING)
-    scale = max(float(np.abs(p0).max()), float(np.abs(p1).max()))
-    ts = _time_partition(gap, eps, _BLEND_ROUNDING * scale)
-    n = len(ts) - 1
+    steps = max(1, math.ceil(gap / scale))
+    if steps + 1 > _MAX_SLICES:
+        raise _over_budget(steps + 1, gap, scale)
 
+    ts = np.arange(steps + 1) / steps
     rows = _blend(ts, p0, p1)
-    members = [gamma0, *PiecewisePath.from_vertex_rows(rows[1:-1], xs, closed=True), gamma1]
-    ends = ((0, gamma0, sigma.gamma0), (-1, gamma1, sigma.gamma1))
-    for row, path, own in ends:
+    slack = np.zeros(2)
+    for k, (row, path, own) in enumerate(((0, gamma0, sigma.gamma0), (-1, gamma1, sigma.gamma1))):
         if path is not own:
             rows[row] = _end_values(path, xs)
-    lo, hi = _consecutive_gaps(rows)
-    exact = [True] * n
-    for row, path, own in ends:
-        pair, exact[row] = _end_pair(path, own, rows[row], xs, Bounds(lo[row], hi[row]), eps)
-        lo[row], hi[row] = pair.lo, pair.hi
+        slack[k] = _end_slack(path, path is own, rows[row], xs)
+    radius = _certify_containment(rows, domain)
+    radius[[0, -1]] -= slack
 
-    analytic = np.full(n, eps / 2)
-    analytic[[0, -1]] = eps / 3
-    over = np.flatnonzero(lo > analytic)
-    if over.size:
-        j = int(over[0])
-        raise CertificateViolation(
-            f"{'exact' if exact[j] else 'vertex'} sup-distance lower bound {lo[j]:.6g} "
-            f"exceeds the certified bound {analytic[j]:.6g} for pair {j}; "
-            "a bound upstream is broken")
-    entries = tuple(map(PairBound, analytic.tolist(), Bounds.from_arrays(lo, hi), exact))
+    for depth in itertools.count():
+        outside = np.flatnonzero(radius <= 0)
+        if outside.size:
+            k = int(outside[0])
+            raise ContainmentNotCertified(
+                f"the homotopy sweeps outside the domain: the member at t={ts[k]:.6g} has "
+                f"certified clearance {radius[k]:.6g}", min_complement_distance=float(radius[k]))
+        lo, hi = _consecutive_gaps(rows)
+        hi[0] += slack[0]
+        hi[-1] += slack[1]
+        lo, hi = Bounds.check_arrays(lo, hi)
+        bound = np.minimum(np.maximum(radius[:-1], radius[1:]), cap)
+        failing = np.flatnonzero(~(hi < bound))
+        if not failing.size:
+            break
+        if depth == _MAX_DEPTH:
+            j = int(failing[0])
+            raise ContainmentNotCertified(
+                f"pair {j} of the chain, between its members at t={ts[j]:.6g} and "
+                f"{ts[j + 1] - ts[j]:.3g} later, is up to {hi[j]:.6g} apart, not below its bound "
+                f"{bound[j]:.6g}, after {depth} bisections of its time step",
+                min_complement_distance=float(bound[j]))
+        if ts.size + failing.size > _MAX_SLICES:
+            raise _over_budget(ts.size + failing.size, gap, scale)
+        mids = (ts[failing] + ts[failing + 1]) / 2
+        new = _blend(mids, p0, p1)
+        ts = np.insert(ts, failing + 1, mids)
+        rows = np.insert(rows, failing + 1, new, axis=0)
+        radius = np.insert(radius, failing + 1, _certify_containment(new, domain))
 
-    return Chain(members=tuple(members), epsilon=eps,
-                 certificate=ChainCertificate(entries),
-                 containment=containment, partition=ts)
+    exact = np.ones(ts.size - 1, dtype=bool)
+    exact[0] &= slack[0] == 0
+    exact[-1] &= slack[1] == 0
+    entries = tuple(map(PairBound, bound.tolist(), Bounds.from_arrays(lo, hi), exact.tolist()))
+    members = (gamma0, *PiecewisePath.from_vertex_rows(rows[1:-1], xs, closed=True), gamma1)
+    return Chain(members=members, epsilon=eps, certificate=ChainCertificate(entries),
+                 partition=ts, clearances=radius)

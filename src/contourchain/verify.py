@@ -8,9 +8,10 @@ quadrature error, and the factor absorbs accumulation without masking a
 real discrepancy, which would be orders of magnitude larger.  A chain that
 ends at a point (a star homotopy, or any blend onto a constant path) is a
 null-homotopy, and its report also carries |integral over the input path|.
-When containment cannot be certified the verifier refuses outright instead
-of warning, because the hypothesis of the invariance statement is simply
-not established.
+The verifier refuses outright, instead of warning, when the theorem's
+hypotheses are not established: when a declared singularity lies inside
+the domain, so that f is not analytic there, and when the chain's pairs
+cannot be certified by the small-disk lemma (``build_chain``).
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class VerificationReport:
         first, last = self.integrals[0].value, self.integrals[-1].value
         lines = [
             f"{self.kind} verification of f = {self.function_text}",
-            f"  chain members: {self.members}   epsilon: {self.chain.epsilon:.6g}"
-            f"   margin: {self.chain.containment.margin:.6g}"
-            f"   net resolution: {self.chain.containment.net_resolution:.6g}",
+            f"  chain members: {self.members}   smallest member clearance (margin): "
+            f"{self.chain.margin:.6g}"
+            + ("" if self.chain.epsilon is None else f"   eps cap: {self.chain.epsilon:.6g}"),
             f"  endpoint integrals: {first:.12g}  ->  {last:.12g}",
             f"  max pairwise deviation: {self.max_deviation:.6g}   threshold: {self.threshold:.6g}",
             f"  certificate: {self.chain.certificate.summary_text()}",
@@ -95,10 +96,11 @@ def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
                                eps: float | None = None) -> VerificationReport:
     """Build the chain for sigma and check all member integrals agree.
 
-    ``eps`` overrides the chain budget as in ``build_chain``; by default it is
-    half the certified containment margin.  For a star homotopy the swept
-    cone from the path to the center must sit inside the domain, or the run
-    refuses with ContainmentNotCertified.
+    A declared singularity inside the domain refuses (``NearSingularity``)
+    before the chain is built: f is then not analytic on the domain, and the
+    theorem says nothing.  ``eps``, when given, caps every pair bound of the
+    chain as in ``build_chain``.  A chain whose members leave the domain, or
+    whose pairs cannot be certified, refuses with ContainmentNotCertified.
 
     When gamma1 has Lipschitz bound 0 it is a point, and the report is a
     null-homotopy carrying N = |I_0|, the integral over gamma0.  The verdict
@@ -109,6 +111,12 @@ def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
     finite there, and the run raises ``ToleranceNotReached`` for the lowest
     member that has one, as for any member.
     """
+    for p in f.singularities:
+        distance = domain.complement_distance(p)
+        if distance > 0:
+            raise NearSingularity(
+                f"declared singularity {p} lies inside the domain (complement distance "
+                f"{distance:.6g}), where f must be analytic")
     gamma0 = reparametrize_to_unit(gamma0)
     gamma1 = reparametrize_to_unit(gamma1)
     chain = build_chain(sigma, gamma0, gamma1, domain, eps=eps)

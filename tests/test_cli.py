@@ -47,23 +47,37 @@ class TestSpecEps:
         assert report["epsilon"] == 0.05
         assert report["verdict"] == "pass"
 
-    def test_eps_above_the_margin_refused_like_chain(self, tmp_path):
-        doc = _spec(tolerances={"tol": 1e-9, "eps": 10.0})
+    def test_bad_eps_refused_like_chain(self, tmp_path):
+        doc = _spec(tolerances={"tol": 1e-9, "eps": -1.0})
         chain = _run(tmp_path, "chain", doc)
         verify = _run(tmp_path, "verify", doc)
         assert chain.exit_code == verify.exit_code == EXIT_USAGE
-        assert "eps override 10.0 outside" in verify.stderr
+        assert "eps must be a positive finite number, got -1.0" in verify.stderr
         assert verify.stderr == chain.stderr
+
+    def test_eps_caps_every_pair_bound(self, tmp_path):
+        # an eps above every clearance caps nothing; a small one caps every
+        # bound and takes more members
+        members = {}
+        for eps in (10.0, 0.05):
+            result = _run(tmp_path, "chain", _spec(tolerances={"tol": 1e-9, "eps": eps}), "--json")
+            assert result.exit_code == EXIT_OK, result.output
+            summary = json.loads(result.stdout)
+            assert all(e["sampled_hi"] < e["analytic"] <= eps for e in summary["certificate"])
+            members[eps] = summary["members"]
+        assert members[10.0] < members[0.05]
 
 
 class TestIdentityHomotopy:
-    def test_three_member_chain(self, tmp_path):
-        # sigma(t, x) = gamma(x) does not move in time, so the chain keeps
-        # only the one interior member every chain has.
+    def test_two_member_chain(self, tmp_path):
+        # sigma(t, x) = gamma(x) does not move in time, so one time step
+        # certifies it: the chain is gamma twice, 0 apart
         doc = _spec(homotopy={"kind": "constant", "path": "inner"})
         result = _run(tmp_path, "chain", doc, "--json")
         assert result.exit_code == 0, result.output
-        assert json.loads(result.stdout)["members"] == 3
+        summary = json.loads(result.stdout)
+        assert summary["members"] == 2
+        assert summary["certificate"][0]["sampled_lo"] == 0.0
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -195,6 +209,11 @@ def test_parity_rows_cover_every_path_kind():
      "empty argument"),
     (["wind", "--path", "circle(2i)", "--point", "0"], EXIT_USAGE,
      "field 'radius' must be a real number"),
+    # click's own usage errors take the usage exit, not the refusal's
+    (["verify"], EXIT_USAGE, "Missing option '--spec'"),
+    (["integrate", "--f", "1/z", "--path", "unit_circle", "--tol", "abc"], EXIT_USAGE,
+     "'abc' is not a valid float"),
+    (["bogus"], EXIT_USAGE, "No such command 'bogus'"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_path_command_exit_codes(args, code, text):
     result = CliRunner().invoke(main, args)
@@ -202,6 +221,25 @@ def test_path_command_exit_codes(args, code, text):
     assert text in (result.stdout if code == EXIT_OK else result.stderr)
     if code != EXIT_OK:
         assert isinstance(result.exception, SystemExit)
+
+
+def test_declared_pole_inside_the_domain_is_refused(tmp_path):
+    # f is not analytic on the disk, so the chain's integrals, which jump by
+    # 2 pi i across the pole, prove nothing: a refusal, not a failure
+    doc = _spec(paths={"inner": {"kind": "circle", "radius": 1.0},
+                       "outer": {"kind": "circle", "radius": 2.0}},
+                domain={"kind": "disk", "radius": 3.0},
+                function={"expression": "1/(z-(1.5+0.01i))", "poles": ["1.5+0.01i"]})
+    result = _run(tmp_path, "verify", doc)
+    assert result.exit_code == EXIT_REFUSED, result.output
+    assert "declared singularity (1.5+0.01j) lies inside the domain" in result.stderr
+    assert "complement distance 1.49997" in result.stderr
+    # a punctured plane that excludes the pole keeps it outside, and the
+    # homotopy across it is refused by the chain instead
+    doc["domain"] = {"kind": "punctured_plane", "excluded": ["1.5+0.01i"]}
+    result = _run(tmp_path, "verify", doc)
+    assert result.exit_code == EXIT_REFUSED, result.output
+    assert "bisections of its time step" in result.stderr
 
 
 def _cli_process(*args):
@@ -281,26 +319,27 @@ def test_star_spec_verifies_a_null_homotopy(tmp_path, monkeypatch):
 
 
 def test_large_circles_chain_and_verify(tmp_path):
-    # the containment net and the shared partition scale with the paths, so
-    # the blend of paths with Lipschitz constant near 2e4 is built and verified
+    # the clearances and the shared partition scale with the paths, so the
+    # blend of paths with Lipschitz constant near 2e4 is built and verified
     doc = _spec(paths={"inner": {"kind": "circle", "radius": 2000.0},
                        "outer": {"kind": "circle", "radius": 3000.0}},
                 domain={"kind": "annulus", "r_inner": 1000.0, "r_outer": 5000.0})
     chain = _run(tmp_path, "chain", doc, "--json")
     assert chain.exit_code == EXIT_OK, chain.output
     summary = json.loads(chain.stdout)
-    # gap 1000: end steps eps/6000, then ceil((1 - 2 eps/6000) 1000 / (eps/2))
-    # equal interior steps
-    assert summary["members"] == 12
+    # gap 1000 against the coarse grid's clearance 1000, the gap rounded up:
+    # two equal steps, each pair below the larger clearance of its members,
+    # none of which keeps more than the outer circle's 2000 from the rims
+    assert summary["members"] == 3 and summary["epsilon"] is None
     for entry in summary["certificate"]:
-        assert entry["sampled_hi"] <= entry["analytic"] <= summary["epsilon"] / 2
+        assert entry["sampled_hi"] < entry["analytic"] <= 2000.0
     verify = _run(tmp_path, "verify", doc)
     assert verify.exit_code == EXIT_OK, verify.output
     assert "verdict: PASS" in verify.stdout
 
 
 class TestWholePlane:
-    """PuncturedPlane(()) has no complement, so its margin is unbounded."""
+    """PuncturedPlane(()) has no complement, so every clearance is unbounded."""
 
     @staticmethod
     def _doc(**tolerances):
@@ -319,14 +358,19 @@ class TestWholePlane:
         assert summary["verdict"] == "pass"
         text = _run(tmp_path, "chain", self._doc(eps=2.0))
         assert text.exit_code == EXIT_OK, text.output
-        assert "margin: inf" in text.stdout
+        assert "smallest member clearance (margin): inf  eps cap: 2" in text.stdout
 
-    def test_without_eps_refused(self, tmp_path):
+    def test_without_eps_is_its_two_ends(self, tmp_path):
+        # nothing bounds a pair, so one time step certifies the homotopy
         for command in ("chain", "verify"):
-            result = _run(tmp_path, command, self._doc())
-            assert result.exit_code == EXIT_USAGE
-            assert isinstance(result.exception, SystemExit)
-            assert "tolerances.eps" in result.stderr
+            result = _run(tmp_path, command, self._doc(), "--json")
+            assert result.exit_code == EXIT_OK, result.output
+            assert "Infinity" not in result.stdout
+            summary = json.loads(result.stdout)
+            assert summary["members"] == 2
+            assert summary["margin"] is None and summary["epsilon"] is None
+            assert summary["certificate"][0]["analytic"] is None
+        assert summary["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("section, key, value, text", [

@@ -34,3 +34,24 @@ def test_clearance_takes_no_required_distance():
 
     assert list(inspect.signature(certified_clearance).parameters) == ["path", "points"]
     assert list(inspect.signature(certified_clearances).parameters) == ["paths", "points"]
+
+
+@pytest.mark.parametrize("module, name", [
+    ("contourchain", "ContainmentCertificate"),
+    ("contourchain", "margin_certificate"),
+    ("contourchain.geometry", "ContainmentCertificate"),
+    ("contourchain.geometry", "margin_certificate"),
+    ("contourchain.homotopy", "_halving_loop"),
+    ("contourchain.homotopy", "_NET_SKIP"),
+    ("contourchain.homotopy", "_NET_BUDGET"),
+    ("contourchain.homotopy", "_time_partition"),
+])
+def test_the_chain_needs_no_containment_net(module, name):
+    # each member's clearance is certified in closed form on the chain itself
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_build_chain_takes_no_refinement_count():
+    from contourchain.homotopy import build_chain
+
+    assert "max_refinements" not in inspect.signature(build_chain).parameters

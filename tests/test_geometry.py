@@ -15,8 +15,6 @@ from contourchain import (
     Annulus,
     Bounds,
     CompactCarrier,
-    ContainmentCertificate,
-    ContainmentNotCertified,
     Disk,
     PuncturedPlane,
     Rectangle,
@@ -140,6 +138,14 @@ class TestDistToComplement:
     def test_disk_center(self):
         assert Disk(0j, 1.0).complement_distance(0j) == 1.0
 
+    def test_reach_is_the_largest_defining_modulus(self):
+        # the scale the closed-form distances round relative to
+        assert Disk(3 + 4j, 2.0).reach == 5.0
+        assert Annulus(1j, 0.5, 7.0).reach == 7.0
+        assert Rectangle(-6 - 8j, 1 + 1j).reach == 10.0
+        assert PuncturedPlane((1j, -3 + 0j)).reach == 3.0
+        assert PuncturedPlane(()).reach == 0.0
+
     def test_annulus_example(self):
         # min(1 - 0.5, 2 - 1) = 0.5
         assert Annulus(0j, 0.5, 2.0).complement_distance(1 + 0j) == 0.5
@@ -226,45 +232,44 @@ class TestSegmentComplementDistances:
 
 
 class TestWellContained:
+    """``well_contained`` is the net's minimum complement distance less its
+    resolution: a lower bound for every point of the net's set."""
+
     def test_circle_in_annulus_margin(self):
-        # m = 0.5, eta = 0.001 -> margin = (0.5 - 0.001) / 2 = 0.2495
-        cert = well_contained(unit_circle_net(0.001), Annulus(0j, 0.5, 2.0))
-        assert cert.margin == pytest.approx(0.2495, abs=1e-6)
-        assert cert.net_resolution == 0.001
+        # m = 0.5 on the unit circle's net, eta = 0.001
+        bound = well_contained(unit_circle_net(0.001), Annulus(0j, 0.5, 2.0))
+        assert bound == pytest.approx(0.499, abs=1e-12)
 
     def test_refuses_tight_disk(self):
-        # m is about 0.0005 <= eta
-        with pytest.raises(ContainmentNotCertified):
-            well_contained(unit_circle_net(0.001), Disk(0j, 1.0005))
+        # m is about 0.0005 <= eta: the bound certifies nothing
+        assert well_contained(unit_circle_net(0.001), Disk(0j, 1.0005)) <= 0
 
     def test_single_point_net(self):
         net = CompactCarrier(np.array([1 + 1j]), resolution=0.001)
-        cert = well_contained(net, Disk(1 + 1j, 2.0))
-        assert cert.margin == pytest.approx((2.0 - 0.001) / 2, abs=1e-12)
+        assert well_contained(net, Disk(1 + 1j, 2.0)) == 2.0 - 0.001
 
     def test_margin_spot_check(self):
-        # every point within the margin of a net point stays inside the domain
+        # every point within the bound of a net point stays inside the domain
         domain = Annulus(0j, 0.5, 2.0)
         net = unit_circle_net(0.001)
-        cert = well_contained(net, domain)
+        bound = well_contained(net, domain)
         rng = random.Random(99)
         for _ in range(200):
             zeta = complex(net.net[rng.randrange(len(net))])
             angle = rng.uniform(0, 2 * math.pi)
-            w = zeta + rng.uniform(0, cert.margin) * complex(math.cos(angle), math.sin(angle))
+            w = zeta + rng.uniform(0, bound) * complex(math.cos(angle), math.sin(angle))
             assert domain.complement_distance(w) > 0
 
     def test_certificate_invariant(self):
-        with pytest.raises(ValueError):
-            ContainmentCertificate(margin=0.1, net_resolution=0.06)
-        ContainmentCertificate(margin=0.1, net_resolution=0.01)
+        # every point of the set, not only the net's, keeps the bound: the
+        # set is the unit circle, within eta = 0.05 of each net point
+        for domain in (Annulus(0j, 0.5, 2.0), Disk(0.1j, 1.3), Rectangle(-1.2 - 1.4j, 1.5 + 1.1j)):
+            bound = well_contained(unit_circle_net(0.05), domain)
+            dense = circle().values(np.arange(20_001) / 20_000)
+            assert 0 < bound <= float(domain.complement_distances(dense).min())
 
     def test_whole_plane_margin_is_unbounded(self):
-        cert = well_contained(unit_circle_net(0.001), PuncturedPlane(()))
-        assert cert.margin == math.inf
-        for bad in (math.nan, -math.inf):
-            with pytest.raises(ValueError, match="finite or"):
-                ContainmentCertificate(margin=bad, net_resolution=0.01)
+        assert well_contained(unit_circle_net(0.001), PuncturedPlane(())) == math.inf
 
 
 class TestBounds:

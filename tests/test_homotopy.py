@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 
@@ -8,7 +7,6 @@ import pytest
 from contourchain import (
     Annulus,
     Bounds,
-    CertificateViolation,
     ContainmentNotCertified,
     Disk,
     EndpointMismatch,
@@ -28,16 +26,16 @@ from contourchain import (
     polyline_sup_distance,
     square,
     star_null_homotopy,
-    sup_distance,
 )
 from contourchain import homotopy as homotopy_module
 from contourchain import paths as paths_module
-from contourchain.geometry import margin_certificate
 from contourchain.homotopy import homotopy_carrier
 from conftest import dense_sup, dense_sup_upper, random_polyline, slice_sup_upper
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
+# a channel 0.1 wider on each side than the circles of radius 0.5 at -2 and 2
+CHANNEL = Rectangle(-3.0 - 0.6j, 3.0 + 0.6j)
 
 
 class TestStarHomotopy:
@@ -205,20 +203,15 @@ class TestHomotopyCarrier:
 
 class TestBuildChain:
     def test_constant_homotopy_members_near_the_circle(self):
+        # the homotopy does not move, so one step certifies it: both members
+        # are the circle, 0 apart
         g = circle()
         sigma = linear_homotopy(g, g)
         chain = build_chain(sigma, g, g, ANNULUS)
-        eps = chain.epsilon
-        for member in chain.members:
-            assert sup_distance(member, g, eps / 24).lo <= eps / 6
+        assert all(member is g for member in chain.members)
         for entry in chain.certificate.entries:
-            assert entry.sampled.lo <= entry.analytic
-
-    @pytest.mark.parametrize("max_refinements", [-1, 2.5])
-    def test_max_refinements_must_be_a_non_negative_integer(self, max_refinements):
-        g0, g1 = circle(radius=1.0), circle(radius=1.5)
-        with pytest.raises(ValueError, match="max_refinements must be a non-negative integer"):
-            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS, max_refinements=max_refinements)
+            assert entry.sampled.lo == 0.0
+            assert entry.sampled.hi < entry.analytic
 
     def test_endpoints_by_identity(self):
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
@@ -227,38 +220,49 @@ class TestBuildChain:
         assert chain.members[-1] is g1
 
     def test_certificate_pattern(self):
+        # each pair is bounded by the larger clearance of its two members,
+        # capped at eps when eps is given, and its gap is below that bound
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
-        chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
-        eps = chain.epsilon
-        bounds = [e.analytic for e in chain.certificate.entries]
-        assert bounds[0] == eps / 3 and bounds[-1] == eps / 3
-        assert all(b == eps / 2 for b in bounds[1:-1])
-        assert len(chain.members) == len(bounds) + 1
+        for eps in (None, 0.05):
+            chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS, eps=eps)
+            radius = chain.clearances
+            bounds = [e.analytic for e in chain.certificate.entries]
+            cap = math.inf if eps is None else eps
+            assert bounds == np.minimum(np.maximum(radius[:-1], radius[1:]), cap).tolist()
+            assert all(e.sampled.hi < e.analytic for e in chain.certificate.entries)
+            assert len(chain.members) == len(bounds) + 1 == len(radius)
 
     def test_vertex_membership_in_inflated_carrier(self):
-        # every swept point keeps m - eta = 2 margin from the complement, and
-        # every member vertex is a swept point, up to the blend's rounding
+        # every member keeps at least its certified clearance from the
+        # complement, at its vertices too
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
-        chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
-        all_vertices = np.concatenate([m.vertices() for m in chain.members])
-        margin = chain.containment.margin
-        assert np.all(ANNULUS.complement_distances(all_vertices) >= 2 * margin * (1 - 1e-12))
+        chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS, eps=0.05)
+        for member, radius in zip(chain.members, chain.clearances):
+            assert radius > 0
+            assert np.all(ANNULUS.complement_distances(member.vertices()) >= radius)
 
     def test_margin_relation(self):
+        # the margin is the smallest member clearance; no eps was given
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
-        assert chain.epsilon == chain.containment.margin / 2
-        assert chain.containment.margin > 4 * chain.containment.net_resolution
+        assert chain.epsilon is None
+        assert chain.margin == chain.clearances.min() > 0
+        # the inner circle keeps 0.75 from the inner rim, less its chords'
+        # sag and its slack
+        assert 0.5 < chain.clearances[0] < 0.75
 
     @pytest.mark.parametrize("radius", [1.6, 1.8, 2.0, 2.5])
     def test_margin_within_the_exact_distance_of_the_swept_region(self, radius):
         # the star of a polygon onto 0 sweeps the polygon, whose farthest
-        # points from 0 are vertices; the corners sit between 1-D net points
+        # points from 0 are vertices: no member clearance exceeds the
+        # polygon's own, and the polygon's is exact up to rounding
         verts = [1.2 + 0.3j, -0.2 + 1.4j, -1.3 - 0.1j, 0.1 - 1.1j]
         g = polyline(verts)
         sigma = star_null_homotopy(g, 0j)
         chain = build_chain(sigma, g, sigma.gamma1, Disk(0j, radius))
-        assert 2 * chain.containment.margin <= radius - max(abs(v) for v in verts)
+        exact = radius - max(abs(v) for v in verts)
+        assert chain.margin == chain.clearances[0] <= exact
+        assert chain.margin == pytest.approx(exact, rel=1e-12)
 
     def test_refuses_star_through_puncture(self):
         g = circle()
@@ -267,14 +271,14 @@ class TestBuildChain:
             build_chain(sigma, g, sigma.gamma1, PuncturedPlane((0j,)))
 
     def test_refusal_is_genuine(self):
-        # the sampled homotopy grid really does approach the puncture
+        # the star's last member is the puncture itself, and the sampled
+        # homotopy grid really does approach the puncture
         sigma = star_null_homotopy(circle(), 0j)
         with pytest.raises(ContainmentNotCertified) as exc_info:
             build_chain(sigma, circle(), sigma.gamma1, PuncturedPlane((0j,)))
-        eta = exc_info.value.resolution
-        assert eta is not None
-        net = homotopy_carrier(sigma, eta)
-        assert float(np.abs(net.net).min()) <= 2 * eta
+        assert exc_info.value.min_complement_distance <= 0
+        net = homotopy_carrier(sigma, 0.05)
+        assert float(np.abs(net.net).min()) <= 0.1
 
     def test_endpoint_mismatch_detected(self):
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
@@ -288,18 +292,26 @@ class TestBuildChain:
         c2 = build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
         assert len(c1.members) == len(c2.members)
         assert c1.epsilon == c2.epsilon
+        assert np.array_equal(c1.clearances, c2.clearances)
         for m1, m2 in zip(c1.members, c2.members):
             assert np.array_equal(m1.vertices(), m2.vertices())
         for e1, e2 in zip(c1.certificate.entries, c2.certificate.entries):
             assert e1.sampled.lo == e2.sampled.lo
 
     def test_eps_override(self):
+        # eps caps every pair bound; one above every clearance caps nothing
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
         sigma = linear_homotopy(g0, g1)
         chain = build_chain(sigma, g0, g1, ANNULUS, eps=0.1)
         assert chain.epsilon == 0.1
-        with pytest.raises(InvalidEpsilon):
-            build_chain(sigma, g0, g1, ANNULUS, eps=10.0)
+        assert all(e.sampled.hi < e.analytic <= 0.1 for e in chain.certificate.entries)
+        free = build_chain(sigma, g0, g1, ANNULUS)
+        large = build_chain(sigma, g0, g1, ANNULUS, eps=10.0)
+        assert [e.analytic for e in free.certificate.entries] == \
+            [e.analytic for e in large.certificate.entries]
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidEpsilon, match="positive finite"):
+                build_chain(sigma, g0, g1, ANNULUS, eps=bad)
 
     def test_star_of_a_square_keeps_four_segments(self):
         # every slice is a square, straight on each side, so its polygonal
@@ -394,44 +406,76 @@ class TestChainCrossCheck:
         monkeypatch.setattr(homotopy_module, "sup_distance", refuse)
         monkeypatch.setattr(paths_module, "sup_distance", refuse)
         chain = build_chain(linear_homotopy(g0, g1), g0, g1, domain)
-        eps, entries = chain.epsilon, chain.certificate.entries
-        assert [e.analytic for e in entries] == [eps / 3] + [eps / 2] * (len(entries) - 2) + [eps / 3]
+        radius, entries = chain.clearances, chain.certificate.entries
+        assert [e.analytic for e in entries] == np.maximum(radius[:-1], radius[1:]).tolist()
         for entry in entries:
-            assert entry.sampled.hi <= entry.analytic
+            assert entry.sampled.hi < entry.analytic
 
     def test_slice_cap_applies(self):
+        # 1/1e-4 steps, the gap rounded up: refused before any row is blended
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
-        with pytest.raises(ValueError, match="time slices"):
+        with pytest.raises(ContainmentNotCertified, match="10002 members, .* time slices"):
             build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS, eps=1e-4)
 
     @staticmethod
     def _coarse_partition(monkeypatch):
-        # time steps five times too coarse: the gap is understated fivefold
-        partition = homotopy_module._time_partition
-        monkeypatch.setattr(homotopy_module, "_time_partition",
-                            lambda gap, eps, rounding: partition(gap / 5, eps, rounding))
+        # the coarse grid's clearance overstated fivefold: steps five times
+        # too coarse, which no bisection may repair
+        coarse = homotopy_module._coarse_grid
+        monkeypatch.setattr(homotopy_module, "_coarse_grid", lambda sigma, domain: (
+            5 * coarse(sigma, domain)[0], coarse(sigma, domain)[1]))
+        monkeypatch.setattr(homotopy_module, "_MAX_DEPTH", 0)
 
     def test_broken_time_constant_raises(self, monkeypatch):
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
         self._coarse_partition(monkeypatch)
-        with pytest.raises(CertificateViolation, match="vertex sup-distance"):
+        with pytest.raises(ContainmentNotCertified, match="pair 0 .* after 0 bisections"):
             build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
 
     def test_exact_check_alone_catches_it(self, monkeypatch):
-        # with the end pairs' check silenced, the interior pairs of a chain
-        # five times too coarse in time must still be refused
-        g0, g1 = circle(radius=1.0), circle(radius=2.0)
+        # with the end pairs' gaps and slack silenced, the interior pairs of
+        # a chain five times too coarse in time must still be refused
+        g0, g1 = circle(center=-2.0, radius=0.5), circle(center=2.0, radius=0.5)
+        gaps = homotopy_module._consecutive_gaps
+
+        def interior_only(rows):
+            lo, hi = gaps(rows)
+            lo[[0, -1]] = hi[[0, -1]] = 0.0
+            return lo, hi
+
         self._coarse_partition(monkeypatch)
-        monkeypatch.setattr(homotopy_module, "_end_pair",
-                            lambda path, own, own_values, xs, member, eps: (Bounds(0.0, 0.0), False))
-        with pytest.raises(CertificateViolation, match="exact sup-distance"):
-            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
+        monkeypatch.setattr(homotopy_module, "_consecutive_gaps", interior_only)
+        monkeypatch.setattr(homotopy_module, "_end_slack", lambda *args: 0.0)
+        with pytest.raises(ContainmentNotCertified, match="pair 1 .* after 0 bisections"):
+            build_chain(linear_homotopy(g0, g1), g0, g1, CHANNEL)
+
+    def test_failing_steps_are_bisected(self):
+        # a circle sliding along a channel 0.1 wider than it on each side:
+        # the interior members keep 0.1 and pass at the uniform steps, but
+        # the end pairs add the circles' interpolation slack, fail, and have
+        # their steps bisected once
+        g0, g1 = circle(center=-2.0, radius=0.5), circle(center=2.0, radius=0.5)
+        sigma = linear_homotopy(g0, g1)
+        chain = build_chain(sigma, g0, g1, CHANNEL)
+        _, _, _, scale = _proposal(sigma, CHANNEL)
+        steps = math.ceil(4 * (1 + homotopy_module._BLEND_ROUNDING) / scale)
+        uniform = np.arange(steps + 1) / steps
+        mids = [uniform[1] / 2, (uniform[-2] + 1) / 2]
+        assert np.array_equal(chain.partition, np.insert(uniform, [1, steps], mids))
+        assert all(e.sampled.hi < e.analytic <= 0.1 for e in chain.certificate.entries)
 
 
-def _gap(sigma, chain):
-    """max |P1 - P0| over the chain's shared partition."""
-    _, p0, p1 = sigma.shared_vertices(chain.epsilon / 6)
-    return float(np.abs(p1 - p0).max())
+def _proposal(sigma, domain, eps=math.inf):
+    """(xs, P0, P1, r): the shared partition and end values ``build_chain``
+    takes, and r = min(M, eps), which sizes it and the time steps."""
+    scale = min(homotopy_module._coarse_grid(sigma, domain)[0], eps)
+    return (*sigma.shared_vertices(homotopy_module._PARTITION_FRACTION * scale), scale)
+
+
+def _gap(sigma, domain, eps=math.inf):
+    """max |P1 - P0| over the shared partition, and the clearance r sizing it."""
+    _, p0, p1, scale = _proposal(sigma, domain, eps)
+    return float(np.abs(p1 - p0).max()), scale
 
 
 class TestTimePartition:
@@ -444,52 +488,58 @@ class TestTimePartition:
         out = []
         for g1 in (circle(radius=1.5), ellipse(2.0, 1.2)):
             sigma = linear_homotopy(g0, g1)
-            out.append((sigma, build_chain(sigma, g0, g1, WIDE_ANNULUS)))
+            out.append((sigma, build_chain(sigma, g0, g1, WIDE_ANNULUS, eps=0.1)))
         return out
 
     def test_time_constant_is_the_certified_gap(self, blends):
         # interior members differ by exactly |dt| max |P1 - P0|, at a vertex
         for sigma, chain in blends:
-            gap, ts = _gap(sigma, chain), chain.partition
+            gap, _ = _gap(sigma, WIDE_ANNULUS, 0.1)
+            ts = chain.partition
             for t0, t1, p, q in zip(ts[1:-2], ts[2:-1], chain.members[1:-2], chain.members[2:-1]):
                 assert polyline_sup_distance(p, q).contains((t1 - t0) * gap)
 
     def test_step_below_a_sixth_of_eps(self, blends):
+        # the steps are uniform, each moving the members by at most the
+        # clearance r = min(M, eps) that sizes them, or halves of those where
+        # a pair failed
         for sigma, chain in blends:
-            gap, ts, eps = _gap(sigma, chain), chain.partition, chain.epsilon
+            gap, scale = _gap(sigma, WIDE_ANNULUS, 0.1)
+            ts = chain.partition
+            assert scale == 0.1
             assert ts[0] == 0.0 and ts[-1] == 1.0
-            assert ts[1] == pytest.approx(eps / (6 * gap), rel=1e-13)
-            assert ts[1] * gap <= eps / 6 and (1 - ts[-2]) * gap <= eps / 6
-            assert np.all(np.diff(ts[1:-1]) * gap <= eps / 2)
+            halvings = np.log2(np.diff(ts).max() / np.diff(ts))
+            assert np.allclose(halvings, np.round(halvings), atol=1e-9)
+            assert np.all(np.diff(ts) * gap <= scale)
 
     def test_member_count_from_time_constant(self, blends):
-        # the interior steps are as few as keep every pair within eps/2:
-        # one fewer breaks eps/2
+        # ceil(D+ / r) uniform steps, D+ rounded up: one fewer would move the
+        # members by more than r.  Only failing pairs add members.
         for sigma, chain in blends:
-            eps, ts = chain.epsilon, chain.partition
-            steps = len(ts) - 3
-            assert steps >= 2
-            end = ts[1]
-            coarser = end + (1 - 2 * end) * np.arange(steps) / (steps - 1)
-            members = _members(sigma, coarser, eps / 6)
-            worst = max(polyline_sup_distance(p, q).hi for p, q in zip(members, members[1:]))
-            assert worst > eps / 2
-            assert all(e.sampled.hi <= eps / 2 for e in chain.certificate.entries[1:-1])
+            gap, scale = _gap(sigma, WIDE_ANNULUS, 0.1)
+            rounded = gap * (1 + homotopy_module._BLEND_ROUNDING)
+            steps = math.ceil(rounded / scale)
+            assert steps >= 2 and rounded / (steps - 1) > scale
+            assert np.isin(np.arange(steps + 1) / steps, chain.partition).all()
+            assert len(chain.partition) <= 2 * steps + 1
+            assert all(e.sampled.hi < e.analytic for e in chain.certificate.entries)
 
     def test_members_within_a_ninth_of_eps_of_their_slices(self, blends):
+        # the partition is sized for r/4, so each member is within 2/3 of
+        # that, r/6, of its slice
         for sigma, chain in blends:
-            eps = chain.epsilon
-            xs, p0, p1 = sigma.shared_vertices(eps / 6)
+            xs, p0, p1, scale = _proposal(sigma, WIDE_ANNULUS, 0.1)
             for t, member in zip(chain.partition[1:-1], chain.members[1:-1]):
                 assert np.array_equal(member.breakpoints, xs)
                 assert np.array_equal(member.vertices(), (1 - t) * p0 + t * p1)
-                n = _oracle_points(member, sigma, eps / 2000)
-                assert slice_sup_upper(member, sigma, t, n) <= eps / 9
+                n = _oracle_points(member, sigma, scale / 2000)
+                assert slice_sup_upper(member, sigma, t, n) <= scale / 6
 
-    def test_constant_homotopy_takes_one_interior_member(self):
+    def test_constant_homotopy_is_its_two_ends(self):
         g = ellipse(2.0, 1.0)
         chain = build_chain(linear_homotopy(g, g), g, g, WIDE_ANNULUS)
-        assert np.array_equal(chain.partition, [0.0, 0.5, 1.0])
+        assert np.array_equal(chain.partition, [0.0, 1.0])
+        assert chain.members == (g, g)
 
 
 @pytest.mark.parametrize("center, radius", [(0j, 1e-12), (1e6 + 0j, 1.0)],
@@ -549,8 +599,9 @@ class TestEndpointCheckScale:
 
         monkeypatch.setattr(noisy, "values", recorded)
         sigma = linear_homotopy(g0, g1)
-        chain = build_chain(sigma, noisy, g1, Annulus(center, 0.5 * radius, 2.5 * radius))
-        xs, _, _ = sigma.shared_vertices(chain.epsilon / 6)
+        domain = Annulus(center, 0.5 * radius, 2.5 * radius)
+        chain = build_chain(sigma, noisy, g1, domain)
+        xs = _proposal(sigma, domain)[0]
         assert not np.isin(noisy.breakpoints, xs).all()
         assert any(np.array_equal(called, xs) for called in seen)
         vertex = Bounds.from_arrays(*paths_module._consecutive_gaps(
@@ -567,8 +618,9 @@ class TestEndpointCheckScale:
         g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
         noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
         sigma = linear_homotopy(g0, g1)
-        chain = build_chain(sigma, noisy, g1, Annulus(center, 0.5 * radius, 2.5 * radius))
-        xs, _, _ = sigma.shared_vertices(chain.epsilon / 6)
+        domain = Annulus(center, 0.5 * radius, 2.5 * radius)
+        chain = build_chain(sigma, noisy, g1, domain)
+        xs = _proposal(sigma, domain)[0]
         entry = chain.certificate.entries[0]
         assert not entry.exact
         assert entry.sampled.hi / entry.analytic <= 0.85
@@ -578,62 +630,9 @@ class TestEndpointCheckScale:
         assert dense_sup(noisy, chain.members[1]) <= entry.sampled.hi
 
 
-def _reference_containment(sigma, domain, max_refinements):
-    """The plain halving loop that evaluates every net level in turn, kept as
-    the reference for ``_certify_containment``'s one round."""
-    grid = sigma.grid_values(np.arange(9) / 8, np.arange(17) / 16).ravel()
-    diameter = math.hypot(grid.real.max() - grid.real.min(), grid.imag.max() - grid.imag.min())
-    eta = 0.05 * diameter if diameter > 0 else 0.05
-    last_failure = None
-    for _ in range(max_refinements + 1):
-        steps = max(1, math.ceil(sigma.lipschitz / (2 * eta)))
-        if steps + 1 > homotopy_module._NET_BUDGET:
-            raise ContainmentNotCertified(
-                "containment not certified within the sampling budget"
-                + (f": {last_failure}" if last_failure else ""),
-                min_complement_distance=getattr(last_failure, "min_complement_distance", None),
-                resolution=eta)
-        xs = np.arange(steps + 1) / steps
-        m = float(domain.segment_complement_distances(sigma.gamma0.values(xs),
-                                                      sigma.gamma1.values(xs)).min())
-        if m <= 0:
-            raise ContainmentNotCertified(
-                f"the homotopy sweeps outside the domain: min complement distance {m:.6g} "
-                f"on the time segments of a net of resolution {eta:.6g}",
-                min_complement_distance=m, resolution=eta)
-        try:
-            cert = margin_certificate(m, eta)
-            if cert.margin > 4 * eta:
-                return cert
-            last_failure = ContainmentNotCertified(
-                f"margin {cert.margin:.6g} not above 4*eta={4 * eta:.6g}", resolution=eta)
-        except ContainmentNotCertified as exc:
-            last_failure = exc
-        eta /= 2
-    raise ContainmentNotCertified(
-        f"containment not certified after {max_refinements} refinements: {last_failure}",
-        min_complement_distance=getattr(last_failure, "min_complement_distance", None),
-        resolution=getattr(last_failure, "resolution", None))
-
-
-def _containment_outcome(certify, sigma, domain, max_refinements):
-    """The certificate, or the refusal's type, message, resolution and margin."""
-    try:
-        return certify(sigma, domain, max_refinements)
-    except ContainmentNotCertified as exc:
-        return type(exc), str(exc), exc.resolution, exc.min_complement_distance
-
-
-def _same_containment(sigma, domain, max_refinements):
-    new = _containment_outcome(homotopy_module._certify_containment, sigma, domain,
-                               max_refinements)
-    assert new == _containment_outcome(_reference_containment, sigma, domain, max_refinements)
-    return new
-
-
-def _random_containment_case(rng):
-    """A random homotopy of circles, ellipses and polygons with a domain
-    around it, from roomy to tight to crossing the homotopy."""
+def _random_chain_case(rng):
+    """A random homotopy of circles, ellipses and polygons with a disk,
+    annulus or rectangle around it, from roomy to tight to crossing it."""
     c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     r = rng.uniform(0.3, 2.0)
 
@@ -652,47 +651,67 @@ def _random_containment_case(rng):
         return constant_path(centre)
 
     g0, g1 = path(1.0), path(rng.uniform(0.5, 2.0))
-    kind = rng.choice(["annulus", "disk", "rectangle", "punctured"])
+    kind = rng.choice(["annulus", "disk", "rectangle"])
     if kind == "annulus":
         domain = Annulus(c, rng.uniform(0.0, 0.6) * r, rng.uniform(1.5, 4.5) * r)
     elif kind == "disk":
         domain = Disk(c, rng.uniform(1.2, 4.5) * r)
-    elif kind == "rectangle":
+    else:
         h = rng.uniform(1.2, 4.5) * r
         domain = Rectangle(c - h * (1 + 1j), c + h * (1 + 1j))
-    else:
-        puncture = c + rng.uniform(0.0, 3.0) * r * cmath.exp(2j * math.pi * rng.random())
-        domain = PuncturedPlane((puncture,))
-    return linear_homotopy(g0, g1), domain, rng.randint(0, 10)
+    return linear_homotopy(g0, g1), domain
+
+
+class TestIndependentCertificate:
+    """Every certificate entry checked apart from the builder: a dense
+    sample's gap is at most the certified gap, the certified gap is below
+    the pair's bound, one of the pair's members keeps at least that bound
+    from the complement on a dense sample, and every vertex is inside."""
+
+    def test_random_chains(self):
+        rng = random.Random(21)
+        built = refused = 0
+        for _ in range(160):
+            sigma, domain = _random_chain_case(rng)
+            try:
+                chain = build_chain(sigma, sigma.gamma0, sigma.gamma1, domain)
+            except ContainmentNotCertified:
+                refused += 1
+                continue
+            built += 1
+            members = chain.members
+            dense = [domain.complement_distances(m.values(np.arange(4001) / 4000)).min()
+                     for m in members]
+            for k, entry in enumerate(chain.certificate.entries):
+                p, q = members[k], members[k + 1]
+                assert dense_sup(p, q) <= entry.sampled.hi
+                assert entry.sampled.hi < entry.analytic
+                assert max(dense[k], dense[k + 1]) >= entry.analytic
+            for member in members:
+                assert np.all(domain.complement_distances(member.vertices()) > 0)
+        # the draws reach certified chains of every size and refusals
+        assert built >= 60 and refused >= 10
 
 
 class TestContainmentRound:
-    """Skipping the net levels that cannot certify gives the outcome of
-    evaluating every level, in one net round as a rule."""
-
-    def test_matches_the_plain_halving_loop(self, monkeypatch):
-        rounds = []
-        halving_loop = homotopy_module._halving_loop
-
-        def counted(*args):
-            rounds.append(args[-1] if len(args) == 5 else None)
-            return halving_loop(*args)
-
-        monkeypatch.setattr(homotopy_module, "_halving_loop", counted)
-        rng = random.Random(13)
-        outcomes = set()
-        for _ in range(240):
-            sigma, domain, refinements = _random_containment_case(rng)
-            outcomes.add(type(_same_containment(sigma, domain, refinements)).__name__)
-        # the draws reach certificates, refusals and skipped levels
-        assert outcomes == {"ContainmentCertificate", "tuple"}
-        assert sum(upper is not None for upper in rounds) >= 50
+    """Containment is each member's own clearance, checked in closed form on
+    the vertex array; a homotopy that leaves the domain, or a chain that
+    cannot be certified within the budgets, is refused."""
 
     def test_sweeping_outside_on_the_coarse_grid(self):
-        # M <= 0: nothing is skipped, and the first net refuses
+        # M <= 0: an exact minimum over swept time segments refuses at once
         sigma = linear_homotopy(circle(radius=1.0), circle(radius=3.0))
-        assert homotopy_module._coarse_grid(sigma, WIDE_ANNULUS)[1] <= 0
-        assert "sweeps outside" in _same_containment(sigma, WIDE_ANNULUS, 8)[1]
+        assert homotopy_module._coarse_grid(sigma, WIDE_ANNULUS)[0] <= 0
+        with pytest.raises(ContainmentNotCertified, match="sweeps outside .* at 17 points"):
+            build_chain(sigma, sigma.gamma0, sigma.gamma1, WIDE_ANNULUS)
+
+    def test_collapsing_square_refused(self):
+        # the square against itself started two vertices later collapses
+        # through 0 at t = 1/2
+        verts = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
+        g0, g1 = polyline(verts), polyline(verts[2:] + verts[:2])
+        with pytest.raises(ContainmentNotCertified, match="min complement distance -0.5 "):
+            build_chain(linear_homotopy(g0, g1), g0, g1, WIDE_ANNULUS)
 
     @staticmethod
     def _spiked_square(tip):
@@ -704,38 +723,61 @@ class TestContainmentRound:
         return PiecewisePath.from_vertices(verts, xs, closed=True)
 
     def test_sweeping_outside_between_coarse_points(self):
-        # M > 0 and no level skipped in a roomy disk: the first net sees the spike
+        # M > 0 in a roomy disk, but the members through the spike leave it
         sigma = star_null_homotopy(self._spiked_square(40.0 + 0j), 0j)
         domain = Disk(0j, 20.0)
-        diameter, upper = homotopy_module._coarse_grid(sigma, domain)
-        assert upper >= homotopy_module._NET_SKIP * 0.05 * diameter
-        assert "sweeps outside" in _same_containment(sigma, domain, 8)[1]
+        assert homotopy_module._coarse_grid(sigma, domain)[0] > 0
+        with pytest.raises(ContainmentNotCertified, match="sweeps outside .* member at t=0 "):
+            build_chain(sigma, sigma.gamma0, sigma.gamma1, domain)
 
     def test_sweeping_outside_that_the_coarse_grid_misses(self):
-        # M > 0 but small: levels are skipped, a finer net refuses, and the
-        # refusal replays every level to name the plain loop's first one
+        # M > 0 but small: the spiked square itself is outside the disk
         sigma = star_null_homotopy(self._spiked_square(2.0 + 0j), 0j)
         domain = Disk(0j, 1.5)
-        diameter, upper = homotopy_module._coarse_grid(sigma, domain)
-        assert 0 < upper < homotopy_module._NET_SKIP * 0.05 * diameter
-        refusal = _same_containment(sigma, domain, 8)
-        assert "sweeps outside" in refusal[1] and refusal[2] == 0.05 * diameter
+        assert 0 < homotopy_module._coarse_grid(sigma, domain)[0] < 0.1
+        with pytest.raises(ContainmentNotCertified) as refusal:
+            build_chain(sigma, sigma.gamma0, sigma.gamma1, domain)
+        assert "sweeps outside the domain: the member at t=0 " in str(refusal.value)
+        assert refusal.value.min_complement_distance == pytest.approx(-0.5, abs=1e-9)
 
-    def test_budget_exceeded(self):
-        # a margin of 1e-6 needs eta near 1e-7, far past the net budget
-        sigma = linear_homotopy(circle(radius=1.0), circle(radius=1.5))
-        assert "sampling budget" in _same_containment(sigma, Annulus(0j, 1.0 - 1e-6, 2.0), 40)[1]
+    @staticmethod
+    def _count_rows(monkeypatch):
+        rows = []
+        blend = homotopy_module._blend
 
-    def test_refinements_exhausted(self):
+        def counted(ts, p0, p1):
+            rows.append(np.size(ts))
+            return blend(ts, p0, p1)
+
+        monkeypatch.setattr(homotopy_module, "_blend", counted)
+        return rows
+
+    def test_budget_exceeded(self, monkeypatch):
+        # a clearance of 1e-6 needs 500,000 time steps, far past the slice
+        # budget: refused before any row is blended, and at 1e-13 before a
+        # partition of 2e7 panels is built
+        rows = self._count_rows(monkeypatch)
         sigma = linear_homotopy(circle(radius=1.0), circle(radius=1.5))
-        assert "after 2 refinements" in _same_containment(sigma, Annulus(0j, 0.99, 2.0), 2)[1]
+        for gap in (1e-6, 1e-13):
+            with pytest.raises(ContainmentNotCertified, match="members, over the budget of 4000"):
+                build_chain(sigma, sigma.gamma0, sigma.gamma1, Annulus(0j, 1.0 - gap, 2.0))
+        assert rows == []
+
+    def test_refinements_exhausted(self, monkeypatch):
+        # the blend crosses the puncture, where the members on either side
+        # of it keep failing: refused at the bisection cap, within the budget
+        rows = self._count_rows(monkeypatch)
+        sigma = linear_homotopy(circle(radius=1.0), circle(radius=2.0))
+        with pytest.raises(ContainmentNotCertified, match="after 20 bisections"):
+            build_chain(sigma, sigma.gamma0, sigma.gamma1, PuncturedPlane((1.5 + 0.01j,)))
+        assert sum(rows) <= homotopy_module._MAX_SLICES
 
 
 class TestChainWork:
     """One chain build does a fixed number of array passes."""
 
     def test_each_end_path_evaluated_at_most_three_times(self, monkeypatch):
-        # the coarse grid, one net round and the shared partition
+        # the coarse grid and the shared partition
         g0, g1 = circle(radius=1.0), circle(radius=1.2)
         calls = {id(g0): 0, id(g1): 0}
         values = PiecewisePath.values
@@ -747,7 +789,7 @@ class TestChainWork:
 
         monkeypatch.setattr(PiecewisePath, "values", counted)
         build_chain(linear_homotopy(g0, g1), g0, g1, Annulus(0j, 0.8, 1.4))
-        assert calls[id(g0)] <= 3 and calls[id(g1)] <= 3
+        assert calls[id(g0)] <= 2 and calls[id(g1)] <= 2
 
     @staticmethod
     def _corrupt_gaps(monkeypatch, corrupt):
@@ -766,10 +808,11 @@ class TestChainWork:
         lambda lo, hi: hi.__setitem__(2, np.inf),
     ], ids=["inverted", "nan-lo", "inf-hi"])
     def test_bad_pair_bound_refused(self, monkeypatch, corrupt):
+        # refused at once, not bisected
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
         self._corrupt_gaps(monkeypatch, corrupt)
         with pytest.raises(ValueError):
-            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
+            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS, eps=0.1)
 
     def test_violation_names_the_lowest_failing_pair(self, monkeypatch):
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
@@ -778,8 +821,8 @@ class TestChainWork:
             lo[[5, 3]] = hi[[5, 3]] = 1e3
 
         self._corrupt_gaps(monkeypatch, corrupt)
-        with pytest.raises(CertificateViolation, match="exact sup-distance .* for pair 3;"):
-            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS)
+        with pytest.raises(ContainmentNotCertified, match="pair 3 of the chain, .* up to 1000 "):
+            build_chain(linear_homotopy(g0, g1), g0, g1, ANNULUS, eps=0.1)
 
     def test_pair_bound_arrays_checked_once(self):
         assert Bounds.from_arrays([0.0, 1.0], [0.5, 1.0]) == [Bounds(0.0, 0.5), Bounds(1.0, 1.0)]

@@ -9,7 +9,6 @@ from contourchain import (
     Annulus,
     Chain,
     ChainCertificate,
-    ContainmentCertificate,
     Disk,
     InvalidEpsilon,
     NearSingularity,
@@ -34,9 +33,8 @@ TWO_PI_I = 2j * math.pi
 
 def _dummy_chain(members):
     """Chain wrapper for directly-constructed member lists (tests only)."""
-    cert = ContainmentCertificate(margin=0.5, net_resolution=0.01)
-    return Chain(members=tuple(members), epsilon=0.5, certificate=ChainCertificate(()),
-                 containment=cert, partition=np.array([0.0, 1.0]))
+    return Chain(members=tuple(members), epsilon=None, certificate=ChainCertificate(()),
+                 partition=np.array([0.0, 1.0]), clearances=np.full(len(members), 0.5))
 
 
 class TestResidueOracle:
@@ -250,7 +248,8 @@ class TestRuleSums:
 
 
 def _annulus_chain(g0, g1):
-    return build_chain(linear_homotopy(g0, g1), g0, g1, Annulus(0j, 0.5, 2.5))
+    # eps caps every pair bound at 0.05, so the chains have 21 to 27 members
+    return build_chain(linear_homotopy(g0, g1), g0, g1, Annulus(0j, 0.5, 2.5), eps=0.05)
 
 
 def _star_chain():

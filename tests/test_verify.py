@@ -68,6 +68,23 @@ class TestHomotopyInvariance:
         assert "PASS" in report.format_text()
 
 
+    def test_declared_pole_inside_the_domain_refused_before_the_chain(self, monkeypatch):
+        from contourchain import verify
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain was built")
+
+        monkeypatch.setattr(verify, "build_chain", no_chain)
+        g0, g1 = circle(radius=1.0), circle(radius=2.0)
+        f = parse_function("1/(z-(1.5+0.01i))", [1.5 + 0.01j])
+        with pytest.raises(NearSingularity, match=r"\(1.5\+0.01j\) lies inside the domain"):
+            verify_homotopy_invariance(f, g0, g1, linear_homotopy(g0, g1), Disk(0j, 3.0), 1e-9)
+        # the whole plane holds every point
+        with pytest.raises(NearSingularity, match="complement distance inf"):
+            verify_homotopy_invariance(f, g0, g1, linear_homotopy(g0, g1), PuncturedPlane(()),
+                                       1e-9)
+
+
 def verify_null_homotopic(f, gamma, center, domain, tol):
     """Contract gamma onto the center and verify along the star homotopy."""
     sigma = star_null_homotopy(gamma, center)
