@@ -8,7 +8,6 @@ homotopic paths yield equal contour integrals.
 """
 
 from .errors import (
-    CertificateViolation,
     ContainmentNotCertified,
     ContourChainError,
     EndpointMismatch,

@@ -9,9 +9,9 @@ null-homotopy), and ``wind`` computes a winding number.
 
 Exit codes: 0 success/pass, 1 usage or parse errors (click's own included),
 2 refusal (a chain member or pair, or a singularity's clearance, cannot be
-certified, or a declared singularity lies inside the domain), 3 failure
-(deviation above threshold, quadrature tolerance not reached, non-integer
-winding).
+certified within the budgets, or a declared singularity lies inside the
+domain), 3 failure (deviation above threshold, quadrature tolerance not
+reached, non-integer winding).
 
 Problem specs are JSON documents whose schema is a set of field tables (see
 ``SpecDocument``): each row a constructor and its fields in order, each with
@@ -34,7 +34,6 @@ import click
 
 from .approx import polygonal_approximation
 from .errors import (
-    CertificateViolation,
     ContainmentNotCertified,
     ContourChainError,
     NearSingularity,
@@ -365,7 +364,7 @@ def _guarded(fn):
             click.echo(f"error: {exc}", err=True)
             if isinstance(exc, (ContainmentNotCertified, NearSingularity)):
                 sys.exit(EXIT_REFUSED)
-            if isinstance(exc, (ToleranceNotReached, NonIntegerWinding, CertificateViolation)):
+            if isinstance(exc, (ToleranceNotReached, NonIntegerWinding)):
                 sys.exit(EXIT_FAILED)
             sys.exit(EXIT_USAGE)
     return wrapper

@@ -13,11 +13,9 @@ class ContainmentNotCertified(ContourChainError):
     close the certification came.
     """
 
-    def __init__(self, message: str, *, min_complement_distance: float | None = None,
-                 resolution: float | None = None):
+    def __init__(self, message: str, *, min_complement_distance: float | None = None):
         super().__init__(message)
         self.min_complement_distance = min_complement_distance
-        self.resolution = resolution
 
 
 class MismatchedDomains(ContourChainError):
@@ -43,13 +41,6 @@ class ToleranceNotReached(ContourChainError):
 
 class NonIntegerWinding(ContourChainError):
     """The winding integral did not land near an integer; path or tolerance is broken."""
-
-
-class CertificateViolation(ContourChainError):
-    """A measured lower bound exceeded an analytically certified bound.
-
-    This indicates a modulus bug somewhere upstream; it is never swallowed.
-    """
 
 
 class ParseError(ContourChainError):

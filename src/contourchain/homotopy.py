@@ -8,23 +8,14 @@ IV.6): for closed paths sigma and tau on one parameter interval, if
 |sigma(x) - tau(x)| < rho and the disk D(sigma(x), rho) lies in U for every
 x, then every f analytic on U has the same integral along sigma and tau.
 ``build_chain`` checks that hypothesis for every consecutive pair, in closed
-form on one (n+1, m+1) vertex array:
-
-* Members.  One partition of [0, 1] serves every member
-  (``Homotopy.shared_vertices``).  The member at time t is the polyline
-  through (1-t) P0 + t P1, P0 and P1 the end paths' values there, and the
-  end members are the end paths themselves.  All rows are blended at once
-  and each interior member is a view of its row
-  (``PiecewisePath.from_vertex_rows``).
-* Clearances.  A polyline's distance to the complement is the exact minimum
-  of ``segment_complement_distances`` over its segments
-  (``_certify_containment``); an end path's is its polyline's, less its
-  interpolation bound on the partition (``_end_slack``).
-* Gaps.  Two polylines on one partition are furthest apart at a vertex
-  (``_consecutive_gaps``); an end pair adds the end path's bound.
-* Time steps.  Uniform, as many as D+ = max |P1 - P0| over the smallest
-  clearance the coarse grid allows; a pair whose gap is not below the
-  larger clearance of its two members has its step bisected.
+form on one (n+1, m+1) vertex array, and its docstring holds the proof.  The
+interior members are polylines on one shared partition
+(``Homotopy.shared_vertices``), each a view of its row
+(``PiecewisePath.from_vertex_rows``), at uniform time steps bisected where a
+pair fails.  Their clearances are exact minima over their segments
+(``_certify_containment``), an end path's less its interpolation bound
+(``_end_slack``), and two of them are furthest apart at a vertex
+(``_consecutive_gaps``).
 
 No net of the swept region is built, and nothing is sampled.
 """
@@ -60,9 +51,13 @@ __all__ = [
     "build_chain",
 ]
 
-# Most members in a chain, and most bisections of one time step
+# Most members in a chain, most vertices in all its members, most
+# bisections of one time step, and most rebuilds of the shared partition
+# with panels half as wide
 _MAX_SLICES = 4000
+_MAX_VERTICES = 2_000_000
 _MAX_DEPTH = 20
+_FINER_PARTITIONS = 6
 # The shared partition is sized for this fraction of the coarse grid's
 # clearance (or of eps, when smaller)
 _PARTITION_FRACTION = 0.25
@@ -114,14 +109,20 @@ class Homotopy:
         2 eps/3 of the slice at t.  The closing value is snapped to the
         first, as a closed path's values are.
         """
-        eps = float(eps)
-        if not eps > 0:
-            raise InvalidEpsilon(f"eps must be a positive number, got {eps!r}")
-        xs = partition_points(self._breaks,
-                              panel_counts(np.diff(self._breaks), self._second, eps))
+        xs = partition_points(self._breaks, self._panels(eps))
         p0, p1 = self.gamma0.values(xs), self.gamma1.values(xs)
         p0[-1], p1[-1] = p0[0], p1[0]
         return xs, p0, p1
+
+    def partition_size(self, eps: float) -> int:
+        """The number of points of ``shared_vertices(eps)``, without building it."""
+        return int(self._panels(eps).sum()) + 1
+
+    def _panels(self, eps: float) -> np.ndarray:
+        eps = float(eps)
+        if not eps > 0:
+            raise InvalidEpsilon(f"eps must be a positive number, got {eps!r}")
+        return panel_counts(np.diff(self._breaks), self._second, eps)
 
 
 def _blend(ts, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -193,8 +194,7 @@ class PairBound:
     interpolation bound there as the upper bound.  ``analytic`` is the bound
     the pair was checked against, and ``sampled.hi`` is below it: the larger
     of the two members' certified clearances, or ``eps`` when that is
-    smaller.  The fields keep their names, as do the JSON keys ``analytic``
-    and ``sampled_lo``/``sampled_hi`` read from them.
+    smaller.
     """
 
     analytic: float
@@ -317,13 +317,6 @@ def _certify_containment(rows: np.ndarray, domain: DomainDescriptor) -> np.ndarr
     return exact - _BLEND_ROUNDING * np.maximum(np.abs(rows).max(axis=1), domain.reach)
 
 
-def _end_values(path: PiecewisePath, xs: np.ndarray) -> np.ndarray:
-    """A path's values on ``xs`` with the closing value snapped to the first."""
-    values = path.values(xs)
-    values[-1] = values[0]
-    return values
-
-
 def _end_slack(path: PiecewisePath, own: bool, values: np.ndarray, xs: np.ndarray) -> float:
     """A bound on sup |path - Q| for Q the polyline through ``values``, the
     path's values on ``xs``; 0 when Q is the path itself.  xs holds every
@@ -346,11 +339,19 @@ def _end_slack(path: PiecewisePath, own: bool, values: np.ndarray, xs: np.ndarra
             + _BLEND_ROUNDING * float(np.abs(values).max()))
 
 
-def _over_budget(members: int, gap: float, scale: float) -> ContainmentNotCertified:
-    return ContainmentNotCertified(
-        f"the chain would need {members} members, over the budget of {_MAX_SLICES} time "
-        f"slices: the homotopy moves {gap:.6g} per unit time against a clearance of "
-        f"{scale:.6g}", min_complement_distance=scale)
+def _check_budget(members: int, vertices: int, gap: float, scale: float):
+    """Refuse a chain of ``members`` rows of ``vertices`` points over the
+    budgets, before it is blended."""
+    if members > _MAX_SLICES:
+        need = f"{members} members, over the budget of {_MAX_SLICES} time slices"
+    elif members * vertices > _MAX_VERTICES:
+        need = (f"{members} members of {vertices} vertices, over the budget of "
+                f"{_MAX_VERTICES} vertices")
+    else:
+        return
+    raise ContainmentNotCertified(
+        f"the chain would need {need}: the homotopy moves {gap:.6g} per unit time against a "
+        f"clearance of {scale:.6g}", min_complement_distance=scale)
 
 
 def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
@@ -384,13 +385,24 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
       same integral of every f analytic on the domain.  Along the chain, so
       do gamma0 and gamma1, however sigma moves between the members' times.
 
-    A member with rho <= 0 refuses: the homotopy sweeps outside the domain
-    or within rounding of its boundary.  So does M <= 0, an exact minimum
-    over swept segments.  A failing pair's time step is bisected, up to
-    ``_MAX_DEPTH`` times (a blend across a puncture keeps failing where it
-    crosses) and ``_MAX_SLICES`` members, each checked before the rows are
-    blended, and D / r + 1 members before the partition is.  ``eps`` must be positive and finite when given.  A domain
-    with no complement, and no eps, takes one step: the chain is its ends.
+    M only sizes the proposal: from 17 points it may overstate the swept
+    region's clearance m by any factor, and so may r/4 the partition's
+    fineness.  Each member is within the larger slack s of its slice (or
+    end path), and the closed forms are 1-Lipschitz in the point, so a
+    member with rho <= -2s has its path outside the domain, while one with
+    -2s < rho <= 0 may have a partition too coarse for a path inside it.
+    While the smallest rho is such and s > 0, xs is rebuilt with panels
+    half as wide (for a quarter of its tolerance), keeping the times, up to
+    ``_FINER_PARTITIONS`` times; once 2s < m (less rounding) no rho is
+    <= 0.  Then a member with rho <= 0 refuses: the homotopy sweeps outside
+    the domain, or within 2s of its boundary.  So does M <= 0, an exact
+    minimum over swept segments.  A failing pair's time
+    step is bisected, up to ``_MAX_DEPTH`` times (a blend across a puncture
+    keeps failing where it crosses).  Every array is checked against
+    ``_MAX_SLICES`` members and ``_MAX_VERTICES`` vertices before it is
+    built, from D / r + 1 members before the first partition is.  ``eps``
+    must be positive and finite when given.  A domain with no complement,
+    and no eps, takes one step: the chain is its ends.
     """
     for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
         _check_end_path(path, name)
@@ -407,58 +419,72 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
             f"the homotopy sweeps outside the domain: min complement distance {upper:.6g} "
             "on its time segments at 17 points", min_complement_distance=upper)
     scale = min(upper, cap)
-    if moves / scale + 1 > _MAX_SLICES:  # before a tiny scale makes the partition huge
-        raise _over_budget(math.ceil(moves / scale) + 1, moves, scale)
-    xs, p0, p1 = sigma.shared_vertices(_PARTITION_FRACTION * scale)
+    tolerance = _PARTITION_FRACTION * scale
+    # before a tiny scale makes the partition or the array huge
+    _check_budget(max(1, math.ceil(moves / scale)) + 1, sigma.partition_size(tolerance),
+                  moves, scale)
+    xs, p0, p1 = sigma.shared_vertices(tolerance)
     gap = float(np.abs(p1 - p0).max()) * (1 + _BLEND_ROUNDING)
     steps = max(1, math.ceil(gap / scale))
-    if steps + 1 > _MAX_SLICES:
-        raise _over_budget(steps + 1, gap, scale)
-
     ts = np.arange(steps + 1) / steps
-    rows = _blend(ts, p0, p1)
-    slack = np.zeros(2)
-    for k, (row, path, own) in enumerate(((0, gamma0, sigma.gamma0), (-1, gamma1, sigma.gamma1))):
-        if path is not own:
-            rows[row] = _end_values(path, xs)
-        slack[k] = _end_slack(path, path is own, rows[row], xs)
-    radius = _certify_containment(rows, domain)
-    radius[[0, -1]] -= slack
 
-    for depth in itertools.count():
-        outside = np.flatnonzero(radius <= 0)
-        if outside.size:
-            k = int(outside[0])
-            raise ContainmentNotCertified(
-                f"the homotopy sweeps outside the domain: the member at t={ts[k]:.6g} has "
-                f"certified clearance {radius[k]:.6g}", min_complement_distance=float(radius[k]))
-        lo, hi = _consecutive_gaps(rows)
-        hi[0] += slack[0]
-        hi[-1] += slack[1]
-        lo, hi = Bounds.check_arrays(lo, hi)
-        bound = np.minimum(np.maximum(radius[:-1], radius[1:]), cap)
-        failing = np.flatnonzero(~(hi < bound))
-        if not failing.size:
-            break
-        if depth == _MAX_DEPTH:
-            j = int(failing[0])
-            raise ContainmentNotCertified(
-                f"pair {j} of the chain, between its members at t={ts[j]:.6g} and "
-                f"{ts[j + 1] - ts[j]:.3g} later, is up to {hi[j]:.6g} apart, not below its bound "
-                f"{bound[j]:.6g}, after {depth} bisections of its time step",
-                min_complement_distance=float(bound[j]))
-        if ts.size + failing.size > _MAX_SLICES:
-            raise _over_budget(ts.size + failing.size, gap, scale)
-        mids = (ts[failing] + ts[failing + 1]) / 2
-        new = _blend(mids, p0, p1)
-        ts = np.insert(ts, failing + 1, mids)
-        rows = np.insert(rows, failing + 1, new, axis=0)
-        radius = np.insert(radius, failing + 1, _certify_containment(new, domain))
+    depth = 0
+    for refinement in itertools.count():
+        _check_budget(ts.size, xs.size, gap, scale)
+        rows = _blend(ts, p0, p1)
+        slack = np.zeros(2)
+        for k, (row, path, own) in enumerate(((0, gamma0, sigma.gamma0),
+                                              (-1, gamma1, sigma.gamma1))):
+            if path is not own:  # its values, the closing one snapped to the first
+                rows[row] = path.values(xs)
+                rows[row, -1] = rows[row, 0]
+            slack[k] = _end_slack(path, path is own, rows[row], xs)
+        radius = _certify_containment(rows, domain)
+        radius[[0, -1]] -= slack
+        finer = slack.any() and refinement < _FINER_PARTITIONS
 
-    exact = np.ones(ts.size - 1, dtype=bool)
-    exact[0] &= slack[0] == 0
-    exact[-1] &= slack[1] == 0
-    entries = tuple(map(PairBound, bound.tolist(), Bounds.from_arrays(lo, hi), exact.tolist()))
-    members = (gamma0, *PiecewisePath.from_vertex_rows(rows[1:-1], xs, closed=True), gamma1)
-    return Chain(members=members, epsilon=eps, certificate=ChainCertificate(entries),
-                 partition=ts, clearances=radius)
+        while not (finer and -2 * slack.max() < radius.min() <= 0):
+            outside = np.flatnonzero(radius <= 0)
+            if outside.size:
+                k = int(outside[0])
+                near = (f" or within {2 * slack.max():.3g} of its boundary"
+                        if radius[k] > -2 * slack.max() else "")
+                raise ContainmentNotCertified(
+                    f"the homotopy sweeps outside the domain{near}: the member at "
+                    f"t={ts[k]:.6g} has certified clearance {radius[k]:.6g}",
+                    min_complement_distance=float(radius[k]))
+            lo, hi = _consecutive_gaps(rows)
+            hi[0] += slack[0]
+            hi[-1] += slack[1]
+            lo, hi = Bounds.check_arrays(lo, hi)
+            bound = np.minimum(np.maximum(radius[:-1], radius[1:]), cap)
+            failing = np.flatnonzero(~(hi < bound))
+            if not failing.size:
+                exact = np.ones(ts.size - 1, dtype=bool)
+                exact[0] &= slack[0] == 0
+                exact[-1] &= slack[1] == 0
+                entries = tuple(map(PairBound, bound.tolist(), Bounds.from_arrays(lo, hi),
+                                    exact.tolist()))
+                members = (gamma0, *PiecewisePath.from_vertex_rows(rows[1:-1], xs, closed=True),
+                           gamma1)
+                return Chain(members=members, epsilon=eps,
+                             certificate=ChainCertificate(entries), partition=ts,
+                             clearances=radius)
+            if depth == _MAX_DEPTH:
+                j = int(failing[0])
+                raise ContainmentNotCertified(
+                    f"pair {j} of the chain, between its members at t={ts[j]:.6g} and "
+                    f"{ts[j + 1] - ts[j]:.3g} later, is up to {hi[j]:.6g} apart, not below its "
+                    f"bound {bound[j]:.6g}, after {depth} bisections of its time step",
+                    min_complement_distance=float(bound[j]))
+            _check_budget(ts.size + failing.size, xs.size, gap, scale)
+            mids = (ts[failing] + ts[failing + 1]) / 2
+            new = _blend(mids, p0, p1)
+            ts = np.insert(ts, failing + 1, mids)
+            rows = np.insert(rows, failing + 1, new, axis=0)
+            radius = np.insert(radius, failing + 1, _certify_containment(new, domain))
+            depth += 1
+
+        tolerance /= 4
+        _check_budget(ts.size, sigma.partition_size(tolerance), gap, scale)
+        xs, p0, p1 = sigma.shared_vertices(tolerance)

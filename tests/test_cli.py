@@ -242,6 +242,17 @@ def test_declared_pole_inside_the_domain_is_refused(tmp_path):
     assert "bisections of its time step" in result.stderr
 
 
+def test_tiny_clearance_of_a_still_homotopy_is_refused(tmp_path):
+    # the circle 1e-13 from the inner rim, blended into itself: one time
+    # step, but its members would need a partition of 2e7 panels
+    doc = _spec(homotopy={"kind": "linear", "from": "inner", "to": "inner"},
+                domain={"kind": "annulus", "r_inner": 1.0 - 1e-13, "r_outer": 2.0})
+    for command in ("chain", "verify"):
+        result = _run(tmp_path, command, doc)
+        assert result.exit_code == EXIT_REFUSED, result.output
+        assert "over the budget of 2000000 vertices" in result.stderr
+
+
 def _cli_process(*args):
     """The command run in a fresh interpreter, so that its stderr is what a
     user sees, warnings included."""

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -632,7 +633,8 @@ class TestEndpointCheckScale:
 
 def _random_chain_case(rng):
     """A random homotopy of circles, ellipses and polygons with a disk,
-    annulus or rectangle around it, from roomy to tight to crossing it."""
+    annulus, rectangle or punctured plane around it, from roomy to tight to
+    crossing it."""
     c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     r = rng.uniform(0.3, 2.0)
 
@@ -651,14 +653,17 @@ def _random_chain_case(rng):
         return constant_path(centre)
 
     g0, g1 = path(1.0), path(rng.uniform(0.5, 2.0))
-    kind = rng.choice(["annulus", "disk", "rectangle"])
+    kind = rng.choice(["annulus", "disk", "rectangle", "punctured"])
     if kind == "annulus":
         domain = Annulus(c, rng.uniform(0.0, 0.6) * r, rng.uniform(1.5, 4.5) * r)
     elif kind == "disk":
         domain = Disk(c, rng.uniform(1.2, 4.5) * r)
-    else:
+    elif kind == "rectangle":
         h = rng.uniform(1.2, 4.5) * r
         domain = Rectangle(c - h * (1 + 1j), c + h * (1 + 1j))
+    else:
+        puncture = c + rng.uniform(0.0, 3.0) * r * cmath.exp(2j * math.pi * rng.random())
+        domain = PuncturedPlane((puncture,))
     return linear_homotopy(g0, g1), domain
 
 
@@ -755,13 +760,50 @@ class TestContainmentRound:
     def test_budget_exceeded(self, monkeypatch):
         # a clearance of 1e-6 needs 500,000 time steps, far past the slice
         # budget: refused before any row is blended, and at 1e-13 before a
-        # partition of 2e7 panels is built
+        # partition of 2e7 panels is built.  A homotopy that does not move
+        # takes one step, but its two members would need that partition.
         rows = self._count_rows(monkeypatch)
+        built = []
+        monkeypatch.setattr(Homotopy, "shared_vertices", lambda *args: built.append(args))
         sigma = linear_homotopy(circle(radius=1.0), circle(radius=1.5))
         for gap in (1e-6, 1e-13):
             with pytest.raises(ContainmentNotCertified, match="members, over the budget of 4000"):
                 build_chain(sigma, sigma.gamma0, sigma.gamma1, Annulus(0j, 1.0 - gap, 2.0))
-        assert rows == []
+        still = linear_homotopy(circle(radius=1.0), circle(radius=1.0))
+        with pytest.raises(ContainmentNotCertified,
+                           match="2 members of 17214097 vertices, over the budget of 2000000"):
+            build_chain(still, still.gamma0, still.gamma1, Annulus(0j, 1.0 - 1e-13, 2.0))
+        assert rows == [] and built == []
+
+    def test_coarse_partition_is_refined(self):
+        # a puncture 0.02 inside the circle at x = 1/32, between the coarse
+        # grid's points: M is about 0.195, and on the partition it sizes
+        # the circle's chord there passes within 0.0008 of the puncture,
+        # less than the circle's interpolation slack 0.019.  Panels half as
+        # wide certify the chain; without them it is refused.
+        g0, g1 = circle(radius=1.0), circle(radius=1.2)
+        sigma = linear_homotopy(g0, g1)
+        domain = PuncturedPlane((0.98 * cmath.exp(1j * math.pi / 16),))
+        assert _proposal(sigma, domain)[0].size == 17
+        chain = build_chain(sigma, g0, g1, domain)
+        assert chain.members[1].num_segments > 16
+        xs = np.arange(4001) / 4000
+        for k, entry in enumerate(chain.certificate.entries):
+            p, q = chain.members[k], chain.members[k + 1]
+            assert dense_sup(p, q) <= entry.sampled.hi < entry.analytic
+            assert max(domain.complement_distances(m.values(xs)).min() for m in (p, q)) \
+                >= entry.analytic
+
+    def test_refinement_cap_applies(self, monkeypatch):
+        # the same chain with no finer partition allowed: the member at t=0
+        # is within twice the larger slack of the puncture, and not certified
+        monkeypatch.setattr(homotopy_module, "_FINER_PARTITIONS", 0)
+        g0, g1 = circle(radius=1.0), circle(radius=1.2)
+        domain = PuncturedPlane((0.98 * cmath.exp(1j * math.pi / 16),))
+        with pytest.raises(ContainmentNotCertified,
+                           match=r"outside the domain or within 0\.0463 of its boundary: "
+                                 "the member at t=0 "):
+            build_chain(linear_homotopy(g0, g1), g0, g1, domain)
 
     def test_refinements_exhausted(self, monkeypatch):
         # the blend crosses the puncture, where the members on either side
