@@ -1,22 +1,28 @@
 """Contour integration along piecewise-differentiable paths.
 
 The integral of f along a path is the parametric integral of f(path(x)) times
-the path derivative.  Each segment is handled by a nested Gauss(7)/Kronrod(15)
-rule pair; a subinterval is accepted when the rule-pair discrepancy fits its
-share of the tolerance (allocated proportionally to derivative bound times
-span) or is down to rounding, and split into quarters otherwise, each with a
-quarter of its share, up to a depth cap of 40 halvings per segment.  As in
-QUADPACK, the discrepancy is rounding once it is at most 50 machine epsilons
-times the K15 integral of |integrand|: splitting further cannot shrink it.
-Those pieces still count their discrepancy in the error estimate, and a total
-above tol still fails.
+the path derivative.  Each piece of a segment is handled by a nested
+Gauss(7)/Kronrod(15) rule pair; a piece is accepted when the rule-pair
+discrepancy fits its share of the tolerance (allocated proportionally to
+derivative bound times span) or is down to rounding, and split into quarters
+otherwise, each with a quarter of its share, up to a depth cap of 40 halvings
+per segment.  As in QUADPACK, the discrepancy is rounding once it is at most
+50 machine epsilons times the K15 integral of |integrand|: splitting further
+cannot shrink it.  Those pieces still count their discrepancy in the error
+estimate, and a total above tol still fails.
 
-A quarter is cut as two bisections cut it, so every piece evaluated is one
-that a bisection loop would evaluate, with the same bounds, nodes and share,
-bit for bit; only a half that bisection would accept is taken as its two
-quarters instead.  Near a pole a round holds a few dozen pieces, and its cost
-is numpy's fixed cost per call, not arithmetic: quarters reach the depth near
-the pole in half the rounds, for a few percent more integrand evaluations.
+The first pieces are a path's segments, graded towards the integrand's
+declared poles where they come close (``_first_pieces``): from the known
+distance to each pole, a segment is cut at x* +- t0 r^k about the parameter
+x* nearest the pole, so that G7 on each piece sees the pole at least as far
+off, relative to the piece, as on the central piece.  Near a pole the loop
+then finishes in one or two rounds, where from whole segments it took five
+to eight, each paying numpy's fixed cost per call; a member with no segment
+near a pole starts from its segments, as before.  A graded piece carries the
+halvings of its segment it stands for, so the depth cap still bounds every
+piece to 2**-40 of its segment.  A quarter is cut as two bisections cut it,
+so every later piece is a quarter of a piece from the round before, with a
+quarter of its share, bit for bit.
 
 Every member of a chain goes through one quadrature loop, and a single path
 is a chain of one member.  A piece carries only its bounds and its origin,
@@ -60,6 +66,7 @@ from .errors import InvalidEpsilon, NearSingularity, ToleranceNotReached
 from .expressions import AnalyticFunction
 # carrier_of_path is unused here but stays importable: perfbench/tracing.py wraps it
 from .paths import PiecewisePath, carrier_of_path, certified_clearances  # noqa: F401
+from .paths import nearest_parameters
 
 __all__ = ["IntegralResult", "ChainIntegrals", "contour_integral", "integral_along_chain"]
 
@@ -115,6 +122,12 @@ _POLE_CLEARANCE = 1e-9
 # (two halvings), so the finest piece evaluated is 2**-40 of its segment
 _MAX_DEPTH = 40
 _MAX_PIECES = 200_000
+# first pieces graded towards the declared poles (see _first_pieces): a
+# member is graded when its certified clearance is below 1/_GRADE_GATE of
+# its heaviest segment's weight
+_GRADE_GATE = 3.0
+_CENTRAL = 0.5  # kappa: the central piece covers at most kappa d of the path
+_RATIO = 1.5  # r: each ladder piece is r - 1 times its distance from the foot
 
 
 @dataclass(frozen=True)
@@ -184,7 +197,8 @@ def _integrate(f: AnalyticFunction, paths, tol: float):
     # members leaves them to the next
     results = []
     while len(results) < count:
-        batch, batch_failure = _batch(f, paths[len(results):count], tol)
+        batch, batch_failure = _batch(f, paths[len(results):count], tol,
+                                      clearances[len(results):count])
         if batch_failure is not None:
             return results + batch, (len(results) + batch_failure[0], batch_failure[1])
         results += batch
@@ -203,16 +217,50 @@ class _Lines(NamedTuple):
     speed: np.ndarray
 
 
-def _first_pieces(paths, tol: float):
-    """The members' segments, the line members' first: the initial pieces,
-    and the per-origin tables that every piece cut from them reads.
+def _first_pieces(paths, tol: float, clearances, poles):
+    """The members' first pieces, the line members' first, and the
+    per-origin tables that every piece cut from them reads.
 
-    Returns (lows, highs, owner, share, lines, curved), one entry per
-    segment: its bounds, its member's index (``owner``), its share of its
-    member's tol (``share``) and its fields in ``lines``; ``curved`` lists
-    the members that are not line paths as (index, path).  A member shares
-    out all of tol over its segments in proportion to |z'| bound times span
-    (|z1 - z0| on a line segment), or evenly when that is zero throughout.
+    Returns (lows, highs, owner, share, depth, lines, curved), one entry per
+    first piece: its bounds, its member's index (``owner``), its share of its
+    member's tol (``share``), the halvings of its segment it stands for
+    (``depth``, at least log2 of the segment's span over its own) and its
+    segment's fields in ``lines``; ``curved`` lists the members that are not
+    line paths as (index, path).  A member shares out all of tol over its
+    pieces in proportion to |z'| bound times span (|z1 - z0| on a line
+    segment), a segment's weight, or evenly over its segments when that is
+    zero throughout.
+
+    A member is graded when its heaviest segment weighs more than
+    ``_GRADE_GATE`` times its certified clearance from f's declared poles
+    (``clearances``); every other member keeps its segments as first
+    pieces, bit for bit.  Each segment of a graded member is cut at
+    x* +- t0 r^k, k = 0, 1, ..., about the parameter x* of its point nearest
+    to its nearest pole, at distance d, with t0 = kappa d / (2 L) and L its
+    |z'| bound, as far as the pieces stay within the segment
+    (``_graded_points``).  The constants come from G7's error on a piece,
+    which falls as rho^-14, rho the Bernstein ellipse through the pole in
+    the piece's own frame (Trefethen, ATAP Thm 19.3), and each piece's
+    share, which is proportional to its length:
+
+    - the central piece x* +- t0 is at most kappa d long on the path, with
+      the pole off its middle, 2 / kappa half-lengths away: kappa = 1/2
+      puts it at 4, rho = 4 + sqrt(17) ~ 8.1 and rho^-14 ~ 2e-13;
+    - a ladder piece from x* + t0 r^k to x* + t0 r^(k+1) has the pole, at
+      worst on its line, (r + 1) / (r - 1) half-lengths from its middle:
+      r = 3/2 gives 5, rho = 5 + sqrt(24) ~ 9.9 and rho^-14 ~ 1e-14;
+    - the piece at a segment's end takes the rest of the segment: its own
+      ladder piece and less than the next, at most 1 + r of its own, so
+      the pole is still 2.6 half-lengths off, rho ~ 5.0, rho^-14 ~ 2e-10.
+
+    So G7's error on a ladder piece is near 1e-13 of the integral of |f|
+    over it, at a share of tol that shrinks with the piece; at tol 1e-9
+    that accepts most first pieces for poles a few thousandths of the
+    path's length away, and whatever misses, an end piece most often, is
+    quartered as any other piece.  The first pieces are only proposed;
+    each is accepted by the same test as every piece.  A member is graded
+    from its own segments and the poles alone, so it gets the same pieces
+    alone and in a chain.
     """
     line_ids = [m for m, path in enumerate(paths) if path._all_lines]
     curved = [(m, path) for m, path in enumerate(paths) if not path._all_lines]
@@ -221,7 +269,8 @@ def _first_pieces(paths, tol: float):
     breaks = [path.breakpoints for path in ordered]
     lows = _joined([b[:-1] for b in breaks])
     highs = _joined([b[1:] for b in breaks])
-    owner = np.array(line_ids + [m for m, _ in curved]).repeat(sizes)
+    ids = line_ids + [m for m, _ in curved]
+    owner = np.array(ids).repeat(sizes)
     weights = [path.derivative_bounds * (b[1:] - b[:-1])
                for (_, path), b in zip(curved, breaks[len(line_ids):])]
     lines = None
@@ -231,13 +280,100 @@ def _first_pieces(paths, tol: float):
         lines = _Lines(z0, z1, s0, span, (z1 - z0) / span)
         weights.insert(0, np.abs(z1 - z0))
     weights = _joined(weights)
-    totals = np.add.reduceat(weights, list(accumulate(sizes[:-1], initial=0)))
+    offsets = list(accumulate(sizes[:-1], initial=0))
+    totals = np.add.reduceat(weights, offsets)
+    graded = {}  # a graded member's index in ``ordered``: (points, pieces per segment)
+    if len(poles):
+        near = np.maximum.reduceat(weights, offsets) > _GRADE_GATE * np.take(clearances, ids)
+        for i in np.flatnonzero(near).tolist():
+            cut = _graded_points(ordered[i], weights[offsets[i]:offsets[i] + sizes[i]], poles)
+            if cut is not None:
+                graded[i] = cut
     if not totals.all():
         even = totals == 0
         weights = np.where(np.repeat(even, sizes), 1.0, weights)
         totals = np.where(even, sizes, totals)
-    share = tol * weights / totals.repeat(sizes)
-    return lows, highs, owner, share, lines, curved
+    totals = totals.repeat(sizes)
+    depth = np.zeros(lows.size)
+    if graded:
+        # each segment's row becomes one row per piece cut from it
+        counts = np.ones(lows.size, dtype=np.int64)
+        for i, (_, pieces) in graded.items():
+            counts[offsets[i]:offsets[i] + sizes[i]] = pieces
+        points = [graded[i][0] if i in graded else b for i, b in enumerate(breaks)]
+        spans = np.repeat(highs - lows, counts)
+        lows, highs = _joined([b[:-1] for b in points]), _joined([b[1:] for b in points])
+        part = (highs - lows) / spans  # 1.0 on a segment that is not cut
+        depth = np.ceil(-np.log2(part))
+        weights = np.repeat(weights, counts) * part
+        owner, totals = np.repeat(owner, counts), np.repeat(totals, counts)
+        if lines is not None:
+            lines = _Lines(*(np.repeat(x, counts[:x.size]) for x in lines))
+    share = tol * weights / totals
+    return lows, highs, owner, share, depth, lines, curved
+
+
+def _graded_points(path: PiecewisePath, weights: np.ndarray, poles):
+    """(points, pieces) for ``path``, whose segments weigh ``weights``: its
+    breakpoints and the points inside its segments at which
+    ``_first_pieces`` cuts it, in order, and the number of pieces of each
+    segment; None when no segment is cut.
+
+    Each segment is graded towards the foot x* of its nearest pole.  On a
+    closed path of one segment (``ellipse``) the seam joins the two ends, so
+    the foot also grades from its images x* +- span: the segment is cut
+    halfway between the feet, and each foot's ladder keeps to its part.  A
+    path that mixes lines and arcs is not cut."""
+    nearest = nearest_parameters(path, poles)
+    if nearest is None:
+        return None
+    pole = nearest[1].argmin(axis=1)
+    feet, distance = (a[np.arange(pole.size), pole].tolist() for a in nearest)
+    breaks = path.breakpoints.tolist()
+    seam = path.closed and len(breaks) == 2
+    points, pieces = [], []
+    for k, (x, d, weight) in enumerate(zip(feet, distance, weights.tolist())):
+        low, high = breaks[k], breaks[k + 1]
+        cuts = []
+        if weight > 0:
+            span = high - low
+            # the smallest piece a ladder leaves is (r - 1) t0 = t0 / 2; at
+            # 2**-39 of the span it stays within the depth cap, so grading
+            # proposes no piece the loop could not reach
+            t0 = max(_CENTRAL * d * span / (2 * weight), span * 2.0 ** (2 - _MAX_DEPTH))
+            if not seam:
+                cuts = _ladder(x, t0, low, high)
+            else:
+                left, right = x - span / 2, x + span / 2
+                cuts = (_ladder(x - span, t0, low, left)
+                        + _ladder(x, t0, max(low, left), min(right, high))
+                        + _ladder(x + span, t0, right, high))
+                if cuts:
+                    cuts = sorted(cuts + [m for m in (left, right) if low < m < high])
+        points += [low] + cuts
+        pieces.append(len(cuts) + 1)
+    if len(points) == len(pieces):  # one point per segment: none is cut
+        return None
+    return np.array(points + [breaks[-1]]), pieces
+
+
+def _ladder(x: float, t0: float, a: float, b: float) -> list:
+    """The cuts x +- t0 r^k, k = 0, 1, ..., in order, each kept when the
+    ladder pieces on both sides of it lie within [a, b]: the last piece
+    towards b takes the rest up to b, and a foot x below a starts its
+    pieces at a."""
+    return [-c for c in reversed(_ladder_side(-x, t0, -b, -a))] + _ladder_side(x, t0, a, b)
+
+
+def _ladder_side(x: float, t0: float, a: float, b: float) -> list:
+    """The cuts x + t0 r^k of ``_ladder``: k runs up to the last cut whose
+    next one stays within b, and from the first whose previous one (x for
+    k = 0) is at a or past it."""
+    if not b - x >= t0 * _RATIO:
+        return []
+    last = int(math.log((b - x) / t0) / math.log(_RATIO)) - 1
+    first = 0 if x >= a else 1 + max(0, math.ceil(math.log((a - x) / t0) / math.log(_RATIO)))
+    return [x + t0 * _RATIO ** k for k in range(first, last + 1)]
 
 
 def _joined(arrays: list) -> np.ndarray:
@@ -246,30 +382,35 @@ def _joined(arrays: list) -> np.ndarray:
 
 # an overflow shows as a non-finite rule sum, which fails its member, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _batch(f: AnalyticFunction, paths, tol: float):
-    """One quadrature loop over all of ``paths``, which are clear of f's
-    declared singularities: the results of the members below ``limit``, and
-    the lowest failure or None.  ``limit`` is the lowest failing member, or
-    the first member deferred so that no round holds more pieces than one
-    member may (``_MAX_PIECES``).  A member whose K15 sum or discrepancy is
-    not finite fails in the round that finds it.
+def _batch(f: AnalyticFunction, paths, tol: float, clearances):
+    """One quadrature loop over all of ``paths``, whose certified clearances
+    from f's declared singularities are ``clearances``: the results of the
+    members below ``limit``, and the lowest failure or None.  ``limit`` is
+    the lowest failing member, or the first member deferred so that no round
+    holds more pieces than one member may (``_MAX_PIECES``).  A member whose
+    K15 sum or discrepancy is not finite fails in the round that finds it.
 
     A piece is (low, high, origin), ``origin`` indexing ``_first_pieces``'
     tables.  Each round evaluates every piece and splits each one that is not
-    done into the quarters two bisections make, so ``depth`` counts halvings,
-    two per round, and ``share`` is divided by 4."""
+    done into the quarters two bisections make, so a piece stands for its
+    origin's ``depth`` plus two halvings of its segment a round, and
+    ``share`` is divided by 4."""
     count = len(paths)
-    lows, highs, owner, share, lines, curved = _first_pieces(paths, tol)
+    lows, highs, owner, share, depth, lines, curved = _first_pieces(
+        paths, tol, clearances, f.singularities)
     origin = np.arange(lows.size)
     rounds = []  # each round's (origin, K15 sum, discrepancy, done) per piece
     limit, failure = count, None
-    depth = 0
+    halvings = 0
     while origin.size:
-        # a member fails above the piece cap, or with pieces left after the
+        # a member fails above the piece cap, or with a piece left past the
         # depth cap
-        if depth > _MAX_DEPTH or origin.size > _MAX_PIECES:
+        deep = depth[origin] > _MAX_DEPTH - halvings
+        if origin.size > _MAX_PIECES or deep.any():
             pieces = np.bincount(owner[origin], minlength=count)
-            stuck = np.flatnonzero(pieces > (0 if depth > _MAX_DEPTH else _MAX_PIECES))
+            stuck = pieces > _MAX_PIECES
+            stuck[owner[origin[deep]]] = True
+            stuck = np.flatnonzero(stuck)
             if stuck.size:
                 limit = int(stuck[0])
                 failure = (limit, ToleranceNotReached(
@@ -316,7 +457,7 @@ def _batch(f: AnalyticFunction, paths, tol: float):
         lows, highs = np.concatenate(cuts[:-1]), np.concatenate(cuts[1:])
         origin = np.concatenate([origin] * 4)
         share /= 4
-        depth += 2
+        halvings += 2
     if not rounds:
         return [], failure  # member 0 failed before a round finished
     origin, k15, err, done = (np.concatenate(x) for x in zip(*rounds))

@@ -683,10 +683,7 @@ def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
     m <= S, the product with m, rounded once, exceeds the bound by at most
     18.1u S, within the 16 eps S that ``_less_rounding`` subtracts.
     """
-    rel = pts - arcs.center[:, None]
-    q = np.empty(rel.shape, dtype=np.complex128)
-    np.divide(rel.real, arcs.semi_re[:, None], out=q.real)
-    np.divide(rel.imag, arcs.semi_im[:, None], out=q.imag)
+    q = _unit_frame(arcs, pts)
     angle0, angle1 = arcs.angle0[:, None], arcs.angle1[:, None]
     slack = _POLYLINE_ROUNDING * (1 + np.abs(angle0) + np.abs(angle1))
     swept = (np.mod(np.angle(q) - np.minimum(angle0, angle1) + slack, 2 * math.pi)
@@ -696,6 +693,51 @@ def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
     reach = np.abs(arcs.center) + np.maximum(arcs.semi_re, arcs.semi_im)
     return float(_less_rounding((np.minimum(arcs.semi_re, arcs.semi_im) * dist).min(),
                                 reach.max(), pts))
+
+
+def _unit_frame(arcs: _ArcArrays, pts: np.ndarray) -> np.ndarray:
+    """q = A^-1 (p - c) for every arc (rows) and point (columns): the points
+    in the frame where each arc lies on the unit circle."""
+    rel = pts - arcs.center[:, None]
+    q = np.empty(rel.shape, dtype=np.complex128)
+    np.divide(rel.real, arcs.semi_re[:, None], out=q.real)
+    np.divide(rel.imag, arcs.semi_im[:, None], out=q.imag)
+    return q
+
+
+def nearest_parameters(path: PiecewisePath, points):
+    """(x, d), each with one row per segment and one column per point: the
+    parameter x of the segment's point nearest to the point, and the
+    distance d between them; None for a path that mixes lines and arcs.
+
+    On a line x is the projection clamped to the segment, as in the line
+    clearance.  On an arc it is the angle of q = A^-1 (p - c), as
+    ``_arc_clearance`` maps the point, clamped into the sweep at the nearer
+    end; for a circle that point is the nearest one, for an ellipse a point
+    near it, and d is its distance.  Neither is a certified bound."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    breaks = path.breakpoints
+    s0, span = breaks[:-1, None], (breaks[1:] - breaks[:-1])[:, None]
+    if path._all_lines:
+        a, step = path._z0[:, None], (path._z1 - path._z0)[:, None]
+        length2 = step.real ** 2 + step.imag ** 2
+        along = ((pts - a) * step.conjugate()).real
+        u = np.clip(np.divide(along, length2, out=np.zeros(along.shape), where=length2 > 0),
+                    0.0, 1.0)
+        foot = a + u * step
+    elif path._arcs is not None:
+        arcs = path._arcs
+        angle0, angle1 = arcs.angle0[:, None], arcs.angle1[:, None]
+        low, sweep = np.minimum(angle0, angle1), np.abs(angle1 - angle0)
+        turn = np.mod(np.angle(_unit_frame(arcs, pts)) - low, 2 * math.pi)
+        turn = np.where(turn <= sweep, turn, np.where(turn - sweep < 2 * math.pi - turn, sweep, 0.0))
+        theta = low + turn
+        u = (theta - angle0) / (angle1 - angle0)
+        foot = _parts(arcs.semi_re[:, None], np.cos(theta), arcs.semi_im[:, None], np.sin(theta))
+        foot += arcs.center[:, None]
+    else:
+        return None
+    return s0 + u * span, np.abs(pts - foot)
 
 
 def sup_distance(p: PiecewisePath, q: PiecewisePath, tol: float) -> Bounds:

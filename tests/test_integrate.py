@@ -281,6 +281,25 @@ class TestBatchedChainQuadrature:
             assert result.error_estimate == single.error_estimate
             assert result.evaluations == single.evaluations
 
+    def test_only_a_graded_end_member_gets_other_first_pieces(self, monkeypatch):
+        # the pole is more than a third of a segment's weight from every
+        # member but the ellipse, whose one arc weighs 4 pi: only that end
+        # member starts from graded pieces, the same alone and in the chain
+        chain = _annulus_chain(circle(), ellipse(2.0, 1.0))
+        f = parse_function("exp(z)/(z-(0.1+0.05i))", [0.1 + 0.05j])
+        first = _recorded_first_pieces(monkeypatch)
+        batch = integral_along_chain(f, chain, 1e-9).results
+        [(lows, _)] = first
+        first.clear()
+        for member, result in zip(chain.members, batch):
+            single = contour_integral(f, member, 1e-9)
+            assert (result.value, result.error_estimate, result.evaluations) == (
+                single.value, single.error_estimate, single.evaluations)
+        graded = [k for k, member in enumerate(chain.members)
+                  if not np.array_equal(first[k][0], member.breakpoints[:-1])]
+        assert graded == [len(chain.members) - 1]
+        assert lows.size == sum(len(pieces[0]) for pieces in first)
+
     def test_interior_member_inside_the_pole_clearance(self):
         chain = _annulus_chain(circle(), circle(radius=2.0))
         member = chain.members[5]
@@ -386,9 +405,9 @@ class TestBatchedChainQuadrature:
         batches = []
         run_batch = integrate._batch
 
-        def batch(f, paths, tol):
+        def batch(f, paths, *rest):
             batches.append(len(paths))
-            return run_batch(f, paths, tol)
+            return run_batch(f, paths, *rest)
 
         monkeypatch.setattr(integrate, "_batch", batch)
         in_chain = integral_along_chain(f, chain, 1e-9).results[-1]
@@ -417,19 +436,34 @@ def _recorded_pieces(monkeypatch):
     return seen
 
 
-def _bisection_level(column, lo, hi):
-    """How many bisections of the segment [lo, hi] give the piece whose
-    Gauss-Kronrod nodes are ``column``, bit for bit; None if none does
-    within the depth cap."""
+def _recorded_first_pieces(monkeypatch):
+    """The (lows, highs) of the first pieces of every quadrature loop."""
     from contourchain import integrate
 
-    centre = column[integrate._XGK.size // 2]
-    for level in range(integrate._MAX_DEPTH + 1):
-        mid = (lo + hi) / 2
-        if np.array_equal(column, mid + (hi - lo) / 2 * integrate._XGK):
-            return level
-        lo, hi = (lo, mid) if centre < mid else (mid, hi)
-    return None
+    first = []
+    first_pieces = integrate._first_pieces
+
+    def record(*args):
+        tables = first_pieces(*args)
+        first.append(tables[:2])
+        return tables
+
+    monkeypatch.setattr(integrate, "_first_pieces", record)
+    return first
+
+
+def _nodes(lo, hi):
+    """The Gauss-Kronrod nodes of the piece [lo, hi], as the loop computes them."""
+    from contourchain import integrate
+
+    return (lo + hi) / 2 + (hi - lo) / 2 * integrate._XGK
+
+
+def _quarters(lo, hi):
+    """The quarters of [lo, hi] that the loop cuts, by two bisections."""
+    mid = (lo + hi) / 2
+    cuts = [lo, (lo + mid) / 2, mid, (mid + hi) / 2, hi]
+    return list(zip(cuts, cuts[1:]))
 
 
 # the pole ladder of the near-pole benchmark: six distances, log-spaced
@@ -444,53 +478,115 @@ _SHAPES = {
     "square": (square(2.0, interval=_INTERVAL), 1 + 0.3j, 1 + 0j),
     "ellipse": (ellipse(1.6, 1.0, interval=_INTERVAL), complex(1.6 * math.cos(2.1), math.sin(2.1)),
                 _ELLIPSE_NORMAL / abs(_ELLIPSE_NORMAL)),
+    # the vertex 1.6 is the seam where the ellipse's one arc starts and ends
+    "ellipse-seam": (ellipse(1.6, 1.0, interval=_INTERVAL), 1.6 + 0j, 1 + 0j),
 }
 
 
 class TestQuarterSplit:
-    """Each round splits an unfinished piece into the quarters that two
-    bisections give, so every evaluated piece is one the bisection loop
-    could evaluate."""
+    """The first pieces are graded towards the declared poles; each round
+    then splits an unfinished piece into the quarters that two bisections
+    give."""
 
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
     @pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
     def test_every_piece_is_two_bisections_deep(self, monkeypatch, shape, side):
+        # every evaluated piece is a graded first piece, or a quarter of a
+        # piece evaluated in the round before, bit for bit
         path, foot, normal = _SHAPES[shape]
         pole = foot + side * 3e-3 * normal
         seen = _recorded_pieces(monkeypatch)
+        first = _recorded_first_pieces(monkeypatch)
         result = contour_integral(_with_pole("1/(z-a)", pole), path, 1e-9)
-        columns = np.concatenate(seen, axis=1).T
-        assert 15 * len(columns) == result.evaluations
-        breaks = path.breakpoints
-        pieces, levels = set(), []
-        for column in columns:
-            k = int(np.searchsorted(breaks, column[7], side="right")) - 1
-            levels.append(_bisection_level(column, breaks[k], breaks[k + 1]))
-            assert levels[-1] is not None and levels[-1] % 2 == 0
-            pieces.add((k, column[0], column[-1]))
-        assert len(pieces) == len(columns)  # no piece evaluated twice
-        assert max(levels) >= 8
+        assert 15 * sum(nodes.shape[1] for nodes in seen) == result.evaluations
+        [(lows, highs)] = first
+        # the first pieces tile the path, cut at every breakpoint and more
+        assert lows[0] == path.a and highs[-1] == path.b
+        assert np.array_equal(lows[1:], highs[:-1])
+        assert set(path.breakpoints[:-1].tolist()) <= set(lows.tolist())
+        assert lows.size > path.num_segments
+        candidates = list(zip(lows.tolist(), highs.tolist()))
+        for k, nodes in enumerate(seen):
+            by_nodes = {_nodes(lo, hi).tobytes(): (lo, hi) for lo, hi in candidates}
+            evaluated = [by_nodes[column.tobytes()] for column in nodes.T]
+            assert len(set(evaluated)) == len(evaluated)  # no piece evaluated twice
+            if k == 0:
+                assert len(evaluated) == len(candidates)
+            candidates = [q for lo, hi in evaluated for q in _quarters(lo, hi)]
 
-    def test_near_pole_integral_takes_at_most_seven_rounds(self, monkeypatch):
-        # the bisection loop takes 11 rounds here, each at a fixed cost
+    def test_near_pole_integral_takes_at_most_two_rounds(self, monkeypatch):
+        # the bisection loop takes 11 rounds here and the quarter split from
+        # whole segments 6, each at a fixed cost
         seen = _recorded_pieces(monkeypatch)
         result = contour_integral(parse_function("1/(z-1.003)", [1.003 + 0j]), circle(), 1e-9)
         assert abs(result.value) <= 1e-9
-        assert len(seen) <= 7
+        assert len(seen) <= 2
 
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
     @pytest.mark.parametrize("text, residue", [("1/(z-a)", lambda a: 1.0),
                                                ("exp(z)/(z-a)", cmath.exp)],
                              ids=["inv", "exp"])
-    def test_pole_ladder_against_the_residue(self, shape, text, residue):
+    def test_pole_ladder_against_the_residue(self, monkeypatch, shape, text, residue):
         path, foot, normal = _SHAPES[shape]
+        seen = _recorded_pieces(monkeypatch)
         for distance in _POLE_LADDER:
             for side in (-1, 1):
                 a = foot + side * distance * normal
                 exact = TWO_PI_I * residue(a) if side < 0 else 0j
+                seen.clear()
                 result = contour_integral(_with_pole(text, a), path, 1e-9)
                 assert abs(result.value - exact) <= 1e-9, (distance, side)
                 assert result.error_estimate <= 1e-9
+                assert len(seen) <= 2, (distance, side)
+
+    @pytest.mark.parametrize("make, distance", [(circle, 2e-9), (circle, 1e-6),
+                                                (lambda: square(2.0), 2e-9),
+                                                (lambda: square(2.0), 1e-6),
+                                                (lambda: circle(radius=1e4), 2e-7)],
+                             ids=["circle-2e-9", "circle-1e-6", "square-2e-9", "square-1e-6",
+                                  "wide-circle-2e-7"])
+    def test_graded_pieces_keep_the_caps(self, monkeypatch, make, distance):
+        # a pole this close meets the no-progress fault: pieces whose
+        # discrepancy stops shrinking above their share are quartered until
+        # a cap ends them.  From graded first pieces the loop ends as it does
+        # from whole segments (the grading switched off), in no more rounds;
+        # no round holds more than _MAX_PIECES pieces and no piece is finer
+        # than 2**-40 of its segment, not even where the pole is closer than
+        # that to a wide segment.  The pieces evaluated in all are not
+        # bounded by the whole-segment loop's: both end when a round would
+        # pass the piece cap, and 1e-6 off the circle the graded start
+        # evaluates up to twice as many.
+        from contourchain import integrate
+
+        path = make()
+        foot = path.value(0.1)
+        f = _with_pole("1/(z-a)", foot * (1 + distance / abs(foot)))
+
+        def run():
+            seen = _recorded_pieces(monkeypatch)
+            try:
+                outcome = contour_integral(f, path, 1e-9).value
+            except ToleranceNotReached as exc:
+                outcome = str(exc)
+            monkeypatch.undo()
+            return outcome, seen
+
+        with monkeypatch.context() as m:
+            m.setattr(integrate, "_GRADE_GATE", math.inf)
+            whole, whole_seen = run()
+        graded, graded_seen = run()
+        if isinstance(whole, str):
+            assert graded == whole == ("quadrature did not converge to tol=1e-09 "
+                                       "within 40 bisections per segment")
+        else:
+            assert abs(graded - whole) <= 2e-9
+        assert len(graded_seen) <= len(whole_seen)
+        assert max(n.shape[1] for n in graded_seen) <= integrate._MAX_PIECES
+        breaks = path.breakpoints
+        for nodes in graded_seen:
+            width = (nodes[-1] - nodes[0]) / (integrate._XGK[-1] - integrate._XGK[0])
+            k = np.searchsorted(breaks, nodes[7], side="right") - 1
+            assert (width >= 0.999 * 2.0 ** -40 * (breaks[k + 1] - breaks[k])).all()
 
     def test_undeclared_pole_on_the_path_reaches_the_depth_cap(self):
         # no node lands on z = 1, so the guard never fires; the pieces about
