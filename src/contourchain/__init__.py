@@ -14,7 +14,6 @@ from .errors import (
     InvalidEpsilon,
     MismatchedDomains,
     NearSingularity,
-    NonIntegerWinding,
     ParseError,
     SpecError,
     ToleranceNotReached,

@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library operations: ``approx`` builds a
-certified polyline, ``carrier`` samples a path's eta-net, ``chain`` runs the
-full homotopy discretization, ``integrate`` evaluates one contour integral,
-``verify`` runs ``verify_homotopy_invariance`` on a spec file's homotopy of
-any kind (a star or any blend onto a constant path reports a
-null-homotopy), and ``wind`` computes a winding number.
+certified polyline, ``chain`` runs the full homotopy discretization,
+``integrate`` evaluates one contour integral, ``verify`` runs
+``verify_homotopy_invariance`` on a spec file's homotopy of any kind (a star
+or any blend onto a constant path reports a null-homotopy), and ``wind``
+counts a winding number exactly.
 
 Exit codes: 0 success/pass, 1 usage or parse errors (click's own included),
-2 refusal (a chain member or pair, or a singularity's clearance, cannot be
-certified within the budgets, or a declared singularity lies inside the
-domain), 3 failure (deviation above threshold, quadrature tolerance not
-reached, non-integer winding).
+2 refusal (a chain member or pair, or a singularity's or winding point's
+clearance, cannot be certified within the budgets, or a declared singularity
+lies inside the domain), 3 failure (deviation above threshold, quadrature
+tolerance not reached).
 
 Problem specs are JSON documents whose schema is a set of field tables (see
 ``SpecDocument``): each row a constructor and its fields in order, each with
@@ -37,7 +37,6 @@ from .errors import (
     ContainmentNotCertified,
     ContourChainError,
     NearSingularity,
-    NonIntegerWinding,
     ParseError,
     SpecError,
     ToleranceNotReached,
@@ -48,7 +47,6 @@ from .homotopy import Chain, Homotopy, build_chain, linear_homotopy, star_null_h
 from .integrate import contour_integral
 from .paths import (
     PiecewisePath,
-    carrier_of_path,
     circle,
     constant_path,
     ellipse,
@@ -339,13 +337,6 @@ def path_csv(path: PiecewisePath) -> str:
     return "\n".join(["index,t,re,im", *_vertex_rows(path)]) + "\n"
 
 
-def carrier_csv(carrier) -> str:
-    lines = ["index,re,im"]
-    for k, z in enumerate(carrier.net):
-        lines.append(f"{k},{_fmt(z.real)},{_fmt(z.imag)}")
-    return "\n".join(lines) + "\n"
-
-
 def chain_csv(chain: Chain) -> str:
     rows = (f"{m},{row}" for m, member in enumerate(chain.members) for row in _vertex_rows(member))
     return "\n".join(["member,index,t,re,im", *rows]) + "\n"
@@ -364,7 +355,7 @@ def _guarded(fn):
             click.echo(f"error: {exc}", err=True)
             if isinstance(exc, (ContainmentNotCertified, NearSingularity)):
                 sys.exit(EXIT_REFUSED)
-            if isinstance(exc, (ToleranceNotReached, NonIntegerWinding)):
+            if isinstance(exc, ToleranceNotReached):
                 sys.exit(EXIT_FAILED)
             sys.exit(EXIT_USAGE)
     return wrapper
@@ -415,24 +406,6 @@ def cmd_approx(path_text, eps, out_file, as_json):
         _emit_json({"segments": result.num_segments, "bound": result.bound, "epsilon": result.epsilon})
     else:
         click.echo(f"segments: {result.num_segments}  certified bound: {_fmt(result.bound)}")
-
-
-@main.command("carrier")
-@click.option("--path", "path_text", required=True, help="Built-in path expression.")
-@click.option("--eta", type=float, required=True, help="Net resolution.")
-@click.option("--out", "out_file", type=click.Path(), default=None, help="Write net CSV here.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON summary.")
-@_guarded
-def cmd_carrier(path_text, eta, out_file, as_json):
-    """Finite eta-net of a path's carrier."""
-    path = path_from_text(path_text)
-    carrier = carrier_of_path(path, eta)
-    if out_file:
-        _write_text(out_file, carrier_csv(carrier))
-    if as_json:
-        _emit_json({"points": len(carrier), "resolution": carrier.resolution})
-    else:
-        click.echo(f"net points: {len(carrier)}  resolution: {_fmt(carrier.resolution)}")
 
 
 @main.command("chain")
@@ -502,16 +475,15 @@ def cmd_verify(spec_file, out_file, as_json):
 @main.command("wind")
 @click.option("--path", "path_text", required=True, help="Built-in path expression.")
 @click.option("--point", default="0", show_default=True, help="Point to wind about.")
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Quadrature budget.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON summary.")
 @_guarded
-def cmd_wind(path_text, point, tol, as_json):
-    """Winding number of a closed path about a point."""
+def cmd_wind(path_text, point, as_json):
+    """Exact winding number of a closed path about a point, counted on a
+    certified polyline; exit 2 when the point is not certifiably clear."""
     path = path_from_text(path_text)
-    a = parse_complex(point)
-    w = winding_number(path, a, tol)
+    w = winding_number(path, parse_complex(point))
     if as_json:
-        _emit_json({"winding": w, "tol": tol})
+        _emit_json({"winding": w})
     else:
         click.echo(str(w))
 

@@ -39,10 +39,6 @@ class ToleranceNotReached(ContourChainError):
     """Adaptive quadrature hit its bisection depth cap before converging."""
 
 
-class NonIntegerWinding(ContourChainError):
-    """The winding integral did not land near an integer; path or tolerance is broken."""
-
-
 class ParseError(ContourChainError):
     """Expression text could not be parsed.
 

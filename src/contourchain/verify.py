@@ -12,6 +12,10 @@ The verifier refuses outright, instead of warning, when the theorem's
 hypotheses are not established: when a declared singularity lies inside
 the domain, so that f is not analytic there, and when the chain's pairs
 cannot be certified by the small-disk lemma (``build_chain``).
+
+``winding_number`` is the theorem's simplest case, f = 1/(z - a) on the
+plane less a, and needs no quadrature: the path is homotopic there to a
+certified polyline, whose winding number is a count of integers.
 """
 
 from __future__ import annotations
@@ -19,13 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NearSingularity, NonIntegerWinding
-from .expressions import AnalyticFunction, Const, Div, Sub, Var
+import numpy as np
+
+from .approx import _MAX_PANELS, panel_counts, polygonal_approximation
+from .errors import NearSingularity
+from .expressions import AnalyticFunction
 from .geometry import DomainDescriptor, require_finite_complex
 from .homotopy import Chain, Homotopy, build_chain
-from .integrate import IntegralResult, contour_integral, integral_along_chain
+from .integrate import IntegralResult, integral_along_chain
 from .paths import PiecewisePath, certified_clearance, reparametrize_to_unit
-# carrier_of_path is unused here but stays importable: perfbench/tracing.py wraps it
+# unused here, but perfbench/tracing.py wraps these names
+from .integrate import contour_integral  # noqa: F401
 from .paths import carrier_of_path  # noqa: F401
 
 __all__ = [
@@ -35,7 +43,8 @@ __all__ = [
 ]
 
 _PASS_FACTOR = 10.0
-_WINDING_CLEARANCE = 1e-6
+# winding_number's rounding allowance, relative to its scale S (see its proof)
+_WINDING_ROUNDING = 128 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,29 +140,45 @@ def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
         null_integral_abs=abs(integrals.results[0].value) if null else None)
 
 
-def winding_number(gamma: PiecewisePath, a: complex, tol: float) -> int:
-    """Signed turn count of the closed path about ``a``.
+def winding_number(gamma: PiecewisePath, a: complex, tol: float | None = None) -> int:
+    """Signed turn count of the closed path about ``a``, exact; ``tol`` is ignored.
 
-    Integrates dz/(z - a), divides by 2 pi i, and demands the result land
-    within 0.25 of an integer; anything farther signals a broken path or
-    tolerance and raises instead of rounding it away.
+    Proof.  With c = ``certified_clearance(gamma, [a])``, Q =
+    ``polygonal_approximation(gamma, c/2)`` has vertices v_0, ..., v_N = v_0
+    and interpolates gamma within c/3; S = max(|a|, max |v_k|) and u =
+    eps/2.  The vertices round by less than 32u S (``_POLYLINE_ROUNDING``),
+    so |gamma - Q| < c <= |gamma - a|: the straight homotopy from gamma to Q
+    misses a, and both wind alike.  Q keeps h = c/2 from a, so its segment
+    k turns about a by theta_k with pi - |theta_k| >= 2h/2S = c/2S (the
+    triangle's angles at the segment's ends), and the winding number is
+    sum theta_k / 2 pi.  For phi_k = atan2 of the rounded v_k - a, phi_N =
+    phi_0, so D_k = phi_k+1 - phi_k sum to 0 and, up to the angles'
+    rounding, D_k = theta_k + 2 pi M_k for integers M_k: the winding number
+    is -sum M_k, Q's signed crossings of the ray from a along the negative
+    reals.  Computed, M_k = round(D_k / 2 pi) is exact when D_k is off an
+    odd multiple of pi by more than 42u (the subtraction 1.01u and atan2
+    8u per angle, D_k 4u, the quotient 3u of 2 pi), which c > 256u S
+    (``_WINDING_ROUNDING``) ensures, as it does h >= c/2.
+
+    Refuses (``NearSingularity``) a point whose clearance is at most that,
+    and one whose Q would exceed ``approx._MAX_PANELS`` segments, checked
+    before the partition is built.
     """
     a = require_finite_complex(a, "a")
     if not isinstance(gamma, PiecewisePath):
         raise TypeError("winding numbers need a piecewise-differentiable path")
     if not gamma.is_closed:
         raise ValueError("winding number needs a closed path")
+    gamma = reparametrize_to_unit(gamma)
     clearance = certified_clearance(gamma, [a])
-    if clearance <= _WINDING_CLEARANCE:
-        raise NearSingularity(
-            f"carrier not certifiably clear of the winding point "
-            f"(best certified clearance {clearance:.3g}, required {_WINDING_CLEARANCE})")
-    # the clearance just certified implies contour_integral's pole check
-    probe = AnalyticFunction(Div(Const(1 + 0j), Sub(Var(), Const(a))), ())
-    result = contour_integral(probe, gamma, tol)
-    turns = result.value / (2j * math.pi)
-    nearest = round(turns.real)
-    if abs(turns - nearest) > 0.25:
-        raise NonIntegerWinding(
-            f"winding integral {turns} is not within 0.25 of an integer")
-    return int(nearest)
+    refusal = ("path not certifiably clear of the winding point "
+               f"(best certified clearance {clearance:.3g}, ")
+    panels = panel_counts(np.diff(gamma.breakpoints), gamma.second_derivative_bounds,
+                          clearance / 2).sum() if clearance > 0 else math.inf
+    if not panels <= _MAX_PANELS:
+        raise NearSingularity(refusal + f"needing {panels:.3g} segments, budget {_MAX_PANELS})")
+    verts = polygonal_approximation(gamma, clearance / 2).path.vertices()
+    allowance = _WINDING_ROUNDING * max(abs(a), np.abs(verts).max())
+    if not clearance > allowance:
+        raise NearSingularity(refusal + f"rounding allowance {allowance:.3g})")
+    return -int(np.round(np.diff(np.angle(verts - a)) / (2 * math.pi)).sum())

@@ -178,11 +178,6 @@ def test_parity_rows_cover_every_path_kind():
     (["approx", "--path", "unit_circle", "--eps", "-1"], EXIT_USAGE, "eps must be a positive"),
     (["approx", "--path", "circle(1)", "--eps", "1e-300"], EXIT_USAGE,
      "error: partition of 2.72e+150 panels exceeds the budget; eps too small for this path\n"),
-    (["carrier", "--path", "square(2)", "--eta", "0.1"], EXIT_OK, "net points: 81"),
-    (["carrier", "--path", "square(2)", "--eta", "0"], EXIT_USAGE, "eta must be positive"),
-    (["carrier", "--path", "circle(1)", "--eta", "1e-320"], EXIT_USAGE,
-     "error: sampling grid of inf steps exceeds the budget; "
-     "Lipschitz bound too large for the requested accuracy\n"),
     (["integrate", "--f", "1/z", "--poles", "0", "--path", "unit_circle"], EXIT_OK,
      "6.283185307179586"),
     (["integrate", "--f", "1/", "--path", "unit_circle"], EXIT_USAGE, "unexpected token"),
@@ -198,8 +193,17 @@ def test_parity_rows_cover_every_path_kind():
     (["wind", "--path", "unit_circle", "--point", "abc"], EXIT_USAGE, "cannot parse complex"),
     (["wind", "--path", "unit_circle", "--point", "1"], EXIT_REFUSED,
      "not certifiably clear of the winding point"),
-    (["wind", "--path", "unit_circle", "--point", "0.5", "--tol", "1e-300"], EXIT_FAILED,
-     "quadrature error estimate"),
+    # the count is exact: no quadrature budget to set, and a point at 1e-12
+    # from a side is answered, while one at 1e-13 from the circle would need
+    # a polyline over the panel budget, and one at 2e-14 from a side is
+    # within the rounding allowance
+    (["wind", "--path", "unit_circle", "--point", "0", "--tol", "1e-9"], EXIT_USAGE,
+     "No such option '--tol'"),
+    (["wind", "--path", "square(2)", "--point", "0.3+0.999999999999i"], EXIT_OK, "1"),
+    (["wind", "--path", "unit_circle", "--point", "0.9999999999999"], EXIT_REFUSED,
+     "not certifiably clear of the winding point"),
+    (["wind", "--path", "square(2)", "--point", "0.3+0.99999999999998i"], EXIT_REFUSED,
+     "rounding allowance"),
     (["approx", "--path", "ellipse(2,1,0,junk)", "--eps", "0.1"], EXIT_USAGE,
      "takes at most 3 arguments"),
     (["approx", "--path", "square(2, 0, 99)", "--eps", "0.1"], EXIT_USAGE,
@@ -214,6 +218,7 @@ def test_parity_rows_cover_every_path_kind():
     (["integrate", "--f", "1/z", "--path", "unit_circle", "--tol", "abc"], EXIT_USAGE,
      "'abc' is not a valid float"),
     (["bogus"], EXIT_USAGE, "No such command 'bogus'"),
+    (["carrier", "--path", "square(2)", "--eta", "0.1"], EXIT_USAGE, "No such command 'carrier'"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_path_command_exit_codes(args, code, text):
     result = CliRunner().invoke(main, args)
@@ -221,6 +226,26 @@ def test_path_command_exit_codes(args, code, text):
     assert text in (result.stdout if code == EXIT_OK else result.stderr)
     if code != EXIT_OK:
         assert isinstance(result.exception, SystemExit)
+
+
+def test_winding_point_over_the_panel_budget_is_refused_before_a_partition(monkeypatch):
+    # 1e-13 from the unit circle needs a polyline of 1.24e7 segments; the
+    # refusal comes from the panel count alone, before any partition is built
+    from contourchain import approx
+
+    def unbuilt(*args):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr(approx, "partition_points", unbuilt)
+    result = CliRunner().invoke(main, ["wind", "--path", "unit_circle", "--point", "0.9999999999999"])
+    assert result.exit_code == EXIT_REFUSED, result.output
+    assert "needing 1.24e+07 segments, budget 5000000" in result.stderr
+
+
+def test_wind_json_reports_only_the_winding():
+    result = CliRunner().invoke(main, ["wind", "--path", "circle(2)", "--point", "1+1i", "--json"])
+    assert result.exit_code == EXIT_OK, result.output
+    assert json.loads(result.stdout) == {"winding": 1}
 
 
 def test_declared_pole_inside_the_domain_is_refused(tmp_path):
@@ -506,11 +531,9 @@ _tol = _mostly(["1e-9", "1e-6"], _junk)
 _poles = st.lists(_text_arg, max_size=3).map(",".join)
 _command = st.one_of(
     st.tuples(st.just("approx"), st.just("--path"), _path_text, st.just("--eps"), _flag),
-    st.tuples(st.just("carrier"), st.just("--path"), _path_text, st.just("--eta"), _flag),
     st.tuples(st.just("integrate"), st.just("--f"), st.sampled_from(["1/z", "exp(z)", "z^"]),
               st.just("--poles"), _poles, st.just("--path"), _path_text, st.just("--tol"), _tol),
-    st.tuples(st.just("wind"), st.just("--path"), _path_text, st.just("--point"), _text_arg,
-              st.just("--tol"), _tol))
+    st.tuples(st.just("wind"), st.just("--path"), _path_text, st.just("--point"), _text_arg))
 
 
 @given(args=_command)

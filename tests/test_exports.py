@@ -55,3 +55,16 @@ def test_build_chain_takes_no_refinement_count():
     from contourchain.homotopy import build_chain
 
     assert "max_refinements" not in inspect.signature(build_chain).parameters
+
+
+@pytest.mark.parametrize("module, name", [
+    ("contourchain", "NonIntegerWinding"),
+    ("contourchain.errors", "NonIntegerWinding"),
+    ("contourchain.verify", "_WINDING_CLEARANCE"),
+    ("contourchain.cli", "cmd_carrier"),
+    ("contourchain.cli", "carrier_csv"),
+])
+def test_windings_are_counted_and_the_carrier_command_is_gone(module, name):
+    # a winding number is an exact count on a certified polyline, with no
+    # integral to round, and no command samples an eta-net
+    assert not hasattr(importlib.import_module(module), name)

@@ -103,7 +103,7 @@ build_chain(sigma, g0, g1, Annulus(0j, 0.25, 3.0))
 report = verify_homotopy_invariance(parse_function("1/z", [0j]), g0, g1, sigma,
                                     Annulus(0j, 0.25, 3.0), 1e-9)
 carrier_of_path(g1, 0.05)
-result = CliRunner().invoke(main, ["carrier", "--path", "ellipse(2, 1)", "--eta", "0.05"])
+result = CliRunner().invoke(main, ["wind", "--path", "ellipse(2, 1)", "--point", "0"])
 print(report.passed, result.exit_code)
 """
         env = dict(os.environ, PYTHONPATH=str(src))

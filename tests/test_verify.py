@@ -1,15 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from contourchain import (
     Annulus,
+    ArcSegment,
     ContainmentNotCertified,
     Disk,
+    LineSegment,
     NearSingularity,
+    PiecewisePath,
     PuncturedPlane,
     build_chain,
+    certified_clearance,
     circle,
     constant_path,
     contour_integral,
@@ -157,7 +162,7 @@ class TestWindingNumber:
             winding_number(circle(), 1 + 0j, 1e-9)
 
     def test_point_near_the_path(self):
-        # 0.04 from the path, closer than the first net's resolution 0.05
+        # 0.04 from the circle: a polyline within 0.04/3 of it winds alike
         assert winding_number(circle(), 0.96, 1e-9) == 1
 
     def test_point_on_carrier_between_samples_rejected(self):
@@ -165,7 +170,8 @@ class TestWindingNumber:
             winding_number(circle(), complex(math.cos(0.123456), math.sin(0.123456)), 1e-9)
 
     def test_point_near_a_side_certified_in_closed_form(self):
-        # 1e-5 from the top side, far inside the first net's resolution 0.05
+        # 1e-5 from the top side: the side's clearance is exact up to
+        # rounding, and the square is its own polyline
         assert winding_number(square(2.0), 0.3 + (1 - 1e-5) * 1j, 1e-9) == 1
 
     def test_only_piecewise_paths(self):
@@ -212,3 +218,129 @@ class TestWindingNumber:
         for member in [circle(), square(2.0), ellipse(1.5, 0.75)]:
             value = contour_integral(probe, member, 1e-9).value / TWO_PI_I
             assert abs(value - 1.0) <= 1e-6
+
+
+def _exact(z: complex) -> tuple[Fraction, Fraction]:
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def crossing_count(vertices, a: complex) -> int:
+    """Winding number of the closed polygon about ``a`` off it, by signed
+    crossings of the rightward ray from ``a``, in exact rational arithmetic."""
+    ax, ay = _exact(a)
+    count = 0
+    for p, q in zip(vertices, [*vertices[1:], vertices[0]]):
+        (px, py), (qx, qy) = _exact(p), _exact(q)
+        left = (qx - px) * (ay - py) - (ax - px) * (qy - py)  # > 0: a left of p -> q
+        if py <= ay < qy and left > 0:
+            count += 1
+        elif qy <= ay < py and left < 0:
+            count -= 1
+    return count
+
+
+def inside_ellipse(a: complex, semi_re: float, semi_im: float, center: complex = 0j) -> bool:
+    """Whether ``a`` lies strictly inside the ellipse, exactly (a circle has
+    equal semi-axes)."""
+    (x, y), (cx, cy) = _exact(a), _exact(center)
+    sr, si = Fraction(semi_re), Fraction(semi_im)
+    return si ** 2 * (x - cx) ** 2 + sr ** 2 * (y - cy) ** 2 < sr ** 2 * si ** 2
+
+
+def quadrature_winding(path, a: complex) -> int:
+    """The winding number as the integral of dz/(z - a) over 2 pi i, rounded."""
+    probe = parse_function(f"1/(z-({a.real!r}{a.imag:+}i))", [a])
+    turns = contour_integral(probe, path, 1e-9).value / TWO_PI_I
+    assert abs(turns - round(turns.real)) <= 1e-6
+    return round(turns.real)
+
+
+def _random_point(rng, reach: float) -> complex:
+    return complex(rng.uniform(-reach, reach), rng.uniform(-reach, reach))
+
+
+class TestExactWinding:
+    def test_agrees_with_the_quadrature(self, rng):
+        paths = [random_polyline(rng, 7), random_polyline(rng, 4, 2.0, 0.5j), circle(0.2, 1.3),
+                 ellipse(1.7, 0.6, -0.3j), square(1.5, 0.1 + 0.1j)]
+        paths += [p.reverse() for p in paths]
+        checked = 0
+        for path in paths:
+            for _ in range(12):
+                a = _random_point(rng, 2.5)
+                if certified_clearance(path, [a]) > 1e-6:
+                    assert winding_number(path, a) == quadrature_winding(path, a), (path, a)
+                    checked += 1
+        assert checked >= 100
+
+    def test_agrees_with_the_quadrature_near_the_path(self, rng):
+        # the quadrature itself may stop converging to 1e-9 a few 1e-4 from
+        # the path, so the reference is taken only farther out
+        checked = 0
+        for path in [circle(), ellipse(1.6, 1.0), random_polyline(rng, 6)]:
+            for x in rng.sample(range(1000), 4):
+                z = path.value(x / 1000)
+                for offset in (3e-2, -3e-2, 5e-3, -5e-3):
+                    a = z * (1 + offset)
+                    if certified_clearance(path, [a]) > 1e-3:
+                        assert winding_number(path, a) == quadrature_winding(path, a), (path, a)
+                        checked += 1
+        assert checked >= 30
+
+    def test_points_at_1e_12_from_a_polyline(self, rng):
+        for _ in range(3):
+            path = random_polyline(rng, 6)
+            verts = path.vertices()[:-1]
+            for u, v, w in zip(np.roll(verts, 1), verts, np.roll(verts, -1)):
+                # along the bisector of the corner at v, in and out, and
+                # along the normal of the side from v to w
+                bisector = (u - v) / abs(u - v) + (w - v) / abs(w - v)
+                bisector /= abs(bisector)
+                normal = 1j * (w - v) / abs(w - v)
+                foot = v + rng.uniform(0.2, 0.8) * (w - v)
+                near = [v + 1e-12 * bisector, v - 1e-12 * bisector,
+                        foot + 1e-12 * normal, foot - 1e-12 * normal]
+                for a in near:
+                    assert winding_number(path, a) == crossing_count(verts, a), (verts, a)
+                    assert winding_number(path.reverse(), a) == -crossing_count(verts, a)
+
+    def test_points_at_1e_9_from_a_circle_and_an_ellipse(self, rng):
+        for path, semi_re, semi_im, center in [(circle(0.3 - 0.1j, 1.2), 1.2, 1.2, 0.3 - 0.1j),
+                                               (ellipse(1.6, 0.7, 0.2j), 1.6, 0.7, 0.2j)]:
+            for side in (1.0, -1.0):
+                theta = 2 * math.pi * rng.random()
+                foot = center + complex(semi_re * math.cos(theta), semi_im * math.sin(theta))
+                normal = complex(semi_im * math.cos(theta), semi_re * math.sin(theta))
+                a = foot + side * 1e-9 * normal / abs(normal)
+                assert winding_number(path, a) == inside_ellipse(a, semi_re, semi_im, center)
+
+    def test_point_between_an_arc_and_its_chord(self):
+        # a shallow circular segment: its chord alone would leave 0.985 outside
+        arc = ArcSegment(0j, 1.0, -math.pi / 12, math.pi / 12, 0.0, 0.5)
+        chord = LineSegment(arc.end_value, arc.start_value, 0.5, 1.0)
+        path = PiecewisePath([arc, chord], closed=True)
+        assert math.cos(math.pi / 12) < 0.985
+        assert winding_number(path, 0.985 + 0.01j) == 1
+        assert winding_number(path.reverse(), 0.985 + 0.01j) == -1
+        for outside in (0.95 + 0j, 1.01 + 0j, 0.985 + 0.3j):
+            assert winding_number(path, outside) == 0
+
+    def test_runs_no_quadrature(self, monkeypatch):
+        from contourchain import integrate, verify
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a contour integral was computed")
+
+        monkeypatch.setattr(verify, "contour_integral", no_quadrature)
+        monkeypatch.setattr(integrate, "contour_integral", no_quadrature)
+        assert winding_number(circle(), 0j) == 1
+        assert winding_number(ellipse(1.6, 1.0).reverse(), 1.5 + 0j) == -1
+        assert winding_number(square(2.0), 3j) == 0
+
+    @pytest.mark.parametrize("a, text", [
+        (0.3 + 1j, "clearance 0, needing inf segments"),
+        (0.3 + (1 - 2e-14) * 1j, "rounding allowance"),
+    ])
+    def test_points_at_rounding_distance_are_refused(self, a, text):
+        with pytest.raises(NearSingularity, match=f"not certifiably clear.*{text}"):
+            winding_number(square(2.0), a)
