@@ -12,7 +12,6 @@ from .errors import (
     ContourChainError,
     EndpointMismatch,
     InvalidEpsilon,
-    MismatchedDomains,
     NearSingularity,
     ParseError,
     SpecError,
@@ -39,7 +38,6 @@ from .paths import (
     ellipse,
     polyline,
     polyline_sup_distance,
-    reparametrize_to_unit,
     square,
     sup_distance,
 )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEpsilon
-from .paths import PiecewisePath, reparametrize_to_unit
+from .paths import PiecewisePath
 
 __all__ = ["PolygonalApproximation", "polygonal_approximation"]
 
@@ -81,7 +81,6 @@ def polygonal_approximation(f: PiecewisePath, eps: float) -> PolygonalApproximat
     eps = float(eps)
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
-    f = reparametrize_to_unit(f)
     counts = panel_counts(np.diff(f.breakpoints), f.second_derivative_bounds, eps)
     xs = partition_points(f.breakpoints, counts)
     verts = f.values(xs)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -51,7 +52,6 @@ from .paths import (
     constant_path,
     ellipse,
     polyline,
-    reparametrize_to_unit,
     square,
 )
 from .verify import verify_homotopy_invariance, winding_number
@@ -68,11 +68,24 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# the sign that joins a real part to an imaginary one: after a digit or a
+# point, unlike an exponent's sign, which follows e or E
+_JOINING_SIGN = re.compile(r"(?<=[\d.])\s*([+-])\s*")
+_TIMES_I = re.compile(r"(?<=[\d.])\*(?=i)")
+
+
 def parse_complex(text: str) -> complex:
-    """Parse ``a``, ``bi``, ``a+bi`` style complex literals."""
-    cleaned = str(text).replace(" ", "").replace("*", "").replace("i", "j")
+    """Parse ``a``, ``bi``, ``a+bi`` style complex literals.
+
+    Whitespace may stand at the ends and around the sign that joins the two
+    parts, and ``*`` only between a number and its ``i`` (``2*i``).  Anything
+    else is refused, so ``"1 2"``, ``"2**3"`` or ``"1+2*3i"`` is never read
+    as another number."""
+    cleaned = _TIMES_I.sub("", _JOINING_SIGN.sub(r"\1", str(text).strip()))
     try:
-        value = complex(cleaned)
+        if any(c.isspace() or c == "*" for c in cleaned):
+            raise ValueError
+        value = complex(cleaned.replace("i", "j"))
     except ValueError:
         raise SpecError(f"cannot parse complex number {text!r}")
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -133,25 +146,25 @@ def _polygon(vertices) -> PiecewisePath:
     return polyline(vertices)
 
 
-def _unit_path(paths: dict, name) -> PiecewisePath:
+def _named_path(paths: dict, name) -> PiecewisePath:
     if not (isinstance(name, str) and name in paths):
         raise SpecError(f"homotopy references unknown path {name!r}")
-    return reparametrize_to_unit(paths[name])
+    return paths[name]
 
 
 # Homotopy constructors take the spec's paths first, and look their functions
 # up as module globals when called, so that a wrapper set here sees the call.
 def _linear(paths: dict, **ends) -> Homotopy:  # the fields "from" and "to"
-    return linear_homotopy(_unit_path(paths, ends["from"]), _unit_path(paths, ends["to"]))
+    return linear_homotopy(_named_path(paths, ends["from"]), _named_path(paths, ends["to"]))
 
 
 def _constant(paths: dict, path) -> Homotopy:
-    g = _unit_path(paths, path)
+    g = _named_path(paths, path)
     return linear_homotopy(g, g)
 
 
 def _star(paths: dict, path, center: complex) -> Homotopy:
-    return star_null_homotopy(_unit_path(paths, path), center)
+    return star_null_homotopy(_named_path(paths, path), center)
 
 
 def _function(expression: str, poles: tuple[complex, ...]) -> AnalyticFunction:
@@ -398,7 +411,7 @@ def main():
 @_guarded
 def cmd_approx(path_text, eps, out_file, as_json):
     """Polygonal approximation of a closed path with a certified sup bound."""
-    path = reparametrize_to_unit(path_from_text(path_text))
+    path = path_from_text(path_text)
     result = polygonal_approximation(path, eps)
     if out_file:
         _write_text(out_file, path_csv(result.path))

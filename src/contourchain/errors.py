@@ -18,10 +18,6 @@ class ContainmentNotCertified(ContourChainError):
         self.min_complement_distance = min_complement_distance
 
 
-class MismatchedDomains(ContourChainError):
-    """Two paths were expected to share a parameter interval but do not."""
-
-
 class InvalidEpsilon(ContourChainError):
     """A tolerance or approximation budget is nonpositive or non-finite."""
 

@@ -4,7 +4,7 @@ A homotopy here is the linear blend sigma(t, x) = (1-t) gamma0(x) + t gamma1(x)
 of two closed piecewise paths on [0, 1].  It only proposes the members of a
 chain; the chain certifies itself by the small-disk lemma of the homotopy
 form of Cauchy's theorem (e.g. Conway, Functions of One Complex Variable I,
-IV.6): for closed paths sigma and tau on one parameter interval, if
+IV.6): for closed paths sigma and tau on [0, 1], if
 |sigma(x) - tau(x)| < rho and the disk D(sigma(x), rho) lies in U for every
 x, then every f analytic on U has the same integral along sigma and tau.
 ``build_chain`` checks that hypothesis for every consecutive pair, in closed
@@ -31,13 +31,12 @@ import numpy as np
 # perfbench/tracing.py wraps these layer functions under this module's name,
 # so they stay importable here even where build_chain no longer calls them
 from .approx import panel_counts, partition_points, polygonal_approximation  # noqa: F401
-from .errors import ContainmentNotCertified, EndpointMismatch, InvalidEpsilon, MismatchedDomains
+from .errors import ContainmentNotCertified, EndpointMismatch, InvalidEpsilon
 from .geometry import Bounds, CompactCarrier, DomainDescriptor, well_contained  # noqa: F401
 from .paths import (  # noqa: F401
     PiecewisePath,
     _consecutive_gaps,
     constant_path,
-    reparametrize_to_unit,
     sup_distance,
 )
 
@@ -136,9 +135,6 @@ def _check_end_path(path: PiecewisePath, name: str):
         raise TypeError(f"{name} must be a piecewise-differentiable path")
     if not path.is_closed:
         raise ValueError(f"{name} must be closed")
-    if path.interval != (0.0, 1.0):
-        raise MismatchedDomains(
-            f"{name} must live on [0, 1] (reparametrize_to_unit first), got {path.interval}")
 
 
 def _piece_bounds(path: PiecewisePath, mids: np.ndarray) -> np.ndarray:
@@ -160,7 +156,7 @@ def star_null_homotopy(gamma: PiecewisePath, center: complex) -> Homotopy:
     it stays inside a given domain is not checked here: the chain builder
     certifies its members instead.
     """
-    return linear_homotopy(reparametrize_to_unit(gamma), constant_path(center))
+    return linear_homotopy(gamma, constant_path(center))
 
 
 # no caller in the package: the benchmark's tracer wraps it (perfbench/tracing.py)
@@ -343,9 +339,9 @@ def _check_budget(members: int, vertices: int, gap: float, scale: float):
     """Refuse a chain of ``members`` rows of ``vertices`` points over the
     budgets, before it is blended."""
     if members > _MAX_SLICES:
-        need = f"{members} members, over the budget of {_MAX_SLICES} time slices"
+        need = f"{members:.3g} members, over the budget of {_MAX_SLICES} time slices"
     elif members * vertices > _MAX_VERTICES:
-        need = (f"{members} members of {vertices} vertices, over the budget of "
+        need = (f"{members:.3g} members of {vertices:.3g} vertices, over the budget of "
                 f"{_MAX_VERTICES} vertices")
     else:
         return

@@ -1,7 +1,7 @@
 """Piecewise-differentiable paths, each with its Lipschitz bound.
 
-A path is a finite run of segments over contiguous spans of a compact
-parameter interval [a, b], each a line or an arc of an axis-aligned ellipse
+A path is a finite run of segments over contiguous spans of the parameter
+interval [0, 1], each a line or an arc of an axis-aligned ellipse
 (a circle when its semi-axes agree; ``ellipse`` is one arc over a full
 turn).  Both kinds have closed forms for their values, their bounds on |z'|
 and |z''|, and their certified clearance from a point.  The largest |z'|
@@ -11,8 +11,8 @@ than eps, and for L = 0 (a constant path) every step qualifies.  Sampling
 grids, eta-nets and sup-distance bounds all read that one number.
 
 Endpoint equality of closed paths is enforced by construction: evaluating a
-closed path at the right end of its interval returns the bit-exact left-end
-value, so no closedness tolerance exists anywhere downstream.
+closed path at 1 returns the bit-exact value at 0, so no closedness
+tolerance exists anywhere downstream.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidEpsilon, MismatchedDomains
+from .errors import InvalidEpsilon
 from .geometry import Bounds, CompactCarrier, require_finite_complex, require_finite_real
 from .geometry import _segment_point_distances
 
@@ -42,7 +42,6 @@ __all__ = [
     "certified_clearances",
     "sup_distance",
     "polyline_sup_distance",
-    "reparametrize_to_unit",
 ]
 
 _MAX_SAMPLES = 10_000_000
@@ -237,6 +236,12 @@ def _arc_arrays(arcs) -> _ArcArrays:
          -(s.semi_re * s.sweep_rate), s.semi_im * s.sweep_rate) for s in arcs))))
 
 
+def _check_unit_span(s0: float, s1: float):
+    """Refuse a run of spans that does not start at exactly 0 and end at exactly 1."""
+    if not (s0 == 0.0 and s1 == 1.0):
+        raise ValueError(f"a path's spans must run from 0 to 1, got [{s0!r}, {s1!r}]")
+
+
 def _check_closures(starts: np.ndarray, ends: np.ndarray):
     """Refuse a closed path whose end is more than float noise from its start."""
     gaps = np.abs(ends - starts)
@@ -248,12 +253,13 @@ def _check_closures(starts: np.ndarray, ends: np.ndarray):
 
 
 class PiecewisePath:
-    """Finite run of C^1 segments over contiguous parameter spans [a, b].
+    """Finite run of C^1 segments over contiguous parameter spans of [0, 1].
 
-    Consecutive segments must agree bit-exactly at shared breakpoints.  When
-    ``closed`` is set, a float-noise gap at the closing point is snapped to the
-    exact start value; a larger gap is rejected.  ``lipschitz_bound``, the
-    largest per-segment bound on |z'|, is the path's modulus of continuity.
+    The spans must run from exactly 0 to exactly 1, and consecutive segments
+    must agree bit-exactly at shared breakpoints.  When ``closed`` is set, a
+    float-noise gap at the closing point is snapped to the exact start value;
+    a larger gap is rejected.  ``lipschitz_bound``, the largest per-segment
+    bound on |z'|, is the path's modulus of continuity.
     """
 
     def __init__(self, segments, closed: bool = False):
@@ -263,6 +269,7 @@ class PiecewisePath:
         for seg in segments:
             if not isinstance(seg, _Segment):
                 raise TypeError(f"not a segment: {seg!r}")
+        _check_unit_span(segments[0].s0, segments[-1].s1)
         for k, (s, t) in enumerate(zip(segments, segments[1:])):
             if s.s1 != t.s0:
                 raise ValueError(f"segments {k} and {k + 1} have non-contiguous spans")
@@ -272,9 +279,7 @@ class PiecewisePath:
                     f"{s.end_value!r} vs {t.start_value!r}")
         self._segments = segments
         self.closed = bool(closed)
-        self._a = segments[0].s0
-        self._b = segments[-1].s1
-        self._breaks = np.array([s.s0 for s in segments] + [self._b], dtype=np.float64)
+        self._breaks = np.array([s.s0 for s in segments] + [1.0], dtype=np.float64)
 
         start = segments[0].start_value
         end = segments[-1].end_value
@@ -322,14 +327,15 @@ class PiecewisePath:
         spans = np.diff(breaks)
         if not np.all(spans > 0):
             raise ValueError("breakpoints must be strictly increasing")
+        _check_unit_span(breaks[0], breaks[-1])
         if closed:
             _check_closures(verts[:, 0], verts[:, -1])
-        first = np.abs(np.diff(verts, axis=1)) / spans
+        with np.errstate(over="ignore"):  # a non-finite bound is refused below
+            first = np.abs(np.diff(verts, axis=1)) / spans
         lipschitz_bounds = first.max(axis=1)
         if not np.isfinite(lipschitz_bounds).all():
             raise ValueError("Lipschitz constant must be finite")
-        shared = {"_segments": None, "closed": bool(closed),
-                  "_a": float(breaks[0]), "_b": float(breaks[-1]), "_breaks": breaks,
+        shared = {"_segments": None, "closed": bool(closed), "_breaks": breaks,
                   "_s0": breaks[:-1], "_span": spans, "_second_bounds": np.zeros(spans.size),
                   "_all_lines": True, "_arcs": None}
         paths = []
@@ -350,7 +356,8 @@ class PiecewisePath:
         ``angles[k + 1]`` over the k-th span of ``breakpoints``: the path
         ``PiecewisePath(..., closed=True)`` builds from those ``ArcSegment``s,
         field for field, without building them (they materialize lazily).
-        The semi-axes must be positive, all finite, consecutive angles distinct."""
+        The breakpoints must run from 0 to 1, the semi-axes be positive, all
+        finite, consecutive angles distinct."""
         breaks = np.array(breakpoints, dtype=np.float64)
         # five-entry loops run faster on floats than as arrays, to the same bits
         b, angles = breaks.tolist(), [float(angle) for angle in angles]
@@ -368,8 +375,8 @@ class PiecewisePath:
         n, rates = len(spans), np.array(sweep_rates)
         self = cls.__new__(cls)
         self.__dict__.update({
-            "_segments": None, "closed": True, "_a": breaks[0], "_b": breaks[-1],
-            "_breaks": breaks, "_start": start, "_first_bounds": np.array(first),
+            "_segments": None, "closed": True, "_breaks": breaks, "_start": start,
+            "_first_bounds": np.array(first),
             "_second_bounds": np.array([reach * rate ** 2 for rate in sweep_rates]),
             "_lipschitz": require_finite_real(max(first), "Lipschitz constant"),
             "_all_lines": False,
@@ -391,18 +398,6 @@ class PiecewisePath:
                     ArcSegment(arcs.center[k], arcs.semi_re[k], arcs.angle0[k], arcs.angle1[k],
                                b[k], b[k + 1], arcs.semi_im[k]) for k in range(b.size - 1))
         return self._segments
-
-    @property
-    def a(self) -> float:
-        return self._a
-
-    @property
-    def b(self) -> float:
-        return self._b
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self._a, self._b)
 
     @property
     def num_segments(self) -> int:
@@ -441,11 +436,11 @@ class PiecewisePath:
         return np.array(vals, dtype=np.complex128)
 
     def _check_range(self, xs: np.ndarray):
-        if xs.size and (xs.min() < self._a or xs.max() > self._b):
-            raise ValueError(f"parameter outside [{self._a}, {self._b}]")
+        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+            raise ValueError("parameter outside [0, 1]")
 
     def _segment_indices(self, xs):
-        """Index of the segment holding each x in [a, b]; b belongs to the last."""
+        """Index of the segment holding each x in [0, 1]; 1 belongs to the last."""
         return np.searchsorted(self._breaks[1:-1], xs, side="right")
 
     def _arc_values(self, xs):
@@ -472,7 +467,7 @@ class PiecewisePath:
         else:  # lines and arcs mixed
             return self.eval_with_derivative(xs)[0]
         if self.closed:
-            out[xs == self._b] = self._start
+            out[xs == 1.0] = self._start
         return out
 
     def value(self, x: float) -> complex:
@@ -501,15 +496,13 @@ class PiecewisePath:
                     vals[mask] = seg.values_at(xs[mask])
                     ders[mask] = seg.derivatives_at(xs[mask])
         if self.closed:
-            vals[xs == self._b] = self._start
+            vals[xs == 1.0] = self._start
         return vals, ders
 
     def reverse(self) -> "PiecewisePath":
-        """Same carrier, opposite orientation, same parameter interval: x maps
-        to a + b - x, with a and b kept as given."""
-        breaks = self._a + self._b - self._breaks[::-1]
-        breaks[0], breaks[-1] = self._a, self._b
-        b = breaks.tolist()
+        """Same carrier, opposite orientation: x maps to 1 - x, which keeps
+        the ends 0 and 1 exact."""
+        b = (1.0 - self._breaks[::-1]).tolist()
         segs = [seg.reversed_onto(s0, s1) for seg, s0, s1 in zip(reversed(self.segments), b, b[1:])]
         return PiecewisePath(segs, closed=self.closed)
 
@@ -518,35 +511,30 @@ class PiecewisePath:
 # Built-in closed paths
 # ---------------------------------------------------------------------------
 
-def _uniform_breaks(interval, n):
-    a, b = (require_finite_real(interval[0], "a"), require_finite_real(interval[1], "b"))
-    if not a < b:
-        raise ValueError(f"need a < b, got {interval}")
-    pts = a + (b - a) * np.arange(n + 1) / n
-    pts[0], pts[-1] = a, b
-    return pts
+def _uniform_breaks(n):
+    return np.arange(n + 1) / n
 
 
-def circle(center: complex = 0j, radius: float = 1.0, interval=(0.0, 1.0)) -> PiecewisePath:
+def circle(center: complex = 0j, radius: float = 1.0) -> PiecewisePath:
     """Counterclockwise circle as four quarter arcs."""
     center = require_finite_complex(center, "center")
     if not require_finite_real(radius, "radius") > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     angles = [k * (math.pi / 2) for k in range(5)]
-    return PiecewisePath._closed_arcs(center, radius, radius, angles, _uniform_breaks(interval, 4))
+    return PiecewisePath._closed_arcs(center, radius, radius, angles, _uniform_breaks(4))
 
 
-def ellipse(semi_re: float, semi_im: float, center: complex = 0j, interval=(0.0, 1.0)) -> PiecewisePath:
+def ellipse(semi_re: float, semi_im: float, center: complex = 0j) -> PiecewisePath:
     """Counterclockwise axis-aligned ellipse as one arc from angle 0 to 2 pi."""
     center = require_finite_complex(center, "center")
     semi_re, semi_im = require_finite_real(semi_re, "semi_re"), require_finite_real(semi_im, "semi_im")
     if not (semi_re > 0 and semi_im > 0):
         raise ValueError("semi-axes must be positive")
     return PiecewisePath._closed_arcs(center, semi_re, semi_im, [0.0, 2 * math.pi],
-                                      _uniform_breaks(interval, 1))
+                                      _uniform_breaks(1))
 
 
-def polyline(vertices, closed: bool = True, interval=(0.0, 1.0)) -> PiecewisePath:
+def polyline(vertices, closed: bool = True) -> PiecewisePath:
     """Polyline through the given vertices; when closed, the first vertex is
     reused as the final one so the closing point is bit-exact."""
     verts = [require_finite_complex(v, "vertex") for v in vertices]
@@ -554,24 +542,23 @@ def polyline(vertices, closed: bool = True, interval=(0.0, 1.0)) -> PiecewisePat
         verts = verts + [verts[0]]
     if len(verts) < 2:
         raise ValueError("polyline needs at least two vertices")
-    breaks = _uniform_breaks(interval, len(verts) - 1)
+    breaks = _uniform_breaks(len(verts) - 1)
     return PiecewisePath.from_vertices(np.array(verts, dtype=np.complex128), breaks, closed=closed)
 
 
-def square(side: float, center: complex = 0j, interval=(0.0, 1.0)) -> PiecewisePath:
+def square(side: float, center: complex = 0j) -> PiecewisePath:
     """Counterclockwise axis-aligned square of the given side length."""
     if side <= 0:
         raise ValueError(f"side must be positive, got {side}")
     h = side / 2
     corners = [center + complex(h, h), center + complex(-h, h),
                center + complex(-h, -h), center + complex(h, -h)]
-    return polyline(corners, closed=True, interval=interval)
+    return polyline(corners, closed=True)
 
 
-def constant_path(point: complex, interval=(0.0, 1.0)) -> PiecewisePath:
+def constant_path(point: complex) -> PiecewisePath:
     point = require_finite_complex(point, "point")
-    a, b = _uniform_breaks(interval, 1).tolist()
-    return PiecewisePath([LineSegment(point, point, a, b)], closed=True)
+    return PiecewisePath([LineSegment(point, point, 0.0, 1.0)], closed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +571,14 @@ def _step(eps: float, lipschitz: float) -> float:
     return eps / lipschitz if lipschitz else math.inf
 
 
-def _sample_grid(a: float, b: float, delta: float) -> np.ndarray:
-    span = float(b - a)
-    steps = span / min(delta, span)  # compared before ceil, which refuses inf
+def _sample_grid(delta: float) -> np.ndarray:
+    """[0, 1] in equal steps no wider than ``delta``."""
+    steps = 1.0 / min(delta, 1.0)  # compared before ceil, which refuses inf
     if steps > _MAX_SAMPLES:
         raise ValueError(f"sampling grid of {steps:.3g} steps exceeds the budget; "
                          "Lipschitz bound too large for the requested accuracy")
     steps = max(1, math.ceil(steps))
-    xs = a + span * np.arange(steps + 1) / steps
-    xs[0], xs[-1] = a, b
-    return xs
+    return np.arange(steps + 1) / steps
 
 
 def carrier_of_path(path: PiecewisePath, eta: float) -> CompactCarrier:
@@ -606,7 +591,7 @@ def carrier_of_path(path: PiecewisePath, eta: float) -> CompactCarrier:
     eta = require_finite_real(eta, "eta")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    xs = _sample_grid(path.a, path.b, _step(eta, path.lipschitz_bound))
+    xs = _sample_grid(_step(eta, path.lipschitz_bound))
     return CompactCarrier(path.values(xs), eta)
 
 
@@ -741,7 +726,7 @@ def nearest_parameters(path: PiecewisePath, points):
 
 
 def sup_distance(p: PiecewisePath, q: PiecewisePath, tol: float) -> Bounds:
-    """Certified bounds on sup |p - q| over the shared parameter interval.
+    """Certified bounds on sup |p - q| over [0, 1].
 
     Samples at steps no wider than tol / max(Lp, Lq), so each path moves by
     at most tol between samples.  The sampled maximum is a true lower bound;
@@ -750,9 +735,7 @@ def sup_distance(p: PiecewisePath, q: PiecewisePath, tol: float) -> Bounds:
     tol = require_finite_real(tol, "tol")
     if tol <= 0:
         raise InvalidEpsilon(f"tol must be positive, got {tol}")
-    if p.interval != q.interval:
-        raise MismatchedDomains(f"paths live on {p.interval} and {q.interval}")
-    xs = _sample_grid(p.a, p.b, _step(tol, max(p.lipschitz_bound, q.lipschitz_bound)))
+    xs = _sample_grid(_step(tol, max(p.lipschitz_bound, q.lipschitz_bound)))
     lo = float(np.abs(p.values(xs) - q.values(xs)).max())
     return Bounds(lo, lo + 2 * tol)
 
@@ -764,8 +747,6 @@ def polyline_sup_distance(p: PiecewisePath, q: PiecewisePath) -> Bounds:
     breakpoints, so |p - q| is convex there and its sup is the maximum over
     that union: ``_consecutive_gaps`` of the two paths' values there.
     """
-    if p.interval != q.interval:
-        raise MismatchedDomains(f"paths live on {p.interval} and {q.interval}")
     if not (isinstance(p, PiecewisePath) and isinstance(q, PiecewisePath)
             and p._all_lines and q._all_lines):
         raise TypeError("the exact distance needs two polylines")
@@ -785,16 +766,3 @@ def _consecutive_gaps(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact = np.abs(np.diff(rows, axis=0)).max(axis=1)
     slack = _POLYLINE_ROUNDING * np.maximum(reach[:-1], reach[1:])
     return np.maximum(0.0, exact - slack), exact + slack
-
-
-def reparametrize_to_unit(path: PiecewisePath) -> PiecewisePath:
-    """Affine change of parameter onto [0, 1]; values and carrier are unchanged."""
-    a, b = path.interval
-    if (a, b) == (0.0, 1.0):
-        return path
-    new_breaks = (path.breakpoints - a) / (b - a)
-    new_breaks[0], new_breaks[-1] = 0.0, 1.0
-    if path._all_lines:
-        return PiecewisePath.from_vertices(path.vertices(), new_breaks, closed=path.closed)
-    segs = [seg.with_span(new_breaks[k], new_breaks[k + 1]) for k, seg in enumerate(path.segments)]
-    return PiecewisePath(segs, closed=path.closed)

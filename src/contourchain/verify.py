@@ -31,7 +31,7 @@ from .expressions import AnalyticFunction
 from .geometry import DomainDescriptor, require_finite_complex
 from .homotopy import Chain, Homotopy, build_chain
 from .integrate import IntegralResult, integral_along_chain
-from .paths import PiecewisePath, certified_clearance, reparametrize_to_unit
+from .paths import PiecewisePath, certified_clearance
 # unused here, but perfbench/tracing.py wraps these names
 from .integrate import contour_integral  # noqa: F401
 from .paths import carrier_of_path  # noqa: F401
@@ -126,8 +126,6 @@ def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
             raise NearSingularity(
                 f"declared singularity {p} lies inside the domain (complement distance "
                 f"{distance:.6g}), where f must be analytic")
-    gamma0 = reparametrize_to_unit(gamma0)
-    gamma1 = reparametrize_to_unit(gamma1)
     chain = build_chain(sigma, gamma0, gamma1, domain, eps=eps)
     integrals = integral_along_chain(f, chain, tol)
     threshold = _PASS_FACTOR * tol
@@ -160,21 +158,22 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float | None = None) -
     8u per angle, D_k 4u, the quotient 3u of 2 pi), which c > 256u S
     (``_WINDING_ROUNDING``) ensures, as it does h >= c/2.
 
-    Refuses (``NearSingularity``) a point whose clearance is at most that,
-    and one whose Q would exceed ``approx._MAX_PANELS`` segments, checked
-    before the partition is built.
+    Refuses (``NearSingularity``) a point on the path (clearance 0), one
+    whose clearance is at most that allowance, and one whose Q would exceed
+    ``approx._MAX_PANELS`` segments, checked before the partition is built.
     """
     a = require_finite_complex(a, "a")
     if not isinstance(gamma, PiecewisePath):
         raise TypeError("winding numbers need a piecewise-differentiable path")
     if not gamma.is_closed:
         raise ValueError("winding number needs a closed path")
-    gamma = reparametrize_to_unit(gamma)
     clearance = certified_clearance(gamma, [a])
     refusal = ("path not certifiably clear of the winding point "
                f"(best certified clearance {clearance:.3g}, ")
+    if not clearance > 0:
+        raise NearSingularity(refusal + f"the point {a} lies on the path, up to rounding)")
     panels = panel_counts(np.diff(gamma.breakpoints), gamma.second_derivative_bounds,
-                          clearance / 2).sum() if clearance > 0 else math.inf
+                          clearance / 2).sum()
     if not panels <= _MAX_PANELS:
         raise NearSingularity(refusal + f"needing {panels:.3g} segments, budget {_MAX_PANELS})")
     verts = polygonal_approximation(gamma, clearance / 2).path.vertices()

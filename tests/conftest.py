@@ -40,9 +40,9 @@ def random_polyline(rng: random.Random, n_vertices: int, radius: float = 1.0,
     return polyline(verts, closed=True)
 
 
-def _dense_grid(p, n: int) -> np.ndarray:
-    a, b = p.interval
-    return a + (b - a) * np.arange(n + 1) / n
+def _dense_grid(n: int) -> np.ndarray:
+    """n + 1 equally spaced points of [0, 1], where every path lives."""
+    return np.arange(n + 1) / n
 
 
 def dense_sup(p, q, n: int = 10_000) -> float:
@@ -51,7 +51,7 @@ def dense_sup(p, q, n: int = 10_000) -> float:
     Every sample is attained, so this is a lower bound on sup |p - q|, not the
     sup itself: compare it only with upper bounds (see ``dense_sup_upper``).
     """
-    xs = _dense_grid(p, n)
+    xs = _dense_grid(n)
     return float(np.abs(p.values(xs) - q.values(xs)).max())
 
 
@@ -62,7 +62,7 @@ def dense_sup_upper(p, q, n: int = 10_000) -> float:
     grid gap, and |p - q| is (L_p + L_q)-Lipschitz for the paths' Lipschitz
     bounds, so the sampled maximum plus (L_p + L_q) * h / 2 bounds the sup.
     """
-    h = float(np.diff(_dense_grid(p, n)).max())
+    h = float(np.diff(_dense_grid(n)).max())
     return dense_sup(p, q, n) + (p.lipschitz_bound + q.lipschitz_bound) * h / 2
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -193,6 +194,11 @@ def test_parity_rows_cover_every_path_kind():
     (["wind", "--path", "unit_circle", "--point", "abc"], EXIT_USAGE, "cannot parse complex"),
     (["wind", "--path", "unit_circle", "--point", "1"], EXIT_REFUSED,
      "not certifiably clear of the winding point"),
+    # a point on the path is said to be there, not sized against the budget
+    (["wind", "--path", "unit_circle", "--point", "1"], EXIT_REFUSED,
+     "clearance 0, the point (1+0j) lies on the path, up to rounding)\n"),
+    (["wind", "--path", "polyline(0,1,1i)", "--point", "0.5"], EXIT_REFUSED,
+     "clearance 0, the point (0.5+0j) lies on the path, up to rounding)\n"),
     # the count is exact: no quadrature budget to set, and a point at 1e-12
     # from a side is answered, while one at 1e-13 from the circle would need
     # a polyline over the panel budget, and one at 2e-14 from a side is
@@ -213,6 +219,20 @@ def test_parity_rows_cover_every_path_kind():
      "empty argument"),
     (["wind", "--path", "circle(2i)", "--point", "0"], EXIT_USAGE,
      "field 'radius' must be a real number"),
+    # a complex number is never misread: whitespace inside a part and a *
+    # other than before i are refused wherever one is read
+    (["wind", "--path", "circle(1 2)", "--point", "5"], EXIT_USAGE,
+     "field 'radius' must be a real number, got '1 2'"),
+    (["wind", "--path", "unit_circle", "--point", "2**3"], EXIT_USAGE,
+     "cannot parse complex number '2**3'"),
+    (["wind", "--path", "unit_circle", "--point", "1+2*3i"], EXIT_USAGE,
+     "cannot parse complex number '1+2*3i'"),
+    (["integrate", "--f", "1/z", "--poles", "1 2", "--path", "unit_circle"], EXIT_USAGE,
+     "--poles must be a list of complex numbers, got ['1 2']"),
+    (["approx", "--path", "polyline(0, 1, 1+2*3i)", "--eps", "0.1"], EXIT_USAGE,
+     "must be a list of complex numbers"),
+    (["approx", "--path", "square(2**3)", "--eps", "0.1"], EXIT_USAGE,
+     "field 'side' must be a real number, got '2**3'"),
     # click's own usage errors take the usage exit, not the refusal's
     (["verify"], EXIT_USAGE, "Missing option '--spec'"),
     (["integrate", "--f", "1/z", "--path", "unit_circle", "--tol", "abc"], EXIT_USAGE,
@@ -291,6 +311,54 @@ def test_non_finite_integrand_fails_at_once_without_warnings():
     assert run.returncode == EXIT_FAILED
     assert "integrand is not finite on the path" in run.stderr
     assert "Warning" not in run.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["approx", "--path", "square(1e308)", "--eps", "1"],
+    ["wind", "--path", "square(1e308)", "--point", "0"],
+    ["integrate", "--f", "1/z", "--path", "square(1e308)"],
+], ids=lambda v: v[0])
+def test_overflowing_polyline_is_refused_without_warnings(command):
+    # the side's Lipschitz bound overflows to inf, which is refused
+    run = _cli_process(*command)
+    assert run.returncode == EXIT_USAGE
+    assert run.stderr == "error: square path: Lipschitz constant must be finite\n"
+
+
+@pytest.mark.parametrize("text, value", [
+    # the documented forms, spaces about the joining sign, * before i, and
+    # the forms the benchmark's spec writer prints
+    ("1.5", 1.5), ("2i", 2j), ("1+2i", 1 + 2j), ("-0.5-1i", -0.5 - 1j), (" 1 + 2i ", 1 + 2j),
+    ("2*i", 2j), ("1-2.5*i", 1 - 2.5j), ("i", 1j), ("-i", complex(0.0, -1.0)),
+    ("1e-05+0.5i", 1e-05 + 0.5j), ("-0.0-1.0i", complex(-0.0, -1.0)),
+    ("1e+20-3e-05i", 1e20 - 3e-05j),
+])
+def test_complex_literals_parse(text, value):
+    parsed = cli.parse_complex(text)
+    assert parsed == value
+    assert [math.copysign(1.0, part) for part in (parsed.real, parsed.imag)] == \
+        [math.copysign(1.0, part) for part in (value.real, value.imag)]
+
+
+@pytest.mark.parametrize("text", ["1 2", "2**3", "1+2*3i", "2 i", "2 * i", "- 1", "1e - 5",
+                                  "*i", "1+*i", "3*"])
+def test_malformed_complex_literals_are_refused(text):
+    with pytest.raises(SpecError, match="cannot parse complex number"):
+        cli.parse_complex(text)
+    with pytest.raises(SpecError, match="must be a real number"):
+        SpecDocument.from_dict(_spec(tolerances={"tol": text}))
+
+
+def test_budget_refusal_prints_a_readable_count(tmp_path):
+    # eps 1e-300 asks for about 1e300 members: the count is printed in
+    # three digits, not in its 301
+    doc = _spec(tolerances={"tol": 1e-9, "eps": 1e-300})
+    for command in ("chain", "verify"):
+        result = _run(tmp_path, command, doc)
+        assert result.exit_code == EXIT_REFUSED, result.output
+        assert result.stderr == (
+            "error: the chain would need 5e+299 members, over the budget of 4000 time slices: "
+            "the homotopy moves 0.5 per unit time against a clearance of 1e-300\n")
 
 
 def test_pole_a_hundred_thousandth_off_an_ellipse_is_certified_clear():

@@ -68,3 +68,28 @@ def test_windings_are_counted_and_the_carrier_command_is_gone(module, name):
     # a winding number is an exact count on a certified polyline, with no
     # integral to round, and no command samples an eta-net
     assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("contourchain", "reparametrize_to_unit"),
+    ("contourchain.paths", "reparametrize_to_unit"),
+    ("contourchain", "MismatchedDomains"),
+    ("contourchain.errors", "MismatchedDomains"),
+])
+def test_every_path_lives_on_the_unit_interval(module, name):
+    # no path is on another interval, so none needs moving onto [0, 1] and
+    # no two can disagree on theirs
+    assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "polyline", "square", "constant_path"])
+def test_no_path_builder_takes_an_interval(name):
+    from contourchain import paths
+
+    assert "interval" not in inspect.signature(getattr(paths, name)).parameters
+
+
+def test_paths_have_no_interval_attributes():
+    from contourchain.paths import PiecewisePath
+
+    assert [n for n in ("a", "b", "interval") if hasattr(PiecewisePath, n)] == []

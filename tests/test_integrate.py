@@ -12,6 +12,7 @@ from contourchain import (
     Disk,
     InvalidEpsilon,
     NearSingularity,
+    PiecewisePath,
     ToleranceNotReached,
     build_chain,
     circle,
@@ -468,18 +469,22 @@ def _quarters(lo, hi):
 
 # the pole ladder of the near-pole benchmark: six distances, log-spaced
 _POLE_LADDER = [3e-3 * (1e-1 / 3e-3) ** (k / 5) for k in range(6)]
-# the parameter interval's bounds are not dyadic, so a quarter's bounds
-# computed any other way than by two bisections differ in some bits
-_INTERVAL = (0.1, 1.3)
+# the circle's and the square's four segments lie on spans whose inner ends
+# are not dyadic, so a quarter's bounds computed any other way than by two
+# bisections differ in some bits; the ellipse's one arc is graded, so its
+# first pieces are not dyadic either
+_SPANS = np.array([0.0, 0.3, 0.55, 0.8, 1.0])
 _ELLIPSE_NORMAL = complex(math.cos(2.1), 1.6 * math.sin(2.1))
 _SHAPES = {
     # (path, foot on the path, unit outward normal there)
-    "circle": (circle(interval=_INTERVAL), cmath.exp(0.4j), cmath.exp(0.4j)),
-    "square": (square(2.0, interval=_INTERVAL), 1 + 0.3j, 1 + 0j),
-    "ellipse": (ellipse(1.6, 1.0, interval=_INTERVAL), complex(1.6 * math.cos(2.1), math.sin(2.1)),
+    "circle": (PiecewisePath._closed_arcs(0j, 1.0, 1.0, [k * (math.pi / 2) for k in range(5)],
+                                          _SPANS), cmath.exp(0.4j), cmath.exp(0.4j)),
+    "square": (PiecewisePath.from_vertices(square(2.0).vertices(), _SPANS, closed=True),
+               1 + 0.3j, 1 + 0j),
+    "ellipse": (ellipse(1.6, 1.0), complex(1.6 * math.cos(2.1), math.sin(2.1)),
                 _ELLIPSE_NORMAL / abs(_ELLIPSE_NORMAL)),
     # the vertex 1.6 is the seam where the ellipse's one arc starts and ends
-    "ellipse-seam": (ellipse(1.6, 1.0, interval=_INTERVAL), 1.6 + 0j, 1 + 0j),
+    "ellipse-seam": (ellipse(1.6, 1.0), 1.6 + 0j, 1 + 0j),
 }
 
 
@@ -501,7 +506,7 @@ class TestQuarterSplit:
         assert 15 * sum(nodes.shape[1] for nodes in seen) == result.evaluations
         [(lows, highs)] = first
         # the first pieces tile the path, cut at every breakpoint and more
-        assert lows[0] == path.a and highs[-1] == path.b
+        assert lows[0] == 0.0 and highs[-1] == 1.0
         assert np.array_equal(lows[1:], highs[:-1])
         assert set(path.breakpoints[:-1].tolist()) <= set(lows.tolist())
         assert lows.size > path.num_segments

@@ -10,7 +10,6 @@ from contourchain import (
     ArcSegment,
     Bounds,
     LineSegment,
-    MismatchedDomains,
     PiecewisePath,
     carrier_of_path,
     certified_clearance,
@@ -22,7 +21,6 @@ from contourchain import (
     parse_function,
     polyline,
     polyline_sup_distance,
-    reparametrize_to_unit,
     square,
     sup_distance,
 )
@@ -48,21 +46,12 @@ class TestModulus:
         # one step covers the whole interval, however fine the net
         assert len(carrier_of_path(p, 1e-12)) == 2
 
-    @pytest.mark.parametrize("interval", [(0.0, math.inf), (0.0, math.nan), (1.0, 0.0)])
-    def test_constant_path_needs_a_finite_increasing_interval(self, interval):
-        with pytest.raises(ValueError):
-            constant_path(1j, interval)
-
-    def test_constant_path_keeps_its_interval(self):
-        p = constant_path(1j, (0.25, 2.0))
-        assert p.interval == (0.25, 2.0)
-        assert p.breakpoints.tolist() == [0.25, 2.0]
-
     def test_scaled(self):
-        # onto [0, 1] from an interval twice as long: L doubles, delta halves
-        p = square(2.0, interval=(0.0, 2.0))
-        u = reparametrize_to_unit(p)
-        assert u.lipschitz_bound == 2 * p.lipschitz_bound == 8.0
+        # the same square with its first side traced over half the span:
+        # L doubles, delta halves
+        p = square(2.0)
+        u = PiecewisePath.from_vertices(p.vertices(), [0.0, 0.125, 0.5, 0.75, 1.0], closed=True)
+        assert u.lipschitz_bound == 2 * p.lipschitz_bound == 16.0
         assert _step(1.0, u.lipschitz_bound) == _step(1.0, p.lipschitz_bound) / 2
 
 
@@ -79,7 +68,7 @@ class TestClosedness:
     @pytest.mark.parametrize("name", sorted(PATHS))
     def test_endpoints_bit_equal(self, name):
         p = PATHS[name]()
-        assert p.value(p.a) == p.value(p.b)
+        assert p.value(0.0) == p.value(1.0)
 
     @pytest.mark.parametrize("name", sorted(PATHS))
     def test_segments_agree_at_breakpoints(self, name):
@@ -113,9 +102,9 @@ class TestModulusSoundness:
         delta = _step(eps, lip)
         rng = random.Random(hash((name, eps)) & 0xFFFF)
         for _ in range(200):
-            x = rng.uniform(p.a, p.b)
-            step = rng.uniform(0, min(delta, p.b - p.a))
-            x2 = min(x + step, p.b)
+            x = rng.uniform(0.0, 1.0)
+            step = rng.uniform(0, min(delta, 1.0))
+            x2 = min(x + step, 1.0)
             gap = abs(p.value(x) - p.value(x2))
             assert gap <= lip * (x2 - x) * (1 + 1e-12) + 1e-15
             assert gap <= eps * (1 + 1e-12)
@@ -195,10 +184,6 @@ class TestSupDistance:
         if q.lipschitz_bound == 0:  # two constants: two samples, the exact distance
             assert sup_distance(p, q, 1e-300).lo == exact
 
-    def test_mismatched_domains(self):
-        with pytest.raises(MismatchedDomains):
-            sup_distance(circle(), circle(interval=(0.0, 2.0)), 0.01)
-
     def test_bounds_enclose_dense_oracle(self, rng):
         for _ in range(8):
             p, q = random_builtin_path(rng), random_builtin_path(rng)
@@ -256,8 +241,6 @@ class TestPolylineSupDistance:
     def test_needs_two_polylines_on_one_interval(self):
         with pytest.raises(TypeError):
             polyline_sup_distance(square(2.0), circle())
-        with pytest.raises(MismatchedDomains):
-            polyline_sup_distance(square(2.0), square(2.0, interval=(0.0, 2.0)))
 
 
 def _arc(angle0: float, angle1: float) -> PiecewisePath:
@@ -268,7 +251,7 @@ def _clearance_points(path, seed: int) -> np.ndarray:
     """Far points, points on the carrier and points 1e-7 off it."""
     gen = np.random.default_rng(seed)
     far = gen.uniform(-2.5, 2.5, 40) + 1j * gen.uniform(-2.5, 2.5, 40)
-    on = path.values(gen.uniform(path.a, path.b, 10))
+    on = path.values(gen.uniform(0.0, 1.0, 10))
     near = on + 1e-7 * np.exp(2j * math.pi * gen.uniform(size=10))
     return np.concatenate([far, on, near])
 
@@ -291,9 +274,9 @@ class TestCertifiedClearance:
             "arc-over-a-turn"])
     def test_sound_and_tight(self, path):
         n = 20_000
-        xs = path.a + (path.b - path.a) * np.arange(n + 1) / n
+        xs = np.arange(n + 1) / n
         samples = path.values(xs)
-        slack = path.lipschitz_bound * (path.b - path.a) / n / 2 + 1e-12
+        slack = path.lipschitz_bound / n / 2 + 1e-12
         for p in _clearance_points(path, path.num_segments):
             sampled = float(np.abs(samples - p).min())
             bound = certified_clearance(path, [p])
@@ -407,9 +390,9 @@ class TestEllipseClearance:
         # closed forms only: no path kind samples a net
         monkeypatch.setattr(paths_module, "carrier_of_path", None)
         n = 20_000
-        xs = path.a + (path.b - path.a) * np.arange(n + 1) / n
+        xs = np.arange(n + 1) / n
         samples = path.values(xs)
-        slack = path.lipschitz_bound * (path.b - path.a) / n / 2 + 1e-12
+        slack = path.lipschitz_bound / n / 2 + 1e-12
         arcs = [s for s in path.segments if isinstance(s, ArcSegment)]
         ratio = min(min(s.semi_re, s.semi_im) / max(s.semi_re, s.semi_im) for s in arcs)
         for p in _clearance_points(path, 5):
@@ -419,35 +402,18 @@ class TestEllipseClearance:
             assert bound >= ratio * (sampled - slack) - 1e-12
 
 
-class TestReparametrize:
-    def test_identity_on_unit_interval(self):
-        p = circle()
-        assert reparametrize_to_unit(p) is p
+# a circle's quarter angles, and [0, 1] cut in four: into quarters, and into
+# spans whose inner ends are not dyadic, where a breakpoint computed by any
+# other formula than the code's own differs in some bits
+_QUARTERS = [k * (math.pi / 2) for k in range(5)]
+_SPANS = {"uniform": np.arange(5) / 4, "non-dyadic": np.array([0.0, 0.3, 0.55, 0.8, 1.0])}
 
-    def test_affine_rescaling(self):
-        p = circle(interval=(0.0, 2.0))
-        u = reparametrize_to_unit(p)
-        assert u.interval == (0.0, 1.0)
-        for x in [0.0, 0.125, 0.5, 0.777, 1.0]:
-            assert u.value(x) == pytest.approx(p.value(2 * x), abs=1e-15)
-        assert u.lipschitz_bound == pytest.approx(2 * p.lipschitz_bound)
 
-    def test_integral_invariance(self):
-        # substitution invariance of the contour integral, checked numerically
-        f = parse_function("1/z", [0j])
-        p = circle(interval=(0.0, 2 * math.pi))
-        u = reparametrize_to_unit(p)
-        ip = contour_integral(f, p, 1e-12).value
-        iu = contour_integral(f, u, 1e-12).value
-        assert abs(ip - iu) < 1e-12
-
-    def test_function_path_rescaling(self):
-        raw = ellipse(1.0, 0.5, interval=(0.0, 2.0))
-        u = reparametrize_to_unit(raw)
-        assert u.interval == (0.0, 1.0)
-        assert u.value(0.25) == pytest.approx(raw.value(0.5), abs=1e-15)
-        assert u.lipschitz_bound == 2 * math.pi
-        assert np.array_equal(u.second_derivative_bounds, [4 * math.pi ** 2])
+def _reparametrized(path: PiecewisePath, breaks) -> PiecewisePath:
+    """``path`` with its k-th segment traced over the k-th span of ``breaks``."""
+    return PiecewisePath([seg.with_span(s0, s1)
+                          for seg, s0, s1 in zip(path.segments, breaks, breaks[1:])],
+                         closed=path.closed)
 
 
 class TestPiecewisePath:
@@ -479,21 +445,22 @@ class TestPiecewisePath:
         assert np.abs(r.values(xs) - p.values(1 - xs)).max() < 1e-12
         assert r.is_closed
 
-    @pytest.mark.parametrize("interval", [(0.1, 0.3), (0.3, 1.7)])
-    @pytest.mark.parametrize("make", [
-        lambda iv: circle(interval=iv),
-        lambda iv: square(2.0, interval=iv),
-        lambda iv: ellipse(1.5, 0.8, interval=iv),
-        lambda iv: polyline([1 + 0j, 0.5 + 1j, -1 + 0.2j, -0.3 - 1j], interval=iv),
+    @pytest.mark.parametrize("spans", sorted(_SPANS))
+    @pytest.mark.parametrize("base", [
+        circle(),
+        square(2.0),
+        PiecewisePath._closed_arcs(0j, 1.5, 0.8, _QUARTERS, _SPANS["uniform"]),
+        polyline([1 + 0j, 0.5 + 1j, -1 + 0.2j, -0.3 - 1j]),
     ], ids=["circle", "square", "ellipse", "polyline"])
-    def test_reverse_keeps_the_interval(self, make, interval):
-        p = make(interval)
+    def test_reverse_keeps_the_interval(self, base, spans):
+        # x maps to 1 - x, and the reversed path still runs from exactly 0
+        # to exactly 1, on non-dyadic spans too
+        p = _reparametrized(base, _SPANS[spans])
         r = p.reverse()
-        assert r.interval == p.interval == interval
-        assert r.breakpoints[0] == p.a and r.breakpoints[-1] == p.b
-        xs = np.linspace(p.a, p.b, 41)
-        back = np.clip(p.a + p.b - xs, p.a, p.b)
-        assert np.abs(r.values(xs) - p.values(back)).max() < 1e-12
+        assert r.breakpoints[0] == 0.0 and r.breakpoints[-1] == 1.0
+        assert np.array_equal(r.breakpoints[1:-1], 1.0 - p.breakpoints[-2:0:-1])
+        xs = np.linspace(0.0, 1.0, 41)
+        assert np.abs(r.values(xs) - p.values(1.0 - xs)).max() < 1e-12
         f = parse_function("1/z", [0j])
         total = contour_integral(f, p, 1e-9).value + contour_integral(f, r, 1e-9).value
         assert abs(total) <= 1e-12
@@ -560,36 +527,38 @@ class TestPiecewisePath:
     @pytest.mark.parametrize("path", [
         circle(1 + 1j, 2.0),
         circle(radius=0.7).reverse(),
-        reparametrize_to_unit(circle(0.5j, 1.3, interval=(0.0, 3.0))),
+        _reparametrized(circle(0.5j, 1.3), _SPANS["non-dyadic"]),
     ], ids=["circle", "reversed", "reparametrized"])
     def test_arc_arrays_match_the_segment_formulas(self, path):
         assert all(isinstance(seg, ArcSegment) for seg in path.segments)
-        xs = np.concatenate([np.linspace(path.a, path.b, 997), path.breakpoints])
+        xs = np.concatenate([np.linspace(0.0, 1.0, 997), path.breakpoints])
         vals, ders = path.eval_with_derivative(xs)
         assert np.array_equal(vals, path.values(xs))
         for k, seg in enumerate(path.segments):
-            # a breakpoint belongs to the segment on its right, b to the last one
+            # a breakpoint belongs to the segment on its right, 1 to the last one
             on = (xs >= seg.s0) & ((xs < seg.s1) | ((k == path.num_segments - 1) & (xs == seg.s1)))
             assert np.array_equal(ders[on], seg.derivatives_at(xs[on]))
-            inner = on & (xs != path.b)
+            inner = on & (xs != 1.0)
             assert np.array_equal(vals[inner], seg.values_at(xs[inner]))
-        assert np.all(vals[xs == path.b] == path.segments[0].start_value)
+        assert np.all(vals[xs == 1.0] == path.segments[0].start_value)
 
-    @pytest.mark.parametrize("center, radius, interval", [
-        (0j, 1.0, (0.0, 1.0)),
-        (1 + 1j, 2, (0.0, 1.0)),
-        (-0.3 + 0.7j, 1e-3, (-2.0, 5.0)),
-        (1e4 - 2e4j, 3.7e3, (0.1, 0.3)),
+    @pytest.mark.parametrize("center, radius, spans", [
+        (0j, 1.0, "uniform"),
+        (1 + 1j, 2, "uniform"),
+        (-0.3 + 0.7j, 1e-3, "non-dyadic"),
+        (1e4 - 2e4j, 3.7e3, "non-dyadic"),
     ])
-    def test_circle_matches_its_arc_segments(self, center, radius, interval):
-        # circle builds its arc arrays from the five angles; the path built
-        # from the four ArcSegments has the same fields, values and bounds
-        fast = circle(center, radius, interval)
+    def test_circle_matches_its_arc_segments(self, center, radius, spans):
+        # circle builds its arc arrays from the five angles, as its arcs'
+        # builder does on any spans; the path built from the four
+        # ArcSegments has the same fields, values and bounds
+        fast = (circle(center, radius) if spans == "uniform" else
+                PiecewisePath._closed_arcs(center, radius, radius, _QUARTERS, _SPANS[spans]))
         b = np.array(fast.breakpoints)
-        angles = [k * (math.pi / 2) for k in range(5)]
-        slow = PiecewisePath([ArcSegment(center, radius, angles[k], angles[k + 1], b[k], b[k + 1])
-                              for k in range(4)], closed=True)
-        assert (fast.a, fast.b, fast.closed) == (slow.a, slow.b, slow.closed)
+        assert np.array_equal(b, _SPANS[spans])
+        slow = PiecewisePath([ArcSegment(center, radius, _QUARTERS[k], _QUARTERS[k + 1],
+                                         b[k], b[k + 1]) for k in range(4)], closed=True)
+        assert fast.closed and slow.closed
         assert fast.lipschitz_bound == slow.lipschitz_bound
         for mine, theirs in [(fast.breakpoints, slow.breakpoints),
                              (fast.derivative_bounds, slow.derivative_bounds),
@@ -597,7 +566,7 @@ class TestPiecewisePath:
                              (fast.vertices(), slow.vertices()), *zip(fast._arcs, slow._arcs)]:
             assert np.array_equal(mine, theirs)
         rng = np.random.default_rng(5)
-        xs = np.concatenate([b, rng.uniform(fast.a, fast.b, 10_000)])
+        xs = np.concatenate([b, rng.uniform(0.0, 1.0, 10_000)])
         for mine, theirs in zip(fast.eval_with_derivative(xs), slow.eval_with_derivative(xs)):
             assert np.array_equal(mine, theirs)
         assert np.array_equal(fast.values(xs), slow.values(xs))
@@ -606,7 +575,7 @@ class TestPiecewisePath:
             assert isinstance(mine, ArcSegment)
             assert [getattr(mine, f) for f in fields] == [getattr(theirs, f) for f in fields]
         reversed_fast, reversed_slow = fast.reverse(), slow.reverse()
-        xs = np.linspace(reversed_slow.a, reversed_slow.b, 1001)
+        xs = np.linspace(0.0, 1.0, 1001)
         assert np.array_equal(reversed_fast.values(xs), reversed_slow.values(xs))
 
     @pytest.mark.parametrize("radius, message", [
@@ -623,13 +592,12 @@ class TestPiecewisePath:
         circle(1 + 1j, 2.0),
         square(2.0),
         polyline([0j, 1 + 0j, 1 + 1j, 0.5 + 2j, 1j]),
-        reparametrize_to_unit(circle(0.5j, 1.3, interval=(0.0, 3.0))),
+        _reparametrized(circle(0.5j, 1.3), _SPANS["non-dyadic"]),
         ellipse(2.0, 1.0),
     ], ids=["circle", "square", "pentagon", "reparametrized", "ellipse"])
     def test_segment_indices_clamp_b_into_the_last_segment(self, path):
         rng = np.random.default_rng(11)
-        xs = np.concatenate([[path.a, path.b], path.breakpoints,
-                             rng.uniform(path.a, path.b, 500)])
+        xs = np.concatenate([[0.0, 1.0], path.breakpoints, rng.uniform(0.0, 1.0, 500)])
         clamped = np.clip(np.searchsorted(path.breakpoints, xs, side="right") - 1,
                           0, path.num_segments - 1)
         assert np.array_equal(path._segment_indices(xs), clamped)
@@ -641,6 +609,16 @@ class TestPiecewisePath:
     def test_disagreeing_segments_rejected(self):
         with pytest.raises(ValueError, match="disagree"):
             PiecewisePath([LineSegment(0j, 1j, 0.0, 0.5), LineSegment(2j, 0j, 0.5, 1.0)])
+
+    @pytest.mark.parametrize("s0, s1", [(0.1, 1.0), (0.0, 0.9), (-1.0, 1.0), (0.0, 2.0),
+                                        (0.0, math.inf)])
+    def test_spans_must_run_from_0_to_1(self, s0, s1):
+        with pytest.raises(ValueError, match="must run from 0 to 1"):
+            PiecewisePath([LineSegment(0j, 1j, s0, 0.5), LineSegment(1j, 0j, 0.5, s1)], closed=True)
+        with pytest.raises(ValueError, match="must run from 0 to 1"):
+            PiecewisePath.from_vertices([0j, 1j, 0j], [s0, 0.5, s1], closed=True)
+        with pytest.raises(ValueError, match="must run from 0 to 1"):
+            PiecewisePath.from_vertex_rows([[0j, 1j, 0j], [0j, 2j, 0j]], [s0, 0.5, s1])
 
 
 @given(t=st.floats(min_value=0, max_value=1))
