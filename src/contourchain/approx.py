@@ -10,7 +10,7 @@ panels, so every panel width h has M2*h^2/8 < 2*eps/3; the chord on a panel
 inside one C^2 piece is within M2*h^2/8 of the path.  A straight piece gets
 a single panel.
 
-``Homotopy.shared_vertices`` sizes the one partition of a linear blend's
+``Homotopy.panels`` sizes the one partition of a linear blend's
 slices by the same rule, from the larger of its two end paths' bounds.
 """
 

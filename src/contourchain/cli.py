@@ -68,10 +68,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-# the sign that joins a real part to an imaginary one: after a digit or a
-# point, unlike an exponent's sign, which follows e or E
-_JOINING_SIGN = re.compile(r"(?<=[\d.])\s*([+-])\s*")
-_TIMES_I = re.compile(r"(?<=[\d.])\*(?=i)")
+# A complex literal: no whitespace or '*' but about its one joining sign (a
+# sign after a digit or a point, unlike an exponent's sign, which follows e
+# or E), and a '*' between a number and its i.  Each part stops at
+# whitespace or '*', so a match takes time linear in the text.
+_LITERAL = re.compile(r"([^\s*]*)(?:(?<=[\d.])(?:\s+([+-])\s*|([+-])\s+)([^\s*]*))?"
+                      r"(?:(?<=[\d.])\*(?=i))?([^\s*]*)")
 
 
 def parse_complex(text: str) -> complex:
@@ -80,12 +82,13 @@ def parse_complex(text: str) -> complex:
     Whitespace may stand at the ends and around the sign that joins the two
     parts, and ``*`` only between a number and its ``i`` (``2*i``).  Anything
     else is refused, so ``"1 2"``, ``"2**3"`` or ``"1+2*3i"`` is never read
-    as another number."""
-    cleaned = _TIMES_I.sub("", _JOINING_SIGN.sub(r"\1", str(text).strip()))
+    as another number.  What is left, with ``i`` for ``j``, is read by
+    ``complex``."""
+    literal = _LITERAL.fullmatch(str(text).strip())
     try:
-        if any(c.isspace() or c == "*" for c in cleaned):
+        if literal is None:
             raise ValueError
-        value = complex(cleaned.replace("i", "j"))
+        value = complex("".join(literal.groups("")).replace("i", "j"))
     except ValueError:
         raise SpecError(f"cannot parse complex number {text!r}")
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -341,17 +344,22 @@ def _write_text(filename: str, text: str):
         fh.write(text)
 
 
-def _vertex_rows(path: PiecewisePath) -> list[str]:
+def _vertex_rows(breakpoints, vertices) -> list[str]:
     return [f"{k},{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)}"
-            for k, (t, z) in enumerate(zip(path.breakpoints, path.vertices()))]
+            for k, (t, z) in enumerate(zip(breakpoints, vertices))]
 
 
 def path_csv(path: PiecewisePath) -> str:
-    return "\n".join(["index,t,re,im", *_vertex_rows(path)]) + "\n"
+    return "\n".join(["index,t,re,im", *_vertex_rows(path.breakpoints, path.vertices())]) + "\n"
 
 
 def chain_csv(chain: Chain) -> str:
-    rows = (f"{m},{row}" for m, member in enumerate(chain.members) for row in _vertex_rows(member))
+    """One block of rows per member; an interior member's vertices are its
+    row, closed on its first vertex as a closed polyline is."""
+    members = [(chain.gamma0.breakpoints, chain.gamma0.vertices()),
+               *((chain.breakpoints, [*row[:-1], row[0]]) for row in chain.rows),
+               (chain.gamma1.breakpoints, chain.gamma1.vertices())]
+    rows = (f"{m},{row}" for m, member in enumerate(members) for row in _vertex_rows(*member))
     return "\n".join(["member,index,t,re,im", *rows]) + "\n"
 
 
@@ -437,7 +445,7 @@ def cmd_chain(spec_file, out_file, as_json):
         _emit_json(chain.to_dict())
     else:
         cap = "" if chain.epsilon is None else f"  eps cap: {_fmt(chain.epsilon)}"
-        click.echo(f"chain members: {len(chain.members)}  "
+        click.echo(f"chain members: {len(chain)}  "
                    f"smallest member clearance (margin): {_fmt(chain.margin)}{cap}")
         click.echo(f"certificate: {chain.certificate.summary_text()}, all hold")
 

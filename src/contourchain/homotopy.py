@@ -10,18 +10,23 @@ x, then every f analytic on U has the same integral along sigma and tau.
 ``build_chain`` checks that hypothesis for every consecutive pair, in closed
 form on one (n+1, m+1) vertex array, and its docstring holds the proof.  The
 interior members are polylines on one shared partition
-(``Homotopy.shared_vertices``), each a view of its row
-(``PiecewisePath.from_vertex_rows``), at uniform time steps bisected where a
-pair fails.  Their clearances are exact minima over their segments
+(``Homotopy.shared_vertices``), at uniform time steps bisected where a pair
+fails.  Their clearances are exact minima over their segments
 (``_certify_containment``), an end path's less its interpolation bound
 (``_end_slack``), and two of them are furthest apart at a vertex
 (``_consecutive_gaps``).
+
+The rows are the chain's data: a ``Chain`` holds its interior rows, their
+shared partition and its two end paths, and its reports, its CSV and the
+quadrature along it (``integrate.integral_along_chain``) read the rows.  A
+member becomes a ``PiecewisePath`` only when asked for (``Chain.members``).
 
 No net of the swept region is built, and nothing is sampled.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,6 +65,8 @@ _FINER_PARTITIONS = 6
 # The shared partition is sized for this fraction of the coarse grid's
 # clearance (or of eps, when smaller)
 _PARTITION_FRACTION = 0.25
+# The coarse grid's abscissae (see _coarse_grid)
+_COARSE_XS = np.arange(17) / 16
 # Largest swept-region carrier, in points
 _CARRIER_BUDGET = 20_000_000
 # Slice/path gap this small relative to their magnitude is float noise; the
@@ -78,7 +85,7 @@ class Homotopy:
     ``lipschitz`` = max(L0, L1) bounds every slice's Lipschitz constant in x,
     and ``grid_values`` evaluates slices on a (t, x) grid.
     ``shared_vertices`` gives the one partition on which all slices are
-    approximated, with both end paths' values there.
+    approximated, with both end paths' values there, cut into ``panels``.
 
     The partition splits [0, 1] at the union of both paths' breakpoints.  On
     each piece both paths are single segments, so a slice's |z''| is at most
@@ -90,7 +97,10 @@ class Homotopy:
         self.gamma0 = gamma0
         self.gamma1 = gamma1
         self.lipschitz = max(gamma0.lipschitz_bound, gamma1.lipschitz_bound)
-        self._breaks = np.union1d(gamma0.breakpoints, gamma1.breakpoints)
+        breaks0, breaks1 = gamma0.breakpoints, gamma1.breakpoints
+        # strictly increasing breakpoints are their own union, bit for bit
+        same = breaks0.tobytes() == breaks1.tobytes()
+        self._breaks = breaks0 if same else np.union1d(breaks0, breaks1)
         mids = (self._breaks[:-1] + self._breaks[1:]) / 2
         self._second = np.maximum(_piece_bounds(gamma0, mids), _piece_bounds(gamma1, mids))
 
@@ -98,26 +108,25 @@ class Homotopy:
         xs = np.asarray(xs, dtype=np.float64)
         return _blend(ts, self.gamma0.values(xs), self.gamma1.values(xs))
 
-    def shared_vertices(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(xs, P0, P1): one partition of [0, 1] and both end paths' values on it.
+    def shared_vertices(self, panels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, P0, P1): the partition of [0, 1] into ``panels(eps)`` and both
+        end paths' values on it.
 
-        Each piece between breakpoints gets ``panel_counts`` at ``eps`` for
-        the larger of the two end paths' bounds there, one panel for an
-        infinite ``eps``.  The polyline through P0 (or P1) is within 2 eps/3
-        of its path, and so the polyline through (1-t) P0 + t P1 is within
-        2 eps/3 of the slice at t.  The closing value is snapped to the
-        first, as a closed path's values are.
+        The polyline through P0 (or P1) is within 2 eps/3 of its path, and so
+        the polyline through (1-t) P0 + t P1 is within 2 eps/3 of the slice
+        at t.  The closing value is snapped to the first, as a closed path's
+        values are.
         """
-        xs = partition_points(self._breaks, self._panels(eps))
+        xs = partition_points(self._breaks, panels)
         p0, p1 = self.gamma0.values(xs), self.gamma1.values(xs)
         p0[-1], p1[-1] = p0[0], p1[0]
         return xs, p0, p1
 
-    def partition_size(self, eps: float) -> int:
-        """The number of points of ``shared_vertices(eps)``, without building it."""
-        return int(self._panels(eps).sum()) + 1
-
-    def _panels(self, eps: float) -> np.ndarray:
+    def panels(self, eps: float) -> np.ndarray:
+        """The panels of each piece between breakpoints: ``panel_counts`` at
+        ``eps`` for the larger of the two end paths' bounds there, one panel
+        for an infinite ``eps``.  Their sum sizes ``shared_vertices`` before
+        it is built."""
         eps = float(eps)
         if not eps > 0:
             raise InvalidEpsilon(f"eps must be a positive number, got {eps!r}")
@@ -229,21 +238,35 @@ class Chain:
     """Run of closed piecewise paths interpolating a homotopy.
 
     Members are [gamma0, phi_1, ..., phi_{n-1}, gamma1] at the times
-    ``partition``; the interior members are polylines on one shared
-    partition.  ``clearances`` holds each member's certified distance to the
-    domain's complement, and the certificate one entry per consecutive pair,
-    whose gap is below the larger of its two members' clearances.
-    ``epsilon`` is the cap on those bounds, or None.
+    ``partition``.  The interior members phi_k are the closed polylines
+    through the rows of the (n-1, m+1) array ``rows``, at the shared
+    ``breakpoints``; the rows, the breakpoints and the two end paths are
+    the chain's data.  ``clearances`` holds each member's certified distance
+    to the domain's complement, and the certificate one entry per
+    consecutive pair, whose gap is below the larger of its two members'
+    clearances.  ``epsilon`` is the cap on those bounds, or None.
     """
 
-    members: tuple[PiecewisePath, ...]
+    gamma0: PiecewisePath
+    rows: np.ndarray
+    breakpoints: np.ndarray
+    gamma1: PiecewisePath
     epsilon: float | None
     certificate: ChainCertificate
     partition: np.ndarray
     clearances: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows) + 2
+
+    @functools.cached_property
+    def members(self) -> tuple[PiecewisePath, ...]:
+        """(gamma0, phi_1, ..., phi_{n-1}, gamma1), the interior members as
+        ``PiecewisePath.from_vertex_rows`` views of their rows, built on the
+        first call."""
+        return (self.gamma0,
+                *PiecewisePath.from_vertex_rows(self.rows, self.breakpoints, closed=True),
+                self.gamma1)
 
     @property
     def margin(self) -> float:
@@ -254,7 +277,7 @@ class Chain:
         """The chain's certificate block of the JSON reports; an unbounded
         margin or bound (the whole plane) is written as null."""
         return {
-            "members": len(self.members),
+            "members": len(self),
             "epsilon": self.epsilon,
             "margin": _finite_or_none(self.margin),
             "certificate": [
@@ -298,19 +321,18 @@ def _coarse_grid(sigma: Homotopy, domain: DomainDescriptor) -> tuple[float, floa
     members move by at least D in all, so steps of at most M take at least
     D / M of them.
     """
-    xs = np.arange(17) / 16
-    p0, p1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
+    p0, p1 = sigma.gamma0.values(_COARSE_XS), sigma.gamma1.values(_COARSE_XS)
     return (float(domain.segment_complement_distances(p0, p1).min()),
             float(np.abs(p1 - p0).max()))
 
 
-def _certify_containment(rows: np.ndarray, domain: DomainDescriptor) -> np.ndarray:
+def _certify_containment(rows: np.ndarray, domain: DomainDescriptor, reach: float) -> np.ndarray:
     """The certified clearance of the polyline through each row of ``rows``:
     the exact minimum complement distance over its segments, less the
-    rounding allowance at the larger of its largest |vertex| and the
-    domain's reach.  Nonpositive certifies nothing."""
+    rounding allowance at the larger of its largest |vertex| and ``reach``,
+    the domain's.  Nonpositive certifies nothing."""
     exact = domain.segment_complement_distances(rows[:, :-1], rows[:, 1:]).min(axis=1)
-    return exact - _BLEND_ROUNDING * np.maximum(np.abs(rows).max(axis=1), domain.reach)
+    return exact - _BLEND_ROUNDING * np.maximum(np.abs(rows).max(axis=1), reach)
 
 
 def _end_slack(path: PiecewisePath, own: bool, values: np.ndarray, xs: np.ndarray) -> float:
@@ -356,8 +378,8 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
 
     The homotopy proposes the members and the chain certifies itself.  With
     M and D from ``_coarse_grid`` and r = min(M, eps) (M alone without ``eps``),
-    the shared partition xs is ``Homotopy.shared_vertices(r/4)``, and the
-    rows of one (n+1, m+1) vertex array are (1 - t) P0 + t P1 at n uniform
+    the shared partition xs is ``Homotopy.shared_vertices(panels(r/4))``, and
+    the rows of one (n+1, m+1) vertex array are (1 - t) P0 + t P1 at n uniform
     steps in t, n = ceil(D+ / r) for D+ = max |P1 - P0|, rounded up.  The
     interior members are the polylines through the rows; the first and last
     rows are the end paths' own values on xs.  Then, all in array passes:
@@ -416,10 +438,12 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
             "on its time segments at 17 points", min_complement_distance=upper)
     scale = min(upper, cap)
     tolerance = _PARTITION_FRACTION * scale
+    reach = domain.reach
     # before a tiny scale makes the partition or the array huge
-    _check_budget(max(1, math.ceil(moves / scale)) + 1, sigma.partition_size(tolerance),
-                  moves, scale)
-    xs, p0, p1 = sigma.shared_vertices(tolerance)
+    members = max(1, math.ceil(moves / scale)) + 1
+    panels = sigma.panels(tolerance)
+    _check_budget(members, int(panels.sum()) + 1, moves, scale)
+    xs, p0, p1 = sigma.shared_vertices(panels)
     gap = float(np.abs(p1 - p0).max()) * (1 + _BLEND_ROUNDING)
     steps = max(1, math.ceil(gap / scale))
     ts = np.arange(steps + 1) / steps
@@ -435,7 +459,7 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                 rows[row] = path.values(xs)
                 rows[row, -1] = rows[row, 0]
             slack[k] = _end_slack(path, path is own, rows[row], xs)
-        radius = _certify_containment(rows, domain)
+        radius = _certify_containment(rows, domain, reach)
         radius[[0, -1]] -= slack
         finer = slack.any() and refinement < _FINER_PARTITIONS
 
@@ -461,10 +485,8 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                 exact[-1] &= slack[1] == 0
                 entries = tuple(map(PairBound, bound.tolist(), Bounds.from_arrays(lo, hi),
                                     exact.tolist()))
-                members = (gamma0, *PiecewisePath.from_vertex_rows(rows[1:-1], xs, closed=True),
-                           gamma1)
-                return Chain(members=members, epsilon=eps,
-                             certificate=ChainCertificate(entries), partition=ts,
+                return Chain(gamma0=gamma0, rows=rows[1:-1], breakpoints=xs, gamma1=gamma1,
+                             epsilon=eps, certificate=ChainCertificate(entries), partition=ts,
                              clearances=radius)
             if depth == _MAX_DEPTH:
                 j = int(failing[0])
@@ -478,9 +500,10 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
             new = _blend(mids, p0, p1)
             ts = np.insert(ts, failing + 1, mids)
             rows = np.insert(rows, failing + 1, new, axis=0)
-            radius = np.insert(radius, failing + 1, _certify_containment(new, domain))
+            radius = np.insert(radius, failing + 1, _certify_containment(new, domain, reach))
             depth += 1
 
         tolerance /= 4
-        _check_budget(ts.size, sigma.partition_size(tolerance), gap, scale)
-        xs, p0, p1 = sigma.shared_vertices(tolerance)
+        panels = sigma.panels(tolerance)
+        _check_budget(ts.size, int(panels.sum()) + 1, gap, scale)
+        xs, p0, p1 = sigma.shared_vertices(panels)

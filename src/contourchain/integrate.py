@@ -25,17 +25,20 @@ so every later piece is a quarter of a piece from the round before, with a
 quarter of its share, bit for bit.
 
 Every member of a chain goes through one quadrature loop, and a single path
-is a chain of one member.  A piece carries only its bounds and its origin,
-the segment it was cut from; its member, share of tol and line fields are
-looked up per origin.  Each round evaluates all pieces in one batch: the
-straight segments of every member (every interior member, squares,
-polylines, constants) from stacked segment arrays, each curved member (at
-most the chain's two end paths) with one ``eval_with_derivative`` call, and
-the integrand with one call over all nodes.  A member's value, error
-estimate and evaluation count are one ``np.bincount`` each at the end, over
-its pieces in the order it makes them alone, so it keeps, bit for bit, all
-it has alone: all of tol, its rounding stop, depth and piece caps, integral,
-error estimate and evaluation count.  When several members fail, the lowest
+is a chain of one member.  A chain's interior members are read from its
+rows (``_Members``): their segments' fields are the rows' vertices on the
+shared partition, stacked with those of the end paths made of lines, and a
+row becomes a path object only where grading needs one.  A piece carries
+only its bounds and its origin, the segment it was cut from; its member,
+share of tol and line fields are looked up per origin.  Each round evaluates
+all pieces in one batch: the straight segments of every member (every
+interior member, squares, polylines, constants) from stacked segment
+arrays, each curved member (at most the chain's two end paths) with one
+``eval_with_derivative`` call, and the integrand with one call over all
+nodes.  A member's value, error estimate and evaluation count are one
+``np.bincount`` each at the end, over its pieces in the order it makes them
+alone, so it keeps, bit for bit, all it has alone: all of tol, its rounding
+stop, depth and piece caps, integral, error estimate and evaluation count.  When several members fail, the lowest
 index is reported, as integrating them one after the other would.  A round
 holds no more pieces than one member may (``_MAX_PIECES``); past that, the
 highest members wait for a later batch.  The rule sums run through
@@ -47,8 +50,8 @@ where einsum's many-column loop does not (``_rule_sums``).
 Paths must keep a certified clearance of 1e-9 from every declared singularity
 of the integrand (``paths.certified_clearances``), in closed form for every
 path: the projection onto each line segment, and for an arc the clamp of the
-angle onto the unit arc after scaling by the semi-axes; all line members of
-a chain are measured in one evaluation.  A member whose rule sums are not
+angle onto the unit arc after scaling by the semi-axes; all rows of a chain
+are measured in one evaluation.  A member whose rule sums are not
 finite (the integrand overflows on it) fails with ``ToleranceNotReached`` in
 the round that finds it, with numpy's overflow warnings silenced.
 """
@@ -66,7 +69,7 @@ from .errors import InvalidEpsilon, NearSingularity, ToleranceNotReached
 from .expressions import AnalyticFunction
 # carrier_of_path is unused here but stays importable: perfbench/tracing.py wraps it
 from .paths import PiecewisePath, carrier_of_path, certified_clearances  # noqa: F401
-from .paths import nearest_parameters
+from .paths import _finite_points, _line_clearances, nearest_parameters
 
 __all__ = ["IntegralResult", "ChainIntegrals", "contour_integral", "integral_along_chain"]
 
@@ -128,6 +131,8 @@ _MAX_PIECES = 200_000
 _GRADE_GATE = 3.0
 _CENTRAL = 0.5  # kappa: the central piece covers at most kappa d of the path
 _RATIO = 1.5  # r: each ladder piece is r - 1 times its distance from the foot
+# no interior rows, as in the member table of a lone path
+_NO_ROWS = np.empty((0, 2), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,7 @@ class ChainIntegrals:
 
 def contour_integral(f: AnalyticFunction, path: PiecewisePath, tol: float) -> IntegralResult:
     """Integrate f along the path with total error estimate at most tol."""
-    results, failure = _integrate(f, [path], tol)
+    results, failure = _integrate(f, _Members((path,)), tol)
     if failure is not None:
         raise failure[1]
     return results[0]
@@ -156,11 +161,13 @@ def contour_integral(f: AnalyticFunction, path: PiecewisePath, tol: float) -> In
 def integral_along_chain(f: AnalyticFunction, chain, tol: float) -> ChainIntegrals:
     """Integrate every chain member; report the max pairwise value deviation.
 
-    All members are integrated in one batch.  A member's failure is raised
-    unchanged with a ``member_index`` attribute attached; when several
-    members fail, the lowest index is raised.
+    All members are integrated in one batch, the interior ones read from the
+    chain's rows.  A member's failure is raised unchanged with a
+    ``member_index`` attribute attached; when several members fail, the
+    lowest index is raised.
     """
-    results, failure = _integrate(f, chain.members, tol)
+    members = _Members((chain.gamma0,), chain.rows, chain.breakpoints, (chain.gamma1,))
+    results, failure = _integrate(f, members, tol)
     if failure is not None:
         index, exc = failure
         exc.member_index = index
@@ -176,18 +183,84 @@ def _max_deviation(values: np.ndarray) -> float:
                for i in range(0, values.size, 256))
 
 
-def _integrate(f: AnalyticFunction, paths, tol: float):
+class _Members:
+    """The members to integrate, in order: the paths ``head``, the closed
+    polylines through the rows of ``rows`` at the shared ``breaks`` (a
+    chain's interior members), and the paths ``tail``.  ``given`` lists
+    (index, path) for every member given as a path.
+
+    A row's line fields are read from the array, the same values in the
+    same order as a ``PiecewisePath.from_vertex_rows`` view of it holds, and
+    a row becomes such a view only where a path is needed (``path``).
+    """
+
+    def __init__(self, head: tuple, rows: np.ndarray = _NO_ROWS, breaks=None, tail=()):
+        self.head, self.rows, self.breaks, self.tail = head, rows, breaks, tail
+        self.count = len(head) + len(rows) + len(tail)
+        self.given = [*enumerate(head), *enumerate(tail, len(head) + len(rows))]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def window(self, start: int, stop: int) -> "_Members":
+        """Members ``start`` up to ``stop``."""
+        if start == 0 and stop == self.count:
+            return self
+        h, k = len(self.head), len(self.rows)
+        return _Members(self.head[start:stop], self.rows[max(0, start - h):max(0, stop - h)],
+                        self.breaks, self.tail[max(0, start - h - k):max(0, stop - h - k)])
+
+    def path(self, m: int) -> PiecewisePath:
+        """Member m as a path, for a row a view of it made now."""
+        h, k = len(self.head), len(self.rows)
+        if h <= m < h + k:
+            return PiecewisePath.from_vertex_rows(self.rows[m - h:m - h + 1], self.breaks,
+                                                  closed=True)[0]
+        return dict(self.given)[m]
+
+    def lines(self):
+        """(ids, breaks, fields) of the line members: their indices and
+        breakpoints, in order, and their segments' (z0, z1, s0, span)
+        stacked in that order, None for no line member."""
+        h, k = len(self.head), len(self.rows)
+        lines = [(m, path) for m, path in self.given if path._all_lines]
+        ids = [m for m, _ in lines]
+        breaks = [path.breakpoints for _, path in lines]
+        fields = [(path._z0, path._z1, path._s0, path._span) for _, path in lines]
+        if k:
+            at = sum(m < h for m in ids)  # the rows' place among them
+            ids[at:at] = range(h, h + k)
+            breaks[at:at] = [self.breaks] * k
+            fields.insert(at, (self.rows[:, :-1].ravel(), self.rows[:, 1:].ravel(),
+                               np.tile(self.breaks[:-1], k), np.tile(np.diff(self.breaks), k)))
+        return ids, breaks, [_joined(list(column)) for column in zip(*fields)] if ids else None
+
+    def clearances(self, points) -> np.ndarray:
+        """``paths.certified_clearances`` of every member from ``points``, the
+        rows' from one evaluation over all of their segments."""
+        out = certified_clearances([path for _, path in self.given], points)
+        k = len(self.rows)
+        if not k:
+            return out
+        rows, pts = self.rows, _finite_points(points)
+        inner = np.full(k, math.inf) if not pts.size else _line_clearances(
+            rows[:, :-1].ravel(), rows[:, 1:].ravel(), np.arange(k) * (rows.shape[1] - 1),
+            rows[:, 0], pts)
+        return np.insert(out, len(self.head), inner)
+
+
+def _integrate(f: AnalyticFunction, members: _Members, tol: float):
     """(results, failure): the results of the members before the first one
     that fails, and that one's (index, exception), or None if none fails."""
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0):
         return [], (0, InvalidEpsilon(f"tol must be a positive finite number, got {tol!r}"))
-    count, failure = len(paths), None
-    for i, path in enumerate(paths):
+    count, failure = len(members), None
+    for i, path in members.given:
         if not isinstance(path, PiecewisePath):
             count, failure = i, (i, TypeError("only piecewise-differentiable paths can be integrated"))
             break
-    clearances = certified_clearances(paths[:count], f.singularities).tolist()
+    clearances = members.window(0, count).clearances(f.singularities).tolist()
     blocked = next((i for i, c in enumerate(clearances) if c <= _POLE_CLEARANCE), None)
     if blocked is not None:
         count, failure = blocked, (blocked, NearSingularity(
@@ -197,7 +270,7 @@ def _integrate(f: AnalyticFunction, paths, tol: float):
     # members leaves them to the next
     results = []
     while len(results) < count:
-        batch, batch_failure = _batch(f, paths[len(results):count], tol,
+        batch, batch_failure = _batch(f, members.window(len(results), count), tol,
                                       clearances[len(results):count])
         if batch_failure is not None:
             return results + batch, (len(results) + batch_failure[0], batch_failure[1])
@@ -217,7 +290,7 @@ class _Lines(NamedTuple):
     speed: np.ndarray
 
 
-def _first_pieces(paths, tol: float, clearances, poles):
+def _first_pieces(members: _Members, tol: float, clearances, poles):
     """The members' first pieces, the line members' first, and the
     per-origin tables that every piece cut from them reads.
 
@@ -262,11 +335,10 @@ def _first_pieces(paths, tol: float, clearances, poles):
     from its own segments and the poles alone, so it gets the same pieces
     alone and in a chain.
     """
-    line_ids = [m for m, path in enumerate(paths) if path._all_lines]
-    curved = [(m, path) for m, path in enumerate(paths) if not path._all_lines]
-    ordered = [paths[m] for m in line_ids] + [path for _, path in curved]
-    sizes = [path.num_segments for path in ordered]
-    breaks = [path.breakpoints for path in ordered]
+    line_ids, breaks, fields = members.lines()
+    curved = [(m, path) for m, path in members.given if not path._all_lines]
+    breaks += [path.breakpoints for _, path in curved]
+    sizes = [b.size - 1 for b in breaks]
     lows = _joined([b[:-1] for b in breaks])
     highs = _joined([b[1:] for b in breaks])
     ids = line_ids + [m for m, _ in curved]
@@ -275,18 +347,17 @@ def _first_pieces(paths, tol: float, clearances, poles):
                for (_, path), b in zip(curved, breaks[len(line_ids):])]
     lines = None
     if line_ids:
-        z0, z1, s0, span = (_joined([getattr(paths[m], name) for m in line_ids])
-                            for name in ("_z0", "_z1", "_s0", "_span"))
+        z0, z1, s0, span = fields
         lines = _Lines(z0, z1, s0, span, (z1 - z0) / span)
         weights.insert(0, np.abs(z1 - z0))
     weights = _joined(weights)
     offsets = list(accumulate(sizes[:-1], initial=0))
     totals = np.add.reduceat(weights, offsets)
-    graded = {}  # a graded member's index in ``ordered``: (points, pieces per segment)
+    graded = {}  # a graded member's place in ``ids``: (points, pieces per segment)
     if len(poles):
         near = np.maximum.reduceat(weights, offsets) > _GRADE_GATE * np.take(clearances, ids)
         for i in np.flatnonzero(near).tolist():
-            cut = _graded_points(ordered[i], weights[offsets[i]:offsets[i] + sizes[i]], poles)
+            cut = _graded_points(members.path(ids[i]), weights[offsets[i]:offsets[i] + sizes[i]], poles)
             if cut is not None:
                 graded[i] = cut
     if not totals.all():
@@ -382,8 +453,8 @@ def _joined(arrays: list) -> np.ndarray:
 
 # an overflow shows as a non-finite rule sum, which fails its member, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _batch(f: AnalyticFunction, paths, tol: float, clearances):
-    """One quadrature loop over all of ``paths``, whose certified clearances
+def _batch(f: AnalyticFunction, members: _Members, tol: float, clearances):
+    """One quadrature loop over all of ``members``, whose certified clearances
     from f's declared singularities are ``clearances``: the results of the
     members below ``limit``, and the lowest failure or None.  ``limit`` is
     the lowest failing member, or the first member deferred so that no round
@@ -395,9 +466,9 @@ def _batch(f: AnalyticFunction, paths, tol: float, clearances):
     done into the quarters two bisections make, so a piece stands for its
     origin's ``depth`` plus two halvings of its segment a round, and
     ``share`` is divided by 4."""
-    count = len(paths)
+    count = len(members)
     lows, highs, owner, share, depth, lines, curved = _first_pieces(
-        paths, tol, clearances, f.singularities)
+        members, tol, clearances, f.singularities)
     origin = np.arange(lows.size)
     rounds = []  # each round's (origin, K15 sum, discrepancy, done) per piece
     limit, failure = count, None

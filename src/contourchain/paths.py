@@ -111,9 +111,6 @@ class LineSegment(_SegmentBase):
         xs = np.asarray(xs, dtype=np.float64)
         return np.full(xs.shape, (self.z1 - self.z0) / self.span, dtype=np.complex128)
 
-    def with_span(self, s0, s1):
-        return LineSegment(self.z0, self.z1, s0, s1)
-
     def reversed_onto(self, s0, s1):
         return LineSegment(self.z1, self.z0, s0, s1)
 
@@ -202,9 +199,6 @@ class ArcSegment(_SegmentBase):
         theta = self._theta(xs)
         rate = self.sweep_rate
         return _parts(-(self.semi_re * rate), np.sin(theta), self.semi_im * rate, np.cos(theta))
-
-    def with_span(self, s0, s1):
-        return ArcSegment(self.center, self.semi_re, self.angle0, self.angle1, s0, s1, self.semi_im)
 
     def reversed_onto(self, s0, s1):
         return ArcSegment(self.center, self.semi_re, self.angle1, self.angle0, s0, s1, self.semi_im)
@@ -370,7 +364,9 @@ class PiecewisePath:
         first = [reach * abs(rate) for rate in sweep_rates]
         start, end = (_arc_point(center, semi_re, semi_im, angle)
                       for angle in (angles[0], angles[-1]))
-        if end != start:
+        # _check_closures' own test, in scalars (abs takes hypot, as numpy's
+        # does), so that it runs only to raise
+        if abs(end - start) > _CLOSURE_NOISE * max(1.0, abs(start), abs(end)):
             _check_closures(np.array([start]), np.array([end]))
         n, rates = len(spans), np.array(sweep_rates)
         self = cls.__new__(cls)
@@ -611,22 +607,18 @@ def certified_clearances(paths, points) -> np.ndarray:
     evaluation over all of their segments; each path keeps its own rounding
     allowance, relative to the larger of its own largest |vertex| and the
     points' largest modulus.  A non-finite point is refused."""
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    if not np.isfinite(pts).all():
-        raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]!r}")
+    pts = _finite_points(points)
     out = np.full(len(paths), math.inf)
     if pts.size == 0:
         return out
     lines = [k for k, path in enumerate(paths) if path._all_lines]
     if lines:
         members = [paths[k] for k in lines]
-        z0 = np.concatenate([path._z0 for path in members])
-        z1 = np.concatenate([path._z1 for path in members])
-        starts = list(accumulate((path.num_segments for path in members[:-1]), initial=0))
-        dist = _segment_point_distances(z0[:, None], z1[:, None], pts).min(axis=1)
-        ends = np.array([path._start if path.closed else path._z1[-1] for path in members])
-        reach = np.maximum(np.maximum.reduceat(np.abs(z0), starts), np.abs(ends))
-        out[lines] = _less_rounding(np.minimum.reduceat(dist, starts), reach, pts)
+        out[lines] = _line_clearances(
+            np.concatenate([path._z0 for path in members]),
+            np.concatenate([path._z1 for path in members]),
+            list(accumulate((path.num_segments for path in members[:-1]), initial=0)),
+            np.array([path._start if path.closed else path._z1[-1] for path in members]), pts)
     for k, path in enumerate(paths):
         if path._arcs is not None:
             out[k] = _arc_clearance(path._arcs, pts)
@@ -637,6 +629,24 @@ def certified_clearances(paths, points) -> np.ndarray:
             out[k] = min(_less_rounding(nearest, np.abs(chords).max(), pts),
                          _arc_clearance(arcs, pts))
     return out
+
+
+def _finite_points(points) -> np.ndarray:
+    """``points`` as a flat complex array; a non-finite point is refused."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    if not np.isfinite(pts).all():
+        raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]!r}")
+    return pts
+
+
+def _line_clearances(z0: np.ndarray, z1: np.ndarray, starts, ends: np.ndarray,
+                     pts: np.ndarray) -> np.ndarray:
+    """``certified_clearance`` of line paths from ``pts``, a nonempty array of
+    finite points: path k's segments [z0, z1] are stacked from ``starts[k]``
+    on, and ``ends[k]`` is its last value (its first, closed)."""
+    dist = _segment_point_distances(z0[:, None], z1[:, None], pts).min(axis=1)
+    reach = np.maximum(np.maximum.reduceat(np.abs(z0), starts), np.abs(ends))
+    return _less_rounding(np.minimum.reduceat(dist, starts), reach, pts)
 
 
 def _less_rounding(nearest, reach, pts: np.ndarray):

@@ -63,7 +63,7 @@ class VerificationReport:
 
     @property
     def members(self) -> int:
-        return len(self.chain.members)
+        return len(self.chain)
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from contourchain import circle, ellipse, polyline, square
+from contourchain import PiecewisePath, circle, ellipse, polyline, square
 
 # Every run draws the same examples: each property test keeps its own
 # max_examples and deadline, and only the seed is fixed.
@@ -38,6 +38,15 @@ def random_polyline(rng: random.Random, n_vertices: int, radius: float = 1.0,
     angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n_vertices))
     verts = [center + rng.uniform(0.3, 1.0) * radius * cmath.exp(1j * a) for a in angles]
     return polyline(verts, closed=True)
+
+
+def counted_vertex_rows(monkeypatch) -> list:
+    """The arguments of every ``PiecewisePath.from_vertex_rows`` call from now on."""
+    calls = []
+    make = PiecewisePath.from_vertex_rows.__func__
+    monkeypatch.setattr(PiecewisePath, "from_vertex_rows", classmethod(
+        lambda cls, *args, **kwargs: calls.append(args) or make(cls, *args, **kwargs)))
+    return calls
 
 
 def _dense_grid(n: int) -> np.ndarray:

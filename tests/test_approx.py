@@ -164,7 +164,7 @@ class TestSecondOrderRule:
     @pytest.mark.parametrize("eps", [0.1, 0.02])
     def test_certified_upper_oracle_on_homotopy_slices(self, sigma, eps):
         # a slice's polyline blends the end paths' values on the shared partition
-        xs, p0, p1 = sigma.shared_vertices(eps)
+        xs, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
         for g in (sigma.gamma0, sigma.gamma1):
             assert np.all(np.isin(g.breakpoints, xs))
         for t in [0.25, 0.5, 0.9]:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import contourchain
 from contourchain import cli
 from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, SpecDocument, main
 from contourchain.errors import ContourChainError, SpecError
+from conftest import counted_vertex_rows
 
 
 def _spec(**overrides):
@@ -349,6 +351,71 @@ def test_malformed_complex_literals_are_refused(text):
         SpecDocument.from_dict(_spec(tolerances={"tol": text}))
 
 
+# parse_complex as it read literals with two substitutions and a scan for
+# what they left, frozen here as the oracle of the language it accepts
+_FROZEN_JOINING_SIGN = re.compile(r"(?<=[\d.])\s*([+-])\s*")
+_FROZEN_TIMES_I = re.compile(r"(?<=[\d.])\*(?=i)")
+
+
+def _frozen_parse_complex(text):
+    cleaned = _FROZEN_TIMES_I.sub("", _FROZEN_JOINING_SIGN.sub(r"\1", str(text).strip()))
+    try:
+        if any(c.isspace() or c == "*" for c in cleaned):
+            raise ValueError
+        value = complex(cleaned.replace("i", "j"))
+    except ValueError:
+        raise SpecError(f"cannot parse complex number {text!r}")
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise SpecError(f"complex number {text!r} is not finite")
+    return value
+
+
+def _outcome(parse, text):
+    """The value with the signs of both its parts, or the refusal's message."""
+    try:
+        value = parse(text)
+    except SpecError as exc:
+        return str(exc)
+    return value, math.copysign(1.0, value.real), math.copysign(1.0, value.imag)
+
+
+# the characters literals are made of and the ones they are refused for:
+# unicode digits and spaces, which complex() and the regexes both know, too
+_LITERAL_CHARS = st.sampled_from(list("0123456789.eE+-*iIjJ()_ \tnafty") + ["\xa0", "\u0661", "\n"])
+_NUMBERS = st.sampled_from(["1", "2.5", ".5", "5.", "1e5", "1e-05", "1E+2", "inf", "nan", "0",
+                            "-0.0", "1_0", "\u0661", ""])
+_LITERALS = st.one_of(
+    st.text(_LITERAL_CHARS, max_size=10),
+    st.builds(lambda *parts: "".join(parts),
+              st.sampled_from(["", "(", "-", "+", " ", "( "]), _NUMBERS,
+              st.sampled_from(["+", "-", " + ", " - ", "+ ", " -", "  +\t", "*", " ", ""]), _NUMBERS,
+              st.sampled_from(["i", "j", "*i", " i", "I", "*j", ""]),
+              st.sampled_from(["", ")", " ", " )"])))
+
+
+@given(text=_LITERALS)
+@settings(max_examples=3000, deadline=None)
+def test_complex_literals_read_as_before(text):
+    assert _outcome(cli.parse_complex, text) == _outcome(_frozen_parse_complex, text)
+
+
+@pytest.mark.parametrize("text", ["inf", "nan", "1_0", "-0.0-0i", "(1+2i)", "\u0661\u0662",
+                                  "1 2", "2**3", "1+2*3i", "2 i", "2 * i", "- 1", "1e - 5",
+                                  "*i", "1+*i", "3*"])
+def test_complex_literal_examples_read_as_before(text):
+    # "1_0" is ten, as complex() reads it: the language is unchanged
+    assert _outcome(cli.parse_complex, text) == _outcome(_frozen_parse_complex, text)
+
+
+def test_long_malformed_literals_are_refused():
+    # each part of the pattern stops at whitespace or '*', so a match takes
+    # time linear in the text; a pattern that backtracked over every split
+    # of these would not finish
+    for text in ("1+" * 5000 + " x", "1" * 10000 + " 2", "1 " * 5000, "1*" * 5000 + "i"):
+        with pytest.raises(SpecError, match="cannot parse complex number"):
+            cli.parse_complex(text)
+
+
 def test_budget_refusal_prints_a_readable_count(tmp_path):
     # eps 1e-300 asks for about 1e300 members: the count is printed in
     # three digits, not in its 301
@@ -368,6 +435,32 @@ def test_pole_a_hundred_thousandth_off_an_ellipse_is_certified_clear():
                                        "--path", "ellipse(1.6,1)"])
     assert result.exit_code != EXIT_REFUSED
     assert "not certifiably clear" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["chain", "verify"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_commands_build_no_interior_member(monkeypatch, tmp_path, command, flags):
+    # the chain and its reports, CSV and quadrature read the rows: from the
+    # chain's build on, no member is made a path object
+    verify_module = importlib.import_module("contourchain.verify")
+    calls, chains = counted_vertex_rows(monkeypatch), []
+
+    def recorded(build):
+        def wrapped(*args, **kwargs):
+            before = len(calls)
+            chains.append((build(*args, **kwargs), before))
+            return chains[-1][0]
+        return wrapped
+
+    for module in (cli, verify_module):
+        monkeypatch.setattr(module, "build_chain", recorded(module.build_chain))
+    doc = _spec(paths={"inner": {"kind": "square", "side": 2.0},
+                       "outer": {"kind": "ellipse", "semi_re": 2.0, "semi_im": 1.5}})
+    result = _run(tmp_path, command, doc, "--out", str(tmp_path / "chain.csv"), *flags)
+    assert result.exit_code == EXIT_OK, result.output
+    [(chain, before)] = chains
+    assert len(chain) > 2 and len(calls) == before
+    assert "members" not in vars(chain)
 
 
 class TestCertificateOutput:

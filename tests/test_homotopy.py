@@ -1,6 +1,8 @@
 import cmath
+import importlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from contourchain import (
     EndpointMismatch,
     Homotopy,
     InvalidEpsilon,
+    NearSingularity,
     PiecewisePath,
     PuncturedPlane,
     Rectangle,
+    ToleranceNotReached,
     build_chain,
     circle,
     constant_path,
@@ -29,8 +33,13 @@ from contourchain import (
 )
 from contourchain import homotopy as homotopy_module
 from contourchain import paths as paths_module
+from contourchain.cli import SpecDocument, chain_csv
+from contourchain.expressions import AnalyticFunction, Const, Div, Sub, Var
 from contourchain.homotopy import homotopy_carrier
-from conftest import dense_sup, dense_sup_upper, random_polyline, slice_sup_upper
+from contourchain.integrate import contour_integral, integral_along_chain
+from contourchain.verify import verify_homotopy_invariance
+from conftest import (counted_vertex_rows, dense_sup, dense_sup_upper, random_polyline,
+                      slice_sup_upper)
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -100,7 +109,7 @@ class TestLinearHomotopy:
         assert breaks.size == 7
         arc_curvature = 1.5 * (2 * math.pi) ** 2
         for eps in [0.5, 0.05]:
-            xs, _, _ = sigma.shared_vertices(eps)
+            xs, _, _ = sigma.shared_vertices(sigma.panels(eps))
             assert np.all(np.isin(breaks, xs))
             counts = np.diff(np.searchsorted(xs, breaks))
             widths = np.diff(breaks)
@@ -121,8 +130,8 @@ def _oracle_points(member, sigma, tol):
 
 
 def _members(sigma, ts, eps):
-    """The polylines through (1 - t) P0 + t P1 on ``shared_vertices(eps)``, one per t."""
-    xs, p0, p1 = sigma.shared_vertices(eps)
+    """The polylines through (1 - t) P0 + t P1 on the shared vertices at eps, one per t."""
+    xs, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
     return PiecewisePath.from_vertex_rows(homotopy_module._blend(ts, p0, p1), xs, closed=True)
 
 
@@ -139,7 +148,7 @@ class TestPolygonalSlices:
     def test_same_polylines_as_one_slice_at_a_time(self, make, eps):
         sigma = make()
         ts = np.arange(1, 12) / 12
-        xs, p0, p1 = sigma.shared_vertices(eps)
+        xs, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
         assert np.all(np.isin(sigma.gamma0.breakpoints, xs))
         assert np.all(np.isin(sigma.gamma1.breakpoints, xs))
         batch = _members(sigma, ts, eps)
@@ -157,7 +166,7 @@ class TestPolygonalSlices:
     def test_pieces_take_one_paths_rule_at_the_larger_bound(self):
         outer = circle(radius=1.4)
         sigma = linear_homotopy(ellipse(1.0, 0.9), outer)
-        xs, _, _ = sigma.shared_vertices(0.01)
+        xs, _, _ = sigma.shared_vertices(sigma.panels(0.01))
         # four quarter-arc pieces, each at the larger end path's |z''| bound
         curvature = 1.4 * (2 * math.pi) ** 2
         assert xs.size - 1 == 4 * (math.floor(0.25 * math.sqrt(3 * curvature / 0.16)) + 1)
@@ -170,7 +179,7 @@ class TestPolygonalSlices:
         with pytest.raises(InvalidEpsilon, match="exceeds the budget"):
             polygonal_approximation(sigma.gamma1, 1e-14)
         with pytest.raises(InvalidEpsilon, match="exceeds the budget"):
-            sigma.shared_vertices(1e-14)
+            sigma.shared_vertices(sigma.panels(1e-14))
 
 
 class TestHomotopyCarrier:
@@ -470,7 +479,8 @@ def _proposal(sigma, domain, eps=math.inf):
     """(xs, P0, P1, r): the shared partition and end values ``build_chain``
     takes, and r = min(M, eps), which sizes it and the time steps."""
     scale = min(homotopy_module._coarse_grid(sigma, domain)[0], eps)
-    return (*sigma.shared_vertices(homotopy_module._PARTITION_FRACTION * scale), scale)
+    panels = sigma.panels(homotopy_module._PARTITION_FRACTION * scale)
+    return (*sigma.shared_vertices(panels), scale)
 
 
 def _gap(sigma, domain, eps=math.inf):
@@ -696,6 +706,144 @@ class TestIndependentCertificate:
                 assert np.all(domain.complement_distances(member.vertices()) > 0)
         # the draws reach certified chains of every size and refusals
         assert built >= 60 and refused >= 10
+
+
+def _random_chains(seed: int, count: int):
+    """(sigma, chain) for the ``_random_chain_case`` draws that certify."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sigma, domain = _random_chain_case(rng)
+        try:
+            yield sigma, build_chain(sigma, sigma.gamma0, sigma.gamma1, domain)
+        except ContainmentNotCertified:
+            continue
+
+
+def _benchmark_specs(monkeypatch, names=("annulus_verify", "tight_chain")):
+    """The spec documents of the benchmark's workloads ``names``, seeds 101-105."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return [SpecDocument.from_dict(op.inputs) for workload in names
+            for seed in range(101, 106) for op in workloads.build(workload, seed)]
+
+
+def _spec_chain(spec):
+    sigma, g0, g1 = spec.build_homotopy()
+    return sigma, build_chain(sigma, g0, g1, spec.domain, eps=spec.eps)
+
+
+def _eager_members(sigma, chain):
+    """(rows, members): the homotopy's blend at the chain's interior times,
+    on its partition, and the interior members as ``build_chain`` made them
+    when it built them eagerly, ``from_vertex_rows`` views of those rows."""
+    xs = chain.breakpoints
+    p0, p1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
+    p0[-1], p1[-1] = p0[0], p1[0]
+    rows = homotopy_module._blend(chain.partition[1:-1], p0, p1)
+    return rows, PiecewisePath.from_vertex_rows(rows, xs, closed=True)
+
+
+def _member_csv(chain) -> str:
+    """The chain's CSV rendered member by member, from path objects."""
+    rows = (f"{m},{k},{t:.17g},{z.real:.17g},{z.imag:.17g}"
+            for m, member in enumerate(chain.members)
+            for k, (t, z) in enumerate(zip(member.breakpoints, member.vertices())))
+    return "\n".join(["member,index,t,re,im", *rows]) + "\n"
+
+
+class TestChainRows:
+    """A chain's data are its interior rows, their shared partition and its
+    two end paths; a member becomes a path object only when asked for."""
+
+    def test_members_on_demand_equal_the_eager_ones(self, monkeypatch):
+        chains = [*_random_chains(21, 80), *map(_spec_chain, _benchmark_specs(monkeypatch))]
+        assert len(chains) >= 60
+        for sigma, chain in chains:
+            assert "members" not in vars(chain)
+            rows, eager = _eager_members(sigma, chain)
+            assert chain.rows.shape == rows.shape and chain.rows.tobytes() == rows.tobytes()
+            members = chain.members
+            assert chain.members is members  # built once
+            assert len(members) == len(chain) == len(eager) + 2
+            assert members[0] is chain.gamma0 and members[-1] is chain.gamma1
+            for lazy, made in zip(members[1:-1], eager):
+                assert lazy.breakpoints.tobytes() == made.breakpoints.tobytes()
+                assert lazy.vertices().tobytes() == made.vertices().tobytes()
+                assert lazy.derivative_bounds.tobytes() == made.derivative_bounds.tobytes()
+                assert lazy.lipschitz_bound == made.lipschitz_bound
+
+    def test_building_and_reporting_build_no_member(self, monkeypatch):
+        specs = _benchmark_specs(monkeypatch, ["annulus_verify"])
+        rng = random.Random(5)
+        cases = [_random_chain_case(rng) for _ in range(60)]
+        calls = counted_vertex_rows(monkeypatch)
+        built = 0
+        for sigma, domain in cases:
+            try:
+                chain = build_chain(sigma, sigma.gamma0, sigma.gamma1, domain)
+            except ContainmentNotCertified:
+                continue
+            built += 1
+            len(chain), chain.to_dict(), chain.certificate.summary_text(), chain_csv(chain)
+            assert "members" not in vars(chain)
+        for spec in specs:
+            sigma, g0, g1 = spec.build_homotopy()
+            report = verify_homotopy_invariance(spec.function, g0, g1, sigma, spec.domain,
+                                                spec.tol, eps=spec.eps)
+            assert report.passed and report.members == len(report.integrals)
+            report.to_dict(), report.format_text()
+            assert "members" not in vars(report.chain)
+        assert built >= 20 and calls == []
+
+    def test_chain_csv_is_the_member_rendering(self, monkeypatch):
+        specs = _benchmark_specs(monkeypatch)[::5]
+        for _, chain in [*_random_chains(21, 40), *map(_spec_chain, specs)]:
+            assert chain_csv(chain) == _member_csv(chain)
+        # a row whose last vertex is float noise off its first closes on the
+        # first, as its polyline does
+        rows = np.array([[1, 1j, -1, -1j, 1 + 1e-14j]])
+        noisy = homotopy_module.Chain(
+            gamma0=circle(), rows=rows, breakpoints=np.arange(5) / 4, gamma1=circle(radius=2.0),
+            epsilon=None, certificate=homotopy_module.ChainCertificate(()),
+            partition=np.array([0.0, 0.5, 1.0]), clearances=np.full(3, 0.5))
+        assert chain_csv(noisy) == _member_csv(noisy)
+        assert "1,4,1,1,0\n" in chain_csv(noisy)
+
+    def test_integrals_from_the_rows_are_each_member_alone(self, monkeypatch):
+        # a pole 1e-3 off the middle of a segment of an interior member:
+        # that member, and any other as close, is graded from a view of its
+        # row made on demand; a chain whose members cannot all be
+        # integrated fails at the lowest member that fails alone
+        rng = random.Random(8)
+        compared = failed = 0
+        views = counted_vertex_rows(monkeypatch)
+        for _, chain in _random_chains(34, 60):
+            if len(chain) < 3 or compared + failed >= 24:
+                continue
+            row = chain.rows[rng.randrange(len(chain.rows))]
+            k = rng.randrange(row.size - 1)
+            a, b = row[k], row[k + 1]
+            if a == b:  # a member that stands still is never graded
+                continue
+            pole = (a + b) / 2 + 1e-3 * 1j * (b - a) / abs(b - a)
+            f = AnalyticFunction(Div(Const(1 + 0j), Sub(Var(), Const(pole))), (pole,))
+            views.clear()
+            try:
+                results = integral_along_chain(f, chain, 1e-9).results
+            except (NearSingularity, ToleranceNotReached) as exc:
+                failed += 1
+                with pytest.raises(type(exc)) as alone:
+                    contour_integral(f, chain.members[exc.member_index], 1e-9)
+                assert str(alone.value) == str(exc)
+                continue
+            compared += 1
+            assert views and all(len(args[0]) == 1 for args in views)
+            assert "members" not in vars(chain)
+            for member, result in zip(chain.members, results):
+                single = contour_integral(f, member, 1e-9)
+                assert (result.value, result.error_estimate, result.evaluations) == (
+                    single.value, single.error_estimate, single.evaluations)
+        assert compared >= 10
 
 
 class TestContainmentRound:

@@ -32,10 +32,15 @@ from conftest import ENTIRE_FUNCTIONS, random_polyline
 TWO_PI_I = 2j * math.pi
 
 
-def _dummy_chain(members):
-    """Chain wrapper for directly-constructed member lists (tests only)."""
-    return Chain(members=tuple(members), epsilon=None, certificate=ChainCertificate(()),
-                 partition=np.array([0.0, 1.0]), clearances=np.full(len(members), 0.5))
+def _dummy_chain(gamma0, gamma1, rows=None, breakpoints=(0.0, 1.0)):
+    """A Chain of the end paths about the interior ``rows`` on
+    ``breakpoints``, built directly with no certificate (tests only)."""
+    breaks = np.array(breakpoints, dtype=np.float64)
+    rows = np.array(rows if rows is not None else np.empty((0, breaks.size)), dtype=np.complex128)
+    count = len(rows) + 2
+    return Chain(gamma0=gamma0, rows=rows, breakpoints=breaks, gamma1=gamma1, epsilon=None,
+                 certificate=ChainCertificate(()), partition=np.linspace(0.0, 1.0, count),
+                 clearances=np.full(count, 0.5))
 
 
 class TestResidueOracle:
@@ -167,7 +172,7 @@ class TestGuards:
 
 class TestChainIntegration:
     def test_two_member_chain_of_identical_circles(self):
-        chain = _dummy_chain([circle(), circle()])
+        chain = _dummy_chain(circle(), circle())
         out = integral_along_chain(parse_function("1/z", [0j]), chain, 1e-10)
         assert len(out.results) == 2
         assert out.max_deviation <= 2e-10
@@ -175,18 +180,20 @@ class TestChainIntegration:
             assert abs(r.value - TWO_PI_I) <= 1e-10
 
     def test_polynomial_chain_members_all_zero(self):
-        chain = _dummy_chain([square(2.0), square(2.0)])
+        chain = _dummy_chain(square(2.0), square(2.0))
         out = integral_along_chain(parse_function("z^2"), chain, 1e-10)
         assert all(abs(r.value) <= 1e-10 for r in out.results)
 
     def test_constant_member_integrates_to_zero(self):
-        chain = _dummy_chain([constant_path(0.5 + 0.5j)])
+        # a constant end path and a constant row alike
+        p = 0.5 + 0.5j
+        chain = _dummy_chain(constant_path(p), constant_path(p), rows=[[p, p]])
         out = integral_along_chain(parse_function("exp(z)"), chain, 1e-12)
-        assert out.results[0].value == 0j
+        assert [r.value for r in out.results] == [0j] * 3
 
     def test_member_errors_carry_index(self):
         f = parse_function("1/(z - 1)", [1 + 0j])
-        chain = _dummy_chain([circle(center=5 + 0j, radius=0.5), circle()])
+        chain = _dummy_chain(circle(center=5 + 0j, radius=0.5), circle())
         with pytest.raises(NearSingularity) as exc_info:
             integral_along_chain(f, chain, 1e-8)
         assert exc_info.value.member_index == 1
@@ -209,11 +216,15 @@ class TestChainIntegration:
         f = parse_function("z^1100")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for members, lowest in [([circle(), circle(radius=3.0), circle(radius=2.0)], 1),
-                                    ([circle(), constant_path(3 + 0j)], 1),
-                                    ([square(5.0), circle()], 0)]:
+            # the middle member a row through 3, 3i, -3 and -3i, all of whose
+            # points have |z| >= 2
+            square_row = dict(rows=[[3, 3j, -3, -3j, 3]], breakpoints=np.arange(5) / 4)
+            for members, lowest in [(dict(gamma0=circle(), gamma1=circle(radius=2.0),
+                                          **square_row), 1),
+                                    (dict(gamma0=circle(), gamma1=constant_path(3 + 0j)), 1),
+                                    (dict(gamma0=square(5.0), gamma1=circle()), 0)]:
                 with pytest.raises(ToleranceNotReached, match="integrand is not finite") as exc:
-                    integral_along_chain(f, _dummy_chain(members), 1e-9)
+                    integral_along_chain(f, _dummy_chain(**members), 1e-9)
                 assert exc.value.member_index == lowest
             with pytest.raises(ToleranceNotReached, match="integrand is not finite"):
                 contour_integral(f, circle(radius=2.0), 1e-9)
@@ -358,9 +369,9 @@ class TestBatchedChainQuadrature:
         assert exc_info.value.member_index == 3
 
     def test_constant_member_in_a_batch(self):
-        # the constant member has zero weight and shares its tol evenly, with
-        # no 0/0 on the way
-        chain = _dummy_chain([square(2.0), constant_path(0.5 + 0.5j), circle()])
+        # the constant member, a row of one segment from 0.5+0.5i to itself,
+        # has zero weight and shares its tol evenly, with no 0/0 on the way
+        chain = _dummy_chain(square(2.0), circle(), rows=[[0.5 + 0.5j, 0.5 + 0.5j]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = integral_along_chain(parse_function("exp(z)/(z-0.25)", [0.25 + 0j]), chain,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -410,8 +411,9 @@ _SPANS = {"uniform": np.arange(5) / 4, "non-dyadic": np.array([0.0, 0.3, 0.55, 0
 
 
 def _reparametrized(path: PiecewisePath, breaks) -> PiecewisePath:
-    """``path`` with its k-th segment traced over the k-th span of ``breaks``."""
-    return PiecewisePath([seg.with_span(s0, s1)
+    """``path`` with its k-th segment traced over the k-th span of ``breaks``:
+    each segment built anew from its own fields and that span."""
+    return PiecewisePath([dataclasses.replace(seg, s0=s0, s1=s1)
                           for seg, s0, s1 in zip(path.segments, breaks, breaks[1:])],
                          closed=path.closed)
 
@@ -517,7 +519,7 @@ class TestPiecewisePath:
 
     def test_smooth_segment_roundtrip_spans(self):
         seg = ArcSegment(0j, 1.0, 0.0, 2 * math.pi, 0.0, 1.0, 0.5)
-        moved = seg.with_span(0.0, 0.5)
+        moved = ArcSegment(0j, 1.0, 0.0, 2 * math.pi, 0.0, 0.5, 0.5)
         assert moved.values_at(np.array([0.25]))[0] == pytest.approx(seg.values_at(np.array([0.5]))[0])
         assert moved.derivative_bound == pytest.approx(4 * math.pi)
         assert moved.second_derivative_bound == pytest.approx(16 * math.pi ** 2)
