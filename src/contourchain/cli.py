@@ -68,12 +68,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-# A complex literal: no whitespace or '*' but about its one joining sign (a
-# sign after a digit or a point, unlike an exponent's sign, which follows e
-# or E), and a '*' between a number and its i.  Each part stops at
-# whitespace or '*', so a match takes time linear in the text.
-_LITERAL = re.compile(r"([^\s*]*)(?:(?<=[\d.])(?:\s+([+-])\s*|([+-])\s+)([^\s*]*))?"
-                      r"(?:(?<=[\d.])\*(?=i))?([^\s*]*)")
+# A complex literal: parts of ASCII digits, points, signs and letters but j
+# and J; whitespace only about its one joining sign (a sign after a digit or
+# a point, unlike an exponent's sign, which follows e or E), and a '*' only
+# between a number and its i.  Each part stops at whitespace or '*', so a
+# match takes time linear in the text.
+_PART = r"([0-9A-IK-Za-ik-z.+-]*)"
+_LITERAL = re.compile(rf"{_PART}(?:(?<=[0-9.])(?:\s+([+-])\s*|([+-])\s+){_PART})?"
+                      rf"(?:(?<=[0-9.])\*(?=i))?{_PART}")
 
 
 def parse_complex(text: str) -> complex:
@@ -82,8 +84,9 @@ def parse_complex(text: str) -> complex:
     Whitespace may stand at the ends and around the sign that joins the two
     parts, and ``*`` only between a number and its ``i`` (``2*i``).  Anything
     else is refused, so ``"1 2"``, ``"2**3"`` or ``"1+2*3i"`` is never read
-    as another number.  What is left, with ``i`` for ``j``, is read by
-    ``complex``."""
+    as another number.  The parts are ASCII: ``complex``'s own forms
+    ``2j``, ``(1+2i)``, ``1_0`` and non-ASCII digits are refused too.  What
+    is left, with ``i`` for ``j``, is read by ``complex``."""
     literal = _LITERAL.fullmatch(str(text).strip())
     try:
         if literal is None:

@@ -23,7 +23,7 @@ class InvalidEpsilon(ContourChainError):
 
 
 class EndpointMismatch(ContourChainError):
-    """A homotopy's boundary slices disagree with the supplied endpoint paths."""
+    """An end path passed with a homotopy is not that homotopy's own end."""
 
 
 class NearSingularity(ContourChainError):

@@ -251,15 +251,25 @@ def _segment_point_distances(a: np.ndarray, b: np.ndarray, p: complex) -> np.nda
     """Distance from the point ``p`` to each segment [a, b].
 
     The closest point is the projection of p onto the segment's line,
-    clamped to the segment; a degenerate segment is its point a.
+    clamped to the segment; a degenerate segment is its point a.  The
+    projection is taken with d = b - a and p - a times the power of two
+    2^-e that brings d's larger part into [1/2, 1), an exact scaling, so
+    |d|^2 neither overflows on a long segment nor underflows on a short one,
+    and the ratio is the unscaled one wherever that is representable.
     """
     a = np.asarray(a, dtype=np.complex128)
     d = np.asarray(b, dtype=np.complex128) - a
-    length2 = d.real ** 2 + d.imag ** 2
-    along = ((p - a) * d.conjugate()).real
-    with np.errstate(divide="ignore", invalid="ignore"):
+    e = np.frexp(np.maximum(np.abs(d.real), np.abs(d.imag)))[1]
+    scale = np.ldexp(1.0, np.minimum(-e, 1021))  # 2^-e, finite for a subnormal d
+    unit = d * scale
+    length2 = unit.real ** 2 + unit.imag ** 2
+    # the scaled p - a overflows only for a point over 2^1000 segment lengths
+    # from a, which every point of the segment is as near to, up to rounding:
+    # an infinite s takes the end its sign names, and a nan s the end a
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        along = ((p - a) * scale * unit.conjugate()).real
         s = np.where(length2 > 0, along / length2, 0.0)
-    return np.abs(a + np.clip(s, 0.0, 1.0) * d - p)
+    return np.abs(a + np.fmin(np.fmax(s, 0.0), 1.0) * d - p)
 
 
 # no caller in the package: the benchmark's tracer wraps it (perfbench/tracing.py)

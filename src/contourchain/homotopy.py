@@ -1,10 +1,11 @@
 """Homotopies of closed paths and chains certified by the small-disk lemma.
 
 A homotopy here is the linear blend sigma(t, x) = (1-t) gamma0(x) + t gamma1(x)
-of two closed piecewise paths on [0, 1].  It only proposes the members of a
-chain; the chain certifies itself by the small-disk lemma of the homotopy
-form of Cauchy's theorem (e.g. Conway, Functions of One Complex Variable I,
-IV.6): for closed paths sigma and tau on [0, 1], if
+of two closed piecewise paths on [0, 1], which are the chain's two ends.  It
+only proposes the members between them, as the vertex rows of
+``Homotopy.rows``; the chain certifies itself by the small-disk lemma of the
+homotopy form of Cauchy's theorem (e.g. Conway, Functions of One Complex
+Variable I, IV.6): for closed paths sigma and tau on [0, 1], if
 |sigma(x) - tau(x)| < rho and the disk D(sigma(x), rho) lies in U for every
 x, then every f analytic on U has the same integral along sigma and tau.
 ``build_chain`` checks that hypothesis for every consecutive pair, in closed
@@ -69,9 +70,6 @@ _PARTITION_FRACTION = 0.25
 _COARSE_XS = np.arange(17) / 16
 # Largest swept-region carrier, in points
 _CARRIER_BUDGET = 20_000_000
-# Slice/path gap this small relative to their magnitude is float noise; the
-# reference is the values themselves, not 1, so tiny paths are checked too.
-_ENDPOINT_TOL = 1e-9
 # Rounding of the members' blend, of the times, of the closed-form distances
 # and of polyline_sup_distance's own widening (16 ulps), relative to the
 # largest magnitude involved.
@@ -83,7 +81,7 @@ class Homotopy:
     piecewise paths on [0, 1], built by ``linear_homotopy``.
 
     ``lipschitz`` = max(L0, L1) bounds every slice's Lipschitz constant in x,
-    and ``grid_values`` evaluates slices on a (t, x) grid.
+    and ``rows`` proposes the chain's vertex rows from both end paths' values.
     ``shared_vertices`` gives the one partition on which all slices are
     approximated, with both end paths' values there, cut into ``panels``.
 
@@ -94,6 +92,11 @@ class Homotopy:
     """
 
     def __init__(self, gamma0: PiecewisePath, gamma1: PiecewisePath):
+        for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
+            if not isinstance(path, PiecewisePath):
+                raise TypeError(f"{name} must be a piecewise-differentiable path")
+            if not path.is_closed:
+                raise ValueError(f"{name} must be closed")
         self.gamma0 = gamma0
         self.gamma1 = gamma1
         self.lipschitz = max(gamma0.lipschitz_bound, gamma1.lipschitz_bound)
@@ -104,9 +107,14 @@ class Homotopy:
         mids = (self._breaks[:-1] + self._breaks[1:]) / 2
         self._second = np.maximum(_piece_bounds(gamma0, mids), _piece_bounds(gamma1, mids))
 
-    def grid_values(self, ts, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        return _blend(ts, self.gamma0.values(xs), self.gamma1.values(xs))
+    def rows(self, ts, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+        """The rows (1 - t) P0 + t P1, one per t, for P0 and P1 the end
+        paths' values on one partition.  ``build_chain`` takes any proposal
+        whose rows close as P0 and P1 do, with P0 at t = 0 and P1 at t = 1
+        (here bit for bit up to the sign of a zero), and certifies the rows
+        between, whatever they are."""
+        ts = np.asarray(ts, dtype=np.float64)
+        return np.outer(1.0 - ts, p0) + np.outer(ts, p1)
 
     def shared_vertices(self, panels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(xs, P0, P1): the partition of [0, 1] into ``panels(eps)`` and both
@@ -133,19 +141,6 @@ class Homotopy:
         return panel_counts(np.diff(self._breaks), self._second, eps)
 
 
-def _blend(ts, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """The rows (1 - t) P0 + t P1, one per t."""
-    ts = np.asarray(ts, dtype=np.float64)
-    return np.outer(1.0 - ts, p0) + np.outer(ts, p1)
-
-
-def _check_end_path(path: PiecewisePath, name: str):
-    if not isinstance(path, PiecewisePath):
-        raise TypeError(f"{name} must be a piecewise-differentiable path")
-    if not path.is_closed:
-        raise ValueError(f"{name} must be closed")
-
-
 def _piece_bounds(path: PiecewisePath, mids: np.ndarray) -> np.ndarray:
     """The |z''| bounds of the segments holding ``mids``."""
     return path.second_derivative_bounds[np.searchsorted(path.breakpoints, mids, side="right") - 1]
@@ -153,8 +148,6 @@ def _piece_bounds(path: PiecewisePath, mids: np.ndarray) -> np.ndarray:
 
 def linear_homotopy(gamma0: PiecewisePath, gamma1: PiecewisePath) -> Homotopy:
     """Pointwise convex blend (1-t) gamma0 + t gamma1 of two closed paths on [0, 1]."""
-    for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
-        _check_end_path(path, name)
     return Homotopy(gamma0, gamma1)
 
 
@@ -182,11 +175,10 @@ def homotopy_carrier(sigma: Homotopy, eta: float) -> CompactCarrier:
     columns = max(1, math.ceil(sigma.lipschitz / eta))
     xs = np.arange(columns + 1) / columns
     p0, p1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
-    rows = max(1, math.ceil(float(np.abs(p1 - p0).max()) / eta))
-    if (rows + 1) * (columns + 1) > _CARRIER_BUDGET:
-        raise ValueError(f"carrier grid of {(rows + 1) * (columns + 1)} points exceeds the budget")
-    ts = np.arange(rows + 1)[:, None] / rows
-    return CompactCarrier(((1.0 - ts) * p0 + ts * p1).ravel(), eta)
+    steps = max(1, math.ceil(float(np.abs(p1 - p0).max()) / eta))
+    if (steps + 1) * (columns + 1) > _CARRIER_BUDGET:
+        raise ValueError(f"carrier grid of {(steps + 1) * (columns + 1)} points exceeds the budget")
+    return CompactCarrier(sigma.rows(np.arange(steps + 1) / steps, p0, p1).ravel(), eta)
 
 
 @dataclass(frozen=True)
@@ -288,29 +280,6 @@ class Chain:
         }
 
 
-def _check_endpoint_slices(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath):
-    """Refuse end paths that differ from the homotopy's end slices beyond
-    float noise.
-
-    The slice at t = 0 is 1.0 P0 + 0.0 P1 == P0 and the slice at t = 1 is P1,
-    bit for bit up to the sign of a zero, so the homotopy's own end is its
-    slice with a gap of exactly 0 and is not evaluated; any other path is
-    compared with the values of its own end alone.
-    """
-    xs = np.arange(257) / 256
-    for t, path, own, name in ((0.0, gamma0, sigma.gamma0, "gamma0"),
-                               (1.0, gamma1, sigma.gamma1, "gamma1")):
-        if path is own:
-            continue
-        slice_values, path_values = own.values(xs), path.values(xs)
-        gap = float(np.abs(slice_values - path_values).max())
-        allowed = _ENDPOINT_TOL * float(np.abs(np.concatenate([slice_values, path_values])).max())
-        if gap > allowed:
-            raise EndpointMismatch(
-                f"homotopy slice at t={t} differs from {name} by {gap:.3g} "
-                f"(> {_ENDPOINT_TOL} x magnitude = {allowed:.3g})")
-
-
 def _coarse_grid(sigma: Homotopy, domain: DomainDescriptor) -> tuple[float, float]:
     """(M, D): the smallest exact complement distance over the time segments
     [gamma0(x), gamma1(x)] at 17 points x of [0, 1], and their largest length.
@@ -335,23 +304,20 @@ def _certify_containment(rows: np.ndarray, domain: DomainDescriptor, reach: floa
     return exact - _BLEND_ROUNDING * np.maximum(np.abs(rows).max(axis=1), reach)
 
 
-def _end_slack(path: PiecewisePath, own: bool, values: np.ndarray, xs: np.ndarray) -> float:
+def _end_slack(path: PiecewisePath, values: np.ndarray, xs: np.ndarray) -> float:
     """A bound on sup |path - Q| for Q the polyline through ``values``, the
-    path's values on ``xs``; 0 when Q is the path itself.  xs holds every
-    breakpoint of the homotopy's ``own`` ends.
+    values on ``xs`` of one of the homotopy's ends; 0 when Q is the path
+    itself.
 
-    With the path's breakpoints in xs, Q is within max h^2 M2 / 8 over its
-    panels h, for the path's |z''| bounds M2 (the Peano kernel of linear
-    interpolation, (x - a)(b - x)/2 >= 0 on a panel [a, b], holds for
+    xs holds every breakpoint of both ends, so Q is within max h^2 M2 / 8
+    over its panels h, for the path's |z''| bounds M2 (the Peano kernel of
+    linear interpolation, (x - a)(b - x)/2 >= 0 on a panel [a, b], holds for
     complex values too), plus the rounding allowance at its largest |value|;
-    and a path of lines is Q.  Otherwise Q is within the path's Lipschitz
-    chord bound L max(h) / 2.
+    and a path of lines is Q.
     """
-    panels = np.diff(xs)
-    if not (own or np.isin(path.breakpoints, xs).all()):
-        return path.lipschitz_bound * float(panels.max()) / 2
     if path._all_lines:
         return 0.0
+    panels = np.diff(xs)
     second = _piece_bounds(path, (xs[:-1] + xs[1:]) / 2)
     return (float((panels * panels * second).max()) / 8
             + _BLEND_ROUNDING * float(np.abs(values).max()))
@@ -379,10 +345,13 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     The homotopy proposes the members and the chain certifies itself.  With
     M and D from ``_coarse_grid`` and r = min(M, eps) (M alone without ``eps``),
     the shared partition xs is ``Homotopy.shared_vertices(panels(r/4))``, and
-    the rows of one (n+1, m+1) vertex array are (1 - t) P0 + t P1 at n uniform
-    steps in t, n = ceil(D+ / r) for D+ = max |P1 - P0|, rounded up.  The
-    interior members are the polylines through the rows; the first and last
-    rows are the end paths' own values on xs.  Then, all in array passes:
+    the rows of one (n+1, m+1) vertex array are ``sigma.rows``, (1 - t) P0 +
+    t P1, at n uniform steps in t, n = ceil(D+ / r) for D+ = max |P1 - P0|,
+    rounded up.  The interior members are the polylines through the rows;
+    the first and last rows are the end paths' values on xs.  The ends are
+    ``sigma``'s own objects, ``gamma0`` and ``gamma1`` (``EndpointMismatch``
+    for any other), so xs holds both ends' breakpoints.  Then, all in array
+    passes:
 
     * Clearance.  An interior member's certified clearance rho_k is the exact
       minimum complement distance over its segments, less 64 ulps of the
@@ -422,9 +391,9 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     must be positive and finite when given.  A domain with no complement,
     and no eps, takes one step: the chain is its ends.
     """
-    for name, path in (("gamma0", gamma0), ("gamma1", gamma1)):
-        _check_end_path(path, name)
-    _check_endpoint_slices(sigma, gamma0, gamma1)
+    for name, path, own in (("gamma0", gamma0, sigma.gamma0), ("gamma1", gamma1, sigma.gamma1)):
+        if path is not own:
+            raise EndpointMismatch(f"{name} is not the homotopy's own {name}")
     cap = math.inf
     if eps is not None:
         cap = eps = float(eps)
@@ -432,7 +401,7 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
             raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
 
     upper, moves = _coarse_grid(sigma, domain)
-    if upper <= 0:
+    if not upper > 0:
         raise ContainmentNotCertified(
             f"the homotopy sweeps outside the domain: min complement distance {upper:.6g} "
             "on its time segments at 17 points", min_complement_distance=upper)
@@ -451,20 +420,14 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     depth = 0
     for refinement in itertools.count():
         _check_budget(ts.size, xs.size, gap, scale)
-        rows = _blend(ts, p0, p1)
-        slack = np.zeros(2)
-        for k, (row, path, own) in enumerate(((0, gamma0, sigma.gamma0),
-                                              (-1, gamma1, sigma.gamma1))):
-            if path is not own:  # its values, the closing one snapped to the first
-                rows[row] = path.values(xs)
-                rows[row, -1] = rows[row, 0]
-            slack[k] = _end_slack(path, path is own, rows[row], xs)
+        rows = sigma.rows(ts, p0, p1)
+        slack = np.array([_end_slack(gamma0, rows[0], xs), _end_slack(gamma1, rows[-1], xs)])
         radius = _certify_containment(rows, domain, reach)
         radius[[0, -1]] -= slack
         finer = slack.any() and refinement < _FINER_PARTITIONS
 
         while not (finer and -2 * slack.max() < radius.min() <= 0):
-            outside = np.flatnonzero(radius <= 0)
+            outside = np.flatnonzero(~(radius > 0))
             if outside.size:
                 k = int(outside[0])
                 near = (f" or within {2 * slack.max():.3g} of its boundary"
@@ -497,7 +460,7 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                     min_complement_distance=float(bound[j]))
             _check_budget(ts.size + failing.size, xs.size, gap, scale)
             mids = (ts[failing] + ts[failing + 1]) / 2
-            new = _blend(mids, p0, p1)
+            new = sigma.rows(mids, p0, p1)
             ts = np.insert(ts, failing + 1, mids)
             rows = np.insert(rows, failing + 1, new, axis=0)
             radius = np.insert(radius, failing + 1, _certify_containment(new, domain, reach))

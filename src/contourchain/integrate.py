@@ -261,7 +261,7 @@ def _integrate(f: AnalyticFunction, members: _Members, tol: float):
             count, failure = i, (i, TypeError("only piecewise-differentiable paths can be integrated"))
             break
     clearances = members.window(0, count).clearances(f.singularities).tolist()
-    blocked = next((i for i, c in enumerate(clearances) if c <= _POLE_CLEARANCE), None)
+    blocked = next((i for i, c in enumerate(clearances) if not c > _POLE_CLEARANCE), None)
     if blocked is not None:
         count, failure = blocked, (blocked, NearSingularity(
             f"path not certifiably clear of declared singularities "

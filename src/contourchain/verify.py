@@ -105,6 +105,9 @@ def verify_homotopy_invariance(f: AnalyticFunction, gamma0: PiecewisePath,
                                eps: float | None = None) -> VerificationReport:
     """Build the chain for sigma and check all member integrals agree.
 
+    ``gamma0`` and ``gamma1`` are sigma's own ends, as ``build_chain`` needs
+    (``EndpointMismatch`` otherwise).
+
     A declared singularity inside the domain refuses (``NearSingularity``)
     before the chain is built: f is then not analytic on the domain, and the
     theorem says nothing.  ``eps``, when given, caps every pair bound of the

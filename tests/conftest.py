@@ -75,16 +75,24 @@ def dense_sup_upper(p, q, n: int = 10_000) -> float:
     return dense_sup(p, q, n) + (p.lipschitz_bound + q.lipschitz_bound) * h / 2
 
 
+def slice_values(sigma, ts, xs) -> np.ndarray:
+    """The homotopy's slices at the times ``ts`` on the points ``xs``, one row
+    per t, read through ``sigma.rows`` from both end paths' values at xs."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return sigma.rows(ts, sigma.gamma0.values(xs), sigma.gamma1.values(xs))
+
+
 def slice_sup_upper(member, sigma, t: float, n: int) -> float:
     """Certified upper bound on sup |member - slice of ``sigma`` at t|.
 
     The slice's values on a grid of n + 1 points of [0, 1] are
-    ``sigma.grid_values([t], xs)``, and the slice is sigma.lipschitz-Lipschitz
-    in x, so the grid maximum plus (L_member + sigma.lipschitz) * h / 2 bounds
-    the sup, as in ``dense_sup_upper``.
+    ``slice_values(sigma, [t], xs)``, and the slice is
+    sigma.lipschitz-Lipschitz in x, so the grid maximum plus
+    (L_member + sigma.lipschitz) * h / 2 bounds the sup, as in
+    ``dense_sup_upper``.
     """
     xs = np.arange(n + 1) / n
-    gap = float(np.abs(member.values(xs) - sigma.grid_values([t], xs)[0]).max())
+    gap = float(np.abs(member.values(xs) - slice_values(sigma, [t], xs)[0]).max())
     h = float(np.diff(xs).max())
     return gap + (member.lipschitz_bound + sigma.lipschitz) * h / 2
 

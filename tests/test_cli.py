@@ -327,6 +327,21 @@ def test_overflowing_polyline_is_refused_without_warnings(command):
     assert run.stderr == "error: square path: Lipschitz constant must be finite\n"
 
 
+@pytest.mark.parametrize("command, refusal", [
+    (["integrate", "--f", "1/(z-0.001i)", "--poles", "0.001i",
+      "--path", "polyline(-1e200, 3e200, 1e200i)"], "declared singularities"),
+    (["wind", "--path", "polyline(0, 1.38e154, 1.38e154+1i, 1i)", "--point", "0.69e154+0.5i"],
+     "the winding point"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_long_segments_are_refused_without_warnings(command, refusal):
+    # |b - a|^2 overflows on these sides: the clearance is a lower bound
+    # (0 at this scale's rounding), not the distance to a side's start or nan
+    run = _cli_process(*command)
+    assert run.returncode == EXIT_REFUSED
+    assert run.stderr.startswith(f"error: path not certifiably clear of {refusal} ")
+    assert "Warning" not in run.stderr
+
+
 @pytest.mark.parametrize("text, value", [
     # the documented forms, spaces about the joining sign, * before i, and
     # the forms the benchmark's spec writer prints
@@ -352,7 +367,8 @@ def test_malformed_complex_literals_are_refused(text):
 
 
 # parse_complex as it read literals with two substitutions and a scan for
-# what they left, frozen here as the oracle of the language it accepts
+# what they left, frozen here as the oracle of the language it accepts, but
+# for the characters complex() alone knows (see _expected_outcome)
 _FROZEN_JOINING_SIGN = re.compile(r"(?<=[\d.])\s*([+-])\s*")
 _FROZEN_TIMES_I = re.compile(r"(?<=[\d.])\*(?=i)")
 
@@ -379,6 +395,19 @@ def _outcome(parse, text):
     return value, math.copysign(1.0, value.real), math.copysign(1.0, value.imag)
 
 
+# what a literal may hold besides whitespace and '*': complex()'s j and J,
+# brackets, underscores and non-ASCII digits are not the spec language
+_LITERAL_ALPHABET = set("0123456789.+-abcdefghiklmnopqrstuvwxyzABCDEFGHIKLMNOPQRSTUVWXYZ")
+
+
+def _expected_outcome(text):
+    """The frozen reader's outcome, or a refusal for a character outside
+    ``_LITERAL_ALPHABET`` that is neither whitespace nor '*'."""
+    if any(not (c in _LITERAL_ALPHABET or c.isspace() or c == "*") for c in str(text)):
+        return f"cannot parse complex number {text!r}"
+    return _outcome(_frozen_parse_complex, text)
+
+
 # the characters literals are made of and the ones they are refused for:
 # unicode digits and spaces, which complex() and the regexes both know, too
 _LITERAL_CHARS = st.sampled_from(list("0123456789.eE+-*iIjJ()_ \tnafty") + ["\xa0", "\u0661", "\n"])
@@ -396,15 +425,27 @@ _LITERALS = st.one_of(
 @given(text=_LITERALS)
 @settings(max_examples=3000, deadline=None)
 def test_complex_literals_read_as_before(text):
-    assert _outcome(cli.parse_complex, text) == _outcome(_frozen_parse_complex, text)
+    assert _outcome(cli.parse_complex, text) == _expected_outcome(text)
 
 
 @pytest.mark.parametrize("text", ["inf", "nan", "1_0", "-0.0-0i", "(1+2i)", "\u0661\u0662",
                                   "1 2", "2**3", "1+2*3i", "2 i", "2 * i", "- 1", "1e - 5",
-                                  "*i", "1+*i", "3*"])
+                                  "*i", "1+*i", "3*", "2j", "2J", "1+2j", "\xa01+2i\n"])
 def test_complex_literal_examples_read_as_before(text):
-    # "1_0" is ten, as complex() reads it: the language is unchanged
-    assert _outcome(cli.parse_complex, text) == _outcome(_frozen_parse_complex, text)
+    assert _outcome(cli.parse_complex, text) == _expected_outcome(text)
+
+
+@pytest.mark.parametrize("text", ["2j", "2J", "1+2j", "(1+2i)", "1_0", "\u0661\u0662",
+                                  "1+\u0662i"])
+def test_forms_only_complex_reads_are_refused(text):
+    # complex() reads each of these, and the frozen reader did; the spec
+    # language names none of them
+    assert _frozen_parse_complex(text) is not None
+    with pytest.raises(SpecError, match="cannot parse complex number"):
+        cli.parse_complex(text)
+    run = CliRunner().invoke(main, ["wind", "--path", "circle(2)", "--point", text])
+    assert run.exit_code == EXIT_USAGE
+    assert "cannot parse complex number" in run.output
 
 
 def test_long_malformed_literals_are_refused():

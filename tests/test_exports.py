@@ -51,6 +51,15 @@ def test_the_chain_needs_no_containment_net(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+@pytest.mark.parametrize("name", ["_check_endpoint_slices", "_ENDPOINT_TOL", "_blend"])
+def test_the_chain_ends_are_the_homotopys_own(name):
+    # no foreign end is compared with the homotopy's, and the blend formula
+    # lives in Homotopy.rows alone
+    homotopy = importlib.import_module("contourchain.homotopy")
+    assert not hasattr(homotopy, name)
+    assert not hasattr(homotopy.Homotopy, "grid_values")
+
+
 def test_build_chain_takes_no_refinement_count():
     from contourchain.homotopy import build_chain
 

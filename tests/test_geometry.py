@@ -21,7 +21,7 @@ from contourchain import (
     carrier_of_path,
     circle,
 )
-from contourchain.geometry import well_contained
+from contourchain.geometry import _segment_point_distances, well_contained
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -229,6 +229,44 @@ class TestSegmentComplementDistances:
     def test_whole_plane_is_unbounded(self):
         a = np.array([0j, 1 + 1j])
         assert np.all(PuncturedPlane(()).segment_complement_distances(a, a + 3) == math.inf)
+
+    @pytest.mark.parametrize("length", [1.38e154, 1e200, 1e300])
+    def test_long_segments_measure_their_distance(self, length):
+        # |b - a|^2 overflows past about 1.34e154; the point is 0.5 above
+        # the middle of the first segment and of the third, reversed
+        a = np.array([0, length, length + 1j, 1j])
+        p = length / 2 + 0.5j
+        assert _segment_point_distances(a, np.roll(a, -1), p).tolist() == \
+            [0.5, length / 2, 0.5, length / 2]
+        assert PuncturedPlane((p,)).segment_complement_distances(a, np.roll(a, -1)).tolist() == \
+            [0.5, length / 2, 0.5, length / 2]
+
+    def test_short_segments_measure_their_distance(self):
+        # |b - a|^2 underflows below about 1e-162; a point over 2^1000
+        # segment lengths away overflows once scaled, and is as far from
+        # either end
+        a = np.array([0j, 1e-170 + 0j])
+        assert _segment_point_distances(a, a[::-1], 0.5e-170 + 0.25e-170j).tolist() == \
+            [0.25e-170, 0.25e-170]
+        for b, p in ((1e-300 + 0j, -1e9 + 0j), (1e-300j, 1e9 + 1e9j), (5e-324 + 0j, 100 + 0j)):
+            assert _segment_point_distances(np.array([0j]), np.array([b]), p).tolist() == [abs(p)]
+
+    def test_scaled_projection_is_the_unscaled_one(self):
+        # where |b - a|^2 is representable, the power-of-two scaling changes
+        # no bit of the unscaled projection
+        def unscaled(a, b, p):
+            d = b - a
+            length2 = d.real ** 2 + d.imag ** 2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.where(length2 > 0, ((p - a) * d.conjugate()).real / length2, 0.0)
+            return np.abs(a + np.clip(s, 0.0, 1.0) * d - p)
+
+        rng = np.random.default_rng(29)
+        for scale in 10.0 ** rng.uniform(-100, 100, 400):
+            a, b = ((rng.normal(size=(2, 30, 1)) + 1j * rng.normal(size=(2, 30, 1))) * scale)
+            a[:3] = b[:3]  # degenerate segments are their point a
+            p = (rng.normal(size=4) + 1j * rng.normal(size=4)) * scale
+            assert _segment_point_distances(a, b, p).tobytes() == unscaled(a, b, p).tobytes()
 
 
 class TestWellContained:

@@ -39,7 +39,7 @@ from contourchain.homotopy import homotopy_carrier
 from contourchain.integrate import contour_integral, integral_along_chain
 from contourchain.verify import verify_homotopy_invariance
 from conftest import (counted_vertex_rows, dense_sup, dense_sup_upper, random_polyline,
-                      slice_sup_upper)
+                      slice_sup_upper, slice_values)
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -51,25 +51,25 @@ class TestStarHomotopy:
     def test_constant_input_stays_constant(self):
         center = 1 - 1j
         sigma = star_null_homotopy(constant_path(center), center)
-        assert np.all(sigma.grid_values([0.0, 0.3, 1.0], [0.5]) == center)
+        assert np.all(slice_values(sigma, [0.0, 0.3, 1.0], [0.5]) == center)
 
     def test_circle_slices_shrink(self):
         sigma = star_null_homotopy(circle(), 0j)
         # slice at t = 0.5 is the circle of radius 0.5
         xs = np.linspace(0, 1, 64)
         expected = 0.5 * np.exp(2j * math.pi * xs)
-        assert np.abs(sigma.grid_values([0.5], xs)[0] - expected).max() < 1e-12
+        assert np.abs(slice_values(sigma, [0.5], xs)[0] - expected).max() < 1e-12
 
     def test_final_slice_is_constant(self):
         sigma = star_null_homotopy(circle(), 0.25j)
-        assert sigma.grid_values([1.0], [0.7])[0, 0] == 0.25j
+        assert slice_values(sigma, [1.0], [0.7])[0, 0] == 0.25j
         assert sigma.gamma1.value(0.3) == 0.25j
 
     def test_grid_matches_pointwise(self):
         sigma = star_null_homotopy(square(2.0), 0.1 + 0.1j)
         ts = np.array([0.0, 0.4, 1.0])
         xs = np.array([0.0, 0.3, 0.9])
-        grid = sigma.grid_values(ts, xs)
+        grid = slice_values(sigma, ts, xs)
         g0, g1 = sigma.gamma0, sigma.gamma1
         for i, t in enumerate(ts):
             for j, x in enumerate(xs):
@@ -81,17 +81,17 @@ class TestLinearHomotopy:
         g = circle()
         sigma = linear_homotopy(g, g)
         xs = np.linspace(0, 1, 50)
-        assert np.abs(sigma.grid_values([0.0, 0.5, 1.0], xs) - g.values(xs)).max() == 0.0
+        assert np.abs(slice_values(sigma, [0.0, 0.5, 1.0], xs) - g.values(xs)).max() == 0.0
 
     def test_circle_blend_radius(self):
         sigma = linear_homotopy(circle(radius=1.0), circle(radius=1.5))
         xs = np.linspace(0, 1, 32)
         expected = 1.25 * np.exp(2j * math.pi * xs)
-        assert np.abs(sigma.grid_values([0.5], xs)[0] - expected).max() < 1e-12
+        assert np.abs(slice_values(sigma, [0.5], xs)[0] - expected).max() < 1e-12
 
     def test_circle_square_blend_slices_are_closed(self):
         sigma = linear_homotopy(circle(), square(2.0))
-        ends = sigma.grid_values(np.linspace(0, 1, 9), [0.0, 1.0])
+        ends = slice_values(sigma, np.linspace(0, 1, 9), [0.0, 1.0])
         assert np.array_equal(ends[:, 0], ends[:, 1])
 
     def test_open_path_rejected(self):
@@ -120,8 +120,8 @@ class TestLinearHomotopy:
         g0, g1 = circle(), ellipse(2.0, 1.0)
         sigma = linear_homotopy(g0, g1)
         xs = np.linspace(0, 1, 257)
-        assert np.abs(sigma.grid_values([0.0], xs)[0] - g0.values(xs)).max() == 0.0
-        assert np.abs(sigma.grid_values([1.0], xs)[0] - g1.values(xs)).max() == 0.0
+        assert np.abs(slice_values(sigma, [0.0], xs)[0] - g0.values(xs)).max() == 0.0
+        assert np.abs(slice_values(sigma, [1.0], xs)[0] - g1.values(xs)).max() == 0.0
 
 
 def _oracle_points(member, sigma, tol):
@@ -132,7 +132,7 @@ def _oracle_points(member, sigma, tol):
 def _members(sigma, ts, eps):
     """The polylines through (1 - t) P0 + t P1 on the shared vertices at eps, one per t."""
     xs, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
-    return PiecewisePath.from_vertex_rows(homotopy_module._blend(ts, p0, p1), xs, closed=True)
+    return PiecewisePath.from_vertex_rows(sigma.rows(ts, p0, p1), xs, closed=True)
 
 
 class TestPolygonalSlices:
@@ -280,7 +280,7 @@ class TestBuildChain:
         # homotopy grid really does approach the puncture
         sigma = star_null_homotopy(circle(), 0j)
         with pytest.raises(ContainmentNotCertified) as exc_info:
-            build_chain(sigma, circle(), sigma.gamma1, PuncturedPlane((0j,)))
+            build_chain(sigma, sigma.gamma0, sigma.gamma1, PuncturedPlane((0j,)))
         assert exc_info.value.min_complement_distance <= 0
         net = homotopy_carrier(sigma, 0.05)
         assert float(np.abs(net.net).min()) <= 0.1
@@ -290,6 +290,16 @@ class TestBuildChain:
         sigma = linear_homotopy(g0, g1)
         with pytest.raises(EndpointMismatch):
             build_chain(sigma, g1, g0, ANNULUS)
+
+    def test_an_equal_copy_of_an_end_is_refused(self):
+        # the chain's ends are the homotopy's own objects, not paths that
+        # agree with them: an equal copy of either is refused
+        g0, g1 = circle(radius=1.0), circle(radius=1.5)
+        sigma = linear_homotopy(g0, g1)
+        for ends, name in (((circle(radius=1.0), g1), "gamma0"),
+                           ((g0, circle(radius=1.5)), "gamma1")):
+            with pytest.raises(EndpointMismatch, match=f"{name} is not the homotopy's own"):
+                build_chain(sigma, *ends, ANNULUS)
 
     def test_deterministic_rebuild(self):
         g0, g1 = circle(radius=1.0), circle(radius=1.5)
@@ -369,16 +379,6 @@ class TestChainCrossCheck:
         assert all(e.exact for e in entries)
         assert entries[0].sampled == polyline_sup_distance(members[0], members[1])
         assert entries[-1].sampled == polyline_sup_distance(members[-2], members[-1])
-
-    def test_foreign_polyline_end_is_exact(self):
-        # an end path that is not the homotopy's own object is evaluated on
-        # the shared partition; a polyline with its breakpoints there is exact
-        g0, g1 = square(2.0), circle(radius=1.8)
-        same = square(2.0)
-        chain = build_chain(linear_homotopy(g0, g1), same, g1, WIDE_ANNULUS)
-        first = chain.certificate.entries[0]
-        assert chain.members[0] is same and first.exact
-        assert first.sampled == polyline_sup_distance(same, chain.members[1])
 
     def test_shared_partition_entries_match_the_breakpoint_union(self):
         # on one shared partition a polyline's values at the breakpoints are
@@ -556,89 +556,13 @@ class TestTimePartition:
 @pytest.mark.parametrize("center, radius", [(0j, 1e-12), (1e6 + 0j, 1.0)],
                          ids=["radius-1e-12", "center-1e6"])
 class TestEndpointCheckScale:
-    """The endpoint check is relative to the magnitude of the values."""
-
-    def test_each_path_evaluated_once(self, center, radius, monkeypatch):
-        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
-        noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
-        calls = []
-        for name, path in (("g0", g0), ("g1", g1), ("noisy", noisy)):
-            def counted(xs, path=path, name=name):
-                calls.append(name)
-                return type(path).values(path, xs)
-            monkeypatch.setattr(path, "values", counted)
-        sigma = linear_homotopy(g0, g1)
-        # the homotopy's own ends are its end slices exactly: nothing to evaluate
-        homotopy_module._check_endpoint_slices(sigma, g0, g1)
-        assert calls == []
-        # a foreign end is compared with its own end's values alone
-        homotopy_module._check_endpoint_slices(sigma, noisy, g1)
-        assert sorted(calls) == ["g0", "noisy"]
-        with pytest.raises(EndpointMismatch, match="differs from gamma0"):
-            homotopy_module._check_endpoint_slices(sigma, g1, g0)
-        with pytest.raises(EndpointMismatch, match="differs from gamma1"):
-            homotopy_module._check_endpoint_slices(sigma, g0, g0)
+    """An end that is not the homotopy's own is refused, at any scale."""
 
     def test_true_mismatch_refused(self, center, radius):
         g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
         with pytest.raises(EndpointMismatch):
             build_chain(linear_homotopy(g0, g1), g1, g0,
                         Annulus(center, 0.5 * radius, 2.5 * radius))
-
-    def test_float_noise_passes(self, center, radius):
-        # gamma0 moved by 1e-14 of the magnitude of its values
-        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
-        noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
-        chain = build_chain(linear_homotopy(g0, g1), noisy, g1,
-                            Annulus(center, 0.5 * radius, 2.5 * radius))
-        assert chain.members[0] is noisy
-        assert all(e.sampled.lo <= e.analytic for e in chain.certificate.entries)
-
-    def test_foreign_end_takes_its_own_values_and_chord_slack(self, center, radius, monkeypatch):
-        # a foreign polyline whose breakpoints are off the shared partition
-        # keeps the Lipschitz chord slack: here the moved circle's values on
-        # 2^17 uniform steps, within float noise of gamma0
-        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
-        moved = circle(center + 1e-14 * (abs(center) + radius), radius)
-        steps = np.arange(2 ** 17 + 1) / 2 ** 17
-        noisy = PiecewisePath.from_vertices(moved.values(steps), steps, closed=True)
-        seen = []
-
-        def recorded(xs):
-            seen.append(np.array(xs))
-            return type(noisy).values(noisy, xs)
-
-        monkeypatch.setattr(noisy, "values", recorded)
-        sigma = linear_homotopy(g0, g1)
-        domain = Annulus(center, 0.5 * radius, 2.5 * radius)
-        chain = build_chain(sigma, noisy, g1, domain)
-        xs = _proposal(sigma, domain)[0]
-        assert not np.isin(noisy.breakpoints, xs).all()
-        assert any(np.array_equal(called, xs) for called in seen)
-        vertex = Bounds.from_arrays(*paths_module._consecutive_gaps(
-            np.stack([type(noisy).values(noisy, xs), chain.members[1].vertices()])))[0]
-        slack = noisy.lipschitz_bound * float(np.diff(xs).max()) / 2
-        entry = chain.certificate.entries[0]
-        assert not entry.exact
-        assert entry.sampled == Bounds(vertex.lo, vertex.hi + slack)
-        assert entry.sampled.lo <= entry.analytic
-
-    def test_foreign_curved_end_takes_its_interpolation_bound(self, center, radius):
-        # a foreign circle has |z''| bounds and its breakpoints on the shared
-        # partition, so its slack is max h^2 M2 / 8, not the chord bound
-        g0, g1 = circle(center, radius), circle(center, 1.5 * radius)
-        noisy = circle(center + 1e-14 * (abs(center) + radius), radius)
-        sigma = linear_homotopy(g0, g1)
-        domain = Annulus(center, 0.5 * radius, 2.5 * radius)
-        chain = build_chain(sigma, noisy, g1, domain)
-        xs = _proposal(sigma, domain)[0]
-        entry = chain.certificate.entries[0]
-        assert not entry.exact
-        assert entry.sampled.hi / entry.analytic <= 0.85
-        chord = noisy.lipschitz_bound * float(np.diff(xs).max()) / 2
-        assert entry.sampled.hi < entry.sampled.lo + chord
-        assert entry.sampled.lo <= dense_sup_upper(noisy, chain.members[1])
-        assert dense_sup(noisy, chain.members[1]) <= entry.sampled.hi
 
 
 def _random_chain_case(rng):
@@ -677,11 +601,56 @@ def _random_chain_case(rng):
     return linear_homotopy(g0, g1), domain
 
 
+class _Perturbed(Homotopy):
+    """A proposer that is not a blend: the blend's rows with 0 < t < 1, each
+    vertex moved by a seeded random offset of modulus ``size`` (the closing
+    one by the first's, so the rows stay closed), and its end rows, bit for
+    bit."""
+
+    def __init__(self, sigma: Homotopy, size: float, seed: int):
+        super().__init__(sigma.gamma0, sigma.gamma1)
+        self.size = size
+        self.rng = np.random.default_rng(seed)
+
+    def rows(self, ts, p0, p1):
+        rows = super().rows(ts, p0, p1)
+        ts = np.asarray(ts, dtype=np.float64)
+        inner = (ts > 0) & (ts < 1)
+        turns = self.rng.uniform(size=(int(inner.sum()), rows.shape[1]))
+        turns[:, -1] = turns[:, 0]
+        rows[inner] += self.size * np.exp(2j * math.pi * turns)
+        return rows
+
+
+def _inradius(domain) -> float:
+    """The largest complement distance in a disk, annulus or rectangle: no
+    member keeps more clearance than that."""
+    if isinstance(domain, Disk):
+        return domain.radius
+    if isinstance(domain, Annulus):
+        return (domain.r_outer - domain.r_inner) / 2
+    return min((domain.corner_hi - domain.corner_lo).real,
+               (domain.corner_hi - domain.corner_lo).imag) / 2
+
+
 class TestIndependentCertificate:
     """Every certificate entry checked apart from the builder: a dense
     sample's gap is at most the certified gap, the certified gap is below
     the pair's bound, one of the pair's members keeps at least that bound
     from the complement on a dense sample, and every vertex is inside."""
+
+    @staticmethod
+    def _check(chain, domain):
+        members = chain.members
+        dense = [domain.complement_distances(m.values(np.arange(4001) / 4000)).min()
+                 for m in members]
+        for k, entry in enumerate(chain.certificate.entries):
+            p, q = members[k], members[k + 1]
+            assert dense_sup(p, q) <= entry.sampled.hi
+            assert entry.sampled.hi < entry.analytic
+            assert max(dense[k], dense[k + 1]) >= entry.analytic
+        for member in members:
+            assert np.all(domain.complement_distances(member.vertices()) > 0)
 
     def test_random_chains(self):
         rng = random.Random(21)
@@ -694,18 +663,43 @@ class TestIndependentCertificate:
                 refused += 1
                 continue
             built += 1
-            members = chain.members
-            dense = [domain.complement_distances(m.values(np.arange(4001) / 4000)).min()
-                     for m in members]
-            for k, entry in enumerate(chain.certificate.entries):
-                p, q = members[k], members[k + 1]
-                assert dense_sup(p, q) <= entry.sampled.hi
-                assert entry.sampled.hi < entry.analytic
-                assert max(dense[k], dense[k + 1]) >= entry.analytic
-            for member in members:
-                assert np.all(domain.complement_distances(member.vertices()) > 0)
+            self._check(chain, domain)
         # the draws reach certified chains of every size and refusals
         assert built >= 60 and refused >= 10
+
+    def test_a_proposer_that_is_not_a_blend(self):
+        # the certificate never uses the blend: rows moved off it by 1 % of
+        # the coarse clearance certify where they may, and pass the same
+        # checks; moved by more than any clearance in the domain, the chain
+        # next to an end is never close enough, and is refused
+        rng = random.Random(21)
+        built = moved = refused = 0
+        for seed in range(80):
+            sigma, domain = _random_chain_case(rng)
+            clearance = homotopy_module._coarse_grid(sigma, domain)[0]
+            if not clearance > 0:
+                continue
+            proposer = _Perturbed(sigma, 0.01 * clearance, seed)
+            try:
+                chain = build_chain(proposer, sigma.gamma0, sigma.gamma1, domain)
+            except ContainmentNotCertified:
+                continue
+            built += 1
+            self._check(chain, domain)
+            assert chain.members[0] is sigma.gamma0 and chain.members[-1] is sigma.gamma1
+            if not len(chain.rows):  # the ends alone: nothing was moved
+                continue
+            rows, _ = _eager_members(sigma, chain)
+            assert np.allclose(np.abs(chain.rows - rows), proposer.size, rtol=1e-6, atol=0)
+            moved += 1
+            if isinstance(domain, PuncturedPlane):
+                continue
+            # the same first proposal, its interior rows moved too far
+            far = _Perturbed(sigma, 1.01 * _inradius(domain), seed)
+            with pytest.raises(ContainmentNotCertified):
+                build_chain(far, sigma.gamma0, sigma.gamma1, domain)
+            refused += 1
+        assert built >= 40 and moved >= 20 and refused >= 10
 
 
 def _random_chains(seed: int, count: int):
@@ -739,7 +733,7 @@ def _eager_members(sigma, chain):
     xs = chain.breakpoints
     p0, p1 = sigma.gamma0.values(xs), sigma.gamma1.values(xs)
     p0[-1], p1[-1] = p0[0], p1[0]
-    rows = homotopy_module._blend(chain.partition[1:-1], p0, p1)
+    rows = sigma.rows(chain.partition[1:-1], p0, p1)
     return rows, PiecewisePath.from_vertex_rows(rows, xs, closed=True)
 
 
@@ -896,13 +890,13 @@ class TestContainmentRound:
     @staticmethod
     def _count_rows(monkeypatch):
         rows = []
-        blend = homotopy_module._blend
+        blend = Homotopy.rows
 
-        def counted(ts, p0, p1):
+        def counted(self, ts, p0, p1):
             rows.append(np.size(ts))
-            return blend(ts, p0, p1)
+            return blend(self, ts, p0, p1)
 
-        monkeypatch.setattr(homotopy_module, "_blend", counted)
+        monkeypatch.setattr(Homotopy, "rows", counted)
         return rows
 
     def test_budget_exceeded(self, monkeypatch):
@@ -922,6 +916,16 @@ class TestContainmentRound:
                            match="2 members of 1.72e[+]07 vertices, over the budget of 2000000"):
             build_chain(still, still.gamma0, still.gamma1, Annulus(0j, 1.0 - 1e-13, 2.0))
         assert rows == [] and built == []
+
+    def test_long_segments_across_a_puncture_refused(self):
+        # two long rectangles, one about the puncture and one above it,
+        # wind about it once and not at all, so no homotopy between them
+        # misses it; |b - a|^2 overflows on their long sides
+        length = 1.38e154
+        g0 = polyline([0, length, length + 3j, 3j])
+        g1 = polyline([4j, length + 4j, length + 7j, 7j])
+        with pytest.raises(ContainmentNotCertified):
+            build_chain(linear_homotopy(g0, g1), g0, g1, PuncturedPlane((0.3 * length + 1.5j,)))
 
     def test_coarse_partition_is_refined(self):
         # a puncture 0.02 inside the circle at x = 1/32, between the coarse

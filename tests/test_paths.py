@@ -308,6 +308,13 @@ class TestCertifiedClearance:
     def test_no_points_is_infinitely_clear(self):
         assert certified_clearance(circle(), []) == math.inf
 
+    def test_long_segments_keep_a_lower_bound(self):
+        # 0.5 from a segment 1.38e154 long, where |b - a|^2 overflows: the
+        # bound is not the distance to the segment's start
+        length = 1.38e154
+        path = polyline([0, length, length + 1j, 1j])
+        assert 0.0 <= certified_clearance(path, [length / 2 + 0.5j]) <= 0.5
+
     @pytest.mark.parametrize("name", sorted(PATHS))
     @pytest.mark.parametrize("point", [complex(math.nan, 0), complex(0, math.inf),
                                        complex(-math.inf, 1)], ids=["nan", "inf-im", "-inf-re"])
