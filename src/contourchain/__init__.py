@@ -25,6 +25,7 @@ from .geometry import (
     DomainDescriptor,
     PuncturedPlane,
     Rectangle,
+    polyline_clearances,
 )
 from .paths import (
     ArcSegment,

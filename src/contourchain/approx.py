@@ -55,24 +55,19 @@ def _require_budget(panels: float):
 def panel_counts(widths, second, eps: float) -> np.ndarray:
     """Equal panels on each piece of width w: floor(w * sqrt(3*M2 / (16*eps))) + 1
     from its |z''| bound M2 in ``second``."""
-    return np.floor(widths * np.sqrt(3 * second / (16 * eps))) + 1
+    with np.errstate(over="ignore"):  # a count past the float range is inf: over every budget
+        return np.floor(widths * np.sqrt(3 * second / (16 * eps))) + 1
 
 
 def partition_points(breaks: np.ndarray, counts) -> np.ndarray:
-    """Points of one partition per row of ``counts``, concatenated.
-
-    A row splits each piece [breaks[k], breaks[k+1]] into counts[k] equal
-    panels and ends with breaks[-1], so every breakpoint is a point of it.
-    """
-    counts = np.atleast_2d(counts)
-    _require_budget(counts.sum(axis=1).max(initial=0))
-    # a last piece of width 0 and one panel ends every row with breaks[-1]
-    counts = np.hstack([counts, np.ones((counts.shape[0], 1))]).astype(np.int64).ravel()
-    widths = np.append(np.diff(breaks), 0.0)
-    flat = np.repeat(np.arange(counts.size), counts)
-    piece = flat % widths.size
-    step = np.arange(flat.size) - (np.cumsum(counts) - counts)[flat]
-    return breaks[piece] + widths[piece] * step / counts[flat]
+    """The partition that splits each piece [breaks[k], breaks[k+1]] into
+    counts[k] equal panels and ends with breaks[-1], so every breakpoint is
+    a point of it."""
+    _require_budget(counts.sum())
+    counts = counts.astype(np.int64)
+    piece = np.repeat(np.arange(counts.size), counts)
+    step = np.arange(piece.size) - (np.cumsum(counts) - counts)[piece]
+    return np.append(breaks[piece] + np.diff(breaks)[piece] * step / counts[piece], breaks[-1])
 
 
 def polygonal_approximation(f: PiecewisePath, eps: float) -> PolygonalApproximation:

@@ -2,10 +2,10 @@
 
 A domain is an open subset of the plane with a closed-form distance to its
 complement, at points (``complement_distances``) and as the minimum over
-straight segments (``segment_complement_distances``).  The chain builder
-takes each member's clearance from those segment minima over the member's
-own segments, less a rounding allowance relative to the larger of the
-member's largest |vertex| and the domain's ``reach``.
+straight segments (``segment_complement_distances``).  One routine,
+``polyline_clearances``, makes those minima certified clearances of
+polylines: the chain's members from the spec's domain, and the paths the
+quadrature and the winding number measure from a ``PuncturedPlane``.
 
 ``CompactCarrier`` is a finite net of points standing in for a compact set:
 every point of the set lies within ``resolution`` of a net point, and every
@@ -15,6 +15,7 @@ path's range; a query against it is a plain minimum over ``net``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields as _fields
 
@@ -28,6 +29,7 @@ __all__ = [
     "Annulus",
     "Rectangle",
     "PuncturedPlane",
+    "polyline_clearances",
 ]
 
 
@@ -135,7 +137,7 @@ class DomainDescriptor:
     def segment_complement_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
+    @functools.cached_property
     def reach(self) -> float:
         """The largest modulus among the numbers that define a built-in
         shape.  Its closed-form distances at z round by a few ulps of the
@@ -241,24 +243,39 @@ class PuncturedPlane(DomainDescriptor):
         return np.abs(zs[..., None] - pts).min(axis=-1)
 
     def segment_complement_distances(self, a, b):
-        out = np.full(np.shape(a), np.inf)
-        for p in self.excluded:
-            out = np.minimum(out, _segment_point_distances(a, b, p))
-        return out
+        a, b = (np.asarray(z, dtype=np.complex128)[..., None] for z in (a, b))
+        if not self.excluded:
+            return np.full(a.shape[:-1], np.inf)
+        return _segment_point_distances(a, b, np.array(self.excluded)).min(axis=-1)
 
 
-def _segment_point_distances(a: np.ndarray, b: np.ndarray, p: complex) -> np.ndarray:
-    """Distance from the point ``p`` to each segment [a, b].
+def polyline_clearances(z0: np.ndarray, z1: np.ndarray, starts, domain: DomainDescriptor,
+                        rounding: float) -> np.ndarray:
+    """The certified clearance of each polyline in a stack of segments [z0, z1],
+    polyline k holding those from ``starts[k]`` up to the next: its exact
+    minimum of ``domain.segment_complement_distances``, less ``rounding`` (the
+    allowance its caller's proof needs) times the larger of its largest
+    |vertex| and ``domain.reach``.  Nonpositive or nan certifies nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = np.minimum.reduceat(domain.segment_complement_distances(z0, z1), starts)
+        vertices = np.maximum.reduceat(np.maximum(np.abs(z0), np.abs(z1)), starts)
+        return exact - rounding * np.maximum(vertices, domain.reach)
 
-    The closest point is the projection of p onto the segment's line,
-    clamped to the segment; a degenerate segment is its point a.  The
-    projection is taken with d = b - a and p - a times the power of two
-    2^-e that brings d's larger part into [1/2, 1), an exact scaling, so
-    |d|^2 neither overflows on a long segment nor underflows on a short one,
-    and the ratio is the unscaled one wherever that is representable.
-    """
+
+def _segment_point_distances(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """Distance from ``p`` to each segment [a, b], broadcast (``_segment_projections``)."""
     a = np.asarray(a, dtype=np.complex128)
     d = np.asarray(b, dtype=np.complex128) - a
+    return np.abs(a + _segment_projections(a, d, p) * d - p)
+
+
+def _segment_projections(a: np.ndarray, d: np.ndarray, p) -> np.ndarray:
+    """The parameter s in [0, 1] of each segment [a, a + d]'s point nearest
+    to ``p``: p's projection onto its line clamped to it, 0 if degenerate.
+    It is taken with d and p - a times the power of two 2^-e that brings d's
+    larger part into [1/2, 1), an exact scaling, so |d|^2 neither overflows
+    on a long segment nor underflows on a short one, and the ratio is the
+    unscaled one wherever that is representable."""
     e = np.frexp(np.maximum(np.abs(d.real), np.abs(d.imag)))[1]
     scale = np.ldexp(1.0, np.minimum(-e, 1021))  # 2^-e, finite for a subnormal d
     unit = d * scale
@@ -269,7 +286,7 @@ def _segment_point_distances(a: np.ndarray, b: np.ndarray, p: complex) -> np.nda
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         along = ((p - a) * scale * unit.conjugate()).real
         s = np.where(length2 > 0, along / length2, 0.0)
-    return np.abs(a + np.fmin(np.fmax(s, 0.0), 1.0) * d - p)
+    return np.fmin(np.fmax(s, 0.0), 1.0)
 
 
 # no caller in the package: the benchmark's tracer wraps it (perfbench/tracing.py)

@@ -39,6 +39,7 @@ import numpy as np
 from .approx import panel_counts, partition_points, polygonal_approximation  # noqa: F401
 from .errors import ContainmentNotCertified, EndpointMismatch, InvalidEpsilon
 from .geometry import Bounds, CompactCarrier, DomainDescriptor, well_contained  # noqa: F401
+from .geometry import polyline_clearances
 from .paths import (  # noqa: F401
     PiecewisePath,
     _consecutive_gaps,
@@ -291,17 +292,17 @@ def _coarse_grid(sigma: Homotopy, domain: DomainDescriptor) -> tuple[float, floa
     D / M of them.
     """
     p0, p1 = sigma.gamma0.values(_COARSE_XS), sigma.gamma1.values(_COARSE_XS)
-    return (float(domain.segment_complement_distances(p0, p1).min()),
-            float(np.abs(p1 - p0).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (float(domain.segment_complement_distances(p0, p1).min()),
+                float(np.abs(p1 - p0).max()))
 
 
-def _certify_containment(rows: np.ndarray, domain: DomainDescriptor, reach: float) -> np.ndarray:
-    """The certified clearance of the polyline through each row of ``rows``:
-    the exact minimum complement distance over its segments, less the
-    rounding allowance at the larger of its largest |vertex| and ``reach``,
-    the domain's.  Nonpositive certifies nothing."""
-    exact = domain.segment_complement_distances(rows[:, :-1], rows[:, 1:]).min(axis=1)
-    return exact - _BLEND_ROUNDING * np.maximum(np.abs(rows).max(axis=1), reach)
+def _certify_containment(rows: np.ndarray, domain: DomainDescriptor) -> np.ndarray:
+    """The certified clearance of the polyline through each row of ``rows``,
+    ``polyline_clearances`` at ``_BLEND_ROUNDING``; nonpositive certifies nothing."""
+    count, columns = rows.shape
+    return polyline_clearances(rows[:, :-1].ravel(), rows[:, 1:].ravel(),
+                               np.arange(count) * (columns - 1), domain, _BLEND_ROUNDING)
 
 
 def _end_slack(path: PiecewisePath, values: np.ndarray, xs: np.ndarray) -> float:
@@ -323,7 +324,7 @@ def _end_slack(path: PiecewisePath, values: np.ndarray, xs: np.ndarray) -> float
             + _BLEND_ROUNDING * float(np.abs(values).max()))
 
 
-def _check_budget(members: int, vertices: int, gap: float, scale: float):
+def _check_budget(members: float, vertices: float, gap: float, scale: float):
     """Refuse a chain of ``members`` rows of ``vertices`` points over the
     budgets, before it is blended."""
     if members > _MAX_SLICES:
@@ -387,9 +388,10 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     step is bisected, up to ``_MAX_DEPTH`` times (a blend across a puncture
     keeps failing where it crosses).  Every array is checked against
     ``_MAX_SLICES`` members and ``_MAX_VERTICES`` vertices before it is
-    built, from D / r + 1 members before the first partition is.  ``eps``
-    must be positive and finite when given.  A domain with no complement,
-    and no eps, takes one step: the chain is its ends.
+    built, from D / r + 1 members before the first partition is; so do a
+    count, D or ``domain.reach`` past the float range.  ``eps`` must be
+    positive and finite when given.  A domain with no complement, and no
+    eps, takes one step: the chain is its ends.
     """
     for name, path, own in (("gamma0", gamma0, sigma.gamma0), ("gamma1", gamma1, sigma.gamma1)):
         if path is not own:
@@ -401,28 +403,33 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
             raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
 
     upper, moves = _coarse_grid(sigma, domain)
+    if not (math.isfinite(domain.reach) and math.isfinite(moves)):
+        raise ContainmentNotCertified(
+            f"past the float range: the domain's largest modulus is {domain.reach:.6g}, and the "
+            f"homotopy moves a point by {moves:.6g} at 17 points")
     if not upper > 0:
         raise ContainmentNotCertified(
             f"the homotopy sweeps outside the domain: min complement distance {upper:.6g} "
             "on its time segments at 17 points", min_complement_distance=upper)
     scale = min(upper, cap)
     tolerance = _PARTITION_FRACTION * scale
-    reach = domain.reach
-    # before a tiny scale makes the partition or the array huge
-    members = max(1, math.ceil(moves / scale)) + 1
+    # in floats, which read inf past their range, before a tiny scale makes
+    # the partition or the array huge
+    members = max(1.0, np.ceil(moves / scale)) + 1
     panels = sigma.panels(tolerance)
-    _check_budget(members, int(panels.sum()) + 1, moves, scale)
+    _check_budget(members, panels.sum() + 1, moves, scale)
     xs, p0, p1 = sigma.shared_vertices(panels)
-    gap = float(np.abs(p1 - p0).max()) * (1 + _BLEND_ROUNDING)
-    steps = max(1, math.ceil(gap / scale))
-    ts = np.arange(steps + 1) / steps
+    with np.errstate(over="ignore"):
+        gap = float(np.abs(p1 - p0).max()) * (1 + _BLEND_ROUNDING)
+    steps = max(1.0, np.ceil(gap / scale))
+    _check_budget(steps + 1, xs.size, gap, scale)
+    ts = np.arange(int(steps) + 1) / steps
 
     depth = 0
     for refinement in itertools.count():
-        _check_budget(ts.size, xs.size, gap, scale)
         rows = sigma.rows(ts, p0, p1)
         slack = np.array([_end_slack(gamma0, rows[0], xs), _end_slack(gamma1, rows[-1], xs)])
-        radius = _certify_containment(rows, domain, reach)
+        radius = _certify_containment(rows, domain)
         radius[[0, -1]] -= slack
         finer = slack.any() and refinement < _FINER_PARTITIONS
 
@@ -463,10 +470,10 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
             new = sigma.rows(mids, p0, p1)
             ts = np.insert(ts, failing + 1, mids)
             rows = np.insert(rows, failing + 1, new, axis=0)
-            radius = np.insert(radius, failing + 1, _certify_containment(new, domain, reach))
+            radius = np.insert(radius, failing + 1, _certify_containment(new, domain))
             depth += 1
 
         tolerance /= 4
         panels = sigma.panels(tolerance)
-        _check_budget(ts.size, int(panels.sum()) + 1, gap, scale)
+        _check_budget(ts.size, panels.sum() + 1, gap, scale)
         xs, p0, p1 = sigma.shared_vertices(panels)

@@ -50,10 +50,11 @@ where einsum's many-column loop does not (``_rule_sums``).
 Paths must keep a certified clearance of 1e-9 from every declared singularity
 of the integrand (``paths.certified_clearances``), in closed form for every
 path: the projection onto each line segment, and for an arc the clamp of the
-angle onto the unit arc after scaling by the semi-axes; all rows of a chain
-are measured in one evaluation.  A member whose rule sums are not
-finite (the integrand overflows on it) fails with ``ToleranceNotReached`` in
-the round that finds it, with numpy's overflow warnings silenced.
+angle onto the unit arc after scaling by the semi-axes; the line members,
+rows and end paths alike, are stacked once (``_Members.lines``) and measured
+in one call.  A member whose rule sums are not finite (the integrand
+overflows on it) fails with ``ToleranceNotReached`` in the round that finds
+it, with numpy's overflow warnings silenced.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ import numpy as np
 from .errors import InvalidEpsilon, NearSingularity, ToleranceNotReached
 from .expressions import AnalyticFunction
 # carrier_of_path is unused here but stays importable: perfbench/tracing.py wraps it
-from .paths import PiecewisePath, carrier_of_path, certified_clearances  # noqa: F401
-from .paths import _finite_points, _line_clearances, nearest_parameters
+from .paths import PiecewisePath, carrier_of_path  # noqa: F401
+from .paths import _joined, _Members, nearest_parameters
 
 __all__ = ["IntegralResult", "ChainIntegrals", "contour_integral", "integral_along_chain"]
 
@@ -131,8 +132,6 @@ _MAX_PIECES = 200_000
 _GRADE_GATE = 3.0
 _CENTRAL = 0.5  # kappa: the central piece covers at most kappa d of the path
 _RATIO = 1.5  # r: each ladder piece is r - 1 times its distance from the foot
-# no interior rows, as in the member table of a lone path
-_NO_ROWS = np.empty((0, 2), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -181,72 +180,6 @@ def _max_deviation(values: np.ndarray) -> float:
     at a time, so a long chain never holds all n² differences."""
     return max(float(np.abs(values[i:i + 256, None] - values).max())
                for i in range(0, values.size, 256))
-
-
-class _Members:
-    """The members to integrate, in order: the paths ``head``, the closed
-    polylines through the rows of ``rows`` at the shared ``breaks`` (a
-    chain's interior members), and the paths ``tail``.  ``given`` lists
-    (index, path) for every member given as a path.
-
-    A row's line fields are read from the array, the same values in the
-    same order as a ``PiecewisePath.from_vertex_rows`` view of it holds, and
-    a row becomes such a view only where a path is needed (``path``).
-    """
-
-    def __init__(self, head: tuple, rows: np.ndarray = _NO_ROWS, breaks=None, tail=()):
-        self.head, self.rows, self.breaks, self.tail = head, rows, breaks, tail
-        self.count = len(head) + len(rows) + len(tail)
-        self.given = [*enumerate(head), *enumerate(tail, len(head) + len(rows))]
-
-    def __len__(self) -> int:
-        return self.count
-
-    def window(self, start: int, stop: int) -> "_Members":
-        """Members ``start`` up to ``stop``."""
-        if start == 0 and stop == self.count:
-            return self
-        h, k = len(self.head), len(self.rows)
-        return _Members(self.head[start:stop], self.rows[max(0, start - h):max(0, stop - h)],
-                        self.breaks, self.tail[max(0, start - h - k):max(0, stop - h - k)])
-
-    def path(self, m: int) -> PiecewisePath:
-        """Member m as a path, for a row a view of it made now."""
-        h, k = len(self.head), len(self.rows)
-        if h <= m < h + k:
-            return PiecewisePath.from_vertex_rows(self.rows[m - h:m - h + 1], self.breaks,
-                                                  closed=True)[0]
-        return dict(self.given)[m]
-
-    def lines(self):
-        """(ids, breaks, fields) of the line members: their indices and
-        breakpoints, in order, and their segments' (z0, z1, s0, span)
-        stacked in that order, None for no line member."""
-        h, k = len(self.head), len(self.rows)
-        lines = [(m, path) for m, path in self.given if path._all_lines]
-        ids = [m for m, _ in lines]
-        breaks = [path.breakpoints for _, path in lines]
-        fields = [(path._z0, path._z1, path._s0, path._span) for _, path in lines]
-        if k:
-            at = sum(m < h for m in ids)  # the rows' place among them
-            ids[at:at] = range(h, h + k)
-            breaks[at:at] = [self.breaks] * k
-            fields.insert(at, (self.rows[:, :-1].ravel(), self.rows[:, 1:].ravel(),
-                               np.tile(self.breaks[:-1], k), np.tile(np.diff(self.breaks), k)))
-        return ids, breaks, [_joined(list(column)) for column in zip(*fields)] if ids else None
-
-    def clearances(self, points) -> np.ndarray:
-        """``paths.certified_clearances`` of every member from ``points``, the
-        rows' from one evaluation over all of their segments."""
-        out = certified_clearances([path for _, path in self.given], points)
-        k = len(self.rows)
-        if not k:
-            return out
-        rows, pts = self.rows, _finite_points(points)
-        inner = np.full(k, math.inf) if not pts.size else _line_clearances(
-            rows[:, :-1].ravel(), rows[:, 1:].ravel(), np.arange(k) * (rows.shape[1] - 1),
-            rows[:, 0], pts)
-        return np.insert(out, len(self.head), inner)
 
 
 def _integrate(f: AnalyticFunction, members: _Members, tol: float):
@@ -335,9 +268,9 @@ def _first_pieces(members: _Members, tol: float, clearances, poles):
     from its own segments and the poles alone, so it gets the same pieces
     alone and in a chain.
     """
-    line_ids, breaks, fields = members.lines()
+    line_ids, breaks, fields = members.lines
     curved = [(m, path) for m, path in members.given if not path._all_lines]
-    breaks += [path.breakpoints for _, path in curved]
+    breaks = breaks + [path.breakpoints for _, path in curved]
     sizes = [b.size - 1 for b in breaks]
     lows = _joined([b[:-1] for b in breaks])
     highs = _joined([b[1:] for b in breaks])
@@ -445,10 +378,6 @@ def _ladder_side(x: float, t0: float, a: float, b: float) -> list:
     last = int(math.log((b - x) / t0) / math.log(_RATIO)) - 1
     first = 0 if x >= a else 1 + max(0, math.ceil(math.log((a - x) / t0) / math.log(_RATIO)))
     return [x + t0 * _RATIO ** k for k in range(first, last + 1)]
-
-
-def _joined(arrays: list) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 # an overflow shows as a non-finite rule sum, which fails its member, not as a warning

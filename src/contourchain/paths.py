@@ -4,11 +4,12 @@ A path is a finite run of segments over contiguous spans of the parameter
 interval [0, 1], each a line or an arc of an axis-aligned ellipse
 (a circle when its semi-axes agree; ``ellipse`` is one arc over a full
 turn).  Both kinds have closed forms for their values, their bounds on |z'|
-and |z''|, and their certified clearance from a point.  The largest |z'|
-bound, ``lipschitz_bound`` L, is the path's modulus of continuity as
-explicit data: parameter points closer than eps / L map to values closer
-than eps, and for L = 0 (a constant path) every step qualifies.  Sampling
-grids, eta-nets and sup-distance bounds all read that one number.
+and |z''|, and their certified clearance from a point (for lines,
+``geometry.polyline_clearances``).  The largest |z'| bound, ``lipschitz_bound``
+L, is the path's modulus of continuity as explicit data: parameter points
+closer than eps / L map to values closer than eps, and for L = 0 (a constant
+path) every step qualifies.  Sampling grids, eta-nets and sup-distance bounds
+all read that one number.
 
 Endpoint equality of closed paths is enforced by construction: evaluating a
 closed path at 1 returns the bit-exact value at 0, so no closedness
@@ -17,6 +18,7 @@ tolerance exists anywhere downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -25,8 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidEpsilon
-from .geometry import Bounds, CompactCarrier, require_finite_complex, require_finite_real
-from .geometry import _segment_point_distances
+from .geometry import (Bounds, CompactCarrier, PuncturedPlane, polyline_clearances,
+                       require_finite_complex, require_finite_real)
+from .geometry import _segment_projections
 
 __all__ = [
     "LineSegment",
@@ -602,58 +605,106 @@ def certified_clearance(path: PiecewisePath, points) -> float:
 
 
 def certified_clearances(paths, points) -> np.ndarray:
-    """``certified_clearance`` of each path.  The line paths' distances (every
-    interior chain member, squares, polylines, constants) come from one
-    evaluation over all of their segments; each path keeps its own rounding
-    allowance, relative to the larger of its own largest |vertex| and the
-    points' largest modulus.  A non-finite point is refused."""
-    pts = _finite_points(points)
-    out = np.full(len(paths), math.inf)
-    if pts.size == 0:
+    """``certified_clearance`` of each path.  The line paths' segments
+    (every interior chain member, squares, polylines, constants) are stacked
+    and measured in one call (``_Members.clearances``); each path keeps its
+    own rounding allowance, relative to the larger of its own largest
+    |vertex| and the points' largest modulus.  A non-finite point is
+    refused."""
+    return _Members(tuple(paths)).clearances(points)
+
+
+# no interior rows, as in the member table of a lone path
+_NO_ROWS = np.empty((0, 2), dtype=np.complex128)
+
+
+class _Members:
+    """A run of members, in order: the paths ``head``, the closed
+    polylines through the rows of ``rows`` at the shared ``breaks`` (a
+    chain's interior members), and the paths ``tail``.  ``given`` lists
+    (index, path) for every member given as a path.
+
+    A row's line fields are read from the array, the same values in the
+    same order as a ``PiecewisePath.from_vertex_rows`` view of it holds, and
+    a row becomes such a view only where a path is needed (``path``).
+    """
+
+    def __init__(self, head: tuple, rows: np.ndarray = _NO_ROWS, breaks=None, tail=()):
+        self.head, self.rows, self.breaks, self.tail = head, rows, breaks, tail
+        self.count = len(head) + len(rows) + len(tail)
+        self.given = [*enumerate(head), *enumerate(tail, len(head) + len(rows))]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def window(self, start: int, stop: int) -> "_Members":
+        """Members ``start`` up to ``stop``."""
+        if start == 0 and stop == self.count:
+            return self
+        h, k = len(self.head), len(self.rows)
+        return _Members(self.head[start:stop], self.rows[max(0, start - h):max(0, stop - h)],
+                        self.breaks, self.tail[max(0, start - h - k):max(0, stop - h - k)])
+
+    def path(self, m: int) -> PiecewisePath:
+        """Member m as a path, for a row a view of it made now."""
+        h, k = len(self.head), len(self.rows)
+        if h <= m < h + k:
+            return PiecewisePath.from_vertex_rows(self.rows[m - h:m - h + 1], self.breaks,
+                                                  closed=True)[0]
+        return dict(self.given)[m]
+
+    @functools.cached_property
+    def lines(self):
+        """(ids, breaks, fields) of the line members: their indices and
+        breakpoints, in order, and their segments' (z0, z1, s0, span)
+        stacked in that order, None for no line member."""
+        h, k = len(self.head), len(self.rows)
+        lines = [(m, path) for m, path in self.given if path._all_lines]
+        ids = [m for m, _ in lines]
+        breaks = [path.breakpoints for _, path in lines]
+        fields = [(path._z0, path._z1, path._s0, path._span) for _, path in lines]
+        if k:
+            at = sum(m < h for m in ids)  # the rows' place among them
+            ids[at:at] = range(h, h + k)
+            breaks[at:at] = [self.breaks] * k
+            fields.insert(at, (self.rows[:, :-1].ravel(), self.rows[:, 1:].ravel(),
+                               np.tile(self.breaks[:-1], k), np.tile(np.diff(self.breaks), k)))
+        return ids, breaks, [_joined(list(column)) for column in zip(*fields)] if ids else None
+
+    def clearances(self, points) -> np.ndarray:
+        """``certified_clearance`` of every member from ``points``, the line
+        members' from one ``polyline_clearances`` call over their stacked
+        segments (``lines``) against the plane less the points."""
+        pts = np.asarray(points, dtype=np.complex128).ravel()
+        if not np.isfinite(pts).all():
+            raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]!r}")
+        out = np.full(self.count, math.inf)
+        if pts.size == 0:
+            return out
+
+        def measured(z0, z1, starts):
+            plane = PuncturedPlane(tuple(dict.fromkeys(pts.tolist())))  # it refuses repeats
+            # fmax: nan, past the float range, is clearance 0
+            return np.fmax(0.0, polyline_clearances(z0, z1, starts, plane, _POLYLINE_ROUNDING))
+
+        ids, breaks, fields = self.lines
+        if ids:
+            starts = list(accumulate((b.size - 1 for b in breaks[:-1]), initial=0))
+            out[ids] = measured(*fields[:2], starts)
+        for m, path in self.given:
+            if path._arcs is not None:
+                out[m] = _arc_clearance(path._arcs, pts)
+            elif not path._all_lines:  # lines and arcs mixed: the smaller closed form
+                chords = np.array([(s.z0, s.z1) for s in path.segments
+                                   if isinstance(s, LineSegment)])
+                arcs = _arc_arrays([s for s in path.segments if isinstance(s, ArcSegment)])
+                out[m] = min(measured(chords[:, 0], chords[:, 1], [0])[0],
+                             _arc_clearance(arcs, pts))
         return out
-    lines = [k for k, path in enumerate(paths) if path._all_lines]
-    if lines:
-        members = [paths[k] for k in lines]
-        out[lines] = _line_clearances(
-            np.concatenate([path._z0 for path in members]),
-            np.concatenate([path._z1 for path in members]),
-            list(accumulate((path.num_segments for path in members[:-1]), initial=0)),
-            np.array([path._start if path.closed else path._z1[-1] for path in members]), pts)
-    for k, path in enumerate(paths):
-        if path._arcs is not None:
-            out[k] = _arc_clearance(path._arcs, pts)
-        elif not path._all_lines:  # lines and arcs mixed: the smaller closed form
-            chords = np.array([(s.z0, s.z1) for s in path.segments if isinstance(s, LineSegment)])
-            nearest = _segment_point_distances(chords[:, :1], chords[:, 1:], pts).min()
-            arcs = _arc_arrays([s for s in path.segments if isinstance(s, ArcSegment)])
-            out[k] = min(_less_rounding(nearest, np.abs(chords).max(), pts),
-                         _arc_clearance(arcs, pts))
-    return out
 
 
-def _finite_points(points) -> np.ndarray:
-    """``points`` as a flat complex array; a non-finite point is refused."""
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    if not np.isfinite(pts).all():
-        raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]!r}")
-    return pts
-
-
-def _line_clearances(z0: np.ndarray, z1: np.ndarray, starts, ends: np.ndarray,
-                     pts: np.ndarray) -> np.ndarray:
-    """``certified_clearance`` of line paths from ``pts``, a nonempty array of
-    finite points: path k's segments [z0, z1] are stacked from ``starts[k]``
-    on, and ``ends[k]`` is its last value (its first, closed)."""
-    dist = _segment_point_distances(z0[:, None], z1[:, None], pts).min(axis=1)
-    reach = np.maximum(np.maximum.reduceat(np.abs(z0), starts), np.abs(ends))
-    return _less_rounding(np.minimum.reduceat(dist, starts), reach, pts)
-
-
-def _less_rounding(nearest, reach, pts: np.ndarray):
-    """An exact nearest distance less its rounding allowance, relative to the
-    larger of the path's reach and the points' largest magnitude."""
-    scale = np.maximum(reach, np.abs(pts).max())
-    return np.maximum(0.0, nearest - _POLYLINE_ROUNDING * scale)
+def _joined(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
@@ -676,7 +727,7 @@ def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
     so with |q|, the rounded ends and the subtractions the unit distance
     exceeds d(q) by at most 5.01u|q| + 5u.  Since m|q| <= |p - c| <= 2S and
     m <= S, the product with m, rounded once, exceeds the bound by at most
-    18.1u S, within the 16 eps S that ``_less_rounding`` subtracts.
+    18.1u S, within the 16 eps S subtracted here (clamped at 0).
     """
     q = _unit_frame(arcs, pts)
     angle0, angle1 = arcs.angle0[:, None], arcs.angle1[:, None]
@@ -685,9 +736,10 @@ def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
              <= np.abs(angle1 - angle0) + 2 * slack)
     ends = np.minimum(*(np.abs(q - np.exp(1j * angle)) for angle in (angle0, angle1)))
     dist = np.where(swept, np.abs(np.abs(q) - 1.0), ends).min(axis=1)
-    reach = np.abs(arcs.center) + np.maximum(arcs.semi_re, arcs.semi_im)
-    return float(_less_rounding((np.minimum(arcs.semi_re, arcs.semi_im) * dist).min(),
-                                reach.max(), pts))
+    scale = max((np.abs(arcs.center) + np.maximum(arcs.semi_re, arcs.semi_im)).max(),
+                np.abs(pts).max())
+    return float(max(0.0, (np.minimum(arcs.semi_re, arcs.semi_im) * dist).min()
+                     - _POLYLINE_ROUNDING * scale))
 
 
 def _unit_frame(arcs: _ArcArrays, pts: np.ndarray) -> np.ndarray:
@@ -705,8 +757,8 @@ def nearest_parameters(path: PiecewisePath, points):
     parameter x of the segment's point nearest to the point, and the
     distance d between them; None for a path that mixes lines and arcs.
 
-    On a line x is the projection clamped to the segment, as in the line
-    clearance.  On an arc it is the angle of q = A^-1 (p - c), as
+    On a line x is the projection clamped to the segment that every segment
+    distance takes.  On an arc it is the angle of q = A^-1 (p - c), as
     ``_arc_clearance`` maps the point, clamped into the sweep at the nearer
     end; for a circle that point is the nearest one, for an ellipse a point
     near it, and d is its distance.  Neither is a certified bound."""
@@ -715,10 +767,7 @@ def nearest_parameters(path: PiecewisePath, points):
     s0, span = breaks[:-1, None], (breaks[1:] - breaks[:-1])[:, None]
     if path._all_lines:
         a, step = path._z0[:, None], (path._z1 - path._z0)[:, None]
-        length2 = step.real ** 2 + step.imag ** 2
-        along = ((pts - a) * step.conjugate()).real
-        u = np.clip(np.divide(along, length2, out=np.zeros(along.shape), where=length2 > 0),
-                    0.0, 1.0)
+        u = _segment_projections(a, step, pts)
         foot = a + u * step
     elif path._arcs is not None:
         arcs = path._arcs

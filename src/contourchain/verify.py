@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import _MAX_PANELS, panel_counts, polygonal_approximation
+from .approx import _MAX_PANELS, panel_counts, partition_points
 from .errors import NearSingularity
 from .expressions import AnalyticFunction
 from .geometry import DomainDescriptor, require_finite_complex
@@ -175,11 +175,12 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float | None = None) -
                f"(best certified clearance {clearance:.3g}, ")
     if not clearance > 0:
         raise NearSingularity(refusal + f"the point {a} lies on the path, up to rounding)")
-    panels = panel_counts(np.diff(gamma.breakpoints), gamma.second_derivative_bounds,
-                          clearance / 2).sum()
-    if not panels <= _MAX_PANELS:
-        raise NearSingularity(refusal + f"needing {panels:.3g} segments, budget {_MAX_PANELS})")
-    verts = polygonal_approximation(gamma, clearance / 2).path.vertices()
+    counts = panel_counts(np.diff(gamma.breakpoints), gamma.second_derivative_bounds, clearance / 2)
+    if not counts.sum() <= _MAX_PANELS:
+        raise NearSingularity(
+            refusal + f"needing {counts.sum():.3g} segments, budget {_MAX_PANELS})")
+    verts = gamma.values(partition_points(gamma.breakpoints, counts))
+    verts[-1] = verts[0]
     allowance = _WINDING_ROUNDING * max(abs(a), np.abs(verts).max())
     if not clearance > allowance:
         raise NearSingularity(refusal + f"rounding allowance {allowance:.3g})")

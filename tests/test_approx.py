@@ -17,6 +17,7 @@ from contourchain import (
     square,
     star_null_homotopy,
 )
+from contourchain.approx import partition_points
 from conftest import dense_sup, dense_sup_upper, random_builtin_path, slice_sup_upper
 
 
@@ -192,3 +193,23 @@ class TestRandomPaths:
             g = polygonal_approximation(f, eps)
             assert dense_sup(f, g.path, 2000) <= 2 * eps / 3 + 1e-12
             assert g.path.value(0.0) == f.value(0.0) == g.path.value(1.0)
+
+
+def test_partition_points_are_the_rows_partition():
+    # the two-dimensional partition, one row per row of counts, kept as the
+    # oracle: a row's points are the same bits taken alone
+    def rows_partition(breaks, counts):
+        counts = np.atleast_2d(counts)
+        counts = np.hstack([counts, np.ones((counts.shape[0], 1))]).astype(np.int64).ravel()
+        widths = np.append(np.diff(breaks), 0.0)
+        flat = np.repeat(np.arange(counts.size), counts)
+        piece = flat % widths.size
+        step = np.arange(flat.size) - (np.cumsum(counts) - counts)[flat]
+        return breaks[piece] + widths[piece] * step / counts[flat]
+
+    rng = np.random.default_rng(43)
+    for size in (1, 2, 5, 17):
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, size - 1)), [1.0]])
+        counts = np.floor(rng.uniform(1, 40, size))
+        assert partition_points(breaks, counts).tobytes() == \
+            rows_partition(breaks, counts).tobytes()

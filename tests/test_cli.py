@@ -16,6 +16,7 @@ import contourchain
 from contourchain import cli
 from contourchain.cli import EXIT_FAILED, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, SpecDocument, main
 from contourchain.errors import ContourChainError, SpecError
+from contourchain.homotopy import build_chain
 from conftest import counted_vertex_rows
 
 
@@ -253,12 +254,12 @@ def test_path_command_exit_codes(args, code, text):
 def test_winding_point_over_the_panel_budget_is_refused_before_a_partition(monkeypatch):
     # 1e-13 from the unit circle needs a polyline of 1.24e7 segments; the
     # refusal comes from the panel count alone, before any partition is built
-    from contourchain import approx
+    from contourchain import verify
 
     def unbuilt(*args):
         raise AssertionError("a partition was built")
 
-    monkeypatch.setattr(approx, "partition_points", unbuilt)
+    monkeypatch.setattr(verify, "partition_points", unbuilt)
     result = CliRunner().invoke(main, ["wind", "--path", "unit_circle", "--point", "0.9999999999999"])
     assert result.exit_code == EXIT_REFUSED, result.output
     assert "needing 1.24e+07 segments, budget 5000000" in result.stderr
@@ -340,6 +341,47 @@ def test_long_segments_are_refused_without_warnings(command, refusal):
     assert run.returncode == EXIT_REFUSED
     assert run.stderr.startswith(f"error: path not certifiably clear of {refusal} ")
     assert "Warning" not in run.stderr
+
+
+_CORNERS = {"corner_lo": "-1.7e308-1.7e308i", "corner_hi": "1.7e308+1.7e308i"}
+_MOVED = "the homotopy moves a point by inf"
+_TOO_LARGE = "the domain's largest modulus is inf"
+
+
+def _far_paths(center="-1e308"):
+    """A circle of radius 1 about 1e308 and a square of side 2 about ``center``."""
+    return {"a": {"kind": "circle", "radius": 1, "center": "1e308"},
+            "b": {"kind": "square", "side": 2, "center": center}}
+
+
+_LINEAR = {"kind": "linear", "from": "a", "to": "b"}
+
+
+@pytest.mark.parametrize("command", ["chain", "verify"])
+@pytest.mark.parametrize("domain, paths, homotopy, eps, refusal", [
+    ({"kind": "disk", "radius": 1.7e308}, _far_paths(), _LINEAR, None, _MOVED),
+    ({"kind": "disk", "radius": 1.7e308}, _far_paths(),
+     {"kind": "star", "path": "a", "center": "-1e308"}, None, _MOVED),
+    ({"kind": "rectangle", **_CORNERS}, _far_paths(), _LINEAR, None, _TOO_LARGE),
+    ({"kind": "punctured_plane"}, _far_paths(), _LINEAR, None, _MOVED),
+    ({"kind": "annulus", "r_inner": 1e-300, "r_outer": 1.7e308}, _far_paths(), _LINEAR, None,
+     _MOVED),
+    ({"kind": "rectangle", **_CORNERS}, _far_paths("0"), _LINEAR, None, _TOO_LARGE),
+    ({"kind": "punctured_plane"}, {"a": {"kind": "unit_circle"}},
+     {"kind": "star", "path": "a", "center": "1e154"}, 1e-300, "the chain would need inf members"),
+], ids=["disk", "disk-star", "rectangle", "plane", "annulus", "rectangle-to-0", "tiny-eps"])
+def test_chains_past_the_float_range_are_refused(tmp_path, command, domain, paths, homotopy, eps,
+                                                 refusal):
+    # ends 2e308 apart, a rectangle with a corner of modulus 2.4e308, and
+    # steps of eps 1e-300 over 1e154, all past the float range: each
+    # refusal names the quantity that is not finite, with no warning (a
+    # RuntimeWarning is an error under the test settings)
+    doc = _spec(paths=paths, homotopy=homotopy, domain=domain, function={"expression": "exp(z)"},
+                tolerances={"tol": 1e-9, **({} if eps is None else {"eps": eps})})
+    result = _run(tmp_path, command, doc)
+    assert result.exit_code == EXIT_REFUSED, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and refusal in result.stderr
 
 
 @pytest.mark.parametrize("text, value", [
@@ -656,65 +698,107 @@ def _seldom(valid):
     return st.integers(0, 4).flatmap(lambda k: _json if k == 4 else valid)
 
 
-_complex = _seldom(st.sampled_from(["0", "1", "0.1+0.2i", "2i", "-0.5-1i"]) | st.floats(-3, 3))
-_names = _seldom(st.sampled_from(["inner", "outer"]))
-# values for each field reader of cli._PATHS, cli._DOMAINS and cli._HOMOTOPIES
-# (whose path names are read as given)
-_FIELD_VALUES = {
-    cli._real: _seldom(st.floats(0.1, 3) | st.floats(-3, 3) | st.sampled_from(["1", "0.5"])),
-    cli.parse_complex: _complex,
-    cli._points: _seldom(st.lists(_complex, max_size=5)),
-    cli._given: _names,
-}
+def _well_formed(valid):
+    """Always a well-formed value."""
+    return valid
 
 
-def _kind_doc(table: dict):
+# magnitudes at the ends of the float range: squares of 1e154 are near its
+# top, 1e308 is within a factor of 2 of it, and 1e-300 near its bottom
+_EXTREMES = [1e154, -1e154, 1e308, -1e308, 1e-300]
+
+
+def _field_values(seldom) -> dict:
+    """Values for each field reader of cli._PATHS, cli._DOMAINS and
+    cli._HOMOTOPIES (whose path names are read as given), each one passed
+    through ``seldom``."""
+    complex_ = seldom(st.sampled_from(["0", "1", "0.1+0.2i", "2i", "-0.5-1i"]) | st.floats(-3, 3)
+                      | st.sampled_from(_EXTREMES))
+    return {
+        cli._real: seldom(st.floats(0.1, 3) | st.floats(-3, 3) | st.sampled_from(["1", "0.5"])
+                          | st.sampled_from(_EXTREMES)),
+        cli.parse_complex: complex_,
+        cli._points: seldom(st.lists(complex_, max_size=5)),
+        cli._given: seldom(st.sampled_from(["inner", "outer"])),
+    }
+
+
+def _kind_doc(table: dict, seldom, values: dict):
     """An object of a kind from ``table`` with that kind's own fields: the
     required ones always, the ones with a default sometimes."""
-    return _seldom(st.one_of(*(
+    return seldom(st.one_of(*(
         st.fixed_dictionaries(
             {"kind": st.just(kind),
-             **{key: _FIELD_VALUES[read] for key, (read, default) in fields.items()
+             **{key: values[read] for key, (read, default) in fields.items()
                 if default is cli._REQUIRED}},
-            optional={key: _FIELD_VALUES[read] for key, (read, default) in fields.items()
+            optional={key: values[read] for key, (read, default) in fields.items()
                       if default is not cli._REQUIRED})
         for kind, (_, fields) in table.items())))
 
 
-def _spec_doc(homotopies: dict):
-    """A spec document whose homotopy is of a kind from ``homotopies``."""
+def _spec_doc(homotopies: dict, seldom=_seldom):
+    """A spec document whose homotopy is of a kind from ``homotopies``, each
+    value passed through ``seldom``."""
+    values = _field_values(seldom)
+    path = _kind_doc(cli._PATHS, seldom, values)
+    # a well-formed document names both paths, so that no homotopy misses one
+    paths = (st.fixed_dictionaries({"inner": path}, optional={"outer": path})
+             if seldom is _seldom else st.fixed_dictionaries({"inner": path, "outer": path}))
     return st.fixed_dictionaries(
-        {"version": _seldom(st.just(1)),
-         "domain": _kind_doc(cli._DOMAINS),
-         "paths": _seldom(st.fixed_dictionaries({"inner": _kind_doc(cli._PATHS)},
-                                               optional={"outer": _kind_doc(cli._PATHS)})),
-         "homotopy": _kind_doc(homotopies),
-         "function": _seldom(st.fixed_dictionaries(
-             {"expression": _seldom(st.sampled_from(["1/z", "exp(z)", "z^", "sin(z)/(z-1)"]))},
-             optional={"poles": _seldom(st.lists(_complex, max_size=2))}))},
-        optional={"tolerances": _seldom(st.fixed_dictionaries(
-            {}, optional={"tol": _FIELD_VALUES[cli._real], "eps": _FIELD_VALUES[cli._real]}))})
+        {"version": seldom(st.just(1)),
+         "domain": _kind_doc(cli._DOMAINS, seldom, values),
+         "paths": seldom(paths),
+         "homotopy": _kind_doc(homotopies, seldom, values),
+         "function": seldom(st.fixed_dictionaries(
+             {"expression": seldom(st.sampled_from(["1/z", "exp(z)", "z^", "sin(z)/(z-1)"]))},
+             optional={"poles": seldom(st.lists(values[cli.parse_complex], max_size=2))}))},
+        optional={"tolerances": seldom(st.fixed_dictionaries(
+            {}, optional={"tol": values[cli._real], "eps": values[cli._real]}))})
 
 
-def test_fuzzed_spec_raises_only_package_errors():
-    # one fuzz per homotopy kind: a fuzz over all kinds at once builds most
-    # of its documents of one kind, and may build none of another
-    built = []
+def _fuzzed_chains(seldom) -> tuple[list, list]:
+    """(built, chains): the homotopy kinds of the fuzzed spec documents, drawn
+    through ``seldom``, that read and build a homotopy, and of those whose
+    chain is certified.  Every other document may be refused only with a
+    package error, as it is read or as its chain is built.
+
+    One fuzz per homotopy kind: a fuzz over all kinds at once builds most of
+    its documents of one kind, and may build none of another."""
+    built, chains = [], []
     for kind, entry in cli._HOMOTOPIES.items():
-        @given(doc=_spec_doc({kind: entry}))
+        @given(doc=_spec_doc({kind: entry}, seldom))
         @settings(derandomize=True, max_examples=200, deadline=None, database=None)
         def check(doc):
             try:
                 spec = SpecDocument.from_dict(doc)
             except ContourChainError:
                 return
-            spec.build_homotopy()
+            sigma, gamma0, gamma1 = spec.build_homotopy()
             built.append(doc["homotopy"]["kind"])
+            try:
+                build_chain(sigma, gamma0, gamma1, spec.domain, eps=spec.eps)
+            except ContourChainError:
+                return
+            chains.append(doc["homotopy"]["kind"])
 
         check()
+    return built, chains
+
+
+def test_fuzzed_spec_raises_only_package_errors():
+    built, chains = _fuzzed_chains(_seldom)
     # the documents reach every homotopy constructor, not only the refusals
     assert len(built) >= 10
     assert set(built) == set(cli._HOMOTOPIES)
+    assert chains
+
+
+def test_fuzzed_well_formed_specs_raise_only_package_errors():
+    # every value well formed, so that most documents reach build_chain, with
+    # the extremes of the float range in their numbers
+    built, chains = _fuzzed_chains(_well_formed)
+    assert len(built) >= 100
+    assert set(chains) == set(cli._HOMOTOPIES)
 
 
 def _mostly(valid, junk):
@@ -723,7 +807,8 @@ def _mostly(valid, junk):
 
 
 _junk = ["nan", "1e400", "", "junk", "-1", "0"]
-_text_arg = _mostly(["1", "0.5", "2", " 1.5 ", "0.3i", "1+i", "-0.2-0.1i"], [*_junk, "2i"])
+_text_arg = _mostly(["1", "0.5", "2", " 1.5 ", "0.3i", "1+i", "-0.2-0.1i",
+                     *map(repr, _EXTREMES)], [*_junk, "2i"])
 _path_text = st.builds(
     lambda form, kind, args: form.format(kind, ",".join(args)),
     _mostly(["{}({})"], ["{}", "{}({}"]), _mostly(list(cli._PATHS), ["hexagon", ""]),

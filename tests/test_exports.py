@@ -102,3 +102,14 @@ def test_paths_have_no_interval_attributes():
     from contourchain.paths import PiecewisePath
 
     assert [n for n in ("a", "b", "interval") if hasattr(PiecewisePath, n)] == []
+
+
+@pytest.mark.parametrize("module, name", [
+    ("contourchain.paths", "_line_clearances"),
+    ("contourchain.paths", "_less_rounding"),
+    ("contourchain.integrate", "_line_clearances"),
+])
+def test_one_routine_measures_every_polyline_clearance(module, name):
+    # chain members, quadrature members and winding paths are all measured
+    # by geometry.polyline_clearances
+    assert not hasattr(importlib.import_module(module), name)

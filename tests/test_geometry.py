@@ -21,7 +21,7 @@ from contourchain import (
     carrier_of_path,
     circle,
 )
-from contourchain.geometry import _segment_point_distances, well_contained
+from contourchain.geometry import _segment_point_distances, polyline_clearances, well_contained
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -267,6 +267,64 @@ class TestSegmentComplementDistances:
             a[:3] = b[:3]  # degenerate segments are their point a
             p = (rng.normal(size=4) + 1j * rng.normal(size=4)) * scale
             assert _segment_point_distances(a, b, p).tobytes() == unscaled(a, b, p).tobytes()
+
+
+class TestPolylineClearances:
+    """One routine measures a stack of polylines against any domain."""
+
+    @pytest.mark.parametrize("domain", [
+        Disk(0.5 - 0.25j, 3.0), Rectangle(-3 - 2.5j, 2 + 3.5j), Annulus(0.2j, 0.25, 3.5),
+        PuncturedPlane((0.1j, 1 + 1j, -2j)), PuncturedPlane(()),
+    ], ids=["disk", "rectangle", "annulus", "punctured", "plane"])
+    def test_rows_measure_as_one_minimum_each(self, domain):
+        # closed rows, as the chain's: each row's exact minimum over its
+        # segments less the allowance at its largest |vertex| or the reach
+        rng = np.random.default_rng(37)
+        rows = rng.uniform(-2, 2, (6, 9)) + 1j * rng.uniform(-2, 2, (6, 9))
+        rows[:, -1] = rows[:, 0]
+        rounding = 64 * np.finfo(np.float64).eps
+        exact = domain.segment_complement_distances(rows[:, :-1], rows[:, 1:]).min(axis=1)
+        expected = exact - rounding * np.maximum(np.abs(rows).max(axis=1), domain.reach)
+        got = polyline_clearances(rows[:, :-1].ravel(), rows[:, 1:].ravel(), np.arange(6) * 8,
+                                  domain, rounding)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_polylines_of_different_lengths(self):
+        # 0 -> 1 -> 100, then 100 -> 1: an open polyline's last vertex
+        # counts towards its allowance, here 1/2 of its largest |vertex|
+        z0, z1 = np.array([0j, 1, 100]), np.array([1 + 0j, 100, 1])
+        got = polyline_clearances(z0, z1, [0, 2], PuncturedPlane((-1 + 0j,)), 0.5)
+        assert got.tolist() == [1 - 50, 2 - 50]
+
+    def test_past_the_float_range_certifies_nothing(self):
+        # a vertex whose modulus overflows leaves an infinite allowance
+        z = np.array([1.5e308 + 1.5e308j, 1.5e308 + 1.4e308j])
+        got = polyline_clearances(z, z[::-1], [0], PuncturedPlane(()), 16e-16)
+        assert not got[0] > 0
+
+
+class TestPuncturedPlaneBroadcast:
+    def test_one_pass_is_the_loop_over_its_points(self):
+        # the per-point loop that measured a punctured plane, kept as the
+        # oracle: the broadcast pass gives the same bits, in any shape
+        def loop(points, a, b):
+            out = np.full(np.shape(a), np.inf)
+            for p in points:
+                out = np.minimum(out, _segment_point_distances(a, b, p))
+            return out
+
+        rng = np.random.default_rng(41)
+        for count in (1, 2, 7):
+            for scale in (1e-6, 1.0, 1e9):
+                points = tuple((rng.normal(size=count) + 1j * rng.normal(size=count)) * scale)
+                a, b = (rng.normal(size=(2, 5, 12)) + 1j * rng.normal(size=(2, 5, 12))) * scale
+                a[0, :3] = b[0, :3]  # degenerate segments
+                a[1, 0] = points[0]  # a segment through a puncture
+                plane = PuncturedPlane(points)
+                assert plane.segment_complement_distances(a, b).tobytes() == \
+                    loop(points, a, b).tobytes()
+                assert plane.segment_complement_distances(a[0], b[0]).tobytes() == \
+                    loop(points, a[0], b[0]).tobytes()
 
 
 class TestWellContained:

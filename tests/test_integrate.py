@@ -1,6 +1,8 @@
 import cmath
+import importlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,10 @@ from contourchain import (
     square,
     star_null_homotopy,
 )
+from contourchain.cli import SpecDocument
 from contourchain.expressions import Add, AnalyticFunction, Const, Div, Mul, Sub, Var
+from contourchain.integrate import _Members
+from contourchain.paths import certified_clearances
 from conftest import ENTIRE_FUNCTIONS, random_polyline
 
 TWO_PI_I = 2j * math.pi
@@ -268,6 +273,26 @@ def _star_chain():
     g = square(2.0, center=0.1 + 0.1j)
     sigma = star_null_homotopy(g, 0.1 + 0.1j)
     return build_chain(sigma, g, sigma.gamma1, Disk(0.1 + 0.1j, 1.55))
+
+
+def test_quadrature_clearances_are_the_members_certified_clearances(monkeypatch):
+    # the quadrature measures its line members from one stacked table; on
+    # the benchmark's annulus chains (seeds 101-105) that gives, bit for
+    # bit, what certified_clearances gives on the member paths
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    chains = 0
+    for seed in range(101, 106):
+        for op in workloads.build("annulus_verify", seed):
+            spec = SpecDocument.from_dict(op.inputs)
+            sigma, gamma0, gamma1 = spec.build_homotopy()
+            chain = build_chain(sigma, gamma0, gamma1, spec.domain, eps=spec.eps)
+            poles = spec.function.singularities
+            members = _Members((chain.gamma0,), chain.rows, chain.breakpoints, (chain.gamma1,))
+            assert members.clearances(poles).tobytes() == \
+                certified_clearances(chain.members, poles).tobytes()
+            chains += 1
+    assert chains == 15
 
 
 class TestBatchedChainQuadrature:

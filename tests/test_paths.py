@@ -315,6 +315,12 @@ class TestCertifiedClearance:
         path = polyline([0, length, length + 1j, 1j])
         assert 0.0 <= certified_clearance(path, [length / 2 + 0.5j]) <= 0.5
 
+    def test_vertices_past_the_float_range_are_not_clear(self):
+        # |vertex| overflows, so the rounding allowance is inf: the bound is
+        # 0, which certifies nothing, not nan
+        path = polyline([1.5e308 + 1.5e308j, 1.5e308 + 1.4e308j, 1.4e308 + 1.5e308j])
+        assert certified_clearance(path, [0j]) == 0.0
+
     @pytest.mark.parametrize("name", sorted(PATHS))
     @pytest.mark.parametrize("point", [complex(math.nan, 0), complex(0, math.inf),
                                        complex(-math.inf, 1)], ids=["nan", "inf-im", "-inf-re"])

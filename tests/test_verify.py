@@ -187,22 +187,18 @@ class TestWindingNumber:
             winding_number(polyline([0j, 1 + 0j], closed=False), 5j, 1e-9)
 
     def test_clearance_certified_once(self, monkeypatch):
-        from contourchain import integrate, paths, verify
+        from contourchain import paths
 
         checked = []
+        clearances = paths._Members.clearances
 
-        def counted(path, points):
+        def counted(members, points):
             if len(points):
                 checked.append(list(points))
-            return paths.certified_clearance(path, points)
+            return clearances(members, points)
 
-        def counted_batch(members, points):
-            if len(points):
-                checked.append(list(points))
-            return paths.certified_clearances(members, points)
-
-        monkeypatch.setattr(verify, "certified_clearance", counted)
-        monkeypatch.setattr(integrate, "certified_clearances", counted_batch)
+        # every clearance from points, of one path or of many, is measured here
+        monkeypatch.setattr(paths._Members, "clearances", counted)
         assert winding_number(ellipse(1.6, 1.0), 1.8, 1e-9) == 0
         assert checked == [[1.8]]
 
