@@ -439,9 +439,10 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
                 k = int(outside[0])
                 near = (f" or within {2 * slack.max():.3g} of its boundary"
                         if radius[k] > -2 * slack.max() else "")
+                what = ("past the float range" if math.isnan(radius[k])  # an overflow
+                        else f"the homotopy sweeps outside the domain{near}")
                 raise ContainmentNotCertified(
-                    f"the homotopy sweeps outside the domain{near}: the member at "
-                    f"t={ts[k]:.6g} has certified clearance {radius[k]:.6g}",
+                    f"{what}: the member at t={ts[k]:.6g} has certified clearance {radius[k]:.6g}",
                     min_complement_distance=float(radius[k]))
             lo, hi = _consecutive_gaps(rows)
             hi[0] += slack[0]

@@ -25,20 +25,18 @@ so every later piece is a quarter of a piece from the round before, with a
 quarter of its share, bit for bit.
 
 Every member of a chain goes through one quadrature loop, and a single path
-is a chain of one member.  A chain's interior members are read from its
-rows (``_Members``): their segments' fields are the rows' vertices on the
-shared partition, stacked with those of the end paths made of lines, and a
-row becomes a path object only where grading needs one.  A piece carries
-only its bounds and its origin, the segment it was cut from; its member,
-share of tol and line fields are looked up per origin.  Each round evaluates
-all pieces in one batch: the straight segments of every member (every
-interior member, squares, polylines, constants) from stacked segment
-arrays, each curved member (at most the chain's two end paths) with one
-``eval_with_derivative`` call, and the integrand with one call over all
-nodes.  A member's value, error estimate and evaluation count are one
-``np.bincount`` each at the end, over its pieces in the order it makes them
-alone, so it keeps, bit for bit, all it has alone: all of tol, its rounding
-stop, depth and piece caps, integral, error estimate and evaluation count.  When several members fail, the lowest
+is a chain of one member.  The members' segments are the rows of two stacked
+tables, lines and arcs (``_Members.tables``); a path that mixes the two
+kinds has rows in both, lines first, and is graded as any other.  A piece
+carries only its bounds and its origin, the first piece it was cut from,
+whose row, member and share of tol are looked up per origin.  Each round
+evaluates all pieces in one batch, by one gather and one closed form per
+table (``paths._segment_values``, as ``PiecewisePath.values`` does), and the
+integrand with one call over all nodes.  A member's value, error estimate
+and evaluation count are one ``np.bincount`` each at the end, over its
+pieces in the order it makes them alone, so it keeps, bit for bit, all it
+has alone: all of tol, its rounding stop, depth and piece caps, integral,
+error estimate and evaluation count.  When several members fail, the lowest
 index is reported, as integrating them one after the other would.  A round
 holds no more pieces than one member may (``_MAX_PIECES``); past that, the
 highest members wait for a later batch.  The rule sums run through
@@ -50,19 +48,17 @@ where einsum's many-column loop does not (``_rule_sums``).
 Paths must keep a certified clearance of 1e-9 from every declared singularity
 of the integrand (``paths.certified_clearances``), in closed form for every
 path: the projection onto each line segment, and for an arc the clamp of the
-angle onto the unit arc after scaling by the semi-axes; the line members,
-rows and end paths alike, are stacked once (``_Members.lines``) and measured
-in one call.  A member whose rule sums are not finite (the integrand
-overflows on it) fails with ``ToleranceNotReached`` in the round that finds
-it, with numpy's overflow warnings silenced.
+angle onto the unit arc after scaling by the semi-axes, each kind measured
+in one pass over its table (``_Members.clearances``).  A member whose rule
+sums are not finite (the integrand overflows on it) fails with
+``ToleranceNotReached`` in the round that finds it, with numpy's overflow
+warnings silenced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +66,7 @@ from .errors import InvalidEpsilon, NearSingularity, ToleranceNotReached
 from .expressions import AnalyticFunction
 # carrier_of_path is unused here but stays importable: perfbench/tracing.py wraps it
 from .paths import PiecewisePath, carrier_of_path  # noqa: F401
-from .paths import _joined, _Members, nearest_parameters
+from .paths import _Members, _segment_values
 
 __all__ = ["IntegralResult", "ChainIntegrals", "contour_integral", "integral_along_chain"]
 
@@ -211,31 +207,17 @@ def _integrate(f: AnalyticFunction, members: _Members, tol: float):
     return results, failure
 
 
-class _Lines(NamedTuple):
-    """The segments of every line member, stacked, one row per origin (the
-    line members' origins come first).  ``speed`` is each segment's
-    derivative (z1 - z0) / span."""
-
-    z0: np.ndarray
-    z1: np.ndarray
-    s0: np.ndarray
-    span: np.ndarray
-    speed: np.ndarray
-
-
 def _first_pieces(members: _Members, tol: float, clearances, poles):
-    """The members' first pieces, the line members' first, and the
-    per-origin tables that every piece cut from them reads.
+    """The members' first pieces, and the per-origin tables that every
+    piece cut from them reads.
 
-    Returns (lows, highs, owner, share, depth, lines, curved), one entry per
-    first piece: its bounds, its member's index (``owner``), its share of its
-    member's tol (``share``), the halvings of its segment it stands for
-    (``depth``, at least log2 of the segment's span over its own) and its
-    segment's fields in ``lines``; ``curved`` lists the members that are not
-    line paths as (index, path).  A member shares out all of tol over its
-    pieces in proportion to |z'| bound times span (|z1 - z0| on a line
-    segment), a segment's weight, or evenly over its segments when that is
-    zero throughout.
+    Returns (lows, highs, row, owner, share, depth), one entry per first
+    piece: its bounds, its row of ``_Members.tables`` (lines first), its
+    member, its share of its member's tol and the halvings of its segment
+    it stands for (at least log2 of the segment's span over its own).  A
+    member shares out all of tol over its pieces in proportion to |z'|
+    bound times span, a segment's weight, or evenly over its segments when
+    that is zero throughout.
 
     A member is graded when its heaviest segment weighs more than
     ``_GRADE_GATE`` times its certified clearance from f's declared poles
@@ -243,8 +225,8 @@ def _first_pieces(members: _Members, tol: float, clearances, poles):
     pieces, bit for bit.  Each segment of a graded member is cut at
     x* +- t0 r^k, k = 0, 1, ..., about the parameter x* of its point nearest
     to its nearest pole, at distance d, with t0 = kappa d / (2 L) and L its
-    |z'| bound, as far as the pieces stay within the segment
-    (``_graded_points``).  The constants come from G7's error on a piece,
+    |z'| bound, as far as the pieces stay within the segment (``_cuts``).
+    The constants come from G7's error on a piece,
     which falls as rho^-14, rho the Bernstein ellipse through the pole in
     the piece's own frame (Trefethen, ATAP Thm 19.3), and each piece's
     share, which is proportional to its length:
@@ -268,97 +250,96 @@ def _first_pieces(members: _Members, tol: float, clearances, poles):
     from its own segments and the poles alone, so it gets the same pieces
     alone and in a chain.
     """
-    line_ids, breaks, fields = members.lines
-    curved = [(m, path) for m, path in members.given if not path._all_lines]
-    breaks = breaks + [path.breakpoints for _, path in curved]
-    sizes = [b.size - 1 for b in breaks]
-    lows = _joined([b[:-1] for b in breaks])
-    highs = _joined([b[1:] for b in breaks])
-    ids = line_ids + [m for m, _ in curved]
-    owner = np.array(ids).repeat(sizes)
-    weights = [path.derivative_bounds * (b[1:] - b[:-1])
-               for (_, path), b in zip(curved, breaks[len(line_ids):])]
-    lines = None
-    if line_ids:
-        z0, z1, s0, span = fields
-        lines = _Lines(z0, z1, s0, span, (z1 - z0) / span)
-        weights.insert(0, np.abs(z1 - z0))
-    weights = _joined(weights)
-    offsets = list(accumulate(sizes[:-1], initial=0))
-    totals = np.add.reduceat(weights, offsets)
-    graded = {}  # a graded member's place in ``ids``: (points, pieces per segment)
+    lines, arcs, (line_starts, line_ids, line_widths), (arc_starts, arc_ids, arc_widths) = \
+        members.tables
+    count, n = len(members), lines.s0.size
+
+    # lines first; a member's rows are a run in each table it has rows in
+    kinds = [table for table in (lines, arcs) if table.s0.size]
+
+    def joined(columns):
+        columns = list(columns)
+        return columns[0] if len(columns) == 1 else np.concatenate(columns)
+
+    lows, highs = joined(t.s0 for t in kinds), joined(t.s1 for t in kinds)
+    weights = joined(t.weights() for t in kinds)
+    starts = np.array(line_starts + [n + start for start in arc_starts], dtype=np.intp)
+    runs = np.array(line_ids + arc_ids, dtype=np.intp)
+    owner = runs.repeat(line_widths + arc_widths)  # each row's member
+    # each run summed by reduceat, as the member alone sums it
+    totals = np.bincount(runs, weights=np.add.reduceat(weights, starts), minlength=count)
+    sizes = np.bincount(owner, minlength=count)
+    graded = {}  # a graded row: its cuts
     if len(poles):
-        near = np.maximum.reduceat(weights, offsets) > _GRADE_GATE * np.take(clearances, ids)
-        for i in np.flatnonzero(near).tolist():
-            cut = _graded_points(members.path(ids[i]), weights[offsets[i]:offsets[i] + sizes[i]], poles)
-            if cut is not None:
-                graded[i] = cut
+        heavy = np.maximum.reduceat(weights, starts) > _GRADE_GATE * np.take(clearances, runs)
+        near = np.bincount(runs, weights=heavy, minlength=count)[owner] > 0
+        given, pts = dict(members.given), np.asarray(poles, dtype=np.complex128)
+        for table, first in ((lines, 0), (arcs, n)):
+            mine = np.flatnonzero(near[first:first + table.s0.size])
+            if not mine.size:
+                continue
+            if mine.size < table.s0.size:  # the near members' rows
+                table = type(table)(*(column[mine] for column in table))
+            x, d = table.nearest_parameters(pts)
+            pole = (np.arange(mine.size), d.argmin(axis=1))
+            mine += first
+            for r, m, low, high, weight, foot, distance in zip(
+                    mine.tolist(), owner[mine].tolist(), table.s0.tolist(), table.s1.tolist(),
+                    weights[mine].tolist(), x[pole].tolist(), d[pole].tolist()):
+                # a closed path's one segment has a seam; interior rows are closed
+                seam = sizes[m] == 1 and (m not in given or given[m].closed)
+                cuts = _cuts(low, high, foot, distance, weight, seam)
+                if cuts:
+                    graded[r] = cuts
     if not totals.all():
         even = totals == 0
-        weights = np.where(np.repeat(even, sizes), 1.0, weights)
+        weights = np.where(even[owner], 1.0, weights)
         totals = np.where(even, sizes, totals)
-    totals = totals.repeat(sizes)
+    row = np.arange(lows.size)
     depth = np.zeros(lows.size)
     if graded:
-        # each segment's row becomes one row per piece cut from it
+        # each graded row becomes one row per piece cut from it: its pieces
+        # after the first start at its cuts, the rows in order
         counts = np.ones(lows.size, dtype=np.int64)
-        for i, (_, pieces) in graded.items():
-            counts[offsets[i]:offsets[i] + sizes[i]] = pieces
-        points = [graded[i][0] if i in graded else b for i, b in enumerate(breaks)]
-        spans = np.repeat(highs - lows, counts)
-        lows, highs = _joined([b[:-1] for b in points]), _joined([b[1:] for b in points])
+        counts[list(graded)] = [len(cuts) + 1 for cuts in graded.values()]
+        row = np.repeat(row, counts)
+        spans = (highs - lows)[row]
+        lows, highs, owner = lows[row], highs[row], owner[row]
+        later = np.flatnonzero(row[1:] == row[:-1])  # the piece before each cut
+        cuts = np.array([x for row_cuts in graded.values() for x in row_cuts])
+        lows[later + 1], highs[later] = cuts, cuts
         part = (highs - lows) / spans  # 1.0 on a segment that is not cut
         depth = np.ceil(-np.log2(part))
-        weights = np.repeat(weights, counts) * part
-        owner, totals = np.repeat(owner, counts), np.repeat(totals, counts)
-        if lines is not None:
-            lines = _Lines(*(np.repeat(x, counts[:x.size]) for x in lines))
-    share = tol * weights / totals
-    return lows, highs, owner, share, depth, lines, curved
+        weights = weights[row] * part
+    share = tol * weights / totals[owner]
+    return lows, highs, row, owner, share, depth
 
 
-def _graded_points(path: PiecewisePath, weights: np.ndarray, poles):
-    """(points, pieces) for ``path``, whose segments weigh ``weights``: its
-    breakpoints and the points inside its segments at which
-    ``_first_pieces`` cuts it, in order, and the number of pieces of each
-    segment; None when no segment is cut.
+def _cuts(low: float, high: float, x: float, d: float, weight: float, seam: bool) -> list:
+    """The points inside the segment [low, high], of weight ``weight``, at
+    which ``_first_pieces`` cuts it, in order: graded towards the foot x of
+    its nearest pole, at distance d.
 
-    Each segment is graded towards the foot x* of its nearest pole.  On a
-    closed path of one segment (``ellipse``) the seam joins the two ends, so
-    the foot also grades from its images x* +- span: the segment is cut
-    halfway between the feet, and each foot's ladder keeps to its part.  A
-    path that mixes lines and arcs is not cut."""
-    nearest = nearest_parameters(path, poles)
-    if nearest is None:
-        return None
-    pole = nearest[1].argmin(axis=1)
-    feet, distance = (a[np.arange(pole.size), pole].tolist() for a in nearest)
-    breaks = path.breakpoints.tolist()
-    seam = path.closed and len(breaks) == 2
-    points, pieces = [], []
-    for k, (x, d, weight) in enumerate(zip(feet, distance, weights.tolist())):
-        low, high = breaks[k], breaks[k + 1]
-        cuts = []
-        if weight > 0:
-            span = high - low
-            # the smallest piece a ladder leaves is (r - 1) t0 = t0 / 2; at
-            # 2**-39 of the span it stays within the depth cap, so grading
-            # proposes no piece the loop could not reach
-            t0 = max(_CENTRAL * d * span / (2 * weight), span * 2.0 ** (2 - _MAX_DEPTH))
-            if not seam:
-                cuts = _ladder(x, t0, low, high)
-            else:
-                left, right = x - span / 2, x + span / 2
-                cuts = (_ladder(x - span, t0, low, left)
-                        + _ladder(x, t0, max(low, left), min(right, high))
-                        + _ladder(x + span, t0, right, high))
-                if cuts:
-                    cuts = sorted(cuts + [m for m in (left, right) if low < m < high])
-        points += [low] + cuts
-        pieces.append(len(cuts) + 1)
-    if len(points) == len(pieces):  # one point per segment: none is cut
-        return None
-    return np.array(points + [breaks[-1]]), pieces
+    On a closed path of one segment (``ellipse``, ``seam``) the seam joins
+    the two ends, so the foot also grades from its images x +- span: the
+    segment is cut halfway between the feet, and each foot's ladder keeps
+    to its part."""
+    if not weight > 0:
+        return []
+    span = high - low
+    # the smallest piece a ladder leaves is (r - 1) t0 = t0 / 2; at 2**-39
+    # of the span it stays within the depth cap, so grading proposes no
+    # piece the loop could not reach
+    t0 = max(_CENTRAL * d * span / (2 * weight), span * 2.0 ** (2 - _MAX_DEPTH))
+    if not seam:
+        return _ladder(x, t0, low, high)
+    left, right = x - span / 2, x + span / 2
+    cuts = (_ladder(x - span, t0, low, left)
+            + _ladder(x, t0, max(low, left), min(right, high))
+            + _ladder(x + span, t0, right, high))
+    if cuts:
+        cuts = sorted(cuts + [m for m in (left, right) if low < m < high])
+    return cuts
 
 
 def _ladder(x: float, t0: float, a: float, b: float) -> list:
@@ -391,13 +372,13 @@ def _batch(f: AnalyticFunction, members: _Members, tol: float, clearances):
     K15 sum or discrepancy is not finite fails in the round that finds it.
 
     A piece is (low, high, origin), ``origin`` indexing ``_first_pieces``'
-    tables.  Each round evaluates every piece and splits each one that is not
-    done into the quarters two bisections make, so a piece stands for its
-    origin's ``depth`` plus two halvings of its segment a round, and
+    tables.  Each round evaluates every piece and splits each one that is
+    not done into the quarters two bisections make, so a piece stands for
+    its origin's ``depth`` plus two halvings of its segment a round, and
     ``share`` is divided by 4."""
     count = len(members)
-    lows, highs, owner, share, depth, lines, curved = _first_pieces(
-        members, tol, clearances, f.singularities)
+    lows, highs, row, owner, share, depth = _first_pieces(members, tol, clearances,
+                                                          f.singularities)
     origin = np.arange(lows.size)
     rounds = []  # each round's (origin, K15 sum, discrepancy, done) per piece
     limit, failure = count, None
@@ -426,7 +407,7 @@ def _batch(f: AnalyticFunction, members: _Members, tol: float, clearances):
         mid = (lows + highs) / 2
         half = (highs - lows) / 2
         nodes = mid + half * _XGK[:, None]
-        zs, ders = _path_values(nodes, origin, owner, lines, curved)
+        zs, ders = _path_values(nodes, row[origin], members)
         try:
             fz = f.evaluate(zs)
         except NearSingularity as exc:
@@ -500,32 +481,14 @@ def _take(mask: np.ndarray, *arrays):
     return [a[mask] for a in arrays]
 
 
-def _path_values(nodes: np.ndarray, origin, owner, lines: _Lines | None, curved):
-    """Path values and derivatives at ``nodes``, one column per piece.
-
-    Line pieces read their origin's fields from the stacked arrays, as
-    ``PiecewisePath.eval_with_derivative`` does for one path, and get one
-    derivative per piece; each curved member evaluates its own columns in
-    one call (its origins lie past the line rows; they read the last row
-    and leave it unused).
-    """
-    if lines is None and len(curved) == 1:
-        vals, ders = curved[0][1].eval_with_derivative(nodes.ravel())
-        return vals.reshape(nodes.shape), ders.reshape(nodes.shape)
-    if lines is None:
-        zs = np.empty(nodes.shape, dtype=np.complex128)
-        ders = np.empty(nodes.shape, dtype=np.complex128)
-    else:
-        z0, z1, s0, span, ders = (field.take(origin, mode="clip") for field in lines)
-        u = (nodes - s0) / span
-        zs = z0 * (1.0 - u) + z1 * u
-        if curved:
-            ders = np.repeat(ders[None, :], nodes.shape[0], axis=0)
-    for m, path in curved:
-        cols = owner[origin] == m
-        shape = (nodes.shape[0], -1)
-        vals, d = path.eval_with_derivative(nodes[:, cols].ravel())
-        zs[:, cols], ders[:, cols] = vals.reshape(shape), d.reshape(shape)
+def _path_values(nodes: np.ndarray, rows, members: _Members):
+    """Path values and derivatives at ``nodes``, one column per piece on its
+    row of ``rows`` in the members' tables (``paths._segment_values``); a
+    node at 1 on a row of ``_Members.closing`` takes its member's start."""
+    zs, ders = _segment_values(*members.tables[:2], rows, nodes)
+    for col in np.flatnonzero(nodes[-1] == 1.0).tolist():  # a piece's last node is its largest
+        if (row := int(rows[col])) in members.closing:
+            zs[nodes[:, col] == 1.0, col] = members.closing[row]
     return zs, ders
 
 

@@ -11,6 +11,11 @@ closer than eps / L map to values closer than eps, and for L = 0 (a constant
 path) every step qualifies.  Sampling grids, eta-nets and sup-distance bounds
 all read that one number.
 
+A path keeps its segments as rows of two tables, ``_LineArrays`` and
+``_ArcArrays``, each with one formula per kind for values, nearest points
+and weights; a path that mixes lines and arcs has rows in both, and
+``_Members`` stacks many paths' rows into the same two tables.
+
 Endpoint equality of closed paths is enforced by construction: evaluating a
 closed path at 1 returns the bit-exact value at 0, so no closedness
 tolerance exists anywhere downstream.
@@ -21,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -160,6 +164,9 @@ class ArcSegment(_SegmentBase):
             raise ValueError("arc must sweep a nonzero angle")
         if not self.s0 < self.s1:
             raise ValueError(f"need s0 < s1, got [{self.s0}, {self.s1}]")
+        # so that every value on the arc, and every row of an arc table, is finite
+        require_finite_real(math.hypot(self.center.real, self.center.imag)
+                            + max(self.semi_re, self.semi_im), "an arc's |center| + max(semi-axes)")
 
     @property
     def radius(self) -> float:
@@ -210,27 +217,117 @@ class ArcSegment(_SegmentBase):
 _Segment = (LineSegment, ArcSegment)
 
 
-class _ArcArrays(NamedTuple):
-    """An all-arc path's ArcSegment fields, one entry per arc.  The
-    derivative at theta is re_speed sin(theta) + i im_speed cos(theta), with
-    re_speed = -semi_re * sweep_rate and im_speed = semi_im * sweep_rate."""
+class _LineArrays(NamedTuple):
+    """Line segments, one row each: from z0 to z1 over [s0, s1]."""
 
+    s0: np.ndarray
+    s1: np.ndarray
+    z0: np.ndarray
+    z1: np.ndarray
+
+    def at(self, rows, xs, derivatives: bool = True):
+        """(values, derivatives or None) at ``xs`` on the segments ``rows``,
+        broadcast against xs, as ``LineSegment`` forms them."""
+        s0 = self.s0[rows]
+        span = self.s1[rows] - s0
+        z0, z1 = self.z0[rows], self.z1[rows]
+        u = (xs - s0) / span
+        return z0 * (1.0 - u) + z1 * u, (z1 - z0) / span if derivatives else None
+
+    def nearest_parameters(self, pts: np.ndarray):
+        """(x, d), one row per row and one column per point: the parameter x
+        of the segment's point nearest to the point, and their distance d."""
+        a, step = self.z0[:, None], (self.z1 - self.z0)[:, None]
+        u = _segment_projections(a, step, pts)
+        return self.s0[:, None] + u * (self.s1 - self.s0)[:, None], np.abs(pts - (a + u * step))
+
+    def weights(self) -> np.ndarray:
+        """Each row's |z'| bound times its span: its length |z1 - z0|."""
+        return np.abs(self.z1 - self.z0)
+
+
+class _ArcArrays(NamedTuple):
+    """Arcs, one row each: ``ArcSegment``'s fields over [s0, s1], and its
+    |z'| bound."""
+
+    s0: np.ndarray
+    s1: np.ndarray
     center: np.ndarray
     semi_re: np.ndarray
     semi_im: np.ndarray
     angle0: np.ndarray
     angle1: np.ndarray
-    s0: np.ndarray
-    span: np.ndarray
-    re_speed: np.ndarray
-    im_speed: np.ndarray
+    derivative_bound: np.ndarray
+
+    def at(self, rows, xs, derivatives: bool = True):
+        """(values, derivatives or None) at ``xs`` on the arcs ``rows``,
+        broadcast against xs, as ``ArcSegment`` forms them."""
+        s0, angle0, angle1 = self.s0[rows], self.angle0[rows], self.angle1[rows]
+        span = self.s1[rows] - s0
+        u = (xs - s0) / span
+        theta = angle0 * (1.0 - u) + angle1 * u
+        cos, sin = np.cos(theta), np.sin(theta)
+        semi_re, semi_im = self.semi_re[rows], self.semi_im[rows]
+        vals = _parts(semi_re, cos, semi_im, sin)
+        vals += self.center[rows]
+        if not derivatives:
+            return vals, None
+        rate = (angle1 - angle0) / span
+        return vals, _parts(-(semi_re * rate), sin, semi_im * rate, cos)
+
+    def nearest_parameters(self, pts: np.ndarray):
+        """(x, d) as on lines, for x the angle of q = A^-1 (p - c), as
+        ``_arc_clearance`` maps the point, clamped into the sweep at the
+        nearer end: for a circle the nearest point, for an ellipse a point
+        near it, uncertified."""
+        angle0, angle1 = self.angle0[:, None], self.angle1[:, None]
+        low, sweep = np.minimum(angle0, angle1), np.abs(angle1 - angle0)
+        turn = np.mod(np.angle(_unit_frame(self, pts)) - low, 2 * math.pi)
+        turn = np.where(turn <= sweep, turn, np.where(turn - sweep < 2 * math.pi - turn, sweep, 0.0))
+        theta = low + turn
+        u = (theta - angle0) / (angle1 - angle0)
+        foot = _parts(self.semi_re[:, None], np.cos(theta), self.semi_im[:, None], np.sin(theta))
+        foot += self.center[:, None]
+        return self.s0[:, None] + u * (self.s1 - self.s0)[:, None], np.abs(pts - foot)
+
+    def weights(self) -> np.ndarray:
+        """Each row's |z'| bound times its span."""
+        return self.derivative_bound * (self.s1 - self.s0)
 
 
-def _arc_arrays(arcs) -> _ArcArrays:
-    """The fields of the ``ArcSegment``s ``arcs`` as arrays."""
-    return _ArcArrays(*(np.array(column) for column in zip(*(
-        (s.center, s.semi_re, s.semi_im, s.angle0, s.angle1, s.s0, s.span,
-         -(s.semi_re * s.sweep_rate), s.semi_im * s.sweep_rate) for s in arcs))))
+_NO_LINES = _LineArrays(*(np.empty(0, dtype) for dtype in (float, float, complex, complex)))
+_NO_ARCS = _ArcArrays(*(np.empty(0, complex if f == "center" else float) for f in _ArcArrays._fields))
+
+
+def _tables(segments) -> tuple[_LineArrays, _ArcArrays, np.ndarray]:
+    """(lines, arcs, rows): the line table and the arc table of ``segments``,
+    and each segment's row in the two, numbered lines first."""
+    kinds = ([], [])  # lines, arcs
+    for s in segments:
+        kinds[isinstance(s, ArcSegment)].append(s)
+    lines, arcs = (type(empty)(*(np.array([getattr(s, f) for s in mine], dtype=column.dtype)
+                                 for f, column in zip(empty._fields, empty))) if mine else empty
+                   for mine, empty in zip(kinds, (_NO_LINES, _NO_ARCS)))
+    rows = {id(s): r for r, s in enumerate(kinds[0] + kinds[1])}  # lines first
+    return lines, arcs, np.array([rows[id(s)] for s in segments])
+
+
+def _segment_values(lines: _LineArrays, arcs: _ArcArrays, rows, xs, derivatives: bool = True):
+    """(values, derivatives or None) at ``xs`` on the segments ``rows`` of
+    the two tables, numbered lines first (one per x, or per column of xs):
+    each table's ``at``, under its mask where both kinds appear."""
+    n = lines.s0.size
+    if not (n and arcs.s0.size):  # one kind
+        return (lines if n else arcs).at(rows, xs, derivatives)
+    vals = np.empty(xs.shape, dtype=np.complex128)
+    ders = np.empty(xs.shape, dtype=np.complex128) if derivatives else None
+    on_arc = rows >= n
+    for table, mask, first in ((lines, ~on_arc, 0), (arcs, on_arc, n)):
+        v, d = table.at(rows[mask] - first, xs[..., mask], derivatives)
+        vals[..., mask] = v
+        if derivatives:
+            ders[..., mask] = d
+    return vals, ders
 
 
 def _check_unit_span(s0: float, s1: float):
@@ -288,15 +385,7 @@ class PiecewisePath:
         self._second_bounds = np.array([s.second_derivative_bound for s in segments],
                                        dtype=np.float64)
         self._lipschitz = require_finite_real(self._first_bounds.max(), "Lipschitz constant")
-        self._all_lines = all(isinstance(s, LineSegment) for s in segments)
-        self._arcs = None
-        if self._all_lines:
-            self._z0 = np.array([s.z0 for s in segments], dtype=np.complex128)
-            self._z1 = np.array([s.z1 for s in segments], dtype=np.complex128)
-            self._s0 = np.array([s.s0 for s in segments], dtype=np.float64)
-            self._span = np.array([s.span for s in segments], dtype=np.float64)
-        elif all(isinstance(s, ArcSegment) for s in segments):
-            self._arcs = _arc_arrays(segments)
+        self._lines, self._arcs, self._rows = _tables(segments)
 
     @classmethod
     def from_vertices(cls, vertices: np.ndarray, breakpoints: np.ndarray,
@@ -333,15 +422,16 @@ class PiecewisePath:
         if not np.isfinite(lipschitz_bounds).all():
             raise ValueError("Lipschitz constant must be finite")
         shared = {"_segments": None, "closed": bool(closed), "_breaks": breaks,
-                  "_s0": breaks[:-1], "_span": spans, "_second_bounds": np.zeros(spans.size),
-                  "_all_lines": True, "_arcs": None}
+                  "_second_bounds": np.zeros(spans.size), "_arcs": _NO_ARCS,
+                  "_rows": np.arange(spans.size)}
+        s0, s1 = breaks[:-1], breaks[1:]
         paths = []
         columns = (verts[:, :-1], verts[:, 1:], verts[:, 0].tolist(), first, lipschitz_bounds.tolist())
         for z0, z1, start, bounds, lipschitz in zip(*columns):
             self = cls.__new__(cls)
             fields = self.__dict__
             fields.update(shared)
-            fields["_z0"], fields["_z1"], fields["_start"] = z0, z1, start
+            fields["_lines"], fields["_start"] = _LineArrays(s0, s1, z0, z1), start
             fields["_first_bounds"], fields["_lipschitz"] = bounds, lipschitz
             paths.append(self)
         return paths
@@ -364,38 +454,35 @@ class PiecewisePath:
                 raise ValueError(f"need s0 < s1, got [{breaks[k]}, {breaks[k + 1]}]")
         sweep_rates = [(a1 - a0) / span for a0, a1, span in zip(angles, angles[1:], spans)]
         reach = max(semi_re, semi_im)
-        first = [reach * abs(rate) for rate in sweep_rates]
+        first = np.array([reach * abs(rate) for rate in sweep_rates])
         start, end = (_arc_point(center, semi_re, semi_im, angle)
                       for angle in (angles[0], angles[-1]))
         # _check_closures' own test, in scalars (abs takes hypot, as numpy's
         # does), so that it runs only to raise
         if abs(end - start) > _CLOSURE_NOISE * max(1.0, abs(start), abs(end)):
             _check_closures(np.array([start]), np.array([end]))
-        n, rates = len(spans), np.array(sweep_rates)
+        n = len(spans)
         self = cls.__new__(cls)
         self.__dict__.update({
             "_segments": None, "closed": True, "_breaks": breaks, "_start": start,
-            "_first_bounds": np.array(first),
+            "_first_bounds": first,
             "_second_bounds": np.array([reach * rate ** 2 for rate in sweep_rates]),
-            "_lipschitz": require_finite_real(max(first), "Lipschitz constant"),
-            "_all_lines": False,
-            "_arcs": _ArcArrays(np.full(n, center), np.full(n, semi_re), np.full(n, semi_im),
-                                np.array(angles[:-1]), np.array(angles[1:]), breaks[:-1],
-                                np.array(spans), -(semi_re * rates), semi_im * rates)})
+            "_lipschitz": require_finite_real(first.max(), "Lipschitz constant"),
+            "_lines": _NO_LINES, "_rows": np.arange(n),
+            "_arcs": _ArcArrays(breaks[:-1], breaks[1:], np.full(n, center), np.full(n, semi_re),
+                                np.full(n, semi_im), np.array(angles[:-1]), np.array(angles[1:]),
+                                first)})
+        require_finite_real(math.hypot(center.real, center.imag) + reach,
+                            "an arc's |center| + max(semi-axes)")
         return self
 
     @property
     def segments(self) -> tuple:
         if self._segments is None:
-            b = self._breaks
-            if self._arcs is None:
-                self._segments = tuple(LineSegment(self._z0[k], self._z1[k], b[k], b[k + 1])
-                                       for k in range(len(self._z0)))
-            else:
-                arcs = self._arcs
-                self._segments = tuple(
-                    ArcSegment(arcs.center[k], arcs.semi_re[k], arcs.angle0[k], arcs.angle1[k],
-                               b[k], b[k + 1], arcs.semi_im[k]) for k in range(b.size - 1))
+            made = [LineSegment(z0, z1, s0, s1) for s0, s1, z0, z1 in zip(*self._lines)]
+            made += [ArcSegment(c, a, t0, t1, s0, s1, b)
+                     for s0, s1, c, a, b, t0, t1, _ in zip(*self._arcs)]
+            self._segments = tuple(made[r] for r in self._rows.tolist())
         return self._segments
 
     @property
@@ -425,11 +512,15 @@ class PiecewisePath:
         """Per-segment bound on |z''|."""
         return self._second_bounds
 
+    @property
+    def _all_lines(self) -> bool:
+        return not self._arcs.s0.size
+
     def vertices(self) -> np.ndarray:
         """Values at the breakpoints, including the (snapped) closing point."""
         if self._all_lines:
-            end = self._start if self.closed else complex(self._z1[-1])
-            return np.concatenate([self._z0, [end]])
+            end = self._start if self.closed else complex(self._lines.z1[-1])
+            return np.concatenate([self._lines.z0, [end]])
         vals = [s.start_value for s in self.segments]
         vals.append(self._start if self.closed else self.segments[-1].end_value)
         return np.array(vals, dtype=np.complex128)
@@ -442,32 +533,19 @@ class PiecewisePath:
         """Index of the segment holding each x in [0, 1]; 1 belongs to the last."""
         return np.searchsorted(self._breaks[1:-1], xs, side="right")
 
-    def _arc_values(self, xs):
-        """Values at ``xs``, theta as ArcSegment forms it, with the segment
-        indices and cos(theta), sin(theta) there."""
-        arcs = self._arcs
-        idx = self._segment_indices(xs)
-        u = (xs - arcs.s0[idx]) / arcs.span[idx]
-        theta = arcs.angle0[idx] * (1.0 - u) + arcs.angle1[idx] * u
-        cos, sin = np.cos(theta), np.sin(theta)
-        out = _parts(arcs.semi_re[idx], cos, arcs.semi_im[idx], sin)
-        out += arcs.center[idx]
-        return out, idx, cos, sin
-
-    def values(self, xs):
+    def _at(self, xs, derivatives: bool):
         xs = np.asarray(xs, dtype=np.float64)
         self._check_range(xs)
-        if self._all_lines:
-            idx = self._segment_indices(xs)
-            u = (xs - self._s0[idx]) / self._span[idx]
-            out = self._z0[idx] * (1.0 - u) + self._z1[idx] * u
-        elif self._arcs is not None:
-            out = self._arc_values(xs)[0]
-        else:  # lines and arcs mixed
-            return self.eval_with_derivative(xs)[0]
+        rows = self._segment_indices(xs)
+        if self._lines.s0.size and self._arcs.s0.size:  # lines and arcs: lines first
+            rows = self._rows[rows]
+        vals, ders = _segment_values(self._lines, self._arcs, rows, xs, derivatives)
         if self.closed:
-            out[xs == 1.0] = self._start
-        return out
+            vals[xs == 1.0] = self._start
+        return vals, ders
+
+    def values(self, xs):
+        return self._at(xs, False)[0]
 
     def value(self, x: float) -> complex:
         return complex(self.values(np.array([float(x)], dtype=np.float64))[0])
@@ -475,28 +553,7 @@ class PiecewisePath:
     def eval_with_derivative(self, xs):
         """Values and one-sided derivatives, vectorized; breakpoints take the
         right-hand segment's derivative."""
-        xs = np.asarray(xs, dtype=np.float64)
-        self._check_range(xs)
-        if self._all_lines:
-            idx = self._segment_indices(xs)
-            u = (xs - self._s0[idx]) / self._span[idx]
-            vals = self._z0[idx] * (1.0 - u) + self._z1[idx] * u
-            ders = (self._z1[idx] - self._z0[idx]) / self._span[idx]
-        elif self._arcs is not None:
-            vals, idx, cos, sin = self._arc_values(xs)
-            ders = _parts(self._arcs.re_speed[idx], sin, self._arcs.im_speed[idx], cos)
-        else:
-            idx = self._segment_indices(xs)
-            vals = np.empty(xs.shape, dtype=np.complex128)
-            ders = np.empty(xs.shape, dtype=np.complex128)
-            for k, seg in enumerate(self.segments):
-                mask = idx == k
-                if mask.any():
-                    vals[mask] = seg.values_at(xs[mask])
-                    ders[mask] = seg.derivatives_at(xs[mask])
-        if self.closed:
-            vals[xs == 1.0] = self._start
-        return vals, ders
+        return self._at(xs, True)
 
     def reverse(self) -> "PiecewisePath":
         """Same carrier, opposite orientation: x maps to 1 - x, which keeps
@@ -605,12 +662,9 @@ def certified_clearance(path: PiecewisePath, points) -> float:
 
 
 def certified_clearances(paths, points) -> np.ndarray:
-    """``certified_clearance`` of each path.  The line paths' segments
-    (every interior chain member, squares, polylines, constants) are stacked
-    and measured in one call (``_Members.clearances``); each path keeps its
-    own rounding allowance, relative to the larger of its own largest
-    |vertex| and the points' largest modulus.  A non-finite point is
-    refused."""
+    """``certified_clearance`` of each path, one pass per segment kind
+    (``_Members.clearances``), each path with its own rounding allowance;
+    a non-finite point is refused."""
     return _Members(tuple(paths)).clearances(points)
 
 
@@ -624,9 +678,9 @@ class _Members:
     chain's interior members), and the paths ``tail``.  ``given`` lists
     (index, path) for every member given as a path.
 
-    A row's line fields are read from the array, the same values in the
-    same order as a ``PiecewisePath.from_vertex_rows`` view of it holds, and
-    a row becomes such a view only where a path is needed (``path``).
+    Their segments are two stacked tables in member order (``tables``):
+    every line segment, the interior rows' as a ``from_vertex_rows`` view
+    would hold them, and every arc.
     """
 
     def __init__(self, head: tuple, rows: np.ndarray = _NO_ROWS, breaks=None, tail=()):
@@ -645,70 +699,78 @@ class _Members:
         return _Members(self.head[start:stop], self.rows[max(0, start - h):max(0, stop - h)],
                         self.breaks, self.tail[max(0, start - h - k):max(0, stop - h - k)])
 
-    def path(self, m: int) -> PiecewisePath:
-        """Member m as a path, for a row a view of it made now."""
+    @functools.cached_property
+    def tables(self) -> tuple:
+        """(lines, arcs, line_runs, arc_runs): the members' stacked line and
+        arc tables, and each table's runs of rows, one per member that has
+        rows in it, as lists (starts, ids, widths): where each run begins,
+        its member and its length."""
         h, k = len(self.head), len(self.rows)
-        if h <= m < h + k:
-            return PiecewisePath.from_vertex_rows(self.rows[m - h:m - h + 1], self.breaks,
-                                                  closed=True)[0]
-        return dict(self.given)[m]
+        lines = [(path._lines, m, 1) for m, path in self.given]
+        arcs = [(path._arcs, m, 1) for m, path in self.given]
+        if k:
+            b = self.breaks
+            lines.insert(h, (_LineArrays(np.tile(b[:-1], k), np.tile(b[1:], k),
+                                         self.rows[:, :-1].ravel(), self.rows[:, 1:].ravel()), h, k))
+        (lines, line_runs), (arcs, arc_runs) = _stacked(_NO_LINES, lines), _stacked(_NO_ARCS, arcs)
+        return lines, arcs, line_runs, arc_runs
 
     @functools.cached_property
-    def lines(self):
-        """(ids, breaks, fields) of the line members: their indices and
-        breakpoints, in order, and their segments' (z0, z1, s0, span)
-        stacked in that order, None for no line member."""
-        h, k = len(self.head), len(self.rows)
-        lines = [(m, path) for m, path in self.given if path._all_lines]
-        ids = [m for m, _ in lines]
-        breaks = [path.breakpoints for _, path in lines]
-        fields = [(path._z0, path._z1, path._s0, path._span) for _, path in lines]
-        if k:
-            at = sum(m < h for m in ids)  # the rows' place among them
-            ids[at:at] = range(h, h + k)
-            breaks[at:at] = [self.breaks] * k
-            fields.insert(at, (self.rows[:, :-1].ravel(), self.rows[:, 1:].ravel(),
-                               np.tile(self.breaks[:-1], k), np.tile(np.diff(self.breaks), k)))
-        return ids, breaks, [_joined(list(column)) for column in zip(*fields)] if ids else None
+    def closing(self) -> dict:
+        """The start of each closed member with an arc, by the row of its
+        last segment in ``tables`` (lines first): its value at 1, as
+        ``PiecewisePath.values`` snaps it.  A member of lines alone is read
+        as its vertices stand."""
+        lines, arcs, (line_starts, line_ids, _), (arc_starts, arc_ids, _) = self.tables
+        given, line_at = dict(self.given), dict(zip(line_ids, line_starts))
+        closing = {}
+        for m, at in zip(arc_ids, arc_starts):
+            path = given[m]
+            if path.closed:
+                last, n = int(path._rows[-1]), path._lines.s0.size
+                closing[line_at[m] + last if last < n else lines.s0.size + at + last - n] = path._start
+        return closing
 
     def clearances(self, points) -> np.ndarray:
-        """``certified_clearance`` of every member from ``points``, the line
-        members' from one ``polyline_clearances`` call over their stacked
-        segments (``lines``) against the plane less the points."""
+        """``certified_clearance`` of every member from ``points``: one pass
+        per table, each reduced per member."""
         pts = np.asarray(points, dtype=np.complex128).ravel()
         if not np.isfinite(pts).all():
             raise ValueError(f"points must be finite, got {pts[~np.isfinite(pts)][0]!r}")
         out = np.full(self.count, math.inf)
         if pts.size == 0:
             return out
-
-        def measured(z0, z1, starts):
+        lines, arcs, (line_starts, line_ids, _), (arc_starts, arc_ids, _) = self.tables
+        if line_ids:
             plane = PuncturedPlane(tuple(dict.fromkeys(pts.tolist())))  # it refuses repeats
             # fmax: nan, past the float range, is clearance 0
-            return np.fmax(0.0, polyline_clearances(z0, z1, starts, plane, _POLYLINE_ROUNDING))
-
-        ids, breaks, fields = self.lines
-        if ids:
-            starts = list(accumulate((b.size - 1 for b in breaks[:-1]), initial=0))
-            out[ids] = measured(*fields[:2], starts)
-        for m, path in self.given:
-            if path._arcs is not None:
-                out[m] = _arc_clearance(path._arcs, pts)
-            elif not path._all_lines:  # lines and arcs mixed: the smaller closed form
-                chords = np.array([(s.z0, s.z1) for s in path.segments
-                                   if isinstance(s, LineSegment)])
-                arcs = _arc_arrays([s for s in path.segments if isinstance(s, ArcSegment)])
-                out[m] = min(measured(chords[:, 0], chords[:, 1], [0])[0],
-                             _arc_clearance(arcs, pts))
+            out[line_ids] = np.fmax(0.0, polyline_clearances(lines.z0, lines.z1, line_starts, plane,
+                                                             _POLYLINE_ROUNDING))
+        if arc_ids:  # a member of both kinds takes the smaller
+            arc = _arc_clearance(arcs, pts, arc_starts)
+            out[arc_ids] = np.fmin(out[arc_ids], arc) if line_ids else arc
         return out
 
 
-def _joined(arrays: list) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _stacked(empty, parts: list):
+    """(table, runs): the tables of ``parts``, each (table, first member,
+    count) with an equal run of rows per member, joined, and its runs."""
+    parts = [part for part in parts if part[0].s0.size]
+    starts, ids, widths, at = [], [], [], 0
+    for table, first, count in parts:
+        width = table.s0.size // count
+        starts += range(at, at + width * count, width)
+        ids += range(first, first + count)
+        widths += [width] * count
+        at += width * count
+    tables = [table for table, _, _ in parts] or [empty]
+    table = tables[0] if len(tables) == 1 else type(empty)(*map(np.concatenate, zip(*tables)))
+    return table, (starts, ids, widths)
 
 
-def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
-    """Lower bound on the distance from the arcs to the nearest point.
+def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray, starts) -> np.ndarray:
+    """Lower bound on the distance from each run of arcs to the nearest
+    point, run k holding the rows from ``starts[k]`` up to the next.
 
     An arc is c + A u(theta) for A = diag(a, b) and u on the unit arc between
     its angles.  With q = A^-1 (p - c), |p - z| = |A (q - u)| >= min(a, b)
@@ -716,8 +778,9 @@ def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
     bound, and for a circle the distance itself: d(q) is ||q| - 1| when q's
     angle lies in the sweep, else the nearer end's distance.
 
-    Rounding, with u = eps/2, S the larger of max(|c| + max(a, b)) and the
-    points' largest modulus, m = min(a, b), and libm's atan2 within 2 ulps:
+    Rounding, with u = eps/2, S the larger of max(|c| + max(a, b)) over the
+    run and the points' largest modulus, m = min(a, b), and libm's atan2
+    within 2 ulps:
     q is within 2.01u|q| of its value.  The sweep test is widened by
     16 eps (1 + |angle0| + |angle1|) on both sides, more than the 30u +
     4u (|angle0| + |angle1|) by which q's error, atan2, the two sums, the
@@ -736,10 +799,10 @@ def _arc_clearance(arcs: _ArcArrays, pts: np.ndarray) -> float:
              <= np.abs(angle1 - angle0) + 2 * slack)
     ends = np.minimum(*(np.abs(q - np.exp(1j * angle)) for angle in (angle0, angle1)))
     dist = np.where(swept, np.abs(np.abs(q) - 1.0), ends).min(axis=1)
-    scale = max((np.abs(arcs.center) + np.maximum(arcs.semi_re, arcs.semi_im)).max(),
-                np.abs(pts).max())
-    return float(max(0.0, (np.minimum(arcs.semi_re, arcs.semi_im) * dist).min()
-                     - _POLYLINE_ROUNDING * scale))
+    near = np.minimum.reduceat(np.minimum(arcs.semi_re, arcs.semi_im) * dist, starts)
+    reach = np.maximum.reduceat(np.abs(arcs.center) + np.maximum(arcs.semi_re, arcs.semi_im),
+                                starts)
+    return np.fmax(0.0, near - _POLYLINE_ROUNDING * np.maximum(reach, np.abs(pts).max()))
 
 
 def _unit_frame(arcs: _ArcArrays, pts: np.ndarray) -> np.ndarray:
@@ -750,38 +813,6 @@ def _unit_frame(arcs: _ArcArrays, pts: np.ndarray) -> np.ndarray:
     np.divide(rel.real, arcs.semi_re[:, None], out=q.real)
     np.divide(rel.imag, arcs.semi_im[:, None], out=q.imag)
     return q
-
-
-def nearest_parameters(path: PiecewisePath, points):
-    """(x, d), each with one row per segment and one column per point: the
-    parameter x of the segment's point nearest to the point, and the
-    distance d between them; None for a path that mixes lines and arcs.
-
-    On a line x is the projection clamped to the segment that every segment
-    distance takes.  On an arc it is the angle of q = A^-1 (p - c), as
-    ``_arc_clearance`` maps the point, clamped into the sweep at the nearer
-    end; for a circle that point is the nearest one, for an ellipse a point
-    near it, and d is its distance.  Neither is a certified bound."""
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    breaks = path.breakpoints
-    s0, span = breaks[:-1, None], (breaks[1:] - breaks[:-1])[:, None]
-    if path._all_lines:
-        a, step = path._z0[:, None], (path._z1 - path._z0)[:, None]
-        u = _segment_projections(a, step, pts)
-        foot = a + u * step
-    elif path._arcs is not None:
-        arcs = path._arcs
-        angle0, angle1 = arcs.angle0[:, None], arcs.angle1[:, None]
-        low, sweep = np.minimum(angle0, angle1), np.abs(angle1 - angle0)
-        turn = np.mod(np.angle(_unit_frame(arcs, pts)) - low, 2 * math.pi)
-        turn = np.where(turn <= sweep, turn, np.where(turn - sweep < 2 * math.pi - turn, sweep, 0.0))
-        theta = low + turn
-        u = (theta - angle0) / (angle1 - angle0)
-        foot = _parts(arcs.semi_re[:, None], np.cos(theta), arcs.semi_im[:, None], np.sin(theta))
-        foot += arcs.center[:, None]
-    else:
-        return None
-    return s0 + u * span, np.abs(pts - foot)
 
 
 def sup_distance(p: PiecewisePath, q: PiecewisePath, tol: float) -> Bounds:

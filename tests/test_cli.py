@@ -328,6 +328,22 @@ def test_overflowing_polyline_is_refused_without_warnings(command):
     assert run.stderr == "error: square path: Lipschitz constant must be finite\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["approx", "--path", "circle(1e307, 1.75e308)", "--eps", "1e300"],
+    ["wind", "--path", "circle(1e307, 1.75e308)", "--point", "0"],
+    ["integrate", "--f", "exp(z)", "--path", "circle(1e307, 1.75e308)"],
+    ["integrate", "--f", "exp(z)", "--path", "ellipse(1, 1e307, 1.75e308i)"],
+], ids=["approx", "wind", "integrate", "ellipse"])
+def test_arcs_past_the_float_range_are_refused_without_warnings(command):
+    # a radius of 1e307 about 1.75e308: the Lipschitz bound is finite, but
+    # |center| + radius is not, so some of the arc's points overflow
+    run = _cli_process(*command)
+    assert run.returncode == EXIT_USAGE
+    kind = command[command.index("--path") + 1].partition("(")[0]
+    assert run.stderr == (f"error: {kind} path: an arc's |center| + max(semi-axes) must be "
+                          "finite, got inf\n")
+
+
 @pytest.mark.parametrize("command, refusal", [
     (["integrate", "--f", "1/(z-0.001i)", "--poles", "0.001i",
       "--path", "polyline(-1e200, 3e200, 1e200i)"], "declared singularities"),
@@ -346,6 +362,7 @@ def test_long_segments_are_refused_without_warnings(command, refusal):
 _CORNERS = {"corner_lo": "-1.7e308-1.7e308i", "corner_hi": "1.7e308+1.7e308i"}
 _MOVED = "the homotopy moves a point by inf"
 _TOO_LARGE = "the domain's largest modulus is inf"
+_FAR_CORNER = "1.5e308+1.5e308i"
 
 
 def _far_paths(center="-1e308"):
@@ -369,7 +386,13 @@ _LINEAR = {"kind": "linear", "from": "a", "to": "b"}
     ({"kind": "rectangle", **_CORNERS}, _far_paths("0"), _LINEAR, None, _TOO_LARGE),
     ({"kind": "punctured_plane"}, {"a": {"kind": "unit_circle"}},
      {"kind": "star", "path": "a", "center": "1e154"}, 1e-300, "the chain would need inf members"),
-], ids=["disk", "disk-star", "rectangle", "plane", "annulus", "rectangle-to-0", "tiny-eps"])
+    # vertices of modulus 2.1e308 in a plane with no puncture: the clearance
+    # is inf less inf times the rounding allowance, nan
+    ({"kind": "punctured_plane"}, {"a": {"kind": "square", "side": 2, "center": _FAR_CORNER}},
+     {"kind": "star", "path": "a", "center": _FAR_CORNER}, None,
+     "past the float range: the member at t=0 has certified clearance nan"),
+], ids=["disk", "disk-star", "rectangle", "plane", "annulus", "rectangle-to-0", "tiny-eps",
+        "nan-clearance"])
 def test_chains_past_the_float_range_are_refused(tmp_path, command, domain, paths, homotopy, eps,
                                                  refusal):
     # ends 2e308 apart, a rectangle with a corner of modulus 2.4e308, and

@@ -113,3 +113,22 @@ def test_one_routine_measures_every_polyline_clearance(module, name):
     # chain members, quadrature members and winding paths are all measured
     # by geometry.polyline_clearances
     assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("contourchain.integrate", "_Lines"),
+    ("contourchain.integrate", "_graded_points"),
+    ("contourchain.paths", "_arc_arrays"),
+])
+def test_members_are_two_segment_tables(owner, name):
+    # a member's segments are rows of the line and arc tables, evaluated,
+    # graded and measured per table, so no per-path field table or row view
+    # is left
+    assert not hasattr(importlib.import_module(owner), name)
+
+
+def test_a_member_is_never_made_a_path():
+    from contourchain.paths import _Members
+
+    assert not hasattr(_Members, "path")
+    assert not hasattr(_Members, "lines")

@@ -9,10 +9,12 @@ import pytest
 
 from contourchain import (
     Annulus,
+    ArcSegment,
     Chain,
     ChainCertificate,
     Disk,
     InvalidEpsilon,
+    LineSegment,
     NearSingularity,
     PiecewisePath,
     ToleranceNotReached,
@@ -634,3 +636,158 @@ class TestQuarterSplit:
         # it are still unfinished after 2**-40 of their segment
         with pytest.raises(ToleranceNotReached, match="within 40 bisections per segment"):
             contour_integral(parse_function("1/(z-1)"), circle(), 1e-9)
+
+
+def _half_disk(gap: float = 0.0):
+    """The upper unit half-disk's boundary: an arc over [0, 1/2] and its
+    chord, which ends ``gap`` past the arc's start (float noise that the
+    closed path snaps)."""
+    arc = ArcSegment(0j, 1.0, 0.0, math.pi, 0.0, 0.5)
+    return PiecewisePath([arc, LineSegment(arc.end_value, arc.start_value + gap, 0.5, 1.0)],
+                         closed=True)
+
+
+def _segment_rows(members: _Members, m: int, path: PiecewisePath) -> np.ndarray:
+    """The row of each segment of member m, the path ``path``, in the
+    members' two tables numbered lines first."""
+    lines, _, (_, line_ids, line_widths), (_, arc_ids, arc_widths) = members.tables
+    owner = np.repeat(line_ids + arc_ids, line_widths + arc_widths)
+    on_line, on_arc = np.flatnonzero(owner[:lines.s0.size] == m), \
+        lines.s0.size + np.flatnonzero(owner[lines.s0.size:] == m)
+    return np.concatenate([on_line, on_arc])[path._rows]
+
+
+class TestSegmentTables:
+    """Every member's segments are rows of one line table and one arc table;
+    the quadrature and the clearances read the tables, with no path object
+    evaluated and no view of a chain row made."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: circle(0.2 - 0.1j, 1.3),
+        lambda: ellipse(1.6, 0.7, 0.2j),
+        lambda: polyline([1 + 0j, 0.5 + 1j, -1 + 0.2j, -0.3 - 1j]),
+        _half_disk,
+        lambda: _half_disk().reverse(),
+        lambda: _half_disk(1e-14),
+    ], ids=["circle", "ellipse", "polyline", "mixed", "mixed-reversed", "mixed-snapped"])
+    def test_path_values_are_eval_with_derivative(self, make):
+        # random pieces of each member, and pieces that end at 1, where a
+        # closed path with an arc snaps to its start, whichever kind its
+        # last segment is: the tables give eval_with_derivative's bits,
+        # alone and as an end of a chain
+        from contourchain import integrate
+
+        path = make()
+        rng = np.random.default_rng(17)
+        members = {"alone": (_Members((path,)), 0),
+                   "in-chain": (_Members((circle(),), np.array([[1, 1j, -1, -1j, 1]]),
+                                         np.arange(5) / 4, (path,)), 2)}
+        for tables, m in members.values():
+            breaks = path.breakpoints
+            k = np.concatenate([rng.integers(0, path.num_segments, 200),
+                                [path.num_segments - 1] * 3])
+            lo, hi = np.sort(rng.uniform(breaks[k], breaks[k + 1], (2, k.size)), axis=0)
+            # three pieces ending at 1, the last two so short that nodes
+            # round to 1
+            hi[-3:], lo[-2:] = 1.0, [1 - 1e-15, 1 - 2e-16]
+            nodes = (lo + hi) / 2 + (hi - lo) / 2 * integrate._XGK[:, None]
+            zs, ders = integrate._path_values(nodes, _segment_rows(tables, m, path)[k], tables)
+            vals, expected = path.eval_with_derivative(nodes.ravel())
+            assert (nodes == 1.0).any()
+            assert zs.tobytes() == vals.reshape(nodes.shape).tobytes()
+            assert np.broadcast_to(ders, nodes.shape).tobytes() == \
+                expected.reshape(nodes.shape).tobytes()
+
+    @pytest.mark.parametrize("end", ["head", "tail"])
+    def test_a_mixed_member_gets_what_it_gets_alone(self, end):
+        path = _half_disk()
+        g = circle(radius=2.0)
+        chain = (_dummy_chain(path, g, rows=[[1, 1j, -1, -1j, 1]], breakpoints=np.arange(5) / 4)
+                 if end == "head" else
+                 _dummy_chain(g, path, rows=[[1, 1j, -1, -1j, 1]], breakpoints=np.arange(5) / 4))
+        f = _with_pole("1/(z-a)", 0.999 * cmath.exp(1j))
+        results = integral_along_chain(f, chain, 1e-9).results
+        for member, result in zip(chain.members, results):
+            alone = contour_integral(f, member, 1e-9)
+            assert (result.value, result.error_estimate, result.evaluations) == (
+                alone.value, alone.error_estimate, alone.evaluations)
+
+    @pytest.mark.parametrize("theta", [0.4, 1.0, 2.5])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+    def test_a_mixed_path_is_graded(self, monkeypatch, theta, side):
+        # a pole 1e-3 off the arc: the mixed path starts from graded pieces,
+        # as every other kind does, and takes fewer evaluations than from
+        # whole segments, which take 1170 to 1350 here
+        from contourchain import integrate
+
+        a = (1 + side * 1e-3) * cmath.exp(1j * theta)
+        f = _with_pole("1/(z-a)", a)
+        first = _recorded_first_pieces(monkeypatch)
+        graded = contour_integral(f, _half_disk(), 1e-9)
+        [(lows, _)] = first
+        assert lows.size > 2
+        monkeypatch.setattr(integrate, "_GRADE_GATE", math.inf)
+        whole = contour_integral(f, _half_disk(), 1e-9)
+        assert graded.evaluations < whole.evaluations
+        assert graded.evaluations <= 800
+        exact = TWO_PI_I if side < 0 else 0j
+        assert abs(graded.value - exact) <= 1e-9
+        assert graded.error_estimate <= 1e-9
+
+    def test_stacked_arc_clearances_are_each_members(self, monkeypatch):
+        # one pass over the annulus chains' stacked arcs, reduced per member,
+        # gives each end member's own clearance, bit for bit
+        from contourchain.paths import _arc_clearance
+
+        chains = both = 0
+        for chain, spec in _annulus_verify_chains(monkeypatch):
+            poles = np.array(spec.function.singularities, dtype=np.complex128)
+            members = _Members((chain.gamma0,), chain.rows, chain.breakpoints, (chain.gamma1,))
+            _, arcs, _, (starts, ids, _) = members.tables
+            ends = [(m, g) for m, g in ((0, chain.gamma0), (len(chain) - 1, chain.gamma1))
+                    if not g._all_lines]
+            assert ids == [m for m, _ in ends]
+            stacked = _arc_clearance(arcs, poles, starts)
+            alone = [_arc_clearance(g._arcs, poles, [0]) for _, g in ends]
+            assert stacked.tobytes() == np.concatenate(alone).tobytes()
+            chains += 1
+            both += len(ends) == 2
+        assert chains == 15 and both == 10
+
+    def test_graded_chains_evaluate_no_path(self, monkeypatch):
+        # the benchmark's annulus chains with the pole moved 1e-3 off a
+        # segment of an interior row, which grades that row: integration
+        # reads the tables alone, so no path is evaluated and no view of a
+        # row is made
+        from contourchain import integrate
+        from conftest import counted_vertex_rows
+
+        chains = list(_annulus_verify_chains(monkeypatch))
+        views = counted_vertex_rows(monkeypatch)
+        evaluated, cut = [], []
+        monkeypatch.setattr(PiecewisePath, "eval_with_derivative",
+                            lambda self, xs: evaluated.append(self))
+        cuts = integrate._cuts
+        monkeypatch.setattr(integrate, "_cuts", lambda *args: cut.append(cuts(*args)) or cut[-1])
+        for chain, _ in chains:
+            row = chain.rows[len(chain.rows) // 2]
+            a, b = row[3], row[4]
+            pole = (a + b) / 2 + 1e-3 * 1j * (b - a) / abs(b - a)
+            f = AnalyticFunction(Div(Const(1 + 0j), Sub(Var(), Const(pole))), (pole,))
+            cut.clear()
+            results = integral_along_chain(f, chain, 1e-9).results
+            assert any(cut)
+            assert len(results) == len(chain)
+            assert "members" not in vars(chain)
+        assert evaluated == [] and views == []
+
+
+def _annulus_verify_chains(monkeypatch):
+    """(chain, spec) of the benchmark's 15 annulus_verify documents of seeds 101-105."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for seed in range(101, 106):
+        for op in workloads.build("annulus_verify", seed):
+            spec = SpecDocument.from_dict(op.inputs)
+            sigma, gamma0, gamma1 = spec.build_homotopy()
+            yield build_chain(sigma, gamma0, gamma1, spec.domain, eps=spec.eps), spec

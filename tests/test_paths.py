@@ -603,6 +603,19 @@ class TestPiecewisePath:
         with pytest.raises(ValueError, match=message):
             circle(0j, radius)
 
+    @pytest.mark.parametrize("make", [
+        lambda: circle(1.75e308, 1e307),
+        lambda: ellipse(1.0, 1e307, 1.75e308j),
+        lambda: ArcSegment(1.75e308 + 0j, 1e307, 0.0, 1.0, 0.0, 1.0),
+        lambda: ArcSegment(1.7e308 + 1.7e308j, 1.0, 0.0, 1.0, 0.0, 1.0),
+    ], ids=["circle", "ellipse", "arc", "arc-center"])
+    def test_arcs_past_the_float_range_are_refused(self, make):
+        # each field and the Lipschitz bound are finite, but |center| +
+        # max(a, b) is not, so the arc could take the value inf: no arc
+        # table holds such a row
+        with pytest.raises(ValueError, match=r"\|center\| \+ max\(semi-axes\) must be finite"):
+            make()
+
     @pytest.mark.parametrize("path", [
         circle(1 + 1j, 2.0),
         square(2.0),

@@ -89,6 +89,17 @@ class TestHomotopyInvariance:
             verify_homotopy_invariance(f, g0, g1, linear_homotopy(g0, g1), PuncturedPlane(()),
                                        1e-9)
 
+    def test_a_pole_past_the_float_range_from_the_domain_is_outside_it(self):
+        # |p - c| overflows for the pole -1e308 and a disk about 1e308: its
+        # complement distance is -inf, outside, with no overflow warning (an
+        # error under the test settings), and the chain refuses on its own
+        gamma = circle(1e308, 1.0)
+        sigma = star_null_homotopy(gamma, 1e308)
+        f = parse_function("1/(z+1e308)", [-1e308])
+        with pytest.raises(ContainmentNotCertified, match="sweeps outside the domain"):
+            verify_homotopy_invariance(f, sigma.gamma0, sigma.gamma1, sigma, Disk(1e308, 2.0),
+                                       1e-9)
+
 
 def verify_null_homotopic(f, gamma, center, domain, tol):
     """Contract gamma onto the center and verify along the star homotopy."""
