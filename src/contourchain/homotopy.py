@@ -315,13 +315,18 @@ def _end_slack(path: PiecewisePath, values: np.ndarray, xs: np.ndarray) -> float
     linear interpolation, (x - a)(b - x)/2 >= 0 on a panel [a, b], holds for
     complex values too), plus the rounding allowance at its largest |value|;
     and a path of lines is Q.
+
+    A closed path's value at 1 is its start S, but a last arc runs to its
+    own end E, g = |E - S| off (``PiecewisePath._seam_gap``).  On the last
+    panel the path is within h^2 M2 / 8 of the chord to E, and Q's chord to
+    S is within g of that chord, so g is added.
     """
     if path._all_lines:
         return 0.0
     panels = np.diff(xs)
     second = _piece_bounds(path, (xs[:-1] + xs[1:]) / 2)
     return (float((panels * panels * second).max()) / 8
-            + _BLEND_ROUNDING * float(np.abs(values).max()))
+            + _BLEND_ROUNDING * float(np.abs(values).max()) + path._seam_gap)
 
 
 def _check_budget(members: float, vertices: float, gap: float, scale: float):

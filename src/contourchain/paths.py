@@ -11,14 +11,16 @@ closer than eps / L map to values closer than eps, and for L = 0 (a constant
 path) every step qualifies.  Sampling grids, eta-nets and sup-distance bounds
 all read that one number.
 
-A path keeps its segments as rows of two tables, ``_LineArrays`` and
-``_ArcArrays``, each with one formula per kind for values, nearest points
-and weights; a path that mixes lines and arcs has rows in both, and
-``_Members`` stacks many paths' rows into the same two tables.
+A path is its segments as rows of two tables, ``_LineArrays`` and
+``_ArcArrays``, each with one formula per kind for values, bounds, nearest
+points and weights; a path that mixes lines and arcs has rows in both, and
+``_Members`` stacks many paths' rows into the same two tables.  One routine,
+``PiecewisePath._from_tables``, builds every path from its tables.
 
 Endpoint equality of closed paths is enforced by construction: evaluating a
 closed path at 1 returns the bit-exact value at 0, so no closedness
-tolerance exists anywhere downstream.
+tolerance exists anywhere downstream.  A last line ends on the start, and a
+last arc a float-noise gap off it (``homotopy._end_slack`` adds the gap).
 """
 
 from __future__ import annotations
@@ -102,14 +104,6 @@ class LineSegment(_SegmentBase):
     def end_value(self):
         return self.z1
 
-    @property
-    def derivative_bound(self):
-        return abs(self.z1 - self.z0) / self.span
-
-    @property
-    def second_derivative_bound(self):
-        return 0.0
-
     def values_at(self, xs):
         u = self._u(xs)
         return self.z0 * (1.0 - u) + self.z1 * u
@@ -118,13 +112,9 @@ class LineSegment(_SegmentBase):
         xs = np.asarray(xs, dtype=np.float64)
         return np.full(xs.shape, (self.z1 - self.z0) / self.span, dtype=np.complex128)
 
-    def reversed_onto(self, s0, s1):
-        return LineSegment(self.z1, self.z0, s0, s1)
-
 
 def _arc_point(center, semi_re, semi_im, angle) -> complex:
     """c + a cos(angle) + i b sin(angle), with numpy's cos and sin, as on arrays."""
-    angle = np.float64(angle)
     return complex(semi_re * np.cos(angle), semi_im * np.sin(angle)) + center
 
 
@@ -187,18 +177,6 @@ class ArcSegment(_SegmentBase):
     def end_value(self):
         return _arc_point(self.center, self.semi_re, self.semi_im, self.angle1)
 
-    @property
-    def sweep_rate(self):
-        return (self.angle1 - self.angle0) / self.span
-
-    @property
-    def derivative_bound(self):
-        return max(self.semi_re, self.semi_im) * abs(self.sweep_rate)
-
-    @property
-    def second_derivative_bound(self):
-        return max(self.semi_re, self.semi_im) * self.sweep_rate ** 2
-
     def values_at(self, xs):
         theta = self._theta(xs)
         out = _parts(self.semi_re, np.cos(theta), self.semi_im, np.sin(theta))
@@ -207,11 +185,8 @@ class ArcSegment(_SegmentBase):
 
     def derivatives_at(self, xs):
         theta = self._theta(xs)
-        rate = self.sweep_rate
+        rate = (self.angle1 - self.angle0) / self.span
         return _parts(-(self.semi_re * rate), np.sin(theta), self.semi_im * rate, np.cos(theta))
-
-    def reversed_onto(self, s0, s1):
-        return ArcSegment(self.center, self.semi_re, self.angle1, self.angle0, s0, s1, self.semi_im)
 
 
 _Segment = (LineSegment, ArcSegment)
@@ -245,10 +220,15 @@ class _LineArrays(NamedTuple):
         """Each row's |z'| bound times its span: its length |z1 - z0|."""
         return np.abs(self.z1 - self.z0)
 
+    def bounds(self):
+        """(|z'| bounds, |z''| bounds), one per row: |z1 - z0| / span, and 0."""
+        first = np.abs(self.z1 - self.z0) / (self.s1 - self.s0)
+        return first, np.zeros(first.size)
+
 
 class _ArcArrays(NamedTuple):
     """Arcs, one row each: ``ArcSegment``'s fields over [s0, s1], and its
-    |z'| bound."""
+    |z'| bound (``bounds``; None in a table no path holds yet)."""
 
     s0: np.ndarray
     s1: np.ndarray
@@ -257,7 +237,7 @@ class _ArcArrays(NamedTuple):
     semi_im: np.ndarray
     angle0: np.ndarray
     angle1: np.ndarray
-    derivative_bound: np.ndarray
+    derivative_bound: np.ndarray | None = None
 
     def at(self, rows, xs, derivatives: bool = True):
         """(values, derivatives or None) at ``xs`` on the arcs ``rows``,
@@ -294,19 +274,29 @@ class _ArcArrays(NamedTuple):
         """Each row's |z'| bound times its span."""
         return self.derivative_bound * (self.s1 - self.s0)
 
+    def bounds(self):
+        """(|z'| bounds, |z''| bounds), one per row: max(a, b) |w| and
+        max(a, b) w^2 (libm's pow) for the sweep rate w = sweep / span."""
+        rate = (self.angle1 - self.angle0) / (self.s1 - self.s0)
+        reach = np.maximum(self.semi_re, self.semi_im)
+        return reach * np.abs(rate), reach * np.float_power(rate, 2.0)
+
 
 _NO_LINES = _LineArrays(*(np.empty(0, dtype) for dtype in (float, float, complex, complex)))
 _NO_ARCS = _ArcArrays(*(np.empty(0, complex if f == "center" else float) for f in _ArcArrays._fields))
+_ONE = np.ones(1)  # the last breakpoint
 
 
 def _tables(segments) -> tuple[_LineArrays, _ArcArrays, np.ndarray]:
     """(lines, arcs, rows): the line table and the arc table of ``segments``,
-    and each segment's row in the two, numbered lines first."""
+    but for the arcs' |z'| column, and each segment's row in the two, lines
+    first."""
     kinds = ([], [])  # lines, arcs
     for s in segments:
         kinds[isinstance(s, ArcSegment)].append(s)
     lines, arcs = (type(empty)(*(np.array([getattr(s, f) for s in mine], dtype=column.dtype)
-                                 for f, column in zip(empty._fields, empty))) if mine else empty
+                                 for f, column in zip(empty._fields, empty)
+                                 if f not in empty._field_defaults)) if mine else empty
                    for mine, empty in zip(kinds, (_NO_LINES, _NO_ARCS)))
     rows = {id(s): r for r, s in enumerate(kinds[0] + kinds[1])}  # lines first
     return lines, arcs, np.array([rows[id(s)] for s in segments])
@@ -330,30 +320,43 @@ def _segment_values(lines: _LineArrays, arcs: _ArcArrays, rows, xs, derivatives:
     return vals, ders
 
 
+def _end_value(lines: _LineArrays, arcs: _ArcArrays, row: int, end: int) -> complex:
+    """The value at the start (``end`` 0) or the end (1) of the segment on
+    row ``row`` of the two tables (lines first), from its columns."""
+    n = lines.s0.size
+    if row < n:
+        return (lines.z1 if end else lines.z0).item(row)
+    row -= n
+    return _arc_point(arcs.center.item(row), arcs.semi_re.item(row), arcs.semi_im.item(row),
+                      (arcs.angle1 if end else arcs.angle0).item(row))
+
+
+@functools.lru_cache
+def _in_order(n: int) -> np.ndarray:
+    """0, 1, ..., n - 1: the rows of a path of n arcs, shared by all."""
+    return np.arange(n)
+
+
 def _check_unit_span(s0: float, s1: float):
     """Refuse a run of spans that does not start at exactly 0 and end at exactly 1."""
     if not (s0 == 0.0 and s1 == 1.0):
         raise ValueError(f"a path's spans must run from 0 to 1, got [{s0!r}, {s1!r}]")
 
 
-def _check_closures(starts: np.ndarray, ends: np.ndarray):
-    """Refuse a closed path whose end is more than float noise from its start."""
-    gaps = np.abs(ends - starts)
-    scales = np.maximum(1.0, np.maximum(np.abs(starts), np.abs(ends)))
-    wide = np.flatnonzero(gaps > _CLOSURE_NOISE * scales)
-    if wide.size:
-        raise ValueError(f"path declared closed but endpoint gap {gaps[wide[0]]:.3g} "
-                         "exceeds float noise")
-
-
 class PiecewisePath:
     """Finite run of C^1 segments over contiguous parameter spans of [0, 1].
 
+    A path is its two segment tables and each segment's row in them, lines
+    first; ``_from_tables`` sets every field from them, the bounds by one
+    formula per kind, and ``segments`` is a view built when asked for.
+
     The spans must run from exactly 0 to exactly 1, and consecutive segments
-    must agree bit-exactly at shared breakpoints.  When ``closed`` is set, a
-    float-noise gap at the closing point is snapped to the exact start value;
-    a larger gap is rejected.  ``lipschitz_bound``, the largest per-segment
-    bound on |z'|, is the path's modulus of continuity.
+    must agree bit-exactly at shared breakpoints.  A closed path's end may
+    miss its start by ``_CLOSURE_NOISE`` times its reach (the largest
+    max(|z0|, |z1|) over its lines and |c| + max(a, b) over its arcs), no
+    more.  Its last line vertex is then made the start; a last arc keeps its
+    end, and only its value at 1 is the start.  ``lipschitz_bound``, the
+    largest per-segment bound on |z'|, is the path's modulus of continuity.
     """
 
     def __init__(self, segments, closed: bool = False):
@@ -371,27 +374,47 @@ class PiecewisePath:
                 raise ValueError(
                     f"segments {k} and {k + 1} disagree at breakpoint {s.s1!r}: "
                     f"{s.end_value!r} vs {t.start_value!r}")
-        self._segments = segments
+        self._from_tables(*_tables(segments), closed)
+
+    @np.errstate(over="ignore")  # a bound past the float range is refused below, by name
+    def _from_tables(self, lines: _LineArrays, arcs: _ArcArrays, rows: np.ndarray, closed: bool):
+        """Set every field of this path, whose k-th segment is row
+        ``rows[k]`` of the two tables (lines first), from the tables alone,
+        the arcs' |z'| column too, and return it.  The rows' spans must be
+        positive and run from 0 to 1."""
+        n, last, gap = lines.s0.size, rows.item(-1), 0.0
+        start = _end_value(lines, arcs, rows.item(0), 0)
+        if closed and (end := _end_value(lines, arcs, last, 1)) != start:
+            gap = abs(end - start)
+            # the reach, max(|z0|, |z1|) over lines and |c| + max(a, b) over
+            # arcs, bounds every value: a gap within the ends' modulus passes
+            if gap > _CLOSURE_NOISE * max(abs(start), abs(end)) and gap > _CLOSURE_NOISE * max(
+                    np.abs(lines.z0).max(initial=0.0), np.abs(lines.z1).max(initial=0.0),
+                    (np.abs(arcs.center) + np.maximum(arcs.semi_re, arcs.semi_im)).max(initial=0.0)):
+                raise ValueError(f"path declared closed but endpoint gap {gap:.3g} "
+                                 "exceeds float noise")
+            if last < n:  # the last line runs to the start
+                lines, gap = lines._replace(z1=lines.z1.copy()), 0.0
+                lines.z1[last] = start
+        kinds = [(*table.bounds(), table.s0) for table in (lines, arcs) if table.s0.size]
+        arcs = _ArcArrays(*arcs[:-1], kinds[-1][0]) if arcs.s0.size else _NO_ARCS
+        first, second, s0 = kinds[0] if len(kinds) == 1 else (  # one kind: rows in path order
+            np.concatenate(pair)[rows] for pair in zip(*kinds))
+        lipschitz = float(first.max())
+        if not math.isfinite(lipschitz):
+            raise ValueError("Lipschitz constant must be finite")
         self.closed = bool(closed)
-        self._breaks = np.array([s.s0 for s in segments] + [1.0], dtype=np.float64)
-
-        start = segments[0].start_value
-        end = segments[-1].end_value
-        self._start = start
-        if self.closed and end != start:
-            _check_closures(np.array([start]), np.array([end]))
-
-        self._first_bounds = np.array([s.derivative_bound for s in segments], dtype=np.float64)
-        self._second_bounds = np.array([s.second_derivative_bound for s in segments],
-                                       dtype=np.float64)
-        self._lipschitz = require_finite_real(self._first_bounds.max(), "Lipschitz constant")
-        self._lines, self._arcs, self._rows = _tables(segments)
+        self._lines, self._arcs, self._rows, self._segments = lines, arcs, rows, None
+        # how far a closed path's last arc ends off its start, its value at 1
+        self._breaks, self._start, self._seam_gap = np.concatenate((s0, _ONE)), start, gap
+        self._first_bounds, self._second_bounds, self._lipschitz = first, second, lipschitz
+        return self
 
     @classmethod
     def from_vertices(cls, vertices: np.ndarray, breakpoints: np.ndarray,
                       closed: bool = False) -> "PiecewisePath":
-        """Polyline through ``vertices`` at ``breakpoints``, without building
-        per-segment objects up front (they materialize lazily on demand)."""
+        """Polyline through ``vertices`` at ``breakpoints``: one line table,
+        with no segment object built."""
         rows = np.asarray(vertices, dtype=np.complex128).ravel()[None, :]
         return cls.from_vertex_rows(rows, breakpoints, closed)[0]
 
@@ -401,8 +424,8 @@ class PiecewisePath:
         """One polyline per row of the (k, m+1) array ``rows``, all through
         their vertices at the same ``breakpoints``.
 
-        The array is validated once for all rows, and each polyline views its
-        row of one copy of it.
+        The array is validated once for all rows, and each polyline's line
+        table views its row of one copy of it.
         """
         verts = np.array(rows, dtype=np.complex128)
         breaks = np.asarray(breakpoints, dtype=np.float64).ravel().copy()
@@ -410,71 +433,28 @@ class PiecewisePath:
             raise ValueError("need matching vertex/breakpoint arrays with at least two entries")
         if not np.isfinite(verts).all():
             raise ValueError("polyline vertices must be finite")
-        spans = np.diff(breaks)
-        if not np.all(spans > 0):
+        if not np.all(breaks[1:] > breaks[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         _check_unit_span(breaks[0], breaks[-1])
-        if closed:
-            _check_closures(verts[:, 0], verts[:, -1])
-        with np.errstate(over="ignore"):  # a non-finite bound is refused below
-            first = np.abs(np.diff(verts, axis=1)) / spans
-        lipschitz_bounds = first.max(axis=1)
-        if not np.isfinite(lipschitz_bounds).all():
-            raise ValueError("Lipschitz constant must be finite")
-        shared = {"_segments": None, "closed": bool(closed), "_breaks": breaks,
-                  "_second_bounds": np.zeros(spans.size), "_arcs": _NO_ARCS,
-                  "_rows": np.arange(spans.size)}
-        s0, s1 = breaks[:-1], breaks[1:]
-        paths = []
-        columns = (verts[:, :-1], verts[:, 1:], verts[:, 0].tolist(), first, lipschitz_bounds.tolist())
-        for z0, z1, start, bounds, lipschitz in zip(*columns):
-            self = cls.__new__(cls)
-            fields = self.__dict__
-            fields.update(shared)
-            fields["_lines"], fields["_start"] = _LineArrays(s0, s1, z0, z1), start
-            fields["_first_bounds"], fields["_lipschitz"] = bounds, lipschitz
-            paths.append(self)
-        return paths
+        s0, s1, order = breaks[:-1], breaks[1:], np.arange(breaks.size - 1)
+        return [cls.__new__(cls)._from_tables(_LineArrays(s0, s1, row[:-1], row[1:]), _NO_ARCS, order,
+                                              closed) for row in verts]
 
     @classmethod
     def _closed_arcs(cls, center: complex, semi_re: float, semi_im: float, angles: list,
                      breakpoints: np.ndarray) -> "PiecewisePath":
         """Closed run of arcs of one ellipse, the k-th from ``angles[k]`` to
-        ``angles[k + 1]`` over the k-th span of ``breakpoints``: the path
-        ``PiecewisePath(..., closed=True)`` builds from those ``ArcSegment``s,
-        field for field, without building them (they materialize lazily).
-        The breakpoints must run from 0 to 1, the semi-axes be positive, all
-        finite, consecutive angles distinct."""
-        breaks = np.array(breakpoints, dtype=np.float64)
-        # five-entry loops run faster on floats than as arrays, to the same bits
-        b, angles = breaks.tolist(), [float(angle) for angle in angles]
-        spans = [s1 - s0 for s0, s1 in zip(b, b[1:])]
-        for k, span in enumerate(spans):
-            if not span > 0:
-                raise ValueError(f"need s0 < s1, got [{breaks[k]}, {breaks[k + 1]}]")
-        sweep_rates = [(a1 - a0) / span for a0, a1, span in zip(angles, angles[1:], spans)]
-        reach = max(semi_re, semi_im)
-        first = np.array([reach * abs(rate) for rate in sweep_rates])
-        start, end = (_arc_point(center, semi_re, semi_im, angle)
-                      for angle in (angles[0], angles[-1]))
-        # _check_closures' own test, in scalars (abs takes hypot, as numpy's
-        # does), so that it runs only to raise
-        if abs(end - start) > _CLOSURE_NOISE * max(1.0, abs(start), abs(end)):
-            _check_closures(np.array([start]), np.array([end]))
-        n = len(spans)
-        self = cls.__new__(cls)
-        self.__dict__.update({
-            "_segments": None, "closed": True, "_breaks": breaks, "_start": start,
-            "_first_bounds": first,
-            "_second_bounds": np.array([reach * rate ** 2 for rate in sweep_rates]),
-            "_lipschitz": require_finite_real(first.max(), "Lipschitz constant"),
-            "_lines": _NO_LINES, "_rows": np.arange(n),
-            "_arcs": _ArcArrays(breaks[:-1], breaks[1:], np.full(n, center), np.full(n, semi_re),
-                                np.full(n, semi_im), np.array(angles[:-1]), np.array(angles[1:]),
-                                first)})
-        require_finite_real(math.hypot(center.real, center.imag) + reach,
-                            "an arc's |center| + max(semi-axes)")
-        return self
+        ``angles[k + 1]`` over the k-th span of ``breakpoints``: one arc
+        table, with no segment object built.  The breakpoints must increase
+        from 0 to 1, the semi-axes be positive, all finite, consecutive
+        angles distinct."""
+        # so that every value on the arcs is finite
+        require_finite_real(abs(center) + max(semi_re, semi_im), "an arc's |center| + max(semi-axes)")
+        breaks, angles = np.asarray(breakpoints, dtype=np.float64), np.asarray(angles, dtype=np.float64)
+        n = breaks.size - 1
+        arcs = _ArcArrays(breaks[:-1], breaks[1:], np.array([center] * n), np.array([semi_re] * n),
+                          np.array([semi_im] * n), angles[:-1], angles[1:])
+        return cls.__new__(cls)._from_tables(_NO_LINES, arcs, _in_order(n), True)
 
     @property
     def segments(self) -> tuple:
@@ -518,12 +498,11 @@ class PiecewisePath:
 
     def vertices(self) -> np.ndarray:
         """Values at the breakpoints, including the (snapped) closing point."""
-        if self._all_lines:
-            end = self._start if self.closed else complex(self._lines.z1[-1])
-            return np.concatenate([self._lines.z0, [end]])
-        vals = [s.start_value for s in self.segments]
-        vals.append(self._start if self.closed else self.segments[-1].end_value)
-        return np.array(vals, dtype=np.complex128)
+        lines, arcs = self._lines, self._arcs
+        starts = (lines.z0 if self._all_lines else
+                  [_end_value(lines, arcs, r, 0) for r in self._rows.tolist()])
+        end = self._start if self.closed else _end_value(lines, arcs, self._rows.item(-1), 1)
+        return np.concatenate([starts, [end]])
 
     def _check_range(self, xs: np.ndarray):
         if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
@@ -557,10 +536,18 @@ class PiecewisePath:
 
     def reverse(self) -> "PiecewisePath":
         """Same carrier, opposite orientation: x maps to 1 - x, which keeps
-        the ends 0 and 1 exact."""
-        b = (1.0 - self._breaks[::-1]).tolist()
-        segs = [seg.reversed_onto(s0, s1) for seg, s0, s1 in zip(reversed(self.segments), b, b[1:])]
-        return PiecewisePath(segs, closed=self.closed)
+        the ends 0 and 1 exact.  Each table's rows run backwards over
+        [1 - s1, 1 - s0], in reverse order, copied (numpy's |z| of a
+        reversed view can differ from a copy's in the last bit)."""
+        lines, arcs, n = self._lines, self._arcs, self._lines.s0.size
+        lines, arcs = ([np.ascontiguousarray(column[::-1]) for column in columns] for columns in (
+            (1.0 - lines.s1, 1.0 - lines.s0, lines.z1, lines.z0),
+            (1.0 - arcs.s1, 1.0 - arcs.s0, arcs.center, arcs.semi_re, arcs.semi_im, arcs.angle1,
+             arcs.angle0)))
+        rows = self._rows[::-1]
+        rows = np.where(rows < n, n - 1 - rows, rows.size + n - 1 - rows)
+        return PiecewisePath.__new__(PiecewisePath)._from_tables(_LineArrays(*lines), _ArcArrays(*arcs),
+                                                                 rows, self.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +558,17 @@ def _uniform_breaks(n):
     return np.arange(n + 1) / n
 
 
+# the angles and breakpoints of a circle's four arcs and of an ellipse's one
+_QUARTERS = np.array([k * (math.pi / 2) for k in range(5)]), _uniform_breaks(4)
+_FULL_TURN = np.array([0.0, 2 * math.pi]), _uniform_breaks(1)
+
+
 def circle(center: complex = 0j, radius: float = 1.0) -> PiecewisePath:
     """Counterclockwise circle as four quarter arcs."""
     center = require_finite_complex(center, "center")
     if not require_finite_real(radius, "radius") > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    angles = [k * (math.pi / 2) for k in range(5)]
-    return PiecewisePath._closed_arcs(center, radius, radius, angles, _uniform_breaks(4))
+    return PiecewisePath._closed_arcs(center, radius, radius, *_QUARTERS)
 
 
 def ellipse(semi_re: float, semi_im: float, center: complex = 0j) -> PiecewisePath:
@@ -586,8 +577,7 @@ def ellipse(semi_re: float, semi_im: float, center: complex = 0j) -> PiecewisePa
     semi_re, semi_im = require_finite_real(semi_re, "semi_re"), require_finite_real(semi_im, "semi_im")
     if not (semi_re > 0 and semi_im > 0):
         raise ValueError("semi-axes must be positive")
-    return PiecewisePath._closed_arcs(center, semi_re, semi_im, [0.0, 2 * math.pi],
-                                      _uniform_breaks(1))
+    return PiecewisePath._closed_arcs(center, semi_re, semi_im, *_FULL_TURN)
 
 
 def polyline(vertices, closed: bool = True) -> PiecewisePath:

@@ -101,8 +101,8 @@ class TestRefinement:
         # a large eps leaves one
         f = circle(radius=1.3)
         for eps in [0.3, 0.02, 2.5, 30.0]:
-            expected = sum(_second_order_panels(s.s1 - s.s0, s.second_derivative_bound, eps)
-                           for s in f.segments)
+            # four quarters of width 1/4, each with |z''| <= 1.3 (2 pi)^2
+            expected = 4 * _second_order_panels(0.25, 1.3 * (2 * math.pi) ** 2, eps)
             result = polygonal_approximation(f, eps)
             assert result.num_segments == expected
             assert np.all(np.isin(f.breakpoints, result.path.breakpoints))
@@ -111,7 +111,7 @@ class TestRefinement:
         quarter = ArcSegment(0j, 1.0, 0.0, math.pi / 2, 0.0, 0.5)
         back = LineSegment(quarter.end_value, quarter.start_value, 0.5, 1.0)
         mixed = PiecewisePath([quarter, back], closed=True)
-        expected = _second_order_panels(0.5, quarter.second_derivative_bound, 0.01) + 1
+        expected = _second_order_panels(0.5, math.pi ** 2, 0.01) + 1  # the arc's |z''| <= pi^2
         result = polygonal_approximation(mixed, 0.01)
         assert result.num_segments == expected
         assert dense_sup_upper(mixed, result.path, 100_000) <= result.bound

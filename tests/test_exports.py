@@ -132,3 +132,13 @@ def test_a_member_is_never_made_a_path():
 
     assert not hasattr(_Members, "path")
     assert not hasattr(_Members, "lines")
+
+
+@pytest.mark.parametrize("name", ["LineSegment", "ArcSegment"])
+@pytest.mark.parametrize("attr", ["reversed_onto", "derivative_bound", "second_derivative_bound",
+                                  "sweep_rate"])
+def test_a_path_is_built_and_reversed_from_its_tables(name, attr):
+    # PiecewisePath.reverse reverses the tables, and the bounds have one
+    # formula per kind, on the tables: no segment object reverses itself
+    # or bounds its own derivatives
+    assert not hasattr(getattr(importlib.import_module("contourchain.paths"), name), attr)

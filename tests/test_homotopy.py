@@ -9,12 +9,14 @@ import pytest
 
 from contourchain import (
     Annulus,
+    ArcSegment,
     Bounds,
     ContainmentNotCertified,
     Disk,
     EndpointMismatch,
     Homotopy,
     InvalidEpsilon,
+    LineSegment,
     NearSingularity,
     PiecewisePath,
     PuncturedPlane,
@@ -458,6 +460,24 @@ class TestChainCrossCheck:
         monkeypatch.setattr(homotopy_module, "_end_slack", lambda *args: 0.0)
         with pytest.raises(ContainmentNotCertified, match="pair 1 .* after 0 bisections"):
             build_chain(linear_homotopy(g0, g1), g0, g1, CHANNEL)
+
+    def test_end_slack_covers_a_last_arcs_seam(self):
+        # a chord and a flat arc back that ends 5e-13 off the start, float
+        # noise at its size: just below 1 the path runs to the arc's end,
+        # while the polyline through its values runs to the start, which
+        # the interpolation and rounding terms (some 3e-14) alone miss
+        theta = 1e-3
+        start = cmath.exp(-1j * theta)
+        arc = ArcSegment(0j, 1.0, theta, -theta - 5e-13, 0.5, 1.0)
+        path = PiecewisePath([LineSegment(start, arc.start_value, 0.0, 0.5), arc], closed=True)
+        xs = np.concatenate([[0.0], 0.5 + np.arange(5001) / 10_000])
+        values = path.values(xs)
+        slack = homotopy_module._end_slack(path, values, xs)
+        near = 1.0 - np.geomspace(1e-4, 1e-12, 200)
+        interp = np.interp(near, xs, values.real) + 1j * np.interp(near, xs, values.imag)
+        sup = float(np.abs(path.values(near) - interp).max())
+        assert path._seam_gap == pytest.approx(5e-13, rel=1e-3)
+        assert slack - path._seam_gap < 1e-13 < 4e-13 < sup <= slack
 
     def test_failing_steps_are_bisected(self):
         # a circle sliding along a channel 0.1 wider than it on each side:

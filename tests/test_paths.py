@@ -91,6 +91,65 @@ class TestClosedness:
             PiecewisePath._closed_arcs(0.1j, 1.5, 0.5, [0.0, math.pi], np.array([0.0, 1.0]))
 
 
+def _square_of_segments(h: float, gap: complex) -> list:
+    """The square of half-side h about 0 as four LineSegments, the last one
+    ending ``gap`` past the first corner."""
+    corners = [complex(h, h), complex(-h, h), complex(-h, -h), complex(h, -h)]
+    ends = corners[1:] + [corners[0] + gap]
+    return [LineSegment(z0, z1, k / 4, (k + 1) / 4) for k, (z0, z1) in enumerate(zip(corners, ends))]
+
+
+class TestClosingGap:
+    """A closed path may end a float-noise gap off its start, measured
+    against its own reach; the start is written into its last line vertex."""
+
+    def test_a_small_path_closes_within_its_own_size(self):
+        # 5e-13 is 2.5e-7 of this square's side: not float noise at its size,
+        # and its 1/z integral would miss 2 pi i by about that share
+        with pytest.raises(ValueError, match="endpoint gap 5e-13 exceeds float noise"):
+            PiecewisePath(_square_of_segments(1e-6, 5e-13), closed=True)
+        with pytest.raises(ValueError, match="endpoint gap 5e-13 exceeds float noise"):
+            PiecewisePath.from_vertices(np.array([1e-6, 1e-6j, -1e-6, -1e-6j, 1e-6 + 5e-13]),
+                                        np.arange(5) / 4, closed=True)
+        # an open path keeps its end
+        assert PiecewisePath(_square_of_segments(1e-6, 5e-13)).vertices()[-1] == 1e-6 + 1e-6j + 5e-13
+
+    @pytest.mark.parametrize("size, closes", [(1e3, True), (1.0, False)])
+    def test_the_reach_counts_every_segment(self, size, closes):
+        # a chord from near 0 out to 2 size, and a half-turn arc back: the
+        # ends are near 0, but a 1e-10 gap is float noise at size 1e3 alone
+        arc = ArcSegment(complex(size), size, 0.0, math.pi, 0.5, 1.0)
+        segments = [LineSegment(1e-10 + 0j, arc.start_value, 0.0, 0.5), arc]
+        if not closes:
+            with pytest.raises(ValueError, match="endpoint gap 1e-10 exceeds float noise"):
+                PiecewisePath(segments, closed=True)
+            return
+        path = PiecewisePath(segments, closed=True)
+        assert path.value(1.0) == 1e-10 and path._seam_gap == abs(arc.end_value - 1e-10) > 5e-11
+
+    def test_the_last_line_runs_to_the_start(self):
+        # a unit square whose last side ends 5e-13 past its start reads its
+        # start at 1 and just below it, and its last vertex is the start
+        path = PiecewisePath(_square_of_segments(1.0, 5e-13), closed=True)
+        start = 1 + 1j
+        assert path.value(1.0) == start and path.vertices()[-1] == start
+        assert path.segments[-1].z1 == start and path._seam_gap == 0.0
+        below = path.value(1 - 2 ** -40)
+        assert abs(below - start) <= path.lipschitz_bound * 2 ** -40 + 1e-15
+        assert path.derivative_bounds[-1] == np.abs(start - (1 - 1j)) / 0.25
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_last_arc_keeps_its_end_a_rounding_error_off(self, seed):
+        # the built-ins' seam gaps: a few ulps of their reach
+        rng = random.Random(seed)
+        for _ in range(200):
+            c = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+            a, b = rng.uniform(0.01, 10), rng.uniform(0.01, 10)
+            for path, reach in ((circle(c, a), abs(c) + a), (ellipse(a, b, c), abs(c) + max(a, b))):
+                assert path._seam_gap <= 2 * np.spacing(reach)
+                assert path._seam_gap == abs(path.segments[-1].end_value - path.value(1.0))
+
+
 class TestModulusSoundness:
     """|p(x) - p(x')| <= L |x - x'| for the path's Lipschitz bound L, so steps
     of at most eps / L move the value by at most eps."""
@@ -506,7 +565,7 @@ class TestPiecewisePath:
                 assert np.array_equal(a, b)
             bounds = np.abs(np.diff(row)) / np.diff(breaks)
             assert np.array_equal(fast.derivative_bounds, bounds)
-            assert np.allclose(slow.derivative_bounds, bounds, rtol=1e-15, atol=0)
+            assert np.array_equal(slow.derivative_bounds, bounds)
             assert fast.lipschitz_bound == bounds.max()
             assert fast.is_closed
 
@@ -534,10 +593,10 @@ class TestPiecewisePath:
         seg = ArcSegment(0j, 1.0, 0.0, 2 * math.pi, 0.0, 1.0, 0.5)
         moved = ArcSegment(0j, 1.0, 0.0, 2 * math.pi, 0.0, 0.5, 0.5)
         assert moved.values_at(np.array([0.25]))[0] == pytest.approx(seg.values_at(np.array([0.5]))[0])
-        assert moved.derivative_bound == pytest.approx(4 * math.pi)
-        assert moved.second_derivative_bound == pytest.approx(16 * math.pi ** 2)
-        back = moved.reversed_onto(0.5, 1.0)
-        assert back.values_at(np.array([0.6]))[0] == pytest.approx(moved.values_at(np.array([0.4]))[0])
+        again = ArcSegment(0j, 1.0, 2 * math.pi, 4 * math.pi, 0.5, 1.0, 0.5)
+        twice = PiecewisePath([moved, again], closed=True)
+        assert twice.derivative_bounds == pytest.approx([4 * math.pi] * 2)
+        assert twice.second_derivative_bounds == pytest.approx([16 * math.pi ** 2] * 2)
 
     @pytest.mark.parametrize("path", [
         circle(1 + 1j, 2.0),
@@ -647,6 +706,82 @@ class TestPiecewisePath:
             PiecewisePath.from_vertices([0j, 1j, 0j], [s0, 0.5, s1], closed=True)
         with pytest.raises(ValueError, match="must run from 0 to 1"):
             PiecewisePath.from_vertex_rows([[0j, 1j, 0j], [0j, 2j, 0j]], [s0, 0.5, s1])
+
+
+def _half_disk() -> PiecewisePath:
+    """The upper unit half-disk's boundary: an arc over [0, 1/2], its chord back."""
+    arc = ArcSegment(0j, 1.0, 0.0, math.pi, 0.0, 0.5)
+    return PiecewisePath([arc, LineSegment(arc.end_value, arc.start_value, 0.5, 1.0)], closed=True)
+
+
+def _fields(path: PiecewisePath) -> list:
+    """Every field of ``path`` that is an array or a number, the tables' columns included."""
+    columns = [*path._lines, *path._arcs]
+    return [path._rows, path.breakpoints, path.derivative_bounds, path.second_derivative_bounds,
+            np.array([path.lipschitz_bound, path._start]), *columns]
+
+
+class TestOneConstruction:
+    """Every path is built by one routine from its two tables, so a path's
+    fields do not depend on which constructor built it."""
+
+    def test_polylines_get_the_same_bounds_from_segments(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            path = random_polyline(rng, rng.randint(3, 12), radius=rng.uniform(0.1, 100.0))
+            again = PiecewisePath(path.segments, closed=True)
+            assert again.derivative_bounds.tobytes() == path.derivative_bounds.tobytes()
+            assert again.second_derivative_bounds.tobytes() == path.second_derivative_bounds.tobytes()
+            assert again.lipschitz_bound == path.lipschitz_bound
+
+    def test_every_constructor_sets_the_same_fields(self):
+        rows = np.array([[0j, 1, 1j, 0j], [0j, 2, 2j, 0j]])
+        paths = [circle(), ellipse(2.0, 1.0), square(1.0), polyline([0j, 1, 1j]), constant_path(1j),
+                 *PiecewisePath.from_vertex_rows(rows, np.array([0.0, 0.25, 0.5, 1.0]), closed=True),
+                 PiecewisePath(circle().segments, closed=True), _half_disk(), _half_disk().reverse(),
+                 circle().reverse(), square(1.0).reverse()]
+        fields = {frozenset(vars(p)) for p in paths}
+        assert len(fields) == 1
+        assert fields.pop() == {"closed", "_lines", "_arcs", "_rows", "_segments", "_breaks", "_start",
+                                "_seam_gap", "_first_bounds", "_second_bounds", "_lipschitz"}
+
+    @pytest.mark.parametrize("make", [
+        lambda: circle(0.3 - 0.2j, 1.7),
+        lambda: ellipse(1.6, 0.7, 0.2j),
+        lambda: polyline([1 + 0j, 0.5 + 1j, -1 + 0.2j, -0.3 - 1j, 0.1 - 0.4j, 0.7 - 0.7j, 0.9 - 0.2j,
+                          1.1 - 0.1j]),
+        _half_disk,
+    ], ids=["circle", "ellipse", "polyline", "half-disk"])
+    def test_reversing_twice_gives_the_path_back(self, make):
+        # on dyadic spans 1 - (1 - s) is s, so every field comes back bit for bit
+        path = make()
+        back = path.reverse().reverse()
+        for mine, theirs in zip(_fields(back), _fields(path), strict=True):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        assert back.closed and back.vertices().tobytes() == path.vertices().tobytes()
+
+    @pytest.mark.parametrize("spans", sorted(_SPANS))
+    def test_a_reversed_mixed_path_is_its_reversed_segments(self, spans):
+        # reverse() works on the tables; the path built from the segments
+        # reversed by hand has its values, derivatives and fields
+        arc = ArcSegment(0.1j, 1.2, -0.4, 2.2, 0.0, 0.5, 0.8)
+        bend = ArcSegment(0.1 - 0.6j, 0.3, 0.0, -math.pi / 2, 0.7, 0.85)
+        path = _reparametrized(PiecewisePath([
+            arc, LineSegment(arc.end_value, bend.start_value, 0.5, 0.7),
+            bend, LineSegment(bend.end_value, arc.start_value, 0.85, 1.0)], closed=True), _SPANS[spans])
+        b = (1.0 - path.breakpoints[::-1]).tolist()
+        by_hand = []
+        for seg, s0, s1 in zip(reversed(path.segments), b, b[1:]):
+            by_hand.append(LineSegment(seg.z1, seg.z0, s0, s1) if isinstance(seg, LineSegment) else
+                           ArcSegment(seg.center, seg.semi_re, seg.angle1, seg.angle0, s0, s1,
+                                      seg.semi_im))
+        mine, theirs = path.reverse(), PiecewisePath(by_hand, closed=True)
+        xs = np.concatenate([np.linspace(0.0, 1.0, 1001), mine.breakpoints])
+        for a, b in zip(mine.eval_with_derivative(xs), theirs.eval_with_derivative(xs)):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(_fields(mine), _fields(theirs), strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert np.abs(mine.values(xs) - path.values(1.0 - xs)).max() < 1e-12
 
 
 @given(t=st.floats(min_value=0, max_value=1))
