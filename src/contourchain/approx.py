@@ -59,15 +59,19 @@ def panel_counts(widths, second, eps: float) -> np.ndarray:
         return np.floor(widths * np.sqrt(3 * second / (16 * eps))) + 1
 
 
-def partition_points(breaks: np.ndarray, counts) -> np.ndarray:
-    """The partition that splits each piece [breaks[k], breaks[k+1]] into
-    counts[k] equal panels and ends with breaks[-1], so every breakpoint is
-    a point of it."""
+def partition_points(breaks: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, pieces): the partition that splits each piece [breaks[k],
+    breaks[k+1]] into counts[k] equal panels and ends with breaks[-1], so
+    every breakpoint is a point of it, and the piece of each panel.  Panel j
+    is [xs[j], xs[j+1]], and xs[j] is its piece's start or a point inside it."""
     _require_budget(counts.sum())
     counts = counts.astype(np.int64)
-    piece = np.repeat(np.arange(counts.size), counts)
-    step = np.arange(piece.size) - (np.cumsum(counts) - counts)[piece]
-    return np.append(breaks[piece] + np.diff(breaks)[piece] * step / counts[piece], breaks[-1])
+    pieces = np.repeat(np.arange(counts.size), counts)
+    step = np.arange(pieces.size) - (np.cumsum(counts) - counts)[pieces]
+    xs = np.empty(pieces.size + 1)
+    np.add(breaks[pieces], (breaks[1:] - breaks[:-1])[pieces] * step / counts[pieces], out=xs[:-1])
+    xs[-1] = breaks[-1]
+    return xs, pieces
 
 
 def polygonal_approximation(f: PiecewisePath, eps: float) -> PolygonalApproximation:
@@ -77,7 +81,7 @@ def polygonal_approximation(f: PiecewisePath, eps: float) -> PolygonalApproximat
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidEpsilon(f"eps must be a positive finite number, got {eps!r}")
     counts = panel_counts(np.diff(f.breakpoints), f.second_derivative_bounds, eps)
-    xs = partition_points(f.breakpoints, counts)
+    xs, _ = partition_points(f.breakpoints, counts)
     verts = f.values(xs)
     if verts[-1] != verts[0]:
         raise ValueError("input path is not closed: f(0) != f(1)")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -217,34 +216,31 @@ class Cos(_Call):
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-class _Token(NamedTuple):
-    kind: str   # NUMBER | NAME | one of + - * / ^ ( ) | EOF
-    text: str
-    pos: int
-
-    @property
-    def end(self) -> int:
-        return self.pos + len(self.text)
+# One match per token, in ASCII classes only: the whitespace before it, then
+# a number (digits, an optional fraction, and an exponent only when digits
+# follow its sign), a name, an operator, or any other character, which is
+# refused.  Matches abut, so each token's offset is the length read before it.
+_TOKENS = re.compile(r"(\s*)(?:([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|([A-Za-z]+)"
+                     r"|([-+*/^()])|(\S))", re.ASCII)
 
 
-# One token per match, in ASCII classes only: a number (digits, an optional
-# fraction, and an exponent only when digits follow its sign), a name, an
-# operator, a run of whitespace, or any other character, which is refused.
-_TOKENS = re.compile(r"(?P<NUMBER>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(?P<NAME>[A-Za-z]+)"
-                     r"|(?P<OP>[-+*/^()])|(?P<SPACE>\s+)|(?P<OTHER>.)", re.ASCII | re.DOTALL)
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for match in _TOKENS.finditer(text):
-        kind, word = match.lastgroup, match.group()
-        if kind == "OTHER":
-            raise ParseError(f"unexpected character {word!r}", match.start(),
-                             {"number", "name", "operator"})
-        if kind != "SPACE":
-            tokens.append(_Token(word if kind == "OP" else kind, word, match.start()))
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """(kinds, texts, offsets), one entry per token and a last one for the
+    end of input: a kind is NUMBER, NAME, the operator itself, or EOF."""
+    kinds, texts, offsets, at = [], [], [], 0
+    for space, number, name, op, other in _TOKENS.findall(text):
+        at += len(space)
+        if other:
+            raise ParseError(f"unexpected character {other!r}", at, {"number", "name", "operator"})
+        word = number or name or op
+        kinds.append(op or ("NUMBER" if number else "NAME"))
+        texts.append(word)
+        offsets.append(at)
+        at += len(word)
+    kinds.append("EOF")
+    texts.append("")
+    offsets.append(len(text))
+    return kinds, texts, offsets
 
 
 _BASE_STARTS = {"number", "'i'", "'z'", "'exp('", "'sin('", "'cos('", "'('", "'-'"}
@@ -253,84 +249,83 @@ _I = Const(1j)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over ``_tokenize``'s lists, at token ``k``."""
+
+    def __init__(self, tokens: tuple[list[str], list[str], list[int]]):
+        self.kinds, self.texts, self.offsets = tokens
         self.k = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.k += 1
-        return tok
-
-    def expect(self, kind: str, expected: set[str]):
-        if self.cur.kind != kind:
-            raise ParseError(f"unexpected token {self.cur.text or 'end of input'!r}",
-                             self.cur.pos, expected)
-        return self.advance()
+    def expect(self, kind: str, expected: set[str]) -> str:
+        """The current token's text, which must be of ``kind``, and move on."""
+        k = self.k
+        if self.kinds[k] != kind:
+            raise ParseError(f"unexpected token {self.texts[k] or 'end of input'!r}",
+                             self.offsets[k], expected)
+        self.k = k + 1
+        return self.texts[k]
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.cur.kind in "+-":
-            op = self.advance().kind
+        kinds = self.kinds
+        while (op := kinds[self.k]) in "+-":
+            self.k += 1
             rhs = self.parse_term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while self.cur.kind in "*/":
-            op = self.advance().kind
+        kinds = self.kinds
+        while (op := kinds[self.k]) in "*/":
+            self.k += 1
             rhs = self.parse_factor()
             node = Mul(node, rhs) if op == "*" else Div(node, rhs)
         return node
 
     def parse_factor(self) -> Expr:
         node = self.parse_base()
-        if self.cur.kind == "^":
-            self.advance()
-            tok = self.expect("NUMBER", {"integer"})
-            if not tok.text.isdigit():
-                raise ParseError(f"power wants an integer, got {tok.text!r}", tok.pos, {"integer"})
-            node = Pow(node, int(tok.text))
+        if self.kinds[self.k] == "^":
+            self.k += 1
+            text = self.expect("NUMBER", {"integer"})
+            if not text.isdigit():
+                raise ParseError(f"power wants an integer, got {text!r}", self.offsets[self.k - 1],
+                                 {"integer"})
+            node = Pow(node, int(text))
         return node
 
     def parse_base(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "NUMBER":
-            self.advance()
-            node = Const(complex(float(tok.text)))
-            nxt = self.cur
-            if nxt.kind == "NAME" and nxt.text == "i" and nxt.pos == tok.end:
-                self.advance()
+        k, kind, text = self.k, self.kinds[self.k], self.texts[self.k]
+        if kind == "NUMBER":
+            node = Const(complex(float(text)))
+            self.k = k + 1
+            if self.texts[k + 1] == "i" and self.offsets[k + 1] == self.offsets[k] + len(text):
+                self.k = k + 2
                 node = Mul(node, _I)
             return node
-        if tok.kind == "NAME":
-            if tok.text == "i":
-                self.advance()
+        if kind == "NAME":
+            if text == "i":
+                self.k = k + 1
                 return _I
-            if tok.text == "z":
-                self.advance()
+            if text == "z":
+                self.k = k + 1
                 return Var()
-            if tok.text in _FUNCTIONS:
-                self.advance()
+            if text in _FUNCTIONS:
+                self.k = k + 1
                 self.expect("(", {"'('"})
                 arg = self.parse_expr()
                 self.expect(")", {"')'"})
-                return _FUNCTIONS[tok.text](arg)
-            raise ParseError(f"unknown name {tok.text!r}", tok.pos, _BASE_STARTS)
-        if tok.kind == "(":
-            self.advance()
+                return _FUNCTIONS[text](arg)
+            raise ParseError(f"unknown name {text!r}", self.offsets[k], _BASE_STARTS)
+        if kind == "(":
+            self.k = k + 1
             node = self.parse_expr()
             self.expect(")", {"')'"})
             return node
-        if tok.kind == "-":
-            self.advance()
+        if kind == "-":
+            self.k = k + 1
             return Sub(Const(0j), self.parse_base())
-        raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos, _BASE_STARTS)
+        raise ParseError(f"unexpected token {text or 'end of input'!r}", self.offsets[k],
+                         _BASE_STARTS)
 
 
 @dataclass(frozen=True)
@@ -367,7 +362,8 @@ def parse_function(text: str, singularities=()) -> AnalyticFunction:
         raise ParseError("empty expression", 0, _BASE_STARTS)
     parser = _Parser(_tokenize(text))
     expr = parser.parse_expr()
-    if parser.cur.kind != "EOF":
-        raise ParseError(f"trailing input {parser.cur.text!r}", parser.cur.pos,
+    k = parser.k
+    if parser.kinds[k] != "EOF":
+        raise ParseError(f"trailing input {parser.texts[k]!r}", parser.offsets[k],
                          {"operator", "end of input"})
     return AnalyticFunction(expr, tuple(singularities))

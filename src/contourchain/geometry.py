@@ -89,7 +89,7 @@ class Bounds:
         hi = np.asarray(hi, dtype=np.float64)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("lo and hi must be finite")
-        empty = np.flatnonzero(lo > hi)
+        empty = (lo > hi).nonzero()[0]
         if empty.size:
             k = empty[0]
             raise ValueError(f"empty bounds: lo={lo[k]} > hi={hi[k]}")
@@ -250,15 +250,17 @@ class PuncturedPlane(DomainDescriptor):
 
 
 def polyline_clearances(z0: np.ndarray, z1: np.ndarray, starts, domain: DomainDescriptor,
-                        rounding: float) -> np.ndarray:
+                        rounding: float, vertices: np.ndarray | None = None) -> np.ndarray:
     """The certified clearance of each polyline in a stack of segments [z0, z1],
     polyline k holding those from ``starts[k]`` up to the next: its exact
     minimum of ``domain.segment_complement_distances``, less ``rounding`` (the
     allowance its caller's proof needs) times the larger of its largest
-    |vertex| and ``domain.reach``.  Nonpositive or nan certifies nothing."""
+    |vertex| (``vertices``, when the caller has them) and ``domain.reach``.
+    Nonpositive or nan certifies nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         exact = np.minimum.reduceat(domain.segment_complement_distances(z0, z1), starts)
-        vertices = np.maximum.reduceat(np.maximum(np.abs(z0), np.abs(z1)), starts)
+        if vertices is None:
+            vertices = np.maximum.reduceat(np.maximum(np.abs(z0), np.abs(z1)), starts)
         return exact - rounding * np.maximum(vertices, domain.reach)
 
 

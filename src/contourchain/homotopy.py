@@ -17,6 +17,13 @@ fails.  Their clearances are exact minima over their segments
 (``_end_slack``), and two of them are furthest apart at a vertex
 (``_consecutive_gaps``).
 
+On each piece between the union of both ends' breakpoints, each end is one
+segment, found once when the homotopy is built.  ``partition_points`` gives
+the piece of every panel, and that one index serves both ends: each is
+evaluated from its own tables on its pieces' rows, and its slack gathers its
+pieces' |z''| bounds.  Partition points lie in [0, 1] by construction, so no
+range check or search is run on them.
+
 The rows are the chain's data: a ``Chain`` holds its interior rows, their
 shared partition and its two end paths, and its reports, its CSV and the
 quadrature along it (``integrate.integral_along_chain``) read the rows.  A
@@ -43,6 +50,7 @@ from .geometry import polyline_clearances
 from .paths import (  # noqa: F401
     PiecewisePath,
     _consecutive_gaps,
+    _segment_values,
     constant_path,
     sup_distance,
 )
@@ -89,7 +97,9 @@ class Homotopy:
     The partition splits [0, 1] at the union of both paths' breakpoints.  On
     each piece both paths are single segments, so a slice's |z''| is at most
     (1-t) times gamma0's segment bound plus t times gamma1's, and so at most
-    the larger of the two, which sizes the piece's panels.
+    the larger of the two, which sizes the piece's panels.  Each end's table
+    row and |z''| bound on each piece are kept, read straight from the path
+    when its breakpoints are the union.
     """
 
     def __init__(self, gamma0: PiecewisePath, gamma1: PiecewisePath):
@@ -101,12 +111,19 @@ class Homotopy:
         self.gamma0 = gamma0
         self.gamma1 = gamma1
         self.lipschitz = max(gamma0.lipschitz_bound, gamma1.lipschitz_bound)
-        breaks0, breaks1 = gamma0.breakpoints, gamma1.breakpoints
-        # strictly increasing breakpoints are their own union, bit for bit
-        same = breaks0.tobytes() == breaks1.tobytes()
-        self._breaks = breaks0 if same else np.union1d(breaks0, breaks1)
-        mids = (self._breaks[:-1] + self._breaks[1:]) / 2
-        self._second = np.maximum(_piece_bounds(gamma0, mids), _piece_bounds(gamma1, mids))
+        self._breaks = _union(gamma0.breakpoints, gamma1.breakpoints)
+        union, mids, ends = self._breaks.tobytes(), None, []
+        for path in (gamma0, gamma1):
+            if path.breakpoints.tobytes() == union:  # piece k is segment k
+                ends.append((path._rows, path.second_derivative_bounds))
+                continue
+            if mids is None:
+                mids = (self._breaks[:-1] + self._breaks[1:]) / 2
+            segments = np.searchsorted(path.breakpoints, mids, side="right") - 1
+            ends.append((path._rows[segments], path.second_derivative_bounds[segments]))
+        # each end's table row (lines first) and |z''| bound on each piece
+        (self._rows0, self._second0), (self._rows1, self._second1) = ends
+        self._second = np.maximum(self._second0, self._second1)
 
     def rows(self, ts, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
         """The rows (1 - t) P0 + t P1, one per t, for P0 and P1 the end
@@ -114,22 +131,32 @@ class Homotopy:
         whose rows close as P0 and P1 do, with P0 at t = 0 and P1 at t = 1
         (here bit for bit up to the sign of a zero), and certifies the rows
         between, whatever they are."""
-        ts = np.asarray(ts, dtype=np.float64)
-        return np.outer(1.0 - ts, p0) + np.outer(ts, p1)
+        ts = np.asarray(ts, dtype=np.float64).reshape(-1, 1)
+        return (1.0 - ts) * p0 + ts * p1
 
-    def shared_vertices(self, panels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(xs, P0, P1): the partition of [0, 1] into ``panels(eps)`` and both
-        end paths' values on it.
+    def shared_vertices(self, panels: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, pieces, P0, P1): the partition of [0, 1] into ``panels(eps)``,
+        the piece between breakpoints of each panel (``partition_points``'
+        index), and both end paths' values on it.
 
         The polyline through P0 (or P1) is within 2 eps/3 of its path, and so
         the polyline through (1-t) P0 + t P1 is within 2 eps/3 of the slice
-        at t.  The closing value is snapped to the first, as a closed path's
-        values are.
+        at t.  Each end is evaluated from its own tables on the rows of its
+        segments holding the pieces: every point but the last lies in its
+        panel's piece, and every partition point lies in [0, 1] by
+        construction, so no range check or search is needed.  The closing
+        value is snapped to the first, as a closed path's values are.
         """
-        xs = partition_points(self._breaks, panels)
-        p0, p1 = self.gamma0.values(xs), self.gamma1.values(xs)
-        p0[-1], p1[-1] = p0[0], p1[0]
-        return xs, p0, p1
+        xs, pieces = partition_points(self._breaks, panels)
+        inner = xs[:-1]
+        values = []
+        for path, rows in ((self.gamma0, self._rows0), (self.gamma1, self._rows1)):
+            p = np.empty(xs.size, dtype=np.complex128)
+            p[:-1] = _segment_values(path._lines, path._arcs, rows[pieces], inner, False)[0]
+            p[-1] = p[0]
+            values.append(p)
+        return xs, pieces, *values
 
     def panels(self, eps: float) -> np.ndarray:
         """The panels of each piece between breakpoints: ``panel_counts`` at
@@ -139,12 +166,19 @@ class Homotopy:
         eps = float(eps)
         if not eps > 0:
             raise InvalidEpsilon(f"eps must be a positive number, got {eps!r}")
-        return panel_counts(np.diff(self._breaks), self._second, eps)
+        return panel_counts(self._breaks[1:] - self._breaks[:-1], self._second, eps)
 
 
-def _piece_bounds(path: PiecewisePath, mids: np.ndarray) -> np.ndarray:
-    """The |z''| bounds of the segments holding ``mids``."""
-    return path.second_derivative_bounds[np.searchsorted(path.breakpoints, mids, side="right") - 1]
+def _union(breaks0: np.ndarray, breaks1: np.ndarray) -> np.ndarray:
+    """``np.union1d`` of two ends' strictly increasing breakpoints, bit for
+    bit: one end's own when the other's are the same, or are only its first
+    and last (one segment, as a star's constant path has)."""
+    bits0, bits1 = breaks0.tobytes(), breaks1.tobytes()
+    if bits0 == bits1 or bits1 == breaks0[[0, -1]].tobytes():
+        return breaks0
+    if bits0 == breaks1[[0, -1]].tobytes():
+        return breaks1
+    return np.union1d(breaks0, breaks1)
 
 
 def linear_homotopy(gamma0: PiecewisePath, gamma1: PiecewisePath) -> Homotopy:
@@ -291,30 +325,38 @@ def _coarse_grid(sigma: Homotopy, domain: DomainDescriptor) -> tuple[float, floa
     members move by at least D in all, so steps of at most M take at least
     D / M of them.
     """
-    p0, p1 = sigma.gamma0.values(_COARSE_XS), sigma.gamma1.values(_COARSE_XS)
+    # the fixed points lie in [0, 1], so they are not checked
+    p0, p1 = (path._on_segments(path._segment_indices(_COARSE_XS), _COARSE_XS)[0]
+              for path in (sigma.gamma0, sigma.gamma1))
     with np.errstate(over="ignore", invalid="ignore"):
         return (float(domain.segment_complement_distances(p0, p1).min()),
                 float(np.abs(p1 - p0).max()))
 
 
-def _certify_containment(rows: np.ndarray, domain: DomainDescriptor) -> np.ndarray:
+def _certify_containment(rows: np.ndarray, reach: np.ndarray,
+                         domain: DomainDescriptor) -> np.ndarray:
     """The certified clearance of the polyline through each row of ``rows``,
-    ``polyline_clearances`` at ``_BLEND_ROUNDING``; nonpositive certifies nothing."""
+    whose largest |vertex| is ``reach``: ``polyline_clearances`` at
+    ``_BLEND_ROUNDING``; nonpositive certifies nothing."""
     count, columns = rows.shape
     return polyline_clearances(rows[:, :-1].ravel(), rows[:, 1:].ravel(),
-                               np.arange(count) * (columns - 1), domain, _BLEND_ROUNDING)
+                               np.arange(count) * (columns - 1), domain, _BLEND_ROUNDING, reach)
 
 
-def _end_slack(path: PiecewisePath, values: np.ndarray, xs: np.ndarray) -> float:
-    """A bound on sup |path - Q| for Q the polyline through ``values``, the
-    values on ``xs`` of one of the homotopy's ends; 0 when Q is the path
-    itself.
+def _end_slack(path: PiecewisePath, second: np.ndarray, pieces: np.ndarray, widths: np.ndarray,
+               reach: float) -> float:
+    """A bound on sup |path - Q| for Q the polyline through the values of
+    one of the homotopy's ends on a partition of panels ``widths``, with
+    largest |value| ``reach``; 0 when Q is the path itself.  Panel j lies
+    in the piece between breakpoints ``pieces[j]`` (``partition_points``'
+    index), and so in the segment of the path holding that piece, whose
+    |z''| bound is ``second`` at the piece: gathered, not searched.
 
-    xs holds every breakpoint of both ends, so Q is within max h^2 M2 / 8
-    over its panels h, for the path's |z''| bounds M2 (the Peano kernel of
-    linear interpolation, (x - a)(b - x)/2 >= 0 on a panel [a, b], holds for
-    complex values too), plus the rounding allowance at its largest |value|;
-    and a path of lines is Q.
+    The partition holds every breakpoint of both ends, so Q is within
+    max h^2 M2 / 8 over its panels h (the Peano kernel of linear
+    interpolation, (x - a)(b - x)/2 >= 0 on a panel [a, b], holds for
+    complex values too), plus the rounding allowance at its largest
+    |value|; and a path of lines is Q.
 
     A closed path's value at 1 is its start S, but a last arc runs to its
     own end E, g = |E - S| off (``PiecewisePath._seam_gap``).  On the last
@@ -323,10 +365,25 @@ def _end_slack(path: PiecewisePath, values: np.ndarray, xs: np.ndarray) -> float
     """
     if path._all_lines:
         return 0.0
-    panels = np.diff(xs)
-    second = _piece_bounds(path, (xs[:-1] + xs[1:]) / 2)
-    return (float((panels * panels * second).max()) / 8
-            + _BLEND_ROUNDING * float(np.abs(values).max()) + path._seam_gap)
+    return (float((widths * widths * second[pieces]).max()) / 8 + _BLEND_ROUNDING * float(reach)
+            + path._seam_gap)
+
+
+def _check_proposal(rows: np.ndarray, ts: np.ndarray, size: int, ends=()):
+    """Refuse the rows of a proposal other than the blend, one per time of
+    ``ts`` on a partition of ``size`` points, unless each closes and the
+    first and last are ``ends``, the end values P0 and P1 when given, under
+    == (zeros of either sign agree)."""
+    if rows.shape != (ts.size, size):
+        raise ValueError(f"the proposal gave rows of shape {rows.shape} for {ts.size} times "
+                         f"on {size} points")
+    open_rows = (rows[:, -1] != rows[:, 0]).nonzero()[0]
+    if open_rows.size:
+        raise ValueError(f"the proposal's row at t={ts[open_rows[0]]:.6g} does not close")
+    for k, name, values in zip((0, -1), ("gamma0", "gamma1"), ends):
+        if not (rows[k] == values).all():
+            raise ValueError(f"the proposal's row at t={ts[k]:.6g} is not {name}'s values "
+                             "on the partition")
 
 
 def _check_budget(members: float, vertices: float, gap: float, scale: float):
@@ -391,12 +448,20 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     the domain, or within 2s of its boundary.  So does M <= 0, an exact
     minimum over swept segments.  A failing pair's time
     step is bisected, up to ``_MAX_DEPTH`` times (a blend across a puncture
-    keeps failing where it crosses).  Every array is checked against
-    ``_MAX_SLICES`` members and ``_MAX_VERTICES`` vertices before it is
-    built, from D / r + 1 members before the first partition is; so do a
+    keeps failing where it crosses), but one whose bound is past the float
+    range refuses at once (``ValueError``); the bounds of the chain returned
+    are checked once, by ``Bounds.from_arrays``.  Every array is checked
+    against ``_MAX_SLICES`` members and ``_MAX_VERTICES`` vertices before it
+    is built, from D / r + 1 members before the first partition is; so do a
     count, D or ``domain.reach`` past the float range.  ``eps`` must be
     positive and finite when given.  A domain with no complement, and no
     eps, takes one step: the chain is its ends.
+
+    A proposal other than the blend (a ``rows`` that overrides
+    ``Homotopy.rows``) is held to its contract, each time it gives rows:
+    every row closes, and the first rows start at P0 and end at P1 under ==
+    (``_check_proposal``, ``ValueError`` naming the row).  The blend's rows
+    keep it by construction and are not checked.
     """
     for name, path, own in (("gamma0", gamma0, sigma.gamma0), ("gamma1", gamma1, sigma.gamma1)):
         if path is not own:
@@ -423,47 +488,56 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
     members = max(1.0, np.ceil(moves / scale)) + 1
     panels = sigma.panels(tolerance)
     _check_budget(members, panels.sum() + 1, moves, scale)
-    xs, p0, p1 = sigma.shared_vertices(panels)
+    xs, pieces, p0, p1 = sigma.shared_vertices(panels)
     with np.errstate(over="ignore"):
         gap = float(np.abs(p1 - p0).max()) * (1 + _BLEND_ROUNDING)
     steps = max(1.0, np.ceil(gap / scale))
     _check_budget(steps + 1, xs.size, gap, scale)
     ts = np.arange(int(steps) + 1) / steps
 
+    blend = type(sigma).rows is Homotopy.rows  # a proposal of another kind is checked
     depth = 0
     for refinement in itertools.count():
         rows = sigma.rows(ts, p0, p1)
-        slack = np.array([_end_slack(gamma0, rows[0], xs), _end_slack(gamma1, rows[-1], xs)])
-        radius = _certify_containment(rows, domain)
-        radius[[0, -1]] -= slack
+        if not blend:
+            _check_proposal(rows, ts, xs.size, (p0, p1))
+        # each row's largest |vertex|, for its clearance, its gaps and an end's slack
+        reach = np.abs(rows).max(axis=1)
+        widths = xs[1:] - xs[:-1]
+        slack = np.array([_end_slack(gamma0, sigma._second0, pieces, widths, reach[0]),
+                          _end_slack(gamma1, sigma._second1, pieces, widths, reach[-1])])
+        radius = _certify_containment(rows, reach, domain)
+        radius[0] -= slack[0]
+        radius[-1] -= slack[1]
+        band = 2 * slack.max()
         finer = slack.any() and refinement < _FINER_PARTITIONS
 
-        while not (finer and -2 * slack.max() < radius.min() <= 0):
-            outside = np.flatnonzero(~(radius > 0))
-            if outside.size:
-                k = int(outside[0])
-                near = (f" or within {2 * slack.max():.3g} of its boundary"
-                        if radius[k] > -2 * slack.max() else "")
+        lowest = radius.min()
+        while not (finer and -band < lowest <= 0):
+            if not lowest > 0:
+                k = int((~(radius > 0)).nonzero()[0][0])
+                near = f" or within {band:.3g} of its boundary" if radius[k] > -band else ""
                 what = ("past the float range" if math.isnan(radius[k])  # an overflow
                         else f"the homotopy sweeps outside the domain{near}")
                 raise ContainmentNotCertified(
                     f"{what}: the member at t={ts[k]:.6g} has certified clearance {radius[k]:.6g}",
                     min_complement_distance=float(radius[k]))
-            lo, hi = _consecutive_gaps(rows)
+            lo, hi = _consecutive_gaps(rows, reach)
             hi[0] += slack[0]
             hi[-1] += slack[1]
-            lo, hi = Bounds.check_arrays(lo, hi)
             bound = np.minimum(np.maximum(radius[:-1], radius[1:]), cap)
-            failing = np.flatnonzero(~(hi < bound))
+            failing = (~(hi < bound)).nonzero()[0]
             if not failing.size:
-                exact = np.ones(ts.size - 1, dtype=bool)
-                exact[0] &= slack[0] == 0
-                exact[-1] &= slack[1] == 0
-                entries = tuple(map(PairBound, bound.tolist(), Bounds.from_arrays(lo, hi),
-                                    exact.tolist()))
+                # every hi is below a bound, so finite: from_arrays checks the rest once
+                exact = [True] * (ts.size - 1)
+                exact[0] = bool(slack[0] == 0)
+                exact[-1] = exact[-1] and bool(slack[1] == 0)
+                entries = tuple(map(PairBound, bound.tolist(), Bounds.from_arrays(lo, hi), exact))
                 return Chain(gamma0=gamma0, rows=rows[1:-1], breakpoints=xs, gamma1=gamma1,
                              epsilon=eps, certificate=ChainCertificate(entries), partition=ts,
                              clearances=radius)
+            if not np.isfinite(hi[failing]).all():  # no bisection mends it
+                raise ValueError("lo and hi must be finite")
             if depth == _MAX_DEPTH:
                 j = int(failing[0])
                 raise ContainmentNotCertified(
@@ -474,12 +548,17 @@ def build_chain(sigma: Homotopy, gamma0: PiecewisePath, gamma1: PiecewisePath,
             _check_budget(ts.size + failing.size, xs.size, gap, scale)
             mids = (ts[failing] + ts[failing + 1]) / 2
             new = sigma.rows(mids, p0, p1)
+            if not blend:
+                _check_proposal(new, mids, xs.size)
+            new_reach = np.abs(new).max(axis=1)
             ts = np.insert(ts, failing + 1, mids)
             rows = np.insert(rows, failing + 1, new, axis=0)
-            radius = np.insert(radius, failing + 1, _certify_containment(new, domain))
+            reach = np.insert(reach, failing + 1, new_reach)
+            radius = np.insert(radius, failing + 1, _certify_containment(new, new_reach, domain))
+            lowest = radius.min()
             depth += 1
 
         tolerance /= 4
         panels = sigma.panels(tolerance)
         _check_budget(ts.size, panels.sum() + 1, gap, scale)
-        xs, p0, p1 = sigma.shared_vertices(panels)
+        xs, pieces, p0, p1 = sigma.shared_vertices(panels)

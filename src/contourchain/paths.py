@@ -377,11 +377,13 @@ class PiecewisePath:
         self._from_tables(*_tables(segments), closed)
 
     @np.errstate(over="ignore")  # a bound past the float range is refused below, by name
-    def _from_tables(self, lines: _LineArrays, arcs: _ArcArrays, rows: np.ndarray, closed: bool):
+    def _from_tables(self, lines: _LineArrays, arcs: _ArcArrays, rows: np.ndarray, closed: bool,
+                     source: "PiecewisePath | None" = None):
         """Set every field of this path, whose k-th segment is row
         ``rows[k]`` of the two tables (lines first), from the tables alone,
         the arcs' |z'| column too, and return it.  The rows' spans must be
-        positive and run from 0 to 1."""
+        positive and run from 0 to 1.  ``source`` is the path this one
+        reverses, if any."""
         n, last, gap = lines.s0.size, rows.item(-1), 0.0
         start = _end_value(lines, arcs, rows.item(0), 0)
         if closed and (end := _end_value(lines, arcs, last, 1)) != start:
@@ -405,6 +407,7 @@ class PiecewisePath:
             raise ValueError("Lipschitz constant must be finite")
         self.closed = bool(closed)
         self._lines, self._arcs, self._rows, self._segments = lines, arcs, rows, None
+        self._source = source
         # how far a closed path's last arc ends off its start, its value at 1
         self._breaks, self._start, self._seam_gap = np.concatenate((s0, _ONE)), start, gap
         self._first_bounds, self._second_bounds, self._lipschitz = first, second, lipschitz
@@ -515,9 +518,16 @@ class PiecewisePath:
     def _at(self, xs, derivatives: bool):
         xs = np.asarray(xs, dtype=np.float64)
         self._check_range(xs)
-        rows = self._segment_indices(xs)
+        return self._on_segments(self._segment_indices(xs), xs, derivatives)
+
+    def _on_segments(self, segments: np.ndarray, xs: np.ndarray, derivatives: bool = False):
+        """(values, derivatives or None) at the points ``xs`` of [0, 1],
+        unchecked, each on the segment of the path that ``segments`` names
+        for it, as ``values`` takes them: a closed path's value at 1 is its
+        start."""
+        rows = segments
         if self._lines.s0.size and self._arcs.s0.size:  # lines and arcs: lines first
-            rows = self._rows[rows]
+            rows = self._rows[segments]
         vals, ders = _segment_values(self._lines, self._arcs, rows, xs, derivatives)
         if self.closed:
             vals[xs == 1.0] = self._start
@@ -538,7 +548,12 @@ class PiecewisePath:
         """Same carrier, opposite orientation: x maps to 1 - x, which keeps
         the ends 0 and 1 exact.  Each table's rows run backwards over
         [1 - s1, 1 - s0], in reverse order, copied (numpy's |z| of a
-        reversed view can differ from a copy's in the last bit)."""
+        reversed view can differ from a copy's in the last bit).  A reversed
+        path reverses to its source: 1 - (1 - s) need not round back to s,
+        so its tables reversed again could miss the source's breakpoints by
+        an ulp."""
+        if self._source is not None:
+            return self._source
         lines, arcs, n = self._lines, self._arcs, self._lines.s0.size
         lines, arcs = ([np.ascontiguousarray(column[::-1]) for column in columns] for columns in (
             (1.0 - lines.s1, 1.0 - lines.s0, lines.z1, lines.z0),
@@ -547,7 +562,7 @@ class PiecewisePath:
         rows = self._rows[::-1]
         rows = np.where(rows < n, n - 1 - rows, rows.size + n - 1 - rows)
         return PiecewisePath.__new__(PiecewisePath)._from_tables(_LineArrays(*lines), _ArcArrays(*arcs),
-                                                                 rows, self.closed)
+                                                                 rows, self.closed, self)
 
 
 # ---------------------------------------------------------------------------
@@ -834,15 +849,17 @@ def polyline_sup_distance(p: PiecewisePath, q: PiecewisePath) -> Bounds:
     return Bounds.from_arrays(*_consecutive_gaps(np.stack([p.values(xs), q.values(xs)])))[0]
 
 
-def _consecutive_gaps(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _consecutive_gaps(rows: np.ndarray, reach: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (lo, hi) enclosing the sup-distance of each pair of consecutive
-    rows of the (k, m+1) array ``rows``, polylines through their values on
-    one partition: the largest |row j - row j+1|, widened on both sides by
-    the rounding allowance at the larger of the two rows' largest |value|.
-    Evaluating the rows rounds by less than ``_POLYLINE_ROUNDING`` times
-    that.  Unchecked; ``Bounds.from_arrays`` checks them."""
-    rows = np.asarray(rows, dtype=np.complex128)
-    reach = np.abs(rows).max(axis=1)
-    exact = np.abs(np.diff(rows, axis=0)).max(axis=1)
+    rows of the (k, m+1) complex array ``rows``, polylines through their
+    values on one partition: the largest |row j - row j+1|, widened on both
+    sides by the rounding allowance at the larger of the two rows' largest
+    |value| (``reach``, when the caller has it).  Evaluating the rows rounds
+    by less than ``_POLYLINE_ROUNDING`` times that.  Unchecked;
+    ``Bounds.from_arrays`` checks them."""
+    if reach is None:
+        reach = np.abs(rows).max(axis=1)
+    exact = np.abs(rows[1:] - rows[:-1]).max(axis=1)
     slack = _POLYLINE_ROUNDING * np.maximum(reach[:-1], reach[1:])
     return np.maximum(0.0, exact - slack), exact + slack

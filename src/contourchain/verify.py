@@ -180,7 +180,7 @@ def winding_number(gamma: PiecewisePath, a: complex, tol: float | None = None) -
     if not counts.sum() <= _MAX_PANELS:
         raise NearSingularity(
             refusal + f"needing {counts.sum():.3g} segments, budget {_MAX_PANELS})")
-    verts = gamma.values(partition_points(gamma.breakpoints, counts))
+    verts = gamma.values(partition_points(gamma.breakpoints, counts)[0])
     verts[-1] = verts[0]
     allowance = _WINDING_ROUNDING * max(abs(a), np.abs(verts).max())
     if not clearance > allowance:

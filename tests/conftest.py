@@ -3,12 +3,13 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from contourchain import PiecewisePath, circle, ellipse, polyline, square
+from contourchain import ParseError, PiecewisePath, circle, ellipse, polyline, square
 
 # Every run draws the same examples: each property test keeps its own
 # max_examples and deadline, and only the seed is fixed.
@@ -47,6 +48,45 @@ def counted_vertex_rows(monkeypatch) -> list:
     monkeypatch.setattr(PiecewisePath, "from_vertex_rows", classmethod(
         lambda cls, *args, **kwargs: calls.append(args) or make(cls, *args, **kwargs)))
     return calls
+
+
+def counted_calls(monkeypatch, owner, name: str) -> list:
+    """The arguments of every call of the function, method or static method
+    ``owner.name`` from now on."""
+    calls, raw = [], owner.__dict__[name]
+    fn = raw.__func__ if isinstance(raw, staticmethod) else raw
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name,
+                        staticmethod(counted) if isinstance(raw, staticmethod) else counted)
+    return calls
+
+
+# The expression tokenizer that one ``findall`` scan replaced, kept as the
+# oracle: one match object per token, kinds by group name, ``finditer``
+# offsets.
+_FINDITER_TOKENS = re.compile(
+    r"(?P<NUMBER>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(?P<NAME>[A-Za-z]+)"
+    r"|(?P<OP>[-+*/^()])|(?P<SPACE>\s+)|(?P<OTHER>.)", re.ASCII | re.DOTALL)
+
+
+def finditer_tokens(text: str) -> tuple[list, list, list]:
+    """(kinds, texts, offsets) of ``text``, an EOF entry last, by the
+    ``finditer`` tokenizer, or its ParseError at the first stray character."""
+    kinds, texts, offsets = [], [], []
+    for match in _FINDITER_TOKENS.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == "OTHER":
+            raise ParseError(f"unexpected character {word!r}", match.start(),
+                             {"number", "name", "operator"})
+        if kind != "SPACE":
+            kinds.append(word if kind == "OP" else kind)
+            texts.append(word)
+            offsets.append(match.start())
+    return kinds + ["EOF"], texts + [""], offsets + [len(text)]
 
 
 def _dense_grid(n: int) -> np.ndarray:

@@ -165,7 +165,7 @@ class TestSecondOrderRule:
     @pytest.mark.parametrize("eps", [0.1, 0.02])
     def test_certified_upper_oracle_on_homotopy_slices(self, sigma, eps):
         # a slice's polyline blends the end paths' values on the shared partition
-        xs, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
+        xs, _, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
         for g in (sigma.gamma0, sigma.gamma1):
             assert np.all(np.isin(g.breakpoints, xs))
         for t in [0.25, 0.5, 0.9]:
@@ -211,5 +211,6 @@ def test_partition_points_are_the_rows_partition():
     for size in (1, 2, 5, 17):
         breaks = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, size - 1)), [1.0]])
         counts = np.floor(rng.uniform(1, 40, size))
-        assert partition_points(breaks, counts).tobytes() == \
-            rows_partition(breaks, counts).tobytes()
+        xs, pieces = partition_points(breaks, counts)
+        assert xs.tobytes() == rows_partition(breaks, counts).tobytes()
+        assert np.array_equal(pieces, np.repeat(np.arange(size), counts.astype(np.int64)))

@@ -12,6 +12,11 @@ slack, so a pair certified within that of its bound would pass in the
 package and fail the benchmark's check on some seeds.  The near-pole
 workload runs on ten seeds too, 840 integrals and windings checked against
 the residue: the quadrature's first pieces depend on where the pole sits.
+
+The chains the benchmark times keep their shapes, members times shared
+vertices, on the ten seeds: a claim that a chain got faster to build cannot
+rest on a coarser chain.  A change to the chain's sizing updates these pins
+and says so.
 """
 
 import importlib
@@ -50,3 +55,27 @@ def test_benchmark_operations_pass_their_checks(monkeypatch, workload):
         assert ops
         for op in ops:
             op.check(op.run())
+
+
+# (workload, family): (members, shared vertices) of every seed's chain
+CHAIN_SHAPES = {
+    ("tight_chain", "star-square"): (12, 5),
+    ("tight_chain", "circle-circle"): (3, 17),
+    ("tight_chain", "ellipse-ellipse"): (3, 16),
+    ("annulus_verify", "circle-circle"): (4, 13),
+    ("annulus_verify", "square-circle"): (4, 13),
+    ("annulus_verify", "circle-ellipse"): (4, 13),
+}
+
+
+@pytest.mark.parametrize("workload", ["annulus_verify", "tight_chain"])
+def test_benchmark_chains_keep_their_shapes(monkeypatch, workload):
+    workloads = _workloads(monkeypatch)
+    for seed in range(101, 111):
+        ops = workloads.build(workload, seed)
+        assert {op.family for op in ops} == {f for w, f in CHAIN_SHAPES if w == workload}
+        for op in ops:
+            out = op.run()
+            chain = out if workload == "tight_chain" else out[0].chain
+            assert (len(chain), chain.breakpoints.size) == CHAIN_SHAPES[workload, op.family], \
+                (seed, op.family)

@@ -144,13 +144,62 @@ def test_tokens_and_errors_pinned(text, tokens, outcome):
         with pytest.raises(ParseError):
             _tokenize(text)
     else:
-        got = _tokenize(text)
-        assert " ".join(f"{t.text}@{t.pos}" for t in got[:-1]) == tokens
-        assert (got[-1].kind, got[-1].pos) == ("EOF", len(text))
+        kinds, texts, offsets = _tokenize(text)
+        assert " ".join(f"{word}@{at}" for word, at in zip(texts[:-1], offsets[:-1])) == tokens
+        assert (kinds[-1], texts[-1], offsets[-1]) == ("EOF", "", len(text))
     try:
         assert parse_function(text).to_text() == outcome
     except ParseError as exc:
         assert str(exc) == outcome
+
+
+# Pieces of expression text: digits, number and operator characters, names,
+# whitespace, and characters no token takes (a no-break space, a non-ASCII
+# letter and digit, a stray symbol)
+_TEXT_PIECES = st.sampled_from([*"0123456789.eE+-*/^()", "z", "i", "exp", "sin", "cos", "w", "ab",
+                                " ", "  ", "\t", "\n", "$", "@", "_", "\u00a0", "\u00e9", "\u00b2"])
+
+
+def _outcome(call):
+    """What ``call()`` returns, or its ParseError as (message, offset, expected)."""
+    try:
+        return call()
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.position, exc.expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.lists(_TEXT_PIECES, max_size=16).map("".join))
+@example(text="")
+@example(text="  ")
+@example(text="1 e5")
+@example(text="2 i*z  ")
+def test_scan_tokenizer_matches_the_finditer_oracle(text):
+    # the same tokens and the same refusal; and the parser fed the oracle's
+    # tokens gives the tree, or the ParseError, that parse_function gives
+    from conftest import finditer_tokens
+    from contourchain.expressions import _Parser, _tokenize
+
+    theirs = _outcome(lambda: finditer_tokens(text))
+    assert _outcome(lambda: _tokenize(text)) == theirs
+    if theirs[0] == "ParseError" or not text.strip():
+        return
+
+    def oracle_parse():
+        parser = _Parser(finditer_tokens(text))
+        expr = parser.parse_expr()
+        if parser.kinds[parser.k] != "EOF":
+            raise ParseError(f"trailing input {parser.texts[parser.k]!r}",
+                             parser.offsets[parser.k], {"operator", "end of input"})
+        return expr
+
+    try:
+        expected = _outcome(oracle_parse)
+    except ValueError:  # a constant past the float range, refused by Const
+        with pytest.raises(ValueError):
+            parse_function(text)
+        return
+    assert _outcome(lambda: parse_function(text).expr) == expected
 
 
 @pytest.mark.parametrize("text, position", [

@@ -40,8 +40,8 @@ from contourchain.expressions import AnalyticFunction, Const, Div, Sub, Var
 from contourchain.homotopy import homotopy_carrier
 from contourchain.integrate import contour_integral, integral_along_chain
 from contourchain.verify import verify_homotopy_invariance
-from conftest import (counted_vertex_rows, dense_sup, dense_sup_upper, random_polyline,
-                      slice_sup_upper, slice_values)
+from conftest import (counted_calls, counted_vertex_rows, dense_sup, dense_sup_upper,
+                      random_builtin_path, random_polyline, slice_sup_upper, slice_values)
 
 ANNULUS = Annulus(0j, 0.25, 3.0)
 WIDE_ANNULUS = Annulus(0j, 0.5, 2.5)
@@ -111,7 +111,7 @@ class TestLinearHomotopy:
         assert breaks.size == 7
         arc_curvature = 1.5 * (2 * math.pi) ** 2
         for eps in [0.5, 0.05]:
-            xs, _, _ = sigma.shared_vertices(sigma.panels(eps))
+            xs, _, _, _ = sigma.shared_vertices(sigma.panels(eps))
             assert np.all(np.isin(breaks, xs))
             counts = np.diff(np.searchsorted(xs, breaks))
             widths = np.diff(breaks)
@@ -133,7 +133,7 @@ def _oracle_points(member, sigma, tol):
 
 def _members(sigma, ts, eps):
     """The polylines through (1 - t) P0 + t P1 on the shared vertices at eps, one per t."""
-    xs, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
+    xs, _, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
     return PiecewisePath.from_vertex_rows(sigma.rows(ts, p0, p1), xs, closed=True)
 
 
@@ -150,7 +150,7 @@ class TestPolygonalSlices:
     def test_same_polylines_as_one_slice_at_a_time(self, make, eps):
         sigma = make()
         ts = np.arange(1, 12) / 12
-        xs, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
+        xs, _, p0, p1 = sigma.shared_vertices(sigma.panels(eps))
         assert np.all(np.isin(sigma.gamma0.breakpoints, xs))
         assert np.all(np.isin(sigma.gamma1.breakpoints, xs))
         batch = _members(sigma, ts, eps)
@@ -168,7 +168,7 @@ class TestPolygonalSlices:
     def test_pieces_take_one_paths_rule_at_the_larger_bound(self):
         outer = circle(radius=1.4)
         sigma = linear_homotopy(ellipse(1.0, 0.9), outer)
-        xs, _, _ = sigma.shared_vertices(sigma.panels(0.01))
+        xs, _, _, _ = sigma.shared_vertices(sigma.panels(0.01))
         # four quarter-arc pieces, each at the larger end path's |z''| bound
         curvature = 1.4 * (2 * math.pi) ** 2
         assert xs.size - 1 == 4 * (math.floor(0.25 * math.sqrt(3 * curvature / 0.16)) + 1)
@@ -450,8 +450,8 @@ class TestChainCrossCheck:
         g0, g1 = circle(center=-2.0, radius=0.5), circle(center=2.0, radius=0.5)
         gaps = homotopy_module._consecutive_gaps
 
-        def interior_only(rows):
-            lo, hi = gaps(rows)
+        def interior_only(rows, reach):
+            lo, hi = gaps(rows, reach)
             lo[[0, -1]] = hi[[0, -1]] = 0.0
             return lo, hi
 
@@ -472,7 +472,9 @@ class TestChainCrossCheck:
         path = PiecewisePath([LineSegment(start, arc.start_value, 0.0, 0.5), arc], closed=True)
         xs = np.concatenate([[0.0], 0.5 + np.arange(5001) / 10_000])
         values = path.values(xs)
-        slack = homotopy_module._end_slack(path, values, xs)
+        pieces = np.repeat([0, 1], [1, 5000])  # the line's panel, then the arc's
+        slack = homotopy_module._end_slack(path, path.second_derivative_bounds, pieces,
+                                           xs[1:] - xs[:-1], np.abs(values).max())
         near = 1.0 - np.geomspace(1e-4, 1e-12, 200)
         interp = np.interp(near, xs, values.real) + 1j * np.interp(near, xs, values.imag)
         sup = float(np.abs(path.values(near) - interp).max())
@@ -500,7 +502,8 @@ def _proposal(sigma, domain, eps=math.inf):
     takes, and r = min(M, eps), which sizes it and the time steps."""
     scale = min(homotopy_module._coarse_grid(sigma, domain)[0], eps)
     panels = sigma.panels(homotopy_module._PARTITION_FRACTION * scale)
-    return (*sigma.shared_vertices(panels), scale)
+    xs, _, p0, p1 = sigma.shared_vertices(panels)
+    return xs, p0, p1, scale
 
 
 def _gap(sigma, domain, eps=math.inf):
@@ -720,6 +723,68 @@ class TestIndependentCertificate:
                 build_chain(far, sigma.gamma0, sigma.gamma1, domain)
             refused += 1
         assert built >= 40 and moved >= 20 and refused >= 10
+
+
+class _Shifted(Homotopy):
+    """The blend with its rows at the times ``at(ts)`` picks moved by
+    ``shift`` at the vertices ``columns``, and a count of its calls."""
+
+    def __init__(self, sigma: Homotopy, at, shift: complex, columns=slice(None)):
+        super().__init__(sigma.gamma0, sigma.gamma1)
+        self.at, self.shift, self.columns, self.calls = at, shift, columns, 0
+
+    def rows(self, ts, p0, p1):
+        rows = super().rows(ts, p0, p1)
+        self.calls += 1
+        rows[np.ix_(self.at(np.asarray(ts, dtype=np.float64), self.calls), np.arange(rows.shape[1])
+                    [self.columns])] += self.shift
+        return rows
+
+
+class TestProposalContract:
+    """A proposal that is not the blend must give closed rows with the end
+    values at t = 0 and t = 1; ``build_chain`` refuses any other, naming
+    the row.  The blend itself is not checked."""
+
+    # a circle sliding along a channel: its end pairs are bisected once
+    SIGMA = linear_homotopy(circle(center=-2.0, radius=0.5), circle(center=2.0, radius=0.5))
+
+    @pytest.mark.parametrize("t, name", [(0.0, "gamma0"), (1.0, "gamma1")])
+    def test_an_end_row_moved_by_a_rounding_is_refused(self, t, name):
+        # moved as a whole, so the row still closes; 1e-12 is far inside
+        # every clearance, but the chain's ends are the homotopy's own
+        proposer = _Shifted(self.SIGMA, lambda ts, _: ts == t, 1e-12)
+        with pytest.raises(ValueError, match=f"row at t={t:g} is not {name}'s values"):
+            build_chain(proposer, proposer.gamma0, proposer.gamma1, CHANNEL)
+
+    def _blend_times(self):
+        """The blend's chain partition: its uniform steps, with the first
+        and the last bisected."""
+        return build_chain(self.SIGMA, self.SIGMA.gamma0, self.SIGMA.gamma1, CHANNEL).partition
+
+    def test_an_open_interior_row_is_refused(self):
+        # a first interior vertex moved, so its row no longer closes
+        proposer = _Shifted(self.SIGMA, lambda ts, _: (ts > 0) & (ts < 1), 1e-12, slice(0, 1))
+        first_step = self._blend_times()[2]
+        with pytest.raises(ValueError, match=f"row at t={first_step:.6g} does not close"):
+            build_chain(proposer, proposer.gamma0, proposer.gamma1, CHANNEL)
+        assert proposer.calls == 1
+
+    def test_an_open_bisection_row_is_refused(self):
+        # the first rows keep the contract; the rows of a bisection do not
+        proposer = _Shifted(self.SIGMA, lambda ts, calls: np.full(ts.size, calls > 1), 1e-12,
+                            slice(0, 1))
+        bisection = self._blend_times()[1]
+        with pytest.raises(ValueError, match=f"row at t={bisection:.6g} does not close"):
+            build_chain(proposer, proposer.gamma0, proposer.gamma1, CHANNEL)
+        assert proposer.calls == 2
+
+    def test_the_same_proposal_unmoved_gives_the_blends_chain(self):
+        proposer = _Shifted(self.SIGMA, lambda ts, _: np.zeros(ts.size, dtype=bool), 1e-12)
+        chain = build_chain(proposer, proposer.gamma0, proposer.gamma1, CHANNEL)
+        blend = build_chain(self.SIGMA, self.SIGMA.gamma0, self.SIGMA.gamma1, CHANNEL)
+        assert chain.rows.tobytes() == blend.rows.tobytes()
+        assert chain.partition.tobytes() == blend.partition.tobytes()
 
 
 def _random_chains(seed: int, count: int):
@@ -993,8 +1058,110 @@ class TestContainmentRound:
         assert sum(rows) <= homotopy_module._MAX_SLICES
 
 
+def _half_disk() -> PiecewisePath:
+    """The upper unit half-disk's boundary: an arc over [0, 1/2], its chord back."""
+    arc = ArcSegment(0j, 1.0, 0.0, math.pi, 0.0, 0.5)
+    return PiecewisePath([arc, LineSegment(arc.end_value, arc.start_value, 0.5, 1.0)], closed=True)
+
+
+def _midpoint_slack(path: PiecewisePath, values: np.ndarray, xs: np.ndarray) -> float:
+    """``_end_slack`` as it was taken before the piece index: each panel's
+    |z''| bound searched at the panel's midpoint, kept as the oracle."""
+    if path._all_lines:
+        return 0.0
+    panels = np.diff(xs)
+    mids = (xs[:-1] + xs[1:]) / 2
+    segments = np.searchsorted(path.breakpoints, mids, side="right") - 1
+    second = path.second_derivative_bounds[segments]
+    return (float((panels * panels * second).max()) / 8
+            + homotopy_module._BLEND_ROUNDING * float(np.abs(values).max()) + path._seam_gap)
+
+
+def _piece_cases():
+    """Homotopies whose ends split [0, 1] differently: a mixed path, a
+    one-segment ellipse against a circle, polylines on different
+    breakpoints, a star onto a constant, and random built-in pairs."""
+    rng = random.Random(31)
+    yield linear_homotopy(_half_disk(), circle(0.1j, 1.3))
+    yield linear_homotopy(circle(0.1, 1.4), _half_disk().reverse())
+    yield linear_homotopy(ellipse(1.2, 0.8, 0.1j), circle(radius=1.5))
+    yield linear_homotopy(random_polyline(rng, 5), random_polyline(rng, 7, radius=1.5))
+    yield star_null_homotopy(square(2.0, 0.1j), 0.1j)
+    yield star_null_homotopy(circle(0.2, 1.1), 0.3j)
+    for _ in range(30):
+        yield linear_homotopy(random_builtin_path(rng), random_builtin_path(rng))
+
+
+class TestPieceIndex:
+    """``shared_vertices`` reads each end from its own tables on the rows of
+    the segments holding ``partition_points``' pieces, and ``_end_slack``
+    gathers their |z''| bounds by the same index: the bits of
+    ``gamma.values`` and of the midpoint search they replace."""
+
+    @staticmethod
+    def _ends(sigma):
+        return ((sigma.gamma0, sigma._rows0, sigma._second0),
+                (sigma.gamma1, sigma._rows1, sigma._second1))
+
+    def test_end_values_and_slack_match_their_searched_forms(self):
+        cases = 0
+        for sigma in _piece_cases():
+            union = np.union1d(sigma.gamma0.breakpoints, sigma.gamma1.breakpoints)
+            assert sigma._breaks.tobytes() == union.tobytes()
+            for k in range(12):  # tolerances down by 4, as build_chain refines them
+                panels = sigma.panels(4.0 ** -k)
+                if panels.sum() > 20_000:
+                    break
+                xs, pieces, *values = sigma.shared_vertices(panels)
+                widths = xs[1:] - xs[:-1]
+                for (path, rows, second), mine in zip(self._ends(sigma), values):
+                    assert np.array_equal(rows[pieces], path._rows[path._segment_indices(xs[:-1])])
+                    theirs = path.values(xs)
+                    theirs[-1] = theirs[0]
+                    assert mine.tobytes() == theirs.tobytes()
+                    slack = homotopy_module._end_slack(path, second, pieces, widths,
+                                                       np.abs(mine).max())
+                    assert slack == _midpoint_slack(path, mine, xs)
+                    cases += 1
+        assert cases > 300
+
+    def test_piece_index_holds_at_the_vertex_budget(self):
+        # partitions of about _MAX_VERTICES points, as fine as a chain gets:
+        # every point but the last lies in its panel's piece and segment
+        for sigma in list(_piece_cases())[:6]:
+            pieces_count = sigma._breaks.size - 1
+            counts = np.full(pieces_count, float(homotopy_module._MAX_VERTICES // pieces_count))
+            xs, pieces = homotopy_module.partition_points(sigma._breaks, counts)
+            for path, rows, _ in self._ends(sigma):
+                assert np.array_equal(rows[pieces], path._rows[path._segment_indices(xs[:-1])])
+
+
 class TestChainWork:
     """One chain build does a fixed number of array passes."""
+
+    def test_no_path_evaluation_and_one_bounds_check_per_chain(self, monkeypatch):
+        # the ends are read from their tables on the piece index, and the
+        # pair bounds are checked once, on the chain returned, however many
+        # rounds of bisection or finer partitions it took
+        rng = random.Random(37)
+        cases = [_random_chain_case(rng) for _ in range(80)]
+        cases.append((linear_homotopy(circle(-2.0, 0.5), circle(2.0, 0.5)), CHANNEL))
+        values = counted_calls(monkeypatch, PiecewisePath, "values")
+        ranges = counted_calls(monkeypatch, PiecewisePath, "_check_range")
+        checks = counted_calls(monkeypatch, Bounds, "check_arrays")
+        proposals = counted_calls(monkeypatch, Homotopy, "rows")
+        built = rounds = 0
+        for sigma, domain in cases:
+            before, proposed = len(checks), len(proposals)
+            try:
+                build_chain(sigma, sigma.gamma0, sigma.gamma1, domain)
+            except ContainmentNotCertified:
+                continue
+            built += 1
+            rounds += len(proposals) - proposed > 1
+            assert len(checks) == before + 1
+        assert values == [] and ranges == []
+        assert built >= 30 and rounds >= 3
 
     def test_each_end_path_evaluated_at_most_three_times(self, monkeypatch):
         # the coarse grid and the shared partition
@@ -1015,8 +1182,8 @@ class TestChainWork:
     def _corrupt_gaps(monkeypatch, corrupt):
         gaps = homotopy_module._consecutive_gaps
 
-        def corrupted(rows):
-            lo, hi = gaps(rows)
+        def corrupted(rows, reach):
+            lo, hi = gaps(rows, reach)
             corrupt(lo, hi)
             return lo, hi
 
@@ -1028,7 +1195,9 @@ class TestChainWork:
         lambda lo, hi: hi.__setitem__(2, np.inf),
     ], ids=["inverted", "nan-lo", "inf-hi"])
     def test_bad_pair_bound_refused(self, monkeypatch, corrupt):
-        # refused at once, not bisected
+        # refused, never certified: a bound past the float range at once,
+        # since no bisection mends it, and an inverted or nan one by the one
+        # check of the bounds the chain would be returned with
         g0, g1 = circle(radius=1.0), circle(radius=2.0)
         self._corrupt_gaps(monkeypatch, corrupt)
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from contourchain import (
     constant_path,
     contour_integral,
     ellipse,
+    linear_homotopy,
     parse_function,
     polyline,
     polyline_sup_distance,
@@ -743,7 +744,8 @@ class TestOneConstruction:
         fields = {frozenset(vars(p)) for p in paths}
         assert len(fields) == 1
         assert fields.pop() == {"closed", "_lines", "_arcs", "_rows", "_segments", "_breaks", "_start",
-                                "_seam_gap", "_first_bounds", "_second_bounds", "_lipschitz"}
+                                "_seam_gap", "_first_bounds", "_second_bounds", "_lipschitz",
+                                "_source"}
 
     @pytest.mark.parametrize("make", [
         lambda: circle(0.3 - 0.2j, 1.7),
@@ -753,12 +755,27 @@ class TestOneConstruction:
         _half_disk,
     ], ids=["circle", "ellipse", "polyline", "half-disk"])
     def test_reversing_twice_gives_the_path_back(self, make):
-        # on dyadic spans 1 - (1 - s) is s, so every field comes back bit for bit
+        # a reversed path reverses to its source; on dyadic spans 1 - (1 - s)
+        # is s, so a path with no source, the reversal rebuilt from its
+        # segments, reverses to every field of the path too, bit for bit
         path = make()
-        back = path.reverse().reverse()
+        assert path.reverse().reverse() is path
+        back = PiecewisePath(path.reverse().segments, closed=True).reverse()
         for mine, theirs in zip(_fields(back), _fields(path), strict=True):
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
         assert back.closed and back.vertices().tobytes() == path.vertices().tobytes()
+
+    def test_reversing_twice_keeps_non_dyadic_breakpoints(self):
+        # 1 - (1 - 1/7) and 1 - (1 - 3/7) miss 1/7 and 3/7 by an ulp, so the
+        # tables reversed twice would give the blend with the path a sliver
+        # piece at each; its source gives back p's own 8 breakpoints
+        path = polyline([1 + 0j, 0.5 + 1j, -1 + 0.2j, -0.3 - 1j, 0.1 - 0.4j, 0.7 - 0.7j, 0.9 - 0.2j])
+        twice = 1.0 - (1.0 - path.breakpoints)
+        assert not np.array_equal(twice, path.breakpoints)
+        assert path.reverse().reverse() is path
+        sigma = linear_homotopy(path, path.reverse().reverse())
+        assert sigma._breaks.tobytes() == path.breakpoints.tobytes()
+        assert sigma.panels(0.1).tolist() == [1.0] * 7
 
     @pytest.mark.parametrize("spans", sorted(_SPANS))
     def test_a_reversed_mixed_path_is_its_reversed_segments(self, spans):
